@@ -33,7 +33,7 @@ independent equality oracle and drives the pure-braid coordinate splitting
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
 from .words import Word, invert_letters
@@ -132,15 +132,6 @@ class GarsideNormalForm:
     n: int
     delta_power: int
     factors: tuple[tuple[int, ...], ...]
-
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
-    def infimum(self) -> int:
-        return self.delta_power
-
-    def supremum(self) -> int:
-        return self.delta_power + len(self.factors)
 
     def __str__(self) -> str:
         parts = " ".join(",".join(str(v + 1) for v in f) for f in self.factors)
@@ -554,10 +545,6 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
     if not b3_equal_fast(p3_assemble(w, k), b):
         raise PeelingError("reassembled coordinates do not reproduce the input")
     return P3Coordinates(w, k)
-
-
-def pure_braid_context() -> BraidGroup:
-    return BraidGroup(3)
 
 
 def pr1() -> GroupHom:

@@ -212,6 +212,11 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
             target = pair.ambient.parse(payload["target"])
         except ValueError as exc:
             raise _fail("target", str(exc)) from exc
+        if not pair.is_member(target):
+            raise _fail(
+                "target membership",
+                f"target {payload['target']} is outside the subgroup of {pair.name}",
+            )
         if payload["kind"] == "scl-upper-decomposition":
             _check_upper(payload, pair, target)
         else:

@@ -272,8 +272,21 @@ def cmd_verify_paper(args) -> int:
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
+def _attach_braid_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--braid -1,2`` as ``--braid=-1,2``: argparse would read a
+    value with a leading negative index as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--braid" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--braid={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    argv = _attach_braid_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

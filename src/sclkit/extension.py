@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .braids import BraidGroup, index_section, index_sum
-from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext
+from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, sphere_pairs
 from .norms import PreconditionError
 from .quasimorphisms import (
     CertifiedValue,
@@ -276,7 +276,6 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
     subtracts all three radii, and must stay within 2 D(phi).
     """
     ctx = result.section.ambient
-    spheres = [ctx.sphere(k) for k in range(radius + 1)]
     prime_memo: dict = {}
     hat_memo: dict = {}
 
@@ -295,20 +294,19 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
     best_prime = Fraction(0)
     best_hat = Fraction(0)
     pairs = 0
-    for total in range(radius + 1):
-        for i in range(total + 1):
-            for g in spheres[i]:
-                for h in spheres[total - i]:
-                    pairs += 1
-                    gh = ctx.mul(g, h)
-                    gap_p = abs(prime(gh) - prime(g) - prime(h))
-                    if gap_p > best_prime:
-                        best_prime = gap_p
-                    vg, vh, vgh = hat(g), hat(h), hat(gh)
-                    slack = (vg.radius or 0) + (vh.radius or 0) + (vgh.radius or 0)
-                    gap_h = abs(vgh.value - vg.value - vh.value) - slack
-                    if gap_h > best_hat:
-                        best_hat = gap_h
+    for g, sphere in sphere_pairs(ctx, radius):
+        pg, vg = prime(g), hat(g)
+        for h in sphere:
+            pairs += 1
+            gh = ctx.mul(g, h)
+            gap_p = abs(prime(gh) - pg - prime(h))
+            if gap_p > best_prime:
+                best_prime = gap_p
+            vh, vgh = hat(h), hat(gh)
+            slack = (vg.radius or 0) + (vh.radius or 0) + (vgh.radius or 0)
+            gap_h = abs(vgh.value - vg.value - vh.value) - slack
+            if gap_h > best_hat:
+                best_hat = gap_h
     d = Fraction(result.base.defect_upper)
     return DefectChainReport(
         phi_prime_searched=best_prime,

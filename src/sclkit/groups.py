@@ -6,15 +6,84 @@ canonical forms, deterministic ball enumeration and seeded sampling.  Elements
 themselves stay plain immutable values (words, ints, tuples, permutations), so
 everything here is safe to evaluate concurrently and to use as dict keys via
 ``canonical``.
+
+Every Cayley-graph walk in the library goes through two helpers here:
+``ProductSearch``, the shortest product of a fixed list of moves, and
+``sphere_pairs``, the pairs of ball elements ordered by total length.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .words import Word, format_letters, random_reduced, word, words_of_length
+
+
+class ProductSearch:
+    """Breadth-first search for shortest products of moves from the identity.
+
+    ``info`` maps the canonical key of every element reached to (depth,
+    parent key, move index); layer k of the search is the set of elements
+    whose shortest product has exactly k moves.  ``frontier`` holds the
+    elements of the last layer in discovery order, and a caller may reorder
+    it before the next layer grows from it.  The first product found for an
+    element is the one kept, so the witness is deterministic.
+    """
+
+    def __init__(self, ctx: "GroupContext", moves: Sequence[Any]):
+        self.ctx = ctx
+        self.moves = list(moves)
+        self.info: dict[Hashable, tuple[int, Hashable, int]] = {
+            ctx.canonical(ctx.identity): (0, None, -1)
+        }
+        self.frontier = [ctx.identity]
+        self.depth = 0
+
+    def grow(self, max_depth: int | None = None, target: Hashable | None = None) -> None:
+        """Add whole layers until ``target`` (a canonical key) is reached,
+        ``max_depth`` layers exist, or a layer adds nothing new."""
+        ctx, info, moves = self.ctx, self.info, self.moves
+        while self.frontier:
+            if max_depth is not None and self.depth >= max_depth:
+                break
+            if target is not None and target in info:
+                break
+            self.depth += 1
+            nxt = []
+            for a in self.frontier:
+                a_key = ctx.canonical(a)
+                for idx, c in enumerate(moves):
+                    b = ctx.mul(a, c)
+                    key = ctx.canonical(b)
+                    if key not in info:
+                        info[key] = (self.depth, a_key, idx)
+                        nxt.append(b)
+            self.frontier = nxt
+
+    def path(self, key: Hashable) -> list[int]:
+        """Move indices of the shortest product found for ``key``, in order."""
+        rev = []
+        while True:
+            depth, parent, idx = self.info[key]
+            if depth == 0:
+                return rev[::-1]
+            rev.append(idx)
+            key = parent
+
+
+def sphere_pairs(ctx: "GroupContext", radius: int) -> Iterable[tuple[Any, list]]:
+    """Every pair (g, h) with |g| + |h| <= radius, as (g, sphere of h).
+
+    Pairs come by total length, then by |g|; the caller loops over h in the
+    sphere, so per-g work runs once per g.
+    """
+    spheres = [ctx.sphere(k) for k in range(radius + 1)]
+    for total in range(radius + 1):
+        for i in range(total + 1):
+            for g in spheres[i]:
+                yield g, spheres[total - i]
 
 
 class GroupContext:
@@ -79,29 +148,20 @@ class GroupContext:
         return self._bfs_spheres(k)[k]
 
     def ball(self, radius: int) -> list:
-        spheres = self._bfs_spheres(radius)
-        return [g for k in range(radius + 1) for g in spheres[k]]
+        return [g for k in range(radius + 1) for g in self.sphere(k)]
 
     def _bfs_spheres(self, radius: int) -> list[list]:
         cache = getattr(self, "_sphere_cache", None)
         if cache is None:
             cache = self._sphere_cache = [[self.identity]]
-        gens = [g for g in self.generators()]
-        step = gens + [self.inv(g) for g in gens]
-        seen = getattr(self, "_sphere_seen", None)
-        if seen is None:
-            seen = self._sphere_seen = {self.canonical(self.identity)}
+            gens = self.generators()
+            self._sphere_search = ProductSearch(self, gens + [self.inv(g) for g in gens])
+        search = self._sphere_search
         while len(cache) <= radius:
-            frontier = []
-            for g in cache[-1]:
-                for s in step:
-                    h = self.mul(g, s)
-                    key = self.canonical(h)
-                    if key not in seen:
-                        seen.add(key)
-                        frontier.append((self.sort_key(h), h))
-            frontier.sort(key=lambda pair: pair[0])
-            cache.append([h for _, h in frontier])
+            search.grow(max_depth=len(cache))
+            # expanding from the sorted layer fixes the representative words
+            search.frontier.sort(key=self.sort_key)
+            cache.append(search.frontier)
         return cache
 
     def sort_key(self, a):
@@ -189,9 +249,6 @@ class FreeGroup(GroupContext):
     def sphere(self, k: int) -> list[Word]:
         return [Word(self.rank, ls) for ls in words_of_length(self.rank, k, self.gen_indices)]
 
-    def ball(self, radius: int) -> list[Word]:
-        return [g for k in range(radius + 1) for g in self.sphere(k)]
-
     def sample(self, rng, size: int) -> Word:
         return Word(self.rank, random_reduced(rng, self.rank, size, self.gen_indices))
 
@@ -228,9 +285,6 @@ class CyclicZ(GroupContext):
 
     def sphere(self, k: int) -> list[int]:
         return [0] if k == 0 else [-k, k]
-
-    def ball(self, radius: int) -> list[int]:
-        return [k for r in range(radius + 1) for k in self.sphere(r)]
 
     def sample(self, rng, size: int) -> int:
         return rng.randint(-size, size)
@@ -294,9 +348,6 @@ class DirectProduct(GroupContext):
                 for b in self.right.sphere(k - i):
                     out.append((a, b))
         return out
-
-    def ball(self, radius: int) -> list:
-        return [g for k in range(radius + 1) for g in self.sphere(k)]
 
     def sample(self, rng, size: int):
         i = rng.randint(0, size)

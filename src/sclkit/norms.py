@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
-from .groups import GroupContext
+from .groups import GroupContext, ProductSearch
 from .quasimorphisms import Quasimorphism
 
 
@@ -206,31 +206,23 @@ class FragmentationNorm:
                 f"{len(self._subgroup)} subgroup elements"
             )
         )
-        self._info: dict[Any, tuple[int, Any, int]] = {}
+        self._search = ProductSearch(context, [c for c, _, _ in self._conjugates])
         if self._finite:
-            self._run_bfs(max_layers=None, targets=None)
+            self._search.grow()
 
     def _close_subgroup(self, guard: int) -> list:
         ctx = self.context
-        steps = self.subgroup_gens + [ctx.inv(s) for s in self.subgroup_gens]
-        seen = {ctx.canonical(ctx.identity): ctx.identity}
-        frontier = [ctx.identity]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for s in steps:
-                    b = ctx.mul(a, s)
-                    key = ctx.canonical(b)
-                    if key not in seen:
-                        if len(seen) >= guard:
-                            raise ValueError(
-                                "subgroup closure did not stabilise; pass "
-                                "subgroup_elements explicitly"
-                            )
-                        seen[key] = b
-                        nxt.append(b)
-            frontier = nxt
-        return list(seen.values())
+        search = ProductSearch(ctx, self.subgroup_gens + [ctx.inv(s) for s in self.subgroup_gens])
+        elements = [ctx.identity]
+        while search.frontier:
+            search.grow(max_depth=search.depth + 1)
+            if len(search.info) > guard:
+                raise ValueError(
+                    "subgroup closure did not stabilise; pass "
+                    "subgroup_elements explicitly"
+                )
+            elements += search.frontier
+        return elements
 
     def _conjugate_closure(self, radius: int | None) -> list[tuple[Any, Any, Any]]:
         ctx = self.context
@@ -251,54 +243,15 @@ class FragmentationNorm:
                     out[key] = (c, g, h)
         return list(out.values())
 
-    def _run_bfs(self, max_layers: int | None, targets: set | None) -> None:
-        ctx = self.context
-        ident_key = ctx.canonical(ctx.identity)
-        if not self._info:
-            self._info[ident_key] = (0, None, -1)
-            self._frontier = [ctx.identity]
-            self._depth = 0
-        info = self._info
-        frontier = self._frontier
-        while frontier:
-            if max_layers is not None and self._depth >= max_layers:
-                break
-            if targets is not None and targets <= set(info):
-                break
-            self._depth += 1
-            nxt = []
-            for a in frontier:
-                a_key = ctx.canonical(a)
-                for idx, (c, _, _) in enumerate(self._conjugates):
-                    b = ctx.mul(a, c)
-                    key = ctx.canonical(b)
-                    if key not in info:
-                        info[key] = (self._depth, a_key, idx)
-                        nxt.append(b)
-            frontier = nxt
-            self._frontier = frontier
-
-    def _trace_witness(self, f) -> tuple[tuple[Any, Any], ...]:
-        ctx = self.context
-        key = ctx.canonical(f)
-        rev: list[tuple[Any, Any]] = []
-        while True:
-            layer, parent, idx = self._info[key]
-            if layer == 0:
-                break
-            _, g, h = self._conjugates[idx]
-            rev.append((g, h))
-            key = parent
-        return tuple(reversed(rev))
-
     def value_with_witness(self, f) -> FragmentationResult:
         ctx = self.context
         key = ctx.canonical(f)
-        if not self._finite and key not in self._info:
-            self._run_bfs(max_layers=self.cap, targets={key})
-        if key in self._info:
-            layer = self._info[key][0]
-            witness = self._trace_witness(f)
+        search = self._search
+        if not self._finite:
+            search.grow(max_depth=self.cap, target=key)
+        if key in search.info:
+            layer = search.info[key][0]
+            witness = tuple(self._conjugates[idx][1:] for idx in search.path(key))
             check = ctx.identity
             for g, h in witness:
                 check = ctx.mul(check, ctx.conjugate(g, h))
@@ -319,15 +272,6 @@ class FragmentationNorm:
 
     def as_norm(self) -> ConjugationInvariantNorm:
         return ConjugationInvariantNorm(self.name, self.context, self.__call__)
-
-    def layers(self) -> dict[int, list]:
-        """Layer index -> canonical keys, for finite contexts."""
-        if not self._finite:
-            raise ValueError("layer listing is only meaningful for finite contexts")
-        out: dict[int, list] = {}
-        for key, (layer, _, _) in self._info.items():
-            out.setdefault(layer, []).append(key)
-        return out
 
 
 def fragmentation_norm(

@@ -32,11 +32,11 @@ defect bound, which is how ``brooks_homogenized`` certifies its constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Hashable, Iterable
 
-from .groups import GroupContext, GroupHom
+from .groups import GroupContext, GroupHom, sphere_pairs
 from .words import Word, invert_letters
 
 
@@ -157,7 +157,6 @@ class Quasimorphism:
     defect_upper: Fraction | None = None
     defect_provenance: str = "unknown"
     defect_lower: Fraction = Fraction(0)
-    defect_lower_witness: tuple | None = None
 
     def __call__(self, g) -> Fraction:
         return Fraction(self.eval_fn(g))
@@ -290,7 +289,6 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
     radius; the result also raises ``qm.defect_lower`` when it improves it.
     """
     ctx = context if context is not None else qm.context
-    spheres = [ctx.sphere(k) for k in range(radius + 1)]
     memo: dict[Hashable, Fraction] = {}
 
     def ev(g) -> Fraction:
@@ -304,19 +302,16 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
     best = Fraction(0)
     witness: tuple | None = None
     pairs = 0
-    for total in range(radius + 1):
-        for i in range(total + 1):
-            for g in spheres[i]:
-                vg = ev(g)
-                for h in spheres[total - i]:
-                    pairs += 1
-                    gap = abs(ev(ctx.mul(g, h)) - vg - ev(h))
-                    if gap > best:
-                        best = gap
-                        witness = (g, h)
+    for g, sphere in sphere_pairs(ctx, radius):
+        vg = ev(g)
+        for h in sphere:
+            pairs += 1
+            gap = abs(ev(ctx.mul(g, h)) - vg - ev(h))
+            if gap > best:
+                best = gap
+                witness = (g, h)
     if best > qm.defect_lower:
         qm.defect_lower = best
-        qm.defect_lower_witness = witness
     return DefectSearchResult(best, witness, radius, pairs)
 
 

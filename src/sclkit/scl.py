@@ -22,9 +22,9 @@ of alpha is strictly smaller than the ordinary one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .braids import (
     BraidGroup,
@@ -36,7 +36,7 @@ from .braids import (
     p3_assemble,
     pr1,
 )
-from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext
+from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, ProductSearch
 from .norms import PreconditionError
 from .quasimorphisms import (
     InvarianceReport,
@@ -46,7 +46,7 @@ from .quasimorphisms import (
     invariance_check,
     pullback,
 )
-from .words import Word, words_of_length
+from .words import Word
 
 
 @dataclass
@@ -77,17 +77,9 @@ def ordinary_pair(ctx: GroupContext, name: str | None = None) -> GroupPair:
 
 def _p3_ball(radius: int) -> list[BraidWord]:
     """Pure 3-strand braids of length <= radius in the generators x, y and
-    the central full twist, in a fixed enumeration order."""
-    out = []
-    for total in range(radius + 1):
-        for j in range(total + 1):
-            kk = total - j
-            ks = [0] if kk == 0 else [-kk, kk]
-            for letters in words_of_length(25, j, (24, 25)):
-                w = Word(25, letters)
-                for k in ks:
-                    out.append(p3_assemble(w, k))
-    return out
+    the central full twist: the ball of F2 x Z, in its enumeration order."""
+    coords = DirectProduct(FreeGroup.on("xy"), CyclicZ())
+    return [p3_assemble(w, k) for w, k in coords.ball(radius)]
 
 
 def braid_pure_pair() -> GroupPair:
@@ -237,35 +229,19 @@ def mixed_cl_search(
     if pair.mode == "ordinary":
         # both components must come from the subgroup in ordinary mode
         conjugators = [h for h in conjugators if pair.is_member(h)]
+    subgroup = pair.subgroup_ball(subgroup_radius)
     for ghat in conjugators:
-        for g in pair.subgroup_ball(subgroup_radius):
+        for g in subgroup:
             c = ctx.commutator(ghat, g)
             key = ctx.canonical(c)
             if key not in commutators:
                 commutators[key] = (c, (ghat, g))
     moves = sorted(commutators.items(), key=lambda kv: repr(kv[0]))
     target_key = ctx.canonical(target)
+    search = ProductSearch(ctx, [c for _, (c, _) in moves])
+    search.grow(max_depth=max_factors, target=target_key)
 
-    info: dict[Any, tuple[int, Any, int]] = {ctx.canonical(ctx.identity): (0, None, -1)}
-    frontier = [ctx.identity]
-    found = target_key in info
-    depth = 0
-    while frontier and not found and depth < max_factors:
-        depth += 1
-        nxt = []
-        for a in frontier:
-            a_key = ctx.canonical(a)
-            for idx, (key_c, (c, _)) in enumerate(moves):
-                b = ctx.mul(a, c)
-                key = ctx.canonical(b)
-                if key not in info:
-                    info[key] = (depth, a_key, idx)
-                    nxt.append(b)
-                    if key == target_key:
-                        found = True
-        frontier = nxt
-
-    if target_key not in info:
+    if target_key not in search.info:
         return ClSearchResult(
             None,
             None,
@@ -273,19 +249,12 @@ def mixed_cl_search(
             scope,
             len(moves),
         )
-    rev: list[tuple[Any, Any]] = []
-    key = target_key
-    while True:
-        layer, parent, idx = info[key]
-        if layer == 0:
-            break
-        rev.append(moves[idx][1][1])
-        key = parent
-    decomposition = MixedCommutatorDecomposition(pair, target, tuple(reversed(rev)))
+    factors = tuple(moves[idx][1][1] for idx in search.path(target_key))
+    decomposition = MixedCommutatorDecomposition(pair, target, factors)
     report = verify_decomposition(decomposition)
     if not report:
         raise AssertionError(f"search produced an invalid decomposition: {report.detail}")
-    count = info[target_key][0]
+    count = len(factors)
     return ClSearchResult(count, decomposition, f"= {count}", scope, len(moves))
 
 

@@ -98,6 +98,15 @@ def test_normal_form_invariant_under_relations(n):
         assert braid_equal(b, rewritten)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_normal_forms_are_left_weighted(n):
+    # the oracle for any change to how _normalize_factors left-weights
+    rng = random.Random(310 + n)
+    for _ in range(300):
+        b = random_braid(rng, n, rng.randrange(0, 16))
+        assert normal_form(b).is_left_weighted()
+
+
 def test_normal_form_round_trip():
     rng = random.Random(301)
     for _ in range(100):
@@ -184,6 +193,10 @@ def test_braid_group_context_round_trip():
     assert ctx.is_identity(ctx.mul(braid("1", 3), braid("-1", 3)))
     assert len(ctx.ball(0)) == 1
     assert len(ctx.ball(1)) == 5
+    # ball order and representative words are deterministic
+    assert [ctx.text(g) for g in ctx.ball(3)[:12]] == [
+        "", "-2", "-1", "2", "1", "-1,-1", "-2,-2", "-2,-1", "1,-2", "-1,-2", "2,-1", "-2,1",
+    ]
 
 
 def test_p3_round_trip_small():

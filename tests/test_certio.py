@@ -131,6 +131,7 @@ UPPER_FAULTS = [
     ("witness", lambda p: p["witness"].update(power="two")),
     ("group pair", lambda p: p.update(group_pair="braid:9/pure")),
     ("target", lambda p: p.update(target="1,oops")),
+    ("target membership", lambda p: p.update(target="1")),
     ("witness", lambda p: p["witness"].update(factors=[["1,2"]])),
     ("bound arithmetic", lambda p: p.update(bound="1/3")),
     ("membership of factor 0", lambda p: p["witness"]["factors"][0].__setitem__(1, "1")),
@@ -139,6 +140,7 @@ UPPER_FAULTS = [
 
 LOWER_FAULTS = [
     ("schema", lambda p: p.pop("bound")),
+    ("target membership", lambda p: p.update(target="1")),
     ("quasimorphism", lambda p: p["witness"].update(qm="brooks(w=")),
     ("qm value", lambda p: p["witness"].update(value="2")),
     ("defect", lambda p: p["witness"].update(defect_upper="5")),

@@ -53,6 +53,22 @@ def test_eval_usage_errors():
     assert "position" in r.stderr
 
 
+def test_braid_value_may_start_with_a_negative_index():
+    r = run_cli("eval", "--qm", "hom(indexsum)", "--braid", "-1,-2")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "-2"
+    r = run_cli(
+        "scl-bounds", "--group", "braid:3/pure", "--braid", "-1,-1,-2,-2,1,1,2,2",
+        "--radius", "2", "--cap", "1", "--n-max", "2", "--format", "json",
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["target"] == "-1,-1,-2,-2,1,1,2,2"
+    assert doc["interval"][1] == "1"
+    # an option in the value's place is still a usage error
+    assert run_cli("eval", "--qm", "hom(indexsum)", "--braid", "--format", "json").returncode == 2
+
+
 def test_bad_subcommand_is_usage_error():
     assert run_cli("wibble").returncode == 2
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from sclkit.braids import BraidGroup
 from sclkit.groups import FreeGroup, SymmetricGroup, cycle_count
 from sclkit.norms import (
     INFINITY,
@@ -63,6 +64,20 @@ def test_fragmentation_witness_multiplies_back():
     assert acc == target
     d = result.as_dict(s4)
     assert d["value"] == 3 and len(d["witness"]) == 3
+    # truncated search in B3 with subgroup {s1^2, s1^-2}: the pinned witness
+    b3 = BraidGroup(3)
+    nu = FragmentationNorm(
+        b3, [], subgroup_elements=[b3.parse("1,1"), b3.parse("-1,-1")],
+        conjugator_radius=2, cap=4,
+    )
+    result = nu.value_with_witness(b3.parse("1,1,2,2"))
+    assert result.verdict() == "= 2"
+    assert [[b3.text(g), b3.text(h)] for g, h in result.witness] == [
+        ["", "1,1"], ["-1,-2", "1,1"],
+    ]
+    # an infinite subgroup closure stops at the guard
+    with pytest.raises(ValueError, match="did not stabilise"):
+        FragmentationNorm(b3, [b3.parse("1")], conjugator_radius=1, closure_guard=50)
 
 
 def test_fragmentation_unreachable_elements_are_infinite():

@@ -166,6 +166,18 @@ def test_mixed_cl_search_multi_factor():
     assert res.count == 2
     assert len(res.decomposition.factors) == 2
     assert verify_decomposition(res.decomposition).ok
+    # the witness choice on free:2 is deterministic: first found, moves in key order
+    f2 = FreeGroup(2)
+    for target, factors in [
+        ("aabAAB", [["aa", "b"]]),
+        ("abABabAB", [["a", "b"], ["a", "b"]]),
+    ]:
+        res = mixed_cl_search(
+            ordinary_pair(f2), f2.parse(target), ambient_radius=2, subgroup_radius=2, max_factors=3
+        )
+        assert res.count == len(factors)
+        assert res.decomposition.factor_texts() == factors
+        assert res.commutators_used == 97
 
 
 def test_mixed_cl_search_miss_is_ball_relative():
