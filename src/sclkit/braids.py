@@ -20,8 +20,10 @@ the order-reversing permutation.  For a permutation braid P with permutation
 A pair (A, B) of permutation braids is left-weighted when every prefix
 generator of B is a suffix generator of A; the local repair move slides one
 crossing from the front of B to the back of A and strictly shrinks B, so it
-terminates.  The pair repair is memoised per strand count, which makes
-normalisation of long words on few strands cheap.
+terminates.  Normalisation is one left-to-right pass: each factor is
+appended and adjacent pairs are repaired leftwards until one is already
+left-weighted (Epstein et al., *Word Processing in Groups*, ch. 9).  The
+pair repair is memoised, which makes long words on few strands cheap.
 
 The rank-3 group also carries the exact integer-matrix homomorphism onto
 SL(2,Z) sending the two generators to [[1,1],[0,1]] and [[1,0],[-1,1]].  Its
@@ -32,97 +34,72 @@ independent equality oracle and drives the pure-braid coordinate splitting
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
 from .words import Word, invert_letters
 
-_PERM_TABLES: dict[int, dict] = {}
-
-
-def _tables(n: int) -> dict:
-    """Per-strand-count permutation helpers and the memoised pair repair."""
-    tab = _PERM_TABLES.get(n)
-    if tab is None:
-        ident = perm_identity(n)
-        delta = tuple(range(n - 1, -1, -1))
-        taus = []
-        for i in range(n - 1):
-            images = list(range(n))
-            images[i], images[i + 1] = images[i + 1], images[i]
-            taus.append(tuple(images))
-        tab = _PERM_TABLES[n] = {
-            "ident": ident,
-            "delta": delta,
-            "taus": taus,
-            "pair": {},
-            "flip": {},
-        }
-    return tab
+@functools.cache
+def _tables(n: int):
+    """Per-strand-count permutations (identity, half twist, transpositions)."""
+    taus = []
+    for i in range(n - 1):
+        images = list(range(n))
+        images[i], images[i + 1] = images[i + 1], images[i]
+        taus.append(tuple(images))
+    return perm_identity(n), tuple(range(n - 1, -1, -1)), tuple(taus)
 
 
 def _descents(p: tuple[int, ...]) -> list[int]:
     return [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
 
 
+@functools.cache
 def _flip(n: int, p: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugation of a permutation braid by the half twist."""
-    tab = _tables(n)
-    cached = tab["flip"].get(p)
-    if cached is None:
-        delta = tab["delta"]
-        cached = perm_compose(perm_compose(delta, p), delta)
-        tab["flip"][p] = cached
-    return cached
+    _, delta, _ = _tables(n)
+    return perm_compose(perm_compose(delta, p), delta)
 
 
+@functools.cache
 def _lw_pair(n: int, a: tuple[int, ...], b: tuple[int, ...]):
     """Left-weight an adjacent factor pair, preserving the product a*b."""
-    tab = _tables(n)
-    cached = tab["pair"].get((a, b))
-    if cached is None:
-        taus = tab["taus"]
-        x, y = a, b
-        while True:
-            xinv = perm_inverse(x)
-            move = None
-            for i in _descents(y):
-                if xinv[i] < xinv[i + 1]:
-                    move = i
-                    break
-            if move is None:
-                break
-            x = perm_compose(x, taus[move])
-            y = perm_compose(taus[move], y)
-        cached = (x, y)
-        tab["pair"][(a, b)] = cached
-    return cached
+    _, _, taus = _tables(n)
+    while True:
+        ainv = perm_inverse(a)
+        move = next((i for i in _descents(b) if ainv[i] < ainv[i + 1]), None)
+        if move is None:
+            return a, b
+        a = perm_compose(a, taus[move])
+        b = perm_compose(taus[move], b)
 
 
 def _normalize_factors(n: int, k: int, factors: list[tuple[int, ...]]):
-    """Left-weight a positive factor list, extracting half-twist powers."""
-    tab = _tables(n)
-    ident, delta = tab["ident"], tab["delta"]
-    fs = [f for f in factors if f != ident]
-    while True:
-        out: list[tuple[int, ...]] = []
-        for f in fs:
-            if f == delta:
-                k += 1
-                out = [_flip(n, g) for g in out]
-            elif f != ident:
-                out.append(f)
-        fs = out
-        changed = False
-        for i in range(len(fs) - 1):
-            a, b = fs[i], fs[i + 1]
-            a2, b2 = _lw_pair(n, a, b)
-            if a2 != a:
-                fs[i], fs[i + 1] = a2, b2
-                changed = True
-        if not changed:
-            return k, tuple(fs)
+    """Left-weight a positive factor list, extracting half-twist powers.
+
+    Each factor is appended to a left-weighted list and repaired leftwards
+    until a pair is already left-weighted; the list stays left-weighted, so
+    half twists can only sit at its front and trivial factors at its back.
+    """
+    ident, delta, _ = _tables(n)
+    fs: list[tuple[int, ...]] = []
+    for f in factors:
+        fs.append(f)
+        i = len(fs) - 1
+        while i > 0:
+            a, b = _lw_pair(n, fs[i - 1], fs[i])
+            if a == fs[i - 1]:
+                break
+            fs[i - 1], fs[i] = a, b
+            i -= 1
+        while fs and fs[-1] == ident:
+            fs.pop()
+    lead = 0
+    while lead < len(fs) and fs[lead] == delta:
+        lead += 1
+    return k + lead, tuple(fs[lead:])
 
 
 @dataclass(frozen=True)
@@ -141,8 +118,8 @@ class GarsideNormalForm:
         return (self.n, self.delta_power, self.factors)
 
     def is_left_weighted(self) -> bool:
-        tab = _tables(self.n)
-        if any(f in (tab["ident"], tab["delta"]) for f in self.factors):
+        ident, delta, _ = _tables(self.n)
+        if any(f in (ident, delta) for f in self.factors):
             return False
         for a, b in zip(self.factors, self.factors[1:]):
             fin = set(_descents(perm_inverse(a)))
@@ -188,9 +165,6 @@ class BraidWord:
     def __str__(self) -> str:
         return format_braid(self)
 
-    def conjugate_by(self, g: "BraidWord") -> "BraidWord":
-        return g * self * ~g
-
 
 def braid(text: str, n: int) -> BraidWord:
     """Parse either compact '1,2,-1' or token 's1 s2 s1^-1' syntax.
@@ -228,8 +202,7 @@ def format_braid(b: BraidWord) -> str:
 
 def normal_form(b: BraidWord) -> GarsideNormalForm:
     """Left-greedy normal form of an Artin word."""
-    tab = _tables(b.n)
-    taus, delta = tab["taus"], tab["delta"]
+    _, delta, taus = _tables(b.n)
     exps = []
     factors = []
     for l in b.letters:
@@ -250,19 +223,11 @@ def normal_form(b: BraidWord) -> GarsideNormalForm:
     return GarsideNormalForm(b.n, k, fs)
 
 
-_NF_CACHE: dict[tuple[int, tuple[int, ...]], GarsideNormalForm] = {}
-_NF_CACHE_LIMIT = 200_000
-
-
+@functools.lru_cache(maxsize=200_000)
 def cached_normal_form(b: BraidWord) -> GarsideNormalForm:
-    key = (b.n, b.letters)
-    nf = _NF_CACHE.get(key)
-    if nf is None:
-        nf = normal_form(b)
-        if len(_NF_CACHE) > _NF_CACHE_LIMIT:
-            _NF_CACHE.clear()
-        _NF_CACHE[key] = nf
-    return nf
+    """``normal_form`` behind an LRU cache; ``cache_info()`` gives its hits,
+    misses and size."""
+    return normal_form(b)
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
@@ -275,6 +240,7 @@ def braid_equal(a: BraidWord, b: BraidWord) -> bool:
 def nf_to_letters(nf: GarsideNormalForm) -> tuple[int, ...]:
     """An Artin word representing the normal form (for round trips)."""
     n = nf.n
+    ident, _, taus = _tables(n)
     half = []
     for size in range(n - 1, 0, -1):
         half.extend(range(1, size + 1))
@@ -285,8 +251,7 @@ def nf_to_letters(nf: GarsideNormalForm) -> tuple[int, ...]:
         letters.extend([-l for l in reversed(half)] * (-nf.delta_power))
     for f in nf.factors:
         p = f
-        taus = _tables(n)["taus"]
-        while p != _tables(n)["ident"]:
+        while p != ident:
             i = _descents(p)[0]
             letters.append(i + 1)
             p = perm_compose(taus[i], p)
@@ -296,7 +261,7 @@ def nf_to_letters(nf: GarsideNormalForm) -> tuple[int, ...]:
 def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
     """Image in the symmetric group (0-indexed position images)."""
     p = perm_identity(b.n)
-    taus = _tables(b.n)["taus"]
+    _, _, taus = _tables(b.n)
     for l in b.letters:
         p = perm_compose(p, taus[abs(l) - 1])
     return p
@@ -351,9 +316,6 @@ class BraidGroup(GroupContext):
 
     def canonical(self, a: BraidWord) -> Hashable:
         return cached_normal_form(a).key()
-
-    def eq(self, a: BraidWord, b: BraidWord) -> bool:
-        return braid_equal(a, b)
 
     def text(self, a: BraidWord) -> str:
         return format_braid(a)

@@ -54,10 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word", help="free-group element, e.g. xyXY")
             p.add_argument("--braid", help="braid word as signed generator indices, e.g. 1,2,1")
             p.add_argument("--defect-const", help="override the defect bound (rational, recorded as user-config)")
-        p.add_argument("--radius", type=int, default=3, help="search radius for ball enumerations")
-        p.add_argument("--cap", type=int, default=6, help="largest number of commutator factors to try")
-        p.add_argument("--n-max", type=int, default=32, dest="n_max", help="largest power in bound families")
-        p.add_argument("--seed", type=int, default=suite.DEFAULT_SEED, help="seed for all sampled checks")
         p.add_argument("--out", help="write output atomically to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "human"), default="human")
 
@@ -67,6 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("scl-bounds", help="emit certified scl bounds for one element")
     add_common(p_bounds, target=True)
+    p_bounds.add_argument("--radius", type=int, default=3, help="search radius for ball enumerations")
+    p_bounds.add_argument("--cap", type=int, default=6, help="largest number of commutator factors to try")
+    p_bounds.add_argument("--n-max", type=int, default=32, dest="n_max", help="largest power in bound families")
     p_bounds.set_defaults(handler=cmd_scl_bounds)
 
     p_verify = sub.add_parser("verify", help="re-verify a certificate file")
@@ -79,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_paper.add_argument("--only", help="run a single item, by number or slug")
     add_common(p_paper, target=False)
+    p_paper.add_argument("--seed", type=int, default=suite.DEFAULT_SEED, help="seed for all sampled checks")
     p_paper.set_defaults(handler=cmd_verify_paper)
     return parser
 
@@ -150,6 +150,8 @@ def cmd_scl_bounds(args) -> int:
     pair = specs.parse_group_pair(args.group)
     ctx = pair.ambient
     g = _target_element(args, ctx)
+    if not pair.is_member(g):
+        raise UsageError(f"target {ctx.text(g)} is outside the subgroup of {pair.name}")
     certs: list[SclCertificate] = []
     notes: list[str] = []
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .braids import BraidGroup, index_section, index_sum
-from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, sphere_pairs
+from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, canonical_memo, sphere_pairs
 from .norms import PreconditionError
 from .quasimorphisms import (
     CertifiedValue,
@@ -276,21 +276,8 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
     subtracts all three radii, and must stay within 2 D(phi).
     """
     ctx = result.section.ambient
-    prime_memo: dict = {}
-    hat_memo: dict = {}
-
-    def prime(g) -> Fraction:
-        key = ctx.canonical(g)
-        if key not in prime_memo:
-            prime_memo[key] = result.phi_prime(g)
-        return prime_memo[key]
-
-    def hat(g) -> CertifiedValue:
-        key = ctx.canonical(g)
-        if key not in hat_memo:
-            hat_memo[key] = result.value(g)
-        return hat_memo[key]
-
+    prime = canonical_memo(ctx, result.phi_prime)
+    hat = canonical_memo(ctx, result.value)
     best_prime = Fraction(0)
     best_hat = Fraction(0)
     pairs = 0

@@ -10,6 +10,7 @@ everything here is safe to evaluate concurrently and to use as dict keys via
 Every Cayley-graph walk in the library goes through two helpers here:
 ``ProductSearch``, the shortest product of a fixed list of moves, and
 ``sphere_pairs``, the pairs of ball elements ordered by total length.
+``canonical_memo`` evaluates a function once per element along such a walk.
 """
 
 from __future__ import annotations
@@ -84,6 +85,19 @@ def sphere_pairs(ctx: "GroupContext", radius: int) -> Iterable[tuple[Any, list]]
         for i in range(total + 1):
             for g in spheres[i]:
                 yield g, spheres[total - i]
+
+
+def canonical_memo(ctx: "GroupContext", fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """``fn`` computed once per element of ctx, keyed by canonical form."""
+    memo: dict[Hashable, Any] = {}
+
+    def cached(g):
+        key = ctx.canonical(g)
+        if key not in memo:
+            memo[key] = fn(g)
+        return memo[key]
+
+    return cached
 
 
 class GroupContext:

@@ -305,18 +305,20 @@ class NormAxiomReport:
         return head + "; FAILED: " + "; ".join(self.failures)
 
 
+PAIR_BUDGET = 250_000
+
+
 def norm_axiom_report(
     norm,
     elements: Iterable[Any] | None = None,
     rng=None,
     samples: int = 300,
-    pair_budget: int = 250000,
 ) -> NormAxiomReport:
     """Test the five norm axioms on an element set.
 
     The set defaults to the full group when it is finite and to rng samples
     otherwise.  Pairwise axioms run exhaustively when the square of the set
-    fits in pair_budget, sampled otherwise.
+    fits in PAIR_BUDGET, sampled otherwise.
     """
     ctx = norm.context
     if elements is None:
@@ -349,7 +351,7 @@ def norm_axiom_report(
             failures.append(f"nu({ctx.text(a)}) = {val(a)} not positive")
             break
 
-    if len(elements) * len(elements) <= pair_budget:
+    if len(elements) * len(elements) <= PAIR_BUDGET:
         pairs = itertools.product(elements, elements)
         pair_count = len(elements) * len(elements)
     else:
@@ -432,15 +434,18 @@ class PartialQmReport:
         return head + (", ok" if self.ok else "; FAILED: " + "; ".join(self.violations))
 
 
+MAX_POWER = 4
+
+
 def partial_qm_check(
     phi: PartialQuasimorphism,
     pairs: Iterable[tuple[Any, Any]] | None = None,
     rng=None,
     samples: int = 400,
-    max_power: int = 4,
 ) -> PartialQmReport:
     """Verify |phi(fg) - phi(f) - phi(g)| <= C * min{nu(f), nu(g)} on pairs,
-    and semi-homogeneity phi(f^n) = n phi(f) when the flag claims it."""
+    and semi-homogeneity phi(f^n) = n phi(f) for n <= MAX_POWER when the flag
+    claims it."""
     ctx = phi.context
     if pairs is None:
         if rng is None:
@@ -472,7 +477,7 @@ def partial_qm_check(
                 break
         for f in candidates.values():
             base = phi(f)
-            for n in range(0, max_power + 1):
+            for n in range(0, MAX_POWER + 1):
                 powers_checked += 1
                 if phi(ctx.power(f, n)) != n * base:
                     violations.append(
@@ -502,10 +507,6 @@ class ConjInvarianceReport:
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.rows)
-
-    @property
-    def final_deviation_bound(self) -> Any:
-        return self.rows[-1].bound if self.rows else INFINITY
 
     def describe(self) -> str:
         status = "ok" if self.ok else "FAILED"

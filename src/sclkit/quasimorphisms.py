@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Iterable
 
-from .groups import GroupContext, GroupHom, sphere_pairs
+from .groups import GroupContext, GroupHom, canonical_memo, sphere_pairs
 from .words import Word, invert_letters
 
 
@@ -289,16 +289,7 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
     radius; the result also raises ``qm.defect_lower`` when it improves it.
     """
     ctx = context if context is not None else qm.context
-    memo: dict[Hashable, Fraction] = {}
-
-    def ev(g) -> Fraction:
-        key = ctx.canonical(g)
-        v = memo.get(key)
-        if v is None:
-            v = qm(g)
-            memo[key] = v
-        return v
-
+    ev = canonical_memo(ctx, qm)
     best = Fraction(0)
     witness: tuple | None = None
     pairs = 0

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from sclkit import braids
 from sclkit.braids import (
     BraidGroup,
     P3Coordinates,
@@ -37,6 +38,31 @@ def random_braid(rng, n, length):
         i = rng.randrange(1, n)
         letters.append(i if rng.random() < 0.5 else -i)
     return braid(",".join(str(l) for l in letters), n)
+
+
+def fixpoint_normalize_factors(n, k, factors):
+    """Reference left-weighting: move every half twist to the front and
+    sweep all adjacent pairs until a sweep changes nothing."""
+    ident, delta, _ = braids._tables(n)
+    fs = [f for f in factors if f != ident]
+    while True:
+        out = []
+        for f in fs:
+            if f == delta:
+                k += 1
+                out = [braids._flip(n, g) for g in out]
+            elif f != ident:
+                out.append(f)
+        fs = out
+        changed = False
+        for i in range(len(fs) - 1):
+            a, b = fs[i], fs[i + 1]
+            a2, b2 = braids._lw_pair(n, a, b)
+            if a2 != a:
+                fs[i], fs[i + 1] = a2, b2
+                changed = True
+        if not changed:
+            return k, tuple(fs)
 
 
 def rewrite_once(rng, letters, n):
@@ -103,8 +129,20 @@ def test_normal_forms_are_left_weighted(n):
     # the oracle for any change to how _normalize_factors left-weights
     rng = random.Random(310 + n)
     for _ in range(300):
-        b = random_braid(rng, n, rng.randrange(0, 16))
+        b = random_braid(rng, n, rng.randrange(0, 121))
         assert normal_form(b).is_left_weighted()
+
+
+def test_one_pass_normal_form_matches_fixpoint(monkeypatch):
+    rng = random.Random(309)
+    words = [random_braid(rng, n, rng.randrange(0, 61)) for n in range(2, 7) for _ in range(40)]
+    alpha = BraidGroup(3).commutator(braid("1,1", 3), braid("2,2", 3))
+    words += [alpha**m for m in range(1, 65)]
+    fast = [normal_form(b) for b in words]
+    monkeypatch.setattr(braids, "_normalize_factors", fixpoint_normalize_factors)
+    for b, nf in zip(words, fast):
+        ref = normal_form(b)
+        assert (nf.delta_power, nf.factors) == (ref.delta_power, ref.factors), format_braid(b)
 
 
 def test_normal_form_round_trip():

@@ -73,6 +73,28 @@ def test_bad_subcommand_is_usage_error():
     assert run_cli("wibble").returncode == 2
 
 
+def test_scl_bounds_refuses_target_outside_subgroup():
+    # not pure (index sum -2): no product of commutators reaches it
+    for extra in ((), ("--qm", "hom(indexsum)", "--radius", "1", "--cap", "1")):
+        r = run_cli("scl-bounds", "--group", "braid:3/pure", "--braid", "-1,-2", *extra, timeout=30)
+        assert r.returncode == 2, r.stderr
+        assert "outside the subgroup of braid:3/pure" in r.stderr
+
+
+def test_subcommands_refuse_options_they_do_not_read(tmp_path):
+    cert = tmp_path / "cert.json"
+    cert.write_text("{}")
+    for args in (
+        ("verify", str(cert), "--seed", "3"),
+        ("eval", "--qm", "hom(indexsum)", "--braid", "1", "--radius", "2"),
+        ("scl-bounds", "--group", "free:2", "--word", "abAB", "--seed", "3"),
+        ("verify-paper", "--only", "1", "--n-max", "4"),
+    ):
+        r = run_cli(*args, timeout=30)
+        assert r.returncode == 2, args
+        assert "unrecognized arguments" in r.stderr, args
+
+
 def test_scl_bounds_identity_interval():
     r = run_cli("scl-bounds", "--group", "braid:3/pure", "--braid", "", "--format", "json")
     assert r.returncode == 0
