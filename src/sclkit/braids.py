@@ -1,10 +1,12 @@
 """Braid groups with an exact word problem.
 
 Elements are Artin words (signed generator indices, ``+i`` for the i-th
-elementary crossing).  Equality is decided through the left-greedy normal
-form ``D^k p_1 ... p_l``: a power of the half twist followed by a
-left-weighted sequence of permutation braids, each recorded as the
-permutation it induces on strand positions.
+elementary crossing).  On four or more strands equality is decided through
+the left-greedy normal form ``D^k p_1 ... p_l``: a power of the half twist
+followed by a left-weighted sequence of permutation braids, each recorded as
+the permutation it induces on strand positions.  On three strands it is
+decided by the integer key ``b3_key`` (below); the normal form still orders
+the 3-strand ball and is the independent oracle for the key.
 
 Conventions.  Permutations are 0-indexed image tuples acting on positions;
 composition ``compose(p, q)`` applies p first.  A braid word maps to the
@@ -27,8 +29,10 @@ pair repair is memoised, which makes long words on few strands cheap.
 
 The rank-3 group also carries the exact integer-matrix homomorphism onto
 SL(2,Z) sending the two generators to [[1,1],[0,1]] and [[1,0],[-1,1]].  Its
-kernel modulo sign is the centre generated by the full twist, which gives an
-independent equality oracle and drives the pure-braid coordinate splitting
+kernel is generated by D^4 (the full twist D^2 maps to -I), on which the
+index sum (12 per D^4) is injective.  So the index sum together with the
+matrix is an exact equality key, ``b3_key``, computed in one pass over the
+letters; the same pass drives the pure-braid coordinate splitting
 ``p3_coordinates``.
 """
 
@@ -150,20 +154,29 @@ class BraidWord:
         while head and i < len(other.letters) and head[-1] == -other.letters[i]:
             head.pop()
             i += 1
-        return BraidWord(self.n, tuple(head) + other.letters[i:])
+        return _braid_word(self.n, tuple(head) + other.letters[i:])
 
     def __invert__(self) -> "BraidWord":
-        return BraidWord(self.n, invert_letters(self.letters))
+        return _braid_word(self.n, invert_letters(self.letters))
 
     def __pow__(self, m: int) -> "BraidWord":
         base = self if m >= 0 else ~self
-        return BraidWord(self.n, base.letters * abs(m))
+        return _braid_word(self.n, base.letters * abs(m))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return format_braid(self)
+
+
+def _braid_word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """A BraidWord from letters already known to be valid for n strands;
+    skips the range check of ``__post_init__``."""
+    b = object.__new__(BraidWord)
+    object.__setattr__(b, "n", n)
+    object.__setattr__(b, "letters", letters)
+    return b
 
 
 def braid(text: str, n: int) -> BraidWord:
@@ -260,11 +273,12 @@ def nf_to_letters(nf: GarsideNormalForm) -> tuple[int, ...]:
 
 def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
     """Image in the symmetric group (0-indexed position images)."""
-    p = perm_identity(b.n)
-    _, _, taus = _tables(b.n)
+    # each letter swaps two values of the image, i.e. two entries of its inverse
+    inv = list(range(b.n))
     for l in b.letters:
-        p = perm_compose(p, taus[abs(l) - 1])
-    return p
+        i = abs(l) - 1
+        inv[i], inv[i + 1] = inv[i + 1], inv[i]
+    return perm_inverse(tuple(inv))
 
 
 def is_pure(b: BraidWord) -> bool:
@@ -295,7 +309,11 @@ def full_twist(n: int) -> BraidWord:
 
 
 class BraidGroup(GroupContext):
-    """Braid group context; canonical forms come from the normal form."""
+    """Braid group context.
+
+    Canonical keys are ``b3_key`` for 3-strand words and the Garside normal
+    form otherwise; ``sort_key`` orders every ball by the normal form.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -315,6 +333,8 @@ class BraidGroup(GroupContext):
         return a**m
 
     def canonical(self, a: BraidWord) -> Hashable:
+        if a.n == 3:
+            return b3_key(a)
         return cached_normal_form(a).key()
 
     def text(self, a: BraidWord) -> str:
@@ -345,51 +365,52 @@ class BraidGroup(GroupContext):
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
-_SL2_GEN: dict[int, Matrix] = {
-    1: ((1, 1), (0, 1)),
-    -1: ((1, -1), (0, 1)),
-    2: ((1, 0), (-1, 1)),
-    -2: ((1, 0), (1, 1)),
-}
 
+def b3_key(w: BraidWord) -> tuple[int, int, int, int, int]:
+    """Exact equality key of a 3-strand braid: (index sum, a, b, c, d), where
+    [[a, b], [c, d]] is its SL(2,Z) image; one pass over the letters.
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
-    )
+    The matrix map kills exactly the powers of D^4 (the full twist D^2 maps
+    to -I), and the index sum is 12 on D^4, so together they are injective.
+    D^4 and the identity share the matrix; only the index sum separates them:
 
-
-_MAT_ID: Matrix = ((1, 0), (0, 1))
+    >>> b3_key(full_twist(3) ** 2), b3_key(BraidWord(3, ()))
+    ((12, 1, 0, 0, 1), (0, 1, 0, 0, 1))
+    """
+    s, a, b, c, d = 0, 1, 0, 0, 1
+    for l in w.letters:
+        if l == 1:  # right factor [[1, 1], [0, 1]]
+            b += a
+            d += c
+            s += 1
+        elif l == -1:  # [[1, -1], [0, 1]]
+            b -= a
+            d -= c
+            s -= 1
+        elif l == 2:  # [[1, 0], [-1, 1]]
+            a -= b
+            c -= d
+            s += 1
+        else:  # -2: [[1, 0], [1, 1]]
+            a += b
+            c += d
+            s -= 1
+    return s, a, b, c, d
 
 
 def sl2_image(b: BraidWord) -> Matrix:
     """Exact image of a 3-strand braid in SL(2,Z)."""
     if b.n != 3:
         raise ValueError("the matrix homomorphism is defined on 3 strands")
-    m = _MAT_ID
-    for l in b.letters:
-        m = _mat_mul(m, _SL2_GEN[l])
-    return m
-
-
-def _mat_neg(m: Matrix) -> Matrix:
-    return ((-m[0][0], -m[0][1]), (-m[1][0], -m[1][1]))
+    _, p, q, r, t = b3_key(b)
+    return (p, q), (r, t)
 
 
 def b3_equal_fast(a: BraidWord, b: BraidWord) -> bool:
-    """Equality in the 3-strand group via the matrix image and index sum.
-
-    The matrix homomorphism identifies B_3 modulo its centre up to sign, and
-    the index sum is injective on the centre, so the pair of invariants
-    separates elements exactly.
-    """
+    """Equality in the 3-strand group: equal ``b3_key``."""
     if a.n != 3 or b.n != 3:
         raise ValueError("fast equality is specific to 3 strands")
-    if index_sum(a) != index_sum(b):
-        return False
-    ma, mb = sl2_image(a), sl2_image(b)
-    return ma == mb or ma == _mat_neg(mb)
+    return b3_key(a) == b3_key(b)
 
 
 X = 24
@@ -482,15 +503,16 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
     """Coordinates (f2_part, center_exponent) of a pure 3-strand braid.
 
     The output is re-verified by reassembling embed(w) * z^k and comparing
-    with the input through the exact matrix-plus-index invariants, so the
-    extraction certifies itself; failures raise rather than return.
+    its ``b3_key`` with the input's, so the extraction certifies itself;
+    failures raise rather than return.
     """
     if b.n != 3:
         raise ValueError("coordinates are defined for 3-strand braids")
     if not is_pure(b):
         raise ValueError("coordinates are defined for pure braids only")
     guard = 4 * len(b.letters) + 16
-    sign, syllables = _peel_sanov(sl2_image(b), guard)
+    key = b3_key(b)
+    sign, syllables = _peel_sanov((key[1:3], key[3:]), guard)
     raw: list[int] = []
     for gen, exp in syllables:
         letter = (X, Y)[gen - 1]
@@ -498,13 +520,13 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
             letter = -letter
         raw.extend([letter] * abs(exp))
     w = Word(F2_RANK, tuple(raw))
-    total = index_sum(b) - 2 * w.exponent_sum()
+    total = key[0] - 2 * w.exponent_sum()
     k, rem = divmod(total, 6)
     if rem != 0:
         raise PeelingError("index sum is inconsistent with the free part")
     if sign != (1 if k % 2 == 0 else -1):
         raise PeelingError("matrix sign is inconsistent with the centre exponent")
-    if not b3_equal_fast(p3_assemble(w, k), b):
+    if b3_key(p3_assemble(w, k)) != key:
         raise PeelingError("reassembled coordinates do not reproduce the input")
     return P3Coordinates(w, k)
 

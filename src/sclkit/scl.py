@@ -236,7 +236,11 @@ def mixed_cl_search(
             key = ctx.canonical(c)
             if key not in commutators:
                 commutators[key] = (c, (ghat, g))
-    moves = sorted(commutators.items(), key=lambda kv: repr(kv[0]))
+    if isinstance(ctx, BraidGroup):
+        # braid moves keep the order of their normal forms, not of the equality key
+        moves = sorted(commutators.items(), key=lambda kv: repr(ctx.sort_key(kv[1][0])))
+    else:
+        moves = sorted(commutators.items(), key=lambda kv: repr(kv[0]))
     target_key = ctx.canonical(target)
     search = ProductSearch(ctx, [c for _, (c, _) in moves])
     search.grow(max_depth=max_factors, target=target_key)

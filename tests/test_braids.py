@@ -12,8 +12,10 @@ import pytest
 from sclkit import braids
 from sclkit.braids import (
     BraidGroup,
+    BraidWord,
     P3Coordinates,
     b3_equal_fast,
+    b3_key,
     braid,
     braid_equal,
     format_braid,
@@ -27,8 +29,10 @@ from sclkit.braids import (
     p3_assemble,
     p3_coordinates,
     pr1,
+    sl2_image,
     underlying_permutation,
 )
+from sclkit.groups import perm_compose, perm_identity
 from sclkit.words import Word, random_reduced
 
 
@@ -174,6 +178,77 @@ def test_b3_equal_fast_agrees_with_normal_forms():
         same = ctx.mul(ctx.mul(a, b), ctx.inv(b))
         assert b3_equal_fast(a, same)
         assert b3_equal_fast(conj, a) == braid_equal(conj, a)
+
+
+def test_b3_key_agrees_with_normal_forms():
+    # Garside normal forms are the oracle: equal keys exactly for equal braids
+    rng = random.Random(311)
+    ctx = BraidGroup(3)
+    d4 = full_twist(3) ** 2
+    equal = 0
+    for _ in range(2000):
+        a = random_braid(rng, 3, rng.randrange(0, 41))
+        letters = list(a.letters)
+        for _ in range(rng.randrange(0, 8)):
+            letters = rewrite_once(rng, letters, 3)
+        for b in (
+            random_braid(rng, 3, rng.randrange(0, 5)),
+            braid(",".join(str(l) for l in letters), 3),
+            ctx.mul(a, d4),
+        ):
+            same = braid_equal(a, b)
+            assert (b3_key(a) == b3_key(b)) == same, (format_braid(a), format_braid(b))
+            equal += same
+    assert equal >= 2000
+
+
+def test_b3_key_separates_the_centre():
+    # the full twist maps to -I, so D^4 maps to I and only the index sum tells
+    # its powers from the identity
+    keys = {b3_key(full_twist(3) ** k) for k in range(-3, 4)}
+    assert len(keys) == 7
+    assert sl2_image(full_twist(3) ** 2) == sl2_image(braid("", 3)) == ((1, 0), (0, 1))
+
+
+def test_b3_key_matches_normal_form_round_trip():
+    ctx = BraidGroup(3)
+    alpha = ctx.commutator(braid("1,1", 3), braid("2,2", 3))
+    for m in range(1, 65):
+        word_m = alpha**m
+        back = BraidWord(3, nf_to_letters(normal_form(word_m)))
+        assert b3_key(back) == b3_key(word_m)
+
+
+def test_b3_group_eq_is_false_across_strand_counts():
+    ctx = BraidGroup(3)
+    assert not ctx.eq(braid("1,3", 4), braid("1", 3))
+    assert not ctx.eq(BraidWord(4, ()), ctx.identity)
+    with pytest.raises(ValueError):
+        b3_equal_fast(braid("1", 4), braid("1", 3))
+
+
+def test_braid_word_validation_stays_at_the_public_boundary():
+    for bad in ((3,), (0,)):
+        with pytest.raises(ValueError):
+            BraidWord(3, bad)
+    with pytest.raises(ValueError):
+        braid("0", 3)
+    a, b = braid("1,2,-1", 3), braid("1,-2", 3)
+    for built in (a * b, ~a, a**3, a**-2):
+        checked = BraidWord(built.n, built.letters)
+        assert built == checked and hash(built) == hash(checked)
+
+
+def test_underlying_permutation_matches_composition():
+    rng = random.Random(312)
+    for n in range(2, 7):
+        taus = braids._tables(n)[2]
+        for _ in range(60):
+            b = random_braid(rng, n, rng.randrange(0, 30))
+            p = perm_identity(n)
+            for l in b.letters:
+                p = perm_compose(p, taus[abs(l) - 1])
+            assert underlying_permutation(b) == p
 
 
 def test_underlying_permutation_is_a_homomorphism():

@@ -180,6 +180,18 @@ def test_mixed_cl_search_multi_factor():
         assert res.commutators_used == 97
 
 
+def test_mixed_cl_search_braid_witness_keeps_normal_form_move_order():
+    # braid moves are ordered by their normal forms, not by the equality key;
+    # sorting by the key's repr picks ["1", "2,2,2,2"] as the first factor
+    target = braid("1,2,2,-1,-2,-2,1,2,2,-1,-2,-2", 3)
+    res = mixed_cl_search(
+        braid_pure_pair(), target, ambient_radius=2, subgroup_radius=2, max_factors=2
+    )
+    assert res.count == 2
+    assert res.decomposition.factor_texts() == [["1", "2,2"], ["1", "2,2"]]
+    assert res.commutators_used == 121
+
+
 def test_mixed_cl_search_miss_is_ball_relative():
     pair = braid_pure_pair()
     res = mixed_cl_search(
