@@ -45,9 +45,7 @@ from .quasimorphisms import (
 )
 from .norms import (
     INFINITY,
-    ConjugationInvariantNorm,
     FragmentationNorm,
-    fragmentation_norm,
     norm_axiom_report,
 )
 from .scl import (
@@ -63,8 +61,6 @@ from .scl import (
     power_commutator,
     product_left_pair,
     pure_ordinary_pair,
-    sandwich_report,
-    separation_demo,
     upper_from_decomposition,
     verify_decomposition,
 )
@@ -75,7 +71,7 @@ from .extension import (
     extend_via_section,
     restriction_check,
 )
-from .specs import parse_group, parse_group_pair, parse_qm, parse_section
+from .specs import parse_group, parse_group_pair, parse_qm
 from .certio import verify_document, verify_file, write_certificates
 
 __version__ = "0.1.0"
@@ -89,16 +85,15 @@ __all__ = [
     "CertifiedValue", "Quasimorphism", "brooks", "brooks_homogenized",
     "count_copies", "defect_search", "hom_qm", "homogenize",
     "invariance_check", "pullback", "zero_qm",
-    "INFINITY", "ConjugationInvariantNorm", "FragmentationNorm",
-    "fragmentation_norm", "norm_axiom_report",
+    "INFINITY", "FragmentationNorm", "norm_axiom_report",
     "GroupPair", "SclCertificate", "alpha_braid", "bavard_lower",
     "braid_pure_pair", "commutator_identity_xy", "conjugate_flip_decomposition",
     "mixed_cl_search", "ordinary_pair", "power_commutator",
-    "product_left_pair", "pure_ordinary_pair", "sandwich_report",
-    "separation_demo", "upper_from_decomposition", "verify_decomposition",
+    "product_left_pair", "pure_ordinary_pair", "upper_from_decomposition",
+    "verify_decomposition",
     "braid_abelianization_section", "central_z_section", "defect_chain_check",
     "extend_via_section", "restriction_check",
-    "parse_group", "parse_group_pair", "parse_qm", "parse_section",
+    "parse_group", "parse_group_pair", "parse_qm",
     "verify_document", "verify_file", "write_certificates",
     "__version__",
 ]

@@ -406,13 +406,6 @@ def sl2_image(b: BraidWord) -> Matrix:
     return (p, q), (r, t)
 
 
-def b3_equal_fast(a: BraidWord, b: BraidWord) -> bool:
-    """Equality in the 3-strand group: equal ``b3_key``."""
-    if a.n != 3 or b.n != 3:
-        raise ValueError("fast equality is specific to 3 strands")
-    return b3_key(a) == b3_key(b)
-
-
 X = 24
 Y = 25
 F2_RANK = 25

@@ -38,6 +38,15 @@ _PAYLOAD_FIELDS = {
 }
 
 
+# Work budget of one upper item, checked before any multiplication.  Sizes
+# are characters of element text, which every group writes with at least
+# one character per letter, so they bound the letters verification builds.
+# At --n-max 128, scl-bounds on alpha writes at most 4864 for power x
+# target and 2567 for the text of all factors.
+WITNESS_TEXT_BUDGET = 20_000
+WITNESS_FACTOR_BUDGET = 256
+
+
 class CertificateError(ValueError):
     """A certificate file that cannot even be read as a document."""
 
@@ -138,6 +147,25 @@ def _check_upper(payload: dict, pair, target) -> None:
         for f in factors_raw
     ):
         raise _fail("witness", "factors must be a list of [conjugator, member] text pairs")
+    target_size = len(payload["target"])
+    if power * target_size > WITNESS_TEXT_BUDGET:
+        raise _fail(
+            "witness",
+            f"power {power} times target length {target_size} is over the budget "
+            f"of {WITNESS_TEXT_BUDGET}",
+        )
+    if len(factors_raw) > WITNESS_FACTOR_BUDGET:
+        raise _fail(
+            "witness",
+            f"{len(factors_raw)} factors, over the budget of {WITNESS_FACTOR_BUDGET}",
+        )
+    factor_text = sum(len(a) + len(b) for a, b in factors_raw)
+    if factor_text > WITNESS_TEXT_BUDGET:
+        raise _fail(
+            "witness",
+            f"the factors have {factor_text} characters, over the budget of "
+            f"{WITNESS_TEXT_BUDGET}",
+        )
     ctx = pair.ambient
     factors = []
     for i, (a_text, b_text) in enumerate(factors_raw):

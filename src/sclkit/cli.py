@@ -296,16 +296,11 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except specs.SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except certio.CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
+        # UsageError, specs.SpecError and element parse errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

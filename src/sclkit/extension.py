@@ -142,11 +142,6 @@ class ExtensionResult:
             return CertifiedValue(self.phi_prime(ghat), Fraction(0))
         return homogenize(self.phi_prime, ghat, self.n_max)
 
-    def exact_on_subgroup(self, g) -> Fraction:
-        if not self.section.member(g):
-            raise ValueError("exact evaluation is only available on the subgroup")
-        return self.phi_prime(g)
-
 
 def extend_via_section(
     qm: Quasimorphism,

@@ -305,7 +305,8 @@ class CyclicZ(GroupContext):
 
 
 class DirectProduct(GroupContext):
-    """Direct product of two contexts; elements are (left, right) pairs."""
+    """Direct product of two contexts; elements are (left, right) pairs,
+    written ``(left;right)``."""
 
     def __init__(self, left: GroupContext, right: GroupContext):
         self.left = left
@@ -329,25 +330,30 @@ class DirectProduct(GroupContext):
         return (self.left.canonical(a[0]), self.right.canonical(a[1]))
 
     def text(self, a) -> str:
-        return f"({self.left.text(a[0])},{self.right.text(a[1])})"
+        return f"({self.left.text(a[0])};{self.right.text(a[1])})"
 
     def parse(self, s: str):
+        """Parse ``(left;right)``.  Factor texts may contain commas (braids,
+        permutations) and parenthesised products, so the element splits at
+        the one ``;`` outside every inner pair of parentheses."""
         body = s.strip()
         if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"product element must look like (left,right): {s!r}")
-        depth = 0
-        split = -1
+            raise ValueError(f"product element must look like (left;right): {s!r}")
         inner = body[1:-1]
+        depth = 0
+        splits = []
         for i, ch in enumerate(inner):
             if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
-            elif ch == "," and depth == 0:
-                split = i
-                break
-        if split < 0:
-            raise ValueError(f"product element missing component separator: {s!r}")
+            elif ch == ";" and depth == 0:
+                splits.append(i)
+        if len(splits) != 1:
+            raise ValueError(
+                f"product element needs exactly one top-level ';', found {len(splits)}: {s!r}"
+            )
+        split = splits[0]
         return (self.left.parse(inner[:split]), self.right.parse(inner[split + 1 :]))
 
     def generators(self) -> list:

@@ -1,4 +1,4 @@
-"""Conjugation-invariant norms and norm-controlled quasimorphisms.
+"""Conjugation-invariant norms: the fragmentation norm and the norm axioms.
 
 A conjugation-invariant norm is a function nu: G -> [0, inf] vanishing
 exactly at the identity, symmetric under inversion, subadditive, and
@@ -12,13 +12,6 @@ is exhaustive, so layer k of the search is exactly the set of elements of
 norm k and every value comes with a witness decomposition that multiplies
 back to f.  On infinite groups the search is truncated to a conjugator
 ball and a factor cap, and the verdict says so.
-
-A nu-quasimorphism is a function whose additivity defect on (f, g) is
-bounded by C * min{nu(f), nu(g)}.  The checks in this module turn the
-consequences of that control into executable inequalities: conjugation
-invariance of semi-homogeneous nu-quasimorphisms up to an explicit O(1/k)
-error, and vanishing on commutators [f, g] whose factor f commutes with
-g f^-1 g^-1, via the exact power identity [f, g]^n = [f^n, g].
 """
 
 from __future__ import annotations
@@ -26,19 +19,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .groups import GroupContext, ProductSearch
-from .quasimorphisms import Quasimorphism
 
 
 class _Infinity:
     """Positive infinity as a distinguished extended value.
 
-    Supports exactly the arithmetic the norm checks need: comparison with
-    rationals, absorption under addition, scaling by nonnegative rationals
-    with the conservative convention 0 * inf = 0, and division by positive
-    integers.
+    Supports exactly the arithmetic the norm axiom checks need: comparison
+    with rationals and absorption under addition.
     """
 
     _singleton = None
@@ -72,62 +62,13 @@ class _Infinity:
     def __ge__(self, other: object) -> bool:
         return True
 
-    def __abs__(self) -> "_Infinity":
-        return self
-
     def __add__(self, other):
         return self
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        if other is self:
-            return self
-        scale = Fraction(other)
-        if scale < 0:
-            raise ValueError("extended values stay nonnegative")
-        return Fraction(0) if scale == 0 else self
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if Fraction(other) <= 0:
-            raise ValueError("division of INFINITY needs a positive divisor")
-        return self
-
 
 INFINITY = _Infinity()
-
-
-def is_infinite(v: Any) -> bool:
-    return v is INFINITY
-
-
-def as_extended(v: Any):
-    """Normalise a norm value to Fraction or INFINITY."""
-    return v if v is INFINITY else Fraction(v)
-
-
-@dataclass
-class ConjugationInvariantNorm:
-    """A norm given by an evaluation procedure; values are extended
-    nonnegative rationals."""
-
-    name: str
-    context: GroupContext
-    eval_fn: Callable[[Any], Any]
-
-    def __call__(self, g) -> Any:
-        return as_extended(self.eval_fn(g))
-
-
-def trivial_norm(context: GroupContext) -> ConjugationInvariantNorm:
-    """The norm that is 0 at the identity and 1 everywhere else."""
-    return ConjugationInvariantNorm(
-        name="nu0",
-        context=context,
-        eval_fn=lambda g: Fraction(0) if context.is_identity(g) else Fraction(1),
-    )
 
 
 @dataclass(frozen=True)
@@ -270,19 +211,6 @@ class FragmentationNorm:
             raise ValueError(f"norm undetermined within search scope ({res.verdict()})")
         return Fraction(res.value)
 
-    def as_norm(self) -> ConjugationInvariantNorm:
-        return ConjugationInvariantNorm(self.name, self.context, self.__call__)
-
-
-def fragmentation_norm(
-    context: GroupContext,
-    subgroup_gens: Sequence[Any],
-    f: Any,
-    **options,
-) -> FragmentationResult:
-    """Least number of conjugates of subgroup elements multiplying to f."""
-    return FragmentationNorm(context, subgroup_gens, **options).value_with_witness(f)
-
 
 @dataclass(frozen=True)
 class NormAxiomReport:
@@ -374,245 +302,5 @@ def norm_axiom_report(
     return NormAxiomReport(norm.name, len(elements), pair_count, tuple(failures))
 
 
-@dataclass
-class PartialQuasimorphism:
-    """A function with additivity defect controlled by C * min of a norm."""
-
-    name: str
-    context: GroupContext
-    eval_fn: Callable[[Any], Any]
-    norm: Any
-    constant: Fraction
-    semi_homogeneous: bool = False
-
-    def __call__(self, g) -> Fraction:
-        return Fraction(self.eval_fn(g))
-
-
-def as_partial(
-    qm: Quasimorphism,
-    norm=None,
-    constant: Fraction | None = None,
-) -> PartialQuasimorphism:
-    """View an ordinary quasimorphism as controlled by the trivial norm.
-
-    The default constant is the certified defect bound plus one, which the
-    controlled inequality then satisfies with room to spare.
-    """
-    if norm is None:
-        norm = trivial_norm(qm.context)
-    if constant is None:
-        if qm.defect_upper is None:
-            raise ValueError("need a defect bound or an explicit constant")
-        constant = Fraction(qm.defect_upper) + 1
-    return PartialQuasimorphism(
-        name=qm.name,
-        context=qm.context,
-        eval_fn=qm.eval_fn,
-        norm=norm,
-        constant=Fraction(constant),
-        semi_homogeneous=qm.homogeneous,
-    )
-
-
-@dataclass(frozen=True)
-class PartialQmReport:
-    qm_name: str
-    pairs_checked: int
-    powers_checked: int
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def describe(self) -> str:
-        head = (
-            f"controlled-defect check for {self.qm_name}: {self.pairs_checked} pairs, "
-            f"{self.powers_checked} power identities"
-        )
-        return head + (", ok" if self.ok else "; FAILED: " + "; ".join(self.violations))
-
-
-MAX_POWER = 4
-
-
-def partial_qm_check(
-    phi: PartialQuasimorphism,
-    pairs: Iterable[tuple[Any, Any]] | None = None,
-    rng=None,
-    samples: int = 400,
-) -> PartialQmReport:
-    """Verify |phi(fg) - phi(f) - phi(g)| <= C * min{nu(f), nu(g)} on pairs,
-    and semi-homogeneity phi(f^n) = n phi(f) for n <= MAX_POWER when the flag
-    claims it."""
-    ctx = phi.context
-    if pairs is None:
-        if rng is None:
-            raise ValueError("need explicit pairs or an rng")
-        pairs = [
-            (ctx.sample(rng, rng.randrange(0, 7)), ctx.sample(rng, rng.randrange(0, 7)))
-            for _ in range(samples)
-        ]
-    pairs = list(pairs)
-
-    violations: list[str] = []
-    for f, g in pairs:
-        defect = abs(phi(ctx.mul(f, g)) - phi(f) - phi(g))
-        bound = phi.constant * min(phi.norm(f), phi.norm(g))
-        if not defect <= bound:
-            violations.append(
-                f"defect {defect} exceeds {bound} at ({ctx.text(f)}, {ctx.text(g)})"
-            )
-            if len(violations) >= 5:
-                break
-
-    powers_checked = 0
-    if phi.semi_homogeneous:
-        candidates: dict[Any, Any] = {}
-        for f, g in pairs:
-            for e in (f, g, ctx.mul(f, g)):
-                candidates.setdefault(ctx.canonical(e), e)
-            if len(candidates) >= 80:
-                break
-        for f in candidates.values():
-            base = phi(f)
-            for n in range(0, MAX_POWER + 1):
-                powers_checked += 1
-                if phi(ctx.power(f, n)) != n * base:
-                    violations.append(
-                        f"phi({ctx.text(f)}^{n}) != {n}*phi({ctx.text(f)})"
-                    )
-                    break
-
-    return PartialQmReport(phi.name, len(pairs), powers_checked, tuple(violations))
-
-
-@dataclass(frozen=True)
-class ConjInvarianceRow:
-    k: int
-    deviation: Fraction
-    bound: Any
-
-    @property
-    def ok(self) -> bool:
-        return self.deviation <= self.bound
-
-
-@dataclass(frozen=True)
-class ConjInvarianceReport:
-    qm_name: str
-    rows: tuple[ConjInvarianceRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAILED"
-        tail = self.rows[-1] if self.rows else None
-        detail = (
-            f"; at k={tail.k} deviation {tail.deviation} <= {tail.bound}" if tail else ""
-        )
-        return f"conjugation invariance of {self.qm_name}: {status}{detail}"
-
-
-def conj_invariance_of_partial_qm(
-    phi: PartialQuasimorphism,
-    f: Any,
-    g: Any,
-    n_max: int,
-) -> ConjInvarianceReport:
-    """Check |phi(g f^k g^-1)/k - phi(f)| against the explicit O(1/k) bound
-    (|phi(g)| + |phi(g^-1)| + 2 C nu(g))/k for k = 1..n_max."""
-    if not phi.semi_homogeneous:
-        raise ValueError("conjugation invariance needs a semi-homogeneous phi")
-    ctx = phi.context
-    numerator = abs(phi(g)) + abs(phi(ctx.inv(g))) + 2 * phi.constant * phi.norm(g)
-    base = phi(f)
-    rows = []
-    fk = ctx.identity
-    for k in range(1, n_max + 1):
-        fk = ctx.mul(fk, f)
-        deviation = abs(Fraction(phi(ctx.conjugate(g, fk)), k) - base)
-        rows.append(ConjInvarianceRow(k, deviation, numerator / k))
-    return ConjInvarianceReport(phi.name, tuple(rows))
-
-
 class PreconditionError(ValueError):
     """A stated hypothesis failed; the check refuses to run rather than skip."""
-
-
-@dataclass(frozen=True)
-class SplitCommutatorRow:
-    n: int
-    power_identity_ok: bool
-    value: Fraction
-    bound: Any
-
-    @property
-    def ok(self) -> bool:
-        return self.power_identity_ok and self.value <= self.bound
-
-
-@dataclass(frozen=True)
-class SplitCommutatorReport:
-    qm_name: str
-    commutator_text: str
-    value_at_commutator: Fraction
-    constant_R: Any
-    rows: tuple[SplitCommutatorRow, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "FAILED"
-        return (
-            f"split-commutator vanishing for {self.qm_name} at {self.commutator_text}: "
-            f"|phi| = {self.value_at_commutator}, R = {self.constant_R}, "
-            f"{len(self.rows)} powers, {status}"
-        )
-
-
-def vanishing_on_split_commutators(
-    phi: PartialQuasimorphism,
-    f: Any,
-    g: Any,
-    n_max: int,
-) -> SplitCommutatorReport:
-    """For f commuting with g f^-1 g^-1, verify [f, g]^n = [f^n, g] exactly
-    and check |phi([f, g])| <= R/n with R = max{|phi(g) + phi(g^-1) +
-    C nu(g)|, |C nu(g)|}.
-
-    The commuting hypothesis is rechecked and its failure raises
-    PreconditionError; it is never silently skipped.
-    """
-    ctx = phi.context
-    c = ctx.conjugate(g, ctx.inv(f))
-    if not ctx.eq(ctx.mul(f, c), ctx.mul(c, f)):
-        raise PreconditionError(
-            f"{ctx.text(f)} does not commute with {ctx.text(c)}"
-        )
-    comm = ctx.commutator(f, g)
-    nu_g = phi.norm(g)
-    scaled = phi.constant * nu_g
-    constant_r = max(abs(phi(g) + phi(ctx.inv(g)) + scaled), abs(scaled))
-    value = abs(phi(comm))
-
-    rows = []
-    comm_n = ctx.identity
-    f_n = ctx.identity
-    c_n = ctx.identity
-    for n in range(1, n_max + 1):
-        comm_n = ctx.mul(comm_n, comm)
-        f_n = ctx.mul(f_n, f)
-        c_n = ctx.mul(c_n, c)
-        identity_ok = ctx.eq(comm_n, ctx.mul(f_n, c_n)) and ctx.eq(
-            comm_n, ctx.commutator(f_n, g)
-        )
-        rows.append(SplitCommutatorRow(n, identity_ok, value, constant_r / n))
-    return SplitCommutatorReport(
-        phi.name, ctx.text(comm), value, constant_r, tuple(rows)
-    )

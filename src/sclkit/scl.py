@@ -13,40 +13,31 @@ scratch: factor lists, quasimorphism names, certified defect bounds with
 provenance, and the conjugator sample behind any invariance claim.
 Invariance evidence is sampled, never asserted universally.
 
-The headline demonstration assembles, for the 3-strand braid group and
-its pure subgroup, the family cl(alpha^{2n}) <= 1 driven by the half
-twist flipping alpha to its inverse, together with a Bavard lower bound
-for alpha inside the pure group, certifying that the mixed stable length
-of alpha is strictly smaller than the ordinary one.
+The paper's separation for the 3-strand braid group and its pure
+subgroup is checked by suite items 3 and 4 (``sclkit.suite``): the family
+cl(alpha^{2n}) <= 1 driven by the half twist flipping alpha to its
+inverse, and a Bavard lower bound for alpha inside the pure group.
+Together they certify that the mixed stable length of alpha is strictly
+smaller than the ordinary one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .braids import (
     BraidGroup,
     BraidWord,
     braid,
-    half_twist,
     index_sum,
     is_pure,
     p3_assemble,
-    pr1,
 )
 from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, ProductSearch
 from .norms import PreconditionError
-from .quasimorphisms import (
-    InvarianceReport,
-    Quasimorphism,
-    brooks_homogenized,
-    defect_search,
-    invariance_check,
-    pullback,
-)
-from .words import Word
+from .quasimorphisms import InvarianceReport, Quasimorphism
 
 
 @dataclass
@@ -446,162 +437,7 @@ def upper_from_decomposition(
     )
 
 
-@dataclass(frozen=True)
-class SandwichReport:
-    target_text: str
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(flag for _, flag in self.checks)
-
-    def describe(self) -> str:
-        lines = [f"sandwich consistency at {self.target_text}:"]
-        for label, flag in self.checks:
-            lines.append(f"  {'ok  ' if flag else 'FAIL'} {label}")
-        return "\n".join(lines)
-
-
-def sandwich_report(
-    target: Any,
-    ordinary_certs: Sequence[SclCertificate],
-    mixed_certs: Sequence[SclCertificate],
-) -> SandwichReport:
-    """Cross-check certified intervals against scl <= scl_mixed <= 2 scl.
-
-    Ordinary lower bounds must stay below mixed upper bounds, and mixed
-    lower bounds below twice the ordinary upper bounds; any violation is an
-    implementation bug, reported as a failed check.
-    """
-
-    def best(certs: Sequence[SclCertificate], direction: str):
-        vals = [c.bound for c in certs if c.direction == direction and c.verified]
-        if not vals:
-            return None
-        return max(vals) if direction == "lower" else min(vals)
-
-    o_lo, o_hi = best(ordinary_certs, "lower"), best(ordinary_certs, "upper")
-    m_lo, m_hi = best(mixed_certs, "lower"), best(mixed_certs, "upper")
-    checks: list[tuple[str, bool]] = []
-    if o_lo is not None and o_hi is not None:
-        checks.append((f"ordinary interval [{o_lo}, {o_hi}] nonempty", o_lo <= o_hi))
-    if m_lo is not None and m_hi is not None:
-        checks.append((f"mixed interval [{m_lo}, {m_hi}] nonempty", m_lo <= m_hi))
-    if o_lo is not None and m_hi is not None:
-        checks.append(
-            (f"ordinary lower {o_lo} <= mixed upper {m_hi}", o_lo <= m_hi)
-        )
-    if m_lo is not None and o_hi is not None:
-        checks.append(
-            (f"mixed lower {m_lo} <= 2 * ordinary upper {o_hi}", m_lo <= 2 * o_hi)
-        )
-    text = (
-        ordinary_certs[0].pair.ambient.text(target)
-        if ordinary_certs
-        else mixed_certs[0].pair.ambient.text(target)
-    )
-    return SandwichReport(text, tuple(checks))
-
-
 def alpha_braid() -> BraidWord:
     """The commutator [s1^2, s2^2] in the 3-strand braid group."""
     ctx = BraidGroup(3)
     return ctx.commutator(braid("1,1", 3), braid("2,2", 3))
-
-
-@dataclass
-class SeparationReport:
-    """The mixed-vs-ordinary gap for alpha = [s1^2, s2^2] in (B3, P3).
-
-    mixed_upper_certs: cl(alpha^{2n}) <= 1 for n up to n_max, so the mixed
-    scl is at most 1/(2 n_max).  ordinary_lower_cert: Bavard bound inside
-    the pure group through the free-factor projection.  The invariance
-    violation explains why that projection cannot feed a mixed-mode lower
-    bound: conjugation by the half twist flips its value at alpha.
-    """
-
-    n_max: int
-    mixed_upper_certs: list[SclCertificate]
-    ordinary_lower_cert: SclCertificate
-    invariance_violation: InvarianceReport
-    defect_consistency: dict
-    separated: bool
-
-    def describe(self) -> str:
-        best_upper = min(c.bound for c in self.mixed_upper_certs)
-        lower = self.ordinary_lower_cert.bound
-        lines = [
-            f"mixed scl upper bound: {best_upper} (family n <= {self.n_max})",
-            f"ordinary scl lower bound: {lower} "
-            f"(defect {self.ordinary_lower_cert.witness['defect_upper']})",
-            f"projection invariance under the half twist: "
-            f"{len(self.invariance_violation.violations)} violation(s) found (expected >= 1)",
-            f"separation certified: {self.separated}",
-        ]
-        return "\n".join(lines)
-
-
-def separation_demo(n_max: int = 32, defect_radius: int = 6) -> SeparationReport:
-    """Certificates for: mixed scl of alpha tends to zero while the
-    ordinary scl inside the pure subgroup stays above a positive constant."""
-    pair = braid_pure_pair()
-    ctx = pair.ambient
-    alpha = alpha_braid()
-    delta = half_twist(3)
-
-    mixed_certs = []
-    for n in range(1, n_max + 1):
-        d = conjugate_flip_decomposition(pair, alpha, delta, n)
-        mixed_certs.append(
-            upper_from_decomposition(
-                alpha,
-                2 * n,
-                d,
-                note="flip decomposition: half twist conjugates alpha to its inverse",
-            )
-        )
-
-    w = Word(25, (24, 25, -24, -25))
-    qm_free = brooks_homogenized(w)
-    qm = pullback(qm_free, pr1())
-    f2 = FreeGroup.on("xy")
-    search = defect_search(qm_free, defect_radius, context=f2)
-    inv_sample = invariance_check(
-        qm_free,
-        conjugators=f2.ball(2),
-        targets=[w, f2.word("xy"), f2.word("xYx")],
-    )
-    pure_pair_ordinary = pure_ordinary_pair()
-    lower = bavard_lower(
-        alpha,
-        qm,
-        pure_pair_ordinary,
-        invariance=inv_sample,
-        note=(
-            "ordinary scl inside the pure subgroup; invariance sample taken on "
-            "the free factor, where the projection is the identity"
-        ),
-    )
-
-    violation = invariance_check(qm, conjugators=[delta], targets=[alpha])
-
-    ok_upper = all(c.verified for c in mixed_certs)
-    separated = (
-        ok_upper
-        and lower.bound > 0
-        and min(c.bound for c in mixed_certs) < lower.bound
-    )
-    defect_consistency = {
-        "searched_lower": str(search.lower),
-        "certified_upper": str(qm_free.defect_upper),
-        "radius": search.radius,
-        "consistent": search.lower <= Fraction(qm_free.defect_upper),
-    }
-    return SeparationReport(
-        n_max=n_max,
-        mixed_upper_certs=mixed_certs,
-        ordinary_lower_cert=lower,
-        invariance_violation=violation,
-        defect_consistency=defect_consistency,
-        separated=separated,
-    )

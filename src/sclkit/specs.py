@@ -12,11 +12,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .braids import BraidGroup, index_sum, pr1
-from .extension import (
-    SectionData,
-    braid_abelianization_section,
-    central_z_section,
-)
 from .groups import (
     CyclicZ,
     DirectProduct,
@@ -313,27 +308,3 @@ def parse_qm(
     if override is not None and override <= 0:
         raise SpecError("a defect override must be positive")
     return _QmParser(text, group, override).parse()
-
-
-def parse_section(text: str) -> SectionData:
-    """Section spec -> section data, accepting the printed name with or
-    without its trailing ``on <group>`` part."""
-    spec = text.strip()
-    body, _, tail = spec.partition(" on ")
-    body = body.strip()
-    tail = tail.strip()
-    if body == "section(quotient=Z, map=z^k)":
-        if not tail:
-            return central_z_section()
-        ctx = parse_group(tail)
-        if not isinstance(ctx, DirectProduct) or not isinstance(ctx.right, CyclicZ):
-            raise SpecError("the central section needs a product group with right factor z")
-        return central_z_section(ctx.left)
-    if body == "section(quotient=Z, map=s1^k)":
-        if not tail:
-            return braid_abelianization_section()
-        ctx = parse_group(tail)
-        if not isinstance(ctx, BraidGroup):
-            raise SpecError("the index-sum section needs a braid group")
-        return braid_abelianization_section(ctx.n)
-    raise SpecError(f"unknown section spec {text!r}")

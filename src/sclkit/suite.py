@@ -23,7 +23,6 @@ from typing import Callable
 from . import certio
 from .braids import (
     BraidGroup,
-    braid,
     half_twist,
     index_section,
     index_sum,
@@ -392,7 +391,7 @@ def _item_fragmentation(rng, shared):
             )
 
     s4 = SymmetricGroup(4)
-    norm4 = FragmentationNorm(s4, [(1, 0, 2, 3)]).as_norm()
+    norm4 = FragmentationNorm(s4, [(1, 0, 2, 3)])
     axioms = norm_axiom_report(norm4, elements=s4.elements())
     if not axioms.ok:
         return _fail(axioms.describe())

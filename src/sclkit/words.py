@@ -182,10 +182,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def conjugate_by(self, g: "Word") -> "Word":
-        """g * self * g^-1."""
-        return g * self * ~g
-
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
         core, conj = cyclic_reduce_letters(self.letters)

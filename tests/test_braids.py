@@ -14,7 +14,6 @@ from sclkit.braids import (
     BraidGroup,
     BraidWord,
     P3Coordinates,
-    b3_equal_fast,
     b3_key,
     braid,
     braid_equal,
@@ -167,19 +166,6 @@ def test_braid_parse_and_format():
         braid("0", 3)
 
 
-def test_b3_equal_fast_agrees_with_normal_forms():
-    rng = random.Random(302)
-    for _ in range(150):
-        a = random_braid(rng, 3, rng.randrange(0, 9))
-        b = random_braid(rng, 3, rng.randrange(0, 9))
-        assert b3_equal_fast(a, b) == braid_equal(a, b)
-        ctx = BraidGroup(3)
-        conj = ctx.conjugate(random_braid(rng, 3, 3), a)
-        same = ctx.mul(ctx.mul(a, b), ctx.inv(b))
-        assert b3_equal_fast(a, same)
-        assert b3_equal_fast(conj, a) == braid_equal(conj, a)
-
-
 def test_b3_key_agrees_with_normal_forms():
     # Garside normal forms are the oracle: equal keys exactly for equal braids
     rng = random.Random(311)
@@ -223,8 +209,6 @@ def test_b3_group_eq_is_false_across_strand_counts():
     ctx = BraidGroup(3)
     assert not ctx.eq(braid("1,3", 4), braid("1", 3))
     assert not ctx.eq(BraidWord(4, ()), ctx.identity)
-    with pytest.raises(ValueError):
-        b3_equal_fast(braid("1", 4), braid("1", 3))
 
 
 def test_braid_word_validation_stays_at_the_public_boundary():

@@ -136,6 +136,10 @@ UPPER_FAULTS = [
     ("bound arithmetic", lambda p: p.update(bound="1/3")),
     ("membership of factor 0", lambda p: p["witness"]["factors"][0].__setitem__(1, "1")),
     ("product equality", lambda p: p["witness"]["factors"][0].__setitem__(0, "1,2")),
+    # over the work budget, refused before any multiplication
+    ("witness", lambda p: p["witness"].update(power=10_000_000)),
+    ("witness", lambda p: p["witness"].update(factors=p["witness"]["factors"] * 300)),
+    ("witness", lambda p: p["witness"]["factors"][0].__setitem__(0, "1," * 20_000 + "1")),
 ]
 
 LOWER_FAULTS = [

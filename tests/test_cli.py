@@ -81,6 +81,38 @@ def test_scl_bounds_refuses_target_outside_subgroup():
         assert "outside the subgroup of braid:3/pure" in r.stderr
 
 
+def test_scl_bounds_on_a_product_with_a_braid_factor_self_verifies():
+    # braid texts contain commas, so product elements are written (left;right)
+    r = run_cli(
+        "scl-bounds", "--group", "product:braid:3,z", "--word", "(s1 s2 s1^-1 s2^-1;0)",
+        "--radius", "1", "--cap", "1", "--format", "json", timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["target"] == "(1,2,-1,-2;0)"
+    assert doc["interval"] == ["0", "1"]
+
+
+def test_verify_refuses_a_witness_over_the_work_budget(tmp_path):
+    item = {
+        "kind": "scl-upper-decomposition",
+        "target": ALPHA,
+        "group_pair": "braid:3/pure",
+        "bound": "1/10000000",
+        "direction": "upper",
+        "witness": {"power": 10_000_000, "factors": [["1,2,1", "2,2"]]},
+        "evidence": {"defect_provenance": None, "invariance_sample": None},
+        "verified": True,
+        "note": "",
+    }
+    cert = tmp_path / "huge-power.json"
+    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [item]}))
+    r = run_cli("verify", str(cert), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["items"][0]["failed_step"] == "witness"
+    assert "budget" in report["items"][0]["detail"]
+
 def test_subcommands_refuse_options_they_do_not_read(tmp_path):
     cert = tmp_path / "cert.json"
     cert.write_text("{}")

@@ -50,7 +50,7 @@ def test_extension_restricts_to_the_original():
     assert report.checked == 200
     assert not report.mismatches
     g = (f2.parse("abAB"), 0)
-    assert result.exact_on_subgroup(g) == phi(g) == 1
+    assert result.phi_prime(g) == phi(g) == 1
 
 
 def test_restriction_check_rejects_outside_samples_and_vacuity():
@@ -60,12 +60,6 @@ def test_restriction_check_rejects_outside_samples_and_vacuity():
     vacuous = restriction_check(result, phi, [])
     assert not vacuous.ok
     assert "insufficient" in vacuous.describe()
-
-
-def test_extension_exact_on_subgroup_rejects_outside():
-    _, _, result = make_product_extension()
-    with pytest.raises(ValueError):
-        result.exact_on_subgroup((FreeGroup(2).parse("ab"), 3))
 
 
 def test_extension_value_interval_off_subgroup():

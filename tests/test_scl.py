@@ -1,6 +1,5 @@
 """Commutator-length certificates: decompositions, duality bounds, modes."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -23,8 +22,6 @@ from sclkit.scl import (
     power_commutator,
     product_left_pair,
     pure_ordinary_pair,
-    sandwich_report,
-    separation_demo,
     upper_from_decomposition,
     verify_decomposition,
 )
@@ -269,40 +266,6 @@ def test_certificate_payload_shape():
     assert payload["bound"] == "1/2"
 
 
-def test_sandwich_report_consistency_and_violation():
-    pair = braid_pure_pair()
-    alpha = alpha_braid()
-    qm = pullback(brooks_homogenized(word("xyXY")), pr1())
-    lower = bavard_lower(alpha, qm, pure_ordinary_pair())
-    d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 4)
-    upper = upper_from_decomposition(alpha, 8, d)
-    report = sandwich_report(alpha, [lower], [upper])
-    assert report.ok
-    # an ordinary lower above the mixed upper signals a bug; force one
-    fake = dataclasses.replace(lower, bound=Fraction(5))
-    broken = sandwich_report(alpha, [fake], [upper])
-    assert not broken.ok
-    assert "FAIL" in broken.describe()
-
-
 def test_alpha_braid_letters():
     assert braid_equal(alpha_braid(), braid("1,1,2,2,-1,-1,-2,-2", 3))
     assert is_pure(alpha_braid())
-
-
-def test_separation_needs_enough_powers():
-    # at n_max=4 the best mixed upper is 1/8, still above the lower 1/12
-    report = separation_demo(n_max=4, defect_radius=4)
-    assert not report.separated
-    assert min(c.bound for c in report.mixed_upper_certs) == Fraction(1, 8)
-
-
-def test_separation_demo_small():
-    report = separation_demo(n_max=8, defect_radius=4)
-    assert report.separated
-    assert min(c.bound for c in report.mixed_upper_certs) == Fraction(1, 16)
-    assert report.ordinary_lower_cert.bound == Fraction(1, 12)
-    assert report.invariance_violation.violations
-    assert report.defect_consistency["consistent"]
-    text = report.describe()
-    assert "separation certified: True" in text

@@ -1,6 +1,7 @@
 """Text specs for groups, pairs, and quasimorphisms round-trip with names."""
 
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import pytest
 from sclkit.braids import BraidGroup
 from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, SymmetricGroup
 from sclkit.quasimorphisms import brooks_homogenized
-from sclkit.specs import SpecError, parse_group, parse_group_pair, parse_qm, parse_section
+from sclkit.specs import SpecError, parse_group, parse_group_pair, parse_qm
 from sclkit.words import word
 
 
@@ -165,12 +166,25 @@ def test_parse_qm_group_mismatch():
         parse_qm("pullback(homog(brooks(w=xyXY)), pr1)", group=CyclicZ())
 
 
-def test_parse_section():
-    sec = parse_section("section(quotient=Z, map=z^k)")
-    assert sec.name.startswith("section(quotient=Z, map=z^k)")
-    sec2 = parse_section("section(quotient=Z, map=s1^k)")
-    assert sec2.ambient.n == 3
-    round1 = parse_section(sec.name)
-    assert round1.name == sec.name
-    with pytest.raises(SpecError):
-        parse_section("section(quotient=Q)")
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "free:2", "free:xy", "z", "braid:3", "braid:4", "perm:4",
+        "product:free:2,z", "product:braid:3,z", "product:perm:3,z",
+        "product:product:free:2,z,z",
+    ],
+)
+def test_element_text_round_trips(spec):
+    ctx = parse_group(spec)
+    rng = random.Random(900)
+    elements = ctx.ball(2) + [ctx.sample(rng, rng.randrange(0, 9)) for _ in range(100)]
+    for g in elements:
+        assert ctx.eq(ctx.parse(ctx.text(g)), g), ctx.text(g)
+
+
+def test_product_element_needs_exactly_one_separator():
+    ctx = parse_group("product:braid:3,z")
+    assert ctx.text(ctx.parse("(1,2,-1,-2;3)")) == "(1,2,-1,-2;3)"
+    for bad in ("(1,2,-1,-2,3)", "(1;2;3)", "1,2;3"):
+        with pytest.raises(ValueError):
+            ctx.parse(bad)

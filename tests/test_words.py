@@ -120,7 +120,6 @@ def test_commutator_and_exponent_sum():
     assert commutator(a, b).exponent_sum() == 0
     assert word("aab", 2).exponent_sum(1) == 2
     assert word("aaB", 2).exponent_sum() == 1
-    assert word("abAB").conjugate_by(word("a", 2)) == word("aabABA", 2)
 
 
 def test_words_of_length_enumeration_counts():
