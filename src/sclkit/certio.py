@@ -39,10 +39,10 @@ _PAYLOAD_FIELDS = {
 
 
 # Work budget of one upper item, checked before any multiplication.  Sizes
-# are characters of element text, which every group writes with at least
-# one character per letter, so they bound the letters verification builds.
-# At --n-max 128, scl-bounds on alpha writes at most 4864 for power x
-# target and 2567 for the text of all factors.
+# are characters of element text; with the exponent syntax '^' refused (no
+# writer emits it), every group spends at least a character per letter.  At
+# --n-max 128, scl-bounds on alpha writes at most 4864 for power x target and
+# 2567 for all factor text; cmd_scl_bounds refuses an --n-max over budget.
 WITNESS_TEXT_BUDGET = 20_000
 WITNESS_FACTOR_BUDGET = 256
 
@@ -109,6 +109,11 @@ def _fail(step: str, detail: str) -> _StepFailure:
     return _StepFailure(step, detail)
 
 
+def _no_exponents(text: str, step: str, label: str) -> None:
+    if "^" in text:
+        raise _fail(step, f"{label} uses exponent syntax '^', which certificates never contain")
+
+
 def _fraction(text: Any, step: str, label: str) -> Fraction:
     try:
         return Fraction(text)
@@ -159,6 +164,8 @@ def _check_upper(payload: dict, pair, target) -> None:
             "witness",
             f"{len(factors_raw)} factors, over the budget of {WITNESS_FACTOR_BUDGET}",
         )
+    for i, (a_text, b_text) in enumerate(factors_raw):
+        _no_exponents(a_text + b_text, "witness", f"factor {i}")
     factor_text = sum(len(a) + len(b) for a, b in factors_raw)
     if factor_text > WITNESS_TEXT_BUDGET:
         raise _fail(
@@ -195,6 +202,7 @@ def _check_lower(payload: dict, pair, target) -> None:
     override = None
     if isinstance(provenance, str) and provenance.startswith("user-config"):
         override = _fraction(witness["defect_upper"], "witness", "defect override")
+    _no_exponents(witness["qm"], "quasimorphism", "the quasimorphism")
     try:
         qm = specs.parse_qm(witness["qm"], group=pair.ambient, defect_const=override)
     except specs.SpecError as exc:
@@ -236,6 +244,7 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
             pair = specs.parse_group_pair(payload["group_pair"])
         except specs.SpecError as exc:
             raise _fail("group pair", str(exc)) from exc
+        _no_exponents(payload["target"], "target", "the target")
         try:
             target = pair.ambient.parse(payload["target"])
         except ValueError as exc:

@@ -161,6 +161,11 @@ def cmd_scl_bounds(args) -> int:
     else:
         flipper = _flip_search(pair, g, args.radius)
         if flipper is not None:
+            if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
+                raise UsageError(
+                    f"--n-max {args.n_max} is too large for this target: verify refuses "
+                    f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
+                )
             note = f"flip decomposition: {ctx.text(flipper)} conjugates the target to its inverse"
             for n in range(1, args.n_max + 1):
                 d = conjugate_flip_decomposition(pair, g, flipper, n)

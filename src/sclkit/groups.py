@@ -304,6 +304,32 @@ class CyclicZ(GroupContext):
         return rng.randint(-size, size)
 
 
+def _split_product(s: str, shape: str) -> list[str]:
+    """Split a product element like ``shape`` at each ``;`` outside inner
+    parentheses; factor texts may contain commas (braids, permutations)."""
+    body = s.strip()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise ValueError(f"product element must look like {shape}: {s!r}")
+    inner = body[1:-1]
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(inner):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        elif ch == ";" and depth == 0:
+            parts.append(inner[start:i])
+            start = i + 1
+    parts.append(inner[start:])
+    if len(parts) != shape.count(";") + 1:
+        raise ValueError(
+            f"product element must look like {shape}, found {len(parts) - 1} "
+            f"top-level ';': {s!r}"
+        )
+    return parts
+
+
 class DirectProduct(GroupContext):
     """Direct product of two contexts; elements are (left, right) pairs,
     written ``(left;right)``."""
@@ -333,28 +359,8 @@ class DirectProduct(GroupContext):
         return f"({self.left.text(a[0])};{self.right.text(a[1])})"
 
     def parse(self, s: str):
-        """Parse ``(left;right)``.  Factor texts may contain commas (braids,
-        permutations) and parenthesised products, so the element splits at
-        the one ``;`` outside every inner pair of parentheses."""
-        body = s.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"product element must look like (left;right): {s!r}")
-        inner = body[1:-1]
-        depth = 0
-        splits = []
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == ";" and depth == 0:
-                splits.append(i)
-        if len(splits) != 1:
-            raise ValueError(
-                f"product element needs exactly one top-level ';', found {len(splits)}: {s!r}"
-            )
-        split = splits[0]
-        return (self.left.parse(inner[:split]), self.right.parse(inner[split + 1 :]))
+        left, right = _split_product(s, "(left;right)")
+        return (self.left.parse(left), self.right.parse(right))
 
     def generators(self) -> list:
         gl = [(g, self.right.identity) for g in self.left.generators()]
@@ -376,7 +382,7 @@ class DirectProduct(GroupContext):
 
 class SwapProduct(GroupContext):
     """Semidirect product (G x G) : Z/2, the swap acting by exchanging the
-    two coordinates.  Elements are ((a, b), s) with s in {0, 1}.
+    two coordinates.  Elements are ((a, b), s) with s in {0, 1}, written (a;b;s).
 
     This is the smallest exact model of elements with disjoint commuting
     supports: for f = ((x, 1), 0) and g = ((1, 1), 1), the conjugate
@@ -412,15 +418,10 @@ class SwapProduct(GroupContext):
 
     def text(self, a) -> str:
         (a0, a1), s = a
-        return f"({self.inner.text(a0)},{self.inner.text(a1)};{s})"
+        return f"({self.inner.text(a0)};{self.inner.text(a1)};{s})"
 
     def parse(self, s: str):
-        body = s.strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ValueError(f"swap-product element must look like (a,b;s): {s!r}")
-        inner = body[1:-1]
-        parts, flag = inner.rsplit(";", 1)
-        a, b = parts.split(",", 1)
+        a, b, flag = _split_product(s, "(a;b;s)")
         return ((self.inner.parse(a), self.inner.parse(b)), int(flag) % 2)
 
     def generators(self) -> list:

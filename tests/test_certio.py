@@ -136,10 +136,12 @@ UPPER_FAULTS = [
     ("bound arithmetic", lambda p: p.update(bound="1/3")),
     ("membership of factor 0", lambda p: p["witness"]["factors"][0].__setitem__(1, "1")),
     ("product equality", lambda p: p["witness"]["factors"][0].__setitem__(0, "1,2")),
-    # over the work budget, refused before any multiplication
-    ("witness", lambda p: p["witness"].update(power=10_000_000)),
+    # over the work budget, refused before any multiplication; the power
+    # case runs in a fresh process in test_cli
     ("witness", lambda p: p["witness"].update(factors=p["witness"]["factors"] * 300)),
     ("witness", lambda p: p["witness"]["factors"][0].__setitem__(0, "1," * 20_000 + "1")),
+    # exponent syntax would expand 11 characters into 10^7 letters
+    ("witness", lambda p: p["witness"]["factors"][0].__setitem__(0, "s1^10000000")),
 ]
 
 LOWER_FAULTS = [
@@ -168,6 +170,25 @@ def test_lower_fault_injection(lower_cert, step, edit):
     ok, failed_step, detail = verify_payload(corrupted(lower_cert, edit))
     assert not ok
     assert failed_step == step, detail
+
+
+def test_exponent_syntax_is_refused_before_parsing(upper_cert, lower_cert):
+    # a separate test, since a second "target" row in UPPER_FAULTS would
+    # rename the existing test id
+    cases = [
+        (upper_cert, "target", lambda p: p.update(target="s1^10000000 s2")),
+        (lower_cert, "target", lambda p: p.update(target="s1^10000000 s2")),
+        (
+            lower_cert,
+            "quasimorphism",
+            lambda p: p["witness"].update(qm="pullback(homog(brooks(w=x^100000000)), pr1)"),
+        ),
+    ]
+    for cert, step, edit in cases:
+        ok, failed_step, detail = verify_payload(corrupted(cert, edit))
+        assert not ok
+        assert failed_step == step, detail
+        assert "'^'" in detail
 
 
 def test_unmodified_payloads_verify(upper_cert, lower_cert):

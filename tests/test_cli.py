@@ -113,6 +113,16 @@ def test_verify_refuses_a_witness_over_the_work_budget(tmp_path):
     assert report["items"][0]["failed_step"] == "witness"
     assert "budget" in report["items"][0]["detail"]
 
+
+def test_scl_bounds_refuses_a_flip_family_over_the_verify_budget():
+    # alpha's text has 19 characters: 2 x 526 x 19 fits the budget of 20000
+    r = run_cli("scl-bounds", "--group", "braid:3/pure", "--braid", ALPHA,
+                "--n-max", "527", timeout=30)
+    assert r.returncode == 2, r.stderr
+    assert "--n-max 527 is too large" in r.stderr
+    assert r.stdout == ""
+
+
 def test_subcommands_refuse_options_they_do_not_read(tmp_path):
     cert = tmp_path / "cert.json"
     cert.write_text("{}")

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from sclkit.braids import BraidGroup
 from sclkit.groups import (
     CyclicZ,
     DirectProduct,
@@ -87,6 +88,21 @@ def test_swap_product_realizes_commuting_supports():
     c = sp.conjugate(g, sp.inv(f))
     assert sp.eq(sp.mul(f, c), sp.mul(c, f))
     assert sp.eq(sp.commutator(f, g), ((a, f2.inv(a)), 0))
+
+
+def test_swap_product_text_round_trips():
+    # braid texts contain commas, so the coordinates are split at ';'
+    for sp in (SwapProduct(FreeGroup(2)), SwapProduct(BraidGroup(3))):
+        rng = random.Random(206)
+        for _ in range(100):
+            g = sp.sample(rng, rng.randrange(0, 6))
+            assert sp.eq(sp.parse(sp.text(g)), g), sp.text(g)
+    sb = SwapProduct(BraidGroup(3))
+    g = ((sb.inner.parse("1,2"), sb.inner.parse("2")), 1)
+    assert sb.text(g) == "(1,2;2;1)"
+    for bad in ("(1,2,2;1)", "(1;2;2;1)"):
+        with pytest.raises(ValueError):
+            sb.parse(bad)
 
 
 def test_permutation_primitives():
