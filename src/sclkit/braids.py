@@ -132,7 +132,7 @@ class GarsideNormalForm:
         return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BraidWord:
     """An Artin word in the braid group on n strands."""
 

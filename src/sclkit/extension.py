@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .braids import BraidGroup, index_section, index_sum
-from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, canonical_memo, sphere_pairs
+from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, scaled_ball_values, sphere_pairs
 from .norms import PreconditionError
 from .quasimorphisms import (
     CertifiedValue,
@@ -271,29 +271,33 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
     subtracts all three radii, and must stay within 2 D(phi).
     """
     ctx = result.section.ambient
-    prime = canonical_memo(ctx, result.phi_prime)
-    hat = canonical_memo(ctx, result.value)
-    best_prime = Fraction(0)
-    best_hat = Fraction(0)
+
+    def row(g):
+        hat = result.value(g)
+        return result.phi_prime(g), hat.value, hat.radius or 0
+
+    values, scale = scaled_ball_values(ctx, radius, row)
+    canonical, mul = ctx.canonical, ctx.mul
+    best_prime = 0
+    best_hat = 0
     pairs = 0
     for g, sphere in sphere_pairs(ctx, radius):
-        pg, vg = prime(g), hat(g)
+        pg, vg, rg = values[canonical(g)]
         for h in sphere:
             pairs += 1
-            gh = ctx.mul(g, h)
-            gap_p = abs(prime(gh) - pg - prime(h))
+            pgh, vgh, rgh = values[canonical(mul(g, h))]
+            ph, vh, rh = values[canonical(h)]
+            gap_p = abs(pgh - pg - ph)
             if gap_p > best_prime:
                 best_prime = gap_p
-            vh, vgh = hat(h), hat(gh)
-            slack = (vg.radius or 0) + (vh.radius or 0) + (vgh.radius or 0)
-            gap_h = abs(vgh.value - vg.value - vh.value) - slack
+            gap_h = abs(vgh - vg - vh) - (rg + rh + rgh)
             if gap_h > best_hat:
                 best_hat = gap_h
     d = Fraction(result.base.defect_upper)
     return DefectChainReport(
-        phi_prime_searched=best_prime,
+        phi_prime_searched=Fraction(best_prime, scale),
         phi_prime_bound=d,
-        phi_hat_searched=best_hat,
+        phi_hat_searched=Fraction(best_hat, scale),
         phi_hat_bound=2 * d,
         radius=radius,
         pairs_checked=pairs,

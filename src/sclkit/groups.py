@@ -10,16 +10,19 @@ everything here is safe to evaluate concurrently and to use as dict keys via
 Every Cayley-graph walk in the library goes through two helpers here:
 ``ProductSearch``, the shortest product of a fixed list of moves, and
 ``sphere_pairs``, the pairs of ball elements ordered by total length.
-``canonical_memo`` evaluates a function once per element along such a walk.
+``scaled_ball_values`` evaluates a function once per ball element, as exact
+integers over a common denominator, for the defect searches along such a
+walk.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
-from .words import Word, format_letters, random_reduced, word, words_of_length
+from .words import Word, _word, format_letters, random_reduced, word, words_of_length
 
 
 class ProductSearch:
@@ -87,17 +90,36 @@ def sphere_pairs(ctx: "GroupContext", radius: int) -> Iterable[tuple[Any, list]]
                 yield g, spheres[total - i]
 
 
-def canonical_memo(ctx: "GroupContext", fn: Callable[[Any], Any]) -> Callable[[Any], Any]:
-    """``fn`` computed once per element of ctx, keyed by canonical form."""
-    memo: dict[Hashable, Any] = {}
+def scaled_ball_values(
+    ctx: "GroupContext", radius: int, fn: Callable[[Any], Any]
+) -> tuple[dict[Hashable, Any], int]:
+    """``fn`` once per element of ``ctx.ball(radius)``, keyed by canonical
+    form, as integers over one common denominator.
 
-    def cached(g):
+    ``fn`` returns a rational, or a tuple of rationals.  Returns ``(values,
+    scale)``: ``scale`` is the lcm of every denominator, and ``values[key]``
+    holds each rational times ``scale`` in the same shape.  A product of a
+    ``sphere_pairs(ctx, radius)`` pair is a key too, since |gh| <= |g| + |h|.
+    The scale is positive, so scaled values compare as the rationals do.
+    """
+    values: dict[Hashable, Any] = {}
+    for g in ctx.ball(radius):
         key = ctx.canonical(g)
-        if key not in memo:
-            memo[key] = fn(g)
-        return memo[key]
-
-    return cached
+        if key not in values:
+            values[key] = fn(g)
+    denominators = set()
+    for row in values.values():
+        for v in row if isinstance(row, tuple) else (row,):
+            denominators.add(v.denominator)
+    scale = math.lcm(*denominators)
+    # overwritten in place, and a single value stays unwrapped: a second dict
+    # or a tuple per element would raise the peak memory of a large ball
+    for key, row in values.items():
+        if isinstance(row, tuple):
+            values[key] = tuple(v.numerator * (scale // v.denominator) for v in row)
+        else:
+            values[key] = row.numerator * (scale // row.denominator)
+    return values, scale
 
 
 class GroupContext:
@@ -235,7 +257,7 @@ class FreeGroup(GroupContext):
 
     @property
     def identity(self) -> Word:
-        return Word(self.rank, ())
+        return _word(self.rank, ())
 
     def power(self, a: Word, n: int) -> Word:
         return a**n
@@ -261,10 +283,10 @@ class FreeGroup(GroupContext):
         return [Word(self.rank, (i,)) for i in self.gen_indices]
 
     def sphere(self, k: int) -> list[Word]:
-        return [Word(self.rank, ls) for ls in words_of_length(self.rank, k, self.gen_indices)]
+        return [_word(self.rank, ls) for ls in words_of_length(self.rank, k, self.gen_indices)]
 
     def sample(self, rng, size: int) -> Word:
-        return Word(self.rank, random_reduced(rng, self.rank, size, self.gen_indices))
+        return _word(self.rank, random_reduced(rng, self.rank, size, self.gen_indices))
 
 
 class CyclicZ(GroupContext):

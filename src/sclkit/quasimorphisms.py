@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .groups import GroupContext, GroupHom, canonical_memo, sphere_pairs
+from .groups import GroupContext, GroupHom, scaled_ball_values, sphere_pairs
 from .words import Word, invert_letters
 
 
@@ -289,21 +289,23 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
     radius; the result also raises ``qm.defect_lower`` when it improves it.
     """
     ctx = context if context is not None else qm.context
-    ev = canonical_memo(ctx, qm)
-    best = Fraction(0)
+    values, scale = scaled_ball_values(ctx, radius, qm)
+    canonical, mul = ctx.canonical, ctx.mul
+    best = 0
     witness: tuple | None = None
     pairs = 0
     for g, sphere in sphere_pairs(ctx, radius):
-        vg = ev(g)
+        vg = values[canonical(g)]
         for h in sphere:
             pairs += 1
-            gap = abs(ev(ctx.mul(g, h)) - vg - ev(h))
+            gap = abs(values[canonical(mul(g, h))] - vg - values[canonical(h)])
             if gap > best:
                 best = gap
                 witness = (g, h)
-    if best > qm.defect_lower:
-        qm.defect_lower = best
-    return DefectSearchResult(best, witness, radius, pairs)
+    lower = Fraction(best, scale)
+    if lower > qm.defect_lower:
+        qm.defect_lower = lower
+    return DefectSearchResult(lower, witness, radius, pairs)
 
 
 @dataclass(frozen=True)

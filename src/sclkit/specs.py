@@ -45,6 +45,22 @@ class SpecError(ValueError):
     """A malformed or unsupported spec string."""
 
 
+# Largest strand count a braid group spec may name.  Braid equality on four
+# or more strands goes through the Garside normal form, whose cost grows with
+# the strand count and with the square of the word length.  One upper item at
+# the verify witness budget takes about 7 s on braid:4, 14 s on braid:8,
+# 26 s on braid:10 and 96 s on braid:16.
+MAX_BRAID_STRANDS = 8
+
+
+def _count(rest: str) -> int | None:
+    """The number a spec writes in ASCII digits, or None.  Nine digits are
+    more than any group here can use; int() refuses past 4300."""
+    if rest.isascii() and rest.isdigit() and len(rest) <= 9:
+        return int(rest)
+    return None
+
+
 def parse_group(text: str) -> GroupContext:
     """Group spec -> context.
 
@@ -61,9 +77,10 @@ def parse_group(text: str) -> GroupContext:
     head, sep, rest = spec.partition(":")
     if not sep or not rest:
         raise SpecError(f"unknown group spec {text!r}")
+    count = _count(rest)
     if head == "free":
-        if rest.isdigit():
-            return FreeGroup(int(rest))
+        if count is not None:
+            return FreeGroup(count)
         if rest.isascii() and rest.isalpha() and rest.islower():
             try:
                 return FreeGroup.on(rest)
@@ -73,13 +90,15 @@ def parse_group(text: str) -> GroupContext:
             f"free group spec needs a rank or lowercase generator letters: {text!r}"
         )
     if head == "braid":
-        if not rest.isdigit() or int(rest) < 2:
-            raise SpecError(f"braid group spec needs a strand count >= 2: {text!r}")
-        return BraidGroup(int(rest))
+        if count is None or not 2 <= count <= MAX_BRAID_STRANDS:
+            raise SpecError(
+                f"braid group spec needs a strand count from 2 to {MAX_BRAID_STRANDS}: {text!r}"
+            )
+        return BraidGroup(count)
     if head == "perm":
-        if not rest.isdigit() or int(rest) < 1:
+        if count is None or count < 1:
             raise SpecError(f"permutation group spec needs a positive degree: {text!r}")
-        return SymmetricGroup(int(rest))
+        return SymmetricGroup(count)
     if head == "product":
         left_text, comma, right_text = rest.rpartition(",")
         if not comma:

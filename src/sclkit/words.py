@@ -42,7 +42,7 @@ def is_reduced(letters: Iterable[int]) -> bool:
 
 
 def invert_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    return tuple(-l for l in reversed(tuple(letters)))
+    return tuple([-l for l in reversed(tuple(letters))])
 
 
 def multiply_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,13 +129,14 @@ def parse_letters(text: str) -> list[int]:
     return raw
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Word:
     """A freely reduced word; the rank is a validation bound on letters.
 
     Group identity is the letter tuple alone: words with the same letters
     are equal regardless of declared rank, and products take the larger of
-    the two ranks.
+    the two ranks.  Public construction validates; results of the group
+    operations are reduced and in range by construction and skip the check.
     """
 
     rank: int
@@ -152,7 +153,9 @@ class Word:
 
     @staticmethod
     def from_raw(rank: int, raw: Iterable[int]) -> "Word":
-        return Word(rank, reduce_letters(raw, rank))
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
+        return _word(rank, reduce_letters(raw, rank))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -164,14 +167,14 @@ class Word:
 
     def __mul__(self, other: "Word") -> "Word":
         rank = max(self.rank, other.rank)
-        return Word(rank, multiply_letters(self.letters, other.letters))
+        return _word(rank, multiply_letters(self.letters, other.letters))
 
     def __invert__(self) -> "Word":
-        return Word(self.rank, invert_letters(self.letters))
+        return _word(self.rank, invert_letters(self.letters))
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
-        return Word(self.rank, reduce_letters(base.letters * abs(n), self.rank))
+        return _word(self.rank, reduce_letters(base.letters * abs(n), self.rank))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -185,13 +188,28 @@ class Word:
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
         """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
         core, conj = cyclic_reduce_letters(self.letters)
-        return Word(self.rank, core), Word(self.rank, conj)
+        return _word(self.rank, core), _word(self.rank, conj)
 
     def exponent_sum(self, index: int | None = None) -> int:
         """Signed letter count, for one generator or (default) all of them."""
         if index is None:
             return sum(1 if l > 0 else -1 for l in self.letters)
         return sum(1 if l == index else -1 if l == -index else 0 for l in self.letters)
+
+
+# the slot descriptors set the fields of a frozen instance directly
+_new = object.__new__
+_set_rank = Word.rank.__set__
+_set_letters = Word.letters.__set__
+
+
+def _word(rank: int, letters: tuple[int, ...]) -> Word:
+    """A Word from letters already known to be reduced and in range for
+    rank; skips the checks of ``__post_init__``."""
+    w = _new(Word)
+    _set_rank(w, rank)
+    _set_letters(w, letters)
+    return w
 
 
 def word(text: str, rank: int | None = None) -> Word:

@@ -2,6 +2,7 @@
 
 Both checks parse the source with ``ast``, so they see what is written;
 the export check then resolves each listed name on the imported package.
+The import check covers the test modules too.
 """
 
 import ast
@@ -10,6 +11,7 @@ from pathlib import Path
 import sclkit
 
 SRC = Path(sclkit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _all_names() -> list[str]:
@@ -65,12 +67,11 @@ def test_all_names_resolve_once():
 
 def test_modules_import_only_names_they_use():
     unused = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    for path in modules + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text())
         used = _used_names(tree)
         for name, line in _imported_names(tree).items():
             if name not in used:
-                unused.append(f"{path.name}:{line} {name}")
+                unused.append(f"{path.parent.name}/{path.name}:{line} {name}")
     assert not unused, f"imported but never used: {unused}"

@@ -221,6 +221,9 @@ def test_braid_word_validation_stays_at_the_public_boundary():
     for built in (a * b, ~a, a**3, a**-2):
         checked = BraidWord(built.n, built.letters)
         assert built == checked and hash(built) == hash(checked)
+        assert not hasattr(built, "__dict__")
+        with pytest.raises(AttributeError):
+            built.letters = ()
 
 
 def test_underlying_permutation_matches_composition():

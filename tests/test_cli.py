@@ -4,8 +4,6 @@ import json
 import subprocess
 import sys
 
-import pytest
-
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
 
@@ -112,6 +110,32 @@ def test_verify_refuses_a_witness_over_the_work_budget(tmp_path):
     report = json.loads(r.stdout)
     assert report["items"][0]["failed_step"] == "witness"
     assert "budget" in report["items"][0]["detail"]
+
+
+def test_braid_groups_over_the_strand_cap_are_refused_at_once(tmp_path):
+    # braid:500 used to cost minutes per equality check before failing
+    item = {
+        "kind": "scl-upper-decomposition",
+        "target": "1,-2",
+        "group_pair": "braid:500/comm",
+        "bound": "1",
+        "direction": "upper",
+        "witness": {"power": 1, "factors": [["499", "1,-499"]]},
+        "evidence": {"defect_provenance": None, "invariance_sample": None},
+        "verified": True,
+        "note": "",
+    }
+    cert = tmp_path / "many-strands.json"
+    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [item]}))
+    r = run_cli("verify", str(cert), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["items"][0]["failed_step"] == "group pair"
+    assert "strand count" in report["items"][0]["detail"]
+    r = run_cli("scl-bounds", "--group", "braid:500/comm", "--braid=1,-2", timeout=30)
+    assert r.returncode == 2, r.stderr
+    assert "strand count" in r.stderr
+    assert r.stdout == ""
 
 
 def test_scl_bounds_refuses_a_flip_family_over_the_verify_budget():

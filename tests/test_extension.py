@@ -2,19 +2,27 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from sclkit.braids import BraidGroup, braid, index_sum
 from sclkit.extension import (
+    DefectChainReport,
     braid_abelianization_section,
     central_z_section,
     defect_chain_check,
     extend_via_section,
     restriction_check,
 )
-from sclkit.groups import DirectProduct, FreeGroup, proj_left
-from sclkit.quasimorphisms import brooks_homogenized, pullback, zero_qm
+from sclkit.groups import FreeGroup, proj_left, sphere_pairs
+from sclkit.quasimorphisms import (
+    CertifiedValue,
+    brooks,
+    brooks_homogenized,
+    pullback,
+    zero_qm,
+)
 from sclkit.words import word
 
 
@@ -99,3 +107,62 @@ def test_extension_records_invariance_evidence():
     ev = result.invariance_evidence
     if ev is not None:
         assert ev.ok
+
+
+def reference_defect_chain(result, radius):
+    """The Fraction loop the integer chain check replaced, kept as its oracle."""
+    ctx = result.section.ambient
+    prime, hat = {}, {}
+
+    def memo(table, fn, g):
+        key = ctx.canonical(g)
+        if key not in table:
+            table[key] = fn(g)
+        return table[key]
+
+    best_prime = best_hat = Fraction(0)
+    pairs = 0
+    for g, sphere in sphere_pairs(ctx, radius):
+        pg, vg = memo(prime, result.phi_prime, g), memo(hat, result.value, g)
+        for h in sphere:
+            pairs += 1
+            gh = ctx.mul(g, h)
+            gap_p = abs(memo(prime, result.phi_prime, gh) - pg - memo(prime, result.phi_prime, h))
+            best_prime = max(best_prime, gap_p)
+            vh, vgh = memo(hat, result.value, h), memo(hat, result.value, gh)
+            slack = (vg.radius or 0) + (vh.radius or 0) + (vgh.radius or 0)
+            best_hat = max(best_hat, abs(vgh.value - vg.value - vh.value) - slack)
+    d = Fraction(result.base.defect_upper)
+    return DefectChainReport(best_prime, d, best_hat, 2 * d, radius, pairs)
+
+
+def test_defect_chain_matches_fraction_reference_on_the_suite_legs():
+    # the two legs of the section-extension suite item, at its radius
+    left = FreeGroup(2)
+    sec = central_z_section(left)
+    phi = pullback(brooks_homogenized(left.word("abAB"), context=left), proj_left(sec.ambient))
+    product_leg = extend_via_section(phi, sec, n_max=64)
+    braid_leg = extend_via_section(zero_qm(BraidGroup(3)), braid_abelianization_section(3), n_max=16)
+    for result in (product_leg, braid_leg):
+        for radius in (0, 2, 4):
+            assert defect_chain_check(result, radius) == reference_defect_chain(result, radius)
+    # off the subgroup the radius D/64 has a denominator, so the scale is not 1
+    assert product_leg.value((left.word("a"), 1)).radius.denominator > 1
+    assert defect_chain_check(product_leg, 4).phi_hat_searched > 0
+
+
+def test_defect_chain_matches_fraction_reference_with_radii_everywhere():
+    # a stand-in extension whose every interval has its own radius, so each
+    # of the three radii in a pair's slack moves the searched maximum
+    f2 = FreeGroup(2)
+    h = brooks(word("ab"), context=f2)
+    stand_in = SimpleNamespace(
+        section=SimpleNamespace(ambient=f2),
+        base=h,
+        phi_prime=h,
+        value=lambda g: CertifiedValue(h(g), Fraction(1, 5 + len(g))),
+    )
+    for radius in (2, 4):
+        report = defect_chain_check(stand_in, radius)
+        assert report == reference_defect_chain(stand_in, radius)
+        assert report.phi_hat_searched.denominator > 1

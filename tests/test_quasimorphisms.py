@@ -5,9 +5,18 @@ from fractions import Fraction
 
 import pytest
 
-from sclkit.groups import DirectProduct, FreeGroup, CyclicZ, proj_left
+from sclkit.braids import BraidGroup, b3_key
+from sclkit.groups import (
+    CyclicZ,
+    DirectProduct,
+    FreeGroup,
+    proj_left,
+    scaled_ball_values,
+    sphere_pairs,
+)
 from sclkit.quasimorphisms import (
     CertifiedValue,
+    Quasimorphism,
     brooks,
     brooks_homogenized,
     count_copies,
@@ -20,6 +29,7 @@ from sclkit.quasimorphisms import (
     pullback,
     zero_qm,
 )
+from sclkit.specs import parse_qm
 from sclkit.words import Word, commutator, random_reduced, word
 
 
@@ -191,3 +201,71 @@ def test_zero_and_hom_qms():
     hq = hom_qm(z, lambda k: 3 * k, "triple")
     assert hq(4) == 12
     assert defect_search(hq, 5).lower == 0
+
+
+def reference_defect_search(qm, radius, ctx):
+    """The Fraction loop the integer search replaced, kept as its oracle."""
+    memo = {}
+
+    def ev(g):
+        key = ctx.canonical(g)
+        if key not in memo:
+            memo[key] = qm(g)
+        return memo[key]
+
+    best = Fraction(0)
+    witness = None
+    pairs = 0
+    for g, sphere in sphere_pairs(ctx, radius):
+        vg = ev(g)
+        for h in sphere:
+            pairs += 1
+            gap = abs(ev(ctx.mul(g, h)) - vg - ev(h))
+            if gap > best:
+                best = gap
+                witness = (g, h)
+    return best, witness, pairs
+
+
+def _same_as_reference(qm, radius, ctx):
+    res = defect_search(qm, radius, context=ctx)
+    best, witness, pairs = reference_defect_search(qm, radius, ctx)
+    assert (res.lower, res.pairs_checked) == (best, pairs)
+    if witness is None:
+        assert res.witness is None
+    else:
+        assert [ctx.canonical(x) for x in res.witness] == [ctx.canonical(x) for x in witness]
+    return res
+
+
+def test_defect_search_matches_fraction_reference_on_free_groups():
+    f2 = FreeGroup(2)
+    for qm in (brooks(word("ab"), context=f2), brooks_homogenized(word("abAB"), context=f2)):
+        for radius in range(7):
+            _same_as_reference(qm, radius, f2)
+
+
+def test_defect_search_matches_reference_with_a_nontrivial_scale():
+    f2 = FreeGroup(2)
+    ab, ba = word("ab"), word("bA")
+    qm = Quasimorphism(
+        "thirds-and-quarters",
+        f2,
+        lambda g: Fraction(count_copies(ab, g), 3) - Fraction(count_copies(ba, g), 4),
+    )
+    assert scaled_ball_values(f2, 5, qm)[1] == 12
+    res = _same_as_reference(qm, 5, f2)
+    assert res.lower.denominator > 1
+
+
+def test_defect_search_matches_reference_off_free_groups():
+    prod = DirectProduct(FreeGroup(2), CyclicZ())
+    _same_as_reference(pullback(brooks(word("ab")), proj_left(prod)), 4, prod)
+    b3 = BraidGroup(3)
+    assert _same_as_reference(parse_qm("hom(indexsum)", group=b3), 4, b3).lower == 0
+    # a bounded function is a quasimorphism; it is read off the exact key,
+    # so every word for one braid gets one value
+    clamped = Quasimorphism(
+        "clamped-corner", b3, lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3)
+    )
+    assert _same_as_reference(clamped, 4, b3).lower > 0

@@ -9,8 +9,7 @@ import pytest
 
 from sclkit.braids import BraidGroup
 from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, SymmetricGroup
-from sclkit.quasimorphisms import brooks_homogenized
-from sclkit.specs import SpecError, parse_group, parse_group_pair, parse_qm
+from sclkit.specs import MAX_BRAID_STRANDS, SpecError, parse_group, parse_group_pair, parse_qm
 from sclkit.words import word
 
 
@@ -62,6 +61,20 @@ def test_parse_group_table_file():
 def test_parse_group_rejects(bad):
     with pytest.raises(SpecError):
         parse_group(bad)
+
+
+def test_braid_strand_count_is_capped():
+    assert parse_group(f"braid:{MAX_BRAID_STRANDS}").n == MAX_BRAID_STRANDS
+    assert parse_group_pair(f"braid:{MAX_BRAID_STRANDS}/comm").ambient.n == MAX_BRAID_STRANDS
+    for bad in (f"braid:{MAX_BRAID_STRANDS + 1}", "braid:500", "braid:" + "9" * 5000, "braid:²"):
+        with pytest.raises(SpecError, match="strand count"):
+            parse_group(bad)
+    with pytest.raises(SpecError, match="strand count"):
+        parse_group_pair("braid:500/comm")
+    # digit strings past int()'s limit are a spec error too, not a crash
+    for bad in ("free:" + "9" * 5000, "perm:" + "9" * 5000):
+        with pytest.raises(SpecError):
+            parse_group(bad)
 
 
 def test_parse_group_pair_modes():

@@ -1,9 +1,11 @@
 """Reduced-word algebra, checked against brute-force oracles."""
 
+import dataclasses
 import random
 
 import pytest
 
+from sclkit.groups import FreeGroup
 from sclkit.words import (
     Word,
     commutator,
@@ -145,3 +147,61 @@ def test_random_reduced_respects_length_and_reduction():
         letters = random_reduced(rng, 3, n)
         assert len(letters) == n
         assert is_reduced(letters)
+
+
+def _validated(w):
+    # the public constructor checks the range and the reduction
+    checked = Word(w.rank, w.letters)
+    assert checked == w and checked.rank == w.rank
+    assert is_reduced(w.letters)
+    return checked
+
+
+def test_internal_words_match_validated_construction():
+    rng = random.Random(106)
+    for rank in (1, 2, 3, 4):
+        letters = [l for i in range(1, rank + 1) for l in (i, -i)]
+        ctx = FreeGroup(rank)
+        _validated(ctx.identity)
+        for k in range(4):
+            for w in ctx.sphere(k):
+                _validated(w)
+        for _ in range(300):
+            raw = [rng.choice(letters) for _ in range(rng.randrange(0, 16))]
+            u = Word.from_raw(rank, raw)
+            assert _validated(u).letters == naive_reduce(raw)
+            v_rank = rng.randint(1, rank)
+            v = Word.from_raw(v_rank, [l for l in raw[::-1] if abs(l) <= v_rank])
+            _validated(ctx.sample(rng, rng.randrange(0, 10)))
+            assert _validated(u * v).letters == naive_reduce(u.letters + v.letters)
+            assert (u * v).rank == rank and (v * u).rank == rank
+            assert _validated(~u).letters == naive_reduce(invert_letters(raw))
+            n = rng.randint(-3, 3)
+            base = u.letters if n >= 0 else invert_letters(u.letters)
+            assert _validated(u**n).letters == naive_reduce(base * abs(n))
+            core, conj = u.cyclic_reduce()
+            _validated(core)
+            _validated(conj)
+
+
+def test_public_construction_still_validates():
+    with pytest.raises(ValueError):
+        Word(2, (1, -1))
+    with pytest.raises(ValueError):
+        Word(1, (2,))
+    with pytest.raises(ValueError):
+        Word.from_raw(-1, ())
+    with pytest.raises(ValueError):
+        Word.from_raw(1, (2,))
+    with pytest.raises(ValueError):
+        word("ab", rank=1)
+
+
+def test_word_is_slotted_and_frozen():
+    w = word("ab")
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.letters = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        (w * w).rank = 5
+    assert w.letters == (1, 2) and w.rank == 2
