@@ -39,11 +39,10 @@ letters; the same pass drives the pure-braid coordinate splitting
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
-from .words import Word, invert_letters
+from .words import Frozen, Word, invert_letters
 
 @functools.cache
 def _tables(n: int):
@@ -106,13 +105,30 @@ def _normalize_factors(n: int, k: int, factors: list[tuple[int, ...]]):
     return k + lead, tuple(fs[lead:])
 
 
-@dataclass(frozen=True)
-class GarsideNormalForm:
+class GarsideNormalForm(Frozen):
     """Normal form D^k p_1 ... p_l; no factor is trivial or the half twist."""
 
+    __slots__ = ("n", "delta_power", "factors")
     n: int
     delta_power: int
     factors: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, delta_power: int, factors: tuple[tuple[int, ...], ...]) -> None:
+        _set_nf_n(self, n)
+        _set_nf_delta_power(self, delta_power)
+        _set_nf_factors(self, factors)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not GarsideNormalForm:
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.delta_power == other.delta_power
+            and self.factors == other.factors
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.delta_power, self.factors))
 
     def __str__(self) -> str:
         parts = " ".join(",".join(str(v + 1) for v in f) for f in self.factors)
@@ -132,12 +148,22 @@ class GarsideNormalForm:
         return True
 
 
-@dataclass(frozen=True, slots=True)
-class BraidWord:
+_set_nf_n = GarsideNormalForm.n.__set__
+_set_nf_delta_power = GarsideNormalForm.delta_power.__set__
+_set_nf_factors = GarsideNormalForm.factors.__set__
+
+
+class BraidWord(Frozen):
     """An Artin word in the braid group on n strands."""
 
+    __slots__ = ("n", "letters")
     n: int
     letters: tuple[int, ...]
+
+    def __init__(self, n: int, letters: tuple[int, ...]) -> None:
+        _set_n(self, n)
+        _set_letters(self, letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -145,6 +171,14 @@ class BraidWord:
         for l in self.letters:
             if l == 0 or abs(l) > self.n - 1:
                 raise ValueError(f"crossing index {l} out of range for {self.n} strands")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not BraidWord:
+            return NotImplemented
+        return self.n == other.n and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.letters))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
@@ -170,12 +204,18 @@ class BraidWord:
         return format_braid(self)
 
 
+# the slot descriptors set the fields of a frozen instance directly
+_new = object.__new__
+_set_n = BraidWord.n.__set__
+_set_letters = BraidWord.letters.__set__
+
+
 def _braid_word(n: int, letters: tuple[int, ...]) -> BraidWord:
     """A BraidWord from letters already known to be valid for n strands;
     skips the range check of ``__post_init__``."""
-    b = object.__new__(BraidWord)
-    object.__setattr__(b, "n", n)
-    object.__setattr__(b, "letters", letters)
+    b = _new(BraidWord)
+    _set_n(b, n)
+    _set_letters(b, letters)
     return b
 
 
@@ -411,8 +451,7 @@ Y = 25
 F2_RANK = 25
 
 
-@dataclass(frozen=True)
-class P3Coordinates:
+class P3Coordinates(Frozen):
     """Splitting of a pure 3-strand braid as (free part, centre exponent).
 
     The pure braid group on 3 strands is generated by x = s1^2, y = s2^2 and
@@ -420,8 +459,25 @@ class P3Coordinates:
     The free part is a word in the letters x, y.
     """
 
+    __slots__ = ("f2_part", "center_exponent")
     f2_part: Word
     center_exponent: int
+
+    def __init__(self, f2_part: Word, center_exponent: int) -> None:
+        _set_f2_part(self, f2_part)
+        _set_center_exponent(self, center_exponent)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not P3Coordinates:
+            return NotImplemented
+        return self.f2_part == other.f2_part and self.center_exponent == other.center_exponent
+
+    def __hash__(self) -> int:
+        return hash((self.f2_part, self.center_exponent))
+
+
+_set_f2_part = P3Coordinates.f2_part.__set__
+_set_center_exponent = P3Coordinates.center_exponent.__set__
 
 
 def p3_embed_letters(w: Word) -> tuple[int, ...]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Sequence
@@ -263,20 +262,22 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
     return True, None, "recomputed and confirmed"
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    index: int
-    kind: str
-    ok: bool
-    failed_step: str | None
-    detail: str
+    def __init__(self, index: int, kind: str, ok: bool, failed_step: str | None, detail: str) -> None:
+        self.index = index
+        self.kind = kind
+        self.ok = ok
+        self.failed_step = failed_step
+        self.detail = detail
 
 
-@dataclass(frozen=True)
 class VerificationReport:
-    source: str
-    checks: tuple[CheckResult, ...]
-    schema_error: str | None = None
+    def __init__(
+        self, source: str, checks: tuple[CheckResult, ...], schema_error: str | None = None
+    ) -> None:
+        self.source = source
+        self.checks = checks
+        self.schema_error = schema_error
 
     @property
     def ok(self) -> bool:

@@ -17,7 +17,6 @@ Off the subgroup, phi_hat is reported as a certified interval
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -32,15 +31,22 @@ from .quasimorphisms import (
 )
 
 
-@dataclass
 class SectionData:
     """A homomorphic section of the projection onto an integer quotient."""
 
-    ambient: GroupContext
-    project: Callable[[Any], int]
-    section: Callable[[int], Any]
-    member: Callable[[Any], bool]
-    name: str
+    def __init__(
+        self,
+        ambient: GroupContext,
+        project: Callable[[Any], int],
+        section: Callable[[int], Any],
+        member: Callable[[Any], bool],
+        name: str,
+    ) -> None:
+        self.ambient = ambient
+        self.project = project
+        self.section = section
+        self.member = member
+        self.name = name
 
     def check(self, rng, quotient_radius: int = 8, samples: int = 200) -> "SectionReport":
         """Verify pi o s = id on the quotient ball, s(0) = identity, and
@@ -70,11 +76,11 @@ class SectionData:
         return SectionReport(self.name, samples, tuple(failures))
 
 
-@dataclass(frozen=True)
 class SectionReport:
-    section_name: str
-    samples: int
-    failures: tuple[str, ...]
+    def __init__(self, section_name: str, samples: int, failures: tuple[str, ...]) -> None:
+        self.section_name = section_name
+        self.samples = samples
+        self.failures = failures
 
     @property
     def ok(self) -> bool:
@@ -107,7 +113,6 @@ def braid_abelianization_section(n: int = 3) -> SectionData:
     )
 
 
-@dataclass
 class ExtensionResult:
     """The transported quasimorphism with its defect bookkeeping.
 
@@ -116,11 +121,19 @@ class ExtensionResult:
     D(phi) -> D(phi') -> D(phi_hat) certified bounds.
     """
 
-    base: Quasimorphism
-    section: SectionData
-    phi_prime: Quasimorphism
-    n_max: int
-    invariance_evidence: InvarianceReport | None
+    def __init__(
+        self,
+        base: Quasimorphism,
+        section: SectionData,
+        phi_prime: Quasimorphism,
+        n_max: int,
+        invariance_evidence: InvarianceReport | None,
+    ) -> None:
+        self.base = base
+        self.section = section
+        self.phi_prime = phi_prime
+        self.n_max = n_max
+        self.invariance_evidence = invariance_evidence
 
     @property
     def defect_chain(self) -> dict:
@@ -191,11 +204,11 @@ def extend_via_section(
     )
 
 
-@dataclass(frozen=True)
 class RestrictionReport:
-    checked: int
-    mismatches: tuple[str, ...]
-    sufficient: bool
+    def __init__(self, checked: int, mismatches: tuple[str, ...], sufficient: bool) -> None:
+        self.checked = checked
+        self.mismatches = mismatches
+        self.sufficient = sufficient
 
     @property
     def ok(self) -> bool:
@@ -238,14 +251,32 @@ def restriction_check(
     return RestrictionReport(checked, tuple(mismatches), sufficient=checked > 0)
 
 
-@dataclass(frozen=True)
 class DefectChainReport:
-    phi_prime_searched: Fraction
-    phi_prime_bound: Fraction
-    phi_hat_searched: Fraction
-    phi_hat_bound: Fraction
-    radius: int
-    pairs_checked: int
+    def __init__(
+        self,
+        phi_prime_searched: Fraction,
+        phi_prime_bound: Fraction,
+        phi_hat_searched: Fraction,
+        phi_hat_bound: Fraction,
+        radius: int,
+        pairs_checked: int,
+    ) -> None:
+        self.phi_prime_searched = phi_prime_searched
+        self.phi_prime_bound = phi_prime_bound
+        self.phi_hat_searched = phi_hat_searched
+        self.phi_hat_bound = phi_hat_bound
+        self.radius = radius
+        self.pairs_checked = pairs_checked
+
+    # the tests compare a report with one rebuilt by a reference search
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DefectChainReport:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"DefectChainReport({fields})"
 
     @property
     def ok(self) -> bool:

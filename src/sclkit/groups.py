@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Sequence
 
 from .words import Word, _word, format_letters, random_reduced, word, words_of_length
@@ -608,14 +607,16 @@ class TableGroup(GroupContext):
         return rng.randrange(self.n)
 
 
-@dataclass(frozen=True)
 class GroupHom:
     """A homomorphism between contexts, carried as an explicit function."""
 
-    domain: GroupContext
-    codomain: GroupContext
-    fn: Callable[[Any], Any]
-    name: str
+    def __init__(
+        self, domain: GroupContext, codomain: GroupContext, fn: Callable[[Any], Any], name: str
+    ) -> None:
+        self.domain = domain
+        self.codomain = codomain
+        self.fn = fn
+        self.name = name
 
     def __call__(self, a):
         return self.fn(a)

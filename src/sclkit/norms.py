@@ -17,7 +17,6 @@ ball and a factor cap, and the verdict says so.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -71,7 +70,6 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-@dataclass(frozen=True)
 class FragmentationResult:
     """Value of the fragmentation norm at one element.
 
@@ -81,10 +79,13 @@ class FragmentationResult:
     holds the cap and the verdict reads ">= cap".
     """
 
-    value: Any
-    witness: tuple[tuple[Any, Any], ...] | None
-    exact: bool
-    scope: str
+    def __init__(
+        self, value: Any, witness: tuple[tuple[Any, Any], ...] | None, exact: bool, scope: str
+    ) -> None:
+        self.value = value
+        self.witness = witness
+        self.exact = exact
+        self.scope = scope
 
     def verdict(self) -> str:
         if self.value is INFINITY:
@@ -212,12 +213,14 @@ class FragmentationNorm:
         return Fraction(res.value)
 
 
-@dataclass(frozen=True)
 class NormAxiomReport:
-    norm_name: str
-    elements_checked: int
-    pairs_checked: int
-    failures: tuple[str, ...]
+    def __init__(
+        self, norm_name: str, elements_checked: int, pairs_checked: int, failures: tuple[str, ...]
+    ) -> None:
+        self.norm_name = norm_name
+        self.elements_checked = elements_checked
+        self.pairs_checked = pairs_checked
+        self.failures = failures
 
     @property
     def ok(self) -> bool:

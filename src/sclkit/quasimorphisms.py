@@ -32,24 +32,35 @@ defect bound, which is how ``brooks_homogenized`` certifies its constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .groups import GroupContext, GroupHom, scaled_ball_values, sphere_pairs
-from .words import Word, invert_letters
+from .words import Frozen, Word, invert_letters
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class CertifiedValue(Frozen):
     """A rational value together with a certified error radius.
 
     ``radius`` is None when no defect bound is available, in which case the
     value is reported but nothing is certified.
     """
 
+    __slots__ = ("value", "radius")
     value: Fraction
     radius: Fraction | None
+
+    def __init__(self, value: Fraction, radius: Fraction | None) -> None:
+        _set_value(self, value)
+        _set_radius(self, radius)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CertifiedValue:
+            return NotImplemented
+        return self.value == other.value and self.radius == other.radius
+
+    def __hash__(self) -> int:
+        return hash((self.value, self.radius))
 
     def contains(self, exact: Fraction) -> bool:
         if self.radius is None:
@@ -60,6 +71,10 @@ class CertifiedValue:
         if self.radius is None:
             return f"{self.value} ± unknown"
         return f"{self.value} ± {self.radius}"
+
+
+_set_value = CertifiedValue.value.__set__
+_set_radius = CertifiedValue.radius.__set__
 
 
 def count_copies(w: Word, g: Word) -> int:
@@ -142,7 +157,6 @@ def defect_bound_counting(w: Word) -> Fraction:
     return Fraction(0) if len(w.letters) == 1 else Fraction(3)
 
 
-@dataclass
 class Quasimorphism:
     """A rational-valued function on a group context with defect records.
 
@@ -150,13 +164,23 @@ class Quasimorphism:
     lower bound starts at zero and is raised by ``defect_search``.
     """
 
-    name: str
-    context: GroupContext
-    eval_fn: Callable[[Any], Fraction]
-    homogeneous: bool = False
-    defect_upper: Fraction | None = None
-    defect_provenance: str = "unknown"
-    defect_lower: Fraction = Fraction(0)
+    def __init__(
+        self,
+        name: str,
+        context: GroupContext,
+        eval_fn: Callable[[Any], Fraction],
+        homogeneous: bool = False,
+        defect_upper: Fraction | None = None,
+        defect_provenance: str = "unknown",
+        defect_lower: Fraction = Fraction(0),
+    ) -> None:
+        self.name = name
+        self.context = context
+        self.eval_fn = eval_fn
+        self.homogeneous = homogeneous
+        self.defect_upper = defect_upper
+        self.defect_provenance = defect_provenance
+        self.defect_lower = defect_lower
 
     def __call__(self, g) -> Fraction:
         return Fraction(self.eval_fn(g))
@@ -273,12 +297,12 @@ def pullback(qm: Quasimorphism, hom: GroupHom, rng=None, samples: int = 1000) ->
     )
 
 
-@dataclass(frozen=True)
 class DefectSearchResult:
-    lower: Fraction
-    witness: tuple | None
-    radius: int
-    pairs_checked: int
+    def __init__(self, lower: Fraction, witness: tuple | None, radius: int, pairs_checked: int) -> None:
+        self.lower = lower
+        self.witness = witness
+        self.radius = radius
+        self.pairs_checked = pairs_checked
 
 
 def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None = None) -> DefectSearchResult:
@@ -308,11 +332,11 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
     return DefectSearchResult(lower, witness, radius, pairs)
 
 
-@dataclass(frozen=True)
 class InvarianceReport:
-    qm_name: str
-    checked: int
-    violations: tuple[tuple, ...]
+    def __init__(self, qm_name: str, checked: int, violations: tuple[tuple, ...]) -> None:
+        self.qm_name = qm_name
+        self.checked = checked
+        self.violations = violations
 
     @property
     def ok(self) -> bool:

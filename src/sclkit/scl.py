@@ -23,7 +23,6 @@ smaller than the ordinary one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -40,7 +39,6 @@ from .norms import PreconditionError
 from .quasimorphisms import InvarianceReport, Quasimorphism
 
 
-@dataclass
 class GroupPair:
     """An ambient group with a distinguished normal subgroup.
 
@@ -48,11 +46,19 @@ class GroupPair:
     subgroup by word length in its own generators, deterministically.
     """
 
-    name: str
-    ambient: GroupContext
-    is_member: Callable[[Any], bool]
-    subgroup_ball: Callable[[int], list]
-    mode: str = "mixed"
+    def __init__(
+        self,
+        name: str,
+        ambient: GroupContext,
+        is_member: Callable[[Any], bool],
+        subgroup_ball: Callable[[int], list],
+        mode: str = "mixed",
+    ) -> None:
+        self.name = name
+        self.ambient = ambient
+        self.is_member = is_member
+        self.subgroup_ball = subgroup_ball
+        self.mode = mode
 
 
 def ordinary_pair(ctx: GroupContext, name: str | None = None) -> GroupPair:
@@ -122,14 +128,14 @@ def product_left_pair(left: GroupContext | None = None) -> GroupPair:
     )
 
 
-@dataclass
 class MixedCommutatorDecomposition:
     """target as an ordered product of commutators [ghat_i, g_i] with every
     g_i in the normal subgroup."""
 
-    pair: GroupPair
-    target: Any
-    factors: tuple[tuple[Any, Any], ...]
+    def __init__(self, pair: GroupPair, target: Any, factors: tuple[tuple[Any, Any], ...]) -> None:
+        self.pair = pair
+        self.target = target
+        self.factors = factors
 
     def product(self) -> Any:
         ctx = self.pair.ambient
@@ -143,11 +149,11 @@ class MixedCommutatorDecomposition:
         return [[ctx.text(a), ctx.text(b)] for a, b in self.factors]
 
 
-@dataclass(frozen=True)
 class DecompositionReport:
-    ok: bool
-    failed_step: str | None
-    detail: str
+    def __init__(self, ok: bool, failed_step: str | None, detail: str) -> None:
+        self.ok = ok
+        self.failed_step = failed_step
+        self.detail = detail
 
     def __bool__(self) -> bool:
         return self.ok
@@ -186,13 +192,20 @@ def verify_decomposition(d: MixedCommutatorDecomposition) -> DecompositionReport
     return DecompositionReport(True, None, f"{len(d.factors)} factors verified")
 
 
-@dataclass(frozen=True)
 class ClSearchResult:
-    count: int | None
-    decomposition: MixedCommutatorDecomposition | None
-    verdict: str
-    scope: str
-    commutators_used: int
+    def __init__(
+        self,
+        count: int | None,
+        decomposition: MixedCommutatorDecomposition | None,
+        verdict: str,
+        scope: str,
+        commutators_used: int,
+    ) -> None:
+        self.count = count
+        self.decomposition = decomposition
+        self.verdict = verdict
+        self.scope = scope
+        self.commutators_used = commutators_used
 
 
 def mixed_cl_search(
@@ -316,21 +329,34 @@ def conjugate_flip_decomposition(
     return MixedCommutatorDecomposition(pair, target, ((flipper, ctx.power(base, -n)),))
 
 
-@dataclass
 class SclCertificate:
     """One-sided certified bound on scl of target within a group pair."""
 
-    kind: str
-    mode: str
-    pair: GroupPair
-    target: Any
-    direction: str
-    bound: Fraction
-    power: int
-    witness: dict
-    evidence: dict
-    verified: bool
-    note: str = ""
+    def __init__(
+        self,
+        kind: str,
+        mode: str,
+        pair: GroupPair,
+        target: Any,
+        direction: str,
+        bound: Fraction,
+        power: int,
+        witness: dict,
+        evidence: dict,
+        verified: bool,
+        note: str = "",
+    ) -> None:
+        self.kind = kind
+        self.mode = mode
+        self.pair = pair
+        self.target = target
+        self.direction = direction
+        self.bound = bound
+        self.power = power
+        self.witness = witness
+        self.evidence = evidence
+        self.verified = verified
+        self.note = note
 
     def as_payload(self) -> dict:
         return {

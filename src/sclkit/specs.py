@@ -52,6 +52,16 @@ class SpecError(ValueError):
 # 26 s on braid:10 and 96 s on braid:16.
 MAX_BRAID_STRANDS = 8
 
+# Word text names at most 26 generators, a..z.
+MAX_FREE_RANK = 26
+
+# Largest degree a permutation group spec may name.  Its generators are
+# n - 1 permutations of n points, so the smallest search holds about n^2
+# entries.  scl-bounds at --radius 1 --cap 1 --n-max 1 on a 3-cycle, in a
+# fresh process: perm:1000 0.7 s and 88 MB peak, perm:2000 2.7 s and 338 MB,
+# perm:3000 7.0 s and 767 MB, perm:10000 a MemoryError under a 2 GB limit.
+MAX_PERM_DEGREE = 1000
+
 
 def _count(rest: str) -> int | None:
     """The number a spec writes in ASCII digits, or None.  Nine digits are
@@ -80,6 +90,10 @@ def parse_group(text: str) -> GroupContext:
     count = _count(rest)
     if head == "free":
         if count is not None:
+            if count > MAX_FREE_RANK:
+                raise SpecError(
+                    f"free group spec needs a rank of at most {MAX_FREE_RANK}: {text!r}"
+                )
             return FreeGroup(count)
         if rest.isascii() and rest.isalpha() and rest.islower():
             try:
@@ -96,8 +110,10 @@ def parse_group(text: str) -> GroupContext:
             )
         return BraidGroup(count)
     if head == "perm":
-        if count is None or count < 1:
-            raise SpecError(f"permutation group spec needs a positive degree: {text!r}")
+        if count is None or not 1 <= count <= MAX_PERM_DEGREE:
+            raise SpecError(
+                f"permutation group spec needs a degree from 1 to {MAX_PERM_DEGREE}: {text!r}"
+            )
         return SymmetricGroup(count)
     if head == "product":
         left_text, comma, right_text = rest.rpartition(",")

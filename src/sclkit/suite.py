@@ -16,7 +16,6 @@ import random
 import tempfile
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -73,33 +72,42 @@ from .scl import (
 from .words import Word, random_reduced, reduce_letters, word
 
 
-@dataclass(frozen=True)
 class Item:
-    key: str
-    slug: str
-    budget: float
-    fn: Callable
+    def __init__(self, key: str, slug: str, budget: float, fn: Callable) -> None:
+        self.key = key
+        self.slug = slug
+        self.budget = budget
+        self.fn = fn
 
 
-@dataclass
 class ItemResult:
-    key: str
-    slug: str
-    ok: bool
-    seconds: float
-    budget: float
-    detail: str
-    certificates: list = field(default_factory=list)
+    def __init__(
+        self,
+        key: str,
+        slug: str,
+        ok: bool,
+        seconds: float,
+        budget: float,
+        detail: str,
+        certificates: list | None = None,
+    ) -> None:
+        self.key = key
+        self.slug = slug
+        self.ok = ok
+        self.seconds = seconds
+        self.budget = budget
+        self.detail = detail
+        self.certificates = [] if certificates is None else certificates
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
         return f"{verdict} {self.key:>2} {self.slug} ({self.seconds:.2f}s): {self.detail}"
 
 
-@dataclass
 class SuiteReport:
-    seed: int
-    results: list[ItemResult]
+    def __init__(self, seed: int, results: list[ItemResult]) -> None:
+        self.seed = seed
+        self.results = results
 
     @property
     def ok(self) -> bool:

@@ -13,7 +13,6 @@ accepted on input.  Printing always emits plain letters, so
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -129,8 +128,30 @@ def parse_letters(text: str) -> list[int]:
     return raw
 
 
-@dataclass(frozen=True, eq=False, slots=True)
-class Word:
+class Frozen:
+    """Base of the immutable value types: slotted, read-only after
+    construction, with a ``Name(field=value, ...)`` repr over ``__slots__``.
+
+    Subclasses write their own ``__init__``, ``__eq__`` and ``__hash__`` and
+    set fields through the slot descriptors, which bypass ``__setattr__``.
+    Plain classes keep ``dataclasses`` off the import path: every command is
+    a fresh process, and the decorator costs it about 30 ms.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Word(Frozen):
     """A freely reduced word; the rank is a validation bound on letters.
 
     Group identity is the letter tuple alone: words with the same letters
@@ -139,8 +160,14 @@ class Word:
     operations are reduced and in range by construction and skip the check.
     """
 
+    __slots__ = ("rank", "letters")
     rank: int
     letters: tuple[int, ...]
+
+    def __init__(self, rank: int, letters: tuple[int, ...]) -> None:
+        _set_rank(self, rank)
+        _set_letters(self, letters)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rank < 0:

@@ -1,11 +1,15 @@
-"""Static checks on the package surface: stale exports and unused imports.
+"""Checks on the package surface: stale exports, unused imports and the
+modules a command loads.
 
-Both checks parse the source with ``ast``, so they see what is written;
+The first two parse the source with ``ast``, so they see what is written;
 the export check then resolves each listed name on the imported package.
-The import check covers the test modules too.
+The import check covers the test modules too.  The last one imports the
+command line in a fresh process.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import sclkit
@@ -75,3 +79,12 @@ def test_modules_import_only_names_they_use():
             if name not in used:
                 unused.append(f"{path.parent.name}/{path.name}:{line} {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # every command is a fresh process; dataclasses (which brings inspect,
+    # ast, dis and tokenize) cost each of them about 30 ms at import
+    code = "import sys, sclkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"

@@ -1,18 +1,23 @@
 """End-to-end CLI contract: exit codes, determinism, fresh-process verify."""
 
 import json
+import resource
 import subprocess
 import sys
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
 
-def run_cli(*args, timeout=240):
+def run_cli(*args, timeout=240, address_space=None):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     return subprocess.run(
         [sys.executable, "-m", "sclkit", *args],
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=limit if address_space is not None else None,
     )
 
 
@@ -136,6 +141,39 @@ def test_braid_groups_over_the_strand_cap_are_refused_at_once(tmp_path):
     assert r.returncode == 2, r.stderr
     assert "strand count" in r.stderr
     assert r.stdout == ""
+
+
+def test_huge_free_ranks_and_permutation_degrees_are_refused_at_once(tmp_path):
+    # the address-space limit turns a regression into a MemoryError in the
+    # child instead of a machine out of memory
+    limit = 600 * 2**20
+    for group, target, message in (
+        ("perm:100000000", "1", "degree"),
+        ("free:100000000", "a", "rank"),
+    ):
+        r = run_cli("scl-bounds", "--group", group, "--word", target, "--radius", "1",
+                    "--cap", "1", timeout=30, address_space=limit)
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+        item = {
+            "kind": "scl-upper-decomposition",
+            "target": target,
+            "group_pair": group,
+            "bound": "1",
+            "direction": "upper",
+            "witness": {"power": 1, "factors": [[target, target]]},
+            "evidence": {"defect_provenance": None, "invariance_sample": None},
+            "verified": True,
+            "note": "",
+        }
+        cert = tmp_path / "huge.json"
+        cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [item]}))
+        r = run_cli("verify", str(cert), "--format", "json", timeout=30, address_space=limit)
+        assert r.returncode == 1, r.stderr
+        report = json.loads(r.stdout)
+        assert report["items"][0]["failed_step"] == "group pair"
+        assert message in report["items"][0]["detail"]
 
 
 def test_scl_bounds_refuses_a_flip_family_over_the_verify_budget():

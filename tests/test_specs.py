@@ -9,7 +9,15 @@ import pytest
 
 from sclkit.braids import BraidGroup
 from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, SymmetricGroup
-from sclkit.specs import MAX_BRAID_STRANDS, SpecError, parse_group, parse_group_pair, parse_qm
+from sclkit.specs import (
+    MAX_BRAID_STRANDS,
+    MAX_FREE_RANK,
+    MAX_PERM_DEGREE,
+    SpecError,
+    parse_group,
+    parse_group_pair,
+    parse_qm,
+)
 from sclkit.words import word
 
 
@@ -75,6 +83,20 @@ def test_braid_strand_count_is_capped():
     for bad in ("free:" + "9" * 5000, "perm:" + "9" * 5000):
         with pytest.raises(SpecError):
             parse_group(bad)
+
+
+def test_free_rank_and_permutation_degree_are_capped():
+    # a huge rank or degree must fail before anything of that size is built
+    assert parse_group(f"free:{MAX_FREE_RANK}").rank == MAX_FREE_RANK == 26
+    assert parse_group(f"perm:{MAX_PERM_DEGREE}").n == MAX_PERM_DEGREE
+    for bad in (f"free:{MAX_FREE_RANK + 1}", "free:100000000"):
+        with pytest.raises(SpecError, match="rank"):
+            parse_group(bad)
+    for bad in (f"perm:{MAX_PERM_DEGREE + 1}", "perm:100000000"):
+        with pytest.raises(SpecError, match="degree"):
+            parse_group(bad)
+    with pytest.raises(SpecError, match="degree"):
+        parse_group_pair("product:perm:100000000,z")
 
 
 def test_parse_group_pair_modes():

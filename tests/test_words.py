@@ -1,10 +1,10 @@
 """Reduced-word algebra, checked against brute-force oracles."""
 
-import dataclasses
 import random
 
 import pytest
 
+from sclkit.braids import braid, normal_form
 from sclkit.groups import FreeGroup
 from sclkit.words import (
     Word,
@@ -199,9 +199,27 @@ def test_public_construction_still_validates():
 
 def test_word_is_slotted_and_frozen():
     w = word("ab")
-    assert not hasattr(w, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         w.letters = ()
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         (w * w).rank = 5
+    b = braid("1,2,-1", 3)
+    values = (
+        (w, ("rank", "letters")),
+        (w * w, ("rank", "letters")),
+        (b, ("n", "letters")),
+        (b**3, ("n", "letters")),
+        (normal_form(b), ("n", "delta_power", "factors")),
+    )
+    for value, fields in values:
+        assert not hasattr(value, "__dict__")
+        before = tuple(getattr(value, name) for name in fields)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert tuple(getattr(value, name) for name in fields) == before
     assert w.letters == (1, 2) and w.rank == 2
