@@ -159,13 +159,14 @@ def cmd_scl_bounds(args) -> int:
         empty = MixedCommutatorDecomposition(pair, g, ())
         certs.append(upper_from_decomposition(g, 1, empty, note="the identity needs no factors"))
     else:
+        # checked before the flip search, which may walk a large ball
+        if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
+            raise UsageError(
+                f"--n-max {args.n_max} is too large for this target: verify refuses "
+                f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
+            )
         flipper = _flip_search(pair, g, args.radius)
         if flipper is not None:
-            if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
-                raise UsageError(
-                    f"--n-max {args.n_max} is too large for this target: verify refuses "
-                    f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
-                )
             note = f"flip decomposition: {ctx.text(flipper)} conjugates the target to its inverse"
             for n in range(1, args.n_max + 1):
                 d = conjugate_flip_decomposition(pair, g, flipper, n)

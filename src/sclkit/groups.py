@@ -43,15 +43,14 @@ class ProductSearch:
         }
         self.frontier = [ctx.identity]
         self.depth = 0
+        self._inverse_moves = [ctx.inv(c) for c in self.moves]
 
-    def grow(self, max_depth: int | None = None, target: Hashable | None = None) -> None:
-        """Add whole layers until ``target`` (a canonical key) is reached,
-        ``max_depth`` layers exist, or a layer adds nothing new."""
+    def grow(self, max_depth: int | None = None) -> None:
+        """Add whole layers until ``max_depth`` layers exist or a layer adds
+        nothing new."""
         ctx, info, moves = self.ctx, self.info, self.moves
         while self.frontier:
             if max_depth is not None and self.depth >= max_depth:
-                break
-            if target is not None and target in info:
                 break
             self.depth += 1
             nxt = []
@@ -64,6 +63,40 @@ class ProductSearch:
                         info[key] = (self.depth, a_key, idx)
                         nxt.append(b)
             self.frontier = nxt
+
+    def reach(self, target: Any, max_depth: int) -> list[int] | None:
+        """Move indices of the shortest product equal to ``target`` with at
+        most ``max_depth`` moves, or None.
+
+        The layer the target lies in is never stored: before layer k + 1
+        would grow, target * m^-1 is looked up in layer k for every move m.
+        The witness is the one ``grow`` would have recorded: the first hit
+        in ``frontier`` order, with the smallest move index for it.  So a
+        search exhausted at ``max_depth`` stores layers up to
+        ``max_depth - 1`` only.
+        """
+        ctx, info = self.ctx, self.info
+        key = ctx.canonical(target)
+        if key in info:
+            return self.path(key)
+        while self.frontier and self.depth < max_depth:
+            # each a reached with a * m = target, and its first move index;
+            # the target is in no stored layer, so every such a is in the last
+            hits: dict[Hashable, int] = {}
+            for idx, c_inv in enumerate(self._inverse_moves):
+                a_key = ctx.canonical(ctx.mul(target, c_inv))
+                if a_key in info and a_key not in hits:
+                    hits[a_key] = idx
+            if hits:
+                if len(hits) == 1:
+                    a_key = next(iter(hits))
+                else:
+                    a_key = next(k for k in map(ctx.canonical, self.frontier) if k in hits)
+                return self.path(a_key) + [hits[a_key]]
+            if self.depth + 1 >= max_depth:
+                return None
+            self.grow(max_depth=self.depth + 1)
+        return None
 
     def path(self, key: Hashable) -> list[int]:
         """Move indices of the shortest product found for ``key``, in order."""

@@ -187,19 +187,16 @@ class FragmentationNorm:
 
     def value_with_witness(self, f) -> FragmentationResult:
         ctx = self.context
-        key = ctx.canonical(f)
-        search = self._search
-        if not self._finite:
-            search.grow(max_depth=self.cap, target=key)
-        if key in search.info:
-            layer = search.info[key][0]
-            witness = tuple(self._conjugates[idx][1:] for idx in search.path(key))
+        # a finite context's search is complete, so reach only looks it up
+        path = self._search.reach(f, self.cap)
+        if path is not None:
+            witness = tuple(self._conjugates[idx][1:] for idx in path)
             check = ctx.identity
             for g, h in witness:
                 check = ctx.mul(check, ctx.conjugate(g, h))
             if not ctx.eq(check, f):
                 raise AssertionError("fragmentation witness failed to reassemble")
-            return FragmentationResult(layer, witness, True, self._scope)
+            return FragmentationResult(len(path), witness, True, self._scope)
         if self._finite:
             return FragmentationResult(INFINITY, None, True, self._scope)
         return FragmentationResult(self.cap, None, False, self._scope)

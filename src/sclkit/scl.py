@@ -245,11 +245,8 @@ def mixed_cl_search(
         moves = sorted(commutators.items(), key=lambda kv: repr(ctx.sort_key(kv[1][0])))
     else:
         moves = sorted(commutators.items(), key=lambda kv: repr(kv[0]))
-    target_key = ctx.canonical(target)
-    search = ProductSearch(ctx, [c for _, (c, _) in moves])
-    search.grow(max_depth=max_factors, target=target_key)
-
-    if target_key not in search.info:
+    path = ProductSearch(ctx, [c for _, (c, _) in moves]).reach(target, max_factors)
+    if path is None:
         return ClSearchResult(
             None,
             None,
@@ -257,7 +254,7 @@ def mixed_cl_search(
             scope,
             len(moves),
         )
-    factors = tuple(moves[idx][1][1] for idx in search.path(target_key))
+    factors = tuple(moves[idx][1][1] for idx in path)
     decomposition = MixedCommutatorDecomposition(pair, target, factors)
     report = verify_decomposition(decomposition)
     if not report:

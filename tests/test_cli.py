@@ -5,6 +5,8 @@ import resource
 import subprocess
 import sys
 
+from sclkit import cli
+
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
 
@@ -183,6 +185,31 @@ def test_scl_bounds_refuses_a_flip_family_over_the_verify_budget():
     assert r.returncode == 2, r.stderr
     assert "--n-max 527 is too large" in r.stderr
     assert r.stdout == ""
+
+
+def test_scl_bounds_checks_the_n_max_budget_before_the_flip_search(monkeypatch, capsys):
+    def flip_search(*args):
+        raise AssertionError("the flip search ran before the --n-max check")
+
+    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    # abAB has 4 characters: 2 x 2501 x 4 is over the budget of 20000
+    code = cli.main(["scl-bounds", "--group", "free:2", "--word", "abAB", "--n-max", "2501"])
+    assert code == 2
+    assert "--n-max 2501 is too large" in capsys.readouterr().err
+
+
+def test_exhausted_search_fits_in_256_mb():
+    # the search stores layers up to cap - 1 and looks the last one up;
+    # storing layer 3 of these 97 moves as well takes about 314 MB
+    r = run_cli("scl-bounds", "--group", "free:2", "--word",
+                "bAbABABaBababABABababAbAABaBaabABBBabbaBAbaBAb", "--radius", "2",
+                "--cap", "3", "--format", "json", timeout=60, address_space=256 * 2**20)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["items"] == []
+    assert doc["notes"] == [
+        "no upper bound: not found within 3 factors at these radii (ball-relative)"
+    ]
 
 
 def test_subcommands_refuse_options_they_do_not_read(tmp_path):

@@ -1,0 +1,123 @@
+"""``ProductSearch.reach`` against the full-layer breadth-first search it
+replaced: the same move path, or None in the same cases."""
+
+import random
+
+import pytest
+
+from sclkit import scl
+from sclkit.braids import BraidGroup, braid
+from sclkit.groups import FreeGroup, ProductSearch
+from sclkit.norms import FragmentationNorm
+from sclkit.scl import (
+    alpha_braid,
+    braid_pure_pair,
+    mixed_cl_search,
+    ordinary_pair,
+    product_left_pair,
+)
+
+
+def full_layer_path(search, target, max_depth):
+    """The reference query: store whole layers until the target's layer is
+    in ``info`` or ``max_depth`` layers exist, then read its path."""
+    key = search.ctx.canonical(target)
+    while key not in search.info and search.frontier and search.depth < max_depth:
+        search.grow(max_depth=search.depth + 1)
+    return search.path(key) if key in search.info else None
+
+
+@pytest.fixture
+def checked_searches(monkeypatch):
+    """Route ``mixed_cl_search`` through a search whose every ``reach`` is
+    compared with ``full_layer_path``; returns the paths found, in order.
+    One reference search is kept per move list, so its layers are shared."""
+    found = []
+    references = {}
+
+    class CheckedSearch(ProductSearch):
+        def reach(self, target, max_depth):
+            got = super().reach(target, max_depth)
+            moves_key = tuple(self.ctx.canonical(c) for c in self.moves)
+            if moves_key not in references:
+                references[moves_key] = ProductSearch(self.ctx, self.moves)
+            assert got == full_layer_path(references[moves_key], target, max_depth)
+            found.append(got)
+            return got
+
+    monkeypatch.setattr(scl, "ProductSearch", CheckedSearch)
+    return found
+
+
+def random_commutator_product(ctx, rng, ball, k):
+    out = ctx.identity
+    for _ in range(k):
+        out = ctx.mul(out, ctx.commutator(rng.choice(ball), rng.choice(ball)))
+    return out
+
+
+def test_reach_matches_full_layers_on_free_group(checked_searches):
+    f2 = FreeGroup(2)
+    ball = f2.ball(2)
+    rng = random.Random(5)
+    for k in range(7):
+        target = random_commutator_product(f2, rng, ball, k)
+        mixed_cl_search(ordinary_pair(f2), target, ambient_radius=2, subgroup_radius=2,
+                        max_factors=3)
+    depths = [None if p is None else len(p) for p in checked_searches]
+    assert depths == [0, 1, 1, 2, 2, 3, None]
+
+
+def test_reach_matches_full_layers_on_pure_braids_and_a_product(checked_searches):
+    pair = braid_pure_pair()
+    ctx = pair.ambient
+    alpha = alpha_braid()
+    for target, radii, cap in (
+        (alpha, (2, 1), 1),
+        (alpha, (1, 1), 1),
+        (ctx.power(alpha, 2), (2, 1), 2),
+        (braid("1,2,2,-1,-2,-2,1,2,2,-1,-2,-2", 3), (2, 2), 2),
+        (ctx.power(alpha, 3), (1, 1), 2),
+    ):
+        mixed_cl_search(pair, target, *radii, max_factors=cap)
+    product = product_left_pair(FreeGroup(2))
+    left = product.ambient.left
+    target = (left.parse("abABabAB"), 0)
+    mixed_cl_search(product, target, ambient_radius=1, subgroup_radius=1, max_factors=2)
+    depths = [None if p is None else len(p) for p in checked_searches]
+    assert depths == [1, None, 2, 2, None, 2]
+
+
+def test_fragmentation_norm_shared_search_matches_full_layers():
+    b3 = BraidGroup(3)
+    nu = FragmentationNorm(
+        b3, [], subgroup_elements=[b3.parse("1,1"), b3.parse("-1,-1")],
+        conjugator_radius=2, cap=4,
+    )
+    conjugates = nu._conjugates
+    reference = ProductSearch(b3, [c for c, _, _ in conjugates])
+    depths = []
+    # depths go up and down, so the state one call leaves is used by the next
+    for text in ("1,1,2,2", "", "1,1,2,2,1,1,2,2", "1,1", "1,1,2,2,1,1",
+                 "1,1,2,2,1,1,2,2,1,1", "1,1,1,1"):
+        f = b3.parse(text)
+        result = nu.value_with_witness(f)
+        path = full_layer_path(reference, f, nu.cap)
+        if path is None:
+            assert (result.value, result.exact, result.witness) == (nu.cap, False, None)
+        else:
+            assert result.value == len(path) and result.exact
+            assert result.witness == tuple(conjugates[idx][1:] for idx in path)
+        depths.append(None if path is None else len(path))
+    assert depths == [2, 0, 4, 1, 3, None, 2]
+
+
+def test_exhaustive_reach_stores_one_layer_less_than_its_cap():
+    f2 = FreeGroup(2)
+    search = ProductSearch(f2, [f2.parse(t) for t in ("a", "b", "A", "B")])
+    assert search.reach(f2.parse("aaaa"), 3) is None
+    assert search.depth == 2
+    assert max(depth for depth, _, _ in search.info.values()) == 2
+    # a hit in the last layer is looked up, not stored
+    assert search.reach(f2.parse("aab"), 3) == [0, 0, 1]
+    assert search.depth == 2
