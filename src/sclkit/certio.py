@@ -18,7 +18,12 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import specs
-from .scl import MixedCommutatorDecomposition, SclCertificate, verify_decomposition
+from .scl import (
+    MixedCommutatorDecomposition,
+    SclCertificate,
+    invariance_refusal,
+    verify_decomposition,
+)
 
 FORMAT = "scl-certificates/1"
 
@@ -85,15 +90,21 @@ def write_certificates(certs: Sequence[SclCertificate], path: str | Path) -> dic
 
 def load_document(path: str | Path) -> dict:
     try:
-        raw = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CertificateError(f"cannot read certificate file: {exc}") from exc
+    try:
+        raw = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CertificateError(f"schema: not UTF-8 text ({exc})") from exc
     if not raw.strip():
         raise CertificateError("schema: empty certificate file")
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"schema: not valid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise CertificateError("schema: JSON nested too deeply") from exc
     return doc
 
 
@@ -197,17 +208,16 @@ def _check_lower(payload: dict, pair, target) -> None:
     for key in ("qm", "value", "defect_upper"):
         if not isinstance(witness.get(key), str):
             raise _fail("witness", f"witness field {key!r} must be a string")
-    provenance = payload["evidence"].get("defect_provenance")
-    override = None
-    if isinstance(provenance, str) and provenance.startswith("user-config"):
-        override = _fraction(witness["defect_upper"], "witness", "defect override")
     _no_exponents(witness["qm"], "quasimorphism", "the quasimorphism")
     try:
-        qm = specs.parse_qm(witness["qm"], group=pair.ambient, defect_const=override)
+        qm = specs.parse_qm(witness["qm"], group=pair.ambient)
     except specs.SpecError as exc:
         raise _fail("quasimorphism", str(exc)) from exc
     if not qm.homogeneous:
         raise _fail("quasimorphism", f"{qm.name} is not homogeneous")
+    refusal = invariance_refusal(qm, pair)
+    if refusal is not None:
+        raise _fail("invariance", refusal)
     claimed_value = _fraction(witness["value"], "witness", "value")
     value = qm(target)
     if value != claimed_value:
@@ -221,6 +231,7 @@ def _check_lower(payload: dict, pair, target) -> None:
             "defect",
             f"reconstructed defect bound {qm.defect_upper} differs from claimed {claimed_defect}",
         )
+    provenance = payload["evidence"].get("defect_provenance")
     if isinstance(provenance, str) and provenance != qm.defect_provenance:
         raise _fail(
             "defect provenance",

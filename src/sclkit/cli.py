@@ -21,12 +21,12 @@ from fractions import Fraction
 
 from . import certio, specs, suite
 from .braids import BraidGroup
-from .quasimorphisms import invariance_check
 from .scl import (
     MixedCommutatorDecomposition,
     SclCertificate,
     bavard_lower,
     conjugate_flip_decomposition,
+    invariance_refusal,
     mixed_cl_search,
     upper_from_decomposition,
 )
@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--qm", help="quasimorphism spec, e.g. homog(brooks(w=xyXY))")
             p.add_argument("--word", help="free-group element, e.g. xyXY")
             p.add_argument("--braid", help="braid word as signed generator indices, e.g. 1,2,1")
-            p.add_argument("--defect-const", help="override the defect bound (rational, recorded as user-config)")
         p.add_argument("--out", help="write output atomically to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv", "human"), default="human")
 
@@ -112,7 +111,7 @@ def cmd_eval(args) -> int:
     group = specs.parse_group(args.group) if args.group else None
     if group is None and args.braid is not None:
         group = BraidGroup(3)
-    qm = specs.parse_qm(args.qm, group=group, defect_const=args.defect_const)
+    qm = specs.parse_qm(args.qm, group=group)
     ctx = qm.context
     g = _target_element(args, ctx)
     value = qm(g)
@@ -184,33 +183,12 @@ def cmd_scl_bounds(args) -> int:
                 notes.append(f"no upper bound: {found.verdict}")
 
     if args.qm:
-        qm = specs.parse_qm(args.qm, group=ctx, defect_const=args.defect_const)
-        if qm.defect_upper is None:
-            notes.append("lower bound refused: no certified defect bound")
+        qm = specs.parse_qm(args.qm, group=ctx)
+        refusal = invariance_refusal(qm, pair)
+        if refusal is not None:
+            notes.append(f"lower bound refused: {refusal}")
         else:
-            refusal = None
-            if pair.mode == "mixed":
-                # a bound against mixed commutators needs invariance under
-                # the whole ambient group, sampled here on a small ball
-                sample = invariance_check(
-                    qm, conjugators=ctx.ball(max(args.radius, 3)), targets=[g]
-                )
-                if not sample.ok:
-                    conj, tgt, expected, got = sample.violations[0]
-                    refusal = (
-                        "lower bound refused: not invariant under ambient conjugation "
-                        f"(value {got} after conjugating {ctx.text(tgt)} by "
-                        f"{ctx.text(conj)}, {expected} before)"
-                    )
-                inv = sample
-            else:
-                inv = invariance_check(qm, conjugators=[], targets=[])
-            if refusal is None:
-                certs.append(
-                    bavard_lower(g, qm, pair, invariance=inv if inv.checked else None)
-                )
-            else:
-                notes.append(refusal)
+            certs.append(bavard_lower(g, qm, pair))
 
     lowers = [c.bound for c in certs if c.direction == "lower"]
     uppers = [c.bound for c in certs if c.direction == "upper"]

@@ -2,12 +2,12 @@
 
 Setting: a normal subgroup with integer quotient, a homomorphic section s
 of the projection pi, and a homogeneous quasimorphism phi on the subgroup
-that is (by sampled evidence) invariant under ambient conjugation.  The
-transported function phi'(ghat) = phi(s(pi(ghat))^-1 * ghat) is again a
-quasimorphism with defect at most D(phi): the subgroup parts of a product
-differ from the product of subgroup parts by an ambient conjugation,
-which the invariance hypothesis makes invisible to phi.  Homogenising
-phi' costs at most another factor of two, giving D(phi_hat) <= 2 D(phi).
+that is invariant under ambient conjugation.  The transported function
+phi'(ghat) = phi(s(pi(ghat))^-1 * ghat) is again a quasimorphism with
+defect at most D(phi): the subgroup parts of a product differ from the
+product of subgroup parts by an ambient conjugation, which the invariance
+hypothesis makes invisible to phi.  Homogenising phi' costs at most
+another factor of two, giving D(phi_hat) <= 2 D(phi).
 
 The extension restricts to phi exactly: on subgroup elements the section
 contributes nothing and homogenisation fixes the already homogeneous phi.
@@ -23,12 +23,7 @@ from typing import Any, Callable, Iterable
 from .braids import BraidGroup, index_section, index_sum
 from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, scaled_ball_values, sphere_pairs
 from .norms import PreconditionError
-from .quasimorphisms import (
-    CertifiedValue,
-    InvarianceReport,
-    Quasimorphism,
-    homogenize,
-)
+from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
 
 
 class SectionData:
@@ -73,13 +68,11 @@ class SectionData:
                     f"pi not additive at ({ctx.text(g)}, {ctx.text(h)})"
                 )
                 break
-        return SectionReport(self.name, samples, tuple(failures))
+        return SectionReport(tuple(failures))
 
 
 class SectionReport:
-    def __init__(self, section_name: str, samples: int, failures: tuple[str, ...]) -> None:
-        self.section_name = section_name
-        self.samples = samples
+    def __init__(self, failures: tuple[str, ...]) -> None:
         self.failures = failures
 
     @property
@@ -127,13 +120,11 @@ class ExtensionResult:
         section: SectionData,
         phi_prime: Quasimorphism,
         n_max: int,
-        invariance_evidence: InvarianceReport | None,
     ) -> None:
         self.base = base
         self.section = section
         self.phi_prime = phi_prime
         self.n_max = n_max
-        self.invariance_evidence = invariance_evidence
 
     @property
     def defect_chain(self) -> dict:
@@ -156,21 +147,19 @@ class ExtensionResult:
         return homogenize(self.phi_prime, ghat, self.n_max)
 
 
-def extend_via_section(
-    qm: Quasimorphism,
-    section: SectionData,
-    n_max: int = 64,
-    invariance: InvarianceReport | None = None,
-) -> ExtensionResult:
+def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int = 64) -> ExtensionResult:
     """Transport qm along the section and homogenise.
 
-    qm must be homogeneous with a certified defect; its eval must accept
+    qm must be homogeneous, invariant under ambient conjugation by
+    construction, and carry a certified defect; its eval must accept
     subgroup elements in their ambient representation.  Every phi_prime
     evaluation first checks that the subgroup part really passes the
     membership test, so an inconsistent section fails loudly.
     """
     if not qm.homogeneous:
         raise ValueError("extension needs a homogeneous quasimorphism")
+    if not qm.invariant:
+        raise ValueError("extension needs a quasimorphism invariant under ambient conjugation")
     if qm.defect_upper is None:
         raise ValueError("refusing to extend without a certified defect bound")
     ctx = section.ambient
@@ -195,13 +184,7 @@ def extend_via_section(
             "defect preserved by ambient invariance"
         ),
     )
-    return ExtensionResult(
-        base=qm,
-        section=section,
-        phi_prime=phi_prime,
-        n_max=n_max,
-        invariance_evidence=invariance,
-    )
+    return ExtensionResult(base=qm, section=section, phi_prime=phi_prime, n_max=n_max)
 
 
 class RestrictionReport:

@@ -160,8 +160,11 @@ def defect_bound_counting(w: Word) -> Fraction:
 class Quasimorphism:
     """A rational-valued function on a group context with defect records.
 
-    ``defect_upper`` is a certified bound (with its provenance); the searched
-    lower bound starts at zero and is raised by ``defect_search``.
+    ``defect_upper`` is a certified bound (with its provenance).
+    ``invariant`` says the function is invariant under conjugation by its
+    whole context, by construction: a homogeneous quasimorphism defined on
+    the whole context is, and a pullback along a homomorphism defined on
+    the whole domain keeps it.
     """
 
     def __init__(
@@ -172,7 +175,7 @@ class Quasimorphism:
         homogeneous: bool = False,
         defect_upper: Fraction | None = None,
         defect_provenance: str = "unknown",
-        defect_lower: Fraction = Fraction(0),
+        invariant: bool = False,
     ) -> None:
         self.name = name
         self.context = context
@@ -180,7 +183,7 @@ class Quasimorphism:
         self.homogeneous = homogeneous
         self.defect_upper = defect_upper
         self.defect_provenance = defect_provenance
-        self.defect_lower = defect_lower
+        self.invariant = invariant
 
     def __call__(self, g) -> Fraction:
         return Fraction(self.eval_fn(g))
@@ -213,27 +216,18 @@ def brooks(w: Word, context: GroupContext | None = None) -> Quasimorphism:
     )
 
 
-def brooks_homogenized(
-    w: Word,
-    context: GroupContext | None = None,
-    defect_override: Fraction | None = None,
-) -> Quasimorphism:
+def brooks_homogenized(w: Word, context: GroupContext | None = None) -> Quasimorphism:
     """The homogenised counting quasimorphism, evaluated exactly through the
-    cyclic core.  The certified defect is twice the junction bound, unless a
-    user-supplied analytic constant overrides it (recorded as provenance)."""
+    cyclic core.  The certified defect is twice the junction bound."""
     ctx = context if context is not None else _default_free_context(w)
-    if defect_override is not None:
-        bound, provenance = Fraction(defect_override), "user-config"
-    else:
-        bound = 2 * defect_bound_counting(w)
-        provenance = "junction-argument doubled by homogenisation"
     return Quasimorphism(
         name=f"homog(brooks(w={w}))",
         context=ctx,
         eval_fn=lambda g: homogenize_counting_exact(w, g),
         homogeneous=True,
-        defect_upper=bound,
-        defect_provenance=provenance,
+        defect_upper=2 * defect_bound_counting(w),
+        defect_provenance="junction-argument doubled by homogenisation",
+        invariant=True,
     )
 
 
@@ -245,6 +239,7 @@ def zero_qm(context: GroupContext) -> Quasimorphism:
         homogeneous=True,
         defect_upper=Fraction(0),
         defect_provenance="identically zero",
+        invariant=True,
     )
 
 
@@ -257,6 +252,7 @@ def hom_qm(context: GroupContext, fn: Callable[[Any], int], name: str) -> Quasim
         homogeneous=True,
         defect_upper=Fraction(0),
         defect_provenance="homomorphism",
+        invariant=True,
     )
 
 
@@ -277,14 +273,13 @@ def homogenize(qm: Quasimorphism, g, n_max: int) -> CertifiedValue:
     return CertifiedValue(value, Fraction(qm.defect_upper, n_max))
 
 
-def pullback(qm: Quasimorphism, hom: GroupHom, rng=None, samples: int = 1000) -> Quasimorphism:
+def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
     """Pull a quasimorphism back along a homomorphism.
 
-    Pairs map to pairs, so the defect bound carries over unchanged.  When an
-    rng is supplied, multiplicativity of the map is spot-checked first.
+    Pairs map to pairs, so the defect bound carries over unchanged.
+    Conjugation invariance carries over only when the map is defined on its
+    whole domain: then qm(h(c x c^-1)) = qm(h(c) h(x) h(c)^-1) = qm(h(x)).
     """
-    if rng is not None and not hom.check_on_samples(rng, samples):
-        raise ValueError(f"map {hom.name} failed the sampled homomorphism check")
     return Quasimorphism(
         name=f"pullback({qm.name}, {hom.name})",
         context=hom.domain,
@@ -294,6 +289,7 @@ def pullback(qm: Quasimorphism, hom: GroupHom, rng=None, samples: int = 1000) ->
         defect_provenance=(
             qm.defect_provenance if qm.defect_upper is None else f"{qm.defect_provenance}; pulled back along {hom.name}"
         ),
+        invariant=qm.invariant and hom.total,
     )
 
 
@@ -310,7 +306,7 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
 
     Enumerates every pair (g, h) with |g| + |h| <= radius in the word metric
     of the context and maximises |qm(gh) - qm(g) - qm(h)|.  Monotone in the
-    radius; the result also raises ``qm.defect_lower`` when it improves it.
+    radius.
     """
     ctx = context if context is not None else qm.context
     values, scale = scaled_ball_values(ctx, radius, qm)
@@ -326,29 +322,17 @@ def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None =
             if gap > best:
                 best = gap
                 witness = (g, h)
-    lower = Fraction(best, scale)
-    if lower > qm.defect_lower:
-        qm.defect_lower = lower
-    return DefectSearchResult(lower, witness, radius, pairs)
+    return DefectSearchResult(Fraction(best, scale), witness, radius, pairs)
 
 
 class InvarianceReport:
-    def __init__(self, qm_name: str, checked: int, violations: tuple[tuple, ...]) -> None:
-        self.qm_name = qm_name
+    def __init__(self, checked: int, violations: tuple[tuple, ...]) -> None:
         self.checked = checked
         self.violations = violations
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def describe(self, context: GroupContext) -> list[str]:
-        out = []
-        for conj, target, expected, got in self.violations:
-            out.append(
-                f"conjugating {context.text(target)} by {context.text(conj)}: value {got} != {expected}"
-            )
-        return out
 
 
 def invariance_check(qm: Quasimorphism, conjugators: Iterable, targets: Iterable) -> InvarianceReport:
@@ -368,4 +352,4 @@ def invariance_check(qm: Quasimorphism, conjugators: Iterable, targets: Iterable
             got = qm(ctx.conjugate(c, t))
             if got != expected:
                 violations.append((c, t, expected, got))
-    return InvarianceReport(qm.name, checked, tuple(violations))
+    return InvarianceReport(checked, tuple(violations))

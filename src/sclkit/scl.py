@@ -9,9 +9,10 @@ component passes the normal-subgroup membership test.
 
 Every decomposition re-verifies by exact multiplication in its group
 context, and every certificate carries enough data to be rechecked from
-scratch: factor lists, quasimorphism names, certified defect bounds with
-provenance, and the conjugator sample behind any invariance claim.
-Invariance evidence is sampled, never asserted universally.
+scratch: factor lists, quasimorphism names, and certified defect bounds
+with provenance.  A mixed-mode lower bound needs a quasimorphism that is
+invariant under ambient conjugation by construction; no sample stands in
+for that.
 
 The paper's separation for the 3-strand braid group and its pure
 subgroup is checked by suite items 3 and 4 (``sclkit.suite``): the family
@@ -36,7 +37,7 @@ from .braids import (
 )
 from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, ProductSearch
 from .norms import PreconditionError
-from .quasimorphisms import InvarianceReport, Quasimorphism
+from .quasimorphisms import Quasimorphism
 
 
 class GroupPair:
@@ -369,15 +370,28 @@ class SclCertificate:
         }
 
 
+def invariance_refusal(qm: Quasimorphism, pair: GroupPair) -> str | None:
+    """Why qm gives no lower bound in this pair, or None when it may.
+
+    A mixed commutator [ghat, g] has an ambient first entry, so the duality
+    bound needs qm invariant under conjugation by the whole ambient group.
+    The answer comes from how qm was built (``Quasimorphism.invariant``).
+    """
+    if pair.mode == "mixed" and not qm.invariant:
+        return (
+            f"{qm.name} is not invariant under conjugation by "
+            f"{pair.ambient.name} by construction"
+        )
+    return None
+
+
 def bavard_lower(
     target: Any,
     qm: Quasimorphism,
     pair: GroupPair,
-    invariance: InvarianceReport | None = None,
     note: str = "",
 ) -> SclCertificate:
-    """Lower bound |qm(target)| / (2 defect_upper), with the invariance
-    sample recorded as evidence.
+    """Lower bound |qm(target)| / (2 defect_upper).
 
     A defect bound of zero makes qm a homomorphism; a nonzero value then
     shows the target is outside the commutator subgroup entirely, reported
@@ -400,14 +414,7 @@ def bavard_lower(
             bound = Fraction(0)
     else:
         bound = abs(value) / (2 * defect)
-    evidence = {
-        "defect_provenance": qm.defect_provenance,
-        "invariance_sample": (
-            {"checked": invariance.checked, "violations": len(invariance.violations)}
-            if invariance is not None
-            else None
-        ),
-    }
+    evidence = {"defect_provenance": qm.defect_provenance}
     witness = {
         "qm": qm.name,
         "value": str(value),
@@ -454,7 +461,7 @@ def upper_from_decomposition(
         bound=bound,
         power=power,
         witness={"power": power, "factors": d.factor_texts()},
-        evidence={"defect_provenance": None, "invariance_sample": None},
+        evidence={"defect_provenance": None},
         verified=True,
         note=note,
     )

@@ -8,7 +8,6 @@ certificate files; a verifier rebuilds everything it checks from them.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from pathlib import Path
 
 from .braids import BraidGroup, index_sum, pr1
@@ -172,11 +171,10 @@ class _QmParser:
     ``homog`` accepts a ``brooks`` body and nothing else.
     """
 
-    def __init__(self, text: str, group: GroupContext | None, defect_const):
+    def __init__(self, text: str, group: GroupContext | None):
         self.text = text
         self.pos = 0
         self.group = group
-        self.defect_const = defect_const
 
     def fail(self, message: str) -> SpecError:
         return SpecError(f"{message} at position {self.pos} in {self.text!r}")
@@ -220,7 +218,6 @@ class _QmParser:
         if name == "zero":
             if self.group is None:
                 raise self.fail("the zero quasimorphism needs a group")
-            self.no_override("zero")
             return zero_qm(self.group)
         if name == "hom":
             return self.hom_expr()
@@ -239,20 +236,12 @@ class _QmParser:
             return self.pullback_expr()
         raise self.fail(f"unknown quasimorphism {name!r}")
 
-    def no_override(self, kind: str) -> None:
-        if self.defect_const is not None:
-            raise SpecError(
-                f"a defect override only applies to homogenised counting "
-                f"quasimorphisms, not to {kind!r}"
-            )
-
     def hom_expr(self) -> Quasimorphism:
         self.expect("(")
         name = self.ident()
         self.expect(")")
         if name != "indexsum":
             raise self.fail(f"unknown homomorphism {name!r}; only 'indexsum' is built in")
-        self.no_override("hom")
         ctx = self.group if self.group is not None else BraidGroup(3)
         if not isinstance(ctx, BraidGroup):
             raise SpecError(f"hom(indexsum) lives on braid groups, not {ctx.name}")
@@ -282,8 +271,7 @@ class _QmParser:
         if not pattern.letters:
             raise SpecError("the counting pattern must be a nonempty word")
         if homogenized:
-            return brooks_homogenized(pattern, context=ctx, defect_override=self.defect_const)
-        self.no_override("brooks")
+            return brooks_homogenized(pattern, context=ctx)
         return brooks(pattern, context=ctx)
 
     def pullback_expr(self) -> Quasimorphism:
@@ -306,7 +294,7 @@ class _QmParser:
         map_name = self.ident()
         self.expect(")")
         hom = self.resolve_map(map_name)
-        inner = parse_qm(inner_text, group=hom.codomain, defect_const=self.defect_const)
+        inner = parse_qm(inner_text, group=hom.codomain)
         return pullback(inner, hom)
 
     def resolve_map(self, name: str) -> GroupHom:
@@ -322,24 +310,16 @@ class _QmParser:
         raise self.fail(f"unknown map {name!r}")
 
 
-def parse_qm(
-    text: str,
-    group: GroupContext | None = None,
-    defect_const: Fraction | int | str | None = None,
-) -> Quasimorphism:
+def parse_qm(text: str, group: GroupContext | None = None) -> Quasimorphism:
     """Quasimorphism spec -> quasimorphism.
 
     ``group`` pins the domain where the spec alone does not determine it
-    (zero, hom, projections).  ``defect_const`` replaces the derived defect
-    bound of a homogenised counting quasimorphism; its provenance is then
-    recorded as user-config.
+    (zero, hom, projections).  Every defect bound is derived from the
+    construction, never supplied.
 
     >>> parse_qm("homog(brooks(w=xyXY))").defect_upper
     Fraction(6, 1)
     >>> parse_qm("pullback(homog(brooks(w=xyXY)), pr1)").name
     'pullback(homog(brooks(w=xyXY)), pr1)'
     """
-    override = None if defect_const is None else Fraction(defect_const)
-    if override is not None and override <= 0:
-        raise SpecError("a defect override must be positive")
-    return _QmParser(text, group, override).parse()
+    return _QmParser(text, group).parse()

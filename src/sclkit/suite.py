@@ -237,7 +237,6 @@ def _item_duality_lower(rng, shared):
         alpha,
         qm,
         pure_ordinary_pair(),
-        invariance=inv,
         note="ordinary bound inside the pure subgroup via the free-factor projection",
     )
     if cert.bound != Fraction(1, 12) or cert.bound != 1 / (2 * defect) or cert.bound <= 0:

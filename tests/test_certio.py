@@ -105,6 +105,22 @@ def test_verify_file_reports_schema_on_garbage(tmp_path):
     assert "not valid JSON" in report.schema_error
 
 
+def test_load_document_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    with pytest.raises(CertificateError, match="^schema: not UTF-8"):
+        load_document(path)
+    assert verify_file(str(path)).schema_error.startswith("schema: not UTF-8")
+
+
+def test_load_document_refuses_nesting_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(CertificateError, match="^schema: JSON nested too deeply"):
+        load_document(path)
+    assert verify_file(str(path)).schema_error == "schema: JSON nested too deeply"
+
+
 def test_verify_document_rejects_wrong_envelope(upper_cert):
     doc = document([upper_cert])
     for mutant, expect in [
@@ -148,6 +164,12 @@ LOWER_FAULTS = [
     ("schema", lambda p: p.pop("bound")),
     ("target membership", lambda p: p.update(target="1")),
     ("quasimorphism", lambda p: p["witness"].update(qm="brooks(w=")),
+    # the half twist flips the sign of the pr1 pullback, so it bounds no
+    # mixed length; refused before the (also corrupted) value is recomputed
+    (
+        "invariance",
+        lambda p: (p.update(group_pair="braid:3/pure"), p["witness"].update(value="2")),
+    ),
     ("qm value", lambda p: p["witness"].update(value="2")),
     ("defect", lambda p: p["witness"].update(defect_upper="5")),
     (
@@ -197,17 +219,27 @@ def test_unmodified_payloads_verify(upper_cert, lower_cert):
         assert ok, f"{step}: {detail}"
 
 
-def test_user_config_defect_override_verifies():
-    from sclkit.quasimorphisms import brooks_homogenized
-    from sclkit.scl import ordinary_pair
-    from sclkit.groups import FreeGroup
-    from fractions import Fraction
+def test_user_config_defect_fails_at_defect(lower_cert):
+    # a file that names its own defect: the verifier rebuilds the bound of
+    # 6 and never reads the claimed 1/1000, so "scl >= 500" is refused
+    def forge(p):
+        p["evidence"]["defect_provenance"] = "user-config; pulled back along pr1"
+        p["witness"]["defect_upper"] = "1/1000"
+        p["bound"] = "500"
 
-    qm = brooks_homogenized(word("abAB"), defect_override=Fraction(4))
-    cert = bavard_lower(word("abAB"), qm, ordinary_pair(FreeGroup(2)))
-    assert cert.bound == Fraction(1, 8)
-    ok, step, detail = verify_payload(cert.as_payload())
-    assert ok, f"{step}: {detail}"
+    ok, step, detail = verify_payload(corrupted(lower_cert, forge))
+    assert not ok
+    assert step == "defect", detail
+    assert "6" in detail
+
+
+def test_parent_format_with_invariance_sample_still_verifies(upper_cert, lower_cert):
+    # files written before the sample was dropped carry an evidence key
+    # that the verifier never reads
+    doc = document([upper_cert, lower_cert])
+    doc["items"][0]["evidence"]["invariance_sample"] = None
+    doc["items"][1]["evidence"]["invariance_sample"] = {"checked": 99, "violations": 0}
+    assert verify_document(doc).ok
 
 
 def test_report_as_dict_has_no_wall_times(tmp_path, upper_cert):

@@ -319,6 +319,72 @@ def test_scl_bounds_refuses_non_invariant_lower_in_mixed_mode():
     assert not any(item["direction"] == "lower" for item in doc["items"])
 
 
+def _failed_steps(path):
+    r = run_cli("verify", str(path), "--format", "json")
+    assert "Traceback" not in r.stderr
+    doc = json.loads(r.stdout)
+    return r.returncode, [it["failed_step"] for it in doc["items"] if not it["ok"]]
+
+
+def test_verify_refuses_both_forged_lower_bounds(tmp_path):
+    source = tmp_path / "lower.json"
+    r = run_cli(
+        "scl-bounds", "--group", "braid:3/pure-ordinary",
+        "--qm", "pullback(homog(brooks(w=xyXY)), pr1)", "--braid", ALPHA,
+        "--radius", "2", "--cap", "1", "--format", "json", "--out", str(source),
+    )
+    assert r.returncode == 0, r.stderr
+    text = source.read_text()
+    items = json.loads(text)["items"]
+    lower = next(i for i, it in enumerate(items) if it["direction"] == "lower")
+
+    # a defect the file configures itself: "scl >= 500" beside an upper 1
+    user_config = json.loads(text)
+    item = user_config["items"][lower]
+    item["evidence"]["defect_provenance"] = "user-config; pulled back along pr1"
+    item["witness"]["defect_upper"] = "1/1000"
+    item["bound"] = "500"
+    forged = tmp_path / "user-config.json"
+    forged.write_text(json.dumps(user_config))
+    assert _failed_steps(forged) == (1, ["defect"])
+
+    # the same bound relabelled as mixed, where the half twist flips it
+    mixed = json.loads(text)
+    mixed["items"][lower]["group_pair"] = "braid:3/pure"
+    forged = tmp_path / "mixed.json"
+    forged.write_text(json.dumps(mixed))
+    assert _failed_steps(forged) == (1, ["invariance"])
+
+
+def test_mixed_lower_bound_on_a_central_extension_certifies(tmp_path):
+    # the left-factor pullback is invariant by construction, so mixed mode
+    # keeps the 1/12 that ordinary duality gives
+    out = tmp_path / "left.json"
+    r = run_cli(
+        "scl-bounds", "--group", "product:free:2,z/left", "--word", "(abAB;0)",
+        "--qm", "pullback(homog(brooks(w=abAB)), proj-left)",
+        "--radius", "2", "--cap", "1", "--format", "json", "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert doc["mode"] == "mixed"
+    assert doc["interval"] == ["1/12", "1"]
+    assert doc["notes"] == []
+    assert _failed_steps(out) == (0, [])
+
+
+def test_verify_fails_unreadable_files_at_schema(tmp_path):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    for path in (binary, deep):
+        r = run_cli("verify", str(path))
+        assert r.returncode == 1, r.stderr
+        assert "Traceback" not in r.stderr
+        assert f"FAIL {path}: schema:" in r.stdout
+
+
 def test_verify_exit_codes(tmp_path):
     good = tmp_path / "good.json"
     r = run_cli(

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from sclkit.braids import BraidGroup, braid, index_sum
+from sclkit.braids import BraidGroup, braid, index_sum, pr1
 from sclkit.extension import (
     DefectChainReport,
     braid_abelianization_section,
@@ -102,11 +102,11 @@ def test_braid_leg_extension_with_zero_qm():
     assert defect_chain_check(result, radius=3).ok
 
 
-def test_extension_records_invariance_evidence():
-    _, _, result = make_product_extension()
-    ev = result.invariance_evidence
-    if ev is not None:
-        assert ev.ok
+def test_extension_refuses_a_quasimorphism_not_invariant_by_construction():
+    # the pr1 pullback is homogeneous, but the half twist flips its sign
+    qm = pullback(brooks_homogenized(word("xyXY")), pr1())
+    with pytest.raises(ValueError, match="invariant"):
+        extend_via_section(qm, braid_abelianization_section(3), n_max=16)
 
 
 def reference_defect_chain(result, radius):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from sclkit.braids import BraidGroup, b3_key
+from sclkit.braids import BraidGroup, b3_key, half_twist
 from sclkit.groups import (
     CyclicZ,
     DirectProduct,
@@ -29,7 +29,8 @@ from sclkit.quasimorphisms import (
     pullback,
     zero_qm,
 )
-from sclkit.specs import parse_qm
+from sclkit.scl import alpha_braid
+from sclkit.specs import parse_group, parse_qm
 from sclkit.words import Word, commutator, random_reduced, word
 
 
@@ -176,22 +177,55 @@ def test_homogeneous_qm_is_conjugation_invariant_in_own_group():
 def test_pullback_carries_values_defect_and_provenance():
     prod = DirectProduct(FreeGroup(2), CyclicZ())
     base = brooks_homogenized(word("abAB"))
-    phi = pullback(base, proj_left(prod), rng=random.Random(403), samples=100)
+    phi = pullback(base, proj_left(prod))
     assert phi.context is prod
     assert phi.defect_upper == base.defect_upper
     assert phi.defect_provenance.endswith("; pulled back along proj-left")
     g = (FreeGroup(2).parse("abAB"), 7)
     assert phi(g) == base(FreeGroup(2).parse("abAB")) == 1
     assert phi.homogeneous
+    assert phi.invariant
 
 
-def test_pullback_rejects_a_non_homomorphism():
-    from sclkit.groups import GroupHom
+# (group, quasimorphism spec, invariant under conjugation by the group)
+INVARIANCE_TABLE = [
+    ("free:2", "zero", True),
+    ("braid:3", "hom(indexsum)", True),
+    ("free:2", "homog(brooks(w=abAB))", True),
+    ("free:2", "brooks(w=abAB)", False),
+    ("product:free:2,z", "pullback(homog(brooks(w=abAB)), proj-left)", True),
+    ("product:free:2,z", "pullback(brooks(w=abAB), proj-left)", False),
+    # pr1 is defined on the pure braids only
+    ("braid:3", "pullback(homog(brooks(w=xyXY)), pr1)", False),
+    ("product:braid:3,z", "pullback(pullback(homog(brooks(w=xyXY)), pr1), proj-left)", False),
+]
 
-    z = CyclicZ()
-    bad = GroupHom(z, z, lambda k: k * k, "square")
-    with pytest.raises(ValueError):
-        pullback(hom_qm(z, lambda k: k, "id"), bad, rng=random.Random(404))
+
+@pytest.mark.parametrize("group,spec,invariant", INVARIANCE_TABLE)
+def test_invariance_rule_truth_table(group, spec, invariant):
+    qm = parse_qm(spec, group=parse_group(group))
+    assert qm.invariant is invariant
+
+
+def test_invariance_rule_agrees_with_sampled_conjugation():
+    # the sampled check as an oracle: no violation where the rule says
+    # invariant, and the half twist's sign flip where it says not
+    alpha = alpha_braid()
+    ctx = BraidGroup(3)
+    cases = [
+        ("free:2", "homog(brooks(w=abAB))", ["abAB", "aab", "abABab"]),
+        ("product:free:2,z", "pullback(homog(brooks(w=abAB)), proj-left)", ["(abAB;3)", "(aBAb;0)"]),
+    ]
+    for group, spec, targets in cases:
+        qm = parse_qm(spec, group=parse_group(group))
+        gctx = qm.context
+        assert qm.invariant
+        report = invariance_check(qm, gctx.ball(2), [gctx.parse(t) for t in targets])
+        assert report.ok and report.checked > 0
+    qm = parse_qm("pullback(homog(brooks(w=xyXY)), pr1)", group=ctx)
+    assert not qm.invariant
+    flipped = invariance_check(qm, [half_twist(3)], [alpha])
+    assert not flipped.ok
 
 
 def test_zero_and_hom_qms():

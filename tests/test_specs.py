@@ -164,14 +164,16 @@ def test_parse_qm_proj_left_pullback():
     assert qm((FreeGroup(2).parse("abAB"), 9)) == 1
 
 
-def test_parse_qm_defect_const_only_for_homog():
-    qm = parse_qm("homog(brooks(w=abAB))", defect_const=Fraction(4))
-    assert qm.defect_upper == 4
-    assert qm.defect_provenance.startswith("user-config")
-    with pytest.raises(SpecError):
-        parse_qm("brooks(w=abAB)", defect_const=Fraction(4))
-    with pytest.raises(SpecError):
-        parse_qm("homog(brooks(w=abAB))", defect_const=Fraction(-1))
+def test_parse_qm_derives_every_defect():
+    # the bound comes from the construction; nothing can supply another
+    cases = [
+        ("homog(brooks(w=abAB))", 6, "junction-argument doubled by homogenisation"),
+        ("brooks(w=abAB)", 3, "junction-argument"),
+        ("brooks(w=a)", 0, "junction-argument"),
+    ]
+    for spec, defect, provenance in cases:
+        qm = parse_qm(spec)
+        assert (qm.defect_upper, qm.defect_provenance) == (Fraction(defect), provenance)
 
 
 def test_parse_qm_error_positions():
