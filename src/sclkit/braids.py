@@ -42,7 +42,7 @@ import functools
 from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
-from .words import Frozen, Word, invert_letters
+from .words import Frozen, Word, invert_letters, multiply_letters
 
 @functools.cache
 def _tables(n: int):
@@ -183,12 +183,7 @@ class BraidWord(Frozen):
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        head = list(self.letters)
-        i = 0
-        while head and i < len(other.letters) and head[-1] == -other.letters[i]:
-            head.pop()
-            i += 1
-        return _braid_word(self.n, tuple(head) + other.letters[i:])
+        return _braid_word(self.n, multiply_letters(self.letters, other.letters))
 
     def __invert__(self) -> "BraidWord":
         return _braid_word(self.n, invert_letters(self.letters))

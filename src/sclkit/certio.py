@@ -219,7 +219,11 @@ def _check_lower(payload: dict, pair, target) -> None:
     if refusal is not None:
         raise _fail("invariance", refusal)
     claimed_value = _fraction(witness["value"], "witness", "value")
-    value = qm(target)
+    try:
+        value = qm(target)
+    except ValueError as exc:
+        # e.g. a pullback along pr1 at a braid outside P3
+        raise _fail("qm value", f"{qm.name} is undefined at {payload['target']}: {exc}") from exc
     if value != claimed_value:
         raise _fail(
             "qm value",

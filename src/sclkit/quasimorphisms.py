@@ -111,7 +111,10 @@ def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> Fraction:
     p, L = len(core), len(pattern)
     if p == 0 or L == 0:
         return Fraction(0)
-    matches = [s for s in range(p) if all(core[(s + t) % p] == pattern[t] for t in range(L))]
+    # enough periods that every window of length L starting in the first one
+    # fits; this holds for patterns longer than the core too
+    reps = core * (1 + (L + p - 2) // p)
+    matches = [s for s in range(p) if reps[s : s + L] == pattern]
     if not matches:
         return Fraction(0)
     next_free = 0

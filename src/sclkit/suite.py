@@ -432,15 +432,37 @@ def _item_splitting(rng, shared):
 # --- item 10: word algebra properties -------------------------------------
 
 
+_ALGEBRA_RANK = 3
+_ALGEBRA_GENS = (1, 2, 3, -1, -2, -3)
+
+
+def _random_raw(getrandbits) -> tuple[int, ...]:
+    """An unreduced word over ``_ALGEBRA_GENS`` of 0..8 letters, drawn bit for
+    bit as ``tuple(rng.choice(gens) for _ in range(rng.randrange(0, 9)))``
+    draws it from ``getrandbits = rng.getrandbits``.
+
+    CPython's ``randrange(0, 9)`` and ``choice`` over six generators reject
+    ``getrandbits(4) >= 9`` and ``getrandbits(3) >= 6``; the same loops
+    written out cost a third as much.
+    """
+    gens = _ALGEBRA_GENS
+    n = getrandbits(4)
+    while n >= 9:
+        n = getrandbits(4)
+    out = []
+    for _ in range(n):
+        r = getrandbits(3)
+        while r >= 6:
+            r = getrandbits(3)
+        out.append(gens[r])
+    return tuple(out)
+
+
 def _item_word_algebra(rng, shared):
-    rank = 3
-    gens = [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)]
-
-    def raw():
-        return tuple(rng.choice(gens) for _ in range(rng.randrange(0, 9)))
-
+    rank = _ALGEBRA_RANK
+    bits = rng.getrandbits
     for _ in range(100_000):
-        ra, rb, rc = raw(), raw(), raw()
+        ra, rb, rc = _random_raw(bits), _random_raw(bits), _random_raw(bits)
         u = Word.from_raw(rank, ra)
         v = Word.from_raw(rank, rb)
         t = Word.from_raw(rank, rc)

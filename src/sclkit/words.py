@@ -26,12 +26,13 @@ def reduce_letters(raw: Iterable[int], rank: int) -> tuple[int, ...]:
     """
     stack: list[int] = []
     for letter in raw:
-        if letter == 0 or abs(letter) > rank:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
+        # a letter that cancels the top of the stack is in range, as the top is
         if stack and stack[-1] == -letter:
             stack.pop()
-        else:
+        elif letter and -rank <= letter <= rank:
             stack.append(letter)
+        else:
+            raise ValueError(f"letter {letter} out of range for rank {rank}")
     return tuple(stack)
 
 
@@ -45,14 +46,19 @@ def invert_letters(letters: Iterable[int]) -> tuple[int, ...]:
 
 
 def multiply_letters(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Product of two reduced words; cancellation happens at the junction only."""
-    head = list(a)
-    i = 0
-    n = len(b)
-    while head and i < n and head[-1] == -b[i]:
-        head.pop()
+    """Product of two reduced words; cancellation happens at the junction only.
+
+    >>> multiply_letters((1, 2), (-2, 3))
+    (1, 3)
+    """
+    if not a or not b or a[-1] != -b[0]:
+        return a + b
+    na = len(a)
+    n = min(na, len(b))
+    i = 1  # letters cancelled so far
+    while i < n and a[na - 1 - i] == -b[i]:
         i += 1
-    return tuple(head) + b[i:]
+    return a[: na - i] + b[i:]
 
 
 def cyclic_reduce_letters(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -182,7 +188,10 @@ class Word(Frozen):
     def from_raw(rank: int, raw: Iterable[int]) -> "Word":
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        return _word(rank, reduce_letters(raw, rank))
+        w = _new(Word)
+        _set_rank(w, rank)
+        _set_letters(w, reduce_letters(raw, rank))
+        return w
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Word):
@@ -192,12 +201,22 @@ class Word(Frozen):
     def __hash__(self) -> int:
         return hash(self.letters)
 
+    # __mul__, __invert__ and from_raw build the instance inline: they are
+    # the inner loop of defect_search and of suite item 10
     def __mul__(self, other: "Word") -> "Word":
-        rank = max(self.rank, other.rank)
-        return _word(rank, multiply_letters(self.letters, other.letters))
+        rank = self.rank
+        if other.rank > rank:
+            rank = other.rank
+        w = _new(Word)
+        _set_rank(w, rank)
+        _set_letters(w, multiply_letters(self.letters, other.letters))
+        return w
 
     def __invert__(self) -> "Word":
-        return _word(self.rank, invert_letters(self.letters))
+        w = _new(Word)
+        _set_rank(w, self.rank)
+        _set_letters(w, invert_letters(self.letters))
+        return w
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self

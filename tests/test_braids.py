@@ -226,6 +226,37 @@ def test_braid_word_validation_stays_at_the_public_boundary():
             built.letters = ()
 
 
+def _free_reduce(letters):
+    # repeated single-pass cancellation to a fixpoint; slow but obviously right
+    out = list(letters)
+    i = 0
+    while i < len(out) - 1:
+        if out[i] == -out[i + 1]:
+            del out[i : i + 2]
+            i = 0
+        else:
+            i += 1
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_braid_product_is_the_free_reduction_of_the_concatenation(n):
+    rng = random.Random(1200 + n)
+    cancelled = 0
+    for _ in range(1500):
+        a = _free_reduce(random_braid(rng, n, rng.randrange(0, 12)).letters)
+        b = _free_reduce(random_braid(rng, n, rng.randrange(0, 12)).letters)
+        # let the right factor start by undoing a suffix of the left one
+        cut = rng.randrange(0, len(a) + 1)
+        b = _free_reduce(tuple(-l for l in reversed(a[cut:])) + b)
+        product = BraidWord(n, a) * BraidWord(n, b)
+        assert product.letters == _free_reduce(a + b), (a, b)
+        cancelled += len(a) + len(b) - len(product.letters)
+    assert cancelled > 0
+    with pytest.raises(ValueError):
+        braid("1", 3) * braid("1", 4)
+
+
 def test_underlying_permutation_matches_composition():
     rng = random.Random(312)
     for n in range(2, 7):

@@ -326,7 +326,9 @@ def _failed_steps(path):
     return r.returncode, [it["failed_step"] for it in doc["items"] if not it["ok"]]
 
 
-def test_verify_refuses_both_forged_lower_bounds(tmp_path):
+def _pure_ordinary_lower(tmp_path):
+    """The text of a fresh pure-ordinary certificate file and the index of
+    its lower item, whose quasimorphism is a pullback along pr1."""
     source = tmp_path / "lower.json"
     r = run_cli(
         "scl-bounds", "--group", "braid:3/pure-ordinary",
@@ -336,7 +338,11 @@ def test_verify_refuses_both_forged_lower_bounds(tmp_path):
     assert r.returncode == 0, r.stderr
     text = source.read_text()
     items = json.loads(text)["items"]
-    lower = next(i for i, it in enumerate(items) if it["direction"] == "lower")
+    return text, next(i for i, it in enumerate(items) if it["direction"] == "lower")
+
+
+def test_verify_refuses_both_forged_lower_bounds(tmp_path):
+    text, lower = _pure_ordinary_lower(tmp_path)
 
     # a defect the file configures itself: "scl >= 500" beside an upper 1
     user_config = json.loads(text)
@@ -354,6 +360,22 @@ def test_verify_refuses_both_forged_lower_bounds(tmp_path):
     forged = tmp_path / "mixed.json"
     forged.write_text(json.dumps(mixed))
     assert _failed_steps(forged) == (1, ["invariance"])
+
+
+def test_verify_fails_a_quasimorphism_undefined_at_the_target(tmp_path):
+    # pr1 is defined on P3 only; moved to B3 and a non-pure target, the
+    # rebuilt quasimorphism raises, and verify must still name a step
+    text, lower = _pure_ordinary_lower(tmp_path)
+    doc = json.loads(text)
+    doc["items"][lower]["group_pair"] = "braid:3"
+    doc["items"][lower]["target"] = "1,2,-1,-2"
+    forged = tmp_path / "undefined.json"
+    forged.write_text(json.dumps(doc))
+    assert _failed_steps(forged) == (1, ["qm value"])
+    r = run_cli("verify", str(forged))
+    assert r.returncode == 1
+    assert "pure braids only" in r.stdout
+    assert r.stderr == ""
 
 
 def test_mixed_lower_bound_on_a_central_extension_certifies(tmp_path):
@@ -441,6 +463,31 @@ def test_verify_paper_json_deterministic():
     assert doc["format"] == "verify-report/1"
     assert doc["seed"] == 11
     assert doc["ok"] is True
+
+
+ITEM_4_JSON = """{
+  "format": "verify-report/1",
+  "items": [
+    {
+      "detail": "bound 1/12 = 1/(2*6); searched defect 2 <= 6 at radius 8 (139969 pairs)",
+      "key": "4",
+      "ok": true,
+      "slug": "duality-lower"
+    }
+  ],
+  "ok": true,
+  "seed": 7
+}
+"""
+
+
+def test_verify_paper_item_4_output_is_byte_stable():
+    # the detail carries the searched defect and the pair count of
+    # defect_search, so any change in the word products or the counting
+    # quasimorphism's values shows here
+    r = run_cli("verify-paper", "--only", "4", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ITEM_4_JSON
 
 
 def test_csv_format_works():

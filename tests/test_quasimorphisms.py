@@ -303,3 +303,60 @@ def test_defect_search_matches_reference_off_free_groups():
         "clamped-corner", b3, lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3)
     )
     assert _same_as_reference(clamped, 4, b3).lower > 0
+
+
+def _cyclic_rate(pattern, core):
+    """Reference packing rate: the modular-index matcher the library used
+    before it matched with slices of the repeated core."""
+    p, L = len(core), len(pattern)
+    if p == 0 or L == 0:
+        return Fraction(0)
+    matches = [s for s in range(p) if all(core[(s + t) % p] == pattern[t] for t in range(L))]
+    if not matches:
+        return Fraction(0)
+    next_free = 0
+    count = 0
+    seen = {}
+    k = 0
+    while True:
+        state = max(next_free - k * p, 0)
+        if state in seen:
+            k0, c0 = seen[state]
+            return Fraction(count - c0, k - k0)
+        seen[state] = (k, count)
+        for s in matches:
+            t = k * p + s
+            if t >= next_free:
+                count += 1
+                next_free = t + L
+        k += 1
+
+
+def _reference_homogenized(w, g):
+    core, _ = g.cyclic_reduce()
+    return _cyclic_rate(w.letters, core.letters) - _cyclic_rate((~w).letters, core.letters)
+
+
+def test_homogenize_counting_exact_matches_modular_matcher():
+    cases = [
+        (word("a"), word("a")),  # core length 1, a match
+        (word("ab", 2), word("a")),  # core length 1, L > p
+        (word("aaa"), word("a")),  # L > p, a copy in every period
+        (word("ababa"), word("ab")),  # L > p, overlapping copies
+        (word("abAB"), word("aaB")),  # no match
+        (word("ab"), word("", 2)),  # the identity
+        (word("abAB"), word("baBAB")),  # a conjugate of the one-letter core B
+    ]
+    rng = random.Random(1201)
+    for _ in range(1500):
+        core, _ = Word(2, random_reduced(rng, 2, rng.randrange(1, 7))).cyclic_reduce()
+        pattern = Word(2, random_reduced(rng, 2, rng.randrange(1, 9)))
+        conj = Word(2, random_reduced(rng, 2, rng.randrange(0, 3)))
+        cases.append((pattern, conj * core * ~conj))
+        # a pattern cut from the periodic word, so that it does occur
+        start = rng.randrange(len(core))
+        cut = (core.letters * 4)[start : start + rng.randrange(1, 3 * len(core) + 1)]
+        cases.append((Word(2, cut), core))
+    for w, g in cases:
+        assert homogenize_counting_exact(w, g) == _reference_homogenized(w, g), (w, g)
+    assert any(_reference_homogenized(w, g) != 0 for w, g in cases if len(w) > len(g.cyclic_reduce()[0]))

@@ -1,6 +1,7 @@
 """Suite runner plumbing and module doctest examples."""
 
 import doctest
+import random
 
 import pytest
 
@@ -14,7 +15,15 @@ import sclkit.scl
 import sclkit.specs
 import sclkit.suite
 import sclkit.words
-from sclkit.suite import DEFAULT_SEED, ITEMS, Item, find_item, run_item
+from sclkit.suite import (
+    _ALGEBRA_GENS,
+    DEFAULT_SEED,
+    ITEMS,
+    Item,
+    _random_raw,
+    find_item,
+    run_item,
+)
 
 
 def test_item_registry_shape():
@@ -50,6 +59,31 @@ def test_run_item_line_format():
     line = result.line()
     assert line.startswith("PASS  2 flip-identity (")
     assert line.endswith(result.detail)
+
+
+def _choice_raw(rng, gens):
+    # item 10's draw before its rejection loops were written out: the oracle
+    return tuple(rng.choice(gens) for _ in range(rng.randrange(0, 9)))
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1, 42, 2024])
+def test_word_algebra_draws_are_bit_for_bit_the_choice_draws(seed):
+    gens = [i for i in range(1, 4)] + [-i for i in range(1, 4)]
+    assert list(_ALGEBRA_GENS) == gens
+    # run_item's generator for item 10; every triple of the default seed
+    triples = 100_000 if seed == DEFAULT_SEED else 5_000
+    old = random.Random(seed * 1009 + 10)
+    new = random.Random(seed * 1009 + 10)
+    bits = new.getrandbits
+    for _ in range(3 * triples):
+        assert _random_raw(bits) == _choice_raw(old, gens)
+    assert new.getstate() == old.getstate()
+
+
+def test_word_algebra_still_checks_100000_triples():
+    result = run_item(find_item("10"), seed=DEFAULT_SEED, shared={})
+    assert result.ok
+    assert result.detail.startswith("100000 random triples: ")
 
 
 @pytest.mark.parametrize(
