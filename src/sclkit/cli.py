@@ -93,7 +93,10 @@ def _emit(args, human: str, doc: dict, rows: list[list[str]]) -> None:
     else:
         text = human if human.endswith("\n") else human + "\n"
     if args.out:
-        certio.write_text_atomic(text, args.out)
+        try:
+            certio.write_text_atomic(text, args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -146,6 +149,11 @@ def _flip_search(pair, g, radius: int):
 def cmd_scl_bounds(args) -> int:
     if not args.group:
         raise UsageError("scl-bounds needs --group with a group or pair spec")
+    for option, value, least in (
+        ("--radius", args.radius, 0), ("--cap", args.cap, 0), ("--n-max", args.n_max, 1),
+    ):
+        if value < least:
+            raise UsageError(f"{option} must be at least {least}, got {value}")
     pair = specs.parse_group_pair(args.group)
     ctx = pair.ambient
     g = _target_element(args, ctx)

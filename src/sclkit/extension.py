@@ -26,6 +26,12 @@ from .norms import PreconditionError
 from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
 
 
+# SectionData.check tests the section on the quotient ball of this radius and
+# each multiplicativity law on this many sampled pairs
+SECTION_CHECK_RADIUS = 8
+SECTION_CHECK_SAMPLES = 200
+
+
 class SectionData:
     """A homomorphic section of the projection onto an integer quotient."""
 
@@ -43,24 +49,26 @@ class SectionData:
         self.member = member
         self.name = name
 
-    def check(self, rng, quotient_radius: int = 8, samples: int = 200) -> "SectionReport":
-        """Verify pi o s = id on the quotient ball, s(0) = identity, and
-        multiplicativity of both maps on sampled ambient pairs."""
+    def check(self, rng) -> "SectionReport":
+        """Verify pi o s = id on the quotient ball of radius
+        SECTION_CHECK_RADIUS, s(0) = identity, and multiplicativity of both
+        maps on SECTION_CHECK_SAMPLES sampled pairs each."""
         ctx = self.ambient
+        radius = SECTION_CHECK_RADIUS
         failures: list[str] = []
         if not ctx.is_identity(self.section(0)):
             failures.append("s(0) is not the identity")
-        for k in range(-quotient_radius, quotient_radius + 1):
+        for k in range(-radius, radius + 1):
             if self.project(self.section(k)) != k:
                 failures.append(f"pi(s({k})) != {k}")
                 break
-        for _ in range(samples):
-            a = rng.randint(-quotient_radius, quotient_radius)
-            b = rng.randint(-quotient_radius, quotient_radius)
+        for _ in range(SECTION_CHECK_SAMPLES):
+            a = rng.randint(-radius, radius)
+            b = rng.randint(-radius, radius)
             if not ctx.eq(self.section(a + b), ctx.mul(self.section(a), self.section(b))):
                 failures.append(f"s({a}+{b}) != s({a})s({b})")
                 break
-        for _ in range(samples):
+        for _ in range(SECTION_CHECK_SAMPLES):
             g = ctx.sample(rng, rng.randrange(0, 6))
             h = ctx.sample(rng, rng.randrange(0, 6))
             if self.project(ctx.mul(g, h)) != self.project(g) + self.project(h):
@@ -107,11 +115,10 @@ def braid_abelianization_section(n: int = 3) -> SectionData:
 
 
 class ExtensionResult:
-    """The transported quasimorphism with its defect bookkeeping.
+    """The transported quasimorphism, with the base it extends.
 
     phi_prime is exact everywhere; the homogenised extension is exact on
-    the subgroup and an interval elsewhere.  defect_chain records
-    D(phi) -> D(phi') -> D(phi_hat) certified bounds.
+    the subgroup and an interval elsewhere.
     """
 
     def __init__(
@@ -125,15 +132,6 @@ class ExtensionResult:
         self.section = section
         self.phi_prime = phi_prime
         self.n_max = n_max
-
-    @property
-    def defect_chain(self) -> dict:
-        d = Fraction(self.base.defect_upper)
-        return {
-            "D(phi)": d,
-            "D(phi_prime)<=": d,
-            "D(phi_hat)<=": 2 * d,
-        }
 
     def value(self, ghat) -> CertifiedValue:
         """phi_hat at ghat: exact on the subgroup, interval off it.
@@ -266,14 +264,6 @@ class DefectChainReport:
         return (
             self.phi_prime_searched <= self.phi_prime_bound
             and self.phi_hat_searched <= self.phi_hat_bound
-        )
-
-    def describe(self) -> str:
-        status = "ok" if self.ok else "VIOLATION"
-        return (
-            f"defect chain at radius {self.radius} ({self.pairs_checked} pairs): "
-            f"phi' searched {self.phi_prime_searched} <= {self.phi_prime_bound}, "
-            f"phi_hat searched {self.phi_hat_searched} <= {self.phi_hat_bound}: {status}"
         )
 
 

@@ -602,6 +602,8 @@ class TableGroup(GroupContext):
     @staticmethod
     def from_text(text: str, name: str = "table") -> "TableGroup":
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("multiplication table is empty")
         n = int(lines[0])
         rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
         if len(rows) != n:

@@ -7,18 +7,17 @@ distinguished INFINITY object for elements outside the normal closure of
 the chosen subgroup; no float sentinel is ever used.
 
 The fragmentation norm nu_H counts the least number of conjugates of
-H-elements whose product is f.  On finite groups the breadth-first search
-is exhaustive, so layer k of the search is exactly the set of elements of
-norm k and every value comes with a witness decomposition that multiplies
-back to f.  On infinite groups the search is truncated to a conjugator
-ball and a factor cap, and the verdict says so.
+H-elements whose product is f.  It is computed on finite groups only, where
+the breadth-first search is exhaustive: layer k of the search is exactly the
+set of elements of norm k, and every value comes with a witness
+decomposition that multiplies back to f.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from .groups import GroupContext, ProductSearch
 
@@ -74,106 +73,46 @@ class FragmentationResult:
     """Value of the fragmentation norm at one element.
 
     witness is a tuple of (g_i, h_i) pairs whose conjugate product equals
-    the element; None when the element is unreachable.  exact is False only
-    for truncated searches that ran out of layers, in which case value
-    holds the cap and the verdict reads ">= cap".
+    the element; None when the element is unreachable and value is INFINITY.
     """
 
-    def __init__(
-        self, value: Any, witness: tuple[tuple[Any, Any], ...] | None, exact: bool, scope: str
-    ) -> None:
+    def __init__(self, value: Any, witness: tuple[tuple[Any, Any], ...] | None) -> None:
         self.value = value
         self.witness = witness
-        self.exact = exact
-        self.scope = scope
-
-    def verdict(self) -> str:
-        if self.value is INFINITY:
-            return "infinite"
-        if self.exact:
-            return f"= {self.value}"
-        return f">= {self.value}"
-
-    def as_dict(self, context: GroupContext) -> dict:
-        pairs = None
-        if self.witness is not None:
-            pairs = [
-                {"conjugator": context.text(g), "subgroup_element": context.text(h)}
-                for g, h in self.witness
-            ]
-        return {
-            "value": "inf" if self.value is INFINITY else int(self.value),
-            "verdict": self.verdict(),
-            "exact": self.exact,
-            "scope": self.scope,
-            "witness": pairs,
-        }
 
 
 class FragmentationNorm:
-    """Fragmentation norm nu_H computed by breadth-first search.
+    """Fragmentation norm nu_H on a finite group, by breadth-first search.
 
-    Finite contexts (an ``elements()`` listing) are solved exhaustively up
-    front; everything the conjugate closure of H never reaches gets norm
-    INFINITY.  Contexts without a full listing search within a conjugator
-    ball of the given radius and up to ``cap`` factors.
+    The context must list its elements.  The search over conjugates of
+    H-elements runs to exhaustion up front; everything it never reaches
+    gets norm INFINITY.
     """
 
-    def __init__(
-        self,
-        context: GroupContext,
-        subgroup_gens: Sequence[Any],
-        *,
-        cap: int = 16,
-        conjugator_radius: int | None = None,
-        subgroup_elements: Sequence[Any] | None = None,
-        closure_guard: int = 20000,
-        name: str | None = None,
-    ):
+    name = "nu_H"
+
+    def __init__(self, context: GroupContext, subgroup_gens: Sequence[Any]):
+        if not hasattr(context, "elements"):
+            raise ValueError("the fragmentation norm needs a finite group that lists its elements")
         self.context = context
         self.subgroup_gens = list(subgroup_gens)
-        self.cap = cap
-        self.name = name if name is not None else "nu_H"
-        if subgroup_elements is not None:
-            self._subgroup = list(subgroup_elements)
-        else:
-            self._subgroup = self._close_subgroup(closure_guard)
-        self._conjugates = self._conjugate_closure(conjugator_radius)
-        self._finite = hasattr(context, "elements")
-        self._scope = (
-            "exhaustive on the full group"
-            if self._finite
-            else (
-                f"conjugator radius {conjugator_radius}, factor cap {cap}, "
-                f"{len(self._subgroup)} subgroup elements"
-            )
-        )
+        self._subgroup = self._close_subgroup()
+        self._conjugates = self._conjugate_closure()
         self._search = ProductSearch(context, [c for c, _, _ in self._conjugates])
-        if self._finite:
-            self._search.grow()
+        self._search.grow()
 
-    def _close_subgroup(self, guard: int) -> list:
+    def _close_subgroup(self) -> list:
         ctx = self.context
         search = ProductSearch(ctx, self.subgroup_gens + [ctx.inv(s) for s in self.subgroup_gens])
         elements = [ctx.identity]
         while search.frontier:
             search.grow(max_depth=search.depth + 1)
-            if len(search.info) > guard:
-                raise ValueError(
-                    "subgroup closure did not stabilise; pass "
-                    "subgroup_elements explicitly"
-                )
             elements += search.frontier
         return elements
 
-    def _conjugate_closure(self, radius: int | None) -> list[tuple[Any, Any, Any]]:
+    def _conjugate_closure(self) -> list[tuple[Any, Any, Any]]:
         ctx = self.context
-        if hasattr(ctx, "elements"):
-            conjugators = list(ctx.elements())
-        else:
-            if radius is None:
-                raise ValueError("contexts without a full listing need conjugator_radius")
-            conjugators = ctx.ball(radius)
+        conjugators = list(ctx.elements())
         out: dict[Any, tuple[Any, Any, Any]] = {}
         for h in self._subgroup:
             if ctx.is_identity(h):
@@ -187,26 +126,21 @@ class FragmentationNorm:
 
     def value_with_witness(self, f) -> FragmentationResult:
         ctx = self.context
-        # a finite context's search is complete, so reach only looks it up
-        path = self._search.reach(f, self.cap)
-        if path is not None:
-            witness = tuple(self._conjugates[idx][1:] for idx in path)
-            check = ctx.identity
-            for g, h in witness:
-                check = ctx.mul(check, ctx.conjugate(g, h))
-            if not ctx.eq(check, f):
-                raise AssertionError("fragmentation witness failed to reassemble")
-            return FragmentationResult(len(path), witness, True, self._scope)
-        if self._finite:
-            return FragmentationResult(INFINITY, None, True, self._scope)
-        return FragmentationResult(self.cap, None, False, self._scope)
+        key = ctx.canonical(f)
+        if key not in self._search.info:
+            return FragmentationResult(INFINITY, None)
+        witness = tuple(self._conjugates[idx][1:] for idx in self._search.path(key))
+        check = ctx.identity
+        for g, h in witness:
+            check = ctx.mul(check, ctx.conjugate(g, h))
+        if not ctx.eq(check, f):
+            raise AssertionError("fragmentation witness failed to reassemble")
+        return FragmentationResult(len(witness), witness)
 
     def __call__(self, f):
         res = self.value_with_witness(f)
         if res.value is INFINITY:
             return INFINITY
-        if not res.exact:
-            raise ValueError(f"norm undetermined within search scope ({res.verdict()})")
         return Fraction(res.value)
 
 
@@ -233,40 +167,17 @@ class NormAxiomReport:
         return head + "; FAILED: " + "; ".join(self.failures)
 
 
-PAIR_BUDGET = 250_000
-
-
-def norm_axiom_report(
-    norm,
-    elements: Iterable[Any] | None = None,
-    rng=None,
-    samples: int = 300,
-) -> NormAxiomReport:
-    """Test the five norm axioms on an element set.
-
-    The set defaults to the full group when it is finite and to rng samples
-    otherwise.  Pairwise axioms run exhaustively when the square of the set
-    fits in PAIR_BUDGET, sampled otherwise.
-    """
+def norm_axiom_report(norm) -> NormAxiomReport:
+    """Test the five norm axioms on every element of the norm's finite
+    group, and the pairwise ones on every ordered pair."""
     ctx = norm.context
-    if elements is None:
-        if hasattr(ctx, "elements"):
-            elements = list(ctx.elements())
-        else:
-            if rng is None:
-                raise ValueError("infinite context needs elements or an rng")
-            elements = [ctx.sample(rng, rng.randrange(0, 7)) for _ in range(samples)]
-    else:
-        elements = list(elements)
+    elements = list(ctx.elements())
 
     failures: list[str] = []
     values = {ctx.canonical(a): norm(a) for a in elements}
 
     def val(a):
-        key = ctx.canonical(a)
-        if key not in values:
-            values[key] = norm(a)
-        return values[key]
+        return values[ctx.canonical(a)]
 
     if norm(ctx.identity) != 0:
         failures.append(f"nu(1) = {norm(ctx.identity)} != 0")
@@ -279,15 +190,7 @@ def norm_axiom_report(
             failures.append(f"nu({ctx.text(a)}) = {val(a)} not positive")
             break
 
-    if len(elements) * len(elements) <= PAIR_BUDGET:
-        pairs = itertools.product(elements, elements)
-        pair_count = len(elements) * len(elements)
-    else:
-        if rng is None:
-            raise ValueError("large element set needs an rng for pair sampling")
-        pairs = [(rng.choice(elements), rng.choice(elements)) for _ in range(samples)]
-        pair_count = samples
-    for a, b in pairs:
+    for a, b in itertools.product(elements, elements):
         if not val(ctx.mul(a, b)) <= val(a) + val(b):
             failures.append(
                 f"subadditivity fails at ({ctx.text(a)}, {ctx.text(b)})"
@@ -299,7 +202,7 @@ def norm_axiom_report(
             )
             break
 
-    return NormAxiomReport(norm.name, len(elements), pair_count, tuple(failures))
+    return NormAxiomReport(norm.name, len(elements), len(elements) ** 2, tuple(failures))
 
 
 class PreconditionError(ValueError):

@@ -304,14 +304,14 @@ class DefectSearchResult:
         self.pairs_checked = pairs_checked
 
 
-def defect_search(qm: Quasimorphism, radius: int, context: GroupContext | None = None) -> DefectSearchResult:
+def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
     """Searched lower bound for the defect of qm.
 
     Enumerates every pair (g, h) with |g| + |h| <= radius in the word metric
-    of the context and maximises |qm(gh) - qm(g) - qm(h)|.  Monotone in the
-    radius.
+    of qm's context and maximises |qm(gh) - qm(g) - qm(h)|.  Monotone in
+    the radius.
     """
-    ctx = context if context is not None else qm.context
+    ctx = qm.context
     values, scale = scaled_ball_values(ctx, radius, qm)
     canonical, mul = ctx.canonical, ctx.mul
     best = 0

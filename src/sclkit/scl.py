@@ -62,10 +62,10 @@ class GroupPair:
         self.mode = mode
 
 
-def ordinary_pair(ctx: GroupContext, name: str | None = None) -> GroupPair:
+def ordinary_pair(ctx: GroupContext) -> GroupPair:
     """The pair (G, G): plain commutators, everything is a member."""
     return GroupPair(
-        name=name if name is not None else ctx.name,
+        name=ctx.name,
         ambient=ctx,
         is_member=lambda g: True,
         subgroup_ball=ctx.ball,

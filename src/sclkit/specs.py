@@ -123,8 +123,10 @@ def parse_group(text: str) -> GroupContext:
         path = Path(rest)
         if not path.is_file():
             raise SpecError(f"no multiplication table file at {rest!r}")
-        group = TableGroup.from_text(path.read_text(), name=spec)
-        return group
+        try:
+            return TableGroup.from_text(path.read_text(), name=spec)
+        except (OSError, ValueError) as exc:
+            raise SpecError(f"bad multiplication table file {rest!r}: {exc}") from exc
     raise SpecError(f"unknown group spec {text!r}")
 
 
@@ -135,9 +137,12 @@ def parse_group_pair(text: str) -> GroupPair:
     """Pair spec -> group pair.
 
     A bare group spec means the ordinary pair (G, G); a ``/suffix`` selects
-    one of the built-in normal subgroups.
+    one of the built-in normal subgroups.  No suffix applies to a table
+    group, so a ``table:`` spec is never split and its path may hold ``/``.
     """
     spec = text.strip()
+    if spec.startswith("table:"):
+        return ordinary_pair(parse_group(spec))
     base, slash, suffix = spec.rpartition("/")
     if not slash:
         return ordinary_pair(parse_group(spec))

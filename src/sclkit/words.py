@@ -236,11 +236,9 @@ class Word(Frozen):
         core, conj = cyclic_reduce_letters(self.letters)
         return _word(self.rank, core), _word(self.rank, conj)
 
-    def exponent_sum(self, index: int | None = None) -> int:
-        """Signed letter count, for one generator or (default) all of them."""
-        if index is None:
-            return sum(1 if l > 0 else -1 for l in self.letters)
-        return sum(1 if l == index else -1 if l == -index else 0 for l in self.letters)
+    def exponent_sum(self) -> int:
+        """Signed letter count over all generators."""
+        return sum(1 if l > 0 else -1 for l in self.letters)
 
 
 # the slot descriptors set the fields of a frozen instance directly

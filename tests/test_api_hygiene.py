@@ -81,6 +81,73 @@ def test_modules_import_only_names_they_use():
     assert not unused, f"imported but never used: {unused}"
 
 
+def _defaulted_parameters(tree: ast.Module):
+    """(callee name, parameter, call position or None, line) of every
+    defaulted parameter.  A method's position counts after self or cls, and
+    ``__init__`` is called by its class name."""
+
+    def visit(body, owner):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from visit(node.body, node.name)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callee = owner if node.name == "__init__" else node.name
+                args = node.args
+                positional = args.posonlyargs + args.args
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list
+                )
+                shift = 1 if owner is not None and not static else 0
+                first = len(positional) - len(args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield callee, arg.arg, i - shift, arg.lineno
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield callee, arg.arg, None, arg.lineno
+                yield from visit(node.body, None)
+
+    yield from visit(tree.body, None)
+
+
+def _call_settings(tree: ast.AST) -> tuple[set, dict]:
+    """Keywords set per callee name, and the most positional arguments any
+    call of that name passes."""
+    keywords, positions = set(), {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        keywords |= {(name, kw.arg) for kw in node.keywords if kw.arg is not None}
+        positions[name] = max(positions.get(name, 0), len(node.args))
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # main(argv) is the entry point: the console script calls it bare and
+    # the tests pass argv
+    exceptions = {("cli.py", "main", "argv")}
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    keywords, positions = set(), {}
+    for tree in trees.values():
+        kw, pos = _call_settings(tree)
+        keywords |= kw
+        for name, count in pos.items():
+            positions[name] = max(positions.get(name, 0), count)
+    unset = []
+    for filename, tree in trees.items():
+        for callee, param, position, line in _defaulted_parameters(tree):
+            if (filename, callee, param) in exceptions or (callee, param) in keywords:
+                continue
+            if position is not None and positions.get(callee, 0) > position:
+                continue
+            unset.append(f"{filename}:{line} {callee}({param})")
+    assert not unset, f"defaulted parameters no call in sclkit sets: {unset}"
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # every command is a fresh process; dataclasses (which brings inspect,
     # ast, dis and tokenize) cost each of them about 30 ms at import

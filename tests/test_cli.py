@@ -5,6 +5,8 @@ import resource
 import subprocess
 import sys
 
+import pytest
+
 from sclkit import cli
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
@@ -510,3 +512,77 @@ def test_human_format_scl_bounds_mentions_interval():
     )
     assert r.returncode == 0
     assert "interval" in r.stdout
+
+
+def _table_item(group_pair):
+    return {
+        "kind": "scl-upper-decomposition",
+        "target": "0",
+        "group_pair": group_pair,
+        "bound": "1",
+        "direction": "upper",
+        "witness": {"power": 1, "factors": [["0", "0"]]},
+        "evidence": {"defect_provenance": None, "invariance_sample": None},
+        "verified": True,
+        "note": "",
+    }
+
+
+def test_malformed_table_files_are_refused_at_the_group_pair(tmp_path):
+    empty = tmp_path / "empty.tbl"
+    empty.write_text("")
+    truncated = tmp_path / "truncated.tbl"
+    truncated.write_text("3\n0 1 2\n1 2 0\n")
+    for table, message in ((empty, "table is empty"), (truncated, "table is truncated")):
+        group = f"table:{table}"
+        r = run_cli("scl-bounds", "--group", group, "--word", "0", "--radius", "1",
+                    "--cap", "1")
+        assert r.returncode == 2, r.stderr
+        assert message in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+        cert = tmp_path / f"{table.stem}.json"
+        cert.write_text(json.dumps({"format": "scl-certificates/1",
+                                    "items": [_table_item(group)]}))
+        r = run_cli("verify", str(cert), "--format", "json")
+        assert r.returncode == 1, r.stderr
+        report = json.loads(r.stdout)
+        assert report["items"][0]["failed_step"] == "group pair"
+        assert message in report["items"][0]["detail"]
+
+
+def test_a_table_group_at_an_absolute_path_certifies_and_verifies(tmp_path):
+    table = tmp_path / "dir" / "z2.tbl"
+    table.parent.mkdir()
+    table.write_text("2\n0 1\n1 0\n")
+    out = tmp_path / "z2.json"
+    r = run_cli("scl-bounds", "--group", f"table:{table}", "--word", "1", "--radius", "1",
+                "--cap", "1", "--n-max", "2", "--format", "json", "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(out.read_text())
+    assert doc["group_pair"] == f"table:{table}"
+    assert doc["interval"] == ["0", "1/4"]
+    assert _failed_steps(out) == (0, [])
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--radius", "-1"), ("--cap", "-1"), ("--n-max", "-3"), ("--n-max", "0")],
+)
+def test_scl_bounds_refuses_negative_search_sizes(option, value, capsys):
+    code = cli.main(["scl-bounds", "--group", "free:2", "--word", "abAB", option, value])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"{option} must be at least" in captured.err
+    assert captured.out == ""
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (
+        ["eval", "--group", "free:2", "--qm", "zero", "--word", "a"],
+        ["verify-paper", "--only", "2"],
+    ):
+        code = cli.main([*argv, "--format", "json", "--out", str(missing)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
+    assert not missing.parent.exists()

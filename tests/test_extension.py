@@ -36,14 +36,14 @@ def make_product_extension(n_max=32):
 
 def test_central_section_checks_out():
     sec = central_z_section(FreeGroup(2))
-    assert sec.check(random.Random(700), quotient_radius=6, samples=100).ok
+    assert sec.check(random.Random(700)).ok
     assert sec.member((FreeGroup(2).parse("ab"), 0))
     assert not sec.member((FreeGroup(2).parse("ab"), 2))
 
 
 def test_braid_abelianization_section_checks_out():
     sec = braid_abelianization_section(3)
-    assert sec.check(random.Random(701), quotient_radius=6, samples=100).ok
+    assert sec.check(random.Random(701)).ok
     assert sec.member(BraidGroup(3).commutator(braid("1", 3), braid("2", 3)))
     assert not sec.member(braid("1", 3))
 
@@ -83,8 +83,9 @@ def test_extension_value_interval_off_subgroup():
 
 def test_defect_chain_within_doubled_bound():
     _, phi, result = make_product_extension()
-    assert result.defect_chain["D(phi_hat)<="] == 2 * Fraction(phi.defect_upper)
     report = defect_chain_check(result, radius=3)
+    assert report.phi_prime_bound == Fraction(phi.defect_upper)
+    assert report.phi_hat_bound == 2 * Fraction(phi.defect_upper)
     assert report.ok
 
 

@@ -8,7 +8,6 @@ import pytest
 from sclkit import scl
 from sclkit.braids import BraidGroup, braid
 from sclkit.groups import FreeGroup, ProductSearch
-from sclkit.norms import FragmentationNorm
 from sclkit.scl import (
     alpha_braid,
     braid_pure_pair,
@@ -89,25 +88,35 @@ def test_reach_matches_full_layers_on_pure_braids_and_a_product(checked_searches
 
 
 def test_fragmentation_norm_shared_search_matches_full_layers():
+    # moves: the conjugates of s1^2 and s1^-2 by the ball of radius 2,
+    # deduplicated by key in first-seen order
     b3 = BraidGroup(3)
-    nu = FragmentationNorm(
-        b3, [], subgroup_elements=[b3.parse("1,1"), b3.parse("-1,-1")],
-        conjugator_radius=2, cap=4,
-    )
-    conjugates = nu._conjugates
-    reference = ProductSearch(b3, [c for c, _, _ in conjugates])
+    conjugates = {}
+    for h in (b3.parse("1,1"), b3.parse("-1,-1")):
+        for g in b3.ball(2):
+            c = b3.conjugate(g, h)
+            conjugates.setdefault(b3.canonical(c), (c, g, h))
+    moves = [c for c, _, _ in conjugates.values()]
+    pairs = [(g, h) for _, g, h in conjugates.values()]
+    search = ProductSearch(b3, moves)
+    reference = ProductSearch(b3, moves)
     depths = []
     # depths go up and down, so the state one call leaves is used by the next
     for text in ("1,1,2,2", "", "1,1,2,2,1,1,2,2", "1,1", "1,1,2,2,1,1",
                  "1,1,2,2,1,1,2,2,1,1", "1,1,1,1"):
         f = b3.parse(text)
-        result = nu.value_with_witness(f)
-        path = full_layer_path(reference, f, nu.cap)
-        if path is None:
-            assert (result.value, result.exact, result.witness) == (nu.cap, False, None)
-        else:
-            assert result.value == len(path) and result.exact
-            assert result.witness == tuple(conjugates[idx][1:] for idx in path)
+        path = search.reach(f, 4)
+        assert path == full_layer_path(reference, f, 4)
+        if text == "1,1,2,2":
+            # pinned: the first product found for s1^2 s2^2 is the one kept
+            assert [[b3.text(g), b3.text(h)] for g, h in (pairs[i] for i in path)] == [
+                ["", "1,1"], ["-1,-2", "1,1"],
+            ]
+        if path is not None:
+            product = b3.identity
+            for idx in path:
+                product = b3.mul(product, moves[idx])
+            assert b3.eq(product, f)
         depths.append(None if path is None else len(path))
     assert depths == [2, 0, 4, 1, 3, None, 2]
 

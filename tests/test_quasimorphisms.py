@@ -261,8 +261,9 @@ def reference_defect_search(qm, radius, ctx):
     return best, witness, pairs
 
 
-def _same_as_reference(qm, radius, ctx):
-    res = defect_search(qm, radius, context=ctx)
+def _same_as_reference(qm, radius):
+    ctx = qm.context
+    res = defect_search(qm, radius)
     best, witness, pairs = reference_defect_search(qm, radius, ctx)
     assert (res.lower, res.pairs_checked) == (best, pairs)
     if witness is None:
@@ -276,7 +277,7 @@ def test_defect_search_matches_fraction_reference_on_free_groups():
     f2 = FreeGroup(2)
     for qm in (brooks(word("ab"), context=f2), brooks_homogenized(word("abAB"), context=f2)):
         for radius in range(7):
-            _same_as_reference(qm, radius, f2)
+            _same_as_reference(qm, radius)
 
 
 def test_defect_search_matches_reference_with_a_nontrivial_scale():
@@ -288,21 +289,21 @@ def test_defect_search_matches_reference_with_a_nontrivial_scale():
         lambda g: Fraction(count_copies(ab, g), 3) - Fraction(count_copies(ba, g), 4),
     )
     assert scaled_ball_values(f2, 5, qm)[1] == 12
-    res = _same_as_reference(qm, 5, f2)
+    res = _same_as_reference(qm, 5)
     assert res.lower.denominator > 1
 
 
 def test_defect_search_matches_reference_off_free_groups():
     prod = DirectProduct(FreeGroup(2), CyclicZ())
-    _same_as_reference(pullback(brooks(word("ab")), proj_left(prod)), 4, prod)
+    _same_as_reference(pullback(brooks(word("ab")), proj_left(prod)), 4)
     b3 = BraidGroup(3)
-    assert _same_as_reference(parse_qm("hom(indexsum)", group=b3), 4, b3).lower == 0
+    assert _same_as_reference(parse_qm("hom(indexsum)", group=b3), 4).lower == 0
     # a bounded function is a quasimorphism; it is read off the exact key,
     # so every word for one braid gets one value
     clamped = Quasimorphism(
         "clamped-corner", b3, lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3)
     )
-    assert _same_as_reference(clamped, 4, b3).lower > 0
+    assert _same_as_reference(clamped, 4).lower > 0
 
 
 def _cyclic_rate(pattern, core):

@@ -225,3 +225,24 @@ def test_product_element_needs_exactly_one_separator():
     for bad in ("(1,2,-1,-2,3)", "(1;2;3)", "1,2;3"):
         with pytest.raises(ValueError):
             ctx.parse(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("", "empty"), ("3\n0 1 2\n", "truncated"), ("2\n0 x\n1 0\n", "invalid literal"),
+     ("2\n0 1\n1 1\n", "inverse"), ("\xff", "bad multiplication table")],
+)
+def test_parse_group_turns_bad_table_files_into_spec_errors(tmp_path, text, message):
+    path = tmp_path / "bad.tbl"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(SpecError, match=message):
+        parse_group(f"table:{path}")
+
+
+def test_a_table_spec_is_never_split_at_a_slash(tmp_path):
+    path = tmp_path / "z2.tbl"
+    path.write_text("2\n0 1\n1 0\n")
+    pair = parse_group_pair(f"table:{path}")
+    assert pair.mode == "ordinary" and pair.name == f"table:{path}"
+    with pytest.raises(SpecError, match="no multiplication table file"):
+        parse_group_pair(f"table:{path}/left")

@@ -120,7 +120,7 @@ def test_commutator_and_exponent_sum():
     a, b = word("a", 2), word("b", 2)
     assert str(commutator(a, b)) == "abAB"
     assert commutator(a, b).exponent_sum() == 0
-    assert word("aab", 2).exponent_sum(1) == 2
+    assert word("aab", 2).exponent_sum() == 3
     assert word("aaB", 2).exponent_sum() == 1
 
 
