@@ -32,7 +32,9 @@ class ProductSearch:
     whose shortest product has exactly k moves.  ``frontier`` holds the
     elements of the last layer in discovery order, and a caller may reorder
     it before the next layer grows from it.  The first product found for an
-    element is the one kept, so the witness is deterministic.
+    element is the one kept, so the witness is deterministic.  ``grow``
+    stores whole layers; ``reach`` finds one target and looks the last two
+    layers it needs up instead of storing them.
     """
 
     def __init__(self, ctx: "GroupContext", moves: Sequence[Any]):
@@ -68,32 +70,58 @@ class ProductSearch:
         """Move indices of the shortest product equal to ``target`` with at
         most ``max_depth`` moves, or None.
 
-        The layer the target lies in is never stored: before layer k + 1
-        would grow, target * m^-1 is looked up in layer k for every move m.
-        The witness is the one ``grow`` would have recorded: the first hit
-        in ``frontier`` order, with the smallest move index for it.  So a
-        search exhausted at ``max_depth`` stores layers up to
-        ``max_depth - 1`` only.
+        The last two layers a query can need are looked up, never stored.
+        With layer k the last one stored, target * m1^-1 is looked up in
+        layer k for every move m1.  On a miss with k >= 1 and
+        k + 2 == max_depth, layer k + 1 is not grown either: b = target * m1^-1
+        lies in it exactly when some b * m2^-1 is in layer k.  The witness is
+        the one ``grow`` followed by the one-step lookup would give: the b
+        placed first in layer k + 1, that is the least (``frontier`` position
+        of b * m2^-1, m2's index), then the smallest m1 for it.  So a search
+        exhausted at ``max_depth`` stores layers up to ``max_depth - 2``
+        only, and layer 1 when ``max_depth`` is 2; layer 1 costs |moves|
+        products, which is less than the |moves|^2 of a two-step lookup.
+
+        >>> f2 = FreeGroup(2)
+        >>> search = ProductSearch(f2, [f2.parse(t) for t in ("a", "b", "A", "B")])
+        >>> search.reach(f2.parse("aaaa"), 3) is None
+        True
+        >>> search.depth
+        1
         """
         ctx, info = self.ctx, self.info
         key = ctx.canonical(target)
         if key in info:
             return self.path(key)
+        inverse_moves = self._inverse_moves
+        # the elements one move short of the target, target * m1^-1
+        befores = [ctx.mul(target, c_inv) for c_inv in inverse_moves]
+        before_keys = [ctx.canonical(b) for b in befores]
         while self.frontier and self.depth < max_depth:
-            # each a reached with a * m = target, and its first move index;
-            # the target is in no stored layer, so every such a is in the last
-            hits: dict[Hashable, int] = {}
-            for idx, c_inv in enumerate(self._inverse_moves):
-                a_key = ctx.canonical(ctx.mul(target, c_inv))
+            # each stored a one or two moves short of the target, with the
+            # least move indices from a to it; the target is in no stored
+            # layer, so every such a is in the last
+            hits: dict[Hashable, list[int]] = {}
+            for i1, a_key in enumerate(before_keys):
                 if a_key in info and a_key not in hits:
-                    hits[a_key] = idx
+                    hits[a_key] = [i1]
+            two_step = not hits and self.depth >= 1 and self.depth + 2 == max_depth
+            if two_step:
+                # a stored b would have been a hit, so b is in layer k + 1
+                # exactly when some a = b * m2^-1 is stored; m2 before m1 in
+                # the loops keeps the least (m2, m1) for each a
+                for i2, c_inv in enumerate(inverse_moves):
+                    for i1, b in enumerate(befores):
+                        a_key = ctx.canonical(ctx.mul(b, c_inv))
+                        if a_key in info and a_key not in hits:
+                            hits[a_key] = [i2, i1]
             if hits:
                 if len(hits) == 1:
                     a_key = next(iter(hits))
                 else:
                     a_key = next(k for k in map(ctx.canonical, self.frontier) if k in hits)
-                return self.path(a_key) + [hits[a_key]]
-            if self.depth + 1 >= max_depth:
+                return self.path(a_key) + hits[a_key]
+            if two_step or self.depth + 1 >= max_depth:
                 return None
             self.grow(max_depth=self.depth + 1)
         return None

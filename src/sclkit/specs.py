@@ -139,12 +139,14 @@ def parse_group_pair(text: str) -> GroupPair:
     A bare group spec means the ordinary pair (G, G); a ``/suffix`` selects
     one of the built-in normal subgroups.  No suffix applies to a table
     group, so a ``table:`` spec is never split and its path may hold ``/``.
+    A product may hold a table path too: its text after the last ``/`` is a
+    suffix only when it names one.
     """
     spec = text.strip()
     if spec.startswith("table:"):
         return ordinary_pair(parse_group(spec))
     base, slash, suffix = spec.rpartition("/")
-    if not slash:
+    if not slash or (suffix not in _PAIR_SUFFIXES and "table:" in spec):
         return ordinary_pair(parse_group(spec))
     if suffix not in _PAIR_SUFFIXES:
         raise SpecError(

@@ -201,8 +201,8 @@ def test_scl_bounds_checks_the_n_max_budget_before_the_flip_search(monkeypatch, 
 
 
 def test_exhausted_search_fits_in_256_mb():
-    # the search stores layers up to cap - 1 and looks the last one up;
-    # storing layer 3 of these 97 moves as well takes about 314 MB
+    # the search stores layer 1 only and looks the last two up; storing
+    # layer 3 of these 97 moves as well takes about 314 MB
     r = run_cli("scl-bounds", "--group", "free:2", "--word",
                 "bAbABABaBababABABababAbAABaBaabABBBabbaBAbaBAb", "--radius", "2",
                 "--cap", "3", "--format", "json", timeout=60, address_space=256 * 2**20)
@@ -211,6 +211,26 @@ def test_exhausted_search_fits_in_256_mb():
     assert doc["items"] == []
     assert doc["notes"] == [
         "no upper bound: not found within 3 factors at these radii (ball-relative)"
+    ]
+
+
+def test_searches_past_the_stored_layers_fit_in_256_mb():
+    # the last two layers are looked up: a cap-3 search stores layer 1 only,
+    # where storing layer 2 of these 1489 moves took about 830 MB
+    r = run_cli("scl-bounds", "--group", "free:2", "--word", "abABabABabAB", "--radius", "3",
+                "--cap", "3", "--format", "json", timeout=60, address_space=256 * 2**20)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["interval"] == ["0", "3"]
+    # exhausted at cap 4, layers up to 2 are stored; storing layer 3 of
+    # these 97 moves took about 310 MB
+    r = run_cli("scl-bounds", "--group", "free:2", "--word",
+                "bAbABABaBababABABababAbAABaBaabABBBabbaBAbaBAb", "--radius", "2",
+                "--cap", "4", "--format", "json", timeout=60, address_space=256 * 2**20)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["items"] == [] and doc["interval"] == ["0", None]
+    assert doc["notes"] == [
+        "no upper bound: not found within 4 factors at these radii (ball-relative)"
     ]
 
 
@@ -562,6 +582,21 @@ def test_a_table_group_at_an_absolute_path_certifies_and_verifies(tmp_path):
     assert doc["group_pair"] == f"table:{table}"
     assert doc["interval"] == ["0", "1/4"]
     assert _failed_steps(out) == (0, [])
+
+
+def test_a_product_with_an_absolute_table_path_certifies_and_verifies(tmp_path):
+    table = tmp_path / "dir" / "z2.tbl"
+    table.parent.mkdir()
+    table.write_text("2\n0 1\n1 0\n")
+    for group in (f"product:table:{table},z", f"product:table:{table},z/left"):
+        out = tmp_path / "product.json"
+        r = run_cli("scl-bounds", "--group", group, "--word", "(1;0)", "--radius", "1",
+                    "--cap", "1", "--n-max", "2", "--format", "json", "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        doc = json.loads(out.read_text())
+        assert doc["group_pair"] == group
+        assert doc["interval"] == ["0", "1/4"]
+        assert _failed_steps(out) == (0, [])
 
 
 @pytest.mark.parametrize(

@@ -15,15 +15,20 @@ from sclkit.scl import (
     ordinary_pair,
     product_left_pair,
 )
+from sclkit.specs import parse_group_pair
 
 
 def full_layer_path(search, target, max_depth):
     """The reference query: store whole layers until the target's layer is
-    in ``info`` or ``max_depth`` layers exist, then read its path."""
+    in ``info`` or ``max_depth`` layers exist, then read its path.  A shared
+    reference may hold deeper layers from an earlier query, so a path longer
+    than ``max_depth`` counts as None."""
     key = search.ctx.canonical(target)
     while key not in search.info and search.frontier and search.depth < max_depth:
         search.grow(max_depth=search.depth + 1)
-    return search.path(key) if key in search.info else None
+    if key in search.info and search.info[key][0] <= max_depth:
+        return search.path(key)
+    return None
 
 
 @pytest.fixture
@@ -121,12 +126,73 @@ def test_fragmentation_norm_shared_search_matches_full_layers():
     assert depths == [2, 0, 4, 1, 3, None, 2]
 
 
-def test_exhaustive_reach_stores_one_layer_less_than_its_cap():
+def commutator_moves(pair, ambient_radius, subgroup_radius):
+    """The commutators [g^, g] of the two balls, deduplicated by key in
+    first-seen order."""
+    ctx = pair.ambient
+    moves = {}
+    for ghat in ctx.ball(ambient_radius):
+        for g in pair.subgroup_ball(subgroup_radius):
+            c = ctx.commutator(ghat, g)
+            moves.setdefault(ctx.canonical(c), c)
+    return list(moves.values())
+
+
+def lowest_last_move_differs(reference, target, path):
+    """Whether a move below the last one on ``path`` also takes an element
+    of the layer before the target's to the target.  That element is then a
+    second candidate, placed later in its layer, and a witness ending in
+    the lowest such move would differ from ``path``."""
+    ctx = reference.ctx
+    last_moves = [
+        i1 for i1, c in enumerate(reference.moves)
+        if reference.info.get(ctx.canonical(ctx.mul(target, ctx.inv(c))), (None,))[0]
+        == len(path) - 1
+    ]
+    return min(last_moves) != path[-1]
+
+
+@pytest.mark.parametrize(
+    "spec, radii, caps",
+    [("free:2", (1, 1), (3, 4)), ("braid:3/pure", (1, 1), (3, 4)),
+     ("product:free:2,z/left", (1, 1), (3, 4)), ("braid:3/pure", (2, 1), (3,))],
+    ids=["free:2", "braid:3/pure", "product:free:2,z/left", "braid:3/pure-radius-2"],
+)
+def test_reach_matches_full_layers_at_the_last_two_layers(spec, radii, caps):
+    pair = parse_group_pair(spec)
+    ctx = pair.ambient
+    moves = commutator_moves(pair, *radii)
+    reference = ProductSearch(ctx, moves)
+    rng = random.Random(11)
+    outcomes = set()
+    for cap in caps:
+        for _ in range(60):
+            # products of cap - 1, cap and cap + 1 moves: hits before the
+            # last layer, in it, and misses
+            target = ctx.identity
+            for _ in range(rng.choice((cap - 1, cap, cap, cap + 1))):
+                target = ctx.mul(target, rng.choice(moves))
+            path = ProductSearch(ctx, moves).reach(target, cap)
+            assert path == full_layer_path(reference, target, cap)
+            if path is None:
+                outcomes.add("miss")
+            elif len(path) == cap:
+                outcomes.add("last layer")
+                if lowest_last_move_differs(reference, target, path):
+                    outcomes.add("not the lowest last move")
+    assert {"miss", "last layer"} <= outcomes
+    if radii == (2, 1):
+        assert "not the lowest last move" in outcomes
+
+
+def test_exhaustive_reach_stores_two_layers_less_than_its_cap():
     f2 = FreeGroup(2)
-    search = ProductSearch(f2, [f2.parse(t) for t in ("a", "b", "A", "B")])
-    assert search.reach(f2.parse("aaaa"), 3) is None
-    assert search.depth == 2
-    assert max(depth for depth, _, _ in search.info.values()) == 2
-    # a hit in the last layer is looked up, not stored
-    assert search.reach(f2.parse("aab"), 3) == [0, 0, 1]
-    assert search.depth == 2
+    moves = [f2.parse(t) for t in ("a", "b", "A", "B")]
+    for cap, miss, hit, path in ((3, "aaaa", "aab", [0, 0, 1]), (4, "aaaaa", "aabb", [0, 0, 1, 1])):
+        search = ProductSearch(f2, moves)
+        assert search.reach(f2.parse(miss), cap) is None
+        assert search.depth == cap - 2
+        assert max(depth for depth, _, _ in search.info.values()) == cap - 2
+        # a hit in the last layer is looked up, not stored
+        assert search.reach(f2.parse(hit), cap) == path
+        assert search.depth == cap - 2

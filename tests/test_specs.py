@@ -246,3 +246,17 @@ def test_a_table_spec_is_never_split_at_a_slash(tmp_path):
     assert pair.mode == "ordinary" and pair.name == f"table:{path}"
     with pytest.raises(SpecError, match="no multiplication table file"):
         parse_group_pair(f"table:{path}/left")
+
+
+def test_a_product_with_an_absolute_table_path_is_split_only_at_a_pair_suffix(tmp_path):
+    path = tmp_path / "dir" / "z2.tbl"
+    path.parent.mkdir()
+    path.write_text("2\n0 1\n1 0\n")
+    spec = f"product:table:{path},z"
+    pair = parse_group_pair(spec)
+    assert pair.mode == "ordinary" and pair.name == spec
+    assert isinstance(pair.ambient, DirectProduct)
+    left = parse_group_pair(f"{spec}/left")
+    assert left.mode == "mixed" and left.name == f"{spec}/left"
+    with pytest.raises(SpecError, match="unknown pair suffix 'leftt'"):
+        parse_group_pair("product:free:2,z/leftt")
