@@ -5,8 +5,8 @@ elementary crossing).  On four or more strands equality is decided through
 the left-greedy normal form ``D^k p_1 ... p_l``: a power of the half twist
 followed by a left-weighted sequence of permutation braids, each recorded as
 the permutation it induces on strand positions.  On three strands it is
-decided by the integer key ``b3_key`` (below); the normal form still orders
-the 3-strand ball and is the independent oracle for the key.
+decided by the integer key ``b3_key`` (below), and the normal form is the
+independent oracle for the key.
 
 Conventions.  Permutations are 0-indexed image tuples acting on positions;
 composition ``compose(p, q)`` applies p first.  A braid word maps to the
@@ -347,7 +347,8 @@ class BraidGroup(GroupContext):
     """Braid group context.
 
     Canonical keys are ``b3_key`` for 3-strand words and the Garside normal
-    form otherwise; ``sort_key`` orders every ball by the normal form.
+    form otherwise.  Balls come in breadth-first discovery order, so on 3
+    strands no normal form is computed.
     """
 
     def __init__(self, n: int):
@@ -378,15 +379,8 @@ class BraidGroup(GroupContext):
     def parse(self, s: str) -> BraidWord:
         return braid(s, self.n)
 
-    def braid(self, s: str) -> BraidWord:
-        return self.parse(s)
-
     def generators(self) -> list[BraidWord]:
         return [BraidWord(self.n, (i,)) for i in range(1, self.n)]
-
-    def sort_key(self, a: BraidWord):
-        nf = cached_normal_form(a)
-        return (nf.delta_power, nf.factors)
 
     def sample(self, rng, size: int) -> BraidWord:
         letters = []

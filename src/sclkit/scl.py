@@ -222,7 +222,7 @@ def mixed_cl_search(
     The found count is exact for the enumerated generating data and a sound
     upper bound for the true mixed commutator length; a miss is reported as
     ball-relative only.  Witness choice is deterministic: breadth-first,
-    factors in canonical order.
+    with the moves in the order the balls first give each commutator.
     """
     ctx = pair.ambient
     scope = (
@@ -241,12 +241,8 @@ def mixed_cl_search(
             key = ctx.canonical(c)
             if key not in commutators:
                 commutators[key] = (c, (ghat, g))
-    if isinstance(ctx, BraidGroup):
-        # braid moves keep the order of their normal forms, not of the equality key
-        moves = sorted(commutators.items(), key=lambda kv: repr(ctx.sort_key(kv[1][0])))
-    else:
-        moves = sorted(commutators.items(), key=lambda kv: repr(kv[0]))
-    path = ProductSearch(ctx, [c for _, (c, _) in moves]).reach(target, max_factors)
+    moves = list(commutators.values())
+    path = ProductSearch(ctx, [c for c, _ in moves]).reach(target, max_factors)
     if path is None:
         return ClSearchResult(
             None,
@@ -255,7 +251,7 @@ def mixed_cl_search(
             scope,
             len(moves),
         )
-    factors = tuple(moves[idx][1][1] for idx in path)
+    factors = tuple(moves[idx][1] for idx in path)
     decomposition = MixedCommutatorDecomposition(pair, target, factors)
     report = verify_decomposition(decomposition)
     if not report:

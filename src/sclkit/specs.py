@@ -61,6 +61,12 @@ MAX_FREE_RANK = 26
 # perm:3000 7.0 s and 767 MB, perm:10000 a MemoryError under a 2 GB limit.
 MAX_PERM_DEGREE = 1000
 
+# Deepest nesting of products a group spec may name.  Products nest through
+# their left factor only, and parsing, every group operation and every element
+# text recurse once per level, so a spec 1000 deep ends in a RecursionError.
+# The paper's pairs nest two deep.
+MAX_PRODUCT_DEPTH = 16
+
 
 def _count(rest: str) -> int | None:
     """The number a spec writes in ASCII digits, or None.  Nine digits are
@@ -115,6 +121,13 @@ def parse_group(text: str) -> GroupContext:
             )
         return SymmetricGroup(count)
     if head == "product":
+        depth, inner = 0, spec
+        while inner.startswith("product:"):
+            depth, inner = depth + 1, inner[len("product:"):].lstrip()
+        if depth > MAX_PRODUCT_DEPTH:
+            raise SpecError(
+                f"product specs nest at most {MAX_PRODUCT_DEPTH} deep, found {depth}"
+            )
         left_text, comma, right_text = rest.rpartition(",")
         if not comma:
             raise SpecError(f"product spec needs two comma-separated factors: {text!r}")
@@ -309,11 +322,11 @@ class _QmParser:
             if self.group is not None and self.group.name != "braid:3":
                 raise SpecError(f"pr1 is the pure-braid projection on braid:3, not {self.group.name}")
             return pr1()
-        if name in ("proj-left", "proj_left", "proj-right", "proj_right"):
+        if name in ("proj-left", "proj-right"):
             if not isinstance(self.group, DirectProduct):
                 raise SpecError(f"{name} needs a product group, got "
                                 f"{self.group.name if self.group is not None else 'none'}")
-            return proj_left(self.group) if "left" in name else proj_right(self.group)
+            return proj_left(self.group) if name == "proj-left" else proj_right(self.group)
         raise self.fail(f"unknown map {name!r}")
 
 

@@ -140,9 +140,9 @@ def _fail(detail: str):
 
 def _item_counting(rng, shared):
     f2 = FreeGroup.on("xy")
-    w = f2.word("xyXY")
+    w = f2.parse("xyXY")
     wbar = ~w
-    t = f2.commutator(f2.word("x"), f2.word("y"))
+    t = f2.commutator(f2.parse("x"), f2.parse("y"))
     for n in range(1, 65):
         tn = t**n
         if count_copies(w, tn) != n:
@@ -203,7 +203,7 @@ def _item_mixed_upper(rng, shared):
 
 def _item_duality_lower(rng, shared):
     f2 = FreeGroup.on("xy")
-    w = f2.word("xyXY")
+    w = f2.parse("xyXY")
     qm_free = brooks_homogenized(w, context=f2)
     qm = pullback(qm_free, pr1())
     alpha = alpha_braid()
@@ -227,7 +227,7 @@ def _item_duality_lower(rng, shared):
             return _fail("additivity gap differs between the braid and free sides")
 
     inv = invariance_check(
-        qm_free, conjugators=f2.ball(2), targets=[w, f2.word("xy"), f2.word("xYx")]
+        qm_free, conjugators=f2.ball(2), targets=[w, f2.parse("xy"), f2.parse("xYx")]
     )
     if not inv.ok:
         return _fail("free-side invariance sample found a violation")
@@ -253,7 +253,7 @@ def _item_power_commutator(rng, shared):
     # disjoint commuting supports need the coordinate swap; inside a plain
     # product the hypothesis only holds degenerately
     sw = SwapProduct(FreeGroup(2))
-    a = FreeGroup(2).word("a")
+    a = FreeGroup(2).parse("a")
     e = FreeGroup(2).identity
     f = ((a, e), 0)
     g = ((e, e), 1)
@@ -264,8 +264,8 @@ def _item_power_commutator(rng, shared):
             return _fail(f"swap model n={n}: {report.detail}")
 
     dp = DirectProduct(FreeGroup(2), FreeGroup(2))
-    fd = (dp.left.word("ab"), dp.right.identity)
-    gd = (dp.left.identity, dp.right.word("ba"))
+    fd = (dp.left.parse("ab"), dp.right.identity)
+    gd = (dp.left.identity, dp.right.parse("ba"))
     for n in (1, 5, 32):
         d = power_commutator(dp, fd, gd, n)
         if not verify_decomposition(d):
@@ -283,7 +283,7 @@ def _item_power_commutator(rng, shared):
     rejected = 0
     for pair in (("a", "b"), ("ab", "ba"), ("aab", "abb")):
         try:
-            power_commutator(f2, f2.word(pair[0]), f2.word(pair[1]), 2)
+            power_commutator(f2, f2.parse(pair[0]), f2.parse(pair[1]), 2)
         except PreconditionError:
             rejected += 1
     if rejected != 3:
@@ -296,7 +296,7 @@ def _item_power_commutator(rng, shared):
 
 def _item_packing(rng, shared):
     ctx = FreeGroup(2)
-    trials = [(ctx.word("a"), ctx.word("b"))]
+    trials = [(ctx.parse("a"), ctx.parse("b"))]
     while len(trials) < 20:
         x = Word(2, random_reduced(rng, 2, rng.randrange(0, 5)))
         y = Word(2, random_reduced(rng, 2, rng.randrange(0, 5)))
@@ -319,7 +319,7 @@ def _item_packing(rng, shared):
 def _item_extension(rng, shared):
     left = FreeGroup(2)
     sec = central_z_section(left)
-    phi = pullback(brooks_homogenized(left.word("abAB"), context=left), proj_left(sec.ambient))
+    phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.ambient))
     screp = sec.check(rng)
     if not screp.ok:
         return _fail(f"product section: {screp.failures[0]}")

@@ -324,9 +324,10 @@ def test_braid_group_context_round_trip():
     assert ctx.is_identity(ctx.mul(braid("1", 3), braid("-1", 3)))
     assert len(ctx.ball(0)) == 1
     assert len(ctx.ball(1)) == 5
-    # ball order and representative words are deterministic
+    # ball order and representative words are deterministic: breadth-first
+    # discovery order, generators before inverses, no sort
     assert [ctx.text(g) for g in ctx.ball(3)[:12]] == [
-        "", "-2", "-1", "2", "1", "-1,-1", "-2,-2", "-2,-1", "1,-2", "-1,-2", "2,-1", "-2,1",
+        "", "1", "2", "-1", "-2", "1,1", "1,2", "1,-2", "2,1", "2,2", "2,-1", "-1,2",
     ]
 
 

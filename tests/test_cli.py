@@ -1,18 +1,19 @@
 """End-to-end CLI contract: exit codes, determinism, fresh-process verify."""
 
 import json
+import os
 import resource
 import subprocess
 import sys
 
 import pytest
 
-from sclkit import cli
+from sclkit import braids, cli
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
 
-def run_cli(*args, timeout=240, address_space=None):
+def run_cli(*args, timeout=240, address_space=None, env=None):
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
@@ -22,6 +23,7 @@ def run_cli(*args, timeout=240, address_space=None):
         text=True,
         timeout=timeout,
         preexec_fn=limit if address_space is not None else None,
+        env=None if env is None else {**os.environ, **env},
     )
 
 
@@ -534,7 +536,7 @@ def test_human_format_scl_bounds_mentions_interval():
     assert "interval" in r.stdout
 
 
-def _table_item(group_pair):
+def _item_at_0(group_pair):
     return {
         "kind": "scl-upper-decomposition",
         "target": "0",
@@ -546,6 +548,75 @@ def _table_item(group_pair):
         "verified": True,
         "note": "",
     }
+
+
+def test_product_specs_nested_past_the_cap_are_refused_without_a_traceback(tmp_path):
+    # 1000 levels used to end in a RecursionError traceback with exit 1
+    nested = "product:" * 1000 + "z" + ",z" * 1000
+    for args in (("eval", "--group", nested, "--qm", "zero", "--word", "0"),
+                 ("scl-bounds", "--group", nested, "--word", "0")):
+        r = run_cli(*args, timeout=30)
+        assert r.returncode == 2, r.stderr
+        assert "nest at most" in r.stderr and "Traceback" not in r.stderr
+        assert r.stdout == ""
+    cert = tmp_path / "nested.json"
+    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [_item_at_0(nested)]}))
+    r = run_cli("verify", str(cert), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    report = json.loads(r.stdout)
+    assert report["items"][0]["failed_step"] == "group pair"
+    assert "nest at most" in report["items"][0]["detail"]
+
+
+def test_projections_have_no_underscore_spelling(capsys):
+    for name in ("proj_left", "proj_right"):
+        code = cli.main(["eval", "--group", "product:free:2,z", "--qm",
+                         f"pullback(zero, {name})", "--word", "(a;0)"])
+        assert code == 2
+        assert "unknown map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "4"],
+        ["--group", "braid:3/pure-ordinary", "--qm", "pullback(homog(brooks(w=xyXY)), pr1)",
+         "--braid", ALPHA, "--radius", "2", "--cap", "1"],
+        ["--group", "braid:3/comm", "--braid", "1,-2", "--radius", "2", "--cap", "2"],
+    ],
+    ids=["pure", "pure-ordinary", "comm"],
+)
+def test_scl_bounds_on_three_strands_computes_no_normal_form(argv, monkeypatch, capsys):
+    # equality on 3 strands is b3_key and balls come in discovery order; the
+    # cache is cleared so that every normal form asked for is computed
+    computed = []
+    normal_form = braids.normal_form
+    monkeypatch.setattr(braids, "normal_form", lambda b: computed.append(b) or normal_form(b))
+    braids.cached_normal_form.cache_clear()
+    assert cli.main(["scl-bounds", *argv, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["items"]
+    assert computed == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("--group", "braid:3/pure-ordinary", "--braid", ALPHA, "--radius", "2", "--cap", "2"),
+        ("--group", "perm:4", "--word", "2,3,1,4", "--radius", "2", "--cap", "2",
+         "--n-max", "2"),
+    ],
+    ids=["braid:3/pure-ordinary", "perm:4"],
+)
+def test_scl_bounds_output_does_not_depend_on_the_hash_seed(args):
+    # balls and move lists come in breadth-first discovery order, with no
+    # sort and no set iterated, so string hashing cannot reorder a witness
+    outputs = []
+    for seed in ("0", "12345"):
+        r = run_cli("scl-bounds", *args, "--format", "json", env={"PYTHONHASHSEED": seed})
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_table_files_are_refused_at_the_group_pair(tmp_path):
@@ -562,7 +633,7 @@ def test_malformed_table_files_are_refused_at_the_group_pair(tmp_path):
         assert r.stdout == ""
         cert = tmp_path / f"{table.stem}.json"
         cert.write_text(json.dumps({"format": "scl-certificates/1",
-                                    "items": [_table_item(group)]}))
+                                    "items": [_item_at_0(group)]}))
         r = run_cli("verify", str(cert), "--format", "json")
         assert r.returncode == 1, r.stderr
         report = json.loads(r.stdout)

@@ -141,14 +141,14 @@ def test_defect_chain_matches_fraction_reference_on_the_suite_legs():
     # the two legs of the section-extension suite item, at its radius
     left = FreeGroup(2)
     sec = central_z_section(left)
-    phi = pullback(brooks_homogenized(left.word("abAB"), context=left), proj_left(sec.ambient))
+    phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.ambient))
     product_leg = extend_via_section(phi, sec, n_max=64)
     braid_leg = extend_via_section(zero_qm(BraidGroup(3)), braid_abelianization_section(3), n_max=16)
     for result in (product_leg, braid_leg):
         for radius in (0, 2, 4):
             assert defect_chain_check(result, radius) == reference_defect_chain(result, radius)
     # off the subgroup the radius D/64 has a denominator, so the scale is not 1
-    assert product_leg.value((left.word("a"), 1)).radius.denominator > 1
+    assert product_leg.value((left.parse("a"), 1)).radius.denominator > 1
     assert defect_chain_check(product_leg, 4).phi_hat_searched > 0
 
 

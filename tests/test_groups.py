@@ -20,6 +20,7 @@ from sclkit.groups import (
     proj_left,
     proj_right,
 )
+from sclkit.specs import parse_group
 
 
 def check_axioms(ctx, rng, samples=200, size=6):
@@ -185,3 +186,29 @@ def test_ball_is_monotone_and_deduplicated():
     assert set(f2.canonical(g) for g in f2.ball(1)) <= set(
         f2.canonical(g) for g in b2
     )
+
+
+def formula_sphere(ctx, k):
+    """The sphere formulas the breadth-first ball replaced: {0} and {-k, k}
+    on z, and on a product the pairs of factor spheres by total length."""
+    if isinstance(ctx, CyclicZ):
+        return [0] if k == 0 else [-k, k]
+    if isinstance(ctx, DirectProduct):
+        return [
+            (a, b)
+            for i in range(k + 1)
+            for a in formula_sphere(ctx.left, i)
+            for b in formula_sphere(ctx.right, k - i)
+        ]
+    return ctx.sphere(k)
+
+
+@pytest.mark.parametrize(
+    "spec", ["z", "product:free:2,z", "product:free:xy,z", "product:product:free:2,z,z"]
+)
+def test_breadth_first_spheres_match_the_product_formula(spec):
+    ctx = parse_group(spec)
+    for k in range(5):
+        sphere = [ctx.canonical(g) for g in ctx.sphere(k)]
+        assert len(set(sphere)) == len(sphere)
+        assert set(sphere) == {ctx.canonical(g) for g in formula_sphere(ctx, k)}

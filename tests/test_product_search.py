@@ -113,9 +113,10 @@ def test_fragmentation_norm_shared_search_matches_full_layers():
         path = search.reach(f, 4)
         assert path == full_layer_path(reference, f, 4)
         if text == "1,1,2,2":
-            # pinned: the first product found for s1^2 s2^2 is the one kept
+            # pinned: the first product found for s1^2 s2^2 is the one kept;
+            # the ball comes in discovery order, so its conjugator is 1,2
             assert [[b3.text(g), b3.text(h)] for g, h in (pairs[i] for i in path)] == [
-                ["", "1,1"], ["-1,-2", "1,1"],
+                ["", "1,1"], ["1,2", "1,1"],
             ]
         if path is not None:
             product = b3.identity

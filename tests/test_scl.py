@@ -163,7 +163,8 @@ def test_mixed_cl_search_multi_factor():
     assert res.count == 2
     assert len(res.decomposition.factors) == 2
     assert verify_decomposition(res.decomposition).ok
-    # the witness choice on free:2 is deterministic: first found, moves in key order
+    # the witness choice on free:2 is deterministic: first found, moves in
+    # the order the balls first give them
     f2 = FreeGroup(2)
     for target, factors in [
         ("aabAAB", [["aa", "b"]]),
@@ -177,9 +178,10 @@ def test_mixed_cl_search_multi_factor():
         assert res.commutators_used == 97
 
 
-def test_mixed_cl_search_braid_witness_keeps_normal_form_move_order():
-    # braid moves are ordered by their normal forms, not by the equality key;
-    # sorting by the key's repr picks ["1", "2,2,2,2"] as the first factor
+def test_mixed_cl_search_braid_witness_in_discovery_order():
+    # braid moves come in the order the balls first give them, with no sort;
+    # sorting them by the repr of the equality key would pick ["1", "2,2,2,2"]
+    # as the first factor
     target = braid("1,2,2,-1,-2,-2,1,2,2,-1,-2,-2", 3)
     res = mixed_cl_search(
         braid_pure_pair(), target, ambient_radius=2, subgroup_radius=2, max_factors=2

@@ -13,6 +13,7 @@ from sclkit.specs import (
     MAX_BRAID_STRANDS,
     MAX_FREE_RANK,
     MAX_PERM_DEGREE,
+    MAX_PRODUCT_DEPTH,
     SpecError,
     parse_group,
     parse_group_pair,
@@ -97,6 +98,19 @@ def test_free_rank_and_permutation_degree_are_capped():
             parse_group(bad)
     with pytest.raises(SpecError, match="degree"):
         parse_group_pair("product:perm:100000000,z")
+
+
+def test_product_nesting_is_capped():
+    def nested(depth, sep=""):
+        return f"product:{sep}" * depth + "free:2" + ",z" * depth
+
+    assert parse_group(nested(MAX_PRODUCT_DEPTH)).name == nested(MAX_PRODUCT_DEPTH)
+    # a spec 1000 deep used to end in a RecursionError
+    for bad in (nested(MAX_PRODUCT_DEPTH + 1), nested(1000), nested(1000, " ")):
+        with pytest.raises(SpecError, match="nest"):
+            parse_group(bad)
+        with pytest.raises(SpecError, match="nest"):
+            parse_group_pair(bad + "/left")
 
 
 def test_parse_group_pair_modes():
@@ -186,10 +200,13 @@ def test_parse_qm_error_positions():
 
 
 def test_parse_qm_round_trips_with_printed_names():
+    product = parse_group("product:free:2,z")
     for qm in [
         parse_qm("brooks(w=abAB)"),
         parse_qm("homog(brooks(w=xyXY))"),
         parse_qm("pullback(homog(brooks(w=xyXY)), pr1)"),
+        parse_qm("pullback(homog(brooks(w=abAB)), proj-left)", group=product),
+        parse_qm("pullback(zero, proj-right)", group=product),
     ]:
         again = parse_qm(qm.name, group=qm.context)
         assert again.name == qm.name
