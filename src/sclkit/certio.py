@@ -15,7 +15,7 @@ import os
 import tempfile
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import specs
 from .scl import (
@@ -26,8 +26,6 @@ from .scl import (
 )
 
 FORMAT = "scl-certificates/1"
-
-_KINDS = ("scl-upper-decomposition", "scl-lower-bavard")
 
 _PAYLOAD_FIELDS = {
     "kind": str,
@@ -101,7 +99,9 @@ def load_document(path: str | Path) -> dict:
         raise CertificateError("schema: empty certificate file")
     try:
         doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past the interpreter's
+        # limit on digits
         raise CertificateError(f"schema: not valid JSON ({exc})") from exc
     except RecursionError as exc:
         raise CertificateError("schema: JSON nested too deeply") from exc
@@ -131,7 +131,8 @@ def _fraction(text: Any, step: str, label: str) -> Fraction:
         raise _fail(step, f"{label} {text!r} is not a rational number") from exc
 
 
-def _checked_payload(payload: Any) -> dict:
+def _checked_payload(payload: Any) -> Callable:
+    """Check the envelope fields of one item; return its kind's checker."""
     if not isinstance(payload, dict):
         raise _fail("schema", "certificate item is not an object")
     for key, typ in _PAYLOAD_FIELDS.items():
@@ -139,22 +140,21 @@ def _checked_payload(payload: Any) -> dict:
             raise _fail("schema", f"missing field {key!r}")
         if not isinstance(payload[key], typ):
             raise _fail("schema", f"field {key!r} must be {typ.__name__}")
-    if payload["kind"] not in _KINDS:
+    if payload["kind"] not in KINDS:
         raise _fail("schema", f"unknown certificate kind {payload['kind']!r}")
-    if payload["direction"] not in ("lower", "upper"):
-        raise _fail("schema", f"direction must be lower or upper, got {payload['direction']!r}")
-    wanted = "upper" if payload["kind"] == "scl-upper-decomposition" else "lower"
-    if payload["direction"] != wanted:
-        raise _fail("schema", f"kind {payload['kind']} must have direction {wanted}")
+    direction, check = KINDS[payload["kind"]]
+    if payload["direction"] != direction:
+        raise _fail("schema", f"kind {payload['kind']} must have direction {direction}")
     if payload["verified"] is not True:
         raise _fail("schema", "certificate is not marked as verified")
-    return payload
+    return check
 
 
 def _check_upper(payload: dict, pair, target) -> None:
     witness = payload["witness"]
     power = witness.get("power")
-    if not isinstance(power, int) or power < 1:
+    # bool is a subclass of int, and true would verify as power 1
+    if type(power) is not int or power < 1:
         raise _fail("witness", "power must be a positive integer")
     factors_raw = witness.get("factors")
     if not isinstance(factors_raw, list) or any(
@@ -250,10 +250,17 @@ def _check_lower(payload: dict, pair, target) -> None:
         )
 
 
+# kind -> (direction, checker of the witness against the parsed pair and target)
+KINDS: dict[str, tuple[str, Callable]] = {
+    "scl-upper-decomposition": ("upper", _check_upper),
+    "scl-lower-bavard": ("lower", _check_lower),
+}
+
+
 def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
     """Re-check one certificate object: (ok, failed step, detail)."""
     try:
-        payload = _checked_payload(payload)
+        check = _checked_payload(payload)
         try:
             pair = specs.parse_group_pair(payload["group_pair"])
         except specs.SpecError as exc:
@@ -268,10 +275,7 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
                 "target membership",
                 f"target {payload['target']} is outside the subgroup of {pair.name}",
             )
-        if payload["kind"] == "scl-upper-decomposition":
-            _check_upper(payload, pair, target)
-        else:
-            _check_lower(payload, pair, target)
+        check(payload, pair, target)
     except _StepFailure as failure:
         return False, failure.step, failure.detail
     return True, None, "recomputed and confirmed"

@@ -139,9 +139,7 @@ def _flip_search(pair, g, radius: int):
     ctx = pair.ambient
     g_inv = ctx.inv(g)
     for h in ctx.ball(radius):
-        if pair.mode == "ordinary" and not pair.is_member(h):
-            continue
-        if ctx.eq(ctx.conjugate(h, g), g_inv):
+        if pair.admits_conjugator(h) and ctx.eq(ctx.conjugate(h, g), g_inv):
             return h
     return None
 
@@ -198,10 +196,11 @@ def cmd_scl_bounds(args) -> int:
         else:
             certs.append(bavard_lower(g, qm, pair))
 
-    lowers = [c.bound for c in certs if c.direction == "lower"]
-    uppers = [c.bound for c in certs if c.direction == "upper"]
-    lower = max(lowers) if lowers else Fraction(0)
-    upper = min(uppers) if uppers else None
+    lowers = [c for c in certs if c.direction == "lower"]
+    uppers = [c for c in certs if c.direction == "upper"]
+    lower = max((c.bound for c in lowers), default=Fraction(0))
+    best = min(uppers, key=lambda c: c.bound, default=None)
+    upper = None if best is None else best.bound
     if upper is not None and lower > upper:
         print(
             f"error: certified interval is empty (lower {lower} > upper {upper}); "
@@ -226,13 +225,10 @@ def cmd_scl_bounds(args) -> int:
     rows = [["direction", "bound", "kind", "power", "note"]]
     for c in certs:
         rows.append([c.direction, str(c.bound), c.kind, str(c.power), c.note])
-    if uppers:
-        best = min(certs, key=lambda c: c.bound if c.direction == "upper" else Fraction(10**9))
-        lines.append(f"  upper {upper}  ({len([c for c in certs if c.direction == 'upper'])} "
-                     f"certificates, best at power {best.power})")
-    for c in certs:
-        if c.direction == "lower":
-            lines.append(f"  lower {c.bound}  (defect {c.witness['defect_upper']} via {c.witness['qm']})")
+    if best is not None:
+        lines.append(f"  upper {upper}  ({len(uppers)} certificates, best at power {best.power})")
+    for c in lowers:
+        lines.append(f"  lower {c.bound}  (defect {c.witness['defect_upper']} via {c.witness['qm']})")
     for note in notes:
         lines.append(f"  note: {note}")
     lines.append(f"  interval [{lower}, {upper if upper is not None else 'unbounded'}]")

@@ -20,10 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .braids import BraidGroup, index_section, index_sum
-from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, scaled_ball_values, sphere_pairs
+from .braids import index_section, index_sum
+from .groups import GroupContext, scaled_ball_values, sphere_pairs
 from .norms import PreconditionError
 from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
+from .scl import GroupPair, braid_commutator_pair, product_left_pair
 
 
 # SectionData.check tests the section on the quotient ball of this radius and
@@ -33,27 +34,26 @@ SECTION_CHECK_SAMPLES = 200
 
 
 class SectionData:
-    """A homomorphic section of the projection onto an integer quotient."""
+    """A homomorphic section of the projection of a pair's ambient group
+    onto the integer quotient by its normal subgroup."""
 
     def __init__(
         self,
-        ambient: GroupContext,
+        pair: GroupPair,
         project: Callable[[Any], int],
         section: Callable[[int], Any],
-        member: Callable[[Any], bool],
         name: str,
     ) -> None:
-        self.ambient = ambient
+        self.pair = pair
         self.project = project
         self.section = section
-        self.member = member
         self.name = name
 
     def check(self, rng) -> "SectionReport":
         """Verify pi o s = id on the quotient ball of radius
         SECTION_CHECK_RADIUS, s(0) = identity, and multiplicativity of both
         maps on SECTION_CHECK_SAMPLES sampled pairs each."""
-        ctx = self.ambient
+        ctx = self.pair.ambient
         radius = SECTION_CHECK_RADIUS
         failures: list[str] = []
         if not ctx.is_identity(self.section(0)):
@@ -90,13 +90,12 @@ class SectionReport:
 
 def central_z_section(inner: GroupContext | None = None) -> SectionData:
     """Section k -> (1, k) of the projection (w, k) -> k on G x Z."""
-    left = inner if inner is not None else FreeGroup(2)
-    ctx = DirectProduct(left, CyclicZ())
+    pair = product_left_pair(inner)
+    ctx = pair.ambient
     return SectionData(
-        ambient=ctx,
+        pair=pair,
         project=lambda p: p[1],
-        section=lambda k: (left.identity, k),
-        member=lambda p: p[1] == 0,
+        section=lambda k: (ctx.left.identity, k),
         name=f"section(quotient=Z, map=z^k) on {ctx.name}",
     )
 
@@ -104,12 +103,10 @@ def central_z_section(inner: GroupContext | None = None) -> SectionData:
 def braid_abelianization_section(n: int = 3) -> SectionData:
     """Section k -> s1^k of the index-sum projection on the braid group;
     the kernel is the commutator subgroup."""
-    ctx = BraidGroup(n)
     return SectionData(
-        ambient=ctx,
+        pair=braid_commutator_pair(n),
         project=index_sum,
         section=lambda k: index_section(k, n),
-        member=lambda b: index_sum(b) == 0,
         name=f"section(quotient=Z, map=s1^k) on braid:{n}",
     )
 
@@ -140,7 +137,7 @@ class ExtensionResult:
         through the original phi directly, so a broken section or transport
         cannot hide behind a shortcut.
         """
-        if self.section.member(ghat):
+        if self.section.pair.is_member(ghat):
             return CertifiedValue(self.phi_prime(ghat), Fraction(0))
         return homogenize(self.phi_prime, ghat, self.n_max)
 
@@ -160,12 +157,12 @@ def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int = 64)
         raise ValueError("extension needs a quasimorphism invariant under ambient conjugation")
     if qm.defect_upper is None:
         raise ValueError("refusing to extend without a certified defect bound")
-    ctx = section.ambient
+    ctx = section.pair.ambient
 
     def phi_prime_eval(ghat) -> Fraction:
         q = section.section(section.project(ghat))
         bar = ctx.mul(ctx.inv(q), ghat)
-        if not section.member(bar):
+        if not section.pair.is_member(bar):
             raise PreconditionError(
                 f"section inconsistency: {ctx.text(bar)} failed the membership test"
             )
@@ -214,11 +211,11 @@ def restriction_check(
     side goes through the section transport, so any inconsistency between
     the two paths surfaces as a mismatch.
     """
-    ctx = result.section.ambient
+    ctx = result.section.pair.ambient
     mismatches: list[str] = []
     checked = 0
     for g in elements:
-        if not result.section.member(g):
+        if not result.section.pair.is_member(g):
             raise ValueError(f"sample {ctx.text(g)} is not in the subgroup")
         checked += 1
         expected = phi(g)
@@ -274,7 +271,7 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
     phi_hat values are intervals; the sound lower bound for a pair's gap
     subtracts all three radii, and must stay within 2 D(phi).
     """
-    ctx = result.section.ambient
+    ctx = result.section.pair.ambient
 
     def row(g):
         hat = result.value(g)

@@ -61,6 +61,11 @@ class GroupPair:
         self.subgroup_ball = subgroup_ball
         self.mode = mode
 
+    def admits_conjugator(self, h: Any) -> bool:
+        """Whether h may be the first entry of a commutator: any ambient
+        element in mixed mode, a subgroup element in ordinary mode."""
+        return self.mode == "mixed" or self.is_member(h)
+
 
 def ordinary_pair(ctx: GroupContext) -> GroupPair:
     """The pair (G, G): plain commutators, everything is a member."""
@@ -93,15 +98,16 @@ def braid_pure_pair() -> GroupPair:
 def pure_ordinary_pair() -> GroupPair:
     """The pure 3-strand braids with plain commutators.
 
-    Same ambient operations and membership test as the mixed pair, but
+    The mixed pair's ambient group, membership test and subgroup ball, but
     certificates carry the ordinary mode: bounds speak about scl inside the
     subgroup itself.
     """
+    pure = braid_pure_pair()
     return GroupPair(
         name="braid:3/pure-ordinary",
-        ambient=BraidGroup(3),
-        is_member=is_pure,
-        subgroup_ball=_p3_ball,
+        ambient=pure.ambient,
+        is_member=pure.is_member,
+        subgroup_ball=pure.subgroup_ball,
         mode="ordinary",
     )
 
@@ -109,11 +115,15 @@ def pure_ordinary_pair() -> GroupPair:
 def braid_commutator_pair(n: int = 3) -> GroupPair:
     """(Bn, [Bn, Bn]): membership is vanishing index sum."""
     ctx = BraidGroup(n)
+
+    def is_member(b: BraidWord) -> bool:
+        return index_sum(b) == 0
+
     return GroupPair(
         name=f"braid:{n}/comm",
         ambient=ctx,
-        is_member=lambda b: index_sum(b) == 0,
-        subgroup_ball=lambda r: [b for b in ctx.ball(r) if index_sum(b) == 0],
+        is_member=is_member,
+        subgroup_ball=lambda r: [b for b in ctx.ball(r) if is_member(b)],
     )
 
 
@@ -170,7 +180,7 @@ def verify_decomposition(d: MixedCommutatorDecomposition) -> DecompositionReport
     """
     ctx = d.pair.ambient
     for i, (ghat, g) in enumerate(d.factors):
-        if d.pair.mode == "ordinary" and not d.pair.is_member(ghat):
+        if not d.pair.admits_conjugator(ghat):
             return DecompositionReport(
                 False,
                 f"membership of factor {i}",
@@ -199,13 +209,11 @@ class ClSearchResult:
         count: int | None,
         decomposition: MixedCommutatorDecomposition | None,
         verdict: str,
-        scope: str,
         commutators_used: int,
     ) -> None:
         self.count = count
         self.decomposition = decomposition
         self.verdict = verdict
-        self.scope = scope
         self.commutators_used = commutators_used
 
 
@@ -225,15 +233,8 @@ def mixed_cl_search(
     with the moves in the order the balls first give each commutator.
     """
     ctx = pair.ambient
-    scope = (
-        f"ambient radius {ambient_radius}, subgroup radius {subgroup_radius}, "
-        f"factor cap {max_factors}"
-    )
     commutators: dict[Any, tuple[Any, tuple[Any, Any]]] = {}
-    conjugators = ctx.ball(ambient_radius)
-    if pair.mode == "ordinary":
-        # both components must come from the subgroup in ordinary mode
-        conjugators = [h for h in conjugators if pair.is_member(h)]
+    conjugators = [h for h in ctx.ball(ambient_radius) if pair.admits_conjugator(h)]
     subgroup = pair.subgroup_ball(subgroup_radius)
     for ghat in conjugators:
         for g in subgroup:
@@ -248,7 +249,6 @@ def mixed_cl_search(
             None,
             None,
             f"not found within {max_factors} factors at these radii (ball-relative)",
-            scope,
             len(moves),
         )
     factors = tuple(moves[idx][1] for idx in path)
@@ -257,7 +257,7 @@ def mixed_cl_search(
     if not report:
         raise AssertionError(f"search produced an invalid decomposition: {report.detail}")
     count = len(factors)
-    return ClSearchResult(count, decomposition, f"= {count}", scope, len(moves))
+    return ClSearchResult(count, decomposition, f"= {count}", len(moves))
 
 
 def commutator_identity_xy(
@@ -329,7 +329,6 @@ class SclCertificate:
     def __init__(
         self,
         kind: str,
-        mode: str,
         pair: GroupPair,
         target: Any,
         direction: str,
@@ -337,11 +336,9 @@ class SclCertificate:
         power: int,
         witness: dict,
         evidence: dict,
-        verified: bool,
         note: str = "",
     ) -> None:
         self.kind = kind
-        self.mode = mode
         self.pair = pair
         self.target = target
         self.direction = direction
@@ -349,7 +346,6 @@ class SclCertificate:
         self.power = power
         self.witness = witness
         self.evidence = evidence
-        self.verified = verified
         self.note = note
 
     def as_payload(self) -> dict:
@@ -361,7 +357,8 @@ class SclCertificate:
             "direction": self.direction,
             "witness": self.witness,
             "evidence": self.evidence,
-            "verified": self.verified,
+            # built only from a checked decomposition or defect bound
+            "verified": True,
             "note": self.note,
         }
 
@@ -418,7 +415,6 @@ def bavard_lower(
     }
     return SclCertificate(
         kind="scl-lower-bavard",
-        mode=pair.mode,
         pair=pair,
         target=target,
         direction="lower",
@@ -426,7 +422,6 @@ def bavard_lower(
         power=1,
         witness=witness,
         evidence=evidence,
-        verified=True,
         note=note,
     )
 
@@ -450,7 +445,6 @@ def upper_from_decomposition(
     bound = Fraction(len(d.factors), power)
     return SclCertificate(
         kind="scl-upper-decomposition",
-        mode=d.pair.mode,
         pair=d.pair,
         target=target,
         direction="upper",
@@ -458,7 +452,6 @@ def upper_from_decomposition(
         power=power,
         witness={"power": power, "factors": d.factor_texts()},
         evidence={"defect_provenance": None},
-        verified=True,
         note=note,
     )
 

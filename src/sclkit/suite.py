@@ -319,7 +319,7 @@ def _item_packing(rng, shared):
 def _item_extension(rng, shared):
     left = FreeGroup(2)
     sec = central_z_section(left)
-    phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.ambient))
+    phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.pair.ambient))
     screp = sec.check(rng)
     if not screp.ok:
         return _fail(f"product section: {screp.failures[0]}")
@@ -477,18 +477,25 @@ def _item_word_algebra(rng, shared):
 # --- item 11: certificate file integrity ----------------------------------
 
 
+def standalone_certificates() -> list:
+    """What item 11 checks when run alone: a small flip family plus one
+    lower bound."""
+    pair = braid_pure_pair()
+    alpha = alpha_braid()
+    delta = half_twist(3)
+    certs = []
+    for n in (1, 2, 4):
+        d = conjugate_flip_decomposition(pair, alpha, delta, n)
+        certs.append(upper_from_decomposition(alpha, 2 * n, d))
+    qm = pullback(brooks_homogenized(word("xyXY")), pr1())
+    certs.append(bavard_lower(alpha, qm, pure_ordinary_pair()))
+    return certs
+
+
 def _item_certificates(rng, shared):
     certs = [c for result in shared.values() for c in result.certificates]
     if not certs:
-        # standalone run: regenerate a small family plus one lower bound
-        pair = braid_pure_pair()
-        alpha = alpha_braid()
-        delta = half_twist(3)
-        for n in (1, 2, 4):
-            d = conjugate_flip_decomposition(pair, alpha, delta, n)
-            certs.append(upper_from_decomposition(alpha, 2 * n, d))
-        qm = pullback(brooks_homogenized(word("xyXY")), pr1())
-        certs.append(bavard_lower(alpha, qm, pure_ordinary_pair()))
+        certs = standalone_certificates()
 
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "certificates.json")

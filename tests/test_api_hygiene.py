@@ -1,10 +1,11 @@
-"""Checks on the package surface: stale exports, unused imports and the
-modules a command loads.
+"""Checks on the package surface: stale exports, unused imports, stored
+attributes nobody reads and the modules a command loads.
 
-The first two parse the source with ``ast``, so they see what is written;
-the export check then resolves each listed name on the imported package.
-The import check covers the test modules too.  The last one imports the
-command line in a fresh process.
+All but the last parse the source with ``ast``, so they see what is
+written; the export check then resolves each listed name on the imported
+package.  The import check covers the test modules too, and an attribute
+counts as read when ``src``, the tests or ``perfbench`` read it.  The last
+one imports the command line in a fresh process.
 """
 
 import ast
@@ -146,6 +147,58 @@ def test_every_defaulted_parameter_is_set_by_some_call():
                 continue
             unset.append(f"{filename}:{line} {callee}({param})")
     assert not unset, f"defaulted parameters no call in sclkit sets: {unset}"
+
+
+def _stored_on_self(tree: ast.AST) -> dict[str, int]:
+    """Attribute name -> line of every assignment to ``self.<name>``."""
+    stored = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+            ):
+                stored.setdefault(target.attr, target.lineno)
+    return stored
+
+
+def _read_attributes(tree: ast.AST) -> set[str]:
+    """Every attribute name loaded, plus each constant name passed to
+    ``getattr``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            read.add(node.args[1].value)
+    return read
+
+
+def test_every_stored_attribute_is_read_somewhere():
+    perfbench = TESTS.parent / "perfbench"
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")) + sorted(perfbench.glob("*.py")):
+        read |= _read_attributes(ast.parse(path.read_text()))
+    unread = [
+        f"{path.name}:{line} self.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _stored_on_self(ast.parse(path.read_text())).items()
+        if name not in read
+    ]
+    assert not unread, f"stored on self but never read in src, tests or perfbench: {unread}"
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from sclkit.braids import half_twist, pr1
+from sclkit.braids import braid, half_twist, pr1
 from sclkit.certio import (
     FORMAT,
     CertificateError,
@@ -25,6 +25,7 @@ from sclkit.certio import (
 )
 from sclkit.quasimorphisms import brooks_homogenized, pullback
 from sclkit.scl import (
+    MixedCommutatorDecomposition,
     alpha_braid,
     bavard_lower,
     braid_pure_pair,
@@ -121,6 +122,16 @@ def test_load_document_refuses_nesting_past_the_recursion_limit(tmp_path):
     assert verify_file(str(path)).schema_error == "schema: JSON nested too deeply"
 
 
+def test_load_document_refuses_integers_past_the_digit_limit(tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer literal of more than 4300 digits
+    path = tmp_path / "huge.json"
+    path.write_text('{"format": "scl-certificates/1", "items": [' + "9" * 5000 + "]}")
+    with pytest.raises(CertificateError, match="^schema: .*4300 digits"):
+        load_document(path)
+    assert verify_file(str(path)).schema_error.startswith("schema: ")
+
+
 def test_verify_document_rejects_wrong_envelope(upper_cert):
     doc = document([upper_cert])
     for mutant, expect in [
@@ -211,6 +222,21 @@ def test_exponent_syntax_is_refused_before_parsing(upper_cert, lower_cert):
         assert not ok
         assert failed_step == step, detail
         assert "'^'" in detail
+
+
+def test_boolean_power_is_refused_at_witness():
+    # true is an int to Python; as power 1 the single commutator
+    # [s1^2, s2^2] = alpha would give the claimed bound 1 exactly
+    alpha = alpha_braid()
+    d = MixedCommutatorDecomposition(
+        pure_ordinary_pair(), alpha, ((braid("1,1", 3), braid("2,2", 3)),)
+    )
+    payload = upper_from_decomposition(alpha, 1, d).as_payload()
+    assert verify_payload(payload)[0]
+    payload["witness"]["power"] = True
+    ok, step, detail = verify_payload(payload)
+    assert not ok
+    assert step == "witness", detail
 
 
 def test_unmodified_payloads_verify(upper_cert, lower_cert):

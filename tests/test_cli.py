@@ -424,7 +424,9 @@ def test_verify_fails_unreadable_files_at_schema(tmp_path):
     binary.write_bytes(b"\xff\xfe{")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
-    for path in (binary, deep):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"format": "scl-certificates/1", "items": [' + "9" * 5000 + "]}")
+    for path in (binary, deep, huge):
         r = run_cli("verify", str(path))
         assert r.returncode == 1, r.stderr
         assert "Traceback" not in r.stderr

@@ -29,7 +29,7 @@ from sclkit.words import word
 def make_product_extension(n_max=32):
     sec = central_z_section(FreeGroup(2))
     phi = pullback(
-        brooks_homogenized(word("abAB")), proj_left(sec.ambient)
+        brooks_homogenized(word("abAB")), proj_left(sec.pair.ambient)
     )
     return sec, phi, extend_via_section(phi, sec, n_max=n_max)
 
@@ -37,15 +37,15 @@ def make_product_extension(n_max=32):
 def test_central_section_checks_out():
     sec = central_z_section(FreeGroup(2))
     assert sec.check(random.Random(700)).ok
-    assert sec.member((FreeGroup(2).parse("ab"), 0))
-    assert not sec.member((FreeGroup(2).parse("ab"), 2))
+    assert sec.pair.is_member((FreeGroup(2).parse("ab"), 0))
+    assert not sec.pair.is_member((FreeGroup(2).parse("ab"), 2))
 
 
 def test_braid_abelianization_section_checks_out():
     sec = braid_abelianization_section(3)
     assert sec.check(random.Random(701)).ok
-    assert sec.member(BraidGroup(3).commutator(braid("1", 3), braid("2", 3)))
-    assert not sec.member(braid("1", 3))
+    assert sec.pair.is_member(BraidGroup(3).commutator(braid("1", 3), braid("2", 3)))
+    assert not sec.pair.is_member(braid("1", 3))
 
 
 def test_extension_restricts_to_the_original():
@@ -91,14 +91,14 @@ def test_defect_chain_within_doubled_bound():
 
 def test_braid_leg_extension_with_zero_qm():
     sec = braid_abelianization_section(3)
-    phi = zero_qm(sec.ambient)
+    phi = zero_qm(sec.pair.ambient)
     result = extend_via_section(phi, sec, n_max=16)
     rng = random.Random(703)
-    ctx = sec.ambient
+    ctx = sec.pair.ambient
     for _ in range(50):
         b = ctx.sample(rng, rng.randrange(0, 6))
         shaved = ctx.mul(b, ctx.power(braid("1", 3), -index_sum(b)))
-        assert sec.member(shaved)
+        assert sec.pair.is_member(shaved)
         assert result.phi_prime(b) == 0
     assert defect_chain_check(result, radius=3).ok
 
@@ -112,7 +112,7 @@ def test_extension_refuses_a_quasimorphism_not_invariant_by_construction():
 
 def reference_defect_chain(result, radius):
     """The Fraction loop the integer chain check replaced, kept as its oracle."""
-    ctx = result.section.ambient
+    ctx = result.section.pair.ambient
     prime, hat = {}, {}
 
     def memo(table, fn, g):
@@ -141,7 +141,7 @@ def test_defect_chain_matches_fraction_reference_on_the_suite_legs():
     # the two legs of the section-extension suite item, at its radius
     left = FreeGroup(2)
     sec = central_z_section(left)
-    phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.ambient))
+    phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.pair.ambient))
     product_leg = extend_via_section(phi, sec, n_max=64)
     braid_leg = extend_via_section(zero_qm(BraidGroup(3)), braid_abelianization_section(3), n_max=16)
     for result in (product_leg, braid_leg):
@@ -158,7 +158,7 @@ def test_defect_chain_matches_fraction_reference_with_radii_everywhere():
     f2 = FreeGroup(2)
     h = brooks(word("ab"), context=f2)
     stand_in = SimpleNamespace(
-        section=SimpleNamespace(ambient=f2),
+        section=SimpleNamespace(pair=SimpleNamespace(ambient=f2)),
         base=h,
         phi_prime=h,
         value=lambda g: CertifiedValue(h(g), Fraction(1, 5 + len(g))),

@@ -34,6 +34,9 @@ def test_group_pair_modes_and_membership():
     assert not pure.is_member(braid("1", 3))
     assert pure.is_member(alpha_braid())
     assert pure_ordinary_pair().mode == "ordinary"
+    assert pure.admits_conjugator(braid("1", 3))
+    assert not pure_ordinary_pair().admits_conjugator(braid("1", 3))
+    assert pure_ordinary_pair().admits_conjugator(alpha_braid())
     assert ordinary_pair(FreeGroup(2)).is_member(word("ab"))
     comm = braid_commutator_pair()
     assert comm.is_member(alpha_braid())
@@ -214,9 +217,9 @@ def test_mixed_cl_search_ordinary_mode_stays_inside_subgroup():
 def test_bavard_lower_matches_duality_arithmetic():
     qm = pullback(brooks_homogenized(word("xyXY")), pr1())
     cert = bavard_lower(alpha_braid(), qm, pure_ordinary_pair())
-    assert cert.verified
+    assert cert.as_payload()["verified"] is True
     assert cert.direction == "lower"
-    assert cert.mode == "ordinary"
+    assert cert.pair.mode == "ordinary"
     assert cert.bound == Fraction(1, 12)
     assert cert.witness["value"] == "1"
     assert cert.witness["defect_upper"] == "6"
@@ -241,7 +244,7 @@ def test_upper_from_decomposition_bound_arithmetic():
     for n in (1, 2, 8):
         d = conjugate_flip_decomposition(pair, alpha, half_twist(3), n)
         cert = upper_from_decomposition(alpha, 2 * n, d)
-        assert cert.verified
+        assert cert.as_payload()["verified"] is True
         assert cert.bound == Fraction(1, 2 * n)
         assert cert.direction == "upper"
 
