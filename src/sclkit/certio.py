@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -124,11 +125,19 @@ def _no_exponents(text: str, step: str, label: str) -> None:
         raise _fail(step, f"{label} uses exponent syntax '^', which certificates never contain")
 
 
-def _fraction(text: Any, step: str, label: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise _fail(step, f"{label} {text!r} is not a rational number") from exc
+# Everything str(Fraction) writes.  Fraction itself also takes exponents,
+# which it expands exactly ("1e99999999" runs for minutes), decimals,
+# underscores, padding and non-ASCII digits.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def _fraction(text: str, step: str, label: str) -> Fraction:
+    if _RATIONAL.fullmatch(text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass  # past the interpreter's limit on digits, or a zero denominator
+    raise _fail(step, f"{label} {text!r} is not a rational number")
 
 
 def _checked_payload(payload: Any) -> Callable:

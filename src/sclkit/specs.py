@@ -16,7 +16,6 @@ from .groups import (
     DirectProduct,
     FreeGroup,
     GroupContext,
-    GroupHom,
     SymmetricGroup,
     TableGroup,
     proj_left,
@@ -38,6 +37,7 @@ from .scl import (
     product_left_pair,
     pure_ordinary_pair,
 )
+from .words import word
 
 
 class SpecError(ValueError):
@@ -66,6 +66,12 @@ MAX_PERM_DEGREE = 1000
 # text recurse once per level, so a spec 1000 deep ends in a RecursionError.
 # The paper's pairs nest two deep.
 MAX_PRODUCT_DEPTH = 16
+
+# Largest multiplication table file a group spec may name, in bytes.  Order n
+# takes about n^2 entries.  A cyclic table of order 1000 is 3.9 MB, which
+# parse_group reads in 0.5 s at 61 MB peak in a fresh process, and scl-bounds
+# at --radius 1 --cap 1 takes 1.2 s (order 1400: 8.2 MB, 0.9 s, 109 MB).
+MAX_TABLE_BYTES = 4 * 2**20
 
 
 def _count(rest: str) -> int | None:
@@ -137,7 +143,11 @@ def parse_group(text: str) -> GroupContext:
         if not path.is_file():
             raise SpecError(f"no multiplication table file at {rest!r}")
         try:
-            return TableGroup.from_text(path.read_text(), name=spec)
+            with path.open("rb") as fh:
+                data = fh.read(MAX_TABLE_BYTES + 1)
+            if len(data) > MAX_TABLE_BYTES:
+                raise ValueError(f"longer than {MAX_TABLE_BYTES} bytes")
+            return TableGroup.from_text(data.decode(), name=spec)
         except (OSError, ValueError) as exc:
             raise SpecError(f"bad multiplication table file {rest!r}: {exc}") from exc
     raise SpecError(f"unknown group spec {text!r}")
@@ -179,159 +189,22 @@ def parse_group_pair(text: str) -> GroupPair:
     return product_left_pair(ctx.left)
 
 
-class _QmParser:
-    """Recursive-descent parser for quasimorphism specs.
-
-    Grammar:
-        qm   := "zero" | "hom(" name ")" | "brooks(w=" word ")"
-              | "homog(" qm ")" | "pullback(" qm ", " map ")"
-        map  := "pr1" | "proj-left" | "proj-right"
-
-    Exact homogenisation exists only for the counting quasimorphisms, so
-    ``homog`` accepts a ``brooks`` body and nothing else.
-    """
-
-    def __init__(self, text: str, group: GroupContext | None):
-        self.text = text
-        self.pos = 0
-        self.group = group
-
-    def fail(self, message: str) -> SpecError:
-        return SpecError(f"{message} at position {self.pos} in {self.text!r}")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def expect(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.fail(f"expected {ch!r}")
-        self.pos += 1
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "_-"
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise self.fail("expected a name")
-        return self.text[start : self.pos]
-
-    def until(self, stop: str) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != stop:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def parse(self) -> Quasimorphism:
-        qm = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.fail("trailing input")
-        return qm
-
-    def expr(self) -> Quasimorphism:
-        name = self.ident()
-        if name == "zero":
-            if self.group is None:
-                raise self.fail("the zero quasimorphism needs a group")
-            return zero_qm(self.group)
-        if name == "hom":
-            return self.hom_expr()
-        if name == "brooks":
-            return self.brooks_expr(homogenized=False)
-        if name == "homog":
-            self.expect("(")
-            self.skip_ws()
-            inner = self.ident()
-            if inner != "brooks":
-                raise self.fail("exact homogenisation only wraps a counting quasimorphism")
-            qm = self.brooks_expr(homogenized=True)
-            self.expect(")")
-            return qm
-        if name == "pullback":
-            return self.pullback_expr()
-        raise self.fail(f"unknown quasimorphism {name!r}")
-
-    def hom_expr(self) -> Quasimorphism:
-        self.expect("(")
-        name = self.ident()
-        self.expect(")")
-        if name != "indexsum":
-            raise self.fail(f"unknown homomorphism {name!r}; only 'indexsum' is built in")
-        ctx = self.group if self.group is not None else BraidGroup(3)
-        if not isinstance(ctx, BraidGroup):
-            raise SpecError(f"hom(indexsum) lives on braid groups, not {ctx.name}")
-        return hom_qm(ctx, index_sum, "indexsum")
-
-    def brooks_expr(self, homogenized: bool) -> Quasimorphism:
-        self.expect("(")
-        self.skip_ws()
-        key = self.ident()
-        if key != "w":
-            raise self.fail("counting quasimorphisms take a single argument w=<word>")
-        self.expect("=")
-        body = self.until(")").strip()
-        self.expect(")")
-        ctx = self.group
-        if ctx is not None and not isinstance(ctx, FreeGroup):
-            raise SpecError(f"counting quasimorphisms live on free groups, not {ctx.name}")
-        try:
-            if ctx is not None:
-                pattern = ctx.parse(body)
-            else:
-                from .words import word
-
-                pattern = word(body)
-        except ValueError as exc:
-            raise SpecError(str(exc)) from exc
-        if not pattern.letters:
-            raise SpecError("the counting pattern must be a nonempty word")
-        if homogenized:
-            return brooks_homogenized(pattern, context=ctx)
-        return brooks(pattern, context=ctx)
-
-    def pullback_expr(self) -> Quasimorphism:
-        self.expect("(")
-        start = self.pos
-        depth = 0
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ch == "," and depth == 0:
-                break
-            self.pos += 1
-        inner_text = self.text[start : self.pos].strip()
-        self.expect(",")
-        map_name = self.ident()
-        self.expect(")")
-        hom = self.resolve_map(map_name)
-        inner = parse_qm(inner_text, group=hom.codomain)
-        return pullback(inner, hom)
-
-    def resolve_map(self, name: str) -> GroupHom:
-        if name == "pr1":
-            if self.group is not None and self.group.name != "braid:3":
-                raise SpecError(f"pr1 is the pure-braid projection on braid:3, not {self.group.name}")
-            return pr1()
-        if name in ("proj-left", "proj-right"):
-            if not isinstance(self.group, DirectProduct):
-                raise SpecError(f"{name} needs a product group, got "
-                                f"{self.group.name if self.group is not None else 'none'}")
-            return proj_left(self.group) if name == "proj-left" else proj_right(self.group)
-        raise self.fail(f"unknown map {name!r}")
-
-
 def parse_qm(text: str, group: GroupContext | None = None) -> Quasimorphism:
     """Quasimorphism spec -> quasimorphism.
+
+    Grammar, with whitespace allowed around every token:
+
+        qm   := "zero" | "hom(indexsum)" | "brooks(w=" word ")"
+              | "homog(brooks(w=" word "))" | "pullback(" qm "," map ")"
+        map  := "pr1" | "proj-left" | "proj-right"
+
+    ``word`` is word text as ``words.word`` reads it, such as ``xyXY``.
+    A spec splits at its first ``(``, and a pullback's arguments at their
+    last ``,``, since no map name holds one.  Exact homogenisation exists only
+    for the counting quasimorphisms, so ``homog`` wraps ``brooks`` only.  A
+    pullback resolves its map first and parses its inner spec on the map's
+    codomain, so nesting stays bounded: ``pr1`` nests once and ``proj-*`` as
+    deep as the product group.
 
     ``group`` pins the domain where the spec alone does not determine it
     (zero, hom, projections).  Every defect bound is derived from the
@@ -342,4 +215,59 @@ def parse_qm(text: str, group: GroupContext | None = None) -> Quasimorphism:
     >>> parse_qm("pullback(homog(brooks(w=xyXY)), pr1)").name
     'pullback(homog(brooks(w=xyXY)), pr1)'
     """
-    return _QmParser(text, group).parse()
+    spec = text.strip()
+    if spec == "zero":
+        if group is None:
+            raise SpecError("the zero quasimorphism needs a group")
+        return zero_qm(group)
+    head, paren, rest = spec.partition("(")
+    head = head.rstrip()
+    if head not in ("hom", "brooks", "homog", "pullback"):
+        raise SpecError(
+            f"expected zero, hom(...), brooks(...), homog(...) or pullback(...), not {text!r}"
+        )
+    if not paren or not rest.endswith(")"):
+        raise SpecError(f"expected {head}(...) closed at position {len(text.rstrip())} in {text!r}")
+    args = rest[:-1]
+    if head == "hom":
+        if args.strip() != "indexsum":
+            raise SpecError(f"unknown homomorphism {args.strip()!r}; only 'indexsum' is built in")
+        ctx = group if group is not None else BraidGroup(3)
+        if not isinstance(ctx, BraidGroup):
+            raise SpecError(f"hom(indexsum) lives on braid groups, not {ctx.name}")
+        return hom_qm(ctx, index_sum, "indexsum")
+    if head == "pullback":
+        inner, comma, name = args.rpartition(",")
+        name = name.strip()
+        if not comma:
+            raise SpecError(f"pullback takes a quasimorphism and a map: {text!r}")
+        if name == "pr1":
+            if group is not None and group.name != "braid:3":
+                raise SpecError(f"pr1 is the pure-braid projection on braid:3, not {group.name}")
+            hom = pr1()
+        elif name in ("proj-left", "proj-right"):
+            if not isinstance(group, DirectProduct):
+                raise SpecError(f"{name} needs a product group, got "
+                                f"{group.name if group is not None else 'none'}")
+            hom = proj_left(group) if name == "proj-left" else proj_right(group)
+        else:
+            raise SpecError(f"unknown map {name!r} in {text!r}")
+        return pullback(parse_qm(inner, group=hom.codomain), hom)
+    homogenized = head == "homog"
+    if homogenized:
+        inner, paren, rest = args.strip().partition("(")
+        if inner.rstrip() != "brooks" or not rest.endswith(")"):
+            raise SpecError(f"exact homogenisation only wraps brooks(w=<word>): {text!r}")
+        args = rest[:-1]
+    key, equals, body = args.partition("=")
+    if key.strip() != "w" or not equals:
+        raise SpecError(f"counting quasimorphisms take a single argument w=<word>: {text!r}")
+    if group is not None and not isinstance(group, FreeGroup):
+        raise SpecError(f"counting quasimorphisms live on free groups, not {group.name}")
+    try:
+        pattern = word(body.strip()) if group is None else group.parse(body.strip())
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+    if not pattern.letters:
+        raise SpecError("the counting pattern must be a nonempty word")
+    return (brooks_homogenized if homogenized else brooks)(pattern, context=group)

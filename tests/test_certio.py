@@ -239,6 +239,32 @@ def test_boolean_power_is_refused_at_witness():
     assert step == "witness", detail
 
 
+# Spellings Fraction accepts but no writer emits (str(Fraction) writes
+# -?n or -?n/d in ASCII digits), each of a value the verifier recomputes:
+# the upper bound 1/4, the lower bound 1/12, the value 1 and the defect 6.
+NON_CANONICAL = {
+    "1/4": ["0.25", "2.5e-1", " 1/4", "1/4\n", "+1/4", "1_0/40", "\u0661/4"],
+    "1/12": ["1/12 ", "\u06601/12", "1_0/120", "+1/12"],
+    "1": ["1.0", "1e0", "1E0", " 1", "\u0661"],
+    "6": ["6.0", "6e0", "6_0/10", "\t6"],
+}
+
+
+def test_rationals_are_read_only_as_fraction_writes_them(upper_cert, lower_cert):
+    fields = [
+        (upper_cert, "bound arithmetic", "1/4", lambda p, v: p.update(bound=v)),
+        (lower_cert, "bound arithmetic", "1/12", lambda p, v: p.update(bound=v)),
+        (lower_cert, "witness", "1", lambda p, v: p["witness"].update(value=v)),
+        (lower_cert, "witness", "6", lambda p, v: p["witness"].update(defect_upper=v)),
+    ]
+    for cert, step, canonical, edit in fields:
+        assert verify_payload(corrupted(cert, lambda p: edit(p, canonical)))[0]
+        for text in NON_CANONICAL[canonical] + ["1e99999999", "1/0", "9" * 5000, "", "-"]:
+            ok, failed_step, detail = verify_payload(corrupted(cert, lambda p: edit(p, text)))
+            assert (ok, failed_step) == (False, step), (text, detail)
+            assert "is not a rational number" in detail
+
+
 def test_unmodified_payloads_verify(upper_cert, lower_cert):
     for cert in (upper_cert, lower_cert):
         ok, step, detail = verify_payload(cert.as_payload())

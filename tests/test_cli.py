@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from sclkit import braids, cli
+from sclkit import braids, certio, cli, specs, suite
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
@@ -694,3 +694,75 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: cannot write {missing}")
     assert not missing.parent.exists()
+
+
+def test_an_exponent_bound_fails_at_bound_arithmetic_without_expanding(tmp_path):
+    # Fraction("1e99999999") expands the power exactly, which kept verify
+    # busy for minutes
+    doc = certio.document(suite.standalone_certificates())
+    doc["items"][0]["bound"] = "1e99999999"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc))
+    r = run_cli("verify", str(path), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    steps = [it["failed_step"] for it in json.loads(r.stdout)["items"]]
+    assert steps == ["bound arithmetic", None, None, None]
+
+
+def test_a_table_file_over_the_byte_cap_is_refused_unread(tmp_path):
+    table = tmp_path / "huge.tbl"
+    with table.open("wb") as fh:
+        fh.truncate(2**30)  # sparse: no disk blocks
+    group = f"table:{table}"
+    message = f"longer than {specs.MAX_TABLE_BYTES} bytes"
+    r = run_cli("scl-bounds", "--group", group, "--word", "0", "--radius", "1", "--cap", "1",
+                timeout=30, address_space=256 * 2**20)
+    assert r.returncode == 2, r.stderr
+    assert message in r.stderr and "Traceback" not in r.stderr
+    cert = tmp_path / "huge.json"
+    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [_item_at_0(group)]}))
+    r = run_cli("verify", str(cert), "--format", "json", timeout=30,
+                address_space=256 * 2**20)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    item = json.loads(r.stdout)["items"][0]
+    assert item["failed_step"] == "group pair" and message in item["detail"]
+
+
+def _lower_item(qm):
+    return {
+        "kind": "scl-lower-bavard",
+        "target": ALPHA,
+        "group_pair": "braid:3/pure-ordinary",
+        "bound": "1/12",
+        "direction": "lower",
+        "witness": {"qm": qm, "value": "1", "defect_upper": "6"},
+        "evidence": {"defect_provenance": "junction-argument doubled by homogenisation; "
+                                          "pulled back along pr1"},
+        "verified": True,
+        "note": "",
+    }
+
+
+def test_malformed_quasimorphism_specs_fail_at_the_quasimorphism_step(tmp_path):
+    deep = 10**4
+    qms = [
+        "pullback(homog(brooks(w=xyXY)), pr1)",  # the well-formed original
+        "pullback(" * deep,
+        "pullback(" * deep + "homog(brooks(w=xyXY))" + ", pr1)" * deep,
+        "pullback(homog(brooks(w=xyXY)), pr1))",
+        "pullback(homog(brooks(w=xyXY)) pr1)",
+        "pullback(homog(brooks(w=xyXY)), proj_left)",
+        "homog(zero)",
+        "brooks(w=",
+        "",
+    ]
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps({"format": "scl-certificates/1",
+                                "items": [_lower_item(qm) for qm in qms]}))
+    r = run_cli("verify", str(path), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    steps = [it["failed_step"] for it in json.loads(r.stdout)["items"]]
+    assert steps == [None] + ["quasimorphism"] * (len(qms) - 1)

@@ -9,7 +9,12 @@ itself is never imported or changed.
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import sclkit
@@ -68,3 +73,37 @@ def test_the_resolver_notices_a_missing_name():
     assert _unresolved("sclkit.groups", "*.no_such_method") is not None
     assert _unresolved("sclkit.quasimorphisms", "no_such_function") is not None
     assert _unresolved("sclkit.words", "NoSuchClass.__mul__") is not None
+
+
+def _traced(tmp_path, name, *argv):
+    """Run one sclkit request under the unchanged tracer in a fresh process;
+    return its exit code and the stats line it wrote."""
+    out = tmp_path / f"{name}.spans"
+    src = str(Path(sclkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    r = subprocess.run(
+        [sys.executable, str(TRACE_ENTRY), str(out), name, repr(time.perf_counter()), "--",
+         *argv],
+        capture_output=True, text=True, timeout=120, env=env, cwd=tmp_path,
+    )
+    assert "Traceback" not in r.stderr, r.stderr
+    return r.returncode, json.loads(out.read_text().splitlines()[0])
+
+
+def test_the_tracer_runs_a_lower_bound_request_and_its_verify(tmp_path):
+    # a traced call or an attribute read by the tracer's NOTES that broke
+    # would otherwise show only when the benchmark runs
+    cert = tmp_path / "lower.json"
+    code, bounds = _traced(
+        tmp_path, "scl-bounds", "scl-bounds", "--group", "braid:3/pure-ordinary",
+        "--qm", "pullback(homog(brooks(w=xyXY)), pr1)", "--braid", "1,1,2,2,-1,-1,-2,-2",
+        "--radius", "2", "--cap", "1", "--format", "json", "--out", str(cert),
+    )
+    assert code == 0
+    assert "scl.mixed_cl_search.moves" in bounds["counters"]
+    code, verify = _traced(tmp_path, "verify", "verify", str(cert))
+    assert code == 0
+    assert verify["counters"]["certio.load_document.bytes"] == cert.stat().st_size
+    for stats in (bounds, verify):
+        assert stats["stats"]["specs.parse_qm"][0] > 0
