@@ -42,7 +42,7 @@ import functools
 from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
-from .words import Frozen, Word, invert_letters, multiply_letters
+from .words import MAX_WORD_LETTERS, Frozen, Word, invert_letters, multiply_letters
 
 @functools.cache
 def _tables(n: int):
@@ -238,6 +238,8 @@ def braid(text: str, n: int) -> BraidWord:
                 power = int(ptext)
             idx = int(body)
             letter = idx if power >= 0 else -idx
+            if len(letters) + abs(power) > MAX_WORD_LETTERS:
+                raise ValueError(f"braid text expands to more than {MAX_WORD_LETTERS} letters")
             letters.extend([letter] * abs(power))
     else:
         letters = [int(tok) for tok in text.split(",") if tok.strip()]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .braids import index_section, index_sum
-from .groups import GroupContext, scaled_ball_values, sphere_pairs
+from .groups import BallValues, GroupContext
 from .norms import PreconditionError
 from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
 from .scl import GroupPair, braid_commutator_pair, product_left_pair
@@ -277,17 +277,18 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
         hat = result.value(g)
         return result.phi_prime(g), hat.value, hat.radius or 0
 
-    values, scale = scaled_ball_values(ctx, radius, row)
+    table = BallValues(ctx, radius, row)
+    value, zero = table.values.get, table.zero
     canonical, mul = ctx.canonical, ctx.mul
     best_prime = 0
     best_hat = 0
     pairs = 0
-    for g, sphere in sphere_pairs(ctx, radius):
-        pg, vg, rg = values[canonical(g)]
+    for g, sphere in table.pairs():
+        pg, vg, rg = value(canonical(g), zero)
         for h in sphere:
             pairs += 1
-            pgh, vgh, rgh = values[canonical(mul(g, h))]
-            ph, vh, rh = values[canonical(h)]
+            pgh, vgh, rgh = value(canonical(mul(g, h)), zero)
+            ph, vh, rh = value(canonical(h), zero)
             gap_p = abs(pgh - pg - ph)
             if gap_p > best_prime:
                 best_prime = gap_p
@@ -296,9 +297,9 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
                 best_hat = gap_h
     d = Fraction(result.base.defect_upper)
     return DefectChainReport(
-        phi_prime_searched=Fraction(best_prime, scale),
+        phi_prime_searched=Fraction(best_prime, table.scale),
         phi_prime_bound=d,
-        phi_hat_searched=Fraction(best_hat, scale),
+        phi_hat_searched=Fraction(best_hat, table.scale),
         phi_hat_bound=2 * d,
         radius=radius,
         pairs_checked=pairs,

@@ -9,17 +9,17 @@ everything here is safe to evaluate concurrently and to use as dict keys via
 
 Every Cayley-graph walk in the library goes through two helpers here:
 ``ProductSearch``, the shortest product of a fixed list of moves, and
-``sphere_pairs``, the pairs of ball elements ordered by total length.
-``scaled_ball_values`` evaluates a function once per ball element, as exact
-integers over a common denominator, for the defect searches along such a
-walk.
+``BallValues``, which enumerates a ball once, keeps a function's nonzero
+values on it as exact integers over a common denominator, and yields the
+pairs of ball elements ordered by total length that the defect searches
+compare.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 from .words import Word, _word, format_letters, random_reduced, word, words_of_length
 
@@ -136,49 +136,64 @@ class ProductSearch:
             key = parent
 
 
-def sphere_pairs(ctx: "GroupContext", radius: int) -> Iterable[tuple[Any, list]]:
-    """Every pair (g, h) with |g| + |h| <= radius, as (g, sphere of h).
+class BallValues:
+    """``fn`` once per element of the ball of ``radius``, stored sparse as
+    integers over one common denominator, with the pairs of ball elements.
 
-    Pairs come by total length, then by |g|; the caller loops over h in the
-    sphere, so per-g work runs once per g.
+    ``fn`` returns a rational, or a tuple of rationals of one length.  The
+    spheres 0..radius come from ``ctx.sphere`` once each; they partition the
+    ball, so ``fn`` runs once per canonical key.  ``values`` holds only the
+    nonzero rows, keyed by canonical form, each rational times ``scale`` in
+    the same shape; a key missing from it reads as ``zero`` (0, or a tuple
+    of zeros).  ``scale`` is the lcm of every denominator, positive, so
+    scaled values compare as the rationals do.  A product of a pair from
+    ``pairs`` lies in the ball too, since |gh| <= |g| + |h|.
+
+    >>> from fractions import Fraction
+    >>> table = BallValues(CyclicZ(), 2, lambda g: Fraction(max(g, 0), 2))
+    >>> table.values, table.scale
+    ({1: 1, 2: 2}, 2)
     """
-    spheres = [ctx.sphere(k) for k in range(radius + 1)]
-    for total in range(radius + 1):
-        for i in range(total + 1):
-            for g in spheres[i]:
-                yield g, spheres[total - i]
 
+    def __init__(self, ctx: "GroupContext", radius: int, fn: Callable[[Any], Any]):
+        self.spheres = [ctx.sphere(k) for k in range(radius + 1)]
+        canonical = ctx.canonical
+        values: dict[Hashable, Any] = {}
+        zero = None
+        for sphere in self.spheres:
+            for g in sphere:
+                row = fn(g)
+                if zero is None:
+                    zero = (0,) * len(row) if isinstance(row, tuple) else 0
+                if row != zero:
+                    values[canonical(g)] = row
+        denominators = set()
+        for row in values.values():
+            for v in row if isinstance(row, tuple) else (row,):
+                denominators.add(v.denominator)
+        scale = math.lcm(*denominators)
+        # overwritten in place, and a single value stays unwrapped: a second
+        # dict or a tuple per row would raise the peak memory of a large ball
+        for key, row in values.items():
+            if isinstance(row, tuple):
+                values[key] = tuple(v.numerator * (scale // v.denominator) for v in row)
+            else:
+                values[key] = row.numerator * (scale // row.denominator)
+        self.values = values
+        self.zero = zero
+        self.scale = scale
 
-def scaled_ball_values(
-    ctx: "GroupContext", radius: int, fn: Callable[[Any], Any]
-) -> tuple[dict[Hashable, Any], int]:
-    """``fn`` once per element of ``ctx.ball(radius)``, keyed by canonical
-    form, as integers over one common denominator.
+    def pairs(self) -> Iterator[tuple[Any, list]]:
+        """Every pair (g, h) with |g| + |h| <= radius, as (g, sphere of h).
 
-    ``fn`` returns a rational, or a tuple of rationals.  Returns ``(values,
-    scale)``: ``scale`` is the lcm of every denominator, and ``values[key]``
-    holds each rational times ``scale`` in the same shape.  A product of a
-    ``sphere_pairs(ctx, radius)`` pair is a key too, since |gh| <= |g| + |h|.
-    The scale is positive, so scaled values compare as the rationals do.
-    """
-    values: dict[Hashable, Any] = {}
-    for g in ctx.ball(radius):
-        key = ctx.canonical(g)
-        if key not in values:
-            values[key] = fn(g)
-    denominators = set()
-    for row in values.values():
-        for v in row if isinstance(row, tuple) else (row,):
-            denominators.add(v.denominator)
-    scale = math.lcm(*denominators)
-    # overwritten in place, and a single value stays unwrapped: a second dict
-    # or a tuple per element would raise the peak memory of a large ball
-    for key, row in values.items():
-        if isinstance(row, tuple):
-            values[key] = tuple(v.numerator * (scale // v.denominator) for v in row)
-        else:
-            values[key] = row.numerator * (scale // row.denominator)
-    return values, scale
+        Pairs come by total length, then by |g|; the caller loops over h in
+        the sphere, so per-g work runs once per g.
+        """
+        spheres = self.spheres
+        for total in range(len(spheres)):
+            for i in range(total + 1):
+                for g in spheres[i]:
+                    yield g, spheres[total - i]
 
 
 class GroupContext:
@@ -338,7 +353,7 @@ class FreeGroup(GroupContext):
 
         The breadth-first ball would give the same sets but keeps its visited
         set alive: at radius 8 on free:xy it raised the peak memory of suite
-        item 4 in a fresh process from 19.2 to 21.1 MB (three runs each, 2
+        item 4 in a fresh process from 18.4 to 20.0 MB (three runs each, 2
         vCPUs, Python 3.11).
         """
         return [_word(self.rank, ls) for ls in words_of_length(self.rank, k, self.gen_indices)]

@@ -35,8 +35,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .groups import GroupContext, GroupHom, scaled_ball_values, sphere_pairs
-from .words import Frozen, Word, invert_letters
+from .groups import BallValues, GroupContext, GroupHom
+from .words import Frozen, Word, cyclic_reduce_letters, invert_letters
 
 
 class CertifiedValue(Frozen):
@@ -142,10 +142,10 @@ def homogenize_counting_exact(w: Word, g: Word) -> Fraction:
     core, conjugation and boundary effects being O(1); the limit is the
     per-period packing rate of w minus that of w^-1.
     """
-    core, _ = g.cyclic_reduce()
+    core, _ = cyclic_reduce_letters(g.letters)
     if not w.letters:
         raise ValueError("counting pattern must be nonempty")
-    return _cyclic_rate(w.letters, core.letters) - _cyclic_rate(invert_letters(w.letters), core.letters)
+    return _cyclic_rate(w.letters, core) - _cyclic_rate(invert_letters(w.letters), core)
 
 
 def defect_bound_counting(w: Word) -> Fraction:
@@ -209,10 +209,11 @@ def brooks(w: Word, context: GroupContext | None = None) -> Quasimorphism:
     """
     ctx = context if context is not None else _default_free_context(w)
     bound = defect_bound_counting(w)
+    w_inv = ~w
     return Quasimorphism(
         name=f"brooks(w={w})",
         context=ctx,
-        eval_fn=lambda g: Fraction(count_copies(w, g) - count_copies(Word(w.rank, invert_letters(w.letters)), g)),
+        eval_fn=lambda g: Fraction(count_copies(w, g) - count_copies(w_inv, g)),
         homogeneous=False,
         defect_upper=bound,
         defect_provenance="junction-argument",
@@ -312,20 +313,21 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
     the radius.
     """
     ctx = qm.context
-    values, scale = scaled_ball_values(ctx, radius, qm)
+    table = BallValues(ctx, radius, qm)
+    value = table.values.get
     canonical, mul = ctx.canonical, ctx.mul
     best = 0
     witness: tuple | None = None
     pairs = 0
-    for g, sphere in sphere_pairs(ctx, radius):
-        vg = values[canonical(g)]
+    for g, sphere in table.pairs():
+        vg = value(canonical(g), 0)
         for h in sphere:
             pairs += 1
-            gap = abs(values[canonical(mul(g, h))] - vg - values[canonical(h)])
+            gap = abs(value(canonical(mul(g, h)), 0) - vg - value(canonical(h), 0))
             if gap > best:
                 best = gap
                 witness = (g, h)
-    return DefectSearchResult(Fraction(best, scale), witness, radius, pairs)
+    return DefectSearchResult(Fraction(best, table.scale), witness, radius, pairs)
 
 
 class InvarianceReport:

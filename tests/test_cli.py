@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from sclkit import braids, certio, cli, specs, suite
+from sclkit.words import MAX_WORD_LETTERS
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
@@ -728,6 +729,22 @@ def test_a_table_file_over_the_byte_cap_is_refused_unread(tmp_path):
     assert "Traceback" not in r.stderr
     item = json.loads(r.stdout)["items"][0]
     assert item["failed_step"] == "group pair" and message in item["detail"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--qm", "brooks(w=ab)", "--group", "free:2", "--word", "a^999999999"),
+        ("scl-bounds", "--group", "free:2", "--word", "a^99999999", "--radius", "1", "--cap", "1"),
+        ("eval", "--qm", "hom(indexsum)", "--group", "braid:3", "--braid", "s1^999999999"),
+        ("eval", "--qm", "brooks(w=a^999999999)", "--group", "free:2", "--word", "ab"),
+    ],
+)
+def test_huge_powers_in_element_text_are_refused_before_expanding(args):
+    r = run_cli(*args, timeout=30, address_space=256 * 2**20)
+    assert r.returncode == 2, r.stderr
+    assert f"expands to more than {MAX_WORD_LETTERS} letters" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def _lower_item(qm):

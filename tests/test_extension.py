@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from ball_reference import sphere_pairs
 from sclkit.braids import BraidGroup, braid, index_sum, pr1
 from sclkit.extension import (
     DefectChainReport,
@@ -15,7 +16,7 @@ from sclkit.extension import (
     extend_via_section,
     restriction_check,
 )
-from sclkit.groups import FreeGroup, proj_left, sphere_pairs
+from sclkit.groups import FreeGroup, proj_left
 from sclkit.quasimorphisms import (
     CertifiedValue,
     brooks,

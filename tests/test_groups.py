@@ -1,11 +1,14 @@
 """Group contexts: axioms, text round trips, ball enumeration."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from ball_reference import scaled_ball_values, sphere_pairs
 from sclkit.braids import BraidGroup
 from sclkit.groups import (
+    BallValues,
     CyclicZ,
     DirectProduct,
     FreeGroup,
@@ -20,7 +23,9 @@ from sclkit.groups import (
     proj_left,
     proj_right,
 )
+from sclkit.quasimorphisms import Quasimorphism, brooks_homogenized, count_copies
 from sclkit.specs import parse_group
+from sclkit.words import word
 
 
 def check_axioms(ctx, rng, samples=200, size=6):
@@ -212,3 +217,59 @@ def test_breadth_first_spheres_match_the_product_formula(spec):
         sphere = [ctx.canonical(g) for g in ctx.sphere(k)]
         assert len(set(sphere)) == len(sphere)
         assert set(sphere) == {ctx.canonical(g) for g in formula_sphere(ctx, k)}
+
+
+def _text_row(ctx):
+    """A 3-tuple of rationals of the element text: zero on some elements,
+    with denominators 1 to 5."""
+
+    def row(g):
+        text = ctx.text(g)
+        w = sum(i * ord(c) for i, c in enumerate(text, 1))
+        return Fraction(w % 5 - 2, 1 + len(text) % 4), Fraction(0), Fraction(w % 7 // 6, 5)
+
+    return row
+
+
+def _thirds_and_quarters(ctx):
+    ab, ba = word("ab"), word("bA")
+    return Quasimorphism(
+        "thirds-and-quarters",
+        ctx,
+        lambda g: Fraction(count_copies(ab, g), 3) - Fraction(count_copies(ba, g), 4),
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, radius",
+    [("free:2", 5), ("free:xy", 4), ("product:free:2,z", 4), ("braid:3", 4), ("perm:4", 7), ("z", 6)],
+)
+def test_ball_values_match_the_dense_reference(spec, radius):
+    ctx = parse_group(spec)
+    row = _text_row(ctx)
+    # (row function, the zero it reads as, its scale where a qm fixes it)
+    cases = [(lambda g: row(g)[0], 0, None), (row, (0, 0, 0), None)]
+    if spec == "free:2":
+        cases.append((_thirds_and_quarters(ctx), 0, 12))
+    if spec == "free:xy":
+        cases.append((brooks_homogenized(word("xyXY"), context=ctx), 0, 1))
+    for fn, zero, fixed_scale in cases:
+        table = BallValues(ctx, radius, fn)
+        dense, scale = scaled_ball_values(ctx, radius, fn)
+        assert table.scale == scale
+        assert fixed_scale in (None, scale)
+        assert table.zero == zero and type(table.zero) is type(zero)
+        # only nonzero rows are stored, and every ball key reads as before
+        assert zero not in table.values.values()
+        assert set(table.values) < set(dense) and table.values
+        assert {key: table.values.get(key, zero) for key in dense} == dense
+        # the same pairs in the same order
+        canonical = ctx.canonical
+        assert [(canonical(g), list(map(canonical, s))) for g, s in table.pairs()] == [
+            (canonical(g), list(map(canonical, s))) for g, s in sphere_pairs(ctx, radius)
+        ]
+    # a missing key reads as zero, so a product outside the ball would read
+    # zero silently: the product of every pair is a ball key
+    for g, sphere in table.pairs():
+        for h in sphere:
+            assert canonical(ctx.mul(g, h)) in dense

@@ -1,19 +1,14 @@
 """Counting quasimorphisms against a dynamic-programming oracle."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from ball_reference import scaled_ball_values, sphere_pairs
 from sclkit.braids import BraidGroup, b3_key, half_twist
-from sclkit.groups import (
-    CyclicZ,
-    DirectProduct,
-    FreeGroup,
-    proj_left,
-    scaled_ball_values,
-    sphere_pairs,
-)
+from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, proj_left
 from sclkit.quasimorphisms import (
     CertifiedValue,
     Quasimorphism,
@@ -291,6 +286,22 @@ def test_defect_search_matches_reference_with_a_nontrivial_scale():
     assert scaled_ball_values(f2, 5, qm)[1] == 12
     res = _same_as_reference(qm, 5)
     assert res.lower.denominator > 1
+
+
+def test_suite_defect_search_stays_under_its_memory_pin():
+    # suite item 4's search: 13,121 elements, 139,969 pairs.  Building the
+    # ball twice and a Fraction per element, zeros included, peaked at
+    # 3.5 MB traced; one sparse table peaks at 1.6 MB.
+    qm = brooks_homogenized(word("xyXY"))
+    defect_search(qm, 8)
+    tracemalloc.start()
+    try:
+        res = defect_search(qm, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.lower, res.pairs_checked) == (2, 139969)
+    assert peak < 2.6 * 2**20
 
 
 def test_defect_search_matches_reference_off_free_groups():
