@@ -484,10 +484,18 @@ def p3_embed_letters(w: Word) -> tuple[int, ...]:
     return tuple(out)
 
 
+_FULL_TWIST_3 = full_twist(3).letters
+_FULL_TWIST_3_INVERSE = invert_letters(_FULL_TWIST_3)
+
+
 def p3_assemble(w: Word, k: int) -> BraidWord:
-    """Braid word embed(w) * fulltwist^k on 3 strands."""
-    twist = full_twist(3) if k >= 0 else ~full_twist(3)
-    return BraidWord(3, p3_embed_letters(w) + twist.letters * abs(k))
+    """Braid word embed(w) * fulltwist^k on 3 strands.
+
+    Every letter is +-1 or +-2 by construction, so the result skips the
+    validation of a public ``BraidWord``.
+    """
+    twist = _FULL_TWIST_3 if k >= 0 else _FULL_TWIST_3_INVERSE
+    return _braid_word(3, p3_embed_letters(w) + twist * abs(k))
 
 
 class PeelingError(RuntimeError):

@@ -12,14 +12,16 @@ Every Cayley-graph walk in the library goes through two helpers here:
 ``BallValues``, which enumerates a ball once, keeps a function's nonzero
 values on it as exact integers over a common denominator, and yields the
 pairs of ball elements ordered by total length that the defect searches
-compare.
+compare.  ``sphere`` is the one enumeration primitive: the free group
+generates its spheres on demand, one pass each, and the other contexts hand
+out the layers of their cached breadth-first search.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .words import Word, _word, format_letters, random_reduced, word, words_of_length
 
@@ -140,9 +142,10 @@ class BallValues:
     """``fn`` once per element of the ball of ``radius``, stored sparse as
     integers over one common denominator, with the pairs of ball elements.
 
-    ``fn`` returns a rational, or a tuple of rationals of one length.  The
-    spheres 0..radius come from ``ctx.sphere`` once each; they partition the
-    ball, so ``fn`` runs once per canonical key.  ``values`` holds only the
+    ``fn`` returns a rational, or a tuple of rationals of one length.  It
+    runs over the spheres 0..radius of ``ctx.sphere``, one pass each; they
+    partition the ball, so ``fn`` runs once per canonical key.  No sphere is
+    kept: ``pairs`` takes the spheres afresh.  ``values`` holds only the
     nonzero rows, keyed by canonical form, each rational times ``scale`` in
     the same shape; a key missing from it reads as ``zero`` (0, or a tuple
     of zeros).  ``scale`` is the lcm of every denominator, positive, so
@@ -156,12 +159,11 @@ class BallValues:
     """
 
     def __init__(self, ctx: "GroupContext", radius: int, fn: Callable[[Any], Any]):
-        self.spheres = [ctx.sphere(k) for k in range(radius + 1)]
         canonical = ctx.canonical
         values: dict[Hashable, Any] = {}
         zero = None
-        for sphere in self.spheres:
-            for g in sphere:
+        for k in range(radius + 1):
+            for g in ctx.sphere(k):
                 row = fn(g)
                 if zero is None:
                     zero = (0,) * len(row) if isinstance(row, tuple) else 0
@@ -179,21 +181,33 @@ class BallValues:
                 values[key] = tuple(v.numerator * (scale // v.denominator) for v in row)
             else:
                 values[key] = row.numerator * (scale // row.denominator)
+        self.ctx = ctx
+        self.radius = radius
         self.values = values
         self.zero = zero
         self.scale = scale
 
-    def pairs(self) -> Iterator[tuple[Any, list]]:
+    def pairs(self) -> Iterator[tuple[Any, Iterable]]:
         """Every pair (g, h) with |g| + |h| <= radius, as (g, sphere of h).
 
-        Pairs come by total length, then by |g|; the caller loops over h in
-        the sphere, so per-g work runs once per g.
+        Pairs come by total length, then by |g|, then in sphere order; the
+        caller loops over h in the sphere once, so per-g work runs once per
+        g.  Only the spheres up to radius // 2 are held, as lists: in every
+        block one of |g| and |h| is at most that, and a longer sphere is
+        taken afresh from ``ctx.sphere``, once per block on the g side and
+        once per g on the h side.
         """
-        spheres = self.spheres
-        for total in range(len(spheres)):
+        ctx, radius = self.ctx, self.radius
+        half = radius // 2
+        short = [list(ctx.sphere(k)) for k in range(half + 1)]
+
+        def sphere(k: int) -> Iterable:
+            return short[k] if k <= half else ctx.sphere(k)
+
+        for total in range(radius + 1):
             for i in range(total + 1):
-                for g in spheres[i]:
-                    yield g, spheres[total - i]
+                for g in sphere(i):
+                    yield g, sphere(total - i)
 
 
 class GroupContext:
@@ -252,9 +266,12 @@ class GroupContext:
 
     # --- deterministic enumeration -------------------------------------
 
-    def sphere(self, k: int) -> list:
+    def sphere(self, k: int) -> Iterable:
         """Elements at word-length exactly k from the standard generators,
-        deduplicated by canonical form, in breadth-first discovery order."""
+        deduplicated by canonical form, in breadth-first discovery order.
+
+        An iterable to be iterated once: here the cached layer of the
+        breadth-first search, on the free group a fresh generator."""
         return self._bfs_spheres(k)[k]
 
     def ball(self, radius: int) -> list:
@@ -348,15 +365,15 @@ class FreeGroup(GroupContext):
     def generators(self) -> list[Word]:
         return [Word(self.rank, (i,)) for i in self.gen_indices]
 
-    def sphere(self, k: int) -> list[Word]:
-        """The reduced words of length k, enumerated directly.
+    def sphere(self, k: int) -> Iterator[Word]:
+        """One pass over the reduced words of length k, generated directly
+        and never stored.
 
-        The breadth-first ball would give the same sets but keeps its visited
-        set alive: at radius 8 on free:xy it raised the peak memory of suite
-        item 4 in a fresh process from 18.4 to 20.0 MB (three runs each, 2
-        vCPUs, Python 3.11).
+        The breadth-first ball would give the same sets in another order,
+        and would keep its visited set alive for the life of the context.
         """
-        return [_word(self.rank, ls) for ls in words_of_length(self.rank, k, self.gen_indices)]
+        rank = self.rank
+        return (_word(rank, ls) for ls in words_of_length(rank, k, self.gen_indices))
 
     def sample(self, rng, size: int) -> Word:
         return _word(self.rank, random_reduced(rng, self.rank, size, self.gen_indices))

@@ -282,28 +282,22 @@ def commutator(a: Word, b: Word) -> Word:
 
 
 def words_of_length(rank: int, length: int, gen_indices: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every reduced letter tuple of exactly the given length over the
-    chosen generators (default: all of 1..rank), in a fixed deterministic
-    order."""
-    if length == 0:
-        yield ()
-        return
+    """One pass over every reduced letter tuple of exactly the given length
+    over the chosen generators (default: all of 1..rank), in lexicographic
+    order over the alphabet g1, -g1, g2, -g2, ... of the generators in turn.
+
+    Level k is generated from level k - 1 by extending each tuple by the
+    alphabet in order, so no level is ever stored.
+
+    >>> list(words_of_length(1, 2))
+    [(1, 1), (-1, -1)]
+    """
     indices = tuple(gen_indices) if gen_indices is not None else tuple(range(1, rank + 1))
     alphabet = [i for g in indices for i in (g, -g)]
-    prefix: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for l in alphabet:
-            if prefix and prefix[-1] == -l:
-                continue
-            prefix.append(l)
-            yield from rec()
-            prefix.pop()
-
-    yield from rec()
+    level: Iterator[tuple[int, ...]] = iter([()])
+    for _ in range(length):
+        level = (w + (l,) for w in level for l in alphabet if not w or w[-1] != -l)
+    return level
 
 
 def random_reduced(rng, rank: int, length: int, gen_indices: Iterable[int] | None = None) -> tuple[int, ...]:

@@ -1,9 +1,12 @@
-"""The dense ball helpers that ``groups.BallValues`` replaced, kept unchanged
-as its oracle: ``sphere_pairs`` enumerates the pairs and
-``scaled_ball_values`` holds a value for every ball element, zero or not."""
+"""The ball helpers that faster code replaced, kept unchanged as oracles.
+
+``sphere_pairs`` enumerates the pairs and ``scaled_ball_values`` holds a
+value for every ball element, zero or not, as ``groups.BallValues`` does
+sparse and streamed; ``words_of_length`` is the recursive enumerator that
+``words.words_of_length`` replaced."""
 
 import math
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, Iterator
 
 
 def sphere_pairs(ctx, radius: int) -> Iterable[tuple[Any, list]]:
@@ -12,7 +15,7 @@ def sphere_pairs(ctx, radius: int) -> Iterable[tuple[Any, list]]:
     Pairs come by total length, then by |g|; the caller loops over h in the
     sphere, so per-g work runs once per g.
     """
-    spheres = [ctx.sphere(k) for k in range(radius + 1)]
+    spheres = [list(ctx.sphere(k)) for k in range(radius + 1)]
     for total in range(radius + 1):
         for i in range(total + 1):
             for g in spheres[i]:
@@ -49,3 +52,28 @@ def scaled_ball_values(
         else:
             values[key] = row.numerator * (scale // row.denominator)
     return values, scale
+
+
+def words_of_length(rank: int, length: int, gen_indices: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield every reduced letter tuple of exactly the given length over the
+    chosen generators (default: all of 1..rank), in a fixed deterministic
+    order."""
+    if length == 0:
+        yield ()
+        return
+    indices = tuple(gen_indices) if gen_indices is not None else tuple(range(1, rank + 1))
+    alphabet = [i for g in indices for i in (g, -g)]
+    prefix: list[int] = []
+
+    def rec() -> Iterator[tuple[int, ...]]:
+        if len(prefix) == length:
+            yield tuple(prefix)
+            return
+        for l in alphabet:
+            if prefix and prefix[-1] == -l:
+                continue
+            prefix.append(l)
+            yield from rec()
+            prefix.pop()
+
+    yield from rec()

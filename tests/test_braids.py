@@ -340,6 +340,16 @@ def test_p3_round_trip_small():
         assert coords == P3Coordinates(w, k)
 
 
+def test_p3_assemble_equals_the_validated_braid_word():
+    rng = random.Random(307)
+    twist, inverse = full_twist(3).letters, (~full_twist(3)).letters
+    for k in range(-5, 6):
+        for _ in range(10):
+            w = Word(25, random_reduced(rng, 25, rng.randrange(0, 10), gen_indices=(24, 25)))
+            expected = BraidWord(3, braids.p3_embed_letters(w) + (twist if k >= 0 else inverse) * abs(k))
+            assert p3_assemble(w, k) == expected
+
+
 def test_p3_coordinates_rejects_non_pure():
     with pytest.raises(ValueError):
         p3_coordinates(braid("1", 3))

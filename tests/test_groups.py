@@ -51,7 +51,7 @@ def test_free_group_ball_sizes():
     assert len(f2.ball(0)) == 1
     assert len(f2.ball(1)) == 5
     assert len(f2.ball(2)) == 17
-    assert len(f2.sphere(3)) == 4 * 3 * 3
+    assert len(list(f2.sphere(3))) == 4 * 3 * 3
 
 
 def test_free_group_on_letters():

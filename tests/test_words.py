@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import ball_reference
 from sclkit.braids import braid, normal_form
 from sclkit.groups import FreeGroup
 from sclkit.words import (
@@ -152,6 +153,28 @@ def test_words_of_length_respects_gen_indices():
     seen = set(words_of_length(26, 2, gen_indices=(24, 25)))
     assert len(seen) == 4 * 3
     assert all(abs(l) in (24, 25) for w in seen for l in w)
+
+
+@pytest.mark.parametrize(
+    "rank, gen_indices", [(1, None), (2, None), (3, None), (26, (24, 25)), (3, (1, 3))]
+)
+def test_words_of_length_matches_the_recursive_enumerator(rank, gen_indices):
+    # the same tuples in the same order, which fixes the free-group sphere
+    # order and so the pair order of the defect searches
+    for length in range(8):
+        assert list(words_of_length(rank, length, gen_indices)) == list(
+            ball_reference.words_of_length(rank, length, gen_indices)
+        )
+
+
+def test_free_group_spheres_match_the_recursive_enumerator():
+    for ctx in (FreeGroup(1), FreeGroup(2), FreeGroup(3), FreeGroup.on("xy"), FreeGroup.on("ac")):
+        for k in range(7):
+            sphere = list(ctx.sphere(k))
+            assert [ctx.canonical(g) for g in sphere] == list(
+                ball_reference.words_of_length(ctx.rank, k, ctx.gen_indices)
+            )
+            assert all(g.rank == ctx.rank for g in sphere)
 
 
 def test_random_reduced_respects_length_and_reduction():
