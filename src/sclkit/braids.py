@@ -31,9 +31,15 @@ The rank-3 group also carries the exact integer-matrix homomorphism onto
 SL(2,Z) sending the two generators to [[1,1],[0,1]] and [[1,0],[-1,1]].  Its
 kernel is generated by D^4 (the full twist D^2 maps to -I), on which the
 index sum (12 per D^4) is injective.  So the index sum together with the
-matrix is an exact equality key, ``b3_key``, computed in one pass over the
-letters; the same pass drives the pure-braid coordinate splitting
-``p3_coordinates``.
+matrix is an exact equality key, ``b3_key``.  The key is a homomorphism, so
+every 3-strand word carries it: products, inverses and powers compose the
+keys of their operands with 2x2 integer products (powers by repeated
+squaring), and only a word built from letters, such as one parsed from
+text, has its letters walked once, on first use.  Reduced mod 2 the matrix
+is the permutation of the braid (SL(2,Z/2) is the symmetric group on three
+letters), so the key also decides ``is_pure``, and it drives the pure-braid
+coordinate splitting ``p3_coordinates``
+(Kassel and Turaev, *Braid Groups*, GTM 247, 2008).
 """
 
 from __future__ import annotations
@@ -154,15 +160,20 @@ _set_nf_factors = GarsideNormalForm.factors.__set__
 
 
 class BraidWord(Frozen):
-    """An Artin word in the braid group on n strands."""
+    """An Artin word in the braid group on n strands.
 
-    __slots__ = ("n", "letters")
+    On 3 strands ``_key`` caches the word's ``b3_key`` (None until it is
+    known); it is not a field, so equality, hash and repr ignore it.
+    """
+
+    __slots__ = ("n", "letters", "_key")
     n: int
     letters: tuple[int, ...]
 
     def __init__(self, n: int, letters: tuple[int, ...]) -> None:
         _set_n(self, n)
         _set_letters(self, letters)
+        _set_key(self, None)
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -181,16 +192,20 @@ class BraidWord(Frozen):
         return hash((self.n, self.letters))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        return _braid_word(self.n, multiply_letters(self.letters, other.letters))
+        n = self.n
+        if n != other.n:
+            raise ValueError(f"strand count mismatch: {n} vs {other.n}")
+        key = _key_mul(b3_key(self), b3_key(other)) if n == 3 else None
+        return _braid_word(n, multiply_letters(self.letters, other.letters), key)
 
     def __invert__(self) -> "BraidWord":
-        return _braid_word(self.n, invert_letters(self.letters))
+        key = _key_inv(b3_key(self)) if self.n == 3 else None
+        return _braid_word(self.n, invert_letters(self.letters), key)
 
     def __pow__(self, m: int) -> "BraidWord":
         base = self if m >= 0 else ~self
-        return _braid_word(self.n, base.letters * abs(m))
+        key = _key_pow(b3_key(base), abs(m)) if self.n == 3 else None
+        return _braid_word(self.n, base.letters * abs(m), key)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -203,14 +218,17 @@ class BraidWord(Frozen):
 _new = object.__new__
 _set_n = BraidWord.n.__set__
 _set_letters = BraidWord.letters.__set__
+_set_key = BraidWord._key.__set__
 
 
-def _braid_word(n: int, letters: tuple[int, ...]) -> BraidWord:
-    """A BraidWord from letters already known to be valid for n strands;
-    skips the range check of ``__post_init__``."""
+def _braid_word(n: int, letters: tuple[int, ...], key: Key | None = None) -> BraidWord:
+    """A BraidWord from letters already known to be valid for n strands,
+    with its ``b3_key`` when known; skips the range check of
+    ``__post_init__``."""
     b = _new(BraidWord)
     _set_n(b, n)
     _set_letters(b, letters)
+    _set_key(b, key)
     return b
 
 
@@ -242,12 +260,12 @@ def braid(text: str, n: int) -> BraidWord:
                 raise ValueError(f"braid text expands to more than {MAX_WORD_LETTERS} letters")
             letters.extend([letter] * abs(power))
     else:
-        letters = [int(tok) for tok in text.split(",") if tok.strip()]
+        letters = list(map(int, filter(str.strip, text.split(","))))
     return BraidWord(n, tuple(letters))
 
 
 def format_braid(b: BraidWord) -> str:
-    return ",".join(str(l) for l in b.letters)
+    return ",".join(map(str, b.letters))
 
 
 def normal_form(b: BraidWord) -> GarsideNormalForm:
@@ -319,6 +337,12 @@ def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
 
 
 def is_pure(b: BraidWord) -> bool:
+    """Whether the braid induces the identity permutation.  On 3 strands:
+    whether its SL(2,Z) image is the identity mod 2 (the determinant is 1,
+    so even off-diagonal entries force odd diagonal ones)."""
+    if b.n == 3:
+        _, _, q, r, _ = b3_key(b)
+        return q % 2 == 0 and r % 2 == 0
     return underlying_permutation(b) == perm_identity(b.n)
 
 
@@ -395,11 +419,13 @@ class BraidGroup(GroupContext):
 # --- the rank-3 matrix homomorphism and pure-braid coordinates ----------
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
+Key = tuple[int, int, int, int, int]
 
 
-def b3_key(w: BraidWord) -> tuple[int, int, int, int, int]:
+def b3_key(w: BraidWord) -> Key:
     """Exact equality key of a 3-strand braid: (index sum, a, b, c, d), where
-    [[a, b], [c, d]] is its SL(2,Z) image; one pass over the letters.
+    [[a, b], [c, d]] is its SL(2,Z) image.  A word carries its key; only a
+    word without one has its letters walked, once.
 
     The matrix map kills exactly the powers of D^4 (the full twist D^2 maps
     to -I), and the index sum is 12 on D^4, so together they are injective.
@@ -408,8 +434,17 @@ def b3_key(w: BraidWord) -> tuple[int, int, int, int, int]:
     >>> b3_key(full_twist(3) ** 2), b3_key(BraidWord(3, ()))
     ((12, 1, 0, 0, 1), (0, 1, 0, 0, 1))
     """
+    key = w._key
+    if key is None:
+        key = _walk_key(w.letters)
+        _set_key(w, key)
+    return key
+
+
+def _walk_key(letters: tuple[int, ...]) -> Key:
+    """``b3_key`` of a letter sequence, in one pass over the letters."""
     s, a, b, c, d = 0, 1, 0, 0, 1
-    for l in w.letters:
+    for l in letters:
         if l == 1:  # right factor [[1, 1], [0, 1]]
             b += a
             d += c
@@ -427,6 +462,30 @@ def b3_key(w: BraidWord) -> tuple[int, int, int, int, int]:
             c += d
             s -= 1
     return s, a, b, c, d
+
+
+def _key_mul(x: Key, y: Key) -> Key:
+    s, a, b, c, d = x
+    t, e, f, g, h = y
+    return s + t, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+
+
+def _key_inv(x: Key) -> Key:
+    s, a, b, c, d = x
+    return -s, d, -b, -c, a
+
+
+def _key_pow(x: Key, m: int) -> Key:
+    """Key of the m-th power, m >= 0, by repeated squaring of the matrix."""
+    result: Key = (0, 1, 0, 0, 1)
+    square = x
+    while m:
+        if m & 1:
+            result = _key_mul(result, square)
+        m >>= 1
+        if m:
+            square = _key_mul(square, square)
+    return result
 
 
 def sl2_image(b: BraidWord) -> Matrix:

@@ -62,11 +62,6 @@ class CertifiedValue(Frozen):
     def __hash__(self) -> int:
         return hash((self.value, self.radius))
 
-    def contains(self, exact: Fraction) -> bool:
-        if self.radius is None:
-            return False
-        return abs(self.value - exact) <= self.radius
-
     def __str__(self) -> str:
         if self.radius is None:
             return f"{self.value} ± unknown"

@@ -468,7 +468,8 @@ def _item_word_algebra(rng, shared):
             return _fail(f"associativity failed at {ra} {rb} {rc}")
         if (u * ~u).letters != ():
             return _fail(f"inverse failed at {ra}")
-        once = reduce_letters(rb, rank)
+        # from_raw has reduced rb once already
+        once = v.letters
         if reduce_letters(once, rank) != once:
             return _fail(f"reduction is not idempotent at {rb}")
     return True, "100000 random triples: associativity, inverses, idempotent reduction", []

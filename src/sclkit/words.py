@@ -145,7 +145,8 @@ def parse_letters(text: str) -> list[int]:
 
 class Frozen:
     """Base of the immutable value types: slotted, read-only after
-    construction, with a ``Name(field=value, ...)`` repr over ``__slots__``.
+    construction, with a ``Name(field=value, ...)`` repr over ``__slots__``;
+    a slot named with a leading underscore is a cache, not a field.
 
     Subclasses write their own ``__init__``, ``__eq__`` and ``__hash__`` and
     set fields through the slot descriptors, which bypass ``__setattr__``.
@@ -162,7 +163,9 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
+        )
         return f"{type(self).__qualname__}({fields})"
 
 
@@ -239,11 +242,6 @@ class Word(Frozen):
 
     def is_identity(self) -> bool:
         return not self.letters
-
-    def cyclic_reduce(self) -> tuple["Word", "Word"]:
-        """Return (core, conjugator) with self = conjugator * core * conjugator^-1."""
-        core, conj = cyclic_reduce_letters(self.letters)
-        return _word(self.rank, core), _word(self.rank, conj)
 
     def exponent_sum(self) -> int:
         """Signed letter count over all generators."""

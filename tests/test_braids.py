@@ -164,6 +164,15 @@ def test_braid_parse_and_format():
         braid("3", 3)
     with pytest.raises(ValueError):
         braid("0", 3)
+    # empty tokens are skipped and spaces around a token are allowed
+    for text in ("1,,2", " 1 , 2 ", "1,2,", ",1,2"):
+        assert braid(text, 3).letters == (1, 2), text
+    with pytest.raises(ValueError, match="invalid literal"):
+        braid("1,x", 3)
+    # the range check names the first bad letter
+    for letters, bad in (((1, 5, 0), 5), ((-1, 0, 3), 0), ((2, -3), -3)):
+        with pytest.raises(ValueError, match=f"crossing index {bad} out of range for 3 strands"):
+            BraidWord(3, letters)
 
 
 def test_b3_key_agrees_with_normal_forms():
@@ -203,6 +212,56 @@ def test_b3_key_matches_normal_form_round_trip():
         word_m = alpha**m
         back = BraidWord(3, nf_to_letters(normal_form(word_m)))
         assert b3_key(back) == b3_key(word_m)
+
+
+def _walked_key(b):
+    """The oracle: ``b3_key`` of the same letters in a fresh word, which
+    walks them."""
+    fresh = BraidWord(3, b.letters)
+    assert fresh._key is None
+    return b3_key(fresh)
+
+
+def test_carried_keys_equal_the_keys_of_the_letters():
+    rng = random.Random(321)
+    ctx = BraidGroup(3)
+    powers = (-70, -64, -3, -1, 0, 1, 2, 64, 65, 100)
+    acc = ctx.identity
+    for _ in range(200):
+        a = random_braid(rng, 3, rng.randrange(0, 12))
+        b = random_braid(rng, 3, rng.randrange(0, 12))
+        acc = acc * a if rng.random() < 0.5 else ~acc
+        built = [a * b, ~a, ctx.conjugate(a, b), ctx.commutator(a, b), ctx.inv(acc)]
+        m = rng.choice(powers)
+        built += [a**m, ctx.power(ctx.commutator(acc, b), m), ctx.conjugate(acc, b) ** m]
+        for c in built:
+            # composed from the operands' keys, never walked
+            assert c._key is not None
+            assert c._key == _walked_key(c), (format_braid(c), m)
+    parsed = braid("1,2,-1", 3)
+    assert parsed._key is None
+    assert b3_key(parsed) == parsed._key == (1, 0, 1, -1, 2)
+    # other strand counts carry no key
+    assert (braid("1,3", 4) * braid("2", 4))._key is None
+
+
+def test_mod_2_purity_equals_the_permutation():
+    rng = random.Random(322)
+    ctx = BraidGroup(3)
+    s1, s2 = braid("1", 3), braid("2", 3)
+    alpha = ctx.commutator(s1**2, s2**2)
+    samples = [s1**2, s2**2, s1**-2, full_twist(3), half_twist(3), ~half_twist(3), alpha]
+    samples += [random_braid(rng, 3, rng.randrange(0, 20)) for _ in range(500)]
+    samples += [samples[rng.randrange(len(samples))] * s for s in samples[:300]]
+    identity = perm_identity(3)
+    pure = 0
+    for b in samples:
+        expected = underlying_permutation(b) == identity
+        assert is_pure(b) == expected, format_braid(b)
+        assert is_pure(BraidWord(3, b.letters)) == expected
+        pure += expected
+    assert [is_pure(b) for b in samples[:7]] == [True, True, True, True, False, False, True]
+    assert pure > 100
 
 
 def test_b3_group_eq_is_false_across_strand_counts():

@@ -1,5 +1,8 @@
 """End-to-end CLI contract: exit codes, determinism, fresh-process verify."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import resource
@@ -291,6 +294,50 @@ def test_scl_bounds_mixed_flip_family(tmp_path):
     v = run_cli("verify", str(out))
     assert v.returncode == 0
     assert "all claims verified" in v.stdout
+
+
+def test_a_fresh_process_writes_complete_output(tmp_path, capsys):
+    # the process entry freezes the collector once main has returned;
+    # everything main wrote still reaches stdout, block-buffered as a pipe
+    # is by default, and the --out file
+    args = ["scl-bounds", "--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "8",
+            "--format", "json"]
+    assert cli.main(args) == 0
+    expected = capsys.readouterr().out
+    assert expected.endswith("}\n") and len(json.loads(expected)["items"]) == 8
+    buffered = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    def fresh(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "sclkit", *args, *extra],
+            capture_output=True, text=True, timeout=120, env=buffered,
+        )
+
+    r = fresh()
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == expected
+    out = tmp_path / "out.json"
+    r = fresh("--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == ""
+    assert out.read_text() == expected
+
+
+def test_only_the_process_entry_freezes_the_collector(tmp_path):
+    before = gc.get_freeze_count()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-paper", "--only", "2"]) == 0
+    assert gc.get_freeze_count() == before
+    out = tmp_path / "item2.txt"
+    code = (
+        "import gc, sys; from sclkit.__main__ import run; "
+        f"sys.argv = ['sclkit', 'verify-paper', '--only', '2', '--out', {str(out)!r}]; "
+        "print(run(), gc.get_freeze_count() > 0)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "0 True\n"
+    assert "PASS" in out.read_text()
 
 
 def test_scl_bounds_ordinary_lower(tmp_path):
