@@ -143,16 +143,6 @@ class GarsideNormalForm(Frozen):
     def key(self) -> Hashable:
         return (self.n, self.delta_power, self.factors)
 
-    def is_left_weighted(self) -> bool:
-        ident, delta, _ = _tables(self.n)
-        if any(f in (ident, delta) for f in self.factors):
-            return False
-        for a, b in zip(self.factors, self.factors[1:]):
-            fin = set(_descents(perm_inverse(a)))
-            if any(i not in fin for i in _descents(b)):
-                return False
-        return True
-
 
 _set_nf_n = GarsideNormalForm.n.__set__
 _set_nf_delta_power = GarsideNormalForm.delta_power.__set__
@@ -298,34 +288,6 @@ def cached_normal_form(b: BraidWord) -> GarsideNormalForm:
     return normal_form(b)
 
 
-def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Exact word-problem solution via normal forms."""
-    if a.n != b.n:
-        raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
-    return cached_normal_form(a).key() == cached_normal_form(b).key()
-
-
-def nf_to_letters(nf: GarsideNormalForm) -> tuple[int, ...]:
-    """An Artin word representing the normal form (for round trips)."""
-    n = nf.n
-    ident, _, taus = _tables(n)
-    half = []
-    for size in range(n - 1, 0, -1):
-        half.extend(range(1, size + 1))
-    letters: list[int] = []
-    if nf.delta_power >= 0:
-        letters.extend(half * nf.delta_power)
-    else:
-        letters.extend([-l for l in reversed(half)] * (-nf.delta_power))
-    for f in nf.factors:
-        p = f
-        while p != ident:
-            i = _descents(p)[0]
-            letters.append(i + 1)
-            p = perm_compose(taus[i], p)
-    return tuple(letters)
-
-
 def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
     """Image in the symmetric group (0-indexed position images)."""
     # each letter swaps two values of the image, i.e. two entries of its inverse
@@ -425,7 +387,8 @@ Key = tuple[int, int, int, int, int]
 def b3_key(w: BraidWord) -> Key:
     """Exact equality key of a 3-strand braid: (index sum, a, b, c, d), where
     [[a, b], [c, d]] is its SL(2,Z) image.  A word carries its key; only a
-    word without one has its letters walked, once.
+    word without one has its letters walked, once, and only a 3-strand word
+    may be walked: a word that carries a key is a 3-strand word already.
 
     The matrix map kills exactly the powers of D^4 (the full twist D^2 maps
     to -I), and the index sum is 12 on D^4, so together they are injective.
@@ -436,6 +399,8 @@ def b3_key(w: BraidWord) -> Key:
     """
     key = w._key
     if key is None:
+        if w.n != 3:
+            raise ValueError("the matrix homomorphism is defined on 3 strands")
         key = _walk_key(w.letters)
         _set_key(w, key)
     return key
@@ -490,15 +455,12 @@ def _key_pow(x: Key, m: int) -> Key:
 
 def sl2_image(b: BraidWord) -> Matrix:
     """Exact image of a 3-strand braid in SL(2,Z)."""
-    if b.n != 3:
-        raise ValueError("the matrix homomorphism is defined on 3 strands")
     _, p, q, r, t = b3_key(b)
     return (p, q), (r, t)
 
 
 X = 24
 Y = 25
-F2_RANK = 25
 
 
 class P3Coordinates(Frozen):
@@ -626,7 +588,7 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
         if exp < 0:
             letter = -letter
         raw.extend([letter] * abs(exp))
-    w = Word(F2_RANK, tuple(raw))
+    w = Word(tuple(raw))
     total = key[0] - 2 * w.exponent_sum()
     k, rem = divmod(total, 6)
     if rem != 0:

@@ -23,7 +23,7 @@ import itertools
 import math
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .words import Word, _word, format_letters, random_reduced, word, words_of_length
+from .words import ALPHABET_SIZE, Word, _word, format_letters, random_reduced, word, words_of_length
 
 
 class ProductSearch:
@@ -307,33 +307,28 @@ class FreeGroup(GroupContext):
     ``FreeGroup(2)`` is the free group on ``a, b``.  ``FreeGroup.on("xy")``
     is the free group on the letters ``x, y``: words still carry their full
     alphabet indices (x is generator 24), but enumeration and sampling range
-    over the two chosen letters only.
+    over the two chosen letters only.  ``gen_indices`` is the group's
+    alphabet, and ``parse`` is where text is checked against it.
     """
 
     def __init__(self, rank: int | None = None, *, gen_indices: tuple[int, ...] | None = None):
         if gen_indices is not None:
-            if not all(1 <= i <= 26 for i in gen_indices):
-                raise ValueError("generator indices must be in 1..26")
+            if not all(1 <= i <= ALPHABET_SIZE for i in gen_indices):
+                raise ValueError(f"generator indices must be in 1..{ALPHABET_SIZE}")
             if len(set(gen_indices)) != len(gen_indices):
                 raise ValueError("generator indices must be distinct")
             self.gen_indices = tuple(sorted(gen_indices))
-            self.rank = max(self.gen_indices, default=0)
-            names = "".join(format_letters((i,)) for i in self.gen_indices)
-            self.name = f"free:{names}"
+            self.name = f"free:{format_letters(self.gen_indices)}"
         else:
-            if rank is None or rank < 0:
-                raise ValueError("rank must be nonnegative")
-            self.rank = rank
+            if rank is None or not 0 <= rank <= ALPHABET_SIZE:
+                raise ValueError(f"rank must be in 0..{ALPHABET_SIZE}")
             self.gen_indices = tuple(range(1, rank + 1))
             self.name = f"free:{rank}"
 
     @classmethod
     def on(cls, letters: str) -> "FreeGroup":
         """Free group on the given lowercase letters, e.g. ``on("xy")``."""
-        indices = tuple(ord(c) - ord("a") + 1 for c in letters)
-        if any(not 1 <= i <= 26 for i in indices):
-            raise ValueError("generators must be lowercase letters a..z")
-        return cls(gen_indices=indices)
+        return cls(gen_indices=tuple(ord(c) - ord("a") + 1 for c in letters))
 
     def mul(self, a: Word, b: Word) -> Word:
         return a * b
@@ -343,7 +338,7 @@ class FreeGroup(GroupContext):
 
     @property
     def identity(self) -> Word:
-        return _word(self.rank, ())
+        return _word(())
 
     def power(self, a: Word, n: int) -> Word:
         return a**n
@@ -355,7 +350,7 @@ class FreeGroup(GroupContext):
         return str(a)
 
     def parse(self, s: str) -> Word:
-        w = word(s, rank=self.rank)
+        w = word(s)
         bad = sorted({abs(l) for l in w.letters} - set(self.gen_indices))
         if bad:
             names = format_letters(tuple(bad))
@@ -363,7 +358,7 @@ class FreeGroup(GroupContext):
         return w
 
     def generators(self) -> list[Word]:
-        return [Word(self.rank, (i,)) for i in self.gen_indices]
+        return [_word((i,)) for i in self.gen_indices]
 
     def sphere(self, k: int) -> Iterator[Word]:
         """One pass over the reduced words of length k, generated directly
@@ -372,11 +367,10 @@ class FreeGroup(GroupContext):
         The breadth-first ball would give the same sets in another order,
         and would keep its visited set alive for the life of the context.
         """
-        rank = self.rank
-        return (_word(rank, ls) for ls in words_of_length(rank, k, self.gen_indices))
+        return (_word(ls) for ls in words_of_length(self.gen_indices, k))
 
     def sample(self, rng, size: int) -> Word:
-        return _word(self.rank, random_reduced(rng, self.rank, size, self.gen_indices))
+        return _word(random_reduced(rng, self.gen_indices, size))
 
 
 class CyclicZ(GroupContext):

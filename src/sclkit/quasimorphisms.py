@@ -75,8 +75,8 @@ _set_radius = CertifiedValue.radius.__set__
 def count_copies(w: Word, g: Word) -> int:
     """Maximal number of disjoint copies of w inside g (greedy packing).
 
-    Only the letter sequences matter, so the declared ranks of pattern and
-    target need not agree.
+    Only the letter sequences matter, so pattern and target need not come
+    from the same free group.
     """
     if not w.letters:
         raise ValueError("counting pattern must be nonempty")
@@ -190,10 +190,7 @@ class Quasimorphism:
 def _default_free_context(w: Word) -> "GroupContext":
     from .groups import FreeGroup
 
-    indices = tuple(sorted({abs(l) for l in w.letters}))
-    if not indices:
-        return FreeGroup(w.rank)
-    return FreeGroup(gen_indices=indices)
+    return FreeGroup(gen_indices=tuple({abs(l) for l in w.letters}))
 
 
 def brooks(w: Word, context: GroupContext | None = None) -> Quasimorphism:

@@ -37,7 +37,7 @@ from .scl import (
     product_left_pair,
     pure_ordinary_pair,
 )
-from .words import word
+from .words import ALPHABET_SIZE, word
 
 
 class SpecError(ValueError):
@@ -51,8 +51,8 @@ class SpecError(ValueError):
 # 26 s on braid:10 and 96 s on braid:16.
 MAX_BRAID_STRANDS = 8
 
-# Word text names at most 26 generators, a..z.
-MAX_FREE_RANK = 26
+# Word text names at most ALPHABET_SIZE generators, a..z.
+MAX_FREE_RANK = ALPHABET_SIZE
 
 # Largest degree a permutation group spec may name.  Its generators are
 # n - 1 permutations of n points, so the smallest search holds about n^2

@@ -21,6 +21,8 @@ from typing import Callable
 
 from . import certio
 from .braids import (
+    X,
+    Y,
     BraidGroup,
     half_twist,
     index_section,
@@ -218,8 +220,8 @@ def _item_duality_lower(rng, shared):
         return _fail(f"searched defect {search.lower} exceeds certified bound {defect}")
 
     for _ in range(50):
-        b1 = p3_assemble(Word(25, random_reduced(rng, 25, rng.randrange(0, 7), (24, 25))), rng.randint(-2, 2))
-        b2 = p3_assemble(Word(25, random_reduced(rng, 25, rng.randrange(0, 7), (24, 25))), rng.randint(-2, 2))
+        b1 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 7))), rng.randint(-2, 2))
+        b2 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 7))), rng.randint(-2, 2))
         gap_braid = abs(qm(BraidGroup(3).mul(b1, b2)) - qm(b1) - qm(b2))
         w1, w2 = p3_coordinates(b1).f2_part, p3_coordinates(b2).f2_part
         gap_free = abs(qm_free(w1 * w2) - qm_free(w1) - qm_free(w2))
@@ -298,8 +300,8 @@ def _item_packing(rng, shared):
     ctx = FreeGroup(2)
     trials = [(ctx.parse("a"), ctx.parse("b"))]
     while len(trials) < 20:
-        x = Word(2, random_reduced(rng, 2, rng.randrange(0, 5)))
-        y = Word(2, random_reduced(rng, 2, rng.randrange(0, 5)))
+        x = Word(random_reduced(rng, (1, 2), rng.randrange(0, 5)))
+        y = Word(random_reduced(rng, (1, 2), rng.randrange(0, 5)))
         trials.append((x, y))
     for x, y in trials:
         for n in range(0, 9):
@@ -413,15 +415,15 @@ def _item_fragmentation(rng, shared):
 def _item_splitting(rng, shared):
     ctx = BraidGroup(3)
     for _ in range(1000):
-        w = Word(25, random_reduced(rng, 25, rng.randrange(0, 41), (24, 25)))
+        w = Word(random_reduced(rng, (X, Y), rng.randrange(0, 41)))
         k = rng.randint(-5, 5)
         co = p3_coordinates(p3_assemble(w, k))
         if co.f2_part != w or co.center_exponent != k:
             return _fail(f"round trip failed at ({w}, {k})")
     hom = pr1()
     for _ in range(1000):
-        b1 = p3_assemble(Word(25, random_reduced(rng, 25, rng.randrange(0, 13), (24, 25))), rng.randint(-3, 3))
-        b2 = p3_assemble(Word(25, random_reduced(rng, 25, rng.randrange(0, 13), (24, 25))), rng.randint(-3, 3))
+        b1 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 13))), rng.randint(-3, 3))
+        b2 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 13))), rng.randint(-3, 3))
         if hom(ctx.mul(b1, b2)) != hom(b1) * hom(b2):
             return _fail("projection is not multiplicative")
     return True, "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs", []
@@ -430,7 +432,6 @@ def _item_splitting(rng, shared):
 # --- item 10: word algebra properties -------------------------------------
 
 
-_ALGEBRA_RANK = 3
 _ALGEBRA_GENS = (1, 2, 3, -1, -2, -3)
 
 
@@ -457,20 +458,19 @@ def _random_raw(getrandbits) -> tuple[int, ...]:
 
 
 def _item_word_algebra(rng, shared):
-    rank = _ALGEBRA_RANK
     bits = rng.getrandbits
     for _ in range(100_000):
         ra, rb, rc = _random_raw(bits), _random_raw(bits), _random_raw(bits)
-        u = Word.from_raw(rank, ra)
-        v = Word.from_raw(rank, rb)
-        t = Word.from_raw(rank, rc)
+        u = Word.from_raw(ra)
+        v = Word.from_raw(rb)
+        t = Word.from_raw(rc)
         if ((u * v) * t).letters != (u * (v * t)).letters:
             return _fail(f"associativity failed at {ra} {rb} {rc}")
         if (u * ~u).letters != ():
             return _fail(f"inverse failed at {ra}")
         # from_raw has reduced rb once already
         once = v.letters
-        if reduce_letters(once, rank) != once:
+        if reduce_letters(once) != once:
             return _fail(f"reduction is not idempotent at {rb}")
     return True, "100000 random triples: associativity, inverses, idempotent reduction", []
 

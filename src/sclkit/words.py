@@ -1,9 +1,11 @@
 """Exact word algebra for finitely generated free groups.
 
 A word is an immutable sequence of signed generator indices: ``+i`` is the
-i-th generator and ``-i`` its inverse, with ``1 <= i <= rank``.  The empty
-sequence is the identity.  Every operation returns freely reduced output, so
-two words are equal in the group iff their letter tuples are equal.
+i-th generator and ``-i`` its inverse, with ``1 <= i <= ALPHABET_SIZE``.  The
+empty sequence is the identity.  Every operation returns freely reduced
+output, so two words are equal in the group iff their letter tuples are
+equal.  Which generators a word may use is the business of the group it is
+an element of (``groups.FreeGroup``), not of the word.
 
 Text syntax: lowercase ``a``..``z`` name generators 1..26, uppercase letters
 their inverses, whitespace is ignored, and ``x^3`` / ``x^-2`` powers are
@@ -15,25 +17,34 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+# Generators are named by the letters a..z, so a letter is a nonzero integer
+# in -ALPHABET_SIZE..ALPHABET_SIZE.
+ALPHABET_SIZE = 26
 
-def reduce_letters(raw: Iterable[int], rank: int) -> tuple[int, ...]:
+
+def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
     """Freely reduce a letter sequence with a single stack scan.
 
-    >>> reduce_letters([1, 2, -2, -1], 2)
+    >>> reduce_letters([1, 2, -2, -1])
     ()
-    >>> reduce_letters([1, 2, -2, 1], 2)
+    >>> reduce_letters([1, 2, -2, 1])
     (1, 1)
     """
+    top = ALPHABET_SIZE
     stack: list[int] = []
     for letter in raw:
         # a letter that cancels the top of the stack is in range, as the top is
         if stack and stack[-1] == -letter:
             stack.pop()
-        elif letter and -rank <= letter <= rank:
+        elif letter and -top <= letter <= top:
             stack.append(letter)
         else:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
+            raise ValueError(_bad_letter(letter))
     return tuple(stack)
+
+
+def _bad_letter(letter: int) -> str:
+    return f"letter {letter} is not a generator index in +-1..{ALPHABET_SIZE}"
 
 
 def is_reduced(letters: Iterable[int]) -> bool:
@@ -89,11 +100,11 @@ MAX_WORD_LETTERS = 10**6
 
 
 def format_letters(letters: Iterable[int]) -> str:
-    """Render letters in a..z / A..Z text form (rank at most 26)."""
+    """Render letters in a..z / A..Z text form."""
     out = []
     for l in letters:
         idx = abs(l)
-        if not 1 <= idx <= 26:
+        if not 1 <= idx <= ALPHABET_SIZE:
             raise ValueError(f"letter {l} has no single-character name")
         out.append(chr(_ORD_A + idx - 1) if l > 0 else chr(_ORD_CAP_A + idx - 1))
     return "".join(out)
@@ -170,39 +181,31 @@ class Frozen:
 
 
 class Word(Frozen):
-    """A freely reduced word; the rank is a validation bound on letters.
+    """A freely reduced word: its letters are the whole value.
 
-    Group identity is the letter tuple alone: words with the same letters
-    are equal regardless of declared rank, and products take the larger of
-    the two ranks.  Public construction validates; results of the group
-    operations are reduced and in range by construction and skip the check.
+    Public construction validates that every letter names a generator a..z
+    and that the letters are reduced; results of the group operations are
+    reduced and in range by construction and skip the check.
     """
 
-    __slots__ = ("rank", "letters")
-    rank: int
+    __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __init__(self, rank: int, letters: tuple[int, ...]) -> None:
-        _set_rank(self, rank)
+    def __init__(self, letters: tuple[int, ...]) -> None:
         _set_letters(self, letters)
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if self.rank < 0:
-            raise ValueError("rank must be nonnegative")
         for l in self.letters:
-            if l == 0 or abs(l) > self.rank:
-                raise ValueError(f"letter {l} out of range for rank {self.rank}")
+            if l == 0 or abs(l) > ALPHABET_SIZE:
+                raise ValueError(_bad_letter(l))
         if not is_reduced(self.letters):
             raise ValueError("Word requires freely reduced letters; use word() or from_raw()")
 
     @staticmethod
-    def from_raw(rank: int, raw: Iterable[int]) -> "Word":
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
+    def from_raw(raw: Iterable[int]) -> "Word":
         w = _new(Word)
-        _set_rank(w, rank)
-        _set_letters(w, reduce_letters(raw, rank))
+        _set_letters(w, reduce_letters(raw))
         return w
 
     def __eq__(self, other: object) -> bool:
@@ -216,32 +219,24 @@ class Word(Frozen):
     # __mul__, __invert__ and from_raw build the instance inline: they are
     # the inner loop of defect_search and of suite item 10
     def __mul__(self, other: "Word") -> "Word":
-        rank = self.rank
-        if other.rank > rank:
-            rank = other.rank
         w = _new(Word)
-        _set_rank(w, rank)
         _set_letters(w, multiply_letters(self.letters, other.letters))
         return w
 
     def __invert__(self) -> "Word":
         w = _new(Word)
-        _set_rank(w, self.rank)
         _set_letters(w, invert_letters(self.letters))
         return w
 
     def __pow__(self, n: int) -> "Word":
         base = self if n >= 0 else ~self
-        return _word(self.rank, reduce_letters(base.letters * abs(n), self.rank))
+        return _word(reduce_letters(base.letters * abs(n)))
 
     def __len__(self) -> int:
         return len(self.letters)
 
     def __str__(self) -> str:
         return format_letters(self.letters)
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def exponent_sum(self) -> int:
         """Signed letter count over all generators."""
@@ -250,60 +245,54 @@ class Word(Frozen):
 
 # the slot descriptors set the fields of a frozen instance directly
 _new = object.__new__
-_set_rank = Word.rank.__set__
 _set_letters = Word.letters.__set__
 
 
-def _word(rank: int, letters: tuple[int, ...]) -> Word:
-    """A Word from letters already known to be reduced and in range for
-    rank; skips the checks of ``__post_init__``."""
+def _word(letters: tuple[int, ...]) -> Word:
+    """A Word from letters already known to be reduced and in range; skips
+    the checks of ``__post_init__``."""
     w = _new(Word)
-    _set_rank(w, rank)
     _set_letters(w, letters)
     return w
 
 
-def word(text: str, rank: int | None = None) -> Word:
-    """Parse text into a Word, inferring the rank when not given.
+def word(text: str) -> Word:
+    """Parse text into a Word.
 
     >>> str(word("x y^2 X"))
     'xyyX'
     """
-    raw = parse_letters(text)
-    if rank is None:
-        rank = max((abs(l) for l in raw), default=0)
-    return Word.from_raw(rank, raw)
+    return Word.from_raw(parse_letters(text))
 
 
 def commutator(a: Word, b: Word) -> Word:
     return a * b * ~a * ~b
 
 
-def words_of_length(rank: int, length: int, gen_indices: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+def words_of_length(gen_indices: Iterable[int], length: int) -> Iterator[tuple[int, ...]]:
     """One pass over every reduced letter tuple of exactly the given length
-    over the chosen generators (default: all of 1..rank), in lexicographic
-    order over the alphabet g1, -g1, g2, -g2, ... of the generators in turn.
+    over the given generators, in lexicographic order over the alphabet
+    g1, -g1, g2, -g2, ... of the generators in turn.
 
     Level k is generated from level k - 1 by extending each tuple by the
     alphabet in order, so no level is ever stored.
 
-    >>> list(words_of_length(1, 2))
+    >>> list(words_of_length((1,), 2))
     [(1, 1), (-1, -1)]
     """
-    indices = tuple(gen_indices) if gen_indices is not None else tuple(range(1, rank + 1))
-    alphabet = [i for g in indices for i in (g, -g)]
+    alphabet = [i for g in gen_indices for i in (g, -g)]
     level: Iterator[tuple[int, ...]] = iter([()])
     for _ in range(length):
         level = (w + (l,) for w in level for l in alphabet if not w or w[-1] != -l)
     return level
 
 
-def random_reduced(rng, rank: int, length: int, gen_indices: Iterable[int] | None = None) -> tuple[int, ...]:
-    """Uniform random reduced letter tuple of the given length."""
-    indices = tuple(gen_indices) if gen_indices is not None else tuple(range(1, rank + 1))
-    if not indices or length == 0:
+def random_reduced(rng, gen_indices: Iterable[int], length: int) -> tuple[int, ...]:
+    """Uniform random reduced letter tuple of the given length over the given
+    generators."""
+    alphabet = [i for g in gen_indices for i in (g, -g)]
+    if not alphabet or length == 0:
         return ()
-    alphabet = [i for g in indices for i in (g, -g)]
     out: list[int] = []
     for _ in range(length):
         choices = [l for l in alphabet if not out or out[-1] != -l]

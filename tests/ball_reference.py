@@ -54,15 +54,13 @@ def scaled_ball_values(
     return values, scale
 
 
-def words_of_length(rank: int, length: int, gen_indices: Iterable[int] | None = None) -> Iterator[tuple[int, ...]]:
+def words_of_length(gen_indices: Iterable[int], length: int) -> Iterator[tuple[int, ...]]:
     """Yield every reduced letter tuple of exactly the given length over the
-    chosen generators (default: all of 1..rank), in a fixed deterministic
-    order."""
+    given generators, in a fixed deterministic order."""
     if length == 0:
         yield ()
         return
-    indices = tuple(gen_indices) if gen_indices is not None else tuple(range(1, rank + 1))
-    alphabet = [i for g in indices for i in (g, -g)]
+    alphabet = [i for g in gen_indices for i in (g, -g)]
     prefix: list[int] = []
 
     def rec() -> Iterator[tuple[int, ...]]:

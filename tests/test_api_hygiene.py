@@ -168,12 +168,7 @@ def test_every_function_is_reached_outside_the_tests():
     # targets in strings such as "Word.__mul__".  Dunder methods are called
     # by the interpreter.  Name matching is coarse: a method counts as
     # reached when any attribute of its name is read.
-    # Known exception, until these move into the tests as oracles:
-    exceptions = {
-        "braids.py:braid_equal",
-        "braids.py:nf_to_letters",
-        "braids.py:GarsideNormalForm.is_left_weighted",
-    }
+    exceptions: set[str] = set()
     reached = set(_all_names())
     for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text())

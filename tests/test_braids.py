@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from garside_helpers import braid_equal, is_left_weighted, nf_to_letters
 from sclkit import braids
 from sclkit.braids import (
     BraidGroup,
@@ -16,14 +17,12 @@ from sclkit.braids import (
     P3Coordinates,
     b3_key,
     braid,
-    braid_equal,
     format_braid,
     full_twist,
     half_twist,
     index_section,
     index_sum,
     is_pure,
-    nf_to_letters,
     normal_form,
     p3_assemble,
     p3_coordinates,
@@ -133,7 +132,7 @@ def test_normal_forms_are_left_weighted(n):
     rng = random.Random(310 + n)
     for _ in range(300):
         b = random_braid(rng, n, rng.randrange(0, 121))
-        assert normal_form(b).is_left_weighted()
+        assert is_left_weighted(normal_form(b))
 
 
 def test_one_pass_normal_form_matches_fixpoint(monkeypatch):
@@ -203,6 +202,15 @@ def test_b3_key_separates_the_centre():
     keys = {b3_key(full_twist(3) ** k) for k in range(-3, 4)}
     assert len(keys) == 7
     assert sl2_image(full_twist(3) ** 2) == sl2_image(braid("", 3)) == ((1, 0), (0, 1))
+
+
+def test_b3_key_refuses_other_strand_counts():
+    # on 4 strands sigma_3 would otherwise be read as sigma_2^-1
+    for b in (braid("3", 4), braid("-2", 4), braid("1", 2)):
+        for key_of in (b3_key, sl2_image):
+            with pytest.raises(ValueError, match="defined on 3 strands"):
+                key_of(b)
+        assert b._key is None
 
 
 def test_b3_key_matches_normal_form_round_trip():
@@ -393,7 +401,7 @@ def test_braid_group_context_round_trip():
 def test_p3_round_trip_small():
     rng = random.Random(306)
     for _ in range(60):
-        w = Word(25, random_reduced(rng, 25, rng.randrange(0, 10), gen_indices=(24, 25)))
+        w = Word(random_reduced(rng, (24, 25), rng.randrange(0, 10)))
         k = rng.randint(-3, 3)
         coords = p3_coordinates(p3_assemble(w, k))
         assert coords == P3Coordinates(w, k)
@@ -404,7 +412,7 @@ def test_p3_assemble_equals_the_validated_braid_word():
     twist, inverse = full_twist(3).letters, (~full_twist(3)).letters
     for k in range(-5, 6):
         for _ in range(10):
-            w = Word(25, random_reduced(rng, 25, rng.randrange(0, 10), gen_indices=(24, 25)))
+            w = Word(random_reduced(rng, (24, 25), rng.randrange(0, 10)))
             expected = BraidWord(3, braids.p3_embed_letters(w) + (twist if k >= 0 else inverse) * abs(k))
             assert p3_assemble(w, k) == expected
 
@@ -421,8 +429,8 @@ def test_p3_splitting_is_multiplicative_in_center():
     rng = random.Random(307)
     ctx = BraidGroup(3)
     for _ in range(40):
-        w1 = Word(25, random_reduced(rng, 25, rng.randrange(0, 6), gen_indices=(24, 25)))
-        w2 = Word(25, random_reduced(rng, 25, rng.randrange(0, 6), gen_indices=(24, 25)))
+        w1 = Word(random_reduced(rng, (24, 25), rng.randrange(0, 6)))
+        w2 = Word(random_reduced(rng, (24, 25), rng.randrange(0, 6)))
         k1, k2 = rng.randint(-2, 2), rng.randint(-2, 2)
         product = ctx.mul(p3_assemble(w1, k1), p3_assemble(w2, k2))
         coords = p3_coordinates(product)
@@ -437,8 +445,8 @@ def test_pr1_multiplicative_on_pure_braids():
     rng = random.Random(308)
     ctx = BraidGroup(3)
     for _ in range(60):
-        w1 = Word(25, random_reduced(rng, 25, rng.randrange(0, 6), gen_indices=(24, 25)))
-        w2 = Word(25, random_reduced(rng, 25, rng.randrange(0, 6), gen_indices=(24, 25)))
+        w1 = Word(random_reduced(rng, (24, 25), rng.randrange(0, 6)))
+        w2 = Word(random_reduced(rng, (24, 25), rng.randrange(0, 6)))
         a = p3_assemble(w1, rng.randint(-2, 2))
         b = p3_assemble(w2, rng.randint(-2, 2))
         assert hom(ctx.mul(a, b)) == hom(a) * hom(b)

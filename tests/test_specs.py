@@ -91,7 +91,7 @@ def test_braid_strand_count_is_capped():
 
 def test_free_rank_and_permutation_degree_are_capped():
     # a huge rank or degree must fail before anything of that size is built
-    assert parse_group(f"free:{MAX_FREE_RANK}").rank == MAX_FREE_RANK == 26
+    assert len(parse_group(f"free:{MAX_FREE_RANK}").gen_indices) == MAX_FREE_RANK == 26
     assert parse_group(f"perm:{MAX_PERM_DEGREE}").n == MAX_PERM_DEGREE
     for bad in (f"free:{MAX_FREE_RANK + 1}", "free:100000000"):
         with pytest.raises(SpecError, match="rank"):
@@ -152,7 +152,7 @@ def test_parse_qm_brooks_and_homogenized():
     h = parse_qm("homog(brooks(w=xyXY))")
     assert h.homogeneous
     assert h.defect_upper == 6
-    assert h(word("xyXY", 25)) == 1
+    assert h(word("xyXY")) == 1
 
 
 def test_parse_qm_zero_and_hom():

@@ -4,7 +4,7 @@ Word, BraidWord, GarsideNormalForm, P3Coordinates and CertifiedValue are
 plain slotted classes with hand-written equality, hash and repr.  Each twin
 below is the frozen dataclass the type used to be, with the same name, so
 its generated ``==``, ``hash`` and ``repr`` are the reference; the Word twin
-keeps Word's letters-only equality.
+keeps Word's hash of the bare letter tuple.
 """
 
 import random
@@ -14,15 +14,9 @@ from fractions import Fraction
 from sclkit import braids, quasimorphisms, words
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Word:
-    rank: int
     letters: tuple[int, ...]
-
-    def __eq__(self, other):
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
 
     def __hash__(self):
         return hash(self.letters)
@@ -55,7 +49,7 @@ class CertifiedValue:
 
 def twin(value):
     if isinstance(value, words.Word):
-        return Word(value.rank, value.letters)
+        return Word(value.letters)
     if isinstance(value, braids.BraidWord):
         return BraidWord(value.n, value.letters)
     if isinstance(value, braids.GarsideNormalForm):
@@ -71,21 +65,19 @@ def seeded_values(seed):
     rng = random.Random(seed)
     out = []
     for _ in range(40):
-        rank = rng.randint(1, 3)
-        letters = words.random_reduced(rng, rank, rng.randint(0, 3))
-        # the same letters under a larger declared rank are the same word
-        out.append(words.Word(rank + rng.randint(0, 1), letters))
+        gens = tuple(range(1, rng.randint(1, 3) + 1))
+        out.append(words.Word(words.random_reduced(rng, gens, rng.randint(0, 3))))
     for _ in range(40):
         n = rng.randint(2, 4)
         letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
         b = braids.BraidWord(n, letters)
         out.append(b)
         out.append(braids.normal_form(b))
-    xy = words.Word(25, ())
+    xy = words.Word(())
     for _ in range(30):
-        letters = words.random_reduced(rng, 25, rng.randint(0, 3), gen_indices=(24, 25))
+        letters = words.random_reduced(rng, (braids.X, braids.Y), rng.randint(0, 3))
         k = rng.randint(-1, 1)
-        out.append(braids.p3_coordinates(braids.p3_assemble(words.Word(25, letters), k)))
+        out.append(braids.p3_coordinates(braids.p3_assemble(words.Word(letters), k)))
         out.append(braids.P3Coordinates(xy, k))
     for _ in range(30):
         value = Fraction(rng.randint(-2, 2), rng.randint(1, 3))

@@ -1,6 +1,8 @@
 """Reduced-word algebra, checked against brute-force oracles."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -43,47 +45,53 @@ def test_reduce_matches_naive_oracle():
     rng = random.Random(100)
     for _ in range(2000):
         raw = [rng.choice([1, -1, 2, -2, 3, -3]) for _ in range(rng.randrange(0, 20))]
-        got = reduce_letters(raw, 3)
+        got = reduce_letters(raw)
         assert got == naive_reduce(raw)
         assert is_reduced(got)
 
 
 def test_reduce_rejects_out_of_range_letters():
     with pytest.raises(ValueError):
-        reduce_letters((1, 4), 3)
+        reduce_letters((1, 27))
     with pytest.raises(ValueError):
-        reduce_letters((0,), 3)
+        reduce_letters((-27,))
+    with pytest.raises(ValueError):
+        reduce_letters((0,))
 
 
 def test_multiply_and_invert_letters():
     rng = random.Random(101)
     for _ in range(500):
-        a = random_reduced(rng, 2, rng.randrange(0, 10))
-        b = random_reduced(rng, 2, rng.randrange(0, 10))
+        a = random_reduced(rng, (1, 2), rng.randrange(0, 10))
+        b = random_reduced(rng, (1, 2), rng.randrange(0, 10))
         assert multiply_letters(a, b) == naive_reduce(a + b)
         assert multiply_letters(a, invert_letters(a)) == ()
 
 
 def test_group_axioms_on_random_words():
     rng = random.Random(102)
-    e = Word(2, ())
+    e = Word(())
     for _ in range(500):
-        u = Word(2, random_reduced(rng, 2, rng.randrange(0, 8)))
-        v = Word(2, random_reduced(rng, 2, rng.randrange(0, 8)))
-        w_ = Word(2, random_reduced(rng, 2, rng.randrange(0, 8)))
+        u = Word(random_reduced(rng, (1, 2), rng.randrange(0, 8)))
+        v = Word(random_reduced(rng, (1, 2), rng.randrange(0, 8)))
+        w_ = Word(random_reduced(rng, (1, 2), rng.randrange(0, 8)))
         assert (u * v) * w_ == u * (v * w_)
         assert u * ~u == e
         assert u * e == u
 
-    assert (Word(2, (1, 2)) ** 3).letters == (1, 2, 1, 2, 1, 2)
-    assert (Word(2, (1, 2)) ** -2) == ~(Word(2, (1, 2)) ** 2)
-    assert (Word(2, (1,)) ** 0).is_identity()
+    assert (Word((1, 2)) ** 3).letters == (1, 2, 1, 2, 1, 2)
+    assert (Word((1, 2)) ** -2) == ~(Word((1, 2)) ** 2)
+    assert (Word((1,)) ** 0).letters == ()
 
 
-def test_word_equality_ignores_rank():
-    assert Word(2, (1,)) == Word(5, (1,))
-    assert hash(Word(2, (1, 2))) == hash(Word(26, (1, 2)))
-    assert Word(2, (1,)) != Word(2, (2,))
+def test_words_are_equal_and_hash_by_their_letters():
+    # a word does not record the group it was built in
+    xy = FreeGroup.on("xy").parse("xyX")
+    assert xy == FreeGroup(26).parse("xyX") == word("xyX") == Word((24, 25, -24))
+    assert hash(xy) == hash(Word.from_raw([24, 25, 1, -1, -24]))
+    assert FreeGroup(2).parse("ab") == FreeGroup.on("ab").parse("ab")
+    assert Word((1,)) != Word((2,)) and Word((1,)) != Word((-1,))
+    assert len({Word((1, 2)), word("ab"), Word.from_raw([1, 2]), Word(())}) == 2
 
 
 def test_parse_and_format_round_trip():
@@ -91,11 +99,11 @@ def test_parse_and_format_round_trip():
     assert parse_letters("a^3 B^-2") == [1, 1, 1, 2, 2]
     assert format_letters((1, 2, -1, -2)) == "abAB"
     assert str(word("x y^2 X")) == "xyyX"
-    assert word("aA").is_identity()
+    assert word("aA").letters == ()
     rng = random.Random(103)
     for _ in range(300):
-        w = Word(3, random_reduced(rng, 3, rng.randrange(0, 12)))
-        assert word(str(w), rank=3) == w
+        w = Word(random_reduced(rng, (1, 2, 3), rng.randrange(0, 12)))
+        assert word(str(w)) == w
 
 
 def test_parse_rejects_garbage():
@@ -124,7 +132,7 @@ def test_cyclic_reduce_is_a_conjugation():
     assert cyclic_reduce_letters((1, 2, -1)) == ((2,), (1,))
     rng = random.Random(104)
     for _ in range(500):
-        w = Word(2, random_reduced(rng, 2, rng.randrange(0, 14)))
+        w = Word(random_reduced(rng, (1, 2), rng.randrange(0, 14)))
         core, conj = cyclic_reduce(w)
         assert conj * core * ~conj == w
         # core is cyclically reduced: first and last letters do not cancel
@@ -133,25 +141,25 @@ def test_cyclic_reduce_is_a_conjugation():
 
 
 def test_commutator_and_exponent_sum():
-    a, b = word("a", 2), word("b", 2)
+    a, b = word("a"), word("b")
     assert str(commutator(a, b)) == "abAB"
     assert commutator(a, b).exponent_sum() == 0
-    assert word("aab", 2).exponent_sum() == 3
-    assert word("aaB", 2).exponent_sum() == 1
+    assert word("aab").exponent_sum() == 3
+    assert word("aaB").exponent_sum() == 1
 
 
 def test_words_of_length_enumeration_counts():
     # 2r * (2r-1)^(L-1) reduced words of length L in rank r
     for rank, length in [(1, 3), (2, 1), (2, 4), (3, 3)]:
-        count = sum(1 for _ in words_of_length(rank, length))
+        count = sum(1 for _ in words_of_length(range(1, rank + 1), length))
         assert count == 2 * rank * (2 * rank - 1) ** (length - 1)
-    assert list(words_of_length(2, 0)) == [()]
-    for letters in words_of_length(2, 5):
+    assert list(words_of_length((1, 2), 0)) == [()]
+    for letters in words_of_length((1, 2), 5):
         assert is_reduced(letters)
 
 
 def test_words_of_length_respects_gen_indices():
-    seen = set(words_of_length(26, 2, gen_indices=(24, 25)))
+    seen = set(words_of_length((24, 25), 2))
     assert len(seen) == 4 * 3
     assert all(abs(l) in (24, 25) for w in seen for l in w)
 
@@ -161,10 +169,12 @@ def test_words_of_length_respects_gen_indices():
 )
 def test_words_of_length_matches_the_recursive_enumerator(rank, gen_indices):
     # the same tuples in the same order, which fixes the free-group sphere
-    # order and so the pair order of the defect searches
+    # order and so the pair order of the defect searches; without
+    # gen_indices the generators are those of FreeGroup(rank)
+    gens = gen_indices if gen_indices is not None else FreeGroup(rank).gen_indices
     for length in range(8):
-        assert list(words_of_length(rank, length, gen_indices)) == list(
-            ball_reference.words_of_length(rank, length, gen_indices)
+        assert list(words_of_length(gens, length)) == list(
+            ball_reference.words_of_length(gens, length)
         )
 
 
@@ -173,24 +183,23 @@ def test_free_group_spheres_match_the_recursive_enumerator():
         for k in range(7):
             sphere = list(ctx.sphere(k))
             assert [ctx.canonical(g) for g in sphere] == list(
-                ball_reference.words_of_length(ctx.rank, k, ctx.gen_indices)
+                ball_reference.words_of_length(ctx.gen_indices, k)
             )
-            assert all(g.rank == ctx.rank for g in sphere)
 
 
 def test_random_reduced_respects_length_and_reduction():
     rng = random.Random(105)
     for _ in range(200):
         n = rng.randrange(0, 15)
-        letters = random_reduced(rng, 3, n)
+        letters = random_reduced(rng, (1, 2, 3), n)
         assert len(letters) == n
         assert is_reduced(letters)
 
 
 def _validated(w):
     # the public constructor checks the range and the reduction
-    checked = Word(w.rank, w.letters)
-    assert checked == w and checked.rank == w.rank
+    checked = Word(w.letters)
+    assert checked == w
     assert is_reduced(w.letters)
     return checked
 
@@ -206,13 +215,13 @@ def test_internal_words_match_validated_construction():
                 _validated(w)
         for _ in range(300):
             raw = [rng.choice(letters) for _ in range(rng.randrange(0, 16))]
-            u = Word.from_raw(rank, raw)
+            u = Word.from_raw(raw)
             assert _validated(u).letters == naive_reduce(raw)
-            v_rank = rng.randint(1, rank)
-            v = Word.from_raw(v_rank, [l for l in raw[::-1] if abs(l) <= v_rank])
+            top = rng.randint(1, rank)
+            v = Word.from_raw([l for l in raw[::-1] if abs(l) <= top])
             _validated(ctx.sample(rng, rng.randrange(0, 10)))
             assert _validated(u * v).letters == naive_reduce(u.letters + v.letters)
-            assert (u * v).rank == rank and (v * u).rank == rank
+            assert _validated(v * u).letters == naive_reduce(v.letters + u.letters)
             assert _validated(~u).letters == naive_reduce(invert_letters(raw))
             n = rng.randint(-3, 3)
             base = u.letters if n >= 0 else invert_letters(u.letters)
@@ -224,15 +233,45 @@ def test_internal_words_match_validated_construction():
 
 def test_public_construction_still_validates():
     with pytest.raises(ValueError):
-        Word(2, (1, -1))
+        Word((1, 2, -2))
     with pytest.raises(ValueError):
-        Word(1, (2,))
+        Word((-27,))
     with pytest.raises(ValueError):
-        Word.from_raw(-1, ())
+        Word.from_raw((1, 0))
     with pytest.raises(ValueError):
-        Word.from_raw(1, (2,))
-    with pytest.raises(ValueError):
-        word("ab", rank=1)
+        FreeGroup(1).parse("ab")
+    assert Word((26, -1)) == Word.from_raw((26, 2, -2, -1)) == word("zA")
+
+
+def _eval_c_on_free_2_in_a_fresh_process():
+    r = subprocess.run(
+        [sys.executable, "-m", "sclkit", "eval", "--group", "free:2", "--qm", "brooks(w=ab)", "--word", "c"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert r.returncode == 2 and "Traceback" not in r.stderr and not r.stdout
+    raise ValueError(r.stderr)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Word((0,)), "letter 0 is not a generator index"),
+        (lambda: Word((27,)), "letter 27 is not a generator index"),
+        (lambda: Word((1, -1)), "freely reduced"),
+        (lambda: Word.from_raw([27]), "letter 27 is not a generator index"),
+        (lambda: FreeGroup(2).parse("c"), "letters 'c' are not generators of free:2"),
+        (lambda: FreeGroup.on("xy").parse("a"), "letters 'a' are not generators of free:xy"),
+        (_eval_c_on_free_2_in_a_fresh_process, "^error: letters 'c' are not generators of free:2$"),
+    ],
+    ids=["zero", "past-z", "unreduced", "raw-past-z", "free-2", "free-xy", "cli-eval"],
+)
+def test_the_alphabet_is_checked_at_the_public_boundary(build, message):
+    # a word accepts any letter a..z; which of them are generators is the
+    # group's question, asked when text is parsed in it
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_word_is_slotted_and_frozen():
@@ -240,11 +279,11 @@ def test_word_is_slotted_and_frozen():
     with pytest.raises(AttributeError):
         w.letters = ()
     with pytest.raises(AttributeError):
-        (w * w).rank = 5
+        (w * w).letters = ()
     b = braid("1,2,-1", 3)
     values = (
-        (w, ("rank", "letters")),
-        (w * w, ("rank", "letters")),
+        (w, ("letters",)),
+        (w * w, ("letters",)),
         (b, ("n", "letters")),
         (b**3, ("n", "letters")),
         (normal_form(b), ("n", "delta_power", "factors")),
@@ -260,4 +299,4 @@ def test_word_is_slotted_and_frozen():
         with pytest.raises(AttributeError):
             value.extra = 1
         assert tuple(getattr(value, name) for name in fields) == before
-    assert w.letters == (1, 2) and w.rank == 2
+    assert w.letters == (1, 2) and Word.__slots__ == ("letters",)

@@ -14,7 +14,7 @@ from sclkit.words import Word, cyclic_reduce_letters
 def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     """(core, conjugator) with w = conjugator * core * conjugator^-1."""
     core, conj = cyclic_reduce_letters(w.letters)
-    return Word(w.rank, core), Word(w.rank, conj)
+    return Word(core), Word(conj)
 
 
 def contains(cv: CertifiedValue, exact: Fraction) -> bool:
