@@ -119,23 +119,6 @@ class GarsideNormalForm(Frozen):
     delta_power: int
     factors: tuple[tuple[int, ...], ...]
 
-    def __init__(self, n: int, delta_power: int, factors: tuple[tuple[int, ...], ...]) -> None:
-        _set_nf_n(self, n)
-        _set_nf_delta_power(self, delta_power)
-        _set_nf_factors(self, factors)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not GarsideNormalForm:
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.delta_power == other.delta_power
-            and self.factors == other.factors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.delta_power, self.factors))
-
     def __str__(self) -> str:
         parts = " ".join(",".join(str(v + 1) for v in f) for f in self.factors)
         return f"D^{self.delta_power} | {parts}" if parts else f"D^{self.delta_power} |"
@@ -144,16 +127,12 @@ class GarsideNormalForm(Frozen):
         return (self.n, self.delta_power, self.factors)
 
 
-_set_nf_n = GarsideNormalForm.n.__set__
-_set_nf_delta_power = GarsideNormalForm.delta_power.__set__
-_set_nf_factors = GarsideNormalForm.factors.__set__
-
-
 class BraidWord(Frozen):
     """An Artin word in the braid group on n strands.
 
     On 3 strands ``_key`` caches the word's ``b3_key`` (None until it is
-    known); it is not a field, so equality, hash and repr ignore it.
+    known); it is a cache, not a field, so equality, hash, repr and copies
+    ignore it.
     """
 
     __slots__ = ("n", "letters", "_key")
@@ -172,14 +151,6 @@ class BraidWord(Frozen):
         for l in self.letters:
             if l == 0 or abs(l) > self.n - 1:
                 raise ValueError(f"crossing index {l} out of range for {self.n} strands")
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not BraidWord:
-            return NotImplemented
-        return self.n == other.n and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.letters))
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         n = self.n
@@ -474,22 +445,6 @@ class P3Coordinates(Frozen):
     __slots__ = ("f2_part", "center_exponent")
     f2_part: Word
     center_exponent: int
-
-    def __init__(self, f2_part: Word, center_exponent: int) -> None:
-        _set_f2_part(self, f2_part)
-        _set_center_exponent(self, center_exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not P3Coordinates:
-            return NotImplemented
-        return self.f2_part == other.f2_part and self.center_exponent == other.center_exponent
-
-    def __hash__(self) -> int:
-        return hash((self.f2_part, self.center_exponent))
-
-
-_set_f2_part = P3Coordinates.f2_part.__set__
-_set_center_exponent = P3Coordinates.center_exponent.__set__
 
 
 def p3_embed_letters(w: Word) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from .scl import (
     invariance_refusal,
     verify_decomposition,
 )
+from .words import Frozen
 
 FORMAT = "scl-certificates/1"
 
@@ -290,22 +291,18 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
     return True, None, "recomputed and confirmed"
 
 
-class CheckResult:
-    def __init__(self, index: int, kind: str, ok: bool, failed_step: str | None, detail: str) -> None:
-        self.index = index
-        self.kind = kind
-        self.ok = ok
-        self.failed_step = failed_step
-        self.detail = detail
+class CheckResult(Frozen):
+    index: int
+    kind: str
+    ok: bool
+    failed_step: str | None
+    detail: str
 
 
-class VerificationReport:
-    def __init__(
-        self, source: str, checks: tuple[CheckResult, ...], schema_error: str | None = None
-    ) -> None:
-        self.source = source
-        self.checks = checks
-        self.schema_error = schema_error
+class VerificationReport(Frozen):
+    source: str
+    checks: tuple[CheckResult, ...]
+    schema_error: str | None
 
     @property
     def ok(self) -> bool:
@@ -357,7 +354,7 @@ def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
         kind = item.get("kind", "?") if isinstance(item, dict) else "?"
         ok, step, detail = verify_payload(item)
         checks.append(CheckResult(i, kind, ok, step, detail))
-    return VerificationReport(source, tuple(checks))
+    return VerificationReport(source, tuple(checks), None)
 
 
 def verify_file(path: str | Path) -> VerificationReport:

@@ -25,6 +25,7 @@ from .groups import BallValues, GroupContext
 from .norms import PreconditionError
 from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
 from .scl import GroupPair, braid_commutator_pair, product_left_pair
+from .words import Frozen
 
 
 # SectionData.check tests the section on the quotient ball of this radius and
@@ -33,21 +34,14 @@ SECTION_CHECK_RADIUS = 8
 SECTION_CHECK_SAMPLES = 200
 
 
-class SectionData:
+class SectionData(Frozen):
     """A homomorphic section of the projection of a pair's ambient group
     onto the integer quotient by its normal subgroup."""
 
-    def __init__(
-        self,
-        pair: GroupPair,
-        project: Callable[[Any], int],
-        section: Callable[[int], Any],
-        name: str,
-    ) -> None:
-        self.pair = pair
-        self.project = project
-        self.section = section
-        self.name = name
+    pair: GroupPair
+    project: Callable[[Any], int]
+    section: Callable[[int], Any]
+    name: str
 
     def check(self, rng) -> "SectionReport":
         """Verify pi o s = id on the quotient ball of radius
@@ -79,9 +73,8 @@ class SectionData:
         return SectionReport(tuple(failures))
 
 
-class SectionReport:
-    def __init__(self, failures: tuple[str, ...]) -> None:
-        self.failures = failures
+class SectionReport(Frozen):
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
@@ -111,24 +104,17 @@ def braid_abelianization_section(n: int = 3) -> SectionData:
     )
 
 
-class ExtensionResult:
+class ExtensionResult(Frozen):
     """The transported quasimorphism, with the base it extends.
 
     phi_prime is exact everywhere; the homogenised extension is exact on
     the subgroup and an interval elsewhere.
     """
 
-    def __init__(
-        self,
-        base: Quasimorphism,
-        section: SectionData,
-        phi_prime: Quasimorphism,
-        n_max: int,
-    ) -> None:
-        self.base = base
-        self.section = section
-        self.phi_prime = phi_prime
-        self.n_max = n_max
+    base: Quasimorphism
+    section: SectionData
+    phi_prime: Quasimorphism
+    n_max: int
 
     def value(self, ghat) -> CertifiedValue:
         """phi_hat at ghat: exact on the subgroup, interval off it.
@@ -178,15 +164,15 @@ def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int = 64)
             f"{qm.defect_provenance}; transported along {section.name}, "
             "defect preserved by ambient invariance"
         ),
+        invariant=False,
     )
     return ExtensionResult(base=qm, section=section, phi_prime=phi_prime, n_max=n_max)
 
 
-class RestrictionReport:
-    def __init__(self, checked: int, mismatches: tuple[str, ...], sufficient: bool) -> None:
-        self.checked = checked
-        self.mismatches = mismatches
-        self.sufficient = sufficient
+class RestrictionReport(Frozen):
+    checked: int
+    mismatches: tuple[str, ...]
+    sufficient: bool
 
     @property
     def ok(self) -> bool:
@@ -229,32 +215,13 @@ def restriction_check(
     return RestrictionReport(checked, tuple(mismatches), sufficient=checked > 0)
 
 
-class DefectChainReport:
-    def __init__(
-        self,
-        phi_prime_searched: Fraction,
-        phi_prime_bound: Fraction,
-        phi_hat_searched: Fraction,
-        phi_hat_bound: Fraction,
-        radius: int,
-        pairs_checked: int,
-    ) -> None:
-        self.phi_prime_searched = phi_prime_searched
-        self.phi_prime_bound = phi_prime_bound
-        self.phi_hat_searched = phi_hat_searched
-        self.phi_hat_bound = phi_hat_bound
-        self.radius = radius
-        self.pairs_checked = pairs_checked
-
-    # the tests compare a report with one rebuilt by a reference search
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not DefectChainReport:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"DefectChainReport({fields})"
+class DefectChainReport(Frozen):
+    phi_prime_searched: Fraction
+    phi_prime_bound: Fraction
+    phi_hat_searched: Fraction
+    phi_hat_bound: Fraction
+    radius: int
+    pairs_checked: int
 
     @property
     def ok(self) -> bool:

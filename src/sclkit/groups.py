@@ -23,7 +23,7 @@ import itertools
 import math
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .words import ALPHABET_SIZE, Word, _word, format_letters, random_reduced, word, words_of_length
+from .words import ALPHABET_SIZE, Frozen, Word, _word, format_letters, random_reduced, word, words_of_length
 
 
 class ProductSearch:
@@ -683,34 +683,26 @@ class TableGroup(GroupContext):
         return rng.randrange(self.n)
 
 
-class GroupHom:
+class GroupHom(Frozen):
     """A homomorphism between contexts, carried as an explicit function.
 
     ``total`` is False for a map defined only on a subgroup of its domain
     context (pr1 on the pure braids inside braid:3).
     """
 
-    def __init__(
-        self,
-        domain: GroupContext,
-        codomain: GroupContext,
-        fn: Callable[[Any], Any],
-        name: str,
-        total: bool = True,
-    ) -> None:
-        self.domain = domain
-        self.codomain = codomain
-        self.fn = fn
-        self.name = name
-        self.total = total
+    domain: GroupContext
+    codomain: GroupContext
+    fn: Callable[[Any], Any]
+    name: str
+    total: bool
 
     def __call__(self, a):
         return self.fn(a)
 
 
 def proj_left(product: DirectProduct) -> GroupHom:
-    return GroupHom(product, product.left, lambda a: a[0], "proj-left")
+    return GroupHom(product, product.left, lambda a: a[0], "proj-left", total=True)
 
 
 def proj_right(product: DirectProduct) -> GroupHom:
-    return GroupHom(product, product.right, lambda a: a[1], "proj-right")
+    return GroupHom(product, product.right, lambda a: a[1], "proj-right", total=True)

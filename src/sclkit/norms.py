@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .groups import GroupContext, ProductSearch
+from .words import Frozen
 
 
 class _Infinity:
@@ -69,16 +70,15 @@ class _Infinity:
 INFINITY = _Infinity()
 
 
-class FragmentationResult:
+class FragmentationResult(Frozen):
     """Value of the fragmentation norm at one element.
 
     witness is a tuple of (g_i, h_i) pairs whose conjugate product equals
     the element; None when the element is unreachable and value is INFINITY.
     """
 
-    def __init__(self, value: Any, witness: tuple[tuple[Any, Any], ...] | None) -> None:
-        self.value = value
-        self.witness = witness
+    value: Any
+    witness: tuple[tuple[Any, Any], ...] | None
 
 
 class FragmentationNorm:
@@ -144,14 +144,11 @@ class FragmentationNorm:
         return Fraction(res.value)
 
 
-class NormAxiomReport:
-    def __init__(
-        self, norm_name: str, elements_checked: int, pairs_checked: int, failures: tuple[str, ...]
-    ) -> None:
-        self.norm_name = norm_name
-        self.elements_checked = elements_checked
-        self.pairs_checked = pairs_checked
-        self.failures = failures
+class NormAxiomReport(Frozen):
+    norm_name: str
+    elements_checked: int
+    pairs_checked: int
+    failures: tuple[str, ...]
 
     @property
     def ok(self) -> bool:

@@ -50,26 +50,10 @@ class CertifiedValue(Frozen):
     value: Fraction
     radius: Fraction | None
 
-    def __init__(self, value: Fraction, radius: Fraction | None) -> None:
-        _set_value(self, value)
-        _set_radius(self, radius)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not CertifiedValue:
-            return NotImplemented
-        return self.value == other.value and self.radius == other.radius
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.radius))
-
     def __str__(self) -> str:
         if self.radius is None:
             return f"{self.value} ± unknown"
         return f"{self.value} ± {self.radius}"
-
-
-_set_value = CertifiedValue.value.__set__
-_set_radius = CertifiedValue.radius.__set__
 
 
 def count_copies(w: Word, g: Word) -> int:
@@ -155,7 +139,7 @@ def defect_bound_counting(w: Word) -> Fraction:
     return Fraction(0) if len(w.letters) == 1 else Fraction(3)
 
 
-class Quasimorphism:
+class Quasimorphism(Frozen):
     """A rational-valued function on a group context with defect records.
 
     ``defect_upper`` is a certified bound (with its provenance).
@@ -165,23 +149,13 @@ class Quasimorphism:
     the whole domain keeps it.
     """
 
-    def __init__(
-        self,
-        name: str,
-        context: GroupContext,
-        eval_fn: Callable[[Any], Fraction],
-        homogeneous: bool = False,
-        defect_upper: Fraction | None = None,
-        defect_provenance: str = "unknown",
-        invariant: bool = False,
-    ) -> None:
-        self.name = name
-        self.context = context
-        self.eval_fn = eval_fn
-        self.homogeneous = homogeneous
-        self.defect_upper = defect_upper
-        self.defect_provenance = defect_provenance
-        self.invariant = invariant
+    name: str
+    context: GroupContext
+    eval_fn: Callable[[Any], Fraction]
+    homogeneous: bool
+    defect_upper: Fraction | None
+    defect_provenance: str
+    invariant: bool
 
     def __call__(self, g) -> Fraction:
         return Fraction(self.eval_fn(g))
@@ -209,6 +183,7 @@ def brooks(w: Word, context: GroupContext | None = None) -> Quasimorphism:
         homogeneous=False,
         defect_upper=bound,
         defect_provenance="junction-argument",
+        invariant=False,
     )
 
 
@@ -289,12 +264,11 @@ def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
     )
 
 
-class DefectSearchResult:
-    def __init__(self, lower: Fraction, witness: tuple | None, radius: int, pairs_checked: int) -> None:
-        self.lower = lower
-        self.witness = witness
-        self.radius = radius
-        self.pairs_checked = pairs_checked
+class DefectSearchResult(Frozen):
+    lower: Fraction
+    witness: tuple | None
+    radius: int
+    pairs_checked: int
 
 
 def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
@@ -322,10 +296,9 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
     return DefectSearchResult(Fraction(best, table.scale), witness, radius, pairs)
 
 
-class InvarianceReport:
-    def __init__(self, checked: int, violations: tuple[tuple, ...]) -> None:
-        self.checked = checked
-        self.violations = violations
+class InvarianceReport(Frozen):
+    checked: int
+    violations: tuple[tuple, ...]
 
     @property
     def ok(self) -> bool:

@@ -38,28 +38,21 @@ from .braids import (
 from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, ProductSearch
 from .norms import PreconditionError
 from .quasimorphisms import Quasimorphism
+from .words import Frozen
 
 
-class GroupPair:
+class GroupPair(Frozen):
     """An ambient group with a distinguished normal subgroup.
 
     is_member must be an exact test.  subgroup_ball enumerates the normal
     subgroup by word length in its own generators, deterministically.
     """
 
-    def __init__(
-        self,
-        name: str,
-        ambient: GroupContext,
-        is_member: Callable[[Any], bool],
-        subgroup_ball: Callable[[int], list],
-        mode: str = "mixed",
-    ) -> None:
-        self.name = name
-        self.ambient = ambient
-        self.is_member = is_member
-        self.subgroup_ball = subgroup_ball
-        self.mode = mode
+    name: str
+    ambient: GroupContext
+    is_member: Callable[[Any], bool]
+    subgroup_ball: Callable[[int], list]
+    mode: str
 
     def admits_conjugator(self, h: Any) -> bool:
         """Whether h may be the first entry of a commutator: any ambient
@@ -92,6 +85,7 @@ def braid_pure_pair() -> GroupPair:
         ambient=BraidGroup(3),
         is_member=is_pure,
         subgroup_ball=_p3_ball,
+        mode="mixed",
     )
 
 
@@ -124,6 +118,7 @@ def braid_commutator_pair(n: int = 3) -> GroupPair:
         ambient=ctx,
         is_member=is_member,
         subgroup_ball=lambda r: [b for b in ctx.ball(r) if is_member(b)],
+        mode="mixed",
     )
 
 
@@ -136,17 +131,17 @@ def product_left_pair(left: GroupContext | None = None) -> GroupPair:
         ambient=ctx,
         is_member=lambda p: p[1] == 0,
         subgroup_ball=lambda r: [(w, 0) for w in inner.ball(r)],
+        mode="mixed",
     )
 
 
-class MixedCommutatorDecomposition:
+class MixedCommutatorDecomposition(Frozen):
     """target as an ordered product of commutators [ghat_i, g_i] with every
     g_i in the normal subgroup."""
 
-    def __init__(self, pair: GroupPair, target: Any, factors: tuple[tuple[Any, Any], ...]) -> None:
-        self.pair = pair
-        self.target = target
-        self.factors = factors
+    pair: GroupPair
+    target: Any
+    factors: tuple[tuple[Any, Any], ...]
 
     def product(self) -> Any:
         ctx = self.pair.ambient
@@ -160,11 +155,10 @@ class MixedCommutatorDecomposition:
         return [[ctx.text(a), ctx.text(b)] for a, b in self.factors]
 
 
-class DecompositionReport:
-    def __init__(self, ok: bool, failed_step: str | None, detail: str) -> None:
-        self.ok = ok
-        self.failed_step = failed_step
-        self.detail = detail
+class DecompositionReport(Frozen):
+    ok: bool
+    failed_step: str | None
+    detail: str
 
     def __bool__(self) -> bool:
         return self.ok
@@ -203,18 +197,11 @@ def verify_decomposition(d: MixedCommutatorDecomposition) -> DecompositionReport
     return DecompositionReport(True, None, f"{len(d.factors)} factors verified")
 
 
-class ClSearchResult:
-    def __init__(
-        self,
-        count: int | None,
-        decomposition: MixedCommutatorDecomposition | None,
-        verdict: str,
-        commutators_used: int,
-    ) -> None:
-        self.count = count
-        self.decomposition = decomposition
-        self.verdict = verdict
-        self.commutators_used = commutators_used
+class ClSearchResult(Frozen):
+    count: int | None
+    decomposition: MixedCommutatorDecomposition | None
+    verdict: str
+    commutators_used: int
 
 
 def mixed_cl_search(
@@ -323,30 +310,18 @@ def conjugate_flip_decomposition(
     return MixedCommutatorDecomposition(pair, target, ((flipper, ctx.power(base, -n)),))
 
 
-class SclCertificate:
+class SclCertificate(Frozen):
     """One-sided certified bound on scl of target within a group pair."""
 
-    def __init__(
-        self,
-        kind: str,
-        pair: GroupPair,
-        target: Any,
-        direction: str,
-        bound: Fraction,
-        power: int,
-        witness: dict,
-        evidence: dict,
-        note: str = "",
-    ) -> None:
-        self.kind = kind
-        self.pair = pair
-        self.target = target
-        self.direction = direction
-        self.bound = bound
-        self.power = power
-        self.witness = witness
-        self.evidence = evidence
-        self.note = note
+    kind: str
+    pair: GroupPair
+    target: Any
+    direction: str
+    bound: Fraction
+    power: int
+    witness: dict
+    evidence: dict
+    note: str
 
     def as_payload(self) -> dict:
         return {

@@ -71,43 +71,32 @@ from .scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
-from .words import Word, random_reduced, reduce_letters, word
+from .words import Frozen, Word, random_reduced, reduce_letters, word
 
 
-class Item:
-    def __init__(self, key: str, slug: str, budget: float, fn: Callable) -> None:
-        self.key = key
-        self.slug = slug
-        self.budget = budget
-        self.fn = fn
+class Item(Frozen):
+    key: str
+    slug: str
+    budget: float
+    fn: Callable
 
 
-class ItemResult:
-    def __init__(
-        self,
-        key: str,
-        slug: str,
-        ok: bool,
-        seconds: float,
-        detail: str,
-        certificates: list | None = None,
-    ) -> None:
-        self.key = key
-        self.slug = slug
-        self.ok = ok
-        self.seconds = seconds
-        self.detail = detail
-        self.certificates = [] if certificates is None else certificates
+class ItemResult(Frozen):
+    key: str
+    slug: str
+    ok: bool
+    seconds: float
+    detail: str
+    certificates: list
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
         return f"{verdict} {self.key:>2} {self.slug} ({self.seconds:.2f}s): {self.detail}"
 
 
-class SuiteReport:
-    def __init__(self, seed: int, results: list[ItemResult]) -> None:
-        self.seed = seed
-        self.results = results
+class SuiteReport(Frozen):
+    seed: int
+    results: list[ItemResult]
 
     @property
     def ok(self) -> bool:

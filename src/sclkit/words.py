@@ -15,6 +15,7 @@ accepted on input.  Printing always emits plain letters, so
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 # Generators are named by the letters a..z, so a letter is a nonzero integer
@@ -155,17 +156,47 @@ def parse_letters(text: str) -> list[int]:
 
 
 class Frozen:
-    """Base of the immutable value types: slotted, read-only after
-    construction, with a ``Name(field=value, ...)`` repr over ``__slots__``;
-    a slot named with a leading underscore is a cache, not a field.
+    """Base of every record and value type: a class's fields are the names
+    it annotates in its own body, in order.
 
-    Subclasses write their own ``__init__``, ``__eq__`` and ``__hash__`` and
-    set fields through the slot descriptors, which bypass ``__setattr__``.
+    From them come an ``__init__`` taking every field by position or by
+    name, with no defaults; ``==`` and ``hash`` over the field tuple; a
+    ``Name(field=value, ...)`` repr; and pickling and copying, which rebuild
+    through ``__init__``.  Instances are read-only after construction.  A
+    class may keep ``__slots__`` for its fields; a slot named with a leading
+    underscore is a cache, not a field.
+
     Plain classes keep ``dataclasses`` off the import path: every command is
     a fresh process, and the decorator costs it about 30 ms.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        # the field tuple, read in C; attrgetter gives a bare value for one name
+        # and refuses a class that annotates none
+        get = attrgetter(*fields)
+        cls._values = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _bind(type(self), args, kwargs)
+        for field, value in zip(fields, args):
+            _setattr(self, field, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -174,10 +205,30 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name[0] != "_"
-        )
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+_setattr = object.__setattr__
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The field values of a call to ``cls`` in field order; a missing,
+    unknown or repeated field is a TypeError, as for a plain ``__init__``."""
+    fields, name = cls._fields, cls.__qualname__
+    if len(args) > len(fields):
+        raise TypeError(f"{name} takes {len(fields)} fields, {len(args)} were given")
+    values = dict(zip(fields, args))
+    for field, value in kwargs.items():
+        if field not in fields:
+            raise TypeError(f"{name} has no field {field!r}")
+        if field in values:
+            raise TypeError(f"{name} got field {field!r} twice")
+        values[field] = value
+    missing = [repr(f) for f in fields if f not in values]
+    if missing:
+        raise TypeError(f"{name} is missing fields {', '.join(missing)}")
+    return tuple(values[f] for f in fields)
 
 
 class Word(Frozen):
@@ -208,11 +259,8 @@ class Word(Frozen):
         _set_letters(w, reduce_letters(raw))
         return w
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Word):
-            return NotImplemented
-        return self.letters == other.letters
-
+    # the hash of the bare letter tuple, not of the field tuple: the
+    # iteration order of sets of words stays what it was
     def __hash__(self) -> int:
         return hash(self.letters)
 

@@ -1,6 +1,6 @@
 """Checks on the package surface: stale exports, unused imports, functions
-only the tests call, stored attributes nobody reads and the modules a
-command loads.
+only the tests call, stored attributes nobody reads, records written by
+hand and the modules a command loads.
 
 All but the last parse the source with ``ast``, so they see what is
 written; the export check then resolves each listed name on the imported
@@ -191,9 +191,16 @@ def test_every_function_is_reached_outside_the_tests():
 
 
 def _stored_on_self(tree: ast.AST) -> dict[str, int]:
-    """Attribute name -> line of every assignment to ``self.<name>``."""
+    """Attribute name -> line of every assignment to ``self.<name>`` and of
+    every field a ``Frozen`` subclass annotates in its body."""
     stored = {}
     for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id == "Frozen" for base in node.bases
+        ):
+            for field in node.body:
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                    stored.setdefault(field.target.id, field.lineno)
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
@@ -239,6 +246,80 @@ def test_every_stored_attribute_is_read_somewhere():
         if name not in read
     ]
     assert not unread, f"stored on self but never read in src, tests or perfbench: {unread}"
+
+
+def _hand_written_record_methods(tree: ast.Module):
+    """(class.method, line) of every ``__eq__`` and ``__hash__``, and of
+    every ``__init__`` whose body only copies its parameters onto self,
+    by assignment or through a setter called as ``setter(self, param)``."""
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if node.name in ("__eq__", "__hash__"):
+                yield f"{cls.name}.{node.name}", node.lineno
+            elif node.name == "__init__":
+                args = node.args
+                params = {a.arg for a in args.posonlyargs + args.args[1:] + args.kwonlyargs}
+                body = [
+                    stmt for stmt in node.body
+                    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+                ]
+                if body and all(_copies_a_parameter(stmt, params) for stmt in body):
+                    yield f"{cls.name}.__init__", node.lineno
+
+
+def _copies_a_parameter(stmt: ast.stmt, params: set[str]) -> bool:
+    def is_self(node):
+        return isinstance(node, ast.Name) and node.id == "self"
+
+    def is_param(node):
+        return isinstance(node, ast.Name) and node.id in params
+
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        target = stmt.targets[0]
+        return isinstance(target, ast.Attribute) and is_self(target.value) and is_param(stmt.value)
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        call = stmt.value
+        return len(call.args) == 2 and is_self(call.args[0]) and is_param(call.args[1])
+    return False
+
+
+def test_records_come_from_frozen_not_by_hand():
+    # words.Frozen builds __init__, == and hash from annotated fields.  Word
+    # hashes its bare letter tuple; the INFINITY singleton equals itself only
+    allowed = {
+        "Frozen.__eq__", "Frozen.__hash__", "Word.__hash__", "_Infinity.__eq__", "_Infinity.__hash__",
+    }
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, line in _hand_written_record_methods(ast.parse(path.read_text()))
+        if name not in allowed
+    ]
+    assert not found, f"write these classes as annotated Frozen subclasses: {found}"
+
+
+def test_the_record_rule_notices_a_hand_written_record():
+    source = """
+class Pair:
+    def __init__(self, left, right):
+        self.left = left
+        _set_right(self, right)
+
+class Checked:
+    def __init__(self, value):
+        self.value = value
+        self.check()
+
+class Point:
+    def __eq__(self, other):
+        return True
+"""
+    found = [name for name, _ in _hand_written_record_methods(ast.parse(source))]
+    assert found == ["Pair.__init__", "Point.__eq__"]
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

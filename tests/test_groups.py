@@ -180,7 +180,7 @@ def test_group_hom_projections():
 def test_group_hom_detects_non_homomorphism():
     # the sampled check above is only evidence if it can fail
     z = CyclicZ()
-    bad = GroupHom(z, z, lambda k: k * k, name="square")
+    bad = GroupHom(z, z, lambda k: k * k, name="square", total=True)
     assert not multiplicative_on_samples(bad, random.Random(209))
 
 
@@ -237,6 +237,10 @@ def _thirds_and_quarters(ctx):
         "thirds-and-quarters",
         ctx,
         lambda g: Fraction(count_copies(ab, g), 3) - Fraction(count_copies(ba, g), 4),
+        False,
+        None,
+        "unknown",
+        False,
     )
 
 

@@ -129,6 +129,8 @@ def test_homogenize_without_defect_has_unknown_radius():
         eval_fn=h.eval_fn,
         homogeneous=False,
         defect_upper=None,
+        defect_provenance="unknown",
+        invariant=False,
     )
     cv = homogenize(stripped, word("ab"), 8)
     assert cv.radius is None
@@ -283,6 +285,10 @@ def test_defect_search_matches_reference_with_a_nontrivial_scale():
         "thirds-and-quarters",
         f2,
         lambda g: Fraction(count_copies(ab, g), 3) - Fraction(count_copies(ba, g), 4),
+        False,
+        None,
+        "unknown",
+        False,
     )
     assert scaled_ball_values(f2, 5, qm)[1] == 12
     res = _same_as_reference(qm, 5)
@@ -315,7 +321,13 @@ def test_defect_search_matches_reference_off_free_groups():
     # a bounded function is a quasimorphism; it is read off the exact key,
     # so every word for one braid gets one value
     clamped = Quasimorphism(
-        "clamped-corner", b3, lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3)
+        "clamped-corner",
+        b3,
+        lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3),
+        False,
+        None,
+        "unknown",
+        False,
     )
     assert _same_as_reference(clamped, 4).lower > 0
 

@@ -1,17 +1,22 @@
-"""The value types against frozen-dataclass twins.
+"""The value types against frozen-dataclass twins, and their copies.
 
 Word, BraidWord, GarsideNormalForm, P3Coordinates and CertifiedValue are
-plain slotted classes with hand-written equality, hash and repr.  Each twin
-below is the frozen dataclass the type used to be, with the same name, so
-its generated ``==``, ``hash`` and ``repr`` are the reference; the Word twin
-keeps Word's hash of the bare letter tuple.
+slotted ``words.Frozen`` subclasses: equality, hash, repr, copying and
+pickling come from their annotated fields.  Each twin below is the frozen
+dataclass the type used to be, with the same name, so its generated
+``==``, ``hash`` and ``repr`` are the reference; the Word twin keeps
+Word's hash of the bare letter tuple.  Copies, deep copies and pickle
+round trips must give equal values with equal hashes, as the dataclasses
+did.
 """
 
+import copy
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sclkit import braids, quasimorphisms, words
+from sclkit import braids, quasimorphisms, scl, words
 
 
 @dataclass(frozen=True)
@@ -106,3 +111,34 @@ def test_value_types_agree_with_their_dataclass_twins():
                     unequal_pairs += 1
         # the samples exercise both outcomes, also across types
         assert equal_pairs > 50 and unequal_pairs > 10_000
+
+
+def test_value_types_survive_copy_deepcopy_and_pickle():
+    for v in seeded_values(4):
+        for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(clone) is type(v)
+            assert clone == v and hash(clone) == hash(v)
+            assert repr(clone) == repr(v)
+
+
+def test_a_copied_braid_word_keeps_its_key_out_of_its_fields():
+    b = braids.BraidWord(3, (1, 2, 1))
+    braids.b3_key(b)
+    clone = pickle.loads(pickle.dumps(b))
+    assert clone._key is None and braids.b3_key(clone) == braids.b3_key(b)
+
+
+def test_copies_are_rebuilt_through_the_validating_init():
+    assert words.word("ab").__reduce__() == (words.Word, ((1, 2),))
+    assert braids.braid("1,-2", 3).__reduce__() == (braids.BraidWord, (3, (1, -2)))
+
+
+def test_deepcopy_of_a_flip_certificate_keeps_its_claim():
+    pair = scl.braid_pure_pair()
+    alpha = scl.alpha_braid()
+    d = scl.conjugate_flip_decomposition(pair, alpha, braids.half_twist(3), 2)
+    cert = scl.upper_from_decomposition(alpha, 4, d, "")
+    clone = copy.deepcopy(cert)
+    assert clone.bound == cert.bound == Fraction(1, 4)
+    assert clone.target == cert.target and clone.target is not cert.target
+    assert clone.as_payload() == cert.as_payload()
