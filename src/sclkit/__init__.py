@@ -7,7 +7,7 @@ targets, duality bounds that carry their defect provenance, and norms
 that return the conjugators realising them.
 """
 
-from .words import Word, word, commutator
+from .words import StepFailure, Word, word, commutator
 from .groups import (
     CyclicZ,
     DirectProduct,
@@ -77,7 +77,7 @@ from .certio import verify_document, verify_file, write_certificates
 __version__ = "0.1.0"
 
 __all__ = [
-    "Word", "word", "commutator",
+    "StepFailure", "Word", "word", "commutator",
     "CyclicZ", "DirectProduct", "FreeGroup", "GroupContext", "GroupHom",
     "SwapProduct", "SymmetricGroup", "TableGroup",
     "BraidGroup", "BraidWord", "braid", "half_twist", "full_twist",

@@ -25,7 +25,7 @@ from .scl import (
     invariance_refusal,
     verify_decomposition,
 )
-from .words import Frozen
+from .words import Frozen, StepFailure
 
 FORMAT = "scl-certificates/1"
 
@@ -110,20 +110,11 @@ def load_document(path: str | Path) -> dict:
     return doc
 
 
-class _StepFailure(Exception):
-    def __init__(self, step: str, detail: str):
-        super().__init__(f"{step}: {detail}")
-        self.step = step
-        self.detail = detail
-
-
-def _fail(step: str, detail: str) -> _StepFailure:
-    return _StepFailure(step, detail)
-
-
 def _no_exponents(text: str, step: str, label: str) -> None:
     if "^" in text:
-        raise _fail(step, f"{label} uses exponent syntax '^', which certificates never contain")
+        raise StepFailure(
+            step, f"{label} uses exponent syntax '^', which certificates never contain"
+        )
 
 
 # Everything str(Fraction) writes.  Fraction itself also takes exponents,
@@ -138,25 +129,25 @@ def _fraction(text: str, step: str, label: str) -> Fraction:
             return Fraction(text)
         except (ValueError, ZeroDivisionError):
             pass  # past the interpreter's limit on digits, or a zero denominator
-    raise _fail(step, f"{label} {text!r} is not a rational number")
+    raise StepFailure(step, f"{label} {text!r} is not a rational number")
 
 
 def _checked_payload(payload: Any) -> Callable:
     """Check the envelope fields of one item; return its kind's checker."""
     if not isinstance(payload, dict):
-        raise _fail("schema", "certificate item is not an object")
+        raise StepFailure("schema", "certificate item is not an object")
     for key, typ in _PAYLOAD_FIELDS.items():
         if key not in payload:
-            raise _fail("schema", f"missing field {key!r}")
+            raise StepFailure("schema", f"missing field {key!r}")
         if not isinstance(payload[key], typ):
-            raise _fail("schema", f"field {key!r} must be {typ.__name__}")
+            raise StepFailure("schema", f"field {key!r} must be {typ.__name__}")
     if payload["kind"] not in KINDS:
-        raise _fail("schema", f"unknown certificate kind {payload['kind']!r}")
+        raise StepFailure("schema", f"unknown certificate kind {payload['kind']!r}")
     direction, check = KINDS[payload["kind"]]
     if payload["direction"] != direction:
-        raise _fail("schema", f"kind {payload['kind']} must have direction {direction}")
+        raise StepFailure("schema", f"kind {payload['kind']} must have direction {direction}")
     if payload["verified"] is not True:
-        raise _fail("schema", "certificate is not marked as verified")
+        raise StepFailure("schema", "certificate is not marked as verified")
     return check
 
 
@@ -165,22 +156,22 @@ def _check_upper(payload: dict, pair, target) -> None:
     power = witness.get("power")
     # bool is a subclass of int, and true would verify as power 1
     if type(power) is not int or power < 1:
-        raise _fail("witness", "power must be a positive integer")
+        raise StepFailure("witness", "power must be a positive integer")
     factors_raw = witness.get("factors")
     if not isinstance(factors_raw, list) or any(
         not isinstance(f, list) or len(f) != 2 or not all(isinstance(s, str) for s in f)
         for f in factors_raw
     ):
-        raise _fail("witness", "factors must be a list of [conjugator, member] text pairs")
+        raise StepFailure("witness", "factors must be a list of [conjugator, member] text pairs")
     target_size = len(payload["target"])
     if power * target_size > WITNESS_TEXT_BUDGET:
-        raise _fail(
+        raise StepFailure(
             "witness",
             f"power {power} times target length {target_size} is over the budget "
             f"of {WITNESS_TEXT_BUDGET}",
         )
     if len(factors_raw) > WITNESS_FACTOR_BUDGET:
-        raise _fail(
+        raise StepFailure(
             "witness",
             f"{len(factors_raw)} factors, over the budget of {WITNESS_FACTOR_BUDGET}",
         )
@@ -188,7 +179,7 @@ def _check_upper(payload: dict, pair, target) -> None:
         _no_exponents(a_text + b_text, "witness", f"factor {i}")
     factor_text = sum(len(a) + len(b) for a, b in factors_raw)
     if factor_text > WITNESS_TEXT_BUDGET:
-        raise _fail(
+        raise StepFailure(
             "witness",
             f"the factors have {factor_text} characters, over the budget of "
             f"{WITNESS_TEXT_BUDGET}",
@@ -199,62 +190,62 @@ def _check_upper(payload: dict, pair, target) -> None:
         try:
             factors.append((ctx.parse(a_text), ctx.parse(b_text)))
         except ValueError as exc:
-            raise _fail("witness", f"factor {i} does not parse: {exc}") from exc
+            raise StepFailure("witness", f"factor {i} does not parse: {exc}") from exc
     bound = _fraction(payload["bound"], "bound arithmetic", "bound")
     if bound != Fraction(len(factors), power):
-        raise _fail(
+        raise StepFailure(
             "bound arithmetic",
             f"claimed bound {bound} but {len(factors)} factors over power {power} "
             f"give {Fraction(len(factors), power)}",
         )
     d = MixedCommutatorDecomposition(pair, ctx.power(target, power), tuple(factors))
-    report = verify_decomposition(d)
-    if not report:
-        raise _fail(report.failed_step or "decomposition", report.detail)
+    verify_decomposition(d)
 
 
 def _check_lower(payload: dict, pair, target) -> None:
     witness = payload["witness"]
     for key in ("qm", "value", "defect_upper"):
         if not isinstance(witness.get(key), str):
-            raise _fail("witness", f"witness field {key!r} must be a string")
+            raise StepFailure("witness", f"witness field {key!r} must be a string")
     _no_exponents(witness["qm"], "quasimorphism", "the quasimorphism")
     try:
         qm = specs.parse_qm(witness["qm"], group=pair.ambient)
     except specs.SpecError as exc:
-        raise _fail("quasimorphism", str(exc)) from exc
+        raise StepFailure("quasimorphism", str(exc)) from exc
     if not qm.homogeneous:
-        raise _fail("quasimorphism", f"{qm.name} is not homogeneous")
+        raise StepFailure("quasimorphism", f"{qm.name} is not homogeneous")
     refusal = invariance_refusal(qm, pair)
     if refusal is not None:
-        raise _fail("invariance", refusal)
+        raise StepFailure("invariance", refusal)
     claimed_value = _fraction(witness["value"], "witness", "value")
     try:
         value = qm(target)
     except ValueError as exc:
         # e.g. a pullback along pr1 at a braid outside P3
-        raise _fail("qm value", f"{qm.name} is undefined at {payload['target']}: {exc}") from exc
+        raise StepFailure(
+            "qm value", f"{qm.name} is undefined at {payload['target']}: {exc}"
+        ) from exc
     if value != claimed_value:
-        raise _fail(
+        raise StepFailure(
             "qm value",
             f"recomputed {qm.name}({payload['target']}) = {value}, certificate says {claimed_value}",
         )
     claimed_defect = _fraction(witness["defect_upper"], "witness", "defect_upper")
-    if qm.defect_upper is None or Fraction(qm.defect_upper) != claimed_defect:
-        raise _fail(
+    if qm.defect_upper != claimed_defect:
+        raise StepFailure(
             "defect",
             f"reconstructed defect bound {qm.defect_upper} differs from claimed {claimed_defect}",
         )
     provenance = payload["evidence"].get("defect_provenance")
     if isinstance(provenance, str) and provenance != qm.defect_provenance:
-        raise _fail(
+        raise StepFailure(
             "defect provenance",
             f"provenance {provenance!r} does not match reconstruction {qm.defect_provenance!r}",
         )
     bound = _fraction(payload["bound"], "bound arithmetic", "bound")
     expected = Fraction(0) if claimed_defect == 0 else abs(value) / (2 * claimed_defect)
     if bound != expected:
-        raise _fail(
+        raise StepFailure(
             "bound arithmetic",
             f"claimed bound {bound}, duality gives {expected}",
         )
@@ -274,19 +265,19 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
         try:
             pair = specs.parse_group_pair(payload["group_pair"])
         except specs.SpecError as exc:
-            raise _fail("group pair", str(exc)) from exc
+            raise StepFailure("group pair", str(exc)) from exc
         _no_exponents(payload["target"], "target", "the target")
         try:
             target = pair.ambient.parse(payload["target"])
         except ValueError as exc:
-            raise _fail("target", str(exc)) from exc
+            raise StepFailure("target", str(exc)) from exc
         if not pair.is_member(target):
-            raise _fail(
+            raise StepFailure(
                 "target membership",
                 f"target {payload['target']} is outside the subgroup of {pair.name}",
             )
         check(payload, pair, target)
-    except _StepFailure as failure:
+    except StepFailure as failure:
         return False, failure.step, failure.detail
     return True, None, "recomputed and confirmed"
 

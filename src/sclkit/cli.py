@@ -30,6 +30,7 @@ from .scl import (
     mixed_cl_search,
     upper_from_decomposition,
 )
+from .words import StepFailure
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -124,7 +125,7 @@ def cmd_eval(args) -> int:
         "group": ctx.name,
         "element": ctx.text(g),
         "value": str(value),
-        "defect_upper": None if qm.defect_upper is None else str(Fraction(qm.defect_upper)),
+        "defect_upper": str(qm.defect_upper),
         "defect_provenance": qm.defect_provenance,
     }
     rows = [
@@ -284,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except certio.CertificateError as exc:
+    except (certio.CertificateError, StepFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:

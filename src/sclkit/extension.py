@@ -25,7 +25,7 @@ from .groups import BallValues, GroupContext
 from .norms import PreconditionError
 from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
 from .scl import GroupPair, braid_commutator_pair, product_left_pair
-from .words import Frozen
+from .words import Frozen, StepFailure
 
 
 # SectionData.check tests the section on the quotient ball of this radius and
@@ -43,42 +43,30 @@ class SectionData(Frozen):
     section: Callable[[int], Any]
     name: str
 
-    def check(self, rng) -> "SectionReport":
+    def check(self, rng) -> None:
         """Verify pi o s = id on the quotient ball of radius
         SECTION_CHECK_RADIUS, s(0) = identity, and multiplicativity of both
-        maps on SECTION_CHECK_SAMPLES sampled pairs each."""
+        maps on SECTION_CHECK_SAMPLES sampled pairs each.  The first
+        failure raises StepFailure at "section"."""
         ctx = self.pair.ambient
         radius = SECTION_CHECK_RADIUS
-        failures: list[str] = []
         if not ctx.is_identity(self.section(0)):
-            failures.append("s(0) is not the identity")
+            raise StepFailure("section", "s(0) is not the identity")
         for k in range(-radius, radius + 1):
             if self.project(self.section(k)) != k:
-                failures.append(f"pi(s({k})) != {k}")
-                break
+                raise StepFailure("section", f"pi(s({k})) != {k}")
         for _ in range(SECTION_CHECK_SAMPLES):
             a = rng.randint(-radius, radius)
             b = rng.randint(-radius, radius)
             if not ctx.eq(self.section(a + b), ctx.mul(self.section(a), self.section(b))):
-                failures.append(f"s({a}+{b}) != s({a})s({b})")
-                break
+                raise StepFailure("section", f"s({a}+{b}) != s({a})s({b})")
         for _ in range(SECTION_CHECK_SAMPLES):
             g = ctx.sample(rng, rng.randrange(0, 6))
             h = ctx.sample(rng, rng.randrange(0, 6))
             if self.project(ctx.mul(g, h)) != self.project(g) + self.project(h):
-                failures.append(
-                    f"pi not additive at ({ctx.text(g)}, {ctx.text(h)})"
+                raise StepFailure(
+                    "section", f"pi not additive at ({ctx.text(g)}, {ctx.text(h)})"
                 )
-                break
-        return SectionReport(tuple(failures))
-
-
-class SectionReport(Frozen):
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def central_z_section(inner: GroupContext | None = None) -> SectionData:
@@ -131,18 +119,16 @@ class ExtensionResult(Frozen):
 def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int = 64) -> ExtensionResult:
     """Transport qm along the section and homogenise.
 
-    qm must be homogeneous, invariant under ambient conjugation by
-    construction, and carry a certified defect; its eval must accept
-    subgroup elements in their ambient representation.  Every phi_prime
-    evaluation first checks that the subgroup part really passes the
-    membership test, so an inconsistent section fails loudly.
+    qm must be homogeneous and invariant under ambient conjugation by
+    construction; its eval must accept subgroup elements in their ambient
+    representation.  Every phi_prime evaluation first checks that the
+    subgroup part really passes the membership test, so an inconsistent
+    section fails loudly.
     """
     if not qm.homogeneous:
         raise ValueError("extension needs a homogeneous quasimorphism")
     if not qm.invariant:
         raise ValueError("extension needs a quasimorphism invariant under ambient conjugation")
-    if qm.defect_upper is None:
-        raise ValueError("refusing to extend without a certified defect bound")
     ctx = section.pair.ambient
 
     def phi_prime_eval(ghat) -> Fraction:
@@ -169,36 +155,18 @@ def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int = 64)
     return ExtensionResult(base=qm, section=section, phi_prime=phi_prime, n_max=n_max)
 
 
-class RestrictionReport(Frozen):
-    checked: int
-    mismatches: tuple[str, ...]
-    sufficient: bool
+def restriction_check(result: ExtensionResult, elements: Iterable[Any]) -> int:
+    """phi_hat = phi on subgroup samples, as exact rationals; return the
+    number of samples checked.
 
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches and self.sufficient
-
-    def describe(self) -> str:
-        if not self.sufficient:
-            return "restriction check: no samples, vacuous pass is insufficient evidence"
-        if self.mismatches:
-            return "restriction check FAILED: " + "; ".join(self.mismatches[:3])
-        return f"restriction check: {self.checked} subgroup elements, all exact matches"
-
-
-def restriction_check(
-    result: ExtensionResult,
-    phi: Quasimorphism,
-    elements: Iterable[Any],
-) -> RestrictionReport:
-    """phi_hat = phi on subgroup samples, as exact rationals.
-
-    phi is the reference quasimorphism, evaluated directly; the extension
-    side goes through the section transport, so any inconsistency between
-    the two paths surfaces as a mismatch.
+    phi is the extension's base, evaluated directly; the extension side
+    goes through the section transport, so any inconsistency between the
+    two paths surfaces as a mismatch.  The first mismatch raises
+    StepFailure at "restriction", and so does an empty sample: a vacuous
+    pass is no evidence.  A sample outside the subgroup is a ValueError.
     """
     ctx = result.section.pair.ambient
-    mismatches: list[str] = []
+    phi = result.base
     checked = 0
     for g in elements:
         if not result.section.pair.is_member(g):
@@ -207,12 +175,12 @@ def restriction_check(
         expected = phi(g)
         got = result.value(g)
         if got.value != expected or got.radius != 0:
-            mismatches.append(
-                f"phi_hat({ctx.text(g)}) = {got} but phi gives {expected}"
+            raise StepFailure(
+                "restriction", f"phi_hat({ctx.text(g)}) = {got} but phi gives {expected}"
             )
-        if len(mismatches) >= 5:
-            break
-    return RestrictionReport(checked, tuple(mismatches), sufficient=checked > 0)
+    if not checked:
+        raise StepFailure("restriction", "no samples, a vacuous pass is insufficient evidence")
+    return checked
 
 
 class DefectChainReport(Frozen):
@@ -242,7 +210,7 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
 
     def row(g):
         hat = result.value(g)
-        return result.phi_prime(g), hat.value, hat.radius or 0
+        return result.phi_prime(g), hat.value, hat.radius
 
     table = BallValues(ctx, radius, row)
     value, zero = table.values.get, table.zero
@@ -262,7 +230,7 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
             gap_h = abs(vgh - vg - vh) - (rg + rh + rgh)
             if gap_h > best_hat:
                 best_hat = gap_h
-    d = Fraction(result.base.defect_upper)
+    d = result.base.defect_upper
     return DefectChainReport(
         phi_prime_searched=Fraction(best_prime, table.scale),
         phi_prime_bound=d,

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .groups import GroupContext, ProductSearch
-from .words import Frozen
+from .words import Frozen, StepFailure
 
 
 class _Infinity:
@@ -89,8 +89,6 @@ class FragmentationNorm:
     gets norm INFINITY.
     """
 
-    name = "nu_H"
-
     def __init__(self, context: GroupContext, subgroup_gens: Sequence[Any]):
         if not hasattr(context, "elements"):
             raise ValueError("the fragmentation norm needs a finite group that lists its elements")
@@ -145,61 +143,42 @@ class FragmentationNorm:
 
 
 class NormAxiomReport(Frozen):
-    norm_name: str
     elements_checked: int
     pairs_checked: int
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def describe(self) -> str:
-        head = (
-            f"norm axioms for {self.norm_name}: {self.elements_checked} elements, "
-            f"{self.pairs_checked} pairs"
-        )
-        if self.ok:
-            return head + ", all five hold"
-        return head + "; FAILED: " + "; ".join(self.failures)
 
 
 def norm_axiom_report(norm) -> NormAxiomReport:
     """Test the five norm axioms on every element of the norm's finite
-    group, and the pairwise ones on every ordered pair."""
+    group, and the pairwise ones on every ordered pair.  The first failure
+    raises StepFailure at "norm axioms"."""
     ctx = norm.context
     elements = list(ctx.elements())
 
-    failures: list[str] = []
     values = {ctx.canonical(a): norm(a) for a in elements}
 
     def val(a):
         return values[ctx.canonical(a)]
 
     if norm(ctx.identity) != 0:
-        failures.append(f"nu(1) = {norm(ctx.identity)} != 0")
+        raise StepFailure("norm axioms", f"nu(1) = {norm(ctx.identity)} != 0")
     for a in elements:
         if val(a) != val(ctx.inv(a)):
-            failures.append(f"nu not symmetric at {ctx.text(a)}")
-            break
+            raise StepFailure("norm axioms", f"nu not symmetric at {ctx.text(a)}")
     for a in elements:
         if not ctx.is_identity(a) and not val(a) > 0:
-            failures.append(f"nu({ctx.text(a)}) = {val(a)} not positive")
-            break
+            raise StepFailure("norm axioms", f"nu({ctx.text(a)}) = {val(a)} not positive")
 
     for a, b in itertools.product(elements, elements):
         if not val(ctx.mul(a, b)) <= val(a) + val(b):
-            failures.append(
-                f"subadditivity fails at ({ctx.text(a)}, {ctx.text(b)})"
+            raise StepFailure(
+                "norm axioms", f"subadditivity fails at ({ctx.text(a)}, {ctx.text(b)})"
             )
-            break
         if val(ctx.conjugate(b, a)) != val(a):
-            failures.append(
-                f"conjugation invariance fails at ({ctx.text(a)}, {ctx.text(b)})"
+            raise StepFailure(
+                "norm axioms", f"conjugation invariance fails at ({ctx.text(a)}, {ctx.text(b)})"
             )
-            break
 
-    return NormAxiomReport(norm.name, len(elements), len(elements) ** 2, tuple(failures))
+    return NormAxiomReport(len(elements), len(elements) ** 2)
 
 
 class PreconditionError(ValueError):

@@ -36,23 +36,17 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable
 
 from .groups import BallValues, GroupContext, GroupHom
-from .words import Frozen, Word, cyclic_reduce_letters, invert_letters
+from .words import Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
 
 
 class CertifiedValue(Frozen):
-    """A rational value together with a certified error radius.
-
-    ``radius`` is None when no defect bound is available, in which case the
-    value is reported but nothing is certified.
-    """
+    """A rational value together with a certified error radius."""
 
     __slots__ = ("value", "radius")
     value: Fraction
-    radius: Fraction | None
+    radius: Fraction
 
     def __str__(self) -> str:
-        if self.radius is None:
-            return f"{self.value} ± unknown"
         return f"{self.value} ± {self.radius}"
 
 
@@ -153,7 +147,7 @@ class Quasimorphism(Frozen):
     context: GroupContext
     eval_fn: Callable[[Any], Fraction]
     homogeneous: bool
-    defect_upper: Fraction | None
+    defect_upper: Fraction
     defect_provenance: str
     invariant: bool
 
@@ -230,8 +224,7 @@ def hom_qm(context: GroupContext, fn: Callable[[Any], int], name: str) -> Quasim
 def homogenize(qm: Quasimorphism, g, n_max: int) -> CertifiedValue:
     """Truncated homogenisation qm(g^n)/n with its certified error radius.
 
-    For a quasimorphism with defect D, |qm(g^n)/n - limit| <= D/n.  Without a
-    certified defect the value is returned with an unknown radius; an already
+    For a quasimorphism with defect D, |qm(g^n)/n - limit| <= D/n.  An already
     homogeneous quasimorphism is evaluated exactly.
     """
     if n_max < 1:
@@ -239,8 +232,6 @@ def homogenize(qm: Quasimorphism, g, n_max: int) -> CertifiedValue:
     if qm.homogeneous:
         return CertifiedValue(qm(g), Fraction(0))
     value = Fraction(qm(qm.context.power(g, n_max)), n_max)
-    if qm.defect_upper is None:
-        return CertifiedValue(value, None)
     return CertifiedValue(value, Fraction(qm.defect_upper, n_max))
 
 
@@ -257,9 +248,7 @@ def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
         eval_fn=lambda g: qm(hom(g)),
         homogeneous=qm.homogeneous,
         defect_upper=qm.defect_upper,
-        defect_provenance=(
-            qm.defect_provenance if qm.defect_upper is None else f"{qm.defect_provenance}; pulled back along {hom.name}"
-        ),
+        defect_provenance=f"{qm.defect_provenance}; pulled back along {hom.name}",
         invariant=qm.invariant and hom.total,
     )
 
@@ -296,23 +285,15 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
     return DefectSearchResult(Fraction(best, table.scale), witness, radius, pairs)
 
 
-class InvarianceReport(Frozen):
-    checked: int
-    violations: tuple[tuple, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def invariance_check(qm: Quasimorphism, conjugators: Iterable, targets: Iterable) -> InvarianceReport:
-    """Record every conjugation-invariance violation over the given sample.
+def invariance_check(qm: Quasimorphism, conjugators: Iterable, targets: Iterable) -> int:
+    """Check conjugation invariance on every (conjugator, target) pair of the
+    sample; return the number of pairs checked.
 
     Conjugators may live in a larger ambient group than the targets; the
-    caller supplies elements of the quasimorphism's own context.
+    caller supplies elements of the quasimorphism's own context.  The first
+    violation raises StepFailure at "invariance sample".
     """
     ctx = qm.context
-    violations = []
     checked = 0
     targets = list(targets)
     for c in conjugators:
@@ -321,5 +302,9 @@ def invariance_check(qm: Quasimorphism, conjugators: Iterable, targets: Iterable
             expected = qm(t)
             got = qm(ctx.conjugate(c, t))
             if got != expected:
-                violations.append((c, t, expected, got))
-    return InvarianceReport(checked, tuple(violations))
+                raise StepFailure(
+                    "invariance sample",
+                    f"{qm.name}({ctx.text(t)}) = {expected}, but {got} at its "
+                    f"conjugate by {ctx.text(c)}",
+                )
+    return checked

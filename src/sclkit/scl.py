@@ -38,7 +38,7 @@ from .braids import (
 from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, ProductSearch
 from .norms import PreconditionError
 from .quasimorphisms import Quasimorphism
-from .words import Frozen
+from .words import Frozen, StepFailure
 
 
 class GroupPair(Frozen):
@@ -155,17 +155,10 @@ class MixedCommutatorDecomposition(Frozen):
         return [[ctx.text(a), ctx.text(b)] for a, b in self.factors]
 
 
-class DecompositionReport(Frozen):
-    ok: bool
-    failed_step: str | None
-    detail: str
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_decomposition(d: MixedCommutatorDecomposition) -> DecompositionReport:
-    """Exact check: memberships first, then the product equality.
+def verify_decomposition(d: MixedCommutatorDecomposition) -> None:
+    """Exact check: memberships first, then the product equality.  The
+    first failure raises StepFailure at "membership of factor i" or
+    "product equality".
 
     In mixed mode the first component of a factor may be any ambient
     element; in ordinary mode both components must pass the membership
@@ -175,26 +168,22 @@ def verify_decomposition(d: MixedCommutatorDecomposition) -> DecompositionReport
     ctx = d.pair.ambient
     for i, (ghat, g) in enumerate(d.factors):
         if not d.pair.admits_conjugator(ghat):
-            return DecompositionReport(
-                False,
+            raise StepFailure(
                 f"membership of factor {i}",
                 f"factor {i} conjugating component {ctx.text(ghat)} is outside the "
                 f"subgroup, not allowed in ordinary mode for {d.pair.name}",
             )
         if not d.pair.is_member(g):
-            return DecompositionReport(
-                False,
+            raise StepFailure(
                 f"membership of factor {i}",
                 f"factor {i} component {ctx.text(g)} is not in the normal subgroup of {d.pair.name}",
             )
     prod = d.product()
     if not ctx.eq(prod, d.target):
-        return DecompositionReport(
-            False,
+        raise StepFailure(
             "product equality",
             f"product {ctx.text(prod)} differs from target {ctx.text(d.target)}",
         )
-    return DecompositionReport(True, None, f"{len(d.factors)} factors verified")
 
 
 class ClSearchResult(Frozen):
@@ -240,9 +229,7 @@ def mixed_cl_search(
         )
     factors = tuple(moves[idx][1] for idx in path)
     decomposition = MixedCommutatorDecomposition(pair, target, factors)
-    report = verify_decomposition(decomposition)
-    if not report:
-        raise AssertionError(f"search produced an invalid decomposition: {report.detail}")
+    verify_decomposition(decomposition)
     count = len(factors)
     return ClSearchResult(count, decomposition, f"= {count}", len(moves))
 
@@ -367,10 +354,8 @@ def bavard_lower(
     """
     if not qm.homogeneous:
         raise ValueError("duality lower bounds need a homogeneous quasimorphism")
-    if qm.defect_upper is None:
-        raise ValueError("refusing a lower bound without a certified defect")
     value = qm(target)
-    defect = Fraction(qm.defect_upper)
+    defect = qm.defect_upper
     if defect == 0:
         if value != 0:
             bound = Fraction(0)
@@ -408,15 +393,14 @@ def upper_from_decomposition(
     note: str = "",
 ) -> SclCertificate:
     """scl(target) <= m / power from a verified decomposition of
-    target^power into m commutators."""
+    target^power into m commutators; a decomposition that fails its check
+    raises StepFailure."""
     if power < 1:
         raise ValueError("power must be positive")
     ctx = d.pair.ambient
     if not ctx.eq(d.target, ctx.power(target, power)):
         raise ValueError("decomposition target is not the requested power")
-    report = verify_decomposition(d)
-    if not report:
-        raise ValueError(f"decomposition failed verification: {report.detail}")
+    verify_decomposition(d)
     bound = Fraction(len(d.factors), power)
     return SclCertificate(
         kind="scl-upper-decomposition",

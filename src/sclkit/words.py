@@ -212,6 +212,21 @@ class Frozen:
 _setattr = object.__setattr__
 
 
+class StepFailure(Exception):
+    """A check found a counterexample: the step that broke, and how.
+
+    Every check in the package raises this at its first counterexample and
+    returns only what its callers read when it passes.  ``str()`` gives
+    ``"step: detail"``.  It is not a ValueError, which the command line
+    reads as a usage error (exit 2): a failed check exits 1.
+    """
+
+    def __init__(self, step: str, detail: str):
+        super().__init__(f"{step}: {detail}")
+        self.step = step
+        self.detail = detail
+
+
 def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
     """The field values of a call to ``cls`` in field order; a missing,
     unknown or repeated field is a TypeError, as for a plain ``__init__``."""

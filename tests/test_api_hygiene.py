@@ -1,6 +1,6 @@
 """Checks on the package surface: stale exports, unused imports, functions
 only the tests call, stored attributes nobody reads, records written by
-hand and the modules a command loads.
+hand, the exception classes and the modules a command loads.
 
 All but the last parse the source with ``ast``, so they see what is
 written; the export check then resolves each listed name on the imported
@@ -10,6 +10,7 @@ one imports the command line in a fresh process.
 """
 
 import ast
+import builtins
 import subprocess
 import sys
 from pathlib import Path
@@ -320,6 +321,51 @@ class Point:
 """
     found = [name for name, _ in _hand_written_record_methods(ast.parse(source))]
     assert found == ["Pair.__init__", "Point.__eq__"]
+
+
+def _exception_classes(trees) -> set[str]:
+    """Names of the classes that derive from a built-in exception, directly
+    or through another class of the given modules."""
+    bases = {
+        cls.name: {b.id if isinstance(b, ast.Name) else getattr(b, "attr", None) for b in cls.bases}
+        for tree in trees
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+    found = {
+        name for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    while True:
+        more = {name for name, parents in bases.items() if parents & found} - found
+        if not more:
+            return found & set(bases)
+        found |= more
+
+
+def test_src_defines_one_failure_type_among_six_exception_classes():
+    # a check that finds a counterexample raises StepFailure(step, detail);
+    # the others refuse input or a hypothesis before any check runs, or
+    # report an internal invariant broken
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    assert _exception_classes(trees) == {
+        "StepFailure", "PreconditionError", "PeelingError", "SpecError", "CertificateError",
+        "UsageError",
+    }
+
+
+def test_the_exception_rule_follows_derived_classes():
+    source = """
+class _StepFailure(Exception):
+    pass
+
+class Nested(_StepFailure):
+    pass
+
+class Report:
+    pass
+"""
+    assert _exception_classes([ast.parse(source)]) == {"_StepFailure", "Nested"}
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from sclkit import braids, certio, cli, specs, suite
-from sclkit.words import MAX_WORD_LETTERS
+from sclkit.words import MAX_WORD_LETTERS, StepFailure
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
@@ -204,6 +204,21 @@ def test_scl_bounds_checks_the_n_max_budget_before_the_flip_search(monkeypatch, 
     code = cli.main(["scl-bounds", "--group", "free:2", "--word", "abAB", "--n-max", "2501"])
     assert code == 2
     assert "--n-max 2501 is too large" in capsys.readouterr().err
+
+
+def test_a_failed_check_inside_a_command_exits_1_at_its_step(monkeypatch, capsys):
+    # a failed check is exit 1, not the usage error of a ValueError and not
+    # a traceback
+    def upper_from_decomposition(*args, **kwargs):
+        raise StepFailure("product equality", "planted")
+
+    monkeypatch.setattr(cli, "upper_from_decomposition", upper_from_decomposition)
+    code = cli.main(["scl-bounds", "--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: product equality: planted\n"
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_exhausted_search_fits_in_256_mb():

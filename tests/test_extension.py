@@ -7,9 +7,11 @@ from types import SimpleNamespace
 import pytest
 
 from ball_reference import sphere_pairs
-from sclkit.braids import BraidGroup, braid, index_sum, pr1
+from sclkit.braids import BraidGroup, braid, index_section, index_sum, pr1
 from sclkit.extension import (
     DefectChainReport,
+    ExtensionResult,
+    SectionData,
     braid_abelianization_section,
     central_z_section,
     defect_chain_check,
@@ -24,7 +26,7 @@ from sclkit.quasimorphisms import (
     pullback,
     zero_qm,
 )
-from sclkit.words import word
+from sclkit.words import StepFailure, word
 from value_helpers import contains
 
 
@@ -38,14 +40,14 @@ def make_product_extension(n_max=32):
 
 def test_central_section_checks_out():
     sec = central_z_section(FreeGroup(2))
-    assert sec.check(random.Random(700)).ok
+    assert sec.check(random.Random(700)) is None
     assert sec.pair.is_member((FreeGroup(2).parse("ab"), 0))
     assert not sec.pair.is_member((FreeGroup(2).parse("ab"), 2))
 
 
 def test_braid_abelianization_section_checks_out():
     sec = braid_abelianization_section(3)
-    assert sec.check(random.Random(701)).ok
+    assert sec.check(random.Random(701)) is None
     assert sec.pair.is_member(BraidGroup(3).commutator(braid("1", 3), braid("2", 3)))
     assert not sec.pair.is_member(braid("1", 3))
 
@@ -55,28 +57,46 @@ def test_extension_restricts_to_the_original():
     rng = random.Random(702)
     f2 = FreeGroup(2)
     samples = [(f2.sample(rng, rng.randrange(0, 8)), 0) for _ in range(200)]
-    report = restriction_check(result, phi, samples)
-    assert report.ok
-    assert report.checked == 200
-    assert not report.mismatches
+    assert restriction_check(result, samples) == 200
     g = (f2.parse("abAB"), 0)
     assert result.phi_prime(g) == phi(g) == 1
 
 
 def test_restriction_check_rejects_outside_samples_and_vacuity():
-    sec, phi, result = make_product_extension()
+    _, _, result = make_product_extension()
     with pytest.raises(ValueError):
-        restriction_check(result, phi, [(FreeGroup(2).parse("a"), 1)])
-    vacuous = restriction_check(result, phi, [])
-    assert not vacuous.ok
-    assert "insufficient" in vacuous.describe()
+        restriction_check(result, [(FreeGroup(2).parse("a"), 1)])
+    with pytest.raises(StepFailure) as failure:
+        restriction_check(result, [])
+    assert failure.value.step == "restriction"
+    assert "insufficient" in failure.value.detail
+
+
+def test_a_restriction_mismatch_fails_at_the_restriction_step():
+    # the transport of homog(brooks(w=abAB)) against a base of zero: the two
+    # paths disagree at abAB
+    sec, _, result = make_product_extension()
+    forged = ExtensionResult(zero_qm(sec.pair.ambient), sec, result.phi_prime, result.n_max)
+    samples = [(FreeGroup(2).parse("ab"), 0), (FreeGroup(2).parse("abAB"), 0)]
+    with pytest.raises(StepFailure) as failure:
+        restriction_check(forged, samples)
+    assert failure.value.step == "restriction"
+    assert failure.value.detail == "phi_hat((abAB;0)) = 1 ± 0 but phi gives 0"
+
+
+def test_a_broken_section_fails_at_the_section_step():
+    good = braid_abelianization_section(3)
+    broken = SectionData(good.pair, good.project, lambda k: index_section(k + 1, 3), "shifted")
+    with pytest.raises(StepFailure) as failure:
+        broken.check(random.Random(704))
+    assert (failure.value.step, failure.value.detail) == ("section", "s(0) is not the identity")
 
 
 def test_extension_value_interval_off_subgroup():
     _, phi, result = make_product_extension(n_max=64)
     g = (FreeGroup(2).parse("abAB"), 5)
     cv = result.value(g)
-    assert cv.radius is not None and cv.radius > 0
+    assert cv.radius > 0
     # the section is central here, so the exact extended value is still 1
     assert contains(cv, Fraction(1))
     on_sub = result.value((FreeGroup(2).parse("abAB"), 0))

@@ -26,7 +26,7 @@ from sclkit.quasimorphisms import (
 )
 from sclkit.scl import alpha_braid
 from sclkit.specs import parse_group, parse_qm
-from sclkit.words import Word, commutator, random_reduced, word
+from sclkit.words import StepFailure, Word, commutator, random_reduced, word
 from value_helpers import contains, cyclic_reduce
 
 
@@ -121,22 +121,6 @@ def test_homogenize_of_homogeneous_is_exact():
     assert cv == CertifiedValue(Fraction(1), Fraction(0))
 
 
-def test_homogenize_without_defect_has_unknown_radius():
-    h = brooks(word("ab"))
-    stripped = type(h)(
-        name=h.name,
-        context=h.context,
-        eval_fn=h.eval_fn,
-        homogeneous=False,
-        defect_upper=None,
-        defect_provenance="unknown",
-        invariant=False,
-    )
-    cv = homogenize(stripped, word("ab"), 8)
-    assert cv.radius is None
-    assert not contains(cv, cv.value)
-
-
 def test_homogenize_rejects_bad_truncation():
     with pytest.raises(ValueError):
         homogenize(brooks(word("ab")), word("a"), 0)
@@ -165,11 +149,10 @@ def test_defect_search_finds_a_positive_gap():
 def test_homogeneous_qm_is_conjugation_invariant_in_own_group():
     h = brooks_homogenized(word("abAB"))
     ctx = h.context
-    report = invariance_check(
+    checked = invariance_check(
         h, conjugators=ctx.ball(2), targets=[ctx.parse("abAB"), ctx.parse("ab")]
     )
-    assert report.ok
-    assert report.checked == len(ctx.ball(2)) * 2
+    assert checked == len(ctx.ball(2)) * 2
 
 
 def test_pullback_carries_values_defect_and_provenance():
@@ -218,12 +201,12 @@ def test_invariance_rule_agrees_with_sampled_conjugation():
         qm = parse_qm(spec, group=parse_group(group))
         gctx = qm.context
         assert qm.invariant
-        report = invariance_check(qm, gctx.ball(2), [gctx.parse(t) for t in targets])
-        assert report.ok and report.checked > 0
+        assert invariance_check(qm, gctx.ball(2), [gctx.parse(t) for t in targets]) > 0
     qm = parse_qm("pullback(homog(brooks(w=xyXY)), pr1)", group=ctx)
     assert not qm.invariant
-    flipped = invariance_check(qm, [half_twist(3)], [alpha])
-    assert not flipped.ok
+    with pytest.raises(StepFailure) as flipped:
+        invariance_check(qm, [half_twist(3)], [alpha])
+    assert flipped.value.step == "invariance sample"
 
 
 def test_zero_and_hom_qms():

@@ -26,7 +26,7 @@ from sclkit.scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
-from sclkit.words import Word, random_reduced, word
+from sclkit.words import StepFailure, Word, random_reduced, word
 
 
 def test_group_pair_modes_and_membership():
@@ -51,11 +51,7 @@ def test_verify_decomposition_accepts_valid_flip():
     pair = braid_pure_pair()
     alpha = alpha_braid()
     d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 3)
-    report = verify_decomposition(d)
-    assert report.ok
-    assert bool(report)
-    assert report.failed_step is None
-    assert "1 factors verified" in report.detail
+    assert verify_decomposition(d) is None
 
 
 def test_verify_decomposition_rejects_wrong_product():
@@ -65,9 +61,9 @@ def test_verify_decomposition_rejects_wrong_product():
     d = MixedCommutatorDecomposition(
         pair, ctx.power(alpha, 3), ((half_twist(3), ctx.power(alpha, -1)),)
     )
-    report = verify_decomposition(d)
-    assert not report.ok
-    assert report.failed_step == "product equality"
+    with pytest.raises(StepFailure) as failure:
+        verify_decomposition(d)
+    assert failure.value.step == "product equality"
 
 
 def test_verify_decomposition_rejects_non_member_second_component():
@@ -77,9 +73,9 @@ def test_verify_decomposition_rejects_non_member_second_component():
     d = MixedCommutatorDecomposition(
         pair, ctx.commutator(half_twist(3), sigma), ((half_twist(3), sigma),)
     )
-    report = verify_decomposition(d)
-    assert not report.ok
-    assert report.failed_step == "membership of factor 0"
+    with pytest.raises(StepFailure) as failure:
+        verify_decomposition(d)
+    assert failure.value.step == "membership of factor 0"
 
 
 def test_ordinary_mode_rejects_ambient_conjugator():
@@ -91,15 +87,11 @@ def test_ordinary_mode_rejects_ambient_conjugator():
     ctx = mixed.ambient
     factors = ((half_twist(3), ctx.power(alpha, -1)),)
     target = ctx.power(alpha, 2)
-    assert verify_decomposition(
-        MixedCommutatorDecomposition(mixed, target, factors)
-    ).ok
-    report = verify_decomposition(
-        MixedCommutatorDecomposition(ordinary, target, factors)
-    )
-    assert not report.ok
-    assert report.failed_step == "membership of factor 0"
-    assert "ordinary mode" in report.detail
+    verify_decomposition(MixedCommutatorDecomposition(mixed, target, factors))
+    with pytest.raises(StepFailure) as failure:
+        verify_decomposition(MixedCommutatorDecomposition(ordinary, target, factors))
+    assert failure.value.step == "membership of factor 0"
+    assert "ordinary mode" in failure.value.detail
 
 
 def test_power_commutator_in_braid_group():
@@ -108,7 +100,7 @@ def test_power_commutator_in_braid_group():
     delta = half_twist(3)
     for n in (0, 1, 4):
         d = power_commutator(ctx, alpha, delta, n)
-        assert verify_decomposition(d).ok
+        verify_decomposition(d)
         assert len(d.factors) == (0 if n == 0 else 1)
         assert braid_equal(d.target, ctx.power(ctx.commutator(alpha, delta), n))
 
@@ -119,7 +111,7 @@ def test_power_commutator_in_swap_product():
     f = ((f2.parse("a"), f2.identity), 0)
     g = ((f2.identity, f2.identity), 1)
     for n in (1, 3):
-        assert verify_decomposition(power_commutator(sp, f, g, n)).ok
+        verify_decomposition(power_commutator(sp, f, g, n))
 
 
 def test_power_commutator_rejects_free_generators():
@@ -137,7 +129,7 @@ def test_commutator_identity_xy_random_trials():
         for n in (0, 1, 3):
             d = commutator_identity_xy(f2, x, y, n)
             assert len(d.factors) == n
-            assert verify_decomposition(d).ok
+            verify_decomposition(d)
 
 
 def test_conjugate_flip_precondition():
@@ -154,7 +146,7 @@ def test_mixed_cl_search_finds_alpha_as_one_commutator():
     assert res.count == 1
     assert res.verdict == "= 1"
     assert res.decomposition.factor_texts() == [["1,1", "2,2"]]
-    assert verify_decomposition(res.decomposition).ok
+    verify_decomposition(res.decomposition)
 
 
 def test_mixed_cl_search_multi_factor():
@@ -166,7 +158,7 @@ def test_mixed_cl_search_multi_factor():
     )
     assert res.count == 2
     assert len(res.decomposition.factors) == 2
-    assert verify_decomposition(res.decomposition).ok
+    verify_decomposition(res.decomposition)
     # the witness choice on free:2 is deterministic: first found, moves in
     # the order the balls first give them
     f2 = FreeGroup(2)
@@ -256,6 +248,18 @@ def test_upper_from_decomposition_rejects_power_mismatch():
     d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 2)
     with pytest.raises(ValueError):
         upper_from_decomposition(alpha, 6, d)
+
+
+def test_upper_from_decomposition_raises_the_failed_step():
+    pair = braid_pure_pair()
+    alpha = alpha_braid()
+    ctx = pair.ambient
+    d = MixedCommutatorDecomposition(
+        pair, ctx.power(alpha, 2), ((half_twist(3), ctx.power(alpha, 1)),)
+    )
+    with pytest.raises(StepFailure) as failure:
+        upper_from_decomposition(alpha, 2, d)
+    assert failure.value.step == "product equality"
 
 
 def test_certificate_payload_shape():

@@ -24,6 +24,7 @@ from sclkit.suite import (
     find_item,
     run_item,
 )
+from sclkit.words import StepFailure
 
 
 def test_item_registry_shape():
@@ -51,6 +52,15 @@ def test_run_item_captures_crashes():
     assert "crashed" in result.detail
     assert "injected failure" in result.detail
     assert result.line().startswith("FAIL 99 broken")
+
+    def failed_check(rng, shared):
+        raise StepFailure("restriction", "planted mismatch")
+
+    failing = Item(key="98", slug="failing", budget=1.0, fn=failed_check)
+    result = run_item(failing, seed=7, shared={})
+    assert not result.ok
+    assert result.detail == "restriction: planted mismatch"
+    assert result.line().startswith("FAIL 98 failing")
 
 
 def test_run_item_line_format():

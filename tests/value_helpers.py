@@ -18,8 +18,5 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 
 
 def contains(cv: CertifiedValue, exact: Fraction) -> bool:
-    """Whether exact lies within the certified radius of the value; never,
-    when no radius is certified."""
-    if cv.radius is None:
-        return False
+    """Whether exact lies within the certified radius of the value."""
     return abs(cv.value - exact) <= cv.radius
