@@ -48,7 +48,7 @@ import functools
 from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
-from .words import MAX_WORD_LETTERS, Frozen, Word, invert_letters, multiply_letters
+from .words import MAX_WORD_LETTERS, Frozen, StepFailure, Word, invert_letters, multiply_letters
 
 @functools.cache
 def _tables(n: int):
@@ -474,10 +474,6 @@ def p3_assemble(w: Word, k: int) -> BraidWord:
     return _braid_word(3, p3_embed_letters(w) + twist * abs(k))
 
 
-class PeelingError(RuntimeError):
-    """Internal guard: the coordinate extraction failed to certify itself."""
-
-
 def _round_nearest(p: int, q: int) -> int:
     """Nearest integer to p/q; callers guarantee ties cannot occur."""
     if q < 0:
@@ -492,7 +488,8 @@ def _peel_sanov(m: Matrix, guard: int) -> tuple[int, list[tuple[int, int]]]:
 
     Works on matrices congruent to the identity mod 2; each step strictly
     shrinks the first column, and parity rules out boundary ties.  Returns
-    (sign, syllables); raises PeelingError if the guard is exhausted.
+    (sign, syllables); a stall or an exhausted guard raises StepFailure at
+    "p3 coordinates".
     """
     (p, q), (r, s) = m
     syllables: list[tuple[int, int]] = []
@@ -500,24 +497,24 @@ def _peel_sanov(m: Matrix, guard: int) -> tuple[int, list[tuple[int, int]]]:
     while r != 0:
         steps += 1
         if steps > guard:
-            raise PeelingError("syllable extraction exceeded its iteration guard")
+            raise StepFailure("p3 coordinates", "syllable extraction exceeded its iteration guard")
         if abs(p) > abs(r):
             a = _round_nearest(p, 2 * r)
             if a == 0:
-                raise PeelingError("column reduction stalled")
+                raise StepFailure("p3 coordinates", "column reduction stalled")
             syllables.append((1, a))
             p, q = p - 2 * a * r, q - 2 * a * s
         else:
             b = _round_nearest(r, 2 * p)
             if b == 0:
-                raise PeelingError("column reduction stalled")
+                raise StepFailure("p3 coordinates", "column reduction stalled")
             syllables.append((2, -b))
             r, s = r - 2 * b * p, s - 2 * b * q
     if abs(p) != 1 or p * s != 1:
-        raise PeelingError("peeled matrix is not a signed triangular unit")
+        raise StepFailure("p3 coordinates", "peeled matrix is not a signed triangular unit")
     tail = p * q
     if tail % 2 != 0:
-        raise PeelingError("triangular remainder has odd off-diagonal entry")
+        raise StepFailure("p3 coordinates", "triangular remainder has odd off-diagonal entry")
     if tail != 0:
         syllables.append((1, tail // 2))
     return p, syllables
@@ -527,8 +524,9 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
     """Coordinates (f2_part, center_exponent) of a pure 3-strand braid.
 
     The output is re-verified by reassembling embed(w) * z^k and comparing
-    its ``b3_key`` with the input's, so the extraction certifies itself;
-    failures raise rather than return.
+    its ``b3_key`` with the input's, so the extraction certifies itself: a
+    failure raises StepFailure at "p3 coordinates", which ``verify`` and the
+    acceptance suite report like any other failed check.
     """
     if b.n != 3:
         raise ValueError("coordinates are defined for 3-strand braids")
@@ -547,11 +545,11 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
     total = key[0] - 2 * w.exponent_sum()
     k, rem = divmod(total, 6)
     if rem != 0:
-        raise PeelingError("index sum is inconsistent with the free part")
+        raise StepFailure("p3 coordinates", "index sum is inconsistent with the free part")
     if sign != (1 if k % 2 == 0 else -1):
-        raise PeelingError("matrix sign is inconsistent with the centre exponent")
+        raise StepFailure("p3 coordinates", "matrix sign is inconsistent with the centre exponent")
     if b3_key(p3_assemble(w, k)) != key:
-        raise PeelingError("reassembled coordinates do not reproduce the input")
+        raise StepFailure("p3 coordinates", "reassembled coordinates do not reproduce the input")
     return P3Coordinates(w, k)
 
 

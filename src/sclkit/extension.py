@@ -185,18 +185,9 @@ def restriction_check(result: ExtensionResult, elements: Iterable[Any]) -> int:
 
 class DefectChainReport(Frozen):
     phi_prime_searched: Fraction
-    phi_prime_bound: Fraction
     phi_hat_searched: Fraction
-    phi_hat_bound: Fraction
     radius: int
     pairs_checked: int
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.phi_prime_searched <= self.phi_prime_bound
-            and self.phi_hat_searched <= self.phi_hat_bound
-        )
 
 
 def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainReport:
@@ -204,7 +195,8 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
 
     phi_prime is exact, so its searched defect must stay within D(phi).
     phi_hat values are intervals; the sound lower bound for a pair's gap
-    subtracts all three radii, and must stay within 2 D(phi).
+    subtracts all three radii, and must stay within 2 D(phi).  A searched
+    value past its bound raises StepFailure at "defect chain", naming it.
     """
     ctx = result.section.pair.ambient
 
@@ -231,11 +223,12 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
             if gap_h > best_hat:
                 best_hat = gap_h
     d = result.base.defect_upper
-    return DefectChainReport(
-        phi_prime_searched=Fraction(best_prime, table.scale),
-        phi_prime_bound=d,
-        phi_hat_searched=Fraction(best_hat, table.scale),
-        phi_hat_bound=2 * d,
-        radius=radius,
-        pairs_checked=pairs,
-    )
+    phi_prime_searched = Fraction(best_prime, table.scale)
+    phi_hat_searched = Fraction(best_hat, table.scale)
+    if phi_prime_searched > d:
+        raise StepFailure("defect chain", f"phi' searched {phi_prime_searched} > D(phi) = {d}")
+    if phi_hat_searched > 2 * d:
+        raise StepFailure(
+            "defect chain", f"phi_hat searched {phi_hat_searched} > 2 D(phi) = {2 * d}"
+        )
+    return DefectChainReport(phi_prime_searched, phi_hat_searched, radius, pairs)

@@ -86,7 +86,9 @@ class FragmentationNorm:
 
     The context must list its elements.  The search over conjugates of
     H-elements runs to exhaustion up front; everything it never reaches
-    gets norm INFINITY.
+    gets norm INFINITY.  Every finite value is re-checked by multiplying
+    its witness back together; a witness that does not reassemble raises
+    StepFailure at "fragmentation witness".
     """
 
     def __init__(self, context: GroupContext, subgroup_gens: Sequence[Any]):
@@ -132,7 +134,9 @@ class FragmentationNorm:
         for g, h in witness:
             check = ctx.mul(check, ctx.conjugate(g, h))
         if not ctx.eq(check, f):
-            raise AssertionError("fragmentation witness failed to reassemble")
+            raise StepFailure(
+                "fragmentation witness", f"the witness for {ctx.text(f)} does not reassemble"
+            )
         return FragmentationResult(len(witness), witness)
 
     def __call__(self, f):

@@ -357,14 +357,12 @@ def bavard_lower(
     value = qm(target)
     defect = qm.defect_upper
     if defect == 0:
+        bound = Fraction(0)
         if value != 0:
-            bound = Fraction(0)
             note = (note + "; " if note else "") + (
                 "homomorphism value nonzero: target is not in the commutator "
                 "subgroup, scl undefined/infinite there"
             )
-        else:
-            bound = Fraction(0)
     else:
         bound = abs(value) / (2 * defect)
     evidence = {"defect_provenance": qm.defect_provenance}

@@ -1,7 +1,8 @@
 """The acceptance suite: eleven self-contained checks, one per headline fact.
 
 Each item recomputes its claim from scratch with a per-item seeded rng and
-returns a machine-readable pass/fail with a one-line detail.  Items that
+returns a one-line detail, or raises StepFailure at its first
+counterexample, naming the property that broke.  Items that
 produce certificates hand them to the final integrity item, which writes
 them to disk, re-verifies them through the file pathway, and confirms that
 corrupted copies fail at the named step.
@@ -122,10 +123,6 @@ class SuiteReport(Frozen):
         }
 
 
-def _fail(detail: str):
-    return False, detail, []
-
-
 # --- item 1: counting values on powers of the basic commutator ----------
 
 
@@ -137,18 +134,20 @@ def _item_counting(rng, shared):
     for n in range(1, 65):
         tn = t**n
         if count_copies(w, tn) != n:
-            return _fail(f"count of w in t^{n} is {count_copies(w, tn)}, expected {n}")
+            raise StepFailure("count", f"w occurs {count_copies(w, tn)} times in t^{n}, not {n}")
         if count_copies(wbar, tn) != 0:
-            return _fail(f"count of w^-1 in t^{n} is nonzero")
+            raise StepFailure("count", f"w^-1 occurs in t^{n}")
     exact = homogenize_counting_exact(w, t)
     if exact != 1:
-        return _fail(f"exact homogenisation gives {exact}, expected 1")
+        raise StepFailure("exact homogenisation", f"gives {exact}, expected 1")
     raw = brooks(w, context=f2)
     for n_max in (16, 48):
         cv = homogenize(raw, t, n_max)
         if abs(cv.value - exact) > cv.radius:
-            return _fail(f"truncated interval {cv.value}+-{cv.radius} misses {exact}")
-    return True, "counts 1..64 exact; homogenised value 1 by both methods", []
+            raise StepFailure(
+                "truncated homogenisation", f"interval {cv.value}+-{cv.radius} misses {exact}"
+            )
+    return "counts 1..64 exact; homogenised value 1 by both methods", []
 
 
 # --- item 2: the half twist conjugates alpha to its inverse -------------
@@ -161,10 +160,10 @@ def _item_flip(rng, shared):
     prod = ctx.mul(ctx.mul(ctx.mul(delta, alpha), ctx.inv(delta)), alpha)
     nf = normal_form(prod)
     if nf.delta_power != 0 or nf.factors != ():
-        return _fail(f"normal form of delta alpha delta^-1 alpha is {nf}, not the identity")
+        raise StepFailure("normal form", f"delta alpha delta^-1 alpha is {nf}, not the identity")
     if not ctx.eq(ctx.conjugate(delta, alpha), ctx.inv(alpha)):
-        return _fail("conjugation by the half twist does not invert alpha")
-    return True, "normal form certifies delta alpha delta^-1 = alpha^-1", []
+        raise StepFailure("conjugation", "the half twist does not invert alpha")
+    return "normal form certifies delta alpha delta^-1 = alpha^-1", []
 
 
 # --- item 3: the family of mixed upper bounds ----------------------------
@@ -181,9 +180,9 @@ def _item_mixed_upper(rng, shared):
             alpha, 2 * n, d, note="flip decomposition: the half twist inverts alpha"
         )
         if cert.bound != Fraction(1, 2 * n):
-            return _fail(f"n={n}: bound {cert.bound}, expected 1/{2*n}")
+            raise StepFailure("bound", f"n={n}: {cert.bound}, expected 1/{2*n}")
         certs.append(cert)
-    return True, "alpha^(2n) = [delta, alpha^-n] verified for n <= 32; best bound 1/64", certs
+    return "alpha^(2n) = [delta, alpha^-n] verified for n <= 32; best bound 1/64", certs
 
 
 # --- item 4: the duality lower bound through the free-factor projection --
@@ -203,7 +202,7 @@ def _item_duality_lower(rng, shared):
     search = defect_search(qm_free, 8)
     defect = qm_free.defect_upper
     if search.lower > defect:
-        return _fail(f"searched defect {search.lower} exceeds certified bound {defect}")
+        raise StepFailure("defect search", f"{search.lower} exceeds the certified bound {defect}")
 
     for _ in range(50):
         b1 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 7))), rng.randint(-2, 2))
@@ -212,7 +211,7 @@ def _item_duality_lower(rng, shared):
         w1, w2 = p3_coordinates(b1).f2_part, p3_coordinates(b2).f2_part
         gap_free = abs(qm_free(w1 * w2) - qm_free(w1) - qm_free(w2))
         if gap_braid != gap_free:
-            return _fail("additivity gap differs between the braid and free sides")
+            raise StepFailure("additivity gap", "differs between the braid and free sides")
 
     invariance_check(
         qm_free, conjugators=f2.ball(2), targets=[w, f2.parse("xy"), f2.parse("xYx")]
@@ -224,12 +223,12 @@ def _item_duality_lower(rng, shared):
         note="ordinary bound inside the pure subgroup via the free-factor projection",
     )
     if cert.bound != Fraction(1, 12) or cert.bound != 1 / (2 * defect) or cert.bound <= 0:
-        return _fail(f"bound {cert.bound}, expected 1/(2*{defect}) = 1/12")
+        raise StepFailure("bound", f"{cert.bound}, expected 1/(2*{defect}) = 1/12")
     detail = (
         f"bound 1/12 = 1/(2*{defect}); searched defect {search.lower} <= {defect} "
         f"at radius 8 ({search.pairs_checked} pairs)"
     )
-    return True, detail, [cert]
+    return detail, [cert]
 
 
 # --- item 5: powers of a commutator collapsing to one commutator ---------
@@ -265,8 +264,8 @@ def _item_power_commutator(rng, shared):
         except PreconditionError:
             rejected += 1
     if rejected != 3:
-        return _fail("free-group counterexamples were not all rejected")
-    return True, "[f,g]^n = [f^n,g] exact for n <= 32 in both models; free-group misuse rejected", []
+        raise StepFailure("precondition", "free-group counterexamples were not all rejected")
+    return "[f,g]^n = [f^n,g] exact for n <= 32 in both models; free-group misuse rejected", []
 
 
 # --- item 6: the packing identity ----------------------------------------
@@ -283,9 +282,9 @@ def _item_packing(rng, shared):
         for n in range(0, 9):
             d = commutator_identity_xy(ctx, x, y, n)
             if len(d.factors) != n:
-                return _fail(f"expected {n} factors, got {len(d.factors)}")
+                raise StepFailure("factor count", f"expected {n} factors, got {len(d.factors)}")
             verify_decomposition(d)
-    return True, "(xy)^2n x^-2n y^-2n = n commutators, 20 trials, n <= 8", []
+    return "(xy)^2n x^-2n y^-2n = n commutators, 20 trials, n <= 8", []
 
 
 # --- item 7: extension along a section, both legs -------------------------
@@ -300,10 +299,6 @@ def _item_extension(rng, shared):
     elements = [(left.sample(rng, rng.randrange(0, 11)), 0) for _ in range(1000)]
     restriction_check(res, elements)
     chain = defect_chain_check(res, 4)
-    if not chain.ok:
-        return _fail(
-            f"product defect chain: {chain.phi_hat_searched} > {chain.phi_hat_bound}"
-        )
 
     bsec = braid_abelianization_section(3)
     bphi = zero_qm(BraidGroup(3))
@@ -316,15 +311,11 @@ def _item_extension(rng, shared):
         belements.append(ctx.mul(b, index_section(-index_sum(b), 3)))
     restriction_check(bres, belements)
     bchain = defect_chain_check(bres, 4)
-    if not bchain.ok:
-        return _fail(
-            f"braid defect chain: {bchain.phi_hat_searched} > {bchain.phi_hat_bound}"
-        )
     detail = (
         f"both legs: 1000 exact restrictions each; defect chains at radius 4 "
         f"({chain.pairs_checked} and {bchain.pairs_checked} pairs) within bounds"
     )
-    return True, detail, []
+    return detail, []
 
 
 # --- item 8: the fragmentation norm against the transposition count ------
@@ -357,9 +348,9 @@ def _item_fragmentation(rng, shared):
         res = norm5.value_with_witness(g)
         expected = 5 - cycle_count(g)
         if res.value != expected or oracle[g] != expected:
-            return _fail(
-                f"norm at {s5.text(g)}: module {res.value}, oracle {oracle[g]}, "
-                f"formula {expected}"
+            raise StepFailure(
+                "norm value",
+                f"at {s5.text(g)}: module {res.value}, oracle {oracle[g]}, formula {expected}",
             )
 
     s4 = SymmetricGroup(4)
@@ -369,7 +360,7 @@ def _item_fragmentation(rng, shared):
         f"120 values match formula and oracle; axioms exhaustive on "
         f"{axioms.elements_checked} elements / {axioms.pairs_checked} pairs"
     )
-    return True, detail, []
+    return detail, []
 
 
 # --- item 9: the splitting of pure 3-strand braids ------------------------
@@ -382,14 +373,14 @@ def _item_splitting(rng, shared):
         k = rng.randint(-5, 5)
         co = p3_coordinates(p3_assemble(w, k))
         if co.f2_part != w or co.center_exponent != k:
-            return _fail(f"round trip failed at ({w}, {k})")
+            raise StepFailure("round trip", f"fails at ({w}, {k})")
     hom = pr1()
     for _ in range(1000):
         b1 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 13))), rng.randint(-3, 3))
         b2 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 13))), rng.randint(-3, 3))
         if hom(ctx.mul(b1, b2)) != hom(b1) * hom(b2):
-            return _fail("projection is not multiplicative")
-    return True, "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs", []
+            raise StepFailure("multiplicativity", "the projection is not multiplicative")
+    return "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs", []
 
 
 # --- item 10: word algebra properties -------------------------------------
@@ -428,14 +419,14 @@ def _item_word_algebra(rng, shared):
         v = Word.from_raw(rb)
         t = Word.from_raw(rc)
         if ((u * v) * t).letters != (u * (v * t)).letters:
-            return _fail(f"associativity failed at {ra} {rb} {rc}")
+            raise StepFailure("associativity", f"fails at {ra} {rb} {rc}")
         if (u * ~u).letters != ():
-            return _fail(f"inverse failed at {ra}")
+            raise StepFailure("inverse", f"fails at {ra}")
         # from_raw has reduced rb once already
         once = v.letters
         if reduce_letters(once) != once:
-            return _fail(f"reduction is not idempotent at {rb}")
-    return True, "100000 random triples: associativity, inverses, idempotent reduction", []
+            raise StepFailure("idempotent reduction", f"fails at {rb}")
+    return "100000 random triples: associativity, inverses, idempotent reduction", []
 
 
 # --- item 11: certificate file integrity ----------------------------------
@@ -466,7 +457,7 @@ def _item_certificates(rng, shared):
         doc = certio.write_certificates(certs, path)
         report = certio.verify_file(path)
         if not report.ok:
-            return _fail(report.describe().splitlines()[-1])
+            raise StepFailure("file verification", report.describe().splitlines()[-1])
 
         from .cli import main as raw_cli_main
 
@@ -476,7 +467,7 @@ def _item_certificates(rng, shared):
                 return raw_cli_main(argv)
 
         if cli_main(["verify", path]) != 0:
-            return _fail("command-line verification of a fresh file did not exit 0")
+            raise StepFailure("command line", "verifying a fresh file did not exit 0")
 
         def corrupted(mutate, expected_step):
             import copy
@@ -487,15 +478,14 @@ def _item_certificates(rng, shared):
             certio.write_text_atomic(certio.dumps(bad), badpath)
             rep = certio.verify_file(badpath)
             if rep.ok:
-                return f"corrupted certificate ({expected_step}) still verifies"
+                raise StepFailure("corruption", f"a certificate broken at {expected_step} verifies")
             got = rep.schema_error or next(
                 c.failed_step for c in rep.checks if not c.ok
             )
             if expected_step not in (got or ""):
-                return f"expected failure at {expected_step!r}, got {got!r}"
+                raise StepFailure("corruption", f"expected {expected_step!r}, got {got!r}")
             if cli_main(["verify", badpath]) != 1:
-                return "command-line verification of a corrupted file did not exit 1"
-            return None
+                raise StepFailure("command line", "verifying a corrupted file did not exit 1")
 
         upper_idx = next(
             i for i, it in enumerate(doc["items"]) if it["kind"] == "scl-upper-decomposition"
@@ -526,20 +516,18 @@ def _item_certificates(rng, shared):
 
             checks.append((bump_value, "qm value"))
         for mutate, step in checks:
-            problem = corrupted(mutate, step)
-            if problem:
-                return _fail(problem)
+            corrupted(mutate, step)
 
         empty = os.path.join(tmp, "empty.json")
         open(empty, "w").close()
         rep = certio.verify_file(empty)
         if rep.ok or "schema" not in (rep.schema_error or ""):
-            return _fail("empty file did not raise a schema error")
+            raise StepFailure("empty file", "no schema error")
         if cli_main(["verify", empty]) != 1:
-            return _fail("command-line verification of an empty file did not exit 1")
+            raise StepFailure("command line", "verifying an empty file did not exit 1")
 
     n = len(certs)
-    return True, f"{n} certificates re-verified; 4 corruptions + empty file all caught", []
+    return f"{n} certificates re-verified; 4 corruptions + empty file all caught", []
 
 
 ITEMS: tuple[Item, ...] = (
@@ -572,7 +560,8 @@ def run_item(item: Item, seed: int, shared: dict[str, ItemResult]) -> ItemResult
     rng = random.Random(seed * 1009 + int(item.key))
     start = time.monotonic()
     try:
-        ok, detail, certs = item.fn(rng, shared)
+        detail, certs = item.fn(rng, shared)
+        ok = True
     except StepFailure as failure:
         ok, detail, certs = False, str(failure), []
     except Exception as exc:  # a crash is a failed item, not a crashed suite

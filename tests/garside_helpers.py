@@ -4,8 +4,11 @@
 count, the independent oracle for ``b3_key`` on three strands;
 ``nf_to_letters`` writes a normal form back as an Artin word, for round
 trips; ``is_left_weighted`` checks the shape ``normal_form`` promises.
+``plant_extra_syllable`` breaks the P3 coordinate extraction, whose
+self-check must then fail.
 """
 
+from sclkit import braids
 from sclkit.braids import (
     BraidWord,
     GarsideNormalForm,
@@ -55,3 +58,14 @@ def is_left_weighted(nf: GarsideNormalForm) -> bool:
         if any(i not in fin for i in _descents(b)):
             return False
     return True
+
+
+def plant_extra_syllable(monkeypatch) -> None:
+    """Make every SL(2,Z) peel return one syllable X too many."""
+    real = braids._peel_sanov
+
+    def one_syllable_too_many(m, guard):
+        sign, syllables = real(m, guard)
+        return sign, syllables + [(1, 1)]
+
+    monkeypatch.setattr(braids, "_peel_sanov", one_syllable_too_many)

@@ -1,6 +1,7 @@
 """Checks on the package surface: stale exports, unused imports, functions
 only the tests call, stored attributes nobody reads, records written by
-hand, the exception classes and the modules a command loads.
+hand, the exception classes, raised AssertionErrors, ``ok`` verdicts
+outside the output records and the modules a command loads.
 
 All but the last parse the source with ``ast``, so they see what is
 written; the export check then resolves each listed name on the imported
@@ -343,14 +344,12 @@ def _exception_classes(trees) -> set[str]:
         found |= more
 
 
-def test_src_defines_one_failure_type_among_six_exception_classes():
+def test_src_defines_one_failure_type_among_five_exception_classes():
     # a check that finds a counterexample raises StepFailure(step, detail);
-    # the others refuse input or a hypothesis before any check runs, or
-    # report an internal invariant broken
+    # the others refuse input or a hypothesis before any check runs
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
     assert _exception_classes(trees) == {
-        "StepFailure", "PreconditionError", "PeelingError", "SpecError", "CertificateError",
-        "UsageError",
+        "StepFailure", "PreconditionError", "SpecError", "CertificateError", "UsageError",
     }
 
 
@@ -366,6 +365,88 @@ class Report:
     pass
 """
     assert _exception_classes([ast.parse(source)]) == {"_StepFailure", "Nested"}
+
+
+def _assertion_errors(tree: ast.Module) -> list[int]:
+    """Lines of every ``assert`` statement and every raised AssertionError."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Assert):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_src_raises_no_assertion_error():
+    # a failed check is a StepFailure at a named step; an AssertionError
+    # reaches the command line as a traceback, and python -O drops asserts
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _assertion_errors(ast.parse(path.read_text()))
+    ]
+    assert not found, f"raise StepFailure(step, detail) instead: {found}"
+
+
+def _ok_members(tree: ast.Module) -> list[str]:
+    """``Class.ok`` for every class that defines a member named ``ok``: a
+    field, a method or property, or a class attribute."""
+    found = []
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [node.name]
+            elif isinstance(node, ast.AnnAssign):
+                names = [getattr(node.target, "id", None)]
+            elif isinstance(node, ast.Assign):
+                names = [getattr(t, "id", None) for t in node.targets]
+            else:
+                continue
+            if "ok" in names:
+                found.append(f"{cls.name}.ok")
+    return found
+
+
+def test_only_output_records_carry_an_ok_verdict():
+    # a check raises at its first counterexample, so only the records that
+    # report many checks to the user carry a verdict
+    allowed = {"VerificationReport.ok", "SuiteReport.ok", "CheckResult.ok", "ItemResult.ok"}
+    found = [
+        f"{path.name} {member}"
+        for path in sorted(SRC.glob("*.py"))
+        for member in _ok_members(ast.parse(path.read_text()))
+        if member not in allowed
+    ]
+    assert not found, f"raise StepFailure(step, detail) instead of reporting ok: {found}"
+
+
+def test_the_assertion_and_ok_rules_notice_their_targets():
+    source = """
+class Report:
+    ok: bool
+
+class Chain:
+    @property
+    def ok(self):
+        assert self.values
+        return True
+
+class Flag:
+    ok = False
+
+def check(x):
+    if not x:
+        raise AssertionError("broken")
+    raise AssertionError
+"""
+    tree = ast.parse(source)
+    assert _ok_members(tree) == ["Report.ok", "Chain.ok", "Flag.ok"]
+    assert sorted(_assertion_errors(tree)) == [8, 16, 17]
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from garside_helpers import braid_equal, is_left_weighted, nf_to_letters
+from garside_helpers import braid_equal, is_left_weighted, nf_to_letters, plant_extra_syllable
 from sclkit import braids
 from sclkit.braids import (
     BraidGroup,
@@ -31,7 +31,7 @@ from sclkit.braids import (
     underlying_permutation,
 )
 from sclkit.groups import perm_compose, perm_identity
-from sclkit.words import Word, random_reduced
+from sclkit.words import StepFailure, Word, random_reduced
 
 
 def random_braid(rng, n, length):
@@ -422,6 +422,14 @@ def test_p3_coordinates_rejects_non_pure():
         p3_coordinates(braid("1", 3))
     with pytest.raises(ValueError):
         p3_coordinates(braid("1", 4))
+
+
+def test_a_peel_that_does_not_reassemble_fails_at_the_p3_coordinates_step(monkeypatch):
+    plant_extra_syllable(monkeypatch)
+    with pytest.raises(StepFailure) as failure:
+        p3_coordinates(p3_assemble(Word((24, 25)), 1))
+    assert failure.value.step == "p3 coordinates"
+    assert failure.value.detail == "index sum is inconsistent with the free part"
 
 
 def test_p3_splitting_is_multiplicative_in_center():

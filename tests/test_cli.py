@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from garside_helpers import plant_extra_syllable
 from sclkit import braids, certio, cli, specs, suite
 from sclkit.words import MAX_WORD_LETTERS, StepFailure
 
@@ -219,6 +220,25 @@ def test_a_failed_check_inside_a_command_exits_1_at_its_step(monkeypatch, capsys
     assert captured.err == "error: product equality: planted\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_a_failed_p3_self_certification_in_verify_exits_1_at_its_step(
+    monkeypatch, tmp_path, capsys
+):
+    # the lower bound's pr1 pullback splits the target with p3_coordinates;
+    # a peel with one syllable too many fails its reassembly check
+    path = tmp_path / "lower.json"
+    code = cli.main(["scl-bounds", "--group", "braid:3/pure-ordinary",
+                     "--qm", "pullback(homog(brooks(w=xyXY)), pr1)", "--braid", ALPHA,
+                     "--radius", "1", "--cap", "1", "--format", "json", "--out", str(path)])
+    assert code == 0
+    capsys.readouterr()
+    plant_extra_syllable(monkeypatch)
+    assert cli.main(["verify", str(path), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    (item,) = json.loads(captured.out)["items"]
+    assert (item["ok"], item["failed_step"]) == (False, "p3 coordinates")
+    assert captured.err == ""
 
 
 def test_exhausted_search_fits_in_256_mb():

@@ -106,9 +106,8 @@ def test_extension_value_interval_off_subgroup():
 def test_defect_chain_within_doubled_bound():
     _, phi, result = make_product_extension()
     report = defect_chain_check(result, radius=3)
-    assert report.phi_prime_bound == Fraction(phi.defect_upper)
-    assert report.phi_hat_bound == 2 * Fraction(phi.defect_upper)
-    assert report.ok
+    assert report.phi_prime_searched <= phi.defect_upper
+    assert report.phi_hat_searched <= 2 * phi.defect_upper
 
 
 def test_braid_leg_extension_with_zero_qm():
@@ -122,7 +121,8 @@ def test_braid_leg_extension_with_zero_qm():
         shaved = ctx.mul(b, ctx.power(braid("1", 3), -index_sum(b)))
         assert sec.pair.is_member(shaved)
         assert result.phi_prime(b) == 0
-    assert defect_chain_check(result, radius=3).ok
+    report = defect_chain_check(result, radius=3)
+    assert report.phi_prime_searched == report.phi_hat_searched == 0
 
 
 def test_extension_refuses_a_quasimorphism_not_invariant_by_construction():
@@ -155,8 +155,7 @@ def reference_defect_chain(result, radius):
             vh, vgh = memo(hat, result.value, h), memo(hat, result.value, gh)
             slack = (vg.radius or 0) + (vh.radius or 0) + (vgh.radius or 0)
             best_hat = max(best_hat, abs(vgh.value - vg.value - vh.value) - slack)
-    d = Fraction(result.base.defect_upper)
-    return DefectChainReport(best_prime, d, best_hat, 2 * d, radius, pairs)
+    return DefectChainReport(best_prime, best_hat, radius, pairs)
 
 
 def test_defect_chain_matches_fraction_reference_on_the_suite_legs():
@@ -174,18 +173,41 @@ def test_defect_chain_matches_fraction_reference_on_the_suite_legs():
     assert defect_chain_check(product_leg, 4).phi_hat_searched > 0
 
 
-def test_defect_chain_matches_fraction_reference_with_radii_everywhere():
-    # a stand-in extension whose every interval has its own radius, so each
-    # of the three radii in a pair's slack moves the searched maximum
+def radii_stand_in(defect_upper=None, phi_prime=None):
+    """A stand-in extension of brooks(w=ab) on free:2 whose every interval
+    has its own radius, so each of the three radii in a pair's slack moves
+    the searched maximum.  The base may claim another defect bound, and
+    phi' may be another map."""
     f2 = FreeGroup(2)
     h = brooks(word("ab"), context=f2)
-    stand_in = SimpleNamespace(
+    base = h if defect_upper is None else SimpleNamespace(defect_upper=defect_upper)
+    return SimpleNamespace(
         section=SimpleNamespace(pair=SimpleNamespace(ambient=f2)),
-        base=h,
-        phi_prime=h,
+        base=base,
+        phi_prime=phi_prime or h,
         value=lambda g: CertifiedValue(h(g), Fraction(1, 5 + len(g))),
     )
+
+
+def test_defect_chain_matches_fraction_reference_with_radii_everywhere():
+    stand_in = radii_stand_in()
     for radius in (2, 4):
         report = defect_chain_check(stand_in, radius)
         assert report == reference_defect_chain(stand_in, radius)
         assert report.phi_hat_searched.denominator > 1
+
+
+@pytest.mark.parametrize(
+    "stand_in, detail",
+    [
+        # at radius 2 phi' = brooks(w=ab) has searched defect 1 and phi_hat 11/21
+        (radii_stand_in(Fraction(2, 3)), "phi' searched 1 > D(phi) = 2/3"),
+        (radii_stand_in(Fraction(1, 4), phi_prime=lambda g: 0),
+         "phi_hat searched 11/21 > 2 D(phi) = 1/2"),
+    ],
+    ids=["phi-prime", "phi-hat"],
+)
+def test_a_searched_defect_past_its_bound_fails_at_the_defect_chain_step(stand_in, detail):
+    with pytest.raises(StepFailure) as failure:
+        defect_chain_check(stand_in, 2)
+    assert (failure.value.step, failure.value.detail) == ("defect chain", detail)

@@ -79,3 +79,14 @@ def test_norm_axiom_report_catches_a_broken_norm():
     with pytest.raises(StepFailure) as failure:
         norm_axiom_report(Fake())
     assert (failure.value.step, failure.value.detail) == ("norm axioms", "nu(1) = 1 != 0")
+
+
+def test_a_witness_that_does_not_reassemble_fails_at_its_step(monkeypatch):
+    s3 = SymmetricGroup(3)
+    norm = FragmentationNorm(s3, [transposition(3, 0, 1)])
+    # every witness product now compares unequal to its element
+    monkeypatch.setattr(s3, "eq", lambda a, b: False)
+    with pytest.raises(StepFailure) as failure:
+        norm.value_with_witness(transposition(3, 0, 1))
+    assert failure.value.step == "fragmentation witness"
+    assert failure.value.detail == "the witness for 2,1,3 does not reassemble"

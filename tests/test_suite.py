@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from garside_helpers import plant_extra_syllable
 import sclkit.braids
 import sclkit.certio
 import sclkit.extension
@@ -42,7 +43,7 @@ def test_find_item_by_key_and_slug():
     assert "counting-values" in str(exc.value)
 
 
-def test_run_item_captures_crashes():
+def test_run_item_captures_crashes(monkeypatch):
     def boom(rng, shared):
         raise RuntimeError("injected failure")
 
@@ -61,6 +62,20 @@ def test_run_item_captures_crashes():
     assert not result.ok
     assert result.detail == "restriction: planted mismatch"
     assert result.line().startswith("FAIL 98 failing")
+
+    def passing_check(rng, shared):
+        return "planted pass", ["certificate"]
+
+    passing = Item(key="97", slug="passing", budget=1.0, fn=passing_check)
+    result = run_item(passing, seed=7, shared={})
+    assert (result.ok, result.detail, result.certificates) == (True, "planted pass", ["certificate"])
+
+    # a P3 coordinate extraction that fails its own reassembly is a failed
+    # step of item 9, not a crash
+    plant_extra_syllable(monkeypatch)
+    result = run_item(find_item("9"), seed=7, shared={})
+    assert not result.ok
+    assert result.detail.startswith("p3 coordinates: ")
 
 
 def test_run_item_line_format():
