@@ -16,7 +16,6 @@ from .groups import (
     GroupHom,
     SwapProduct,
     SymmetricGroup,
-    TableGroup,
 )
 from .braids import (
     BraidGroup,
@@ -79,7 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "StepFailure", "Word", "word", "commutator",
     "CyclicZ", "DirectProduct", "FreeGroup", "GroupContext", "GroupHom",
-    "SwapProduct", "SymmetricGroup", "TableGroup",
+    "SwapProduct", "SymmetricGroup",
     "BraidGroup", "BraidWord", "braid", "half_twist", "full_twist",
     "index_sum", "normal_form", "p3_assemble", "p3_coordinates", "pr1",
     "CertifiedValue", "Quasimorphism", "brooks", "brooks_homogenized",

@@ -22,10 +22,9 @@ from typing import Any, Callable, Iterable
 
 from .braids import index_section, index_sum
 from .groups import BallValues, GroupContext
-from .norms import PreconditionError
 from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
 from .scl import GroupPair, braid_commutator_pair, product_left_pair
-from .words import Frozen, StepFailure
+from .words import Frozen, PreconditionError, StepFailure
 
 
 # SectionData.check tests the section on the quotient ball of this radius and

@@ -611,78 +611,6 @@ class SymmetricGroup(GroupContext):
         return tuple(images)
 
 
-class TableGroup(GroupContext):
-    """Finite group given by an explicit multiplication table.
-
-    Text format: first line is the order N; the next N lines hold N
-    whitespace-separated 0-based indices, row g listing the products g*h.
-    """
-
-    def __init__(self, table: Sequence[Sequence[int]], name: str = "table"):
-        n = len(table)
-        self.table = tuple(tuple(row) for row in table)
-        if any(len(row) != n for row in self.table):
-            raise ValueError("multiplication table must be square")
-        if any(not 0 <= v < n for row in self.table for v in row):
-            raise ValueError("table entry out of range")
-        self.n = n
-        self.name = name
-        self._identity = next(
-            (e for e in range(n) if all(self.table[e][g] == g and self.table[g][e] == g for g in range(n))),
-            None,
-        )
-        if self._identity is None:
-            raise ValueError("table has no identity element")
-        self._inverse = []
-        for g in range(n):
-            invs = [h for h in range(n) if self.table[g][h] == self._identity]
-            if len(invs) != 1 or self.table[invs[0]][g] != self._identity:
-                raise ValueError(f"element {g} has no unique inverse")
-            self._inverse.append(invs[0])
-
-    @staticmethod
-    def from_text(text: str, name: str = "table") -> "TableGroup":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("multiplication table is empty")
-        n = int(lines[0])
-        rows = [[int(tok) for tok in ln.split()] for ln in lines[1 : n + 1]]
-        if len(rows) != n:
-            raise ValueError("multiplication table is truncated")
-        return TableGroup(rows, name=name)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self._inverse[a]
-
-    @property
-    def identity(self) -> int:
-        return self._identity
-
-    def canonical(self, a: int) -> Hashable:
-        return a
-
-    def text(self, a: int) -> str:
-        return str(a)
-
-    def parse(self, s: str) -> int:
-        v = int(s)
-        if not 0 <= v < self.n:
-            raise ValueError(f"element index {v} out of range")
-        return v
-
-    def generators(self) -> list[int]:
-        return list(range(self.n))
-
-    def elements(self) -> list[int]:
-        return list(range(self.n))
-
-    def sample(self, rng, size: int) -> int:
-        return rng.randrange(self.n)
-
-
 class GroupHom(Frozen):
     """A homomorphism between contexts, carried as an explicit function.
 

@@ -183,7 +183,3 @@ def norm_axiom_report(norm) -> NormAxiomReport:
             )
 
     return NormAxiomReport(len(elements), len(elements) ** 2)
-
-
-class PreconditionError(ValueError):
-    """A stated hypothesis failed; the check refuses to run rather than skip."""

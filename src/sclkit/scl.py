@@ -36,9 +36,8 @@ from .braids import (
     p3_assemble,
 )
 from .groups import CyclicZ, DirectProduct, FreeGroup, GroupContext, ProductSearch
-from .norms import PreconditionError
 from .quasimorphisms import Quasimorphism
-from .words import Frozen, StepFailure
+from .words import Frozen, PreconditionError, StepFailure
 
 
 class GroupPair(Frozen):

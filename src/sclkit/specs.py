@@ -8,8 +8,6 @@ certificate files; a verifier rebuilds everything it checks from them.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .braids import BraidGroup, index_sum, pr1
 from .groups import (
     CyclicZ,
@@ -17,7 +15,6 @@ from .groups import (
     FreeGroup,
     GroupContext,
     SymmetricGroup,
-    TableGroup,
     proj_left,
     proj_right,
 )
@@ -66,12 +63,6 @@ MAX_PERM_DEGREE = 1000
 # text recurse once per level, so a spec 1000 deep ends in a RecursionError.
 # The paper's pairs nest two deep.
 MAX_PRODUCT_DEPTH = 16
-
-# Largest multiplication table file a group spec may name, in bytes.  Order n
-# takes about n^2 entries.  A cyclic table of order 1000 is 3.9 MB, which
-# parse_group reads in 0.5 s at 61 MB peak in a fresh process, and scl-bounds
-# at --radius 1 --cap 1 takes 1.2 s (order 1400: 8.2 MB, 0.9 s, 109 MB).
-MAX_TABLE_BYTES = 4 * 2**20
 
 
 def _count(rest: str) -> int | None:
@@ -138,18 +129,6 @@ def parse_group(text: str) -> GroupContext:
         if not comma:
             raise SpecError(f"product spec needs two comma-separated factors: {text!r}")
         return DirectProduct(parse_group(left_text), parse_group(right_text))
-    if head == "table":
-        path = Path(rest)
-        if not path.is_file():
-            raise SpecError(f"no multiplication table file at {rest!r}")
-        try:
-            with path.open("rb") as fh:
-                data = fh.read(MAX_TABLE_BYTES + 1)
-            if len(data) > MAX_TABLE_BYTES:
-                raise ValueError(f"longer than {MAX_TABLE_BYTES} bytes")
-            return TableGroup.from_text(data.decode(), name=spec)
-        except (OSError, ValueError) as exc:
-            raise SpecError(f"bad multiplication table file {rest!r}: {exc}") from exc
     raise SpecError(f"unknown group spec {text!r}")
 
 
@@ -159,17 +138,13 @@ _PAIR_SUFFIXES = ("pure", "pure-ordinary", "comm", "left")
 def parse_group_pair(text: str) -> GroupPair:
     """Pair spec -> group pair.
 
-    A bare group spec means the ordinary pair (G, G); a ``/suffix`` selects
-    one of the built-in normal subgroups.  No suffix applies to a table
-    group, so a ``table:`` spec is never split and its path may hold ``/``.
-    A product may hold a table path too: its text after the last ``/`` is a
-    suffix only when it names one.
+    A group spec with no ``/`` means the ordinary pair (G, G); otherwise the
+    text after the last ``/`` must be a suffix naming one of the built-in
+    normal subgroups.
     """
     spec = text.strip()
-    if spec.startswith("table:"):
-        return ordinary_pair(parse_group(spec))
     base, slash, suffix = spec.rpartition("/")
-    if not slash or (suffix not in _PAIR_SUFFIXES and "table:" in spec):
+    if not slash:
         return ordinary_pair(parse_group(spec))
     if suffix not in _PAIR_SUFFIXES:
         raise SpecError(

@@ -49,7 +49,7 @@ from .groups import (
     perm_identity,
     proj_left,
 )
-from .norms import FragmentationNorm, PreconditionError, norm_axiom_report
+from .norms import FragmentationNorm, norm_axiom_report
 from .quasimorphisms import (
     brooks,
     brooks_homogenized,
@@ -72,7 +72,7 @@ from .scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
-from .words import Frozen, StepFailure, Word, random_reduced, reduce_letters, word
+from .words import Frozen, PreconditionError, StepFailure, Word, random_reduced, reduce_letters, word
 
 
 class Item(Frozen):

@@ -227,6 +227,10 @@ class StepFailure(Exception):
         self.detail = detail
 
 
+class PreconditionError(ValueError):
+    """A stated hypothesis failed; the check refuses to run rather than skip."""
+
+
 def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
     """The field values of a call to ``cls`` in field order; a missing,
     unknown or repeated field is a TypeError, as for a plain ``__init__``."""

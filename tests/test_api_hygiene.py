@@ -1,13 +1,15 @@
 """Checks on the package surface: stale exports, unused imports, functions
 only the tests call, stored attributes nobody reads, records written by
 hand, the exception classes, raised AssertionErrors, ``ok`` verdicts
-outside the output records and the modules a command loads.
+outside the output records, the places that open files, the functions
+``verify`` runs and the modules a command loads.
 
-All but the last parse the source with ``ast``, so they see what is
+All but the last two parse the source with ``ast``, so they see what is
 written; the export check then resolves each listed name on the imported
 package.  The import check covers the test modules too, and an attribute
-counts as read when ``src``, the tests or ``perfbench`` read it.  The last
-one imports the command line in a fresh process.
+counts as read when ``src``, the tests or ``perfbench`` read it.  The
+``verify`` check profiles the calls it makes, and the last one imports the
+command line in a fresh process.
 """
 
 import ast
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import sclkit
+from sclkit import certio, cli, suite
 
 SRC = Path(sclkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -447,6 +450,113 @@ def check(x):
     tree = ast.parse(source)
     assert _ok_members(tree) == ["Report.ok", "Chain.ok", "Flag.ok"]
     assert sorted(_assertion_errors(tree)) == [8, 16, 17]
+
+
+def _file_reads(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing function, line) of every call that opens or reads a file:
+    ``open``, and any ``.open``, ``.read_bytes``, ``.read_text`` or
+    ``.fdopen``.  A nested function counts as the module function or method
+    it sits in, and a call outside any function as ``<module>``."""
+    owner = {}
+    for qualname, node in _functions(tree):
+        for sub in ast.walk(node):
+            owner[sub] = qualname
+    return [
+        (owner.get(node, "<module>"), node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == "open")
+            or (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("open", "read_bytes", "read_text", "fdopen")
+            )
+        )
+    ]
+
+
+def test_only_certificate_io_opens_files():
+    # verify trusts nothing in a file but the statement it checks, so the
+    # one file it reads is its certificate; item 11 of the suite writes and
+    # reads files of its own in a temporary directory
+    allowed = {"certio.load_document", "certio.write_text_atomic", "suite._item_certificates"}
+    found = [
+        f"{path.name}:{line} {owner}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner, line in _file_reads(ast.parse(path.read_text()))
+        if f"{path.stem}.{owner}" not in allowed
+    ]
+    assert not found, f"files opened outside the certificate reader and writers: {found}"
+    source = """
+import os
+
+def load(path):
+    def inner():
+        return path.read_text()
+    return open(path).read(), inner
+
+class Table:
+    def rows(self, fd):
+        return os.fdopen(fd).read(), self.path.open(), self.path.read_bytes()
+
+HEADER = open("header").read()
+"""
+    assert sorted(_file_reads(ast.parse(source))) == [
+        ("<module>", 13), ("Table.rows", 11), ("Table.rows", 11), ("Table.rows", 11),
+        ("load", 6), ("load", 7),
+    ]
+
+
+def _profiled(fn, *args):
+    """fn(*args), and the (module, qualified name) of every sclkit function
+    called while it runs."""
+    ran, modules = set(), {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename not in modules:
+                path = Path(code.co_filename).resolve()
+                modules[code.co_filename] = path.stem if path.parent == SRC else None
+            if modules[code.co_filename] is not None:
+                ran.add((modules[code.co_filename], code.co_qualname))
+
+    sys.setprofile(profile)
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return result, ran
+
+
+def test_verify_runs_no_search_and_no_suite_code(tmp_path):
+    # verify recomputes each claim from the certificate alone: on the
+    # paper's certificates it runs no search, no suite item and no command
+    docs = [certio.document(suite.standalone_certificates())]
+    alpha, x = "1,1,2,2,-1,-1,-2,-2", "1,2,-1,-1,2,1,-2,-2"
+    for args in (
+        ("--group", "braid:3/pure", "--braid", alpha),
+        ("--group", "braid:3/pure", "--braid", x),
+        ("--group", "braid:3/pure-ordinary", "--braid", alpha,
+         "--qm", "pullback(homog(brooks(w=xyXY)), pr1)"),
+        ("--group", "free:2", "--word", "abAB"),
+    ):
+        out = tmp_path / "bounds.json"
+        assert cli.main(["scl-bounds", *args, "--format", "json", "--out", str(out)]) == 0
+        docs.append(certio.load_document(out))
+    ran = set()
+    for doc in docs:
+        report, calls = _profiled(certio.verify_document, doc)
+        assert report.ok and report.checks, report.describe()
+        ran |= calls
+    searches = {"ProductSearch", "BallValues", "mixed_cl_search", "defect_search"}
+    found = sorted(
+        f"{module}.{qualname}"
+        for module, qualname in ran
+        if module in ("suite", "extension", "norms", "cli")
+        or qualname.partition(".")[0] in searches
+    )
+    assert not found, f"verify ran: {found}"
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

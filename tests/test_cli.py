@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from garside_helpers import plant_extra_syllable
-from sclkit import braids, certio, cli, specs, suite
+from sclkit import braids, certio, cli, suite
 from sclkit.words import MAX_WORD_LETTERS, StepFailure
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
@@ -704,57 +704,6 @@ def test_scl_bounds_output_does_not_depend_on_the_hash_seed(args):
     assert outputs[0] == outputs[1]
 
 
-def test_malformed_table_files_are_refused_at_the_group_pair(tmp_path):
-    empty = tmp_path / "empty.tbl"
-    empty.write_text("")
-    truncated = tmp_path / "truncated.tbl"
-    truncated.write_text("3\n0 1 2\n1 2 0\n")
-    for table, message in ((empty, "table is empty"), (truncated, "table is truncated")):
-        group = f"table:{table}"
-        r = run_cli("scl-bounds", "--group", group, "--word", "0", "--radius", "1",
-                    "--cap", "1")
-        assert r.returncode == 2, r.stderr
-        assert message in r.stderr and "Traceback" not in r.stderr
-        assert r.stdout == ""
-        cert = tmp_path / f"{table.stem}.json"
-        cert.write_text(json.dumps({"format": "scl-certificates/1",
-                                    "items": [_item_at_0(group)]}))
-        r = run_cli("verify", str(cert), "--format", "json")
-        assert r.returncode == 1, r.stderr
-        report = json.loads(r.stdout)
-        assert report["items"][0]["failed_step"] == "group pair"
-        assert message in report["items"][0]["detail"]
-
-
-def test_a_table_group_at_an_absolute_path_certifies_and_verifies(tmp_path):
-    table = tmp_path / "dir" / "z2.tbl"
-    table.parent.mkdir()
-    table.write_text("2\n0 1\n1 0\n")
-    out = tmp_path / "z2.json"
-    r = run_cli("scl-bounds", "--group", f"table:{table}", "--word", "1", "--radius", "1",
-                "--cap", "1", "--n-max", "2", "--format", "json", "--out", str(out))
-    assert r.returncode == 0, r.stderr
-    doc = json.loads(out.read_text())
-    assert doc["group_pair"] == f"table:{table}"
-    assert doc["interval"] == ["0", "1/4"]
-    assert _failed_steps(out) == (0, [])
-
-
-def test_a_product_with_an_absolute_table_path_certifies_and_verifies(tmp_path):
-    table = tmp_path / "dir" / "z2.tbl"
-    table.parent.mkdir()
-    table.write_text("2\n0 1\n1 0\n")
-    for group in (f"product:table:{table},z", f"product:table:{table},z/left"):
-        out = tmp_path / "product.json"
-        r = run_cli("scl-bounds", "--group", group, "--word", "(1;0)", "--radius", "1",
-                    "--cap", "1", "--n-max", "2", "--format", "json", "--out", str(out))
-        assert r.returncode == 0, r.stderr
-        doc = json.loads(out.read_text())
-        assert doc["group_pair"] == group
-        assert doc["interval"] == ["0", "1/4"]
-        assert _failed_steps(out) == (0, [])
-
-
 @pytest.mark.parametrize(
     "option, value",
     [("--radius", "-1"), ("--cap", "-1"), ("--n-max", "-3"), ("--n-max", "0")],
@@ -793,24 +742,49 @@ def test_an_exponent_bound_fails_at_bound_arithmetic_without_expanding(tmp_path)
     assert steps == ["bound arithmetic", None, None, None]
 
 
-def test_a_table_file_over_the_byte_cap_is_refused_unread(tmp_path):
-    table = tmp_path / "huge.tbl"
-    with table.open("wb") as fh:
-        fh.truncate(2**30)  # sparse: no disk blocks
-    group = f"table:{table}"
-    message = f"longer than {specs.MAX_TABLE_BYTES} bytes"
-    r = run_cli("scl-bounds", "--group", group, "--word", "0", "--radius", "1", "--cap", "1",
-                timeout=30, address_space=256 * 2**20)
-    assert r.returncode == 2, r.stderr
-    assert message in r.stderr and "Traceback" not in r.stderr
+def test_a_certificate_file_over_the_byte_cap_is_refused_unread(tmp_path):
+    # read whole, a 1 GiB file ended in a MemoryError traceback
     cert = tmp_path / "huge.json"
-    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [_item_at_0(group)]}))
+    with cert.open("wb") as fh:
+        fh.truncate(2**30)  # sparse: no disk blocks
     r = run_cli("verify", str(cert), "--format", "json", timeout=30,
                 address_space=256 * 2**20)
     assert r.returncode == 1, r.stderr
     assert "Traceback" not in r.stderr
-    item = json.loads(r.stdout)["items"][0]
-    assert item["failed_step"] == "group pair" and message in item["detail"]
+    report = json.loads(r.stdout)
+    assert report["schema_error"] == (
+        f"schema: certificate file longer than {certio.MAX_DOCUMENT_BYTES} bytes"
+    )
+
+
+def test_verify_opens_no_file_but_the_certificate(tmp_path):
+    # a group spec naming a file once made verify open it for every item
+    # and quote its first token back in the report
+    foreign = tmp_path / "foreign.txt"
+    foreign.write_text("foreign-token\n")
+    for spec, message in (("table:foreign.txt", "unknown group spec"),
+                          (f"table:{foreign}", "unknown pair suffix 'foreign.txt'")):
+        r = run_cli("scl-bounds", "--group", spec, "--word", "0")
+        assert r.returncode == 2 and message in r.stderr, r.stderr
+    doc = certio.document(suite.standalone_certificates())
+    for item in doc["items"]:
+        item["group_pair"] = f"table:{foreign}"
+    cert = tmp_path / "relabelled.json"
+    cert.write_text(json.dumps(doc))
+    code = (
+        "import json, sys; from sclkit import cli; opened = []; "
+        "sys.addaudithook(lambda event, args: event == 'open' and opened.append(str(args[0]))); "
+        f"code = cli.main(['verify', {str(cert)!r}, '--format', 'json']); "
+        "print(json.dumps(opened), file=sys.stderr); sys.exit(code)"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1, r.stderr
+    # the interpreter opens module files as it imports them
+    opened = [path for path in json.loads(r.stderr) if not path.endswith((".py", ".pyc"))]
+    assert opened == [str(cert)]
+    items = json.loads(r.stdout)["items"]
+    assert [it["failed_step"] for it in items] == ["group pair"] * 4
+    assert "foreign-token" not in r.stdout
 
 
 @pytest.mark.parametrize(

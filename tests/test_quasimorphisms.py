@@ -247,6 +247,7 @@ def _same_as_reference(qm, radius):
     res = defect_search(qm, radius)
     best, witness, pairs = reference_defect_search(qm, radius, ctx)
     assert (res.lower, res.pairs_checked) == (best, pairs)
+    assert res.lower <= qm.defect_upper
     if witness is None:
         assert res.witness is None
     else:
@@ -267,10 +268,13 @@ def test_defect_search_matches_reference_with_a_nontrivial_scale():
     qm = Quasimorphism(
         "thirds-and-quarters",
         f2,
-        lambda g: Fraction(count_copies(ab, g), 3) - Fraction(count_copies(ba, g), 4),
+        lambda g: Fraction(count_copies(ab, g) - count_copies(~ab, g), 3)
+        - Fraction(count_copies(ba, g) - count_copies(~ba, g), 4),
         False,
-        None,
-        "unknown",
+        # h_ab/3 - h_bA/4, and each counting quasimorphism h_w has defect at most 3,
+        # so 3/3 + 3/4
+        Fraction(7, 4),
+        "junction-argument",
         False,
     )
     assert scaled_ball_values(f2, 5, qm)[1] == 12
@@ -308,8 +312,9 @@ def test_defect_search_matches_reference_off_free_groups():
         b3,
         lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3),
         False,
-        None,
-        "unknown",
+        # every value lies in [-2/3, 2/3], so the defect is at most 3 * 2/3
+        Fraction(2),
+        "bounded",
         False,
     )
     assert _same_as_reference(clamped, 4).lower > 0

@@ -8,7 +8,6 @@ import pytest
 from garside_helpers import braid_equal
 from sclkit.braids import BraidGroup, braid, half_twist, is_pure, pr1
 from sclkit.groups import CyclicZ, FreeGroup, SwapProduct
-from sclkit.norms import PreconditionError
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
@@ -26,7 +25,7 @@ from sclkit.scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
-from sclkit.words import StepFailure, Word, random_reduced, word
+from sclkit.words import PreconditionError, StepFailure, Word, random_reduced, word
 
 
 def test_group_pair_modes_and_membership():

@@ -1,9 +1,7 @@
 """Text specs for groups, pairs, and quasimorphisms round-trip with names."""
 
-import os
 import random
 import re
-import tempfile
 from fractions import Fraction
 
 import pytest
@@ -16,7 +14,6 @@ from sclkit.specs import (
     MAX_FREE_RANK,
     MAX_PERM_DEGREE,
     MAX_PRODUCT_DEPTH,
-    MAX_TABLE_BYTES,
     SpecError,
     parse_group,
     parse_group_pair,
@@ -52,18 +49,6 @@ def test_parse_group_details():
     assert parse_group("perm:4").n == 4
     prod = parse_group("product:free:2,z")
     assert isinstance(prod.left, FreeGroup) and isinstance(prod.right, CyclicZ)
-
-
-def test_parse_group_table_file():
-    text = "3\n0 1 2\n1 2 0\n2 0 1\n"
-    with tempfile.NamedTemporaryFile("w", suffix=".table", delete=False) as f:
-        f.write(text)
-        path = f.name
-    try:
-        tg = parse_group(f"table:{path}")
-        assert len(list(tg.elements())) == 3
-    finally:
-        os.unlink(path)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +107,8 @@ def test_parse_group_pair_modes():
     assert parse_group_pair("braid:3/pure-ordinary").mode == "ordinary"
     assert parse_group_pair("braid:3/comm").mode == "mixed"
     assert parse_group_pair("product:free:2,z/left").mode == "mixed"
+    with pytest.raises(SpecError, match="unknown pair suffix 'leftt'"):
+        parse_group_pair("product:free:2,z/leftt")
 
 
 def test_parse_group_pair_name_round_trip():
@@ -259,52 +246,6 @@ def test_product_element_needs_exactly_one_separator():
     for bad in ("(1,2,-1,-2,3)", "(1;2;3)", "1,2;3"):
         with pytest.raises(ValueError):
             ctx.parse(bad)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [("", "empty"), ("3\n0 1 2\n", "truncated"), ("2\n0 x\n1 0\n", "invalid literal"),
-     ("2\n0 1\n1 1\n", "inverse"), ("\xff", "bad multiplication table")],
-)
-def test_parse_group_turns_bad_table_files_into_spec_errors(tmp_path, text, message):
-    path = tmp_path / "bad.tbl"
-    path.write_bytes(text.encode("latin-1"))
-    with pytest.raises(SpecError, match=message):
-        parse_group(f"table:{path}")
-
-
-def test_a_table_spec_is_never_split_at_a_slash(tmp_path):
-    path = tmp_path / "z2.tbl"
-    path.write_text("2\n0 1\n1 0\n")
-    pair = parse_group_pair(f"table:{path}")
-    assert pair.mode == "ordinary" and pair.name == f"table:{path}"
-    with pytest.raises(SpecError, match="no multiplication table file"):
-        parse_group_pair(f"table:{path}/left")
-
-
-def test_a_product_with_an_absolute_table_path_is_split_only_at_a_pair_suffix(tmp_path):
-    path = tmp_path / "dir" / "z2.tbl"
-    path.parent.mkdir()
-    path.write_text("2\n0 1\n1 0\n")
-    spec = f"product:table:{path},z"
-    pair = parse_group_pair(spec)
-    assert pair.mode == "ordinary" and pair.name == spec
-    assert isinstance(pair.ambient, DirectProduct)
-    left = parse_group_pair(f"{spec}/left")
-    assert left.mode == "mixed" and left.name == f"{spec}/left"
-    with pytest.raises(SpecError, match="unknown pair suffix 'leftt'"):
-        parse_group_pair("product:free:2,z/leftt")
-
-
-def test_table_files_are_read_up_to_the_byte_cap(tmp_path):
-    path = tmp_path / "big.tbl"
-    with path.open("wb") as fh:
-        fh.truncate(MAX_TABLE_BYTES + 1)
-    with pytest.raises(SpecError, match=f"longer than {MAX_TABLE_BYTES} bytes"):
-        parse_group(f"table:{path}")
-    # a table padded with spaces up to the cap still parses
-    path.write_text("2\n0 1\n1 0".ljust(MAX_TABLE_BYTES))
-    assert parse_group(f"table:{path}").n == 2
 
 
 class _QmParser:
