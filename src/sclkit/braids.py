@@ -1,12 +1,14 @@
 """Braid groups with an exact word problem.
 
 Elements are Artin words (signed generator indices, ``+i`` for the i-th
-elementary crossing).  On four or more strands equality is decided through
-the left-greedy normal form ``D^k p_1 ... p_l``: a power of the half twist
-followed by a left-weighted sequence of permutation braids, each recorded as
-the permutation it induces on strand positions.  On three strands it is
-decided by the integer key ``b3_key`` (below), and the normal form is the
-independent oracle for the key.
+elementary crossing), written as text in comma form, ``1,2,-1``: each letter
+costs at least one character, and no syntax expands.  On four or more
+strands equality is decided through the left-greedy normal form
+``D^k p_1 ... p_l``: a power of the half twist followed by a left-weighted
+sequence of permutation braids, each recorded as the permutation it induces
+on strand positions.  On three strands it is decided by the integer key
+``b3_key`` (below), and the normal form is the independent oracle for the
+key.
 
 Conventions.  Permutations are 0-indexed image tuples acting on positions;
 composition ``compose(p, q)`` applies p first.  A braid word maps to the
@@ -48,7 +50,7 @@ import functools
 from typing import Hashable
 
 from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
-from .words import MAX_WORD_LETTERS, Frozen, StepFailure, Word, invert_letters, multiply_letters
+from .words import Frozen, StepFailure, Word, invert_letters, multiply_letters
 
 @functools.cache
 def _tables(n: int):
@@ -194,35 +196,13 @@ def _braid_word(n: int, letters: tuple[int, ...], key: Key | None = None) -> Bra
 
 
 def braid(text: str, n: int) -> BraidWord:
-    """Parse either compact '1,2,-1' or token 's1 s2 s1^-1' syntax.
+    """Parse the comma form that ``format_braid`` prints: signed generator
+    indices, with whitespace around each ignored.
 
-    >>> braid("s1 s2 s1^-1", 3).letters
-    (1, 2, -1)
     >>> braid("1,2,-1", 3).letters
     (1, 2, -1)
     """
-    text = text.strip()
-    if not text:
-        return BraidWord(n, ())
-    letters: list[int] = []
-    if "s" in text or "S" in text:
-        for tok in text.replace(",", " ").split():
-            t = tok.lower()
-            if not t.startswith("s"):
-                raise ValueError(f"bad braid token {tok!r}")
-            body = t[1:]
-            power = 1
-            if "^" in body:
-                body, ptext = body.split("^", 1)
-                power = int(ptext)
-            idx = int(body)
-            letter = idx if power >= 0 else -idx
-            if len(letters) + abs(power) > MAX_WORD_LETTERS:
-                raise ValueError(f"braid text expands to more than {MAX_WORD_LETTERS} letters")
-            letters.extend([letter] * abs(power))
-    else:
-        letters = list(map(int, filter(str.strip, text.split(","))))
-    return BraidWord(n, tuple(letters))
+    return BraidWord(n, tuple(map(int, filter(str.strip, text.split(",")))))
 
 
 def format_braid(b: BraidWord) -> str:

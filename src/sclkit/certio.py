@@ -42,13 +42,21 @@ _PAYLOAD_FIELDS = {
 }
 
 
-# Work budget of one upper item, checked before any multiplication.  Sizes
-# are characters of element text; with the exponent syntax '^' refused (no
-# writer emits it), every group spends at least a character per letter.  At
-# --n-max 128, scl-bounds on alpha writes at most 4864 for power x target and
-# 2567 for all factor text; cmd_scl_bounds refuses an --n-max over budget.
+# Work budget of one item, checked before any parsing or multiplication.
+# Sizes are characters of text, and element text is its letters (no syntax
+# expands), so every group spends at least a character per letter.  The
+# budget holds a target, a quasimorphism, an upper item's power x target and
+# all of its factor text.  At --n-max 128, scl-bounds on alpha writes at most
+# 4864 for power x target and 2567 for all factor text; cmd_scl_bounds
+# refuses a target or an --n-max over budget.
 WITNESS_TEXT_BUDGET = 20_000
 WITNESS_FACTOR_BUDGET = 256
+
+# Most items verify reads from one document, checked before any item.  Flip
+# item n has power 2n, so no target fits more than WITNESS_TEXT_BUDGET // 2
+# flip items; the longest document scl-bounds writes, perm:2 at target 2,1
+# with --n-max 3333 and a lower item, has 3334.
+MAX_DOCUMENT_ITEMS = WITNESS_TEXT_BUDGET // 2
 
 
 # Largest certificate file verify reads, in bytes.  load_document reads at
@@ -123,10 +131,10 @@ def load_document(path: str | Path) -> dict:
     return doc
 
 
-def _no_exponents(text: str, step: str, label: str) -> None:
-    if "^" in text:
+def _within_budget(step: str, label: str, size: int) -> None:
+    if size > WITNESS_TEXT_BUDGET:
         raise StepFailure(
-            step, f"{label} uses exponent syntax '^', which certificates never contain"
+            step, f"{label} {size} characters, over the budget of {WITNESS_TEXT_BUDGET}"
         )
 
 
@@ -188,15 +196,7 @@ def _check_upper(payload: dict, pair, target) -> None:
             "witness",
             f"{len(factors_raw)} factors, over the budget of {WITNESS_FACTOR_BUDGET}",
         )
-    for i, (a_text, b_text) in enumerate(factors_raw):
-        _no_exponents(a_text + b_text, "witness", f"factor {i}")
-    factor_text = sum(len(a) + len(b) for a, b in factors_raw)
-    if factor_text > WITNESS_TEXT_BUDGET:
-        raise StepFailure(
-            "witness",
-            f"the factors have {factor_text} characters, over the budget of "
-            f"{WITNESS_TEXT_BUDGET}",
-        )
+    _within_budget("witness", "the factors have", sum(len(a) + len(b) for a, b in factors_raw))
     ctx = pair.ambient
     factors = []
     for i, (a_text, b_text) in enumerate(factors_raw):
@@ -220,7 +220,7 @@ def _check_lower(payload: dict, pair, target) -> None:
     for key in ("qm", "value", "defect_upper"):
         if not isinstance(witness.get(key), str):
             raise StepFailure("witness", f"witness field {key!r} must be a string")
-    _no_exponents(witness["qm"], "quasimorphism", "the quasimorphism")
+    _within_budget("quasimorphism", "the quasimorphism has", len(witness["qm"]))
     try:
         qm = specs.parse_qm(witness["qm"], group=pair.ambient)
     except specs.SpecError as exc:
@@ -279,7 +279,7 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
             pair = specs.parse_group_pair(payload["group_pair"])
         except specs.SpecError as exc:
             raise StepFailure("group pair", str(exc)) from exc
-        _no_exponents(payload["target"], "target", "the target")
+        _within_budget("target", "the target has", len(payload["target"]))
         try:
             target = pair.ambient.parse(payload["target"])
         except ValueError as exc:
@@ -353,6 +353,10 @@ def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
     items = doc.get("items")
     if not isinstance(items, list):
         return VerificationReport(source, (), "schema: items must be a list")
+    if len(items) > MAX_DOCUMENT_ITEMS:
+        return VerificationReport(
+            source, (), f"schema: {len(items)} items, over the limit of {MAX_DOCUMENT_ITEMS}"
+        )
     checks = []
     for i, item in enumerate(items):
         kind = item.get("kind", "?") if isinstance(item, dict) else "?"

@@ -13,8 +13,6 @@ problems.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from fractions import Fraction
@@ -55,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--word", help="free-group element, e.g. xyXY")
             p.add_argument("--braid", help="braid word as signed generator indices, e.g. 1,2,1")
         p.add_argument("--out", help="write output atomically to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv", "human"), default="human")
+        p.add_argument("--format", choices=("json", "human"), default="human")
 
     p_eval = sub.add_parser("eval", help="evaluate a quasimorphism at one element")
     add_common(p_eval, target=True)
@@ -83,14 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, human: str, doc: dict, rows: list[list[str]]) -> None:
+def _emit(args, human: str, doc: dict) -> None:
     if args.format == "json":
         text = certio.dumps(doc)
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        text = buf.getvalue()
     else:
         text = human if human.endswith("\n") else human + "\n"
     if args.out:
@@ -102,11 +95,10 @@ def _emit(args, human: str, doc: dict, rows: list[list[str]]) -> None:
         sys.stdout.write(text)
 
 
-def _target_element(args, ctx):
+def _target_text(args) -> str:
     if (args.word is None) == (args.braid is None):
         raise UsageError("give exactly one of --word or --braid")
-    text = args.word if args.word is not None else args.braid
-    return ctx.parse(text)
+    return args.word if args.word is not None else args.braid
 
 
 def cmd_eval(args) -> int:
@@ -117,7 +109,7 @@ def cmd_eval(args) -> int:
         group = BraidGroup(3)
     qm = specs.parse_qm(args.qm, group=group)
     ctx = qm.context
-    g = _target_element(args, ctx)
+    g = ctx.parse(_target_text(args))
     value = qm(g)
     doc = {
         "command": "eval",
@@ -128,11 +120,7 @@ def cmd_eval(args) -> int:
         "defect_upper": str(qm.defect_upper),
         "defect_provenance": qm.defect_provenance,
     }
-    rows = [
-        ["qm", "group", "element", "value"],
-        [qm.name, ctx.name, ctx.text(g), str(value)],
-    ]
-    _emit(args, str(value), doc, rows)
+    _emit(args, str(value), doc)
     return EXIT_PASS
 
 
@@ -155,7 +143,13 @@ def cmd_scl_bounds(args) -> int:
             raise UsageError(f"{option} must be at least {least}, got {value}")
     pair = specs.parse_group_pair(args.group)
     ctx = pair.ambient
-    g = _target_element(args, ctx)
+    text = _target_text(args)
+    if len(text) > certio.WITNESS_TEXT_BUDGET:
+        raise UsageError(
+            f"the target has {len(text)} characters: verify refuses targets over "
+            f"{certio.WITNESS_TEXT_BUDGET}"
+        )
+    g = ctx.parse(text)
     if not pair.is_member(g):
         raise UsageError(f"target {ctx.text(g)} is outside the subgroup of {pair.name}")
     certs: list[SclCertificate] = []
@@ -223,9 +217,6 @@ def cmd_scl_bounds(args) -> int:
         return EXIT_FAIL
 
     lines = [f"scl bounds for {ctx.text(g) or '(identity)'} in {pair.name} ({pair.mode} mode):"]
-    rows = [["direction", "bound", "kind", "power", "note"]]
-    for c in certs:
-        rows.append([c.direction, str(c.bound), c.kind, str(c.power), c.note])
     if best is not None:
         lines.append(f"  upper {upper}  ({len(uppers)} certificates, best at power {best.power})")
     for c in lowers:
@@ -234,7 +225,7 @@ def cmd_scl_bounds(args) -> int:
         lines.append(f"  note: {note}")
     lines.append(f"  interval [{lower}, {upper if upper is not None else 'unbounded'}]")
     lines.append(f"  {len(certs)} certificate(s), self-verified")
-    _emit(args, "\n".join(lines), doc, rows)
+    _emit(args, "\n".join(lines), doc)
     return EXIT_PASS
 
 
@@ -243,10 +234,7 @@ def cmd_verify(args) -> int:
         print(f"error: no certificate file at {args.path}", file=sys.stderr)
         return EXIT_USAGE
     report = certio.verify_file(args.path)
-    rows = [["index", "kind", "ok", "failed_step", "detail"]]
-    for c in report.checks:
-        rows.append([str(c.index), c.kind, str(c.ok).lower(), c.failed_step or "", c.detail])
-    _emit(args, report.describe(), report.as_dict(), rows)
+    _emit(args, report.describe(), report.as_dict())
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
@@ -256,10 +244,7 @@ def cmd_verify_paper(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
-    rows = [["key", "slug", "ok", "detail"]]
-    for r in report.results:
-        rows.append([r.key, r.slug, str(r.ok).lower(), r.detail])
-    _emit(args, "\n".join(report.lines()), report.as_dict(), rows)
+    _emit(args, "\n".join(report.lines()), report.as_dict())
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 

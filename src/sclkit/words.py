@@ -8,9 +8,9 @@ equal.  Which generators a word may use is the business of the group it is
 an element of (``groups.FreeGroup``), not of the word.
 
 Text syntax: lowercase ``a``..``z`` name generators 1..26, uppercase letters
-their inverses, whitespace is ignored, and ``x^3`` / ``x^-2`` powers are
-accepted on input.  Printing always emits plain letters, so
-``parse -> format -> parse`` is the identity.
+their inverses, and whitespace is ignored.  Text is its letters: no syntax
+expands, so a word has at most as many letters as its text has characters,
+and ``parse -> format -> parse`` is the identity.
 """
 
 from __future__ import annotations
@@ -92,14 +92,6 @@ def cyclic_reduce_letters(letters: tuple[int, ...]) -> tuple[tuple[int, ...], tu
 _ORD_A = ord("a")
 _ORD_CAP_A = ord("A")
 
-# Most letters a word or braid text may expand to, checked before a power is
-# expanded.  In a fresh process, eval of brooks(w=ab) on a^1000000 takes 0.9
-# to 1.5 s at 40 MB peak and hom(indexsum) on braid:3 at s1^1000000 0.8 s at
-# 100 MB; a^999999999 asked for gigabytes.  Verify reads at most 20,000
-# characters of element text, with no powers.
-MAX_WORD_LETTERS = 10**6
-
-
 def format_letters(letters: Iterable[int]) -> str:
     """Render letters in a..z / A..Z text form."""
     out = []
@@ -116,42 +108,17 @@ def parse_letters(text: str) -> list[int]:
 
     >>> parse_letters("abAB")
     [1, 2, -1, -2]
-    >>> parse_letters("a^3 B^-2")
-    [1, 1, 1, 2, 2]
+    >>> parse_letters("a b A")
+    [1, 2, -1]
     """
     raw: list[int] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
+    for ch in text:
         if "a" <= ch <= "z":
-            letter = (ord(ch) - _ORD_A) + 1
+            raw.append(ord(ch) - _ORD_A + 1)
         elif "A" <= ch <= "Z":
-            letter = -((ord(ch) - _ORD_CAP_A) + 1)
-        else:
+            raw.append(-(ord(ch) - _ORD_CAP_A + 1))
+        elif not ch.isspace():
             raise ValueError(f"unexpected character {ch!r} in word text")
-        i += 1
-        power = 1
-        if i < n and text[i] == "^":
-            i += 1
-            j = i
-            if j < n and text[j] in "+-":
-                j += 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i or not text[i:j].lstrip("+-"):
-                raise ValueError(f"malformed power in word text at position {i}")
-            power = int(text[i:j])
-            i = j
-        if power < 0:
-            letter = -letter
-            power = -power
-        if len(raw) + power > MAX_WORD_LETTERS:
-            raise ValueError(f"word text expands to more than {MAX_WORD_LETTERS} letters")
-        raw.extend([letter] * power)
     return raw
 
 
@@ -326,7 +293,7 @@ def _word(letters: tuple[int, ...]) -> Word:
 def word(text: str) -> Word:
     """Parse text into a Word.
 
-    >>> str(word("x y^2 X"))
+    >>> str(word("x yy X"))
     'xyyX'
     """
     return Word.from_raw(parse_letters(text))

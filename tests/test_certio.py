@@ -13,6 +13,8 @@ import pytest
 from sclkit.braids import braid, half_twist, pr1
 from sclkit.certio import (
     FORMAT,
+    MAX_DOCUMENT_ITEMS,
+    WITNESS_TEXT_BUDGET,
     CertificateError,
     document,
     dumps,
@@ -144,6 +146,16 @@ def test_verify_document_rejects_wrong_envelope(upper_cert):
         assert expect in report.schema_error
 
 
+def test_verify_document_refuses_more_items_than_the_cap():
+    at_cap = verify_document({"format": FORMAT, "items": [{}] * MAX_DOCUMENT_ITEMS})
+    assert at_cap.schema_error is None and len(at_cap.checks) == MAX_DOCUMENT_ITEMS
+    over = verify_document({"format": FORMAT, "items": [{}] * (MAX_DOCUMENT_ITEMS + 1)})
+    assert over.checks == ()
+    assert over.schema_error == (
+        f"schema: {MAX_DOCUMENT_ITEMS + 1} items, over the limit of {MAX_DOCUMENT_ITEMS}"
+    )
+
+
 def corrupted(cert, edit):
     payload = copy.deepcopy(cert.as_payload())
     edit(payload)
@@ -167,7 +179,7 @@ UPPER_FAULTS = [
     # case runs in a fresh process in test_cli
     ("witness", lambda p: p["witness"].update(factors=p["witness"]["factors"] * 300)),
     ("witness", lambda p: p["witness"]["factors"][0].__setitem__(0, "1," * 20_000 + "1")),
-    # exponent syntax would expand 11 characters into 10^7 letters
+    # exponent syntax is not element text
     ("witness", lambda p: p["witness"]["factors"][0].__setitem__(0, "s1^10000000")),
 ]
 
@@ -221,7 +233,31 @@ def test_exponent_syntax_is_refused_before_parsing(upper_cert, lower_cert):
         ok, failed_step, detail = verify_payload(corrupted(cert, edit))
         assert not ok
         assert failed_step == step, detail
-        assert "'^'" in detail
+
+
+def test_text_over_the_budget_is_refused_before_parsing(upper_cert, lower_cert):
+    over = "1," * (WITNESS_TEXT_BUDGET // 2) + "1"
+    # a braid:3/pure target of 0.8 MB was parsed and walked for 3.6 s before
+    # it failed at target membership
+    huge = "1," * 400_000
+    long_qm = "pullback(homog(brooks(w=" + "xy" * (WITNESS_TEXT_BUDGET // 2) + ")), pr1)"
+    cases = [
+        (upper_cert, "target", lambda p: p.update(target=huge)),
+        (lower_cert, "target", lambda p: p.update(target=over)),
+        (lower_cert, "quasimorphism", lambda p: p["witness"].update(qm=long_qm)),
+    ]
+    for cert, step, edit in cases:
+        ok, failed_step, detail = verify_payload(corrupted(cert, edit))
+        assert not ok
+        assert failed_step == step, detail
+        assert f"over the budget of {WITNESS_TEXT_BUDGET}" in detail
+    # at the budget the target is read: s1^10000 is pure, and its value differs
+    at_budget = " " + "1," * (WITNESS_TEXT_BUDGET // 2 - 1) + "1"
+    assert len(at_budget) == WITNESS_TEXT_BUDGET
+    ok, failed_step, detail = verify_payload(
+        corrupted(lower_cert, lambda p: p.update(target=at_budget))
+    )
+    assert failed_step == "qm value", detail
 
 
 def test_boolean_power_is_refused_at_witness():

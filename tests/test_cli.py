@@ -13,7 +13,7 @@ import pytest
 
 from garside_helpers import plant_extra_syllable
 from sclkit import braids, certio, cli, suite
-from sclkit.words import MAX_WORD_LETTERS, StepFailure
+from sclkit.words import StepFailure
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
 
@@ -98,7 +98,7 @@ def test_scl_bounds_refuses_target_outside_subgroup():
 def test_scl_bounds_on_a_product_with_a_braid_factor_self_verifies():
     # braid texts contain commas, so product elements are written (left;right)
     r = run_cli(
-        "scl-bounds", "--group", "product:braid:3,z", "--word", "(s1 s2 s1^-1 s2^-1;0)",
+        "scl-bounds", "--group", "product:braid:3,z", "--word", "(1,2,-1,-2;0)",
         "--radius", "1", "--cap", "1", "--format", "json", timeout=60,
     )
     assert r.returncode == 0, r.stderr
@@ -599,12 +599,52 @@ def test_verify_paper_item_4_output_is_byte_stable():
     assert r.stdout == ITEM_4_JSON
 
 
-def test_csv_format_works():
+def test_scl_bounds_refuses_a_target_over_the_text_budget():
+    text = "1," * (certio.WITNESS_TEXT_BUDGET // 2) + "1"
+    r = run_cli(
+        "scl-bounds", "--group", "braid:3/pure", "--braid", text, "--qm", "zero", timeout=30
+    )
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert f"the target has {len(text)} characters" in r.stderr
+
+
+def test_verify_reads_the_longest_document_scl_bounds_writes(tmp_path):
+    # flip item n has power 2n and the target 2,1 three characters, so
+    # --n-max 3333 is the most the budget allows: 3333 flip items and a lower one
+    cert = tmp_path / "longest.json"
+    r = run_cli(
+        "scl-bounds", "--group", "perm:2", "--word", "2,1", "--n-max", "3333", "--qm", "zero",
+        "--format", "json", "--out", str(cert), timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    assert len(json.loads(cert.read_text())["items"]) == 3334 <= certio.MAX_DOCUMENT_ITEMS
+    r = run_cli("verify", str(cert), timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.endswith(": 3334 item(s), all claims verified\n")
+
+
+def test_verify_refuses_a_document_over_the_item_cap_before_checking_its_items(tmp_path):
+    # 349,512 empty items in 1 MiB: one schema failure each took 7.2 s at
+    # 645 MB and printed 50 MB
+    cert = tmp_path / "empty-items.json"
+    items = ",".join(["{}"] * 349_512)
+    cert.write_text('{"format": "scl-certificates/1", "items": [' + items + "]}")
+    r = run_cli("verify", str(cert), "--format", "json", timeout=60, address_space=256 * 2**20)
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["schema_error"] == (
+        f"schema: 349512 items, over the limit of {certio.MAX_DOCUMENT_ITEMS}"
+    )
+    assert report["items"] == []
+    assert "Traceback" not in r.stderr
+
+
+def test_csv_format_is_a_usage_error():
     r = run_cli("verify-paper", "--only", "2", "--format", "csv")
-    assert r.returncode == 0
-    lines = [l for l in r.stdout.splitlines() if l]
-    assert len(lines) >= 2
-    assert "," in lines[0]
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert "invalid choice: 'csv'" in r.stderr
 
 
 def test_human_format_scl_bounds_mentions_interval():
@@ -799,7 +839,7 @@ def test_verify_opens_no_file_but_the_certificate(tmp_path):
 def test_huge_powers_in_element_text_are_refused_before_expanding(args):
     r = run_cli(*args, timeout=30, address_space=256 * 2**20)
     assert r.returncode == 2, r.stderr
-    assert f"expands to more than {MAX_WORD_LETTERS} letters" in r.stderr
+    assert "^" in r.stderr
     assert "Traceback" not in r.stderr
 
 

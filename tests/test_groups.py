@@ -1,6 +1,7 @@
 """Group contexts: axioms, text round trips, ball enumeration."""
 
 import random
+import string
 from fractions import Fraction
 
 import pytest
@@ -262,3 +263,72 @@ def test_ball_values_match_the_dense_reference(spec, radius):
     for g, sphere in table.pairs():
         for h in sphere:
             assert canonical(ctx.mul(g, h)) in dense
+
+
+# letters, digits, the element grammars' punctuation, the old power and
+# braid-token syntax, and whitespace
+_TEXT_ALPHABET = string.ascii_letters + string.digits + ",;()^s-" + " \t\n"
+# bases of the old power syntax: letters, braid tokens and indices
+_POWER_BASES = ("a", "B", "x", "s1", "s2", "S3", "1", "-2")
+
+
+def _letter_count(element) -> int:
+    """Letters of a parsed element, summed over product factors.  An integer,
+    a permutation image or an element of z, is one letter: z adds, so its
+    work is its digits."""
+    if isinstance(element, tuple):
+        return sum(map(_letter_count, element))
+    if isinstance(element, int):
+        return 1
+    return len(element.letters)
+
+
+def _element_text(ctx, rng) -> str:
+    """Random text: a sampled element's text with up to three edits, a run
+    of powers in the old syntax, bare or as a product element, or a run of
+    a few characters of the alphabet."""
+    family = rng.randrange(3)
+    if family == 0:
+        text = ctx.text(ctx.sample(rng, rng.randrange(6)))
+        for _ in range(rng.randrange(4)):
+            i = rng.randrange(len(text) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:i] + text[i + 1:]
+            else:
+                insert = (rng.choice(_TEXT_ALPHABET), rng.choice(" \t\n"), _power(rng))[edit - 1]
+                text = text[:i] + insert + text[i:]
+        return text
+    if family == 1:
+        text = rng.choice((" ", ",", "")).join(
+            rng.choice(_POWER_BASES) + _power(rng) for _ in range(rng.randrange(4))
+        )
+        return f"({text};{rng.randrange(-9, 10)})" if rng.random() < 0.5 else text
+    chars = rng.sample(_TEXT_ALPHABET, rng.randint(1, 6))
+    return "".join(rng.choice(chars) for _ in range(rng.randrange(16)))
+
+
+def _power(rng) -> str:
+    return rng.choice(("", f"^{rng.randrange(-99, 100)}"))
+
+
+@pytest.mark.parametrize(
+    "spec", ["free:2", "free:xy", "braid:3", "braid:5", "perm:4", "product:braid:3,z"]
+)
+def test_element_text_is_its_letters(spec):
+    # no syntax expands: parsing refuses text or returns an element with at
+    # most one letter per character
+    ctx = parse_group(spec)
+    rng = random.Random(27)
+    accepted = refused = 0
+    for _ in range(3000):
+        text = _element_text(ctx, rng)
+        try:
+            element = ctx.parse(text)
+        except ValueError:
+            refused += 1
+            continue
+        accepted += 1
+        assert _letter_count(element) <= len(text), text
+    # both outcomes are well represented
+    assert accepted > 300 and refused > 300, (accepted, refused)

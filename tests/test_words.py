@@ -10,7 +10,6 @@ import ball_reference
 from sclkit.braids import braid, normal_form
 from sclkit.groups import FreeGroup
 from sclkit.words import (
-    MAX_WORD_LETTERS,
     Word,
     commutator,
     cyclic_reduce_letters,
@@ -96,9 +95,8 @@ def test_words_are_equal_and_hash_by_their_letters():
 
 def test_parse_and_format_round_trip():
     assert parse_letters("abAB") == [1, 2, -1, -2]
-    assert parse_letters("a^3 B^-2") == [1, 1, 1, 2, 2]
     assert format_letters((1, 2, -1, -2)) == "abAB"
-    assert str(word("x y^2 X")) == "xyyX"
+    assert str(word("x yy X")) == "xyyX"
     assert word("aA").letters == ()
     rng = random.Random(103)
     for _ in range(300):
@@ -113,19 +111,6 @@ def test_parse_rejects_garbage():
         parse_letters("a^")
     with pytest.raises(ValueError):
         format_letters((27,))
-
-
-def test_element_text_expands_to_at_most_the_letter_cap():
-    n = MAX_WORD_LETTERS
-    assert len(parse_letters(f"a^{n}")) == n
-    assert len(braid(f"s1^-{n}", 3).letters) == n
-    # the cap counts letters over the whole text, not per power
-    for text in (f"a^{n + 1}", f"a^{n} b", f"b a^{n}", f"A^-{n}a", "a^999999999"):
-        with pytest.raises(ValueError, match=f"more than {n} letters"):
-            parse_letters(text)
-    for text in (f"s1^{n + 1}", f"s1^{n} s2", f"s2 s1^-{n}", "s1^999999999"):
-        with pytest.raises(ValueError, match=f"more than {n} letters"):
-            braid(text, 3)
 
 
 def test_cyclic_reduce_is_a_conjugation():
