@@ -205,7 +205,7 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
 
     table = BallValues(ctx, radius, row)
     value, zero = table.values.get, table.zero
-    canonical, mul = ctx.canonical, ctx.mul
+    canonical, product_key = ctx.canonical, ctx.product_key
     best_prime = 0
     best_hat = 0
     pairs = 0
@@ -213,7 +213,7 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
         pg, vg, rg = value(canonical(g), zero)
         for h in sphere:
             pairs += 1
-            pgh, vgh, rgh = value(canonical(mul(g, h)), zero)
+            pgh, vgh, rgh = value(product_key(g, h), zero)
             ph, vh, rh = value(canonical(h), zero)
             gap_p = abs(pgh - pg - ph)
             if gap_p > best_prime:

@@ -23,7 +23,17 @@ import itertools
 import math
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .words import ALPHABET_SIZE, Frozen, Word, _word, format_letters, random_reduced, word, words_of_length
+from .words import (
+    ALPHABET_SIZE,
+    Frozen,
+    Word,
+    _word,
+    format_letters,
+    multiply_letters,
+    random_reduced,
+    word,
+    words_of_length,
+)
 
 
 class ProductSearch:
@@ -229,6 +239,10 @@ class GroupContext:
         """Hashable canonical form; equal elements get equal forms."""
         raise NotImplementedError
 
+    def product_key(self, a, b) -> Hashable:
+        """The canonical form of a * b."""
+        return self.canonical(self.mul(a, b))
+
     def eq(self, a, b) -> bool:
         return self.canonical(a) == self.canonical(b)
 
@@ -330,6 +344,7 @@ class FreeGroup(GroupContext):
         """Free group on the given lowercase letters, e.g. ``on("xy")``."""
         return cls(gen_indices=tuple(ord(c) - ord("a") + 1 for c in letters))
 
+    # plain methods, not Word's own: a tracer's wrapper gets the context as self
     def mul(self, a: Word, b: Word) -> Word:
         return a * b
 
@@ -345,6 +360,9 @@ class FreeGroup(GroupContext):
 
     def canonical(self, a: Word) -> Hashable:
         return a.letters
+
+    def product_key(self, a: Word, b: Word) -> Hashable:
+        return multiply_letters(a.letters, b.letters)
 
     def text(self, a: Word) -> str:
         return str(a)

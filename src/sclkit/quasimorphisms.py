@@ -32,6 +32,7 @@ defect bound, which is how ``brooks_homogenized`` certifies its constant.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
@@ -73,23 +74,46 @@ def count_copies(w: Word, g: Word) -> int:
     return count
 
 
-def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> Fraction:
+def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> tuple[int, int]:
     """Asymptotic disjoint-copy count per period of the bi-infinite word
-    ``...core core core...``.
+    ``...core core core...``, as (copies, periods) with periods >= 1.
 
     The greedy scan over the periodic word has finitely many carry states
     (the overhang of the last copy into the next period), so its increment
     sequence is eventually periodic; the exact rate is read off one cycle.
+    The starts of copies in one period come from one prefix-function (KMP)
+    pass, and each greedy step jumps to the first start at or after the
+    carry, so the work is linear in |core| + |pattern| up to a log factor.
     """
     p, L = len(core), len(pattern)
     if p == 0 or L == 0:
-        return Fraction(0)
-    # enough periods that every window of length L starting in the first one
-    # fits; this holds for patterns longer than the core too
-    reps = core * (1 + (L + p - 2) // p)
-    matches = [s for s in range(p) if reps[s : s + L] == pattern]
+        return 0, 1
+    # fail[i]: length of the longest proper border of pattern[: i + 1]
+    fail = [0] * L
+    k = 0
+    for i in range(1, L):
+        letter = pattern[i]
+        while k and letter != pattern[k]:
+            k = fail[k - 1]
+        if letter == pattern[k]:
+            k += 1
+        fail[i] = k
+    # every window of length L starting in the first period lies in the
+    # first p + L - 1 letters of the periodic word
+    matches = []
+    k = 0
+    for i in range(p + L - 1):
+        letter = core[i % p]
+        while k and letter != pattern[k]:
+            k = fail[k - 1]
+        if letter == pattern[k]:
+            k += 1
+            if k == L:
+                matches.append(i + 1 - L)
+                k = fail[k - 1]
     if not matches:
-        return Fraction(0)
+        return 0, 1
+    n = len(matches)
     next_free = 0
     count = 0
     seen: dict[int, tuple[int, int]] = {}
@@ -98,13 +122,14 @@ def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> Fraction:
         state = max(next_free - k * p, 0)
         if state in seen:
             k0, c0 = seen[state]
-            return Fraction(count - c0, k - k0)
+            return count - c0, k - k0
         seen[state] = (k, count)
-        for s in matches:
-            t = k * p + s
-            if t >= next_free:
-                count += 1
-                next_free = t + L
+        j = bisect_left(matches, state)
+        while j < n:
+            s = matches[j]
+            count += 1
+            next_free = k * p + s + L
+            j = bisect_left(matches, s + L, j + 1)
         k += 1
 
 
@@ -118,7 +143,9 @@ def homogenize_counting_exact(w: Word, g: Word) -> Fraction:
     core, _ = cyclic_reduce_letters(g.letters)
     if not w.letters:
         raise ValueError("counting pattern must be nonempty")
-    return _cyclic_rate(w.letters, core) - _cyclic_rate(invert_letters(w.letters), core)
+    copies, periods = _cyclic_rate(w.letters, core)
+    copies_inv, periods_inv = _cyclic_rate(invert_letters(w.letters), core)
+    return Fraction(copies * periods_inv - copies_inv * periods, periods * periods_inv)
 
 
 def defect_bound_counting(w: Word) -> Fraction:
@@ -152,7 +179,8 @@ class Quasimorphism(Frozen):
     invariant: bool
 
     def __call__(self, g) -> Fraction:
-        return Fraction(self.eval_fn(g))
+        value = self.eval_fn(g)
+        return value if isinstance(value, Fraction) else Fraction(value)
 
 
 def _default_free_context(w: Word) -> "GroupContext":
@@ -270,7 +298,7 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
     ctx = qm.context
     table = BallValues(ctx, radius, qm)
     value = table.values.get
-    canonical, mul = ctx.canonical, ctx.mul
+    canonical, product_key = ctx.canonical, ctx.product_key
     best = 0
     witness: tuple | None = None
     pairs = 0
@@ -278,7 +306,7 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
         vg = value(canonical(g), 0)
         for h in sphere:
             pairs += 1
-            gap = abs(value(canonical(mul(g, h)), 0) - vg - value(canonical(h), 0))
+            gap = abs(value(product_key(g, h), 0) - vg - value(canonical(h), 0))
             if gap > best:
                 best = gap
                 witness = (g, h)

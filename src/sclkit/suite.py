@@ -22,8 +22,6 @@ from typing import Callable
 
 from . import certio
 from .braids import (
-    X,
-    Y,
     BraidGroup,
     half_twist,
     index_section,
@@ -72,7 +70,15 @@ from .scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
-from .words import Frozen, PreconditionError, StepFailure, Word, random_reduced, reduce_letters, word
+from .words import (
+    Frozen,
+    PreconditionError,
+    StepFailure,
+    invert_letters,
+    multiply_letters,
+    reduce_letters,
+    word,
+)
 
 
 class Item(Frozen):
@@ -205,8 +211,8 @@ def _item_duality_lower(rng, shared):
         raise StepFailure("defect search", f"{search.lower} exceeds the certified bound {defect}")
 
     for _ in range(50):
-        b1 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 7))), rng.randint(-2, 2))
-        b2 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 7))), rng.randint(-2, 2))
+        b1 = p3_assemble(f2.sample(rng, rng.randrange(0, 7)), rng.randint(-2, 2))
+        b2 = p3_assemble(f2.sample(rng, rng.randrange(0, 7)), rng.randint(-2, 2))
         gap_braid = abs(qm(BraidGroup(3).mul(b1, b2)) - qm(b1) - qm(b2))
         w1, w2 = p3_coordinates(b1).f2_part, p3_coordinates(b2).f2_part
         gap_free = abs(qm_free(w1 * w2) - qm_free(w1) - qm_free(w2))
@@ -275,8 +281,8 @@ def _item_packing(rng, shared):
     ctx = FreeGroup(2)
     trials = [(ctx.parse("a"), ctx.parse("b"))]
     while len(trials) < 20:
-        x = Word(random_reduced(rng, (1, 2), rng.randrange(0, 5)))
-        y = Word(random_reduced(rng, (1, 2), rng.randrange(0, 5)))
+        x = ctx.sample(rng, rng.randrange(0, 5))
+        y = ctx.sample(rng, rng.randrange(0, 5))
         trials.append((x, y))
     for x, y in trials:
         for n in range(0, 9):
@@ -368,16 +374,17 @@ def _item_fragmentation(rng, shared):
 
 def _item_splitting(rng, shared):
     ctx = BraidGroup(3)
+    xy = FreeGroup.on("xy")
     for _ in range(1000):
-        w = Word(random_reduced(rng, (X, Y), rng.randrange(0, 41)))
+        w = xy.sample(rng, rng.randrange(0, 41))
         k = rng.randint(-5, 5)
         co = p3_coordinates(p3_assemble(w, k))
         if co.f2_part != w or co.center_exponent != k:
             raise StepFailure("round trip", f"fails at ({w}, {k})")
     hom = pr1()
     for _ in range(1000):
-        b1 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 13))), rng.randint(-3, 3))
-        b2 = p3_assemble(Word(random_reduced(rng, (X, Y), rng.randrange(0, 13))), rng.randint(-3, 3))
+        b1 = p3_assemble(xy.sample(rng, rng.randrange(0, 13)), rng.randint(-3, 3))
+        b2 = p3_assemble(xy.sample(rng, rng.randrange(0, 13)), rng.randint(-3, 3))
         if hom(ctx.mul(b1, b2)) != hom(b1) * hom(b2):
             raise StepFailure("multiplicativity", "the projection is not multiplicative")
     return "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs", []
@@ -412,19 +419,20 @@ def _random_raw(getrandbits) -> tuple[int, ...]:
 
 
 def _item_word_algebra(rng, shared):
+    # the letter kernels that Word.from_raw, * and ~ wrap, called directly
     bits = rng.getrandbits
+    mul, inv = multiply_letters, invert_letters
     for _ in range(100_000):
         ra, rb, rc = _random_raw(bits), _random_raw(bits), _random_raw(bits)
-        u = Word.from_raw(ra)
-        v = Word.from_raw(rb)
-        t = Word.from_raw(rc)
-        if ((u * v) * t).letters != (u * (v * t)).letters:
+        u = reduce_letters(ra)
+        v = reduce_letters(rb)
+        t = reduce_letters(rc)
+        if mul(mul(u, v), t) != mul(u, mul(v, t)):
             raise StepFailure("associativity", f"fails at {ra} {rb} {rc}")
-        if (u * ~u).letters != ():
+        if mul(u, inv(u)) != ():
             raise StepFailure("inverse", f"fails at {ra}")
-        # from_raw has reduced rb once already
-        once = v.letters
-        if reduce_letters(once) != once:
+        # v is rb reduced once already
+        if reduce_letters(v) != v:
             raise StepFailure("idempotent reduction", f"fails at {rb}")
     return "100000 random triples: associativity, inverses, idempotent reduction", []
 

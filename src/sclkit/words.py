@@ -250,8 +250,8 @@ class Word(Frozen):
     def __hash__(self) -> int:
         return hash(self.letters)
 
-    # __mul__, __invert__ and from_raw build the instance inline: they are
-    # the inner loop of defect_search and of suite item 10
+    # __mul__, __invert__ and from_raw build the instance inline: every
+    # product, inverse and parse of a free-group word goes through them
     def __mul__(self, other: "Word") -> "Word":
         w = _new(Word)
         _set_letters(w, multiply_letters(self.letters, other.letters))
@@ -327,8 +327,13 @@ def random_reduced(rng, gen_indices: Iterable[int], length: int) -> tuple[int, .
     alphabet = [i for g in gen_indices for i in (g, -g)]
     if not alphabet or length == 0:
         return ()
-    out: list[int] = []
-    for _ in range(length):
-        choices = [l for l in alphabet if not out or out[-1] != -l]
-        out.append(rng.choice(choices))
+    # the letters that may follow each letter, in alphabet order: rng.choice
+    # sees the lists a per-letter filter of the alphabet would build
+    after = {l: [m for m in alphabet if m != -l] for l in alphabet}
+    choice = rng.choice
+    letter = choice(alphabet)
+    out = [letter]
+    for _ in range(length - 1):
+        letter = choice(after[letter])
+        out.append(letter)
     return tuple(out)

@@ -128,6 +128,29 @@ def test_verify_refuses_a_witness_over_the_work_budget(tmp_path):
     assert "budget" in report["items"][0]["detail"]
 
 
+def test_verify_reads_a_periodic_lower_item_at_the_text_budget_in_linear_time(tmp_path):
+    # pattern and target both fill the text budget and match at every other
+    # letter; a packing rate that rescans every match per period took ~10 s
+    qm = "homog(brooks(w=" + "ab" * 9991 + "))"
+    assert len(qm) <= certio.WITNESS_TEXT_BUDGET
+    item = {
+        "kind": "scl-lower-bavard",
+        "target": "ab" * 10000,
+        "group_pair": "free:2",
+        "bound": "2500/29973",
+        "direction": "lower",
+        "witness": {"qm": qm, "value": "10000/9991", "defect_upper": "6"},
+        "evidence": {"defect_provenance": "junction-argument doubled by homogenisation"},
+        "verified": True,
+        "note": "",
+    }
+    cert = tmp_path / "periodic-lower.json"
+    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [item]}))
+    r = run_cli("verify", str(cert), "--format", "json", timeout=5)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["items"][0]["ok"]
+
+
 def test_braid_groups_over_the_strand_cap_are_refused_at_once(tmp_path):
     # braid:500 used to cost minutes per equality check before failing
     item = {

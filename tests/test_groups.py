@@ -35,6 +35,7 @@ def check_axioms(ctx, rng, samples=200, size=6):
         b = ctx.sample(rng, rng.randrange(0, size))
         c = ctx.sample(rng, rng.randrange(0, size))
         assert ctx.eq(ctx.mul(ctx.mul(a, b), c), ctx.mul(a, ctx.mul(b, c)))
+        assert ctx.product_key(a, b) == ctx.canonical(ctx.mul(a, b))
         assert ctx.eq(ctx.mul(a, ctx.inv(a)), e)
         assert ctx.eq(ctx.mul(e, a), a)
         assert ctx.eq(ctx.parse(ctx.text(a)), a)

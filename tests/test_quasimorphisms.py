@@ -11,6 +11,7 @@ from sclkit.braids import BraidGroup, b3_key, half_twist
 from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, proj_left
 from sclkit.quasimorphisms import (
     CertifiedValue,
+    _cyclic_rate,
     Quasimorphism,
     brooks,
     brooks_homogenized,
@@ -320,9 +321,11 @@ def test_defect_search_matches_reference_off_free_groups():
     assert _same_as_reference(clamped, 4).lower > 0
 
 
-def _cyclic_rate(pattern, core):
+def _reference_rate(pattern, core):
     """Reference packing rate: the modular-index matcher the library used
-    before it matched with slices of the repeated core."""
+    before it matched with slices of the repeated core, and the greedy scan
+    that rescans every match in every period.  Both are quadratic; the
+    library's prefix-function matcher and jumping scan replaced them."""
     p, L = len(core), len(pattern)
     if p == 0 or L == 0:
         return Fraction(0)
@@ -349,7 +352,7 @@ def _cyclic_rate(pattern, core):
 
 def _reference_homogenized(w, g):
     core, _ = cyclic_reduce(g)
-    return _cyclic_rate(w.letters, core.letters) - _cyclic_rate((~w).letters, core.letters)
+    return _reference_rate(w.letters, core.letters) - _reference_rate((~w).letters, core.letters)
 
 
 def test_homogenize_counting_exact_matches_modular_matcher():
@@ -372,6 +375,24 @@ def test_homogenize_counting_exact_matches_modular_matcher():
         start = rng.randrange(len(core))
         cut = (core.letters * 4)[start : start + rng.randrange(1, 3 * len(core) + 1)]
         cases.append((Word(cut), core))
+    # long periodic cores: a pattern that is a power of the core's root,
+    # shorter or longer than the core, and long cuts of the periodic word
+    for j, k in ((99, 100), (100, 99), (37, 50), (50, 37), (64, 64)):
+        cases.append((word("ab" * j), word("ab" * k)))
+    for _ in range(30):
+        root, _ = cyclic_reduce(Word(random_reduced(rng, (1, 2), rng.randrange(1, 5))))
+        core = root ** rng.randrange(10, 41)
+        start = rng.randrange(len(core))
+        cut = (core.letters * 3)[start : start + rng.randrange(1, 2 * len(core) + 1)]
+        cases.append((Word(cut), core))
     for w, g in cases:
         assert homogenize_counting_exact(w, g) == _reference_homogenized(w, g), (w, g)
+        core, _ = cyclic_reduce(g)
+        copies, periods = _cyclic_rate(w.letters, core.letters)
+        assert periods >= 1
+        assert Fraction(copies, periods) == _reference_rate(w.letters, core.letters), (w, g)
     assert any(_reference_homogenized(w, g) != 0 for w, g in cases if len(w) > len(cyclic_reduce(g)[0]))
+    # the quadratic reference is too slow at the size of the text budget:
+    # copy j starts at letter 19982 j, and 10000 copies end a cycle of 9991
+    # periods of 20000 letters, as 9991 and 10000 are coprime
+    assert homogenize_counting_exact(word("ab" * 9991), word("ab" * 10000)) == Fraction(10000, 9991)

@@ -16,6 +16,8 @@ import sclkit.scl
 import sclkit.specs
 import sclkit.suite
 import sclkit.words
+from sclkit.braids import X, Y
+from sclkit.groups import FreeGroup
 from sclkit.suite import (
     _ALGEBRA_GENS,
     DEFAULT_SEED,
@@ -25,7 +27,14 @@ from sclkit.suite import (
     find_item,
     run_item,
 )
-from sclkit.words import StepFailure
+from sclkit.words import (
+    StepFailure,
+    Word,
+    invert_letters,
+    multiply_letters,
+    random_reduced,
+    reduce_letters,
+)
 
 
 def test_item_registry_shape():
@@ -103,6 +112,40 @@ def test_word_algebra_draws_are_bit_for_bit_the_choice_draws(seed):
     for _ in range(3 * triples):
         assert _random_raw(bits) == _choice_raw(old, gens)
     assert new.getstate() == old.getstate()
+
+
+def _word_level_sides(ra, rb, rc):
+    # item 10's loop body before it called the letter kernels: the oracle
+    u = Word.from_raw(ra)
+    v = Word.from_raw(rb)
+    t = Word.from_raw(rc)
+    once = v.letters
+    return ((u * v) * t).letters, (u * (v * t)).letters, (u * ~u).letters, once, reduce_letters(once)
+
+
+def _kernel_sides(ra, rb, rc):
+    u, v, t = reduce_letters(ra), reduce_letters(rb), reduce_letters(rc)
+    mul = multiply_letters
+    return mul(mul(u, v), t), mul(u, mul(v, t)), mul(u, invert_letters(u)), v, reduce_letters(v)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+def test_word_algebra_kernels_match_the_word_level_loop(seed):
+    rng = random.Random(seed * 1009 + 10)
+    bits = rng.getrandbits
+    for _ in range(5_000):
+        raw = _random_raw(bits), _random_raw(bits), _random_raw(bits)
+        assert _kernel_sides(*raw) == _word_level_sides(*raw), raw
+
+
+def test_suite_samples_draw_what_the_validated_words_drew():
+    # items 4, 6 and 9 sample through their free groups
+    for ctx, gen_indices in ((FreeGroup.on("xy"), (X, Y)), (FreeGroup(2), (1, 2))):
+        old, new = random.Random(17), random.Random(17)
+        for _ in range(300):
+            expected = Word(random_reduced(old, gen_indices, old.randrange(0, 41)))
+            assert ctx.sample(new, new.randrange(0, 41)) == expected
+        assert new.getstate() == old.getstate()
 
 
 def test_word_algebra_still_checks_100000_triples():

@@ -181,6 +181,28 @@ def test_random_reduced_respects_length_and_reduction():
         assert is_reduced(letters)
 
 
+def _filtered_random_reduced(rng, gen_indices, length):
+    # random_reduced before it read a successor table: the oracle
+    alphabet = [i for g in gen_indices for i in (g, -g)]
+    if not alphabet or length == 0:
+        return ()
+    out = []
+    for _ in range(length):
+        choices = [l for l in alphabet if not out or out[-1] != -l]
+        out.append(rng.choice(choices))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1009, 2024])
+def test_random_reduced_draws_are_bit_for_bit_the_filtered_draws(seed):
+    old, new = random.Random(seed), random.Random(seed)
+    for gen_indices in ((), (1,), (1, 2), (1, 2, 3), (24, 25)):
+        for length in range(41):
+            expected = _filtered_random_reduced(old, gen_indices, length)
+            assert random_reduced(new, gen_indices, length) == expected
+    assert new.getstate() == old.getstate()
+
+
 def _validated(w):
     # the public constructor checks the range and the reduction
     checked = Word(w.letters)
