@@ -67,10 +67,6 @@ MAX_DOCUMENT_ITEMS = WITNESS_TEXT_BUDGET // 2
 MAX_DOCUMENT_BYTES = 16 * 2**20
 
 
-class CertificateError(ValueError):
-    """A certificate file that cannot even be read as a document."""
-
-
 def document(certs: Sequence[SclCertificate]) -> dict:
     return {"format": FORMAT, "items": [c.as_payload() for c in certs]}
 
@@ -109,25 +105,23 @@ def load_document(path: str | Path) -> dict:
         with open(path, "rb") as fh:
             data = fh.read(MAX_DOCUMENT_BYTES + 1)
     except OSError as exc:
-        raise CertificateError(f"cannot read certificate file: {exc}") from exc
+        raise StepFailure("schema", f"cannot read certificate file: {exc}") from exc
     if len(data) > MAX_DOCUMENT_BYTES:
-        raise CertificateError(
-            f"schema: certificate file longer than {MAX_DOCUMENT_BYTES} bytes"
-        )
+        raise StepFailure("schema", f"certificate file longer than {MAX_DOCUMENT_BYTES} bytes")
     try:
         raw = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise CertificateError(f"schema: not UTF-8 text ({exc})") from exc
+        raise StepFailure("schema", f"not UTF-8 text ({exc})") from exc
     if not raw.strip():
-        raise CertificateError("schema: empty certificate file")
+        raise StepFailure("schema", "empty certificate file")
     try:
         doc = json.loads(raw)
     except ValueError as exc:
         # a JSONDecodeError, or an integer literal past the interpreter's
         # limit on digits
-        raise CertificateError(f"schema: not valid JSON ({exc})") from exc
+        raise StepFailure("schema", f"not valid JSON ({exc})") from exc
     except RecursionError as exc:
-        raise CertificateError("schema: JSON nested too deeply") from exc
+        raise StepFailure("schema", "JSON nested too deeply") from exc
     return doc
 
 
@@ -343,20 +337,25 @@ class VerificationReport(Frozen):
         }
 
 
-def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
+def _checked_items(doc: Any) -> list:
+    """Check the document envelope; return its items."""
     if not isinstance(doc, dict):
-        return VerificationReport(source, (), "schema: document is not an object")
+        raise StepFailure("schema", "document is not an object")
     if doc.get("format") != FORMAT:
-        return VerificationReport(
-            source, (), f"schema: expected format {FORMAT!r}, got {doc.get('format')!r}"
-        )
+        raise StepFailure("schema", f"expected format {FORMAT!r}, got {doc.get('format')!r}")
     items = doc.get("items")
     if not isinstance(items, list):
-        return VerificationReport(source, (), "schema: items must be a list")
+        raise StepFailure("schema", "items must be a list")
     if len(items) > MAX_DOCUMENT_ITEMS:
-        return VerificationReport(
-            source, (), f"schema: {len(items)} items, over the limit of {MAX_DOCUMENT_ITEMS}"
-        )
+        raise StepFailure("schema", f"{len(items)} items, over the limit of {MAX_DOCUMENT_ITEMS}")
+    return items
+
+
+def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
+    try:
+        items = _checked_items(doc)
+    except StepFailure as failure:
+        return VerificationReport(source, (), str(failure))
     checks = []
     for i, item in enumerate(items):
         kind = item.get("kind", "?") if isinstance(item, dict) else "?"
@@ -368,6 +367,6 @@ def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
 def verify_file(path: str | Path) -> VerificationReport:
     try:
         doc = load_document(path)
-    except CertificateError as exc:
-        return VerificationReport(str(path), (), str(exc))
+    except StepFailure as failure:
+        return VerificationReport(str(path), (), str(failure))
     return verify_document(doc, source=str(path))

@@ -35,10 +35,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class UsageError(ValueError):
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sclkit",
@@ -90,20 +86,20 @@ def _emit(args, human: str, doc: dict) -> None:
         try:
             certio.write_text_atomic(text, args.out)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
 def _target_text(args) -> str:
     if (args.word is None) == (args.braid is None):
-        raise UsageError("give exactly one of --word or --braid")
+        raise ValueError("give exactly one of --word or --braid")
     return args.word if args.word is not None else args.braid
 
 
 def cmd_eval(args) -> int:
     if not args.qm:
-        raise UsageError("eval needs --qm")
+        raise ValueError("eval needs --qm")
     group = specs.parse_group(args.group) if args.group else None
     if group is None and args.braid is not None:
         group = BraidGroup(3)
@@ -135,23 +131,23 @@ def _flip_search(pair, g, radius: int):
 
 def cmd_scl_bounds(args) -> int:
     if not args.group:
-        raise UsageError("scl-bounds needs --group with a group or pair spec")
+        raise ValueError("scl-bounds needs --group with a group or pair spec")
     for option, value, least in (
         ("--radius", args.radius, 0), ("--cap", args.cap, 0), ("--n-max", args.n_max, 1),
     ):
         if value < least:
-            raise UsageError(f"{option} must be at least {least}, got {value}")
+            raise ValueError(f"{option} must be at least {least}, got {value}")
     pair = specs.parse_group_pair(args.group)
     ctx = pair.ambient
     text = _target_text(args)
     if len(text) > certio.WITNESS_TEXT_BUDGET:
-        raise UsageError(
+        raise ValueError(
             f"the target has {len(text)} characters: verify refuses targets over "
             f"{certio.WITNESS_TEXT_BUDGET}"
         )
     g = ctx.parse(text)
     if not pair.is_member(g):
-        raise UsageError(f"target {ctx.text(g)} is outside the subgroup of {pair.name}")
+        raise ValueError(f"target {ctx.text(g)} is outside the subgroup of {pair.name}")
     certs: list[SclCertificate] = []
     notes: list[str] = []
 
@@ -161,7 +157,7 @@ def cmd_scl_bounds(args) -> int:
     else:
         # checked before the flip search, which may walk a large ball
         if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
-            raise UsageError(
+            raise ValueError(
                 f"--n-max {args.n_max} is too large for this target: verify refuses "
                 f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
             )
@@ -231,19 +227,14 @@ def cmd_scl_bounds(args) -> int:
 
 def cmd_verify(args) -> int:
     if not os.path.exists(args.path):
-        print(f"error: no certificate file at {args.path}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"no certificate file at {args.path}")
     report = certio.verify_file(args.path)
     _emit(args, report.describe(), report.as_dict())
     return EXIT_PASS if report.ok else EXIT_FAIL
 
 
 def cmd_verify_paper(args) -> int:
-    try:
-        report = suite.run_suite(seed=args.seed, only=args.only)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_USAGE
+    report = suite.run_suite(seed=args.seed, only=args.only)
     _emit(args, "\n".join(report.lines()), report.as_dict())
     return EXIT_PASS if report.ok else EXIT_FAIL
 
@@ -263,18 +254,16 @@ def _attach_braid_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     argv = _attach_braid_values(sys.argv[1:] if argv is None else list(argv))
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+    # argparse exits 2 by itself on a command line it cannot read
+    args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (certio.CertificateError, StepFailure) as exc:
+    except StepFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
-        # UsageError, specs.SpecError and element parse errors
+        # refused input: a bad option, a missing file or suite item,
+        # specs.SpecError and element parse errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -306,12 +306,7 @@ class GroupContext:
     def sample(self, rng, size: int):
         """Random element of word-length about ``size``; deterministic for a
         seeded rng."""
-        out = self.identity
-        gens = self.generators()
-        step = gens + [self.inv(g) for g in gens]
-        for _ in range(size):
-            out = self.mul(out, rng.choice(step))
-        return out
+        raise NotImplementedError
 
 
 class FreeGroup(GroupContext):

@@ -561,7 +561,7 @@ def find_item(key: str) -> Item:
         if wanted in (item.key, item.slug):
             return item
     names = ", ".join(f"{i.key} ({i.slug})" for i in ITEMS)
-    raise KeyError(f"unknown suite item {key!r}; available: {names}")
+    raise ValueError(f"unknown suite item {key!r}; available: {names}")
 
 
 def run_item(item: Item, seed: int, shared: dict[str, ItemResult]) -> ItemResult:

@@ -183,9 +183,11 @@ class StepFailure(Exception):
     """A check found a counterexample: the step that broke, and how.
 
     Every check in the package raises this at its first counterexample and
-    returns only what its callers read when it passes.  ``str()`` gives
-    ``"step: detail"``.  It is not a ValueError, which the command line
-    reads as a usage error (exit 2): a failed check exits 1.
+    returns only what its callers read when it passes; a certificate file
+    that cannot be read, or is not a well-formed document, fails at step
+    ``schema``.  ``str()`` gives ``"step: detail"``.  It is not a
+    ValueError, which the command line reads as refused input (exit 2): a
+    failed check exits 1.
     """
 
     def __init__(self, step: str, detail: str):

@@ -347,13 +347,11 @@ def _exception_classes(trees) -> set[str]:
         found |= more
 
 
-def test_src_defines_one_failure_type_among_five_exception_classes():
+def test_src_defines_one_failure_type_among_three_exception_classes():
     # a check that finds a counterexample raises StepFailure(step, detail);
     # the others refuse input or a hypothesis before any check runs
     trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
-    assert _exception_classes(trees) == {
-        "StepFailure", "PreconditionError", "SpecError", "CertificateError", "UsageError",
-    }
+    assert _exception_classes(trees) == {"StepFailure", "PreconditionError", "SpecError"}
 
 
 def test_the_exception_rule_follows_derived_classes():

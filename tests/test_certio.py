@@ -15,7 +15,6 @@ from sclkit.certio import (
     FORMAT,
     MAX_DOCUMENT_ITEMS,
     WITNESS_TEXT_BUDGET,
-    CertificateError,
     document,
     dumps,
     load_document,
@@ -35,7 +34,7 @@ from sclkit.scl import (
     pure_ordinary_pair,
     upper_from_decomposition,
 )
-from sclkit.words import word
+from sclkit.words import StepFailure, word
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +110,7 @@ def test_verify_file_reports_schema_on_garbage(tmp_path):
 def test_load_document_refuses_bytes_that_are_not_utf8(tmp_path):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff\xfe{")
-    with pytest.raises(CertificateError, match="^schema: not UTF-8"):
+    with pytest.raises(StepFailure, match="^schema: not UTF-8"):
         load_document(path)
     assert verify_file(str(path)).schema_error.startswith("schema: not UTF-8")
 
@@ -119,7 +118,7 @@ def test_load_document_refuses_bytes_that_are_not_utf8(tmp_path):
 def test_load_document_refuses_nesting_past_the_recursion_limit(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
-    with pytest.raises(CertificateError, match="^schema: JSON nested too deeply"):
+    with pytest.raises(StepFailure, match="^schema: JSON nested too deeply"):
         load_document(path)
     assert verify_file(str(path)).schema_error == "schema: JSON nested too deeply"
 
@@ -129,7 +128,7 @@ def test_load_document_refuses_integers_past_the_digit_limit(tmp_path):
     # integer literal of more than 4300 digits
     path = tmp_path / "huge.json"
     path.write_text('{"format": "scl-certificates/1", "items": [' + "9" * 5000 + "]}")
-    with pytest.raises(CertificateError, match="^schema: .*4300 digits"):
+    with pytest.raises(StepFailure, match="^schema: .*4300 digits"):
         load_document(path)
     assert verify_file(str(path)).schema_error.startswith("schema: ")
 
@@ -338,6 +337,10 @@ def test_report_as_dict_has_no_wall_times(tmp_path, upper_cert):
     assert "seconds" not in flat and "time" not in flat
 
 
-def test_load_document_missing_file_raises():
-    with pytest.raises(CertificateError):
-        load_document("/nonexistent/certs.json")
+def test_load_document_missing_file_raises(tmp_path):
+    # a missing file and a directory: open() fails before any byte is read
+    for path in ("/nonexistent/certs.json", tmp_path):
+        with pytest.raises(StepFailure, match="^schema: cannot read certificate file: ") as exc:
+            load_document(path)
+        assert exc.value.step == "schema"
+        assert verify_file(path).schema_error == str(exc.value)

@@ -532,11 +532,36 @@ def test_verify_fails_unreadable_files_at_schema(tmp_path):
     deep.write_text("[" * 100_000)
     huge = tmp_path / "huge.json"
     huge.write_text('{"format": "scl-certificates/1", "items": [' + "9" * 5000 + "]}")
-    for path in (binary, deep, huge):
+    directory = tmp_path / "directory.json"
+    directory.mkdir()
+    for path in (binary, deep, huge, directory):
         r = run_cli("verify", str(path))
         assert r.returncode == 1, r.stderr
         assert "Traceback" not in r.stderr
         assert f"FAIL {path}: schema:" in r.stdout
+    r = run_cli("verify", str(directory), "--format", "json")
+    assert r.returncode == 1, r.stderr
+    assert json.loads(r.stdout)["schema_error"].startswith("schema: cannot read certificate file:")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (
+            ("verify-paper", "--only", "nope"),
+            "error: unknown suite item 'nope'; available: 1 (counting-values), "
+            "2 (flip-identity), 3 (mixed-upper-family), 4 (duality-lower), "
+            "5 (power-commutator), 6 (commutator-packing), 7 (section-extension), "
+            "8 (fragmentation-norm), 9 (pure-braid-splitting), 10 (word-algebra), "
+            "11 (certificate-integrity)\n",
+        ),
+        (("verify", "/nonexistent.json"), "error: no certificate file at /nonexistent.json\n"),
+    ],
+    ids=["unknown-suite-item", "missing-certificate-file"],
+)
+def test_refused_input_prints_one_error_line_and_exits_2(argv, err):
+    r = run_cli(*argv)
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", err)
 
 
 def test_verify_exit_codes(tmp_path):

@@ -47,7 +47,7 @@ def test_item_registry_shape():
 def test_find_item_by_key_and_slug():
     assert find_item("4").slug == "duality-lower"
     assert find_item("duality-lower").key == "4"
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(ValueError) as exc:
         find_item("nope")
     assert "counting-values" in str(exc.value)
 
