@@ -49,8 +49,8 @@ from __future__ import annotations
 import functools
 from typing import Hashable
 
-from .groups import GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
-from .words import Frozen, StepFailure, Word, invert_letters, multiply_letters
+from .groups import FreeGroup, GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
+from .words import Frozen, StepFailure, Word, invert_letters, multiply_letters, parse_ints
 
 @functools.cache
 def _tables(n: int):
@@ -202,7 +202,7 @@ def braid(text: str, n: int) -> BraidWord:
     >>> braid("1,2,-1", 3).letters
     (1, 2, -1)
     """
-    return BraidWord(n, tuple(map(int, filter(str.strip, text.split(",")))))
+    return BraidWord(n, tuple(parse_ints(filter(str.strip, text.split(",")))))
 
 
 def format_braid(b: BraidWord) -> str:
@@ -535,8 +535,6 @@ def p3_coordinates(b: BraidWord) -> P3Coordinates:
 
 def pr1() -> GroupHom:
     """Projection of pure 3-strand braids onto the free factor in x, y."""
-    from .groups import FreeGroup
-
     return GroupHom(
         BraidGroup(3),
         FreeGroup.on("xy"),

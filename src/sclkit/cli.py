@@ -193,11 +193,10 @@ def cmd_scl_bounds(args) -> int:
     best = min(uppers, key=lambda c: c.bound, default=None)
     upper = None if best is None else best.bound
     if upper is not None and lower > upper:
-        print(
-            f"error: certified interval is empty (lower {lower} > upper {upper}); "
-            "refusing to emit", file=sys.stderr,
+        raise StepFailure(
+            "interval", f"certified interval is empty (lower {lower} > upper {upper}); "
+            "refusing to emit",
         )
-        return EXIT_FAIL
 
     doc = certio.document(certs)
     doc["command"] = "scl-bounds"
@@ -208,9 +207,7 @@ def cmd_scl_bounds(args) -> int:
     doc["notes"] = notes
     report = certio.verify_document(doc, source="<fresh>")
     if not report.ok:
-        print("error: self-verification failed before writing:", file=sys.stderr)
-        print(report.describe(), file=sys.stderr)
-        return EXIT_FAIL
+        raise StepFailure("self-verification", f"failed before writing:\n{report.describe()}")
 
     lines = [f"scl bounds for {ctx.text(g) or '(identity)'} in {pair.name} ({pair.mode} mode):"]
     if best is not None:

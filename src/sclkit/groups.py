@@ -30,6 +30,7 @@ from .words import (
     _word,
     format_letters,
     multiply_letters,
+    parse_ints,
     random_reduced,
     word,
     words_of_length,
@@ -411,7 +412,7 @@ class CyclicZ(GroupContext):
         return str(a)
 
     def parse(self, s: str) -> int:
-        return int(s) if s.strip() else 0
+        return parse_ints([s])[0] if s.strip() else 0
 
     def generators(self) -> list[int]:
         return [1]
@@ -530,7 +531,9 @@ class SwapProduct(GroupContext):
 
     def parse(self, s: str):
         a, b, flag = _split_product(s, "(a;b;s)")
-        return ((self.inner.parse(a), self.inner.parse(b)), int(flag) % 2)
+        if flag.strip() not in ("0", "1"):
+            raise ValueError(f"swap flag must be 0 or 1: {s!r}")
+        return ((self.inner.parse(a), self.inner.parse(b)), int(flag))
 
     def generators(self) -> list:
         e = self.inner.identity
@@ -602,7 +605,7 @@ class SymmetricGroup(GroupContext):
 
     def parse(self, s: str):
         """One-line notation, 1-indexed images: '2,1,3'."""
-        images = [int(tok) - 1 for tok in s.replace(" ", "").split(",") if tok]
+        images = [v - 1 for v in parse_ints(filter(str.strip, s.split(",")))]
         if sorted(images) != list(range(self.n)):
             raise ValueError(f"not a permutation of 1..{self.n}: {s!r}")
         return tuple(images)

@@ -36,7 +36,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .groups import BallValues, GroupContext, GroupHom
+from .groups import BallValues, FreeGroup, GroupContext, GroupHom
 from .words import Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
 
 
@@ -183,9 +183,7 @@ class Quasimorphism(Frozen):
         return value if isinstance(value, Fraction) else Fraction(value)
 
 
-def _default_free_context(w: Word) -> "GroupContext":
-    from .groups import FreeGroup
-
+def _default_free_context(w: Word) -> GroupContext:
     return FreeGroup(gen_indices=tuple({abs(l) for l in w.letters}))
 
 

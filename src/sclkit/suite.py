@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import random
 import tempfile
@@ -478,9 +479,8 @@ def _item_certificates(rng, shared):
             raise StepFailure("command line", "verifying a fresh file did not exit 0")
 
         def corrupted(mutate, expected_step):
-            import copy
-
-            bad = copy.deepcopy(doc)
+            # a deep copy of plain JSON that keeps copy off every command's imports
+            bad = json.loads(json.dumps(doc))
             mutate(bad)
             badpath = os.path.join(tmp, "bad.json")
             certio.write_text_atomic(certio.dumps(bad), badpath)

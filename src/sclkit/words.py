@@ -122,6 +122,26 @@ def parse_letters(text: str) -> list[int]:
     return raw
 
 
+def parse_ints(tokens: Iterable[str]) -> list[int]:
+    """The integers the tokens write, each read only as ``str`` prints it,
+    whitespace around it aside: ``+1``, ``01``, ``1_0`` and digits other
+    than ASCII are refused.
+
+    >>> parse_ints([" -12 ", "3"])
+    [-12, 3]
+    """
+    tokens = list(tokens)
+    values = list(map(int, tokens))
+    # a form that int() reads and str() does not print holds a +, _, 0 or
+    # non-ASCII digit; without one, a braid's thousands of tokens skip the loop
+    text = "".join(tokens)
+    if not text.isascii() or "+" in text or "_" in text or "0" in text:
+        for n, token in zip(values, tokens):
+            if str(n) != token.strip():
+                raise ValueError(f"integer {token!r} is not in printed form: write {n}")
+    return values
+
+
 class Frozen:
     """Base of every record and value type: a class's fields are the names
     it annotates in its own body, in order.
@@ -299,10 +319,6 @@ def word(text: str) -> Word:
     'xyyX'
     """
     return Word.from_raw(parse_letters(text))
-
-
-def commutator(a: Word, b: Word) -> Word:
-    return a * b * ~a * ~b
 
 
 def words_of_length(gen_indices: Iterable[int], length: int) -> Iterator[tuple[int, ...]]:

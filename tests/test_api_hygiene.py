@@ -1,19 +1,21 @@
-"""Checks on the package surface: stale exports, unused imports, functions
-only the tests call, stored attributes nobody reads, records written by
-hand, the exception classes, raised AssertionErrors, ``ok`` verdicts
-outside the output records, the places that open files, the functions
-``verify`` runs and the modules a command loads.
+"""Checks on the package surface: unused and function-local imports,
+functions only the tests call, stored attributes nobody reads, records
+written by hand, the exception classes, raised AssertionErrors, ``ok``
+verdicts outside the output records, the places that open files, the
+functions ``verify`` runs, the modules a command loads and the size of the
+verifier kernel.
 
-All but the last two parse the source with ``ast``, so they see what is
-written; the export check then resolves each listed name on the imported
-package.  The import check covers the test modules too, and an attribute
-counts as read when ``src``, the tests or ``perfbench`` read it.  The
-``verify`` check profiles the calls it makes, and the last one imports the
-command line in a fresh process.
+Most checks parse the source with ``ast``, so they see what is written.
+The ``verify`` check profiles the calls it makes, the module checks import
+the package in a fresh process, the kernel check counts lines and the
+README check runs README's library example.  The unused-import check
+covers the test modules too, and an attribute counts as read when ``src``,
+the tests or ``perfbench`` read it.
 """
 
 import ast
 import builtins
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,16 +26,10 @@ from sclkit import certio, cli, suite
 SRC = Path(sclkit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 PERFBENCH = TESTS.parent / "perfbench"
+README = TESTS.parent / "README.md"
 
-
-def _all_names() -> list[str]:
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return [ast.literal_eval(elt) for elt in node.value.elts]
-    raise AssertionError("sclkit/__init__.py defines no __all__")
+# the verifier kernel: the modules ``verify`` imports and runs
+KERNEL = ("words", "groups", "braids", "quasimorphisms", "scl", "specs", "certio")
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
@@ -69,14 +65,6 @@ def _used_names(tree: ast.AST) -> set[str]:
     return used
 
 
-def test_all_names_resolve_once():
-    names = _all_names()
-    duplicates = sorted({n for n in names if names.count(n) > 1})
-    assert not duplicates, f"listed more than once in __all__: {duplicates}"
-    missing = [n for n in names if not hasattr(sclkit, n)]
-    assert not missing, f"__all__ names that do not resolve: {missing}"
-
-
 def test_modules_import_only_names_they_use():
     unused = []
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
@@ -87,6 +75,48 @@ def test_modules_import_only_names_they_use():
             if name not in used:
                 unused.append(f"{path.parent.name}/{path.name}:{line} {name}")
     assert not unused, f"imported but never used: {unused}"
+
+
+def _function_imports(tree: ast.Module) -> list[tuple[str, str]]:
+    """(enclosing function, module) of every import inside a module
+    function or method, nested functions included."""
+    found = []
+    for qualname, node in _functions(tree):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.ImportFrom):
+                found.append((qualname, "." * sub.level + (sub.module or "")))
+            elif isinstance(sub, ast.Import):
+                found += [(qualname, alias.name) for alias in sub.names]
+    return found
+
+
+def test_imports_sit_at_module_tops():
+    # so the module tops are the whole import graph that the kernel test
+    # reads; suite imports cli inside item 11 because cli imports suite
+    allowed = {("suite._item_certificates", ".cli")}
+    found = [
+        f"{path.name} {owner} imports {module}"
+        for path in sorted(SRC.glob("*.py"))
+        for owner, module in _function_imports(ast.parse(path.read_text()))
+        if (f"{path.stem}.{owner}", module) not in allowed
+    ]
+    assert not found, f"move these imports to the module top: {found}"
+    source = """
+import os
+
+def load():
+    import json
+    def inner():
+        from . import words
+    return json
+
+class Table:
+    def rows(self):
+        from .groups import CyclicZ, FreeGroup
+"""
+    assert sorted(_function_imports(ast.parse(source))) == [
+        ("Table.rows", ".groups"), ("load", "."), ("load", "json"),
+    ]
 
 
 def _defaulted_parameters(tree: ast.Module):
@@ -169,12 +199,13 @@ def _functions(tree: ast.Module):
 
 def test_every_function_is_reached_outside_the_tests():
     # a function is reached when src or perfbench reads its name, as a name
-    # or an attribute, or when __all__ exports it; the tracer names its
-    # targets in strings such as "Word.__mul__".  Dunder methods are called
-    # by the interpreter.  Name matching is coarse: a method counts as
-    # reached when any attribute of its name is read.
+    # or an attribute; the tracer names its targets in strings such as
+    # "Word.__mul__".  Dunder methods are called by the interpreter.  Name
+    # matching is coarse: a method counts as reached when any attribute of
+    # its name is read.  Exports do not count, as the package root binds no
+    # names; no function was reached through an export alone.
     exceptions: set[str] = set()
-    reached = set(_all_names())
+    reached = set()
     for path in sorted(SRC.glob("*.py")) + sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(path.read_text())
         reached |= _used_names(tree) | _read_attributes(tree)
@@ -555,6 +586,42 @@ def test_verify_runs_no_search_and_no_suite_code(tmp_path):
         or qualname.partition(".")[0] in searches
     )
     assert not found, f"verify ran: {found}"
+
+
+def _sclkit_modules_after(statement: str) -> list[str]:
+    """The sclkit modules loaded, sorted, after running statement in a
+    fresh process."""
+    code = (f"import sys; {statement}; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'sclkit'))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    return r.stdout.split()
+
+
+def test_certio_imports_only_the_verifier_kernel():
+    # what verify can reach is what a reader must audit; norms, extension,
+    # suite and cli stay outside it, and the command line loads them all
+    assert _sclkit_modules_after("import sclkit") == ["sclkit"]
+    assert _sclkit_modules_after("import sclkit.certio") == sorted(
+        ["sclkit", *(f"sclkit.{m}" for m in KERNEL)]
+    )
+    everything = sorted(f"sclkit.{p.stem}" for p in SRC.glob("*.py")
+                        if p.stem not in ("__init__", "__main__"))
+    assert _sclkit_modules_after("import sclkit.cli") == ["sclkit", *everything]
+
+
+def test_the_verifier_kernel_is_no_longer_than_readme_states():
+    # a change that grows the kernel raises README's figure with it
+    stated = re.search(r"verifier kernel[^.]*? (\d+) lines", README.read_text())
+    assert stated, "README states no line count for the verifier kernel"
+    lines = sum(len((SRC / f"{m}.py").read_text().splitlines()) for m in KERNEL)
+    assert lines <= int(stated[1]), f"the kernel has {lines} lines, README states {stated[1]}"
+
+
+def test_the_readme_library_example_runs():
+    section = README.read_text().split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():

@@ -168,6 +168,10 @@ def test_braid_parse_and_format():
         assert braid(text, 3).letters == (1, 2), text
     with pytest.raises(ValueError, match="invalid literal"):
         braid("1,x", 3)
+    # an index is read only as format_braid prints it
+    for text in ("+1,2", "1,\u0662", "1_0", "01", "1,-0"):
+        with pytest.raises(ValueError, match="not in printed form"):
+            braid(text, 12)
     # the range check names the first bad letter
     for letters, bad in (((1, 5, 0), 5), ((-1, 0, 3), 0), ((2, -3), -3)):
         with pytest.raises(ValueError, match=f"crossing index {bad} out of range for 3 strands"):

@@ -8,11 +8,13 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from garside_helpers import plant_extra_syllable
 from sclkit import braids, certio, cli, suite
+from sclkit.scl import SclCertificate
 from sclkit.words import StepFailure
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
@@ -243,6 +245,44 @@ def test_a_failed_check_inside_a_command_exits_1_at_its_step(monkeypatch, capsys
     assert captured.err == "error: product equality: planted\n"
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def _with_bound(cert, bound):
+    return SclCertificate(cert.kind, cert.pair, cert.target, cert.direction, bound,
+                          cert.power, cert.witness, cert.evidence, cert.note)
+
+
+@pytest.mark.parametrize(
+    "patched, bound, argv, err",
+    [
+        (
+            # a lower bound above the upper one
+            "bavard_lower", Fraction(100),
+            ("--word", "abAB", "--qm", "homog(brooks(w=abAB))"),
+            "error: interval: certified interval is empty (lower 100 > upper ",
+        ),
+        (
+            # an upper bound its own decomposition does not give
+            "upper_from_decomposition", Fraction(1, 100),
+            ("--word", "abAB"),
+            "error: self-verification: failed before writing:\n"
+            "FAIL item 0 (scl-upper-decomposition) at step bound arithmetic: ",
+        ),
+    ],
+    ids=["empty-interval", "self-verification"],
+)
+def test_scl_bounds_fails_its_own_checks_at_a_step_and_writes_nothing(
+    patched, bound, argv, err, monkeypatch, tmp_path, capsys
+):
+    real = getattr(cli, patched)
+    monkeypatch.setattr(cli, patched, lambda *a, **kw: _with_bound(real(*a, **kw), bound))
+    out = tmp_path / "bounds.json"
+    code = cli.main(["scl-bounds", "--group", "free:2", *argv, "--radius", "1", "--cap", "1",
+                     "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err.startswith(err), captured.err
+    assert not out.exists()
 
 
 def test_a_failed_p3_self_certification_in_verify_exits_1_at_its_step(
@@ -599,6 +639,39 @@ def test_verify_exit_codes(tmp_path):
     assert "schema" in (r.stdout + r.stderr).lower()
 
     assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--qm", "hom(indexsum)", "--braid", "+1,2"),
+        ("eval", "--qm", "hom(indexsum)", "--braid", "1,\u0662"),
+        ("eval", "--qm", "hom(indexsum)", "--braid", "0_1"),
+        ("eval", "--qm", "hom(indexsum)", "--braid", "01"),
+        ("eval", "--qm", "zero", "--group", "z", "--word", "+3"),
+        ("eval", "--qm", "zero", "--group", "perm:3", "--word", "2,1,03"),
+        ("scl-bounds", "--group", "braid:3/pure", "--braid", "+" + ALPHA, "--n-max", "2"),
+    ],
+    ids=["plus", "arabic-indic", "underscore", "leading-zero", "z", "perm", "scl-bounds"],
+)
+def test_integers_are_read_only_in_printed_form(args):
+    r = run_cli(*args)
+    assert (r.returncode, r.stdout) == (2, ""), r.stderr
+    assert r.stderr.startswith("error: integer ") and "not in printed form" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_verify_reads_integers_only_in_printed_form(tmp_path):
+    path = tmp_path / "flip.json"
+    assert cli.main(["scl-bounds", "--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "2",
+                     "--format", "json", "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    first, second = doc["items"]
+    first["target"] = "+" + first["target"]
+    factor = second["witness"]["factors"][0]
+    factor[0] = "+" + factor[0]
+    path.write_text(json.dumps(doc))
+    assert _failed_steps(path) == (1, ["target", "witness"])
 
 
 def test_verify_paper_subset_and_bad_key():

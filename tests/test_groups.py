@@ -70,6 +70,9 @@ def test_cyclic_z():
     check_axioms(z, random.Random(202))
     assert z.parse("-3") == -3
     assert z.parse("") == 0
+    for bad in ("+3", "03", "3_0", "\u0663"):
+        with pytest.raises(ValueError, match="not in printed form"):
+            z.parse(bad)
     assert z.power(2, 5) == 10
     assert sorted(z.ball(2)) == [-2, -1, 0, 1, 2]
 
@@ -110,6 +113,11 @@ def test_swap_product_text_round_trips():
     for bad in ("(1,2,2;1)", "(1;2;2;1)"):
         with pytest.raises(ValueError):
             sb.parse(bad)
+    # the flag is 0 or 1 as printed, not any integer taken mod 2
+    assert sb.parse("(1;2; 1 )") == ((sb.inner.parse("1"), sb.inner.parse("2")), 1)
+    for bad in ("(1;2;3)", "(1;2;-1)", "(1;2;+1)", "(1;2;01)", "(1;2;)"):
+        with pytest.raises(ValueError, match="swap flag must be 0 or 1"):
+            sb.parse(bad)
 
 
 def test_permutation_primitives():
@@ -135,6 +143,10 @@ def test_symmetric_group():
     assert s4.text((1, 0, 2, 3)) == "2,1,3,4"
     with pytest.raises(ValueError):
         s4.parse("2,2,3,4")
+    assert s4.parse(" 2 , 1 ,3,4,") == (1, 0, 2, 3)
+    for bad in ("+2,1,3,4", "2,1,03,4", "2,1,3,\u0664"):
+        with pytest.raises(ValueError, match="not in printed form"):
+            s4.parse(bad)
 
 
 def multiplicative_on_samples(hom, rng, count=200, size=8):

@@ -27,7 +27,7 @@ from sclkit.quasimorphisms import (
 )
 from sclkit.scl import alpha_braid
 from sclkit.specs import parse_group, parse_qm
-from sclkit.words import StepFailure, Word, commutator, random_reduced, word
+from sclkit.words import StepFailure, Word, random_reduced, word
 from value_helpers import contains, cyclic_reduce
 
 
@@ -72,7 +72,7 @@ def test_brooks_antisymmetry():
 
 def test_brooks_known_values():
     h = brooks(word("xyXY"))
-    c = commutator(word("x"), word("y"))
+    c = FreeGroup.on("xy").commutator(word("x"), word("y"))
     for n in (1, 2, 5):
         assert h(c**n) == n
     assert h(word("xy")) == 0
@@ -87,7 +87,7 @@ def test_defect_bound_counting():
 
 def test_homogenized_exact_known_values():
     w = word("xyXY")
-    c = commutator(word("x"), word("y"))
+    c = FreeGroup.on("xy").commutator(word("x"), word("y"))
     assert homogenize_counting_exact(w, c) == 1
     assert homogenize_counting_exact(w, word("x")) == 0
     assert homogenize_counting_exact(w, c**3) == 3
@@ -107,7 +107,7 @@ def test_homogenized_qm_is_homogeneous():
 def test_homogenize_interval_contains_exact_value():
     w = word("xyXY")
     h = brooks(w)
-    c = commutator(word("x"), word("y"))
+    c = FreeGroup.on("xy").commutator(word("x"), word("y"))
     exact = homogenize_counting_exact(w, c)
     for n_max in (4, 16, 48):
         cv = homogenize(h, c, n_max)
@@ -117,7 +117,7 @@ def test_homogenize_interval_contains_exact_value():
 
 def test_homogenize_of_homogeneous_is_exact():
     h = brooks_homogenized(word("abAB"))
-    g = commutator(word("a"), word("b"))
+    g = FreeGroup.on("ab").commutator(word("a"), word("b"))
     cv = homogenize(h, g, 5)
     assert cv == CertifiedValue(Fraction(1), Fraction(0))
 

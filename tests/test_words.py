@@ -11,12 +11,12 @@ from sclkit.braids import braid, normal_form
 from sclkit.groups import FreeGroup
 from sclkit.words import (
     Word,
-    commutator,
     cyclic_reduce_letters,
     format_letters,
     invert_letters,
     is_reduced,
     multiply_letters,
+    parse_ints,
     parse_letters,
     random_reduced,
     reduce_letters,
@@ -113,6 +113,19 @@ def test_parse_rejects_garbage():
         format_letters((27,))
 
 
+def test_integers_are_read_only_as_they_are_printed():
+    for n in (0, 7, -7, 12, 10**30):
+        assert parse_ints([str(n), f" \t{n} "]) == [n, n]
+    for text in ("+1", "\u0662", "1_0", "01", "-0", "00"):
+        with pytest.raises(ValueError, match="not in printed form"):
+            parse_ints(["1", text])
+    # the first refused token is named
+    with pytest.raises(ValueError, match="integer ' 01' is not in printed form: write 1$"):
+        parse_ints(["1", " 01", "+2"])
+    with pytest.raises(ValueError, match="invalid literal"):
+        parse_ints(["1", "x"])
+
+
 def test_cyclic_reduce_is_a_conjugation():
     assert cyclic_reduce_letters((1, 2, -1)) == ((2,), (1,))
     rng = random.Random(104)
@@ -127,8 +140,9 @@ def test_cyclic_reduce_is_a_conjugation():
 
 def test_commutator_and_exponent_sum():
     a, b = word("a"), word("b")
-    assert str(commutator(a, b)) == "abAB"
-    assert commutator(a, b).exponent_sum() == 0
+    c = FreeGroup(2).commutator(a, b)
+    assert str(c) == "abAB"
+    assert c.exponent_sum() == 0
     assert word("aab").exponent_sum() == 3
     assert word("aaB").exponent_sum() == 1
 
