@@ -239,24 +239,13 @@ def cached_normal_form(b: BraidWord) -> GarsideNormalForm:
     return normal_form(b)
 
 
-def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
-    """Image in the symmetric group (0-indexed position images)."""
-    # each letter swaps two values of the image, i.e. two entries of its inverse
-    inv = list(range(b.n))
-    for l in b.letters:
-        i = abs(l) - 1
-        inv[i], inv[i + 1] = inv[i + 1], inv[i]
-    return perm_inverse(tuple(inv))
-
-
 def is_pure(b: BraidWord) -> bool:
-    """Whether the braid induces the identity permutation.  On 3 strands:
-    whether its SL(2,Z) image is the identity mod 2 (the determinant is 1,
-    so even off-diagonal entries force odd diagonal ones)."""
-    if b.n == 3:
-        _, _, q, r, _ = b3_key(b)
-        return q % 2 == 0 and r % 2 == 0
-    return underlying_permutation(b) == perm_identity(b.n)
+    """Whether a 3-strand braid induces the identity permutation: whether
+    its SL(2,Z) image is the identity mod 2 (the determinant is 1, so even
+    off-diagonal entries force odd diagonal ones).  ``b3_key`` refuses
+    other strand counts with ValueError."""
+    _, _, q, r, _ = b3_key(b)
+    return q % 2 == 0 and r % 2 == 0
 
 
 def index_sum(b: BraidWord) -> int:

@@ -1,9 +1,11 @@
 """Group contexts: a uniform element-agnostic interface over the concrete
 groups the library computes in.
 
-A context bundles multiplication, inversion, identity, exact equality via
-canonical forms, deterministic ball enumeration and seeded sampling.  Elements
-themselves stay plain immutable values (words, ints, tuples, permutations), so
+A context bundles multiplication, inversion, identity and exact equality via
+canonical forms.  Every context but the swap product also enumerates its
+balls deterministically, and the free, braid, integer and product contexts,
+which the acceptance suite samples, draw seeded samples.  Elements themselves
+stay plain immutable values (words, ints, tuples, permutations), so
 everything here is safe to evaluate concurrently and to use as dict keys via
 ``canonical``.
 
@@ -421,12 +423,12 @@ class CyclicZ(GroupContext):
         return rng.randint(-size, size)
 
 
-def _split_product(s: str, shape: str) -> list[str]:
-    """Split a product element like ``shape`` at each ``;`` outside inner
+def _split_product(s: str) -> list[str]:
+    """Split a product element ``(left;right)`` at the ``;`` outside inner
     parentheses; factor texts may contain commas (braids, permutations)."""
     body = s.strip()
     if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"product element must look like {shape}: {s!r}")
+        raise ValueError(f"product element must look like (left;right): {s!r}")
     inner = body[1:-1]
     parts = []
     depth = start = 0
@@ -439,9 +441,9 @@ def _split_product(s: str, shape: str) -> list[str]:
             parts.append(inner[start:i])
             start = i + 1
     parts.append(inner[start:])
-    if len(parts) != shape.count(";") + 1:
+    if len(parts) != 2:
         raise ValueError(
-            f"product element must look like {shape}, found {len(parts) - 1} "
+            f"product element must look like (left;right), found {len(parts) - 1} "
             f"top-level ';': {s!r}"
         )
     return parts
@@ -476,7 +478,7 @@ class DirectProduct(GroupContext):
         return f"({self.left.text(a[0])};{self.right.text(a[1])})"
 
     def parse(self, s: str):
-        left, right = _split_product(s, "(left;right)")
+        left, right = _split_product(s)
         return (self.left.parse(left), self.right.parse(right))
 
     def generators(self) -> list:
@@ -528,24 +530,6 @@ class SwapProduct(GroupContext):
     def text(self, a) -> str:
         (a0, a1), s = a
         return f"({self.inner.text(a0)};{self.inner.text(a1)};{s})"
-
-    def parse(self, s: str):
-        a, b, flag = _split_product(s, "(a;b;s)")
-        if flag.strip() not in ("0", "1"):
-            raise ValueError(f"swap flag must be 0 or 1: {s!r}")
-        return ((self.inner.parse(a), self.inner.parse(b)), int(flag))
-
-    def generators(self) -> list:
-        e = self.inner.identity
-        base = [((g, e), 0) for g in self.inner.generators()]
-        base += [((e, g), 0) for g in self.inner.generators()]
-        return base + [((e, e), 1)]
-
-    def sample(self, rng, size: int):
-        return (
-            (self.inner.sample(rng, size), self.inner.sample(rng, size)),
-            rng.randint(0, 1),
-        )
 
 
 def perm_identity(n: int) -> tuple[int, ...]:
@@ -620,11 +604,6 @@ class SymmetricGroup(GroupContext):
 
     def elements(self) -> list[tuple[int, ...]]:
         return sorted(itertools.permutations(range(self.n)))
-
-    def sample(self, rng, size: int):
-        images = list(range(self.n))
-        rng.shuffle(images)
-        return tuple(images)
 
 
 class GroupHom(Frozen):

@@ -1,15 +1,16 @@
 """Conjugation-invariant norms: the fragmentation norm and the norm axioms.
 
-A conjugation-invariant norm is a function nu: G -> [0, inf] vanishing
+A conjugation-invariant norm is a function nu: G -> [0, oo) vanishing
 exactly at the identity, symmetric under inversion, subadditive, and
-constant on conjugacy classes.  Values are exact rationals, with a
-distinguished INFINITY object for elements outside the normal closure of
-the chosen subgroup; no float sentinel is ever used.
+constant on conjugacy classes.
 
 The fragmentation norm nu_H counts the least number of conjugates of
-H-elements whose product is f.  It is computed on finite groups only, where
-the breadth-first search is exhaustive: layer k of the search is exactly the
-set of elements of norm k, and every value comes with a witness
+H-elements whose product is f.  As Burago, Ivanov and Polterovich define it
+("Conjugation-invariant norms on groups of geometric origin", Adv. Stud.
+Pure Math. 52, 2008), it is taken for a subgroup H whose conjugates generate
+the whole group, so every value is finite.  It is computed on finite groups
+only, where the breadth-first search is exhaustive: layer k of the search is
+exactly the set of elements of norm k, and every value comes with a witness
 decomposition that multiplies back to f.
 """
 
@@ -20,75 +21,29 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .groups import GroupContext, ProductSearch
-from .words import Frozen, StepFailure
-
-
-class _Infinity:
-    """Positive infinity as a distinguished extended value.
-
-    Supports exactly the arithmetic the norm axiom checks need: comparison
-    with rationals and absorption under addition.
-    """
-
-    _singleton = None
-
-    def __new__(cls) -> "_Infinity":
-        if cls._singleton is None:
-            cls._singleton = super().__new__(cls)
-        return cls._singleton
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __str__(self) -> str:
-        return "inf"
-
-    def __eq__(self, other: object) -> bool:
-        return other is self
-
-    def __hash__(self) -> int:
-        return hash("sclkit-extended-infinity")
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is self
-
-    def __gt__(self, other: object) -> bool:
-        return other is not self
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-
-INFINITY = _Infinity()
+from .words import Frozen, PreconditionError, StepFailure
 
 
 class FragmentationResult(Frozen):
     """Value of the fragmentation norm at one element.
 
     witness is a tuple of (g_i, h_i) pairs whose conjugate product equals
-    the element; None when the element is unreachable and value is INFINITY.
+    the element, one pair per unit of value.
     """
 
-    value: Any
-    witness: tuple[tuple[Any, Any], ...] | None
+    value: int
+    witness: tuple[tuple[Any, Any], ...]
 
 
 class FragmentationNorm:
     """Fragmentation norm nu_H on a finite group, by breadth-first search.
 
     The context must list its elements.  The search over conjugates of
-    H-elements runs to exhaustion up front; everything it never reaches
-    gets norm INFINITY.  Every finite value is re-checked by multiplying
-    its witness back together; a witness that does not reassemble raises
-    StepFailure at "fragmentation witness".
+    H-elements runs to exhaustion up front; if it misses an element, the
+    conjugates of H generate a proper normal subgroup and the norm is
+    refused with PreconditionError.  Every value is re-checked by
+    multiplying its witness back together; a witness that does not
+    reassemble raises StepFailure at "fragmentation witness".
     """
 
     def __init__(self, context: GroupContext, subgroup_gens: Sequence[Any]):
@@ -100,6 +55,11 @@ class FragmentationNorm:
         self._conjugates = self._conjugate_closure()
         self._search = ProductSearch(context, [c for c, _, _ in self._conjugates])
         self._search.grow()
+        if len(self._search.info) != len(context.elements()):
+            raise PreconditionError(
+                "the conjugates of the subgroup generate a proper normal subgroup, "
+                "so the fragmentation norm is not defined on the whole group"
+            )
 
     def _close_subgroup(self) -> list:
         ctx = self.context
@@ -126,10 +86,7 @@ class FragmentationNorm:
 
     def value_with_witness(self, f) -> FragmentationResult:
         ctx = self.context
-        key = ctx.canonical(f)
-        if key not in self._search.info:
-            return FragmentationResult(INFINITY, None)
-        witness = tuple(self._conjugates[idx][1:] for idx in self._search.path(key))
+        witness = tuple(self._conjugates[idx][1:] for idx in self._search.path(ctx.canonical(f)))
         check = ctx.identity
         for g, h in witness:
             check = ctx.mul(check, ctx.conjugate(g, h))
@@ -139,11 +96,8 @@ class FragmentationNorm:
             )
         return FragmentationResult(len(witness), witness)
 
-    def __call__(self, f):
-        res = self.value_with_witness(f)
-        if res.value is INFINITY:
-            return INFINITY
-        return Fraction(res.value)
+    def __call__(self, f) -> Fraction:
+        return Fraction(self.value_with_witness(f).value)
 
 
 class NormAxiomReport(Frozen):

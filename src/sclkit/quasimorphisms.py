@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from .groups import BallValues, FreeGroup, GroupContext, GroupHom
 from .words import Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
@@ -51,43 +51,11 @@ class CertifiedValue(Frozen):
         return f"{self.value} ± {self.radius}"
 
 
-def count_copies(w: Word, g: Word) -> int:
-    """Maximal number of disjoint copies of w inside g (greedy packing).
-
-    Only the letter sequences matter, so pattern and target need not come
-    from the same free group.
-    """
-    if not w.letters:
-        raise ValueError("counting pattern must be nonempty")
-    pattern, text = w.letters, g.letters
-    L, N = len(pattern), len(text)
-    count = 0
-    next_free = 0
-    i = 0
-    while i + L <= N:
-        if i >= next_free and text[i : i + L] == pattern:
-            count += 1
-            next_free = i + L
-            i += L
-        else:
-            i += 1
-    return count
-
-
-def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> tuple[int, int]:
-    """Asymptotic disjoint-copy count per period of the bi-infinite word
-    ``...core core core...``, as (copies, periods) with periods >= 1.
-
-    The greedy scan over the periodic word has finitely many carry states
-    (the overhang of the last copy into the next period), so its increment
-    sequence is eventually periodic; the exact rate is read off one cycle.
-    The starts of copies in one period come from one prefix-function (KMP)
-    pass, and each greedy step jumps to the first start at or after the
-    carry, so the work is linear in |core| + |pattern| up to a log factor.
-    """
-    p, L = len(core), len(pattern)
-    if p == 0 or L == 0:
-        return 0, 1
+def _match_starts(pattern: tuple[int, ...], text: Sequence[int]) -> list[int]:
+    """Start of every copy of a nonempty pattern in text, overlapping copies
+    included, in increasing order: one prefix-function (KMP) pass, linear in
+    |pattern| + |text|."""
+    L = len(pattern)
     # fail[i]: length of the longest proper border of pattern[: i + 1]
     fail = [0] * L
     k = 0
@@ -98,19 +66,54 @@ def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> tuple[int, 
         if letter == pattern[k]:
             k += 1
         fail[i] = k
-    # every window of length L starting in the first period lies in the
-    # first p + L - 1 letters of the periodic word
-    matches = []
+    starts = []
     k = 0
-    for i in range(p + L - 1):
-        letter = core[i % p]
+    for i, letter in enumerate(text):
         while k and letter != pattern[k]:
             k = fail[k - 1]
         if letter == pattern[k]:
             k += 1
             if k == L:
-                matches.append(i + 1 - L)
+                starts.append(i + 1 - L)
                 k = fail[k - 1]
+    return starts
+
+
+def count_copies(w: Word, g: Word) -> int:
+    """Maximal number of disjoint copies of w inside g: the greedy packing
+    takes each copy that starts past the end of the last one taken.
+
+    Only the letter sequences matter, so pattern and target need not come
+    from the same free group.
+    """
+    if not w.letters:
+        raise ValueError("counting pattern must be nonempty")
+    L = len(w.letters)
+    count = next_free = 0
+    for s in _match_starts(w.letters, g.letters):
+        if s >= next_free:
+            count += 1
+            next_free = s + L
+    return count
+
+
+def _cyclic_rate(pattern: tuple[int, ...], core: tuple[int, ...]) -> tuple[int, int]:
+    """Asymptotic disjoint-copy count per period of the bi-infinite word
+    ``...core core core...``, as (copies, periods) with periods >= 1.
+
+    The greedy scan over the periodic word has finitely many carry states
+    (the overhang of the last copy into the next period), so its increment
+    sequence is eventually periodic; the exact rate is read off one cycle.
+    The starts of copies in one period come from one ``_match_starts``
+    pass, and each greedy step jumps to the first start at or after the
+    carry, so the work is linear in |core| + |pattern| up to a log factor.
+    """
+    p, L = len(core), len(pattern)
+    if p == 0 or L == 0:
+        return 0, 1
+    # every window of length L starting in the first period lies in the
+    # first p + L - 1 letters of the periodic word
+    matches = _match_starts(pattern, (core * -(-(p + L - 1) // p))[: p + L - 1])
     if not matches:
         return 0, 1
     n = len(matches)

@@ -4,6 +4,8 @@
 count, the independent oracle for ``b3_key`` on three strands;
 ``nf_to_letters`` writes a normal form back as an Artin word, for round
 trips; ``is_left_weighted`` checks the shape ``normal_form`` promises.
+``underlying_permutation`` walks a word's letters to the permutation it
+induces, the independent oracle for ``is_pure``.
 ``plant_extra_syllable`` breaks the P3 coordinate extraction, whose
 self-check must then fail.
 """
@@ -17,6 +19,16 @@ from sclkit.braids import (
     cached_normal_form,
 )
 from sclkit.groups import perm_compose, perm_inverse
+
+
+def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
+    """Image in the symmetric group (0-indexed position images)."""
+    # each letter swaps two values of the image, i.e. two entries of its inverse
+    inv = list(range(b.n))
+    for l in b.letters:
+        i = abs(l) - 1
+        inv[i], inv[i + 1] = inv[i + 1], inv[i]
+    return perm_inverse(tuple(inv))
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:

@@ -1,12 +1,13 @@
 """Checks on the package surface: unused and function-local imports,
-functions only the tests call, stored attributes nobody reads, records
-written by hand, the exception classes, raised AssertionErrors, ``ok``
-verdicts outside the output records, the places that open files, the
-functions ``verify`` runs, the modules a command loads and the size of the
-verifier kernel.
+functions only the tests call, functions no command runs, stored attributes
+nobody reads, records written by hand, the exception classes, raised
+AssertionErrors, ``ok`` verdicts outside the output records, the places
+that open files, the functions ``verify`` runs, the modules a command loads
+and the size of the verifier kernel.
 
 Most checks parse the source with ``ast``, so they see what is written.
-The ``verify`` check profiles the calls it makes, the module checks import
+The ``verify`` check profiles the calls it makes, the reachability check
+profiles a corpus of commands in a fresh process, the module checks import
 the package in a fresh process, the kernel check counts lines and the
 README check runs README's library example.  The unused-import check
 covers the test modules too, and an attribute counts as read when ``src``,
@@ -15,6 +16,7 @@ the tests or ``perfbench`` read it.
 
 import ast
 import builtins
+import json
 import re
 import subprocess
 import sys
@@ -226,6 +228,172 @@ def test_every_function_is_reached_outside_the_tests():
     )
 
 
+# Runs in a fresh process: argv is the src directory and a scratch directory.
+# The profiler is installed before ``import sclkit.cli``, so code that runs
+# at import counts too.  Prints {command line: exit code}, then the (file
+# stem, first line) of every src code object that ran.
+_CORPUS = r"""
+import contextlib, io, json, sys
+from pathlib import Path
+
+src, tmp = sys.argv[1], Path(sys.argv[2])
+ran, codes = set(), {}
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        ran.add((code.co_filename, code.co_firstlineno))
+
+sys.setprofile(profile)
+from sclkit import cli
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes[" ".join(argv)] = cli.main(list(argv))
+
+ALPHA, X = "1,1,2,2,-1,-1,-2,-2", "1,2,-1,-1,2,1,-2,-2"
+LOWER_QM = "pullback(homog(brooks(w=xyXY)), pr1)"
+flip, lower, search = (tmp / f"{name}.json" for name in ("flip", "lower", "search"))
+# the benchmark's request kinds: flip, search found early and beyond reach,
+# verify on intact and corrupted files, and paper-suite items
+run("scl-bounds", "--group", "braid:3/pure", f"--braid={ALPHA}", "--n-max", "24",
+    "--format", "json", "--out", str(flip))
+run("scl-bounds", "--group", "braid:3/pure-ordinary", "--qm", LOWER_QM, f"--braid={X}",
+    "--radius", "2", "--cap", "1", "--format", "json", "--out", str(lower))
+run("scl-bounds", "--group", "free:2", "--word", "abAB", "--radius", "2", "--cap", "3",
+    "--qm", "homog(brooks(w=abAB))", "--format", "json", "--out", str(search))
+run("scl-bounds", "--group", "free:2", "--word", "abAB" * 7, "--radius", "2", "--cap", "3",
+    "--qm", "homog(brooks(w=abAB))", "--format", "json")
+corrupt = {"bound": json.loads(flip.read_text()), "value": json.loads(lower.read_text())}
+corrupt["bound"]["items"][0]["bound"] = "1/1000"
+corrupt["value"]["items"][-1]["witness"]["value"] = "2"
+for step, doc in corrupt.items():
+    (tmp / f"corrupt-{step}.json").write_text(json.dumps(doc))
+for path in (flip, lower, search, *(tmp / f"corrupt-{step}.json" for step in corrupt)):
+    run("verify", str(path), "--format", "json")
+for k in range(1, 12):
+    if k != 10:
+        run("verify-paper", "--only", str(k), "--seed", "1", "--format", "json")
+# eval on every quasimorphism head and map
+run("eval", "--group", "free:2", "--qm", "zero", "--word", "ab")
+run("eval", "--qm", "hom(indexsum)", "--braid", "1,2")
+run("eval", "--qm", "brooks(w=ab)", "--word", "abab")
+run("eval", "--group", "free:xy", "--qm", "homog(brooks(w=xyXY))", "--word", "xyXY")
+run("eval", "--qm", LOWER_QM, f"--braid={ALPHA}", "--format", "json")
+run("eval", "--group", "product:free:2,z", "--qm", "pullback(brooks(w=ab), proj-left)",
+    "--word", "(ab;3)")
+run("eval", "--group", "product:free:2,braid:3", "--qm", "pullback(hom(indexsum), proj-right)",
+    "--word", "(ab;1,2)")
+# scl-bounds on every group head and pair suffix
+run("scl-bounds", "--group", "z", "--word", "2", "--radius", "1", "--cap", "1")
+run("scl-bounds", "--group", "free:xy", "--word", "xyXY", "--radius", "1", "--cap", "1")
+run("scl-bounds", "--group", "perm:3", "--word", "2,3,1", "--n-max", "1")
+run("scl-bounds", "--group", "braid:4", "--braid", "1,3,-1,-3")
+run("scl-bounds", "--group", "braid:4/comm", "--braid", "1,-2", "--radius", "1", "--cap", "1")
+run("scl-bounds", "--group", "braid:3/comm", "--braid", "1,-2", "--radius", "1", "--cap", "1")
+run("scl-bounds", "--group", "product:free:2,z/left", "--word", "(abAB;0)",
+    "--radius", "1", "--cap", "1")
+sys.setprofile(None)
+print(json.dumps(codes))
+print(json.dumps(sorted(
+    (Path(f).stem, line) for f, line in ran if str(Path(f).resolve().parent) == src
+)))
+"""
+
+
+def _raises_not_implemented_only(node: ast.FunctionDef) -> bool:
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def _all_functions(tree: ast.Module):
+    """(qualified name, first line of its code object) of every def, nested
+    ones included, leaving out dunder methods and bodies that only raise
+    NotImplementedError.  A decorated function's code starts at its first
+    decorator."""
+
+    def visit(node, prefix):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{sub.name}"
+                if isinstance(sub, ast.FunctionDef) and not (
+                    (sub.name.startswith("__") and sub.name.endswith("__"))
+                    or _raises_not_implemented_only(sub)
+                ):
+                    yield name, min([sub.lineno] + [d.lineno for d in sub.decorator_list])
+                yield from visit(sub, f"{name}.")
+            else:
+                yield from visit(sub, prefix)
+
+    yield from visit(tree, "")
+
+
+def test_every_function_runs_under_some_command(tmp_path):
+    # a call trace of one request of each benchmark kind, the paper-suite
+    # items but 10, eval on every quasimorphism head and map and scl-bounds
+    # on every group head and pair suffix; a def that none of them runs has
+    # no caller that matters
+    allowed = {
+        "__main__.run": "the process entry; the corpus calls cli.main in process",
+        "braids.sl2_image": "a target of the benchmark tracer",
+        "groups.SwapProduct.text": "only builds the detail of a failed suite item 5",
+        "suite._random_raw": "suite item 10, left out for time; test_acceptance runs it",
+        "suite._item_word_algebra": "suite item 10, left out for time; test_acceptance runs it",
+        "words._bad_letter": "refuses letters that only library callers can pass",
+    }
+    r = subprocess.run(
+        [sys.executable, "-c", _CORPUS, str(SRC), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert r.returncode == 0, r.stderr
+    codes_line, ran_line = r.stdout.splitlines()
+    # the corrupted files fail verification; every other command passes
+    wrong = {argv: code for argv, code in json.loads(codes_line).items()
+             if code != (1 if "corrupt-" in argv else 0)}
+    assert not wrong, f"unexpected exit codes: {wrong}"
+    ran = {tuple(entry) for entry in json.loads(ran_line)}
+    never = sorted(
+        f"{path.stem}.{qualname}"
+        for path in sorted(SRC.glob("*.py"))
+        for qualname, line in _all_functions(ast.parse(path.read_text()))
+        if (path.stem, line) not in ran
+    )
+    assert never == sorted(allowed), (
+        f"no command runs: {sorted(set(never) - set(allowed))}; "
+        f"allowed but now run: {sorted(set(allowed) - set(never))}"
+    )
+
+
+def test_the_reachability_rule_lists_defs_it_must_see():
+    source = """
+class Shape:
+    def __len__(self):
+        return 0
+
+    def area(self):
+        \"\"\"Subclasses say.\"\"\"
+        raise NotImplementedError
+
+    @property
+    def name(self):
+        def inner():
+            return 1
+        return inner()
+
+def top():
+    raise NotImplementedError("not yet")
+"""
+    assert sorted(_all_functions(ast.parse(source))) == [
+        ("Shape.name", 10), ("Shape.name.inner", 12),
+    ]
+
+
 def _stored_on_self(tree: ast.AST) -> dict[str, int]:
     """Attribute name -> line of every assignment to ``self.<name>`` and of
     every field a ``Frozen`` subclass annotates in its body."""
@@ -325,10 +493,8 @@ def _copies_a_parameter(stmt: ast.stmt, params: set[str]) -> bool:
 
 def test_records_come_from_frozen_not_by_hand():
     # words.Frozen builds __init__, == and hash from annotated fields.  Word
-    # hashes its bare letter tuple; the INFINITY singleton equals itself only
-    allowed = {
-        "Frozen.__eq__", "Frozen.__hash__", "Word.__hash__", "_Infinity.__eq__", "_Infinity.__hash__",
-    }
+    # hashes its bare letter tuple
+    allowed = {"Frozen.__eq__", "Frozen.__hash__", "Word.__hash__"}
     found = [
         f"{path.name}:{line} {name}"
         for path in sorted(SRC.glob("*.py"))

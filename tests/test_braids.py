@@ -9,7 +9,13 @@ import random
 
 import pytest
 
-from garside_helpers import braid_equal, is_left_weighted, nf_to_letters, plant_extra_syllable
+from garside_helpers import (
+    braid_equal,
+    is_left_weighted,
+    nf_to_letters,
+    plant_extra_syllable,
+    underlying_permutation,
+)
 from sclkit import braids
 from sclkit.braids import (
     BraidGroup,
@@ -28,7 +34,6 @@ from sclkit.braids import (
     p3_coordinates,
     pr1,
     sl2_image,
-    underlying_permutation,
 )
 from sclkit.groups import perm_compose, perm_identity
 from sclkit.words import StepFailure, Word, random_reduced
@@ -384,6 +389,14 @@ def test_is_pure():
     assert not is_pure(half_twist(3))
     alpha = BraidGroup(3).commutator(braid("1,1", 3), braid("2,2", 3))
     assert is_pure(alpha)
+
+
+def test_is_pure_refuses_other_strand_counts():
+    # purity is read off the 3-strand key; the permutation walk is the
+    # tests' oracle, not a second code path
+    for b in (braid("1,1", 4), BraidWord(4, ()), braid("1", 2)):
+        with pytest.raises(ValueError, match="defined on 3 strands"):
+            is_pure(b)
 
 
 def test_braid_group_context_round_trip():

@@ -26,20 +26,26 @@ from sclkit.groups import (
 from sclkit.quasimorphisms import Quasimorphism, brooks_homogenized, count_copies
 from sclkit.specs import parse_group
 from sclkit.words import word
+from value_helpers import sample_element
 
 
-def check_axioms(ctx, rng, samples=200, size=6):
+def check_axioms(ctx, rng, samples=200, size=6, sample=None):
+    """The group axioms and the text round trip on elements drawn by
+    ``sample(rng, size)``, by default ``ctx.sample``.  The swap product has
+    no parser, so it skips the round trip."""
+    draw = sample or ctx.sample
     e = ctx.identity
     for _ in range(samples):
-        a = ctx.sample(rng, rng.randrange(0, size))
-        b = ctx.sample(rng, rng.randrange(0, size))
-        c = ctx.sample(rng, rng.randrange(0, size))
+        a = draw(rng, rng.randrange(0, size))
+        b = draw(rng, rng.randrange(0, size))
+        c = draw(rng, rng.randrange(0, size))
         assert ctx.eq(ctx.mul(ctx.mul(a, b), c), ctx.mul(a, ctx.mul(b, c)))
         assert ctx.product_key(a, b) == ctx.canonical(ctx.mul(a, b))
         assert ctx.eq(ctx.mul(a, ctx.inv(a)), e)
         assert ctx.eq(ctx.mul(e, a), a)
-        assert ctx.eq(ctx.parse(ctx.text(a)), a)
-        assert ctx.canonical(a) == ctx.canonical(ctx.parse(ctx.text(a)))
+        if not isinstance(ctx, SwapProduct):
+            assert ctx.eq(ctx.parse(ctx.text(a)), a)
+            assert ctx.canonical(a) == ctx.canonical(ctx.parse(ctx.text(a)))
 
 
 def test_free_group_axioms_and_text():
@@ -91,7 +97,8 @@ def test_direct_product_axioms_and_nested_parse():
 def test_swap_product_realizes_commuting_supports():
     f2 = FreeGroup(2)
     sp = SwapProduct(f2)
-    check_axioms(sp, random.Random(205), samples=150, size=4)
+    check_axioms(sp, random.Random(205), samples=150, size=4,
+                 sample=lambda rng, size: sample_element(sp, rng, size))
     a = f2.parse("a")
     f = ((a, f2.identity), 0)
     g = ((f2.identity, f2.identity), 1)
@@ -101,23 +108,11 @@ def test_swap_product_realizes_commuting_supports():
 
 
 def test_swap_product_text_round_trips():
-    # braid texts contain commas, so the coordinates are split at ';'
-    for sp in (SwapProduct(FreeGroup(2)), SwapProduct(BraidGroup(3))):
-        rng = random.Random(206)
-        for _ in range(100):
-            g = sp.sample(rng, rng.randrange(0, 6))
-            assert sp.eq(sp.parse(sp.text(g)), g), sp.text(g)
+    # no command parses a swap-product element, so only the text is pinned:
+    # braid texts contain commas, so the coordinates are separated by ';'
     sb = SwapProduct(BraidGroup(3))
     g = ((sb.inner.parse("1,2"), sb.inner.parse("2")), 1)
     assert sb.text(g) == "(1,2;2;1)"
-    for bad in ("(1,2,2;1)", "(1;2;2;1)"):
-        with pytest.raises(ValueError):
-            sb.parse(bad)
-    # the flag is 0 or 1 as printed, not any integer taken mod 2
-    assert sb.parse("(1;2; 1 )") == ((sb.inner.parse("1"), sb.inner.parse("2")), 1)
-    for bad in ("(1;2;3)", "(1;2;-1)", "(1;2;+1)", "(1;2;01)", "(1;2;)"):
-        with pytest.raises(ValueError, match="swap flag must be 0 or 1"):
-            sb.parse(bad)
 
 
 def test_permutation_primitives():
@@ -136,7 +131,7 @@ def test_permutation_primitives():
 
 def test_symmetric_group():
     s4 = SymmetricGroup(4)
-    check_axioms(s4, random.Random(206))
+    check_axioms(s4, random.Random(206), sample=lambda rng, size: sample_element(s4, rng, size))
     assert len(list(s4.elements())) == 24
     assert len(s4.ball(6)) == 24
     assert s4.parse("2,1,3,4") == (1, 0, 2, 3)
@@ -302,7 +297,7 @@ def _element_text(ctx, rng) -> str:
     a few characters of the alphabet."""
     family = rng.randrange(3)
     if family == 0:
-        text = ctx.text(ctx.sample(rng, rng.randrange(6)))
+        text = ctx.text(sample_element(ctx, rng, rng.randrange(6)))
         for _ in range(rng.randrange(4)):
             i = rng.randrange(len(text) + 1)
             edit = rng.randrange(4)

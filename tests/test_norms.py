@@ -1,27 +1,17 @@
-"""Conjugation-invariant norms: fragmentation values, axioms, infinities."""
-
-from fractions import Fraction
+"""Conjugation-invariant norms: fragmentation values, axioms, refusals."""
 
 import pytest
 
 from sclkit.braids import BraidGroup
 from sclkit.groups import SymmetricGroup, cycle_count
-from sclkit.norms import INFINITY, FragmentationNorm, norm_axiom_report
-from sclkit.words import StepFailure
+from sclkit.norms import FragmentationNorm, norm_axiom_report
+from sclkit.words import PreconditionError, StepFailure
 
 
 def transposition(n, i, j):
     images = list(range(n))
     images[i], images[j] = images[j], images[i]
     return tuple(images)
-
-
-def test_infinity_arithmetic():
-    assert INFINITY + 1 is INFINITY
-    assert 1 + INFINITY is INFINITY
-    assert INFINITY > 10**9
-    assert not (INFINITY < INFINITY)
-    assert min(INFINITY, Fraction(2)) == 2
 
 
 def test_fragmentation_matches_cycle_formula_on_s4():
@@ -50,13 +40,11 @@ def test_fragmentation_norm_refuses_an_infinite_group():
         FragmentationNorm(b3, [b3.parse("1")])
 
 
-def test_fragmentation_unreachable_elements_are_infinite():
-    s4 = SymmetricGroup(4)
-    # conjugates of a 3-cycle stay even; odd permutations are unreachable
-    nu = FragmentationNorm(s4, [(1, 2, 0, 3)])
-    assert nu(transposition(4, 0, 1)) is INFINITY
-    assert nu((1, 2, 0, 3)) == 1
-    assert nu(s4.identity) == 0
+def test_fragmentation_norm_refuses_a_proper_normal_closure():
+    # the conjugates of a 3-cycle generate A4, so no odd permutation is a
+    # product of them and the norm is not defined on S4
+    with pytest.raises(PreconditionError, match="proper normal subgroup"):
+        FragmentationNorm(SymmetricGroup(4), [(1, 2, 0, 3)])
 
 
 def test_norm_axioms_exhaustive_on_s4():

@@ -20,6 +20,7 @@ from sclkit.specs import (
     parse_qm,
 )
 from sclkit.words import word
+from value_helpers import sample_element
 
 
 @pytest.mark.parametrize(
@@ -235,7 +236,7 @@ def test_parse_qm_group_mismatch():
 def test_element_text_round_trips(spec):
     ctx = parse_group(spec)
     rng = random.Random(900)
-    elements = ctx.ball(2) + [ctx.sample(rng, rng.randrange(0, 9)) for _ in range(100)]
+    elements = ctx.ball(2) + [sample_element(ctx, rng, rng.randrange(0, 9)) for _ in range(100)]
     for g in elements:
         assert ctx.eq(ctx.parse(ctx.text(g)), g), ctx.text(g)
 

@@ -2,11 +2,13 @@
 
 ``cyclic_reduce`` splits a Word as conjugator * core * conjugator^-1 with a
 cyclically reduced core; ``contains`` asks whether a CertifiedValue's
-interval holds an exact value.
+interval holds an exact value; ``sample_element`` draws seeded elements of
+the contexts that no command samples.
 """
 
 from fractions import Fraction
 
+from sclkit.groups import DirectProduct, SwapProduct, SymmetricGroup
 from sclkit.quasimorphisms import CertifiedValue
 from sclkit.words import Word, cyclic_reduce_letters
 
@@ -20,3 +22,22 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
 def contains(cv: CertifiedValue, exact: Fraction) -> bool:
     """Whether exact lies within the certified radius of the value."""
     return abs(cv.value - exact) <= cv.radius
+
+
+def sample_element(ctx, rng, size: int):
+    """A seeded element of ctx of word-length about size: ``ctx.sample``
+    where sclkit defines it, a shuffle of the points of a permutation group,
+    both coordinates and the flag of a swap product, and each factor of a
+    direct product by this function, with size split as
+    ``DirectProduct.sample`` splits it."""
+    if isinstance(ctx, SymmetricGroup):
+        images = list(range(ctx.n))
+        rng.shuffle(images)
+        return tuple(images)
+    if isinstance(ctx, SwapProduct):
+        pair = (sample_element(ctx.inner, rng, size), sample_element(ctx.inner, rng, size))
+        return pair, rng.randint(0, 1)
+    if isinstance(ctx, DirectProduct):
+        i = rng.randint(0, size)
+        return (sample_element(ctx.left, rng, i), sample_element(ctx.right, rng, size - i))
+    return ctx.sample(rng, size)
