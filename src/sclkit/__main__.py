@@ -1,22 +1,27 @@
 """Process entry of ``python -m sclkit`` and of the ``sclkit`` console script.
 
-Once ``cli.main`` has returned, ``gc.freeze()`` moves every live object to
-the permanent generation, so the interpreter's final collection at shutdown
-has nothing to traverse (about 10 ms of every command).  ``atexit`` handlers
-and stream flushing run as before.  Callers of ``cli.main`` in a longer-lived
-process keep their collector untouched.
+Once ``cli.main`` has returned, ``run`` flushes ``sys.stdout`` and
+``sys.stderr`` and ends the process with ``os._exit``, so the interpreter's
+teardown (module cleanup and its final collection) is skipped.  sclkit
+registers no ``atexit`` handler, and every file a command writes is closed
+before ``main`` returns.  An argparse exit or an uncaught exception leaves
+``main`` by raising and takes the normal exit path.  Callers of ``cli.main``
+in a longer-lived process are unaffected.
 """
 
-import gc
+import os
+import sys
+from typing import NoReturn
 
 from .cli import main
 
 
-def run() -> int:
+def run() -> NoReturn:
     code = main()
-    gc.freeze()
-    return code
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    raise SystemExit(run())
+    run()

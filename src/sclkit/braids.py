@@ -254,11 +254,6 @@ def index_sum(b: BraidWord) -> int:
     return sum(1 if l > 0 else -1 for l in b.letters)
 
 
-def index_section(k: int, n: int = 3) -> BraidWord:
-    """The section of index_sum powered by the first generator: k -> s1^k."""
-    return BraidWord(n, (1,) * k if k >= 0 else (-1,) * (-k))
-
-
 def half_twist(n: int) -> BraidWord:
     letters = []
     for size in range(n - 1, 0, -1):

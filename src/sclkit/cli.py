@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from . import certio, specs, suite
 from .braids import BraidGroup
+from .groups import FreeGroup
 from .scl import (
     MixedCommutatorDecomposition,
     SclCertificate,
@@ -155,13 +156,17 @@ def cmd_scl_bounds(args) -> int:
         empty = MixedCommutatorDecomposition(pair, g, ())
         certs.append(upper_from_decomposition(g, 1, empty, note="the identity needs no factors"))
     else:
-        # checked before the flip search, which may walk a large ball
-        if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
-            raise ValueError(
-                f"--n-max {args.n_max} is too large for this target: verify refuses "
-                f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
-            )
-        flipper = _flip_search(pair, g, args.radius)
+        # no nontrivial element of a free group is conjugate to its inverse,
+        # so a free target has no flip family and goes straight to the search
+        flipper = None
+        if not isinstance(ctx, FreeGroup):
+            # checked before the flip search, which may walk a large ball
+            if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
+                raise ValueError(
+                    f"--n-max {args.n_max} is too large for this target: verify refuses "
+                    f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
+                )
+            flipper = _flip_search(pair, g, args.radius)
         if flipper is not None:
             note = f"flip decomposition: {ctx.text(flipper)} conjugates the target to its inverse"
             for n in range(1, args.n_max + 1):

@@ -13,6 +13,9 @@ The extension restricts to phi exactly: on subgroup elements the section
 contributes nothing and homogenisation fixes the already homogeneous phi.
 Off the subgroup, phi_hat is reported as a certified interval
 (truncated-limit value with radius D(phi')/n_max), never a bare number.
+That interval comes from ``homogenize`` and the braid leg's section from
+``index_section``; both live here, outside the verifier kernel, since only
+the extension and the suite use them.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .braids import index_section, index_sum
+from .braids import BraidWord, index_sum
 from .groups import BallValues, GroupContext
-from .quasimorphisms import CertifiedValue, Quasimorphism, homogenize
+from .quasimorphisms import Quasimorphism
 from .scl import GroupPair, braid_commutator_pair, product_left_pair
 from .words import Frozen, PreconditionError, StepFailure
 
@@ -80,6 +83,11 @@ def central_z_section(inner: GroupContext | None = None) -> SectionData:
     )
 
 
+def index_section(k: int, n: int = 3) -> BraidWord:
+    """The section of index_sum powered by the first generator: k -> s1^k."""
+    return BraidWord(n, (1,) * k if k >= 0 else (-1,) * (-k))
+
+
 def braid_abelianization_section(n: int = 3) -> SectionData:
     """Section k -> s1^k of the index-sum projection on the braid group;
     the kernel is the commutator subgroup."""
@@ -89,6 +97,31 @@ def braid_abelianization_section(n: int = 3) -> SectionData:
         section=lambda k: index_section(k, n),
         name=f"section(quotient=Z, map=s1^k) on braid:{n}",
     )
+
+
+class CertifiedValue(Frozen):
+    """A rational value together with a certified error radius."""
+
+    __slots__ = ("value", "radius")
+    value: Fraction
+    radius: Fraction
+
+    def __str__(self) -> str:
+        return f"{self.value} ± {self.radius}"
+
+
+def homogenize(qm: Quasimorphism, g, n_max: int) -> CertifiedValue:
+    """Truncated homogenisation qm(g^n)/n with its certified error radius.
+
+    For a quasimorphism with defect D, |qm(g^n)/n - limit| <= D/n.  An already
+    homogeneous quasimorphism is evaluated exactly.
+    """
+    if n_max < 1:
+        raise ValueError("truncation order must be positive")
+    if qm.homogeneous:
+        return CertifiedValue(qm(g), Fraction(0))
+    value = Fraction(qm(qm.context.power(g, n_max)), n_max)
+    return CertifiedValue(value, Fraction(qm.defect_upper, n_max))
 
 
 class ExtensionResult(Frozen):

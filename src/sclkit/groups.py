@@ -2,9 +2,9 @@
 groups the library computes in.
 
 A context bundles multiplication, inversion, identity and exact equality via
-canonical forms.  Every context but the swap product also enumerates its
-balls deterministically, and the free, braid, integer and product contexts,
-which the acceptance suite samples, draw seeded samples.  Elements themselves
+canonical forms.  Every context also enumerates its balls
+deterministically, and the free, braid, integer and product contexts, which
+the acceptance suite samples, draw seeded samples.  Elements themselves
 stay plain immutable values (words, ints, tuples, permutations), so
 everything here is safe to evaluate concurrently and to use as dict keys via
 ``canonical``.
@@ -491,47 +491,6 @@ class DirectProduct(GroupContext):
         return (self.left.sample(rng, i), self.right.sample(rng, size - i))
 
 
-class SwapProduct(GroupContext):
-    """Semidirect product (G x G) : Z/2, the swap acting by exchanging the
-    two coordinates.  Elements are ((a, b), s) with s in {0, 1}, written (a;b;s).
-
-    This is the smallest exact model of elements with disjoint commuting
-    supports: for f = ((x, 1), 0) and g = ((1, 1), 1), the conjugate
-    g f^-1 g^-1 = ((1, x^-1), 0) commutes with f, and [f, g] = ((x, x^-1), 0).
-    """
-
-    def __init__(self, inner: GroupContext):
-        self.inner = inner
-        self.name = f"swapproduct:{inner.name}"
-
-    def _act(self, s: int, pair):
-        return (pair[1], pair[0]) if s else pair
-
-    def mul(self, a, b):
-        (a0, a1), s = a
-        (b0, b1), t = b
-        c0, c1 = self._act(s, (b0, b1))
-        return ((self.inner.mul(a0, c0), self.inner.mul(a1, c1)), (s + t) % 2)
-
-    def inv(self, a):
-        (a0, a1), s = a
-        i0, i1 = self._act(s, (self.inner.inv(a0), self.inner.inv(a1)))
-        return ((i0, i1), s)
-
-    @property
-    def identity(self):
-        e = self.inner.identity
-        return ((e, e), 0)
-
-    def canonical(self, a) -> Hashable:
-        (a0, a1), s = a
-        return (self.inner.canonical(a0), self.inner.canonical(a1), s)
-
-    def text(self, a) -> str:
-        (a0, a1), s = a
-        return f"({self.inner.text(a0)};{self.inner.text(a1)};{s})"
-
-
 def perm_identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
@@ -546,20 +505,6 @@ def perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def cycle_count(p: tuple[int, ...]) -> int:
-    """Number of cycles, fixed points included."""
-    seen = [False] * len(p)
-    cycles = 0
-    for i in range(len(p)):
-        if not seen[i]:
-            cycles += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-    return cycles
 
 
 class SymmetricGroup(GroupContext):

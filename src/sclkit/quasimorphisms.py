@@ -40,17 +40,6 @@ from .groups import BallValues, FreeGroup, GroupContext, GroupHom
 from .words import Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
 
 
-class CertifiedValue(Frozen):
-    """A rational value together with a certified error radius."""
-
-    __slots__ = ("value", "radius")
-    value: Fraction
-    radius: Fraction
-
-    def __str__(self) -> str:
-        return f"{self.value} ± {self.radius}"
-
-
 def _match_starts(pattern: tuple[int, ...], text: Sequence[int]) -> list[int]:
     """Start of every copy of a nonempty pattern in text, overlapping copies
     included, in increasing order: one prefix-function (KMP) pass, linear in
@@ -248,20 +237,6 @@ def hom_qm(context: GroupContext, fn: Callable[[Any], int], name: str) -> Quasim
         defect_provenance="homomorphism",
         invariant=True,
     )
-
-
-def homogenize(qm: Quasimorphism, g, n_max: int) -> CertifiedValue:
-    """Truncated homogenisation qm(g^n)/n with its certified error radius.
-
-    For a quasimorphism with defect D, |qm(g^n)/n - limit| <= D/n.  An already
-    homogeneous quasimorphism is evaluated exactly.
-    """
-    if n_max < 1:
-        raise ValueError("truncation order must be positive")
-    if qm.homogeneous:
-        return CertifiedValue(qm(g), Fraction(0))
-    value = Fraction(qm(qm.context.power(g, n_max)), n_max)
-    return CertifiedValue(value, Fraction(qm.defect_upper, n_max))
 
 
 def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:

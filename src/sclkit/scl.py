@@ -233,53 +233,6 @@ def mixed_cl_search(
     return ClSearchResult(count, decomposition, f"= {count}", len(moves))
 
 
-def commutator_identity_xy(
-    ctx: GroupContext, x: Any, y: Any, n: int
-) -> MixedCommutatorDecomposition:
-    """Explicit n-commutator decomposition of (xy)^{2n} x^{-2n} y^{-2n}.
-
-    Built by induction: peeling (xy)^2 off the front leaves the (n-1) case
-    conjugated by (xy)^2 times one extra commutator.  The closing step is
-    the rewrite a b c a^-1 b^-1 c^-1 = [ab, ca^-1] with a = x, b = yx,
-    c = y^{2n-1}, whose product telescopes to (xy)^2 y^{2n-2} x^-2 y^{-2n}.
-    Valid in any group, for any x and y.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    pair = ordinary_pair(ctx)
-    factors: list[tuple[Any, Any]] = []
-    shift = ctx.power(ctx.mul(x, y), 2)
-    for m in range(1, n + 1):
-        # factor closing the m-th peel: [x y x, y^{2m-1} x^-1]
-        u = ctx.mul(ctx.mul(x, y), x)
-        v = ctx.mul(ctx.power(y, 2 * m - 1), ctx.inv(x))
-        factors = [(ctx.conjugate(shift, a), ctx.conjugate(shift, b)) for a, b in factors]
-        factors.append((u, v))
-    xy = ctx.mul(x, y)
-    target = ctx.mul(
-        ctx.power(xy, 2 * n),
-        ctx.mul(ctx.power(x, -2 * n), ctx.power(y, -2 * n)),
-    )
-    return MixedCommutatorDecomposition(pair, target, tuple(factors))
-
-
-def power_commutator(ctx: GroupContext, f: Any, g: Any, n: int) -> MixedCommutatorDecomposition:
-    """[f, g]^n as the single commutator [f^n, g], requiring f to commute
-    with g f^-1 g^-1 (checked exactly; violation raises PreconditionError)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = ctx.conjugate(g, ctx.inv(f))
-    if not ctx.eq(ctx.mul(f, c), ctx.mul(c, f)):
-        raise PreconditionError(
-            f"{ctx.text(f)} does not commute with {ctx.text(c)}"
-        )
-    pair = ordinary_pair(ctx)
-    target = ctx.power(ctx.commutator(f, g), n)
-    if n == 0:
-        return MixedCommutatorDecomposition(pair, target, ())
-    return MixedCommutatorDecomposition(pair, target, ((ctx.power(f, n), g),))
-
-
 def conjugate_flip_decomposition(
     pair: GroupPair, base: Any, flipper: Any, n: int
 ) -> MixedCommutatorDecomposition:

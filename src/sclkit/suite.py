@@ -6,6 +6,11 @@ counterexample, naming the property that broke.  Items that
 produce certificates hand them to the final integrity item, which writes
 them to disk, re-verifies them through the file pathway, and confirms that
 corrupted copies fail at the named step.
+
+Code that only the items run lives here, next to the item that runs it, so
+the verifier kernel does not carry it: the swap product and
+``power_commutator`` (item 5), ``commutator_identity_xy`` (item 6) and
+``cycle_count`` (item 8).
 """
 
 from __future__ import annotations
@@ -19,13 +24,12 @@ import tempfile
 import time
 from collections import deque
 from fractions import Fraction
-from typing import Callable
+from typing import Any, Callable, Hashable
 
 from . import certio
 from .braids import (
     BraidGroup,
     half_twist,
-    index_section,
     index_sum,
     normal_form,
     p3_assemble,
@@ -37,14 +41,15 @@ from .extension import (
     central_z_section,
     defect_chain_check,
     extend_via_section,
+    homogenize,
+    index_section,
     restriction_check,
 )
 from .groups import (
     DirectProduct,
     FreeGroup,
-    SwapProduct,
+    GroupContext,
     SymmetricGroup,
-    cycle_count,
     perm_identity,
     proj_left,
 )
@@ -54,18 +59,17 @@ from .quasimorphisms import (
     brooks_homogenized,
     count_copies,
     defect_search,
-    homogenize,
     homogenize_counting_exact,
     invariance_check,
     pullback,
     zero_qm,
 )
 from .scl import (
+    MixedCommutatorDecomposition,
     alpha_braid,
     bavard_lower,
-    commutator_identity_xy,
     conjugate_flip_decomposition,
-    power_commutator,
+    ordinary_pair,
     pure_ordinary_pair,
     braid_pure_pair,
     upper_from_decomposition,
@@ -241,6 +245,64 @@ def _item_duality_lower(rng, shared):
 # --- item 5: powers of a commutator collapsing to one commutator ---------
 
 
+class SwapProduct(GroupContext):
+    """Semidirect product (G x G) : Z/2, the swap acting by exchanging the
+    two coordinates.  Elements are ((a, b), s) with s in {0, 1}, written (a;b;s).
+
+    This is the smallest exact model of elements with disjoint commuting
+    supports: for f = ((x, 1), 0) and g = ((1, 1), 1), the conjugate
+    g f^-1 g^-1 = ((1, x^-1), 0) commutes with f, and [f, g] = ((x, x^-1), 0).
+    """
+
+    def __init__(self, inner: GroupContext):
+        self.inner = inner
+        self.name = f"swapproduct:{inner.name}"
+
+    def _act(self, s: int, pair):
+        return (pair[1], pair[0]) if s else pair
+
+    def mul(self, a, b):
+        (a0, a1), s = a
+        (b0, b1), t = b
+        c0, c1 = self._act(s, (b0, b1))
+        return ((self.inner.mul(a0, c0), self.inner.mul(a1, c1)), (s + t) % 2)
+
+    def inv(self, a):
+        (a0, a1), s = a
+        i0, i1 = self._act(s, (self.inner.inv(a0), self.inner.inv(a1)))
+        return ((i0, i1), s)
+
+    @property
+    def identity(self):
+        e = self.inner.identity
+        return ((e, e), 0)
+
+    def canonical(self, a) -> Hashable:
+        (a0, a1), s = a
+        return (self.inner.canonical(a0), self.inner.canonical(a1), s)
+
+    def text(self, a) -> str:
+        (a0, a1), s = a
+        return f"({self.inner.text(a0)};{self.inner.text(a1)};{s})"
+
+
+def power_commutator(ctx: GroupContext, f: Any, g: Any, n: int) -> MixedCommutatorDecomposition:
+    """[f, g]^n as the single commutator [f^n, g], requiring f to commute
+    with g f^-1 g^-1 (checked exactly; violation raises PreconditionError)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    c = ctx.conjugate(g, ctx.inv(f))
+    if not ctx.eq(ctx.mul(f, c), ctx.mul(c, f)):
+        raise PreconditionError(
+            f"{ctx.text(f)} does not commute with {ctx.text(c)}"
+        )
+    pair = ordinary_pair(ctx)
+    target = ctx.power(ctx.commutator(f, g), n)
+    if n == 0:
+        return MixedCommutatorDecomposition(pair, target, ())
+    return MixedCommutatorDecomposition(pair, target, ((ctx.power(f, n), g),))
+
+
 def _item_power_commutator(rng, shared):
     # disjoint commuting supports need the coordinate swap; inside a plain
     # product the hypothesis only holds degenerately
@@ -276,6 +338,36 @@ def _item_power_commutator(rng, shared):
 
 
 # --- item 6: the packing identity ----------------------------------------
+
+
+def commutator_identity_xy(
+    ctx: GroupContext, x: Any, y: Any, n: int
+) -> MixedCommutatorDecomposition:
+    """Explicit n-commutator decomposition of (xy)^{2n} x^{-2n} y^{-2n}.
+
+    Built by induction: peeling (xy)^2 off the front leaves the (n-1) case
+    conjugated by (xy)^2 times one extra commutator.  The closing step is
+    the rewrite a b c a^-1 b^-1 c^-1 = [ab, ca^-1] with a = x, b = yx,
+    c = y^{2n-1}, whose product telescopes to (xy)^2 y^{2n-2} x^-2 y^{-2n}.
+    Valid in any group, for any x and y.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    pair = ordinary_pair(ctx)
+    factors: list[tuple[Any, Any]] = []
+    shift = ctx.power(ctx.mul(x, y), 2)
+    for m in range(1, n + 1):
+        # factor closing the m-th peel: [x y x, y^{2m-1} x^-1]
+        u = ctx.mul(ctx.mul(x, y), x)
+        v = ctx.mul(ctx.power(y, 2 * m - 1), ctx.inv(x))
+        factors = [(ctx.conjugate(shift, a), ctx.conjugate(shift, b)) for a, b in factors]
+        factors.append((u, v))
+    xy = ctx.mul(x, y)
+    target = ctx.mul(
+        ctx.power(xy, 2 * n),
+        ctx.mul(ctx.power(x, -2 * n), ctx.power(y, -2 * n)),
+    )
+    return MixedCommutatorDecomposition(pair, target, tuple(factors))
 
 
 def _item_packing(rng, shared):
@@ -326,6 +418,20 @@ def _item_extension(rng, shared):
 
 
 # --- item 8: the fragmentation norm against the transposition count ------
+
+
+def cycle_count(p: tuple[int, ...]) -> int:
+    """Number of cycles, fixed points included."""
+    seen = [False] * len(p)
+    cycles = 0
+    for i in range(len(p)):
+        if not seen[i]:
+            cycles += 1
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = p[j]
+    return cycles
 
 
 def _item_fragmentation(rng, shared):

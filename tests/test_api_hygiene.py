@@ -231,23 +231,27 @@ def test_every_function_is_reached_outside_the_tests():
 # Runs in a fresh process: argv is the src directory and a scratch directory.
 # The profiler is installed before ``import sclkit.cli``, so code that runs
 # at import counts too.  Prints {command line: exit code}, then the (file
-# stem, first line) of every src code object that ran.
+# stem, first line) of every src code object that ran outside the
+# ``verify-paper`` lines (import included), then of every one those lines ran.
 _CORPUS = r"""
 import contextlib, io, json, sys
 from pathlib import Path
 
 src, tmp = sys.argv[1], Path(sys.argv[2])
-ran, codes = set(), {}
+ran = {"other": set(), "verify-paper": set()}
+codes, current = {}, ran["other"]
 
 def profile(frame, event, arg):
     if event == "call":
         code = frame.f_code
-        ran.add((code.co_filename, code.co_firstlineno))
+        current.add((code.co_filename, code.co_firstlineno))
 
 sys.setprofile(profile)
 from sclkit import cli
 
 def run(*argv):
+    global current
+    current = ran["verify-paper" if argv[0] == "verify-paper" else "other"]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         codes[" ".join(argv)] = cli.main(list(argv))
 
@@ -295,9 +299,10 @@ run("scl-bounds", "--group", "product:free:2,z/left", "--word", "(abAB;0)",
     "--radius", "1", "--cap", "1")
 sys.setprofile(None)
 print(json.dumps(codes))
-print(json.dumps(sorted(
-    (Path(f).stem, line) for f, line in ran if str(Path(f).resolve().parent) == src
-)))
+for calls in ran.values():
+    print(json.dumps(sorted(
+        (Path(f).stem, line) for f, line in calls if str(Path(f).resolve().parent) == src
+    )))
 """
 
 
@@ -338,13 +343,38 @@ def test_every_function_runs_under_some_command(tmp_path):
     # a call trace of one request of each benchmark kind, the paper-suite
     # items but 10, eval on every quasimorphism head and map and scl-bounds
     # on every group head and pair suffix; a def that none of them runs has
-    # no caller that matters
+    # no caller that matters, and a kernel def that only the verify-paper
+    # lines run belongs in suite or extension
     allowed = {
         "__main__.run": "the process entry; the corpus calls cli.main in process",
         "braids.sl2_image": "a target of the benchmark tracer",
-        "groups.SwapProduct.text": "only builds the detail of a failed suite item 5",
+        "suite.SwapProduct.text": "only builds the detail of a failed suite item 5",
         "suite._random_raw": "suite item 10, left out for time; test_acceptance runs it",
         "suite._item_word_algebra": "suite item 10, left out for time; test_acceptance runs it",
+        "words._bad_letter": "refuses letters that only library callers can pass",
+    }
+    # kernel defs that only verify-paper runs, or nothing, each with why it
+    # stays in the kernel
+    tracer = "a target of the benchmark tracer, which resolves it in this module"
+    searches = "the defect searches run it, next to defect_search"
+    sampling = "part of the GroupContext sampling interface"
+    readme = "README's library example imports it from this module"
+    suite_only = {
+        "quasimorphisms.defect_search": tracer,
+        "quasimorphisms.invariance_check": tracer,
+        "braids.sl2_image": tracer,
+        "groups.BallValues.pairs": searches,
+        "groups.BallValues.pairs.sphere": searches,
+        "groups.GroupContext.product_key": searches,
+        "groups.FreeGroup.product_key": searches,
+        "groups.FreeGroup.sample": sampling,
+        "groups.CyclicZ.sample": sampling,
+        "groups.DirectProduct.sample": sampling,
+        "braids.BraidGroup.sample": sampling,
+        "words.random_reduced": "FreeGroup.sample draws through it",
+        "groups.SymmetricGroup.elements": "norms enumerates the group through it",
+        "scl.alpha_braid": readme,
+        "certio.write_certificates": readme,
         "words._bad_letter": "refuses letters that only library callers can pass",
     }
     r = subprocess.run(
@@ -352,18 +382,25 @@ def test_every_function_runs_under_some_command(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert r.returncode == 0, r.stderr
-    codes_line, ran_line = r.stdout.splitlines()
+    codes_line, other_line, suite_line = r.stdout.splitlines()
     # the corrupted files fail verification; every other command passes
     wrong = {argv: code for argv, code in json.loads(codes_line).items()
              if code != (1 if "corrupt-" in argv else 0)}
     assert not wrong, f"unexpected exit codes: {wrong}"
-    ran = {tuple(entry) for entry in json.loads(ran_line)}
-    never = sorted(
-        f"{path.stem}.{qualname}"
-        for path in sorted(SRC.glob("*.py"))
-        for qualname, line in _all_functions(ast.parse(path.read_text()))
-        if (path.stem, line) not in ran
+    other = {tuple(entry) for entry in json.loads(other_line)}
+    ran = other | {tuple(entry) for entry in json.loads(suite_line)}
+    defs = [(path.stem, qualname, line)
+            for path in sorted(SRC.glob("*.py"))
+            for qualname, line in _all_functions(ast.parse(path.read_text()))]
+    kernel_suite_only = sorted(f"{stem}.{qualname}" for stem, qualname, line in defs
+                               if stem in KERNEL and (stem, line) not in other)
+    assert kernel_suite_only == sorted(suite_only), (
+        f"only verify-paper runs these kernel defs: "
+        f"{sorted(set(kernel_suite_only) - set(suite_only))}; listed but now run "
+        f"by another command: {sorted(set(suite_only) - set(kernel_suite_only))}"
     )
+    never = sorted(f"{stem}.{qualname}" for stem, qualname, line in defs
+                   if (stem, line) not in ran)
     assert never == sorted(allowed), (
         f"no command runs: {sorted(set(never) - set(allowed))}; "
         f"allowed but now run: {sorted(set(allowed) - set(never))}"

@@ -26,7 +26,6 @@ from sclkit.braids import (
     format_braid,
     full_twist,
     half_twist,
-    index_section,
     index_sum,
     is_pure,
     normal_form,
@@ -35,6 +34,7 @@ from sclkit.braids import (
     pr1,
     sl2_image,
 )
+from sclkit.extension import index_section
 from sclkit.groups import perm_compose, perm_identity
 from sclkit.words import StepFailure, Word, random_reduced
 

@@ -1,8 +1,5 @@
 """End-to-end CLI contract: exit codes, determinism, fresh-process verify."""
 
-import contextlib
-import gc
-import io
 import json
 import os
 import resource
@@ -226,10 +223,26 @@ def test_scl_bounds_checks_the_n_max_budget_before_the_flip_search(monkeypatch, 
         raise AssertionError("the flip search ran before the --n-max check")
 
     monkeypatch.setattr(cli, "_flip_search", flip_search)
-    # abAB has 4 characters: 2 x 2501 x 4 is over the budget of 20000
-    code = cli.main(["scl-bounds", "--group", "free:2", "--word", "abAB", "--n-max", "2501"])
+    # 1,2 has 3 characters: 2 x 3334 x 3 is over the budget of 20000
+    code = cli.main(["scl-bounds", "--group", "braid:3", "--braid", "1,2", "--n-max", "3334"])
     assert code == 2
-    assert "--n-max 2501 is too large" in capsys.readouterr().err
+    assert "--n-max 3334 is too large" in capsys.readouterr().err
+
+
+def test_scl_bounds_skips_the_flip_search_and_its_budget_on_free_groups(monkeypatch, capsys):
+    # no nontrivial free-group element is conjugate to its inverse, so the
+    # default --n-max 32 does not refuse a long free target
+    def flip_search(*args):
+        raise AssertionError("the flip search ran on a free group")
+
+    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    target = "abAB" * 80
+    code = cli.main(["scl-bounds", "--group", "free:2", "--word", target,
+                     "--radius", "1", "--cap", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "note: no upper bound: not found within 1 factors" in captured.out
+    assert "(ball-relative)" in captured.out
 
 
 def test_a_failed_check_inside_a_command_exits_1_at_its_step(monkeypatch, capsys):
@@ -395,7 +408,7 @@ def test_scl_bounds_mixed_flip_family(tmp_path):
 
 
 def test_a_fresh_process_writes_complete_output(tmp_path, capsys):
-    # the process entry freezes the collector once main has returned;
+    # the process entry ends with os._exit once main has returned;
     # everything main wrote still reaches stdout, block-buffered as a pipe
     # is by default, and the --out file
     args = ["scl-bounds", "--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "8",
@@ -421,21 +434,20 @@ def test_a_fresh_process_writes_complete_output(tmp_path, capsys):
     assert out.read_text() == expected
 
 
-def test_only_the_process_entry_freezes_the_collector(tmp_path):
-    before = gc.get_freeze_count()
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify-paper", "--only", "2"]) == 0
-    assert gc.get_freeze_count() == before
-    out = tmp_path / "item2.txt"
-    code = (
-        "import gc, sys; from sclkit.__main__ import run; "
-        f"sys.argv = ['sclkit', 'verify-paper', '--only', '2', '--out', {str(out)!r}]; "
-        "print(run(), gc.get_freeze_count() > 0)"
-    )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout == "0 True\n"
-    assert "PASS" in out.read_text()
+def test_the_process_entry_exits_with_the_command_s_code(tmp_path):
+    # the process entry ends with os._exit once main has returned: 0 for a
+    # pass, 1 for a failed verification, 2 for refused input
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps({"format": "scl-certificates/1", "items": [{}]}))
+    r = run_cli("verify-paper", "--only", "2")
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.startswith("PASS  2 flip-identity") and r.stdout.endswith("(seed 7)\n")
+    r = run_cli("verify", str(broken))
+    assert (r.returncode, r.stderr) == (1, "")
+    assert r.stdout.startswith("FAIL item 0") and r.stdout.endswith("verification FAILED\n")
+    r = run_cli("verify-paper", "--only", "12")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith("error: ") and r.stderr.endswith("\n")
 
 
 def test_scl_bounds_ordinary_lower(tmp_path):

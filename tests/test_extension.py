@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import pytest
 
 from ball_reference import sphere_pairs
-from sclkit.braids import BraidGroup, braid, index_section, index_sum, pr1
+from sclkit.braids import BraidGroup, braid, index_sum, pr1
 from sclkit.extension import (
+    CertifiedValue,
     DefectChainReport,
     ExtensionResult,
     SectionData,
@@ -16,16 +17,11 @@ from sclkit.extension import (
     central_z_section,
     defect_chain_check,
     extend_via_section,
+    index_section,
     restriction_check,
 )
 from sclkit.groups import FreeGroup, proj_left
-from sclkit.quasimorphisms import (
-    CertifiedValue,
-    brooks,
-    brooks_homogenized,
-    pullback,
-    zero_qm,
-)
+from sclkit.quasimorphisms import brooks, brooks_homogenized, pullback, zero_qm
 from sclkit.words import StepFailure, word
 from value_helpers import contains
 

@@ -14,9 +14,7 @@ from sclkit.groups import (
     DirectProduct,
     FreeGroup,
     GroupHom,
-    SwapProduct,
     SymmetricGroup,
-    cycle_count,
     perm_compose,
     perm_identity,
     perm_inverse,
@@ -25,6 +23,7 @@ from sclkit.groups import (
 )
 from sclkit.quasimorphisms import Quasimorphism, brooks_homogenized, count_copies
 from sclkit.specs import parse_group
+from sclkit.suite import SwapProduct, cycle_count
 from sclkit.words import word
 from value_helpers import sample_element
 

@@ -3,8 +3,9 @@
 import pytest
 
 from sclkit.braids import BraidGroup
-from sclkit.groups import SymmetricGroup, cycle_count
+from sclkit.groups import SymmetricGroup
 from sclkit.norms import FragmentationNorm, norm_axiom_report
+from sclkit.suite import cycle_count
 from sclkit.words import PreconditionError, StepFailure
 
 

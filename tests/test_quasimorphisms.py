@@ -9,8 +9,8 @@ import pytest
 from ball_reference import scaled_ball_values, sphere_pairs
 from sclkit.braids import BraidGroup, b3_key, half_twist
 from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, proj_left
+from sclkit.extension import CertifiedValue, homogenize
 from sclkit.quasimorphisms import (
-    CertifiedValue,
     _cyclic_rate,
     Quasimorphism,
     brooks,
@@ -19,7 +19,6 @@ from sclkit.quasimorphisms import (
     defect_bound_counting,
     defect_search,
     hom_qm,
-    homogenize,
     homogenize_counting_exact,
     invariance_check,
     pullback,

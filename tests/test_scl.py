@@ -7,7 +7,7 @@ import pytest
 
 from garside_helpers import braid_equal
 from sclkit.braids import BraidGroup, braid, half_twist, is_pure, pr1
-from sclkit.groups import CyclicZ, FreeGroup, SwapProduct
+from sclkit.groups import CyclicZ, FreeGroup
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
@@ -15,16 +15,15 @@ from sclkit.scl import (
     bavard_lower,
     braid_commutator_pair,
     braid_pure_pair,
-    commutator_identity_xy,
     conjugate_flip_decomposition,
     mixed_cl_search,
     ordinary_pair,
-    power_commutator,
     product_left_pair,
     pure_ordinary_pair,
     upper_from_decomposition,
     verify_decomposition,
 )
+from sclkit.suite import SwapProduct, commutator_identity_xy, power_commutator
 from sclkit.words import PreconditionError, StepFailure, Word, random_reduced, word
 
 

@@ -107,3 +107,12 @@ def test_the_tracer_runs_a_lower_bound_request_and_its_verify(tmp_path):
     assert verify["counters"]["certio.load_document.bytes"] == cert.stat().st_size
     for stats in (bounds, verify):
         assert stats["stats"]["specs.parse_qm"][0] > 0
+
+
+def test_the_tracer_runs_a_suite_item_with_a_defect_chain(tmp_path):
+    # the NOTES that read DefectChainReport.pairs_checked and
+    # ItemResult.slug and .seconds run only on verify-paper requests
+    code, stats = _traced(tmp_path, "paper-suite", "verify-paper", "--only", "7", "--seed", "1")
+    assert code == 0
+    assert stats["counters"]["extension.defect_chain_check.pairs"] > 0
+    assert "section-extension" in stats["suite_items"]

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sclkit import braids, quasimorphisms, scl, words
+from sclkit import braids, extension, scl, words
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def seeded_values(seed):
     for _ in range(30):
         value = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
         radius = rng.choice([None, Fraction(0), Fraction(1, rng.randint(1, 2))])
-        out.append(quasimorphisms.CertifiedValue(value, radius))
+        out.append(extension.CertifiedValue(value, radius))
     return out
 
 

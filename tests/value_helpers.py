@@ -8,8 +8,9 @@ the contexts that no command samples.
 
 from fractions import Fraction
 
-from sclkit.groups import DirectProduct, SwapProduct, SymmetricGroup
-from sclkit.quasimorphisms import CertifiedValue
+from sclkit.extension import CertifiedValue
+from sclkit.groups import DirectProduct, SymmetricGroup
+from sclkit.suite import SwapProduct
 from sclkit.words import Word, cyclic_reduce_letters
 
 
