@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import certio, specs, suite
-from .braids import BraidGroup
+from .braids import BraidGroup, index_sum
 from .groups import FreeGroup
 from .scl import (
     MixedCommutatorDecomposition,
@@ -157,9 +157,11 @@ def cmd_scl_bounds(args) -> int:
         certs.append(upper_from_decomposition(g, 1, empty, note="the identity needs no factors"))
     else:
         # no nontrivial element of a free group is conjugate to its inverse,
-        # so a free target has no flip family and goes straight to the search
+        # nor is a braid of nonzero index sum (conjugation keeps the index sum
+        # and inversion negates it), so such a target has no flip family and
+        # goes straight to the search
         flipper = None
-        if not isinstance(ctx, FreeGroup):
+        if not (isinstance(ctx, FreeGroup) or (isinstance(ctx, BraidGroup) and index_sum(g) != 0)):
             # checked before the flip search, which may walk a large ball
             if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
                 raise ValueError(

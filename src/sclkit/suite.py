@@ -7,6 +7,12 @@ produce certificates hand them to the final integrity item, which writes
 them to disk, re-verifies them through the file pathway, and confirms that
 corrupted copies fail at the named step.
 
+Items 9 and 10, the two largest samples, each draw two shard seeds from
+their rng and run half the sample per shard: shard 0 in this process and
+shard 1 in a forked child, at the same time (``run_in_two_shards``).  Their
+details, steps and JSON do not depend on where the shards ran; which
+inputs a failure names depends on the seed alone.
+
 Code that only the items run lives here, next to the item that runs it, so
 the verifier kernel does not carry it: the swap product and
 ``power_commutator`` (item 5), ``commutator_identity_xy`` (item 6) and
@@ -21,6 +27,7 @@ import json
 import os
 import random
 import tempfile
+import threading
 import time
 from collections import deque
 from fractions import Fraction
@@ -476,24 +483,103 @@ def _item_fragmentation(rng, shared):
     return detail, []
 
 
+# --- two shards of one sample: items 9 and 10 -----------------------------
+
+
+# fixed, so that the draws do not depend on the machine
+SHARDS = 2
+
+# signal.SIGKILL on every system with os.fork; importing signal would cost
+# every command about a millisecond
+_SIGKILL = 9
+
+
+def shard_rngs(rng: random.Random) -> list[random.Random]:
+    """One generator per shard, seeded by draws from the item's rng."""
+    return [random.Random(rng.getrandbits(64)) for _ in range(SHARDS)]
+
+
+def run_in_two_shards(shard: Callable[[random.Random], None], rng: random.Random) -> None:
+    """Run ``shard`` on each of ``shard_rngs(rng)``: shard 0 here, shard 1 in a
+    child forked for it, so that the two run at once.
+
+    A pipe carries the child's first ``StepFailure`` back as its step and
+    detail, and any other exception of the child as step ``crashed`` with
+    the detail ``run_item`` would give it.  Shard 0's failure wins when both
+    fail; it kills the child.  The child is reaped before this returns, and
+    it always leaves by ``os._exit``, so no ``atexit`` handler runs in it and
+    no stdout buffer it inherited is flushed twice.  Without ``os.fork``, or
+    while the process runs other threads, the shards run here in turn.
+    """
+    first, second = shard_rngs(rng)
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        shard(first)
+        shard(second)
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            report = b""
+            try:
+                shard(second)
+            except StepFailure as failure:
+                report = json.dumps([failure.step, failure.detail]).encode()
+            except Exception as exc:  # reported to the parent, as run_item would
+                report = json.dumps(["crashed", f"{type(exc).__name__}: {exc}"]).encode()
+            while report:
+                report = report[os.write(write_fd, report):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    chunks = []
+    try:
+        try:
+            shard(first)
+        except BaseException:
+            os.kill(pid, _SIGKILL)
+            raise
+        while chunk := os.read(read_fd, 65536):
+            chunks.append(chunk)
+    finally:
+        os.close(read_fd)
+        _, status = os.waitpid(pid, 0)
+    if chunks:
+        raise StepFailure(*json.loads(b"".join(chunks)))
+    if status != 0:
+        raise RuntimeError(f"shard 1 ended with exit code {os.waitstatus_to_exitcode(status)}")
+
+
 # --- item 9: the splitting of pure 3-strand braids ------------------------
 
 
-def _item_splitting(rng, shared):
+def _splitting_shard(rng):
     ctx = BraidGroup(3)
     xy = FreeGroup.on("xy")
-    for _ in range(1000):
+    for _ in range(1000 // SHARDS):
         w = xy.sample(rng, rng.randrange(0, 41))
         k = rng.randint(-5, 5)
         co = p3_coordinates(p3_assemble(w, k))
         if co.f2_part != w or co.center_exponent != k:
             raise StepFailure("round trip", f"fails at ({w}, {k})")
     hom = pr1()
-    for _ in range(1000):
+    for _ in range(1000 // SHARDS):
         b1 = p3_assemble(xy.sample(rng, rng.randrange(0, 13)), rng.randint(-3, 3))
         b2 = p3_assemble(xy.sample(rng, rng.randrange(0, 13)), rng.randint(-3, 3))
         if hom(ctx.mul(b1, b2)) != hom(b1) * hom(b2):
             raise StepFailure("multiplicativity", "the projection is not multiplicative")
+
+
+def _item_splitting(rng, shared):
+    run_in_two_shards(_splitting_shard, rng)
     return "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs", []
 
 
@@ -525,11 +611,11 @@ def _random_raw(getrandbits) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _item_word_algebra(rng, shared):
+def _word_algebra_shard(rng):
     # the letter kernels that Word.from_raw, * and ~ wrap, called directly
     bits = rng.getrandbits
     mul, inv = multiply_letters, invert_letters
-    for _ in range(100_000):
+    for _ in range(100_000 // SHARDS):
         ra, rb, rc = _random_raw(bits), _random_raw(bits), _random_raw(bits)
         u = reduce_letters(ra)
         v = reduce_letters(rb)
@@ -541,6 +627,10 @@ def _item_word_algebra(rng, shared):
         # v is rb reduced once already
         if reduce_letters(v) != v:
             raise StepFailure("idempotent reduction", f"fails at {rb}")
+
+
+def _item_word_algebra(rng, shared):
+    run_in_two_shards(_word_algebra_shard, rng)
     return "100000 random triples: associativity, inverses, idempotent reduction", []
 
 

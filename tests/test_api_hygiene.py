@@ -351,6 +351,7 @@ def test_every_function_runs_under_some_command(tmp_path):
         "suite.SwapProduct.text": "only builds the detail of a failed suite item 5",
         "suite._random_raw": "suite item 10, left out for time; test_acceptance runs it",
         "suite._item_word_algebra": "suite item 10, left out for time; test_acceptance runs it",
+        "suite._word_algebra_shard": "suite item 10, left out for time; test_acceptance runs it",
         "words._bad_letter": "refuses letters that only library callers can pass",
     }
     # kernel defs that only verify-paper runs, or nothing, each with why it

@@ -223,8 +223,9 @@ def test_scl_bounds_checks_the_n_max_budget_before_the_flip_search(monkeypatch, 
         raise AssertionError("the flip search ran before the --n-max check")
 
     monkeypatch.setattr(cli, "_flip_search", flip_search)
-    # 1,2 has 3 characters: 2 x 3334 x 3 is over the budget of 20000
-    code = cli.main(["scl-bounds", "--group", "braid:3", "--braid", "1,2", "--n-max", "3334"])
+    # 1,-2 has 4 characters: 2 x 3334 x 4 is over the budget of 20000; its
+    # index sum is 0, so it may be conjugate to its inverse
+    code = cli.main(["scl-bounds", "--group", "braid:3", "--braid", "1,-2", "--n-max", "3334"])
     assert code == 2
     assert "--n-max 3334 is too large" in capsys.readouterr().err
 
@@ -243,6 +244,51 @@ def test_scl_bounds_skips_the_flip_search_and_its_budget_on_free_groups(monkeypa
     assert code == 0, captured.err
     assert "note: no upper bound: not found within 1 factors" in captured.out
     assert "(ball-relative)" in captured.out
+
+
+def test_scl_bounds_skips_the_flip_search_and_its_budget_on_nonzero_index_sums(
+    monkeypatch, capsys
+):
+    # conjugation keeps a braid's index sum and inversion negates it, so the
+    # default --n-max 32 does not refuse a long braid target of nonzero sum
+    def flip_search(*args):
+        raise AssertionError("the flip search ran on a braid of nonzero index sum")
+
+    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    target = ",".join(["1"] * 160)
+    code = cli.main(["scl-bounds", "--group", "braid:3", f"--braid={target}",
+                     "--radius", "1", "--cap", "1"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "note: no upper bound: not found within 1 factors" in captured.out
+    assert "(ball-relative)" in captured.out
+
+
+@pytest.mark.parametrize("args", [
+    ("--group", "braid:3", "--braid", "1,2", "--radius", "2", "--cap", "1"),
+    ("--group", "braid:3", "--braid", "1,1,-2", "--qm", "hom(indexsum)",
+     "--radius", "1", "--cap", "1"),
+    ("--group", "braid:3/pure", "--braid", "1,1", "--radius", "1", "--cap", "1"),
+    ("--group", "braid:4", "--braid", "1,3", "--radius", "1", "--cap", "1"),
+], ids=["braid3", "braid3-lower", "pure", "braid4"])
+def test_skipping_the_flip_search_leaves_short_targets_byte_identical(args, monkeypatch, capsys):
+    # with the index sum read as 0, the flip search runs, finds nothing and
+    # leaves the document to the search: the same bytes as with the skip
+    argv = ["scl-bounds", *args, "--format", "json"]
+    assert cli.main(argv) == 0
+    skipped = capsys.readouterr().out
+    searched = []
+    real_flip_search = cli._flip_search
+
+    def flip_search(*flip_args):
+        searched.append(real_flip_search(*flip_args))
+        return searched[-1]
+
+    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    monkeypatch.setattr(cli, "index_sum", lambda b: 0)
+    assert cli.main(argv) == 0
+    assert searched == [None]
+    assert capsys.readouterr().out == skipped
 
 
 def test_a_failed_check_inside_a_command_exits_1_at_its_step(monkeypatch, capsys):

@@ -1,7 +1,13 @@
 """Suite runner plumbing and module doctest examples."""
 
 import doctest
+import os
 import random
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 
@@ -24,8 +30,12 @@ from sclkit.suite import (
     ITEMS,
     Item,
     _random_raw,
+    _splitting_shard,
+    _word_algebra_shard,
     find_item,
+    run_in_two_shards,
     run_item,
+    shard_rngs,
 )
 from sclkit.words import (
     StepFailure,
@@ -131,11 +141,12 @@ def _kernel_sides(ra, rb, rc):
 
 @pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
 def test_word_algebra_kernels_match_the_word_level_loop(seed):
-    rng = random.Random(seed * 1009 + 10)
-    bits = rng.getrandbits
-    for _ in range(5_000):
-        raw = _random_raw(bits), _random_raw(bits), _random_raw(bits)
-        assert _kernel_sides(*raw) == _word_level_sides(*raw), raw
+    # the first triples of both of item 10's shards
+    for shard in shard_rngs(random.Random(seed * 1009 + 10)):
+        bits = shard.getrandbits
+        for _ in range(2_500):
+            raw = _random_raw(bits), _random_raw(bits), _random_raw(bits)
+            assert _kernel_sides(*raw) == _word_level_sides(*raw), raw
 
 
 def test_suite_samples_draw_what_the_validated_words_drew():
@@ -152,6 +163,138 @@ def test_word_algebra_still_checks_100000_triples():
     result = run_item(find_item("10"), seed=DEFAULT_SEED, shared={})
     assert result.ok
     assert result.detail.startswith("100000 random triples: ")
+
+
+def _record_forks(monkeypatch):
+    """The pid of every child os.fork starts in this process, and the wait
+    status os.waitpid reaps for each pid."""
+    children, statuses = [], {}
+    real_fork, real_waitpid = os.fork, os.waitpid
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    def waitpid(pid, options):
+        reaped, status = real_waitpid(pid, options)
+        statuses[reaped] = status
+        return reaped, status
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return children, statuses
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("planted", [False, True], ids=["intact", "planted"])
+@pytest.mark.parametrize("key", ["9", "10"])
+def test_sharded_items_give_the_same_verdict_forked_and_in_process(key, planted, monkeypatch):
+    if planted and key == "10":
+        monkeypatch.setattr(sclkit.suite, "invert_letters", lambda u: u)
+    elif planted:
+        plant_extra_syllable(monkeypatch)
+    children, _ = _record_forks(monkeypatch)
+    forked = run_item(find_item(key), seed=1, shared={})
+    assert len(children) == 1
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    in_process = run_item(find_item(key), seed=1, shared={})
+    assert (forked.ok, forked.detail) == (in_process.ok, in_process.detail)
+    assert forked.ok != planted
+    _assert_no_child_left()
+
+
+def test_a_failure_in_the_forked_shard_surfaces_with_its_step_and_detail(monkeypatch):
+    parent, real = os.getpid(), sclkit.suite.invert_letters
+    monkeypatch.setattr(sclkit.suite, "invert_letters",
+                        lambda u: real(u) if os.getpid() == parent else u)
+    # the child's first triple whose first word is not the identity
+    bits = shard_rngs(random.Random(5))[1].getrandbits
+    while True:
+        ra, _, _ = _random_raw(bits), _random_raw(bits), _random_raw(bits)
+        if reduce_letters(ra):
+            break
+    with pytest.raises(StepFailure) as exc:
+        run_in_two_shards(_word_algebra_shard, random.Random(5))
+    assert (exc.value.step, exc.value.detail) == ("inverse", f"fails at {ra}")
+    _assert_no_child_left()
+
+
+def test_a_crash_in_the_forked_shard_reads_as_a_crash_in_process():
+    parent = os.getpid()
+
+    def crash_in_the_child(rng):
+        if os.getpid() != parent:
+            raise ZeroDivisionError("planted")
+
+    def sharded(rng, shared):
+        run_in_two_shards(crash_in_the_child, rng)
+
+    # the detail run_item gives a ZeroDivisionError raised in its own process
+    result = run_item(Item(key="96", slug="crash", budget=1.0, fn=sharded), seed=7, shared={})
+    assert (result.ok, result.detail) == (False, "crashed: ZeroDivisionError: planted")
+    _assert_no_child_left()
+
+
+def test_a_failure_in_the_parents_shard_kills_and_reaps_the_child(monkeypatch):
+    children, statuses = _record_forks(monkeypatch)
+    parent = os.getpid()
+
+    def planted(u):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return u
+
+    monkeypatch.setattr(sclkit.suite, "invert_letters", planted)
+    start = time.monotonic()
+    with pytest.raises(StepFailure) as exc:
+        run_in_two_shards(_splitting_shard, random.Random(5))
+        run_in_two_shards(_word_algebra_shard, random.Random(5))
+    assert exc.value.step == "inverse"
+    assert time.monotonic() - start < 30
+    # item 9's child was reaped after it passed, item 10's killed
+    first, second = children
+    assert os.WIFEXITED(statuses[first]) and os.WEXITSTATUS(statuses[first]) == 0
+    assert os.WIFSIGNALED(statuses[second]) and os.WTERMSIG(statuses[second]) == signal.SIGKILL
+    _assert_no_child_left()
+
+
+def test_the_shards_run_in_process_while_another_thread_runs(monkeypatch):
+    def fork():
+        raise AssertionError("forked while another thread ran")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        result = run_item(find_item("9"), seed=DEFAULT_SEED, shared={})
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert result.ok, result.detail
+
+
+def test_a_forked_shard_flushes_no_inherited_buffer_and_runs_no_atexit_handler():
+    # stdout is a pipe, so the first line still sits in the parent's buffer
+    # when the child is forked
+    code = (
+        "import atexit, sys\n"
+        "from sclkit.suite import find_item, run_item\n"
+        "atexit.register(print, 'at exit')\n"
+        "sys.stdout.write('before the item\\n')\n"
+        "print(run_item(find_item('9'), 7, {}).ok)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "before the item\nTrue\nat exit\n"
 
 
 @pytest.mark.parametrize(
