@@ -2,10 +2,11 @@
 
 Each item recomputes its claim from scratch with a per-item seeded rng and
 returns a one-line detail, or raises StepFailure at its first
-counterexample, naming the property that broke.  Items that
-produce certificates hand them to the final integrity item, which writes
-them to disk, re-verifies them through the file pathway, and confirms that
-corrupted copies fail at the named step.
+counterexample, naming the property that broke.  An item reads nothing but
+its rng, so its detail is the same run alone or in the full suite.  Items 3
+and 4 re-verify the certificates they build from their document form; item
+11 writes its own small set to disk, verifies each file once through
+``sclkit verify``, and confirms that corrupted copies fail at the named step.
 
 Items 9 and 10, the two largest samples, each draw two shard seeds from
 their rng and run half the sample per shard: shard 0 in this process and
@@ -106,7 +107,6 @@ class ItemResult(Frozen):
     ok: bool
     seconds: float
     detail: str
-    certificates: list
 
     def line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
@@ -144,7 +144,7 @@ class SuiteReport(Frozen):
 # --- item 1: counting values on powers of the basic commutator ----------
 
 
-def _item_counting(rng, shared):
+def _item_counting(rng):
     f2 = FreeGroup.on("xy")
     w = f2.parse("xyXY")
     wbar = ~w
@@ -165,13 +165,13 @@ def _item_counting(rng, shared):
             raise StepFailure(
                 "truncated homogenisation", f"interval {cv.value}+-{cv.radius} misses {exact}"
             )
-    return "counts 1..64 exact; homogenised value 1 by both methods", []
+    return "counts 1..64 exact; homogenised value 1 by both methods"
 
 
 # --- item 2: the half twist conjugates alpha to its inverse -------------
 
 
-def _item_flip(rng, shared):
+def _item_flip(rng):
     ctx = BraidGroup(3)
     alpha = alpha_braid()
     delta = half_twist(3)
@@ -181,13 +181,25 @@ def _item_flip(rng, shared):
         raise StepFailure("normal form", f"delta alpha delta^-1 alpha is {nf}, not the identity")
     if not ctx.eq(ctx.conjugate(delta, alpha), ctx.inv(alpha)):
         raise StepFailure("conjugation", "the half twist does not invert alpha")
-    return "normal form certifies delta alpha delta^-1 = alpha^-1", []
+    return "normal form certifies delta alpha delta^-1 = alpha^-1"
+
+
+# --- items 3 and 4 re-verify what they build ------------------------------
+
+
+def reverify(certs: list) -> None:
+    """Re-verify certificates from their document form, the text that
+    ``sclkit verify`` reads from a file; raise at the first that fails."""
+    report = certio.verify_document(certio.document(certs))
+    if not report.ok:
+        failed = next(line for line in report.describe().splitlines() if line.startswith("FAIL"))
+        raise StepFailure("document verification", failed)
 
 
 # --- item 3: the family of mixed upper bounds ----------------------------
 
 
-def _item_mixed_upper(rng, shared):
+def _item_mixed_upper(rng):
     pair = braid_pure_pair()
     alpha = alpha_braid()
     delta = half_twist(3)
@@ -200,13 +212,14 @@ def _item_mixed_upper(rng, shared):
         if cert.bound != Fraction(1, 2 * n):
             raise StepFailure("bound", f"n={n}: {cert.bound}, expected 1/{2*n}")
         certs.append(cert)
-    return "alpha^(2n) = [delta, alpha^-n] verified for n <= 32; best bound 1/64", certs
+    reverify(certs)
+    return "alpha^(2n) = [delta, alpha^-n] verified for n <= 32; best bound 1/64"
 
 
 # --- item 4: the duality lower bound through the free-factor projection --
 
 
-def _item_duality_lower(rng, shared):
+def _item_duality_lower(rng):
     f2 = FreeGroup.on("xy")
     w = f2.parse("xyXY")
     qm_free = brooks_homogenized(w, context=f2)
@@ -246,7 +259,8 @@ def _item_duality_lower(rng, shared):
         f"bound 1/12 = 1/(2*{defect}); searched defect {search.lower} <= {defect} "
         f"at radius 8 ({search.pairs_checked} pairs)"
     )
-    return detail, [cert]
+    reverify([cert])
+    return detail
 
 
 # --- item 5: powers of a commutator collapsing to one commutator ---------
@@ -310,7 +324,7 @@ def power_commutator(ctx: GroupContext, f: Any, g: Any, n: int) -> MixedCommutat
     return MixedCommutatorDecomposition(pair, target, ((ctx.power(f, n), g),))
 
 
-def _item_power_commutator(rng, shared):
+def _item_power_commutator(rng):
     # disjoint commuting supports need the coordinate swap; inside a plain
     # product the hypothesis only holds degenerately
     sw = SwapProduct(FreeGroup(2))
@@ -341,7 +355,7 @@ def _item_power_commutator(rng, shared):
             rejected += 1
     if rejected != 3:
         raise StepFailure("precondition", "free-group counterexamples were not all rejected")
-    return "[f,g]^n = [f^n,g] exact for n <= 32 in both models; free-group misuse rejected", []
+    return "[f,g]^n = [f^n,g] exact for n <= 32 in both models; free-group misuse rejected"
 
 
 # --- item 6: the packing identity ----------------------------------------
@@ -377,7 +391,7 @@ def commutator_identity_xy(
     return MixedCommutatorDecomposition(pair, target, tuple(factors))
 
 
-def _item_packing(rng, shared):
+def _item_packing(rng):
     ctx = FreeGroup(2)
     trials = [(ctx.parse("a"), ctx.parse("b"))]
     while len(trials) < 20:
@@ -390,13 +404,13 @@ def _item_packing(rng, shared):
             if len(d.factors) != n:
                 raise StepFailure("factor count", f"expected {n} factors, got {len(d.factors)}")
             verify_decomposition(d)
-    return "(xy)^2n x^-2n y^-2n = n commutators, 20 trials, n <= 8", []
+    return "(xy)^2n x^-2n y^-2n = n commutators, 20 trials, n <= 8"
 
 
 # --- item 7: extension along a section, both legs -------------------------
 
 
-def _item_extension(rng, shared):
+def _item_extension(rng):
     left = FreeGroup(2)
     sec = central_z_section(left)
     phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.pair.ambient))
@@ -421,7 +435,7 @@ def _item_extension(rng, shared):
         f"both legs: 1000 exact restrictions each; defect chains at radius 4 "
         f"({chain.pairs_checked} and {bchain.pairs_checked} pairs) within bounds"
     )
-    return detail, []
+    return detail
 
 
 # --- item 8: the fragmentation norm against the transposition count ------
@@ -441,7 +455,7 @@ def cycle_count(p: tuple[int, ...]) -> int:
     return cycles
 
 
-def _item_fragmentation(rng, shared):
+def _item_fragmentation(rng):
     s5 = SymmetricGroup(5)
     t5 = (1, 0, 2, 3, 4)
     norm5 = FragmentationNorm(s5, [t5])
@@ -480,7 +494,7 @@ def _item_fragmentation(rng, shared):
         f"120 values match formula and oracle; axioms exhaustive on "
         f"{axioms.elements_checked} elements / {axioms.pairs_checked} pairs"
     )
-    return detail, []
+    return detail
 
 
 # --- two shards of one sample: items 9 and 10 -----------------------------
@@ -578,9 +592,9 @@ def _splitting_shard(rng):
             raise StepFailure("multiplicativity", "the projection is not multiplicative")
 
 
-def _item_splitting(rng, shared):
+def _item_splitting(rng):
     run_in_two_shards(_splitting_shard, rng)
-    return "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs", []
+    return "1000 exact round trips (|w| <= 40, |k| <= 5); 1000 multiplicative pairs"
 
 
 # --- item 10: word algebra properties -------------------------------------
@@ -629,17 +643,16 @@ def _word_algebra_shard(rng):
             raise StepFailure("idempotent reduction", f"fails at {rb}")
 
 
-def _item_word_algebra(rng, shared):
+def _item_word_algebra(rng):
     run_in_two_shards(_word_algebra_shard, rng)
-    return "100000 random triples: associativity, inverses, idempotent reduction", []
+    return "100000 random triples: associativity, inverses, idempotent reduction"
 
 
 # --- item 11: certificate file integrity ----------------------------------
 
 
 def standalone_certificates() -> list:
-    """What item 11 checks when run alone: a small flip family plus one
-    lower bound."""
+    """What item 11 checks: a small flip family plus one lower bound."""
     pair = braid_pure_pair()
     alpha = alpha_braid()
     delta = half_twist(3)
@@ -652,27 +665,28 @@ def standalone_certificates() -> list:
     return certs
 
 
-def _item_certificates(rng, shared):
-    certs = [c for result in shared.values() for c in result.certificates]
-    if not certs:
-        certs = standalone_certificates()
+def _item_certificates(rng):
+    from .cli import main as cli_main
 
+    def verify(path):
+        """``sclkit verify PATH --format json``: its exit code, 0 or 1, and
+        the step it names, the schema error or the first failed check's."""
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli_main(["verify", path, "--format", "json"])
+        if code not in (0, 1):
+            raise StepFailure("command line", f"verify {os.path.basename(path)} exited {code}")
+        report = json.loads(out.getvalue())
+        failed = (c["failed_step"] for c in report["items"] if not c["ok"])
+        return code, report["schema_error"] or next(failed, None)
+
+    certs = standalone_certificates()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "certificates.json")
         doc = certio.write_certificates(certs, path)
-        report = certio.verify_file(path)
-        if not report.ok:
-            raise StepFailure("file verification", report.describe().splitlines()[-1])
-
-        from .cli import main as raw_cli_main
-
-        def cli_main(argv):
-            # the command's own report is noise here; only the exit code matters
-            with contextlib.redirect_stdout(io.StringIO()):
-                return raw_cli_main(argv)
-
-        if cli_main(["verify", path]) != 0:
-            raise StepFailure("command line", "verifying a fresh file did not exit 0")
+        code, step = verify(path)
+        if code != 0:
+            raise StepFailure("file verification", f"a fresh file exits {code} at {step!r}")
 
         def corrupted(mutate, expected_step):
             # a deep copy of plain JSON that keeps copy off every command's imports
@@ -680,16 +694,11 @@ def _item_certificates(rng, shared):
             mutate(bad)
             badpath = os.path.join(tmp, "bad.json")
             certio.write_text_atomic(certio.dumps(bad), badpath)
-            rep = certio.verify_file(badpath)
-            if rep.ok:
+            code, got = verify(badpath)
+            if code == 0:
                 raise StepFailure("corruption", f"a certificate broken at {expected_step} verifies")
-            got = rep.schema_error or next(
-                c.failed_step for c in rep.checks if not c.ok
-            )
             if expected_step not in (got or ""):
                 raise StepFailure("corruption", f"expected {expected_step!r}, got {got!r}")
-            if cli_main(["verify", badpath]) != 1:
-                raise StepFailure("command line", "verifying a corrupted file did not exit 1")
 
         upper_idx = next(
             i for i, it in enumerate(doc["items"]) if it["kind"] == "scl-upper-decomposition"
@@ -724,14 +733,14 @@ def _item_certificates(rng, shared):
 
         empty = os.path.join(tmp, "empty.json")
         open(empty, "w").close()
-        rep = certio.verify_file(empty)
-        if rep.ok or "schema" not in (rep.schema_error or ""):
-            raise StepFailure("empty file", "no schema error")
-        if cli_main(["verify", empty]) != 1:
-            raise StepFailure("command line", "verifying an empty file did not exit 1")
+        code, step = verify(empty)
+        if code == 0 or "schema" not in (step or ""):
+            raise StepFailure("empty file", f"no schema error, got {step!r}")
 
-    n = len(certs)
-    return f"{n} certificates re-verified; 4 corruptions + empty file all caught", []
+    return (
+        f"{len(certs)} certificates re-verified; "
+        f"{len(checks)} corruptions + empty file all caught"
+    )
 
 
 ITEMS: tuple[Item, ...] = (
@@ -760,26 +769,20 @@ def find_item(key: str) -> Item:
     raise ValueError(f"unknown suite item {key!r}; available: {names}")
 
 
-def run_item(item: Item, seed: int, shared: dict[str, ItemResult]) -> ItemResult:
+def run_item(item: Item, seed: int) -> ItemResult:
     rng = random.Random(seed * 1009 + int(item.key))
     start = time.monotonic()
     try:
-        detail, certs = item.fn(rng, shared)
+        detail = item.fn(rng)
         ok = True
     except StepFailure as failure:
-        ok, detail, certs = False, str(failure), []
+        ok, detail = False, str(failure)
     except Exception as exc:  # a crash is a failed item, not a crashed suite
-        ok, detail, certs = False, f"crashed: {type(exc).__name__}: {exc}", []
+        ok, detail = False, f"crashed: {type(exc).__name__}: {exc}"
     seconds = time.monotonic() - start
-    return ItemResult(item.key, item.slug, ok, seconds, detail, certs)
+    return ItemResult(item.key, item.slug, ok, seconds, detail)
 
 
 def run_suite(seed: int = DEFAULT_SEED, only: str | None = None) -> SuiteReport:
     selected = ITEMS if only is None else (find_item(only),)
-    shared: dict[str, ItemResult] = {}
-    results = []
-    for item in selected:
-        result = run_item(item, seed, shared)
-        shared[item.key] = result
-        results.append(result)
-    return SuiteReport(seed, results)
+    return SuiteReport(seed, [run_item(item, seed) for item in selected])

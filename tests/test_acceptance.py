@@ -1,14 +1,20 @@
 """Acceptance gate: the eleven verification items, one pass/fail line each.
 
 Every item must pass and finish inside its stated runtime budget.  The whole
-suite runs once per session with the default seed; items 3 and 4 hand their
-certificates to item 11 through the shared store, exactly as the CLI's
-verify-paper command does.
+suite runs once per session with the default seed, as the CLI's verify-paper
+command runs it; its JSON report must match the committed golden file byte
+for byte, and each item run alone must read as it does in the full suite.
 """
+
+from pathlib import Path
 
 import pytest
 
+from sclkit import certio
 from sclkit.suite import DEFAULT_SEED, ITEMS, run_suite
+
+# `sclkit verify-paper --seed 7 --format json`
+GOLDEN = Path(__file__).with_name("data") / "verify-paper-seed7.json"
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +51,20 @@ def test_suite_report_shape(suite_report):
     assert d["seed"] == DEFAULT_SEED
     assert d["ok"] is True
     assert len(d["items"]) == len(ITEMS) == 11
+
+
+def test_suite_report_matches_the_golden_file(suite_report):
+    assert certio.dumps(suite_report.as_dict()) == GOLDEN.read_text()
+
+
+@pytest.fixture(scope="module")
+def seed_one_report():
+    return run_suite(seed=1)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+@pytest.mark.parametrize("item", ITEMS, ids=[f"{it.key:0>2}-{it.slug}" for it in ITEMS])
+def test_an_item_alone_reads_as_in_the_full_suite(item, seed, suite_report, request):
+    full = suite_report if seed == DEFAULT_SEED else request.getfixturevalue("seed_one_report")
+    (alone,) = run_suite(seed, only=item.key).results
+    assert alone.detail == _result_for(full, item.key).detail

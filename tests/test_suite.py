@@ -1,6 +1,7 @@
 """Suite runner plumbing and module doctest examples."""
 
 import doctest
+import json
 import os
 import random
 import signal
@@ -24,6 +25,7 @@ import sclkit.suite
 import sclkit.words
 from sclkit.braids import X, Y
 from sclkit.groups import FreeGroup
+from sclkit.scl import SclCertificate
 from sclkit.suite import (
     _ALGEBRA_GENS,
     DEFAULT_SEED,
@@ -33,9 +35,11 @@ from sclkit.suite import (
     _splitting_shard,
     _word_algebra_shard,
     find_item,
+    reverify,
     run_in_two_shards,
     run_item,
     shard_rngs,
+    standalone_certificates,
 )
 from sclkit.words import (
     StepFailure,
@@ -63,46 +67,108 @@ def test_find_item_by_key_and_slug():
 
 
 def test_run_item_captures_crashes(monkeypatch):
-    def boom(rng, shared):
+    def boom(rng):
         raise RuntimeError("injected failure")
 
     broken = Item(key="99", slug="broken", budget=1.0, fn=boom)
-    result = run_item(broken, seed=7, shared={})
+    result = run_item(broken, seed=7)
     assert not result.ok
     assert "crashed" in result.detail
     assert "injected failure" in result.detail
     assert result.line().startswith("FAIL 99 broken")
 
-    def failed_check(rng, shared):
+    def failed_check(rng):
         raise StepFailure("restriction", "planted mismatch")
 
     failing = Item(key="98", slug="failing", budget=1.0, fn=failed_check)
-    result = run_item(failing, seed=7, shared={})
+    result = run_item(failing, seed=7)
     assert not result.ok
     assert result.detail == "restriction: planted mismatch"
     assert result.line().startswith("FAIL 98 failing")
 
-    def passing_check(rng, shared):
-        return "planted pass", ["certificate"]
+    def passing_check(rng):
+        return "planted pass"
 
     passing = Item(key="97", slug="passing", budget=1.0, fn=passing_check)
-    result = run_item(passing, seed=7, shared={})
-    assert (result.ok, result.detail, result.certificates) == (True, "planted pass", ["certificate"])
+    result = run_item(passing, seed=7)
+    assert (result.ok, result.detail) == (True, "planted pass")
 
     # a P3 coordinate extraction that fails its own reassembly is a failed
     # step of item 9, not a crash
     plant_extra_syllable(monkeypatch)
-    result = run_item(find_item("9"), seed=7, shared={})
+    result = run_item(find_item("9"), seed=7)
     assert not result.ok
     assert result.detail.startswith("p3 coordinates: ")
 
 
 def test_run_item_line_format():
-    result = run_item(find_item("2"), seed=7, shared={})
+    result = run_item(find_item("2"), seed=7)
     assert result.ok
     line = result.line()
     assert line.startswith("PASS  2 flip-identity (")
     assert line.endswith(result.detail)
+
+
+def _with_witness(cert, mutate):
+    """``cert`` with ``mutate`` applied to a copy of its witness."""
+    witness = json.loads(json.dumps(cert.witness))
+    mutate(witness)
+    fields = {name: getattr(cert, name) for name in cert._fields}
+    return SclCertificate(**{**fields, "witness": witness})
+
+
+def _break_member(witness):
+    witness["factors"][0][1] = "1"
+
+
+def _bump_value(witness):
+    witness["value"] = "2"
+
+
+def test_reverify_names_the_first_certificate_that_fails():
+    certs = standalone_certificates()
+    upper, lower = certs[0], certs[-1]
+    reverify([upper, lower])
+    with pytest.raises(StepFailure) as exc:
+        reverify([upper, _with_witness(lower, _bump_value), _with_witness(upper, _break_member)])
+    assert exc.value.step == "document verification"
+    assert exc.value.detail.startswith("FAIL item 1 (scl-lower-bavard) at step qm value: ")
+
+
+@pytest.mark.parametrize(
+    "key, builder, mutate, step",
+    [
+        ("3", "upper_from_decomposition", _break_member, "membership of factor 0"),
+        ("4", "bavard_lower", _bump_value, "qm value"),
+    ],
+)
+def test_items_3_and_4_reverify_their_certificates(key, builder, mutate, step, monkeypatch):
+    real = getattr(sclkit.suite, builder)
+    monkeypatch.setattr(
+        sclkit.suite, builder, lambda *args, **kw: _with_witness(real(*args, **kw), mutate)
+    )
+    result = run_item(find_item(key), seed=DEFAULT_SEED)
+    assert not result.ok
+    assert result.detail.startswith("document verification: FAIL item 0 (")
+    assert f" at step {step}: " in result.detail
+
+
+def test_item_11_counts_the_corruptions_it_ran(monkeypatch):
+    uppers = [c for c in standalone_certificates() if c.kind == "scl-upper-decomposition"]
+    assert len(uppers) == 3
+    monkeypatch.setattr(sclkit.suite, "standalone_certificates", lambda: uppers)
+    result = run_item(find_item("11"), seed=DEFAULT_SEED)
+    assert result.ok, result.detail
+    assert result.detail == "3 certificates re-verified; 3 corruptions + empty file all caught"
+
+
+def test_item_11_fails_on_a_file_the_command_line_refuses(monkeypatch):
+    real = standalone_certificates()
+    broken = [_with_witness(real[0], _break_member)] + real[1:]
+    monkeypatch.setattr(sclkit.suite, "standalone_certificates", lambda: broken)
+    result = run_item(find_item("11"), seed=DEFAULT_SEED)
+    assert not result.ok
+    assert result.detail == "file verification: a fresh file exits 1 at 'membership of factor 0'"
 
 
 def _choice_raw(rng, gens):
@@ -160,7 +226,7 @@ def test_suite_samples_draw_what_the_validated_words_drew():
 
 
 def test_word_algebra_still_checks_100000_triples():
-    result = run_item(find_item("10"), seed=DEFAULT_SEED, shared={})
+    result = run_item(find_item("10"), seed=DEFAULT_SEED)
     assert result.ok
     assert result.detail.startswith("100000 random triples: ")
 
@@ -200,11 +266,11 @@ def test_sharded_items_give_the_same_verdict_forked_and_in_process(key, planted,
     elif planted:
         plant_extra_syllable(monkeypatch)
     children, _ = _record_forks(monkeypatch)
-    forked = run_item(find_item(key), seed=1, shared={})
+    forked = run_item(find_item(key), seed=1)
     assert len(children) == 1
     _assert_no_child_left()
     monkeypatch.delattr(os, "fork")
-    in_process = run_item(find_item(key), seed=1, shared={})
+    in_process = run_item(find_item(key), seed=1)
     assert (forked.ok, forked.detail) == (in_process.ok, in_process.detail)
     assert forked.ok != planted
     _assert_no_child_left()
@@ -233,11 +299,11 @@ def test_a_crash_in_the_forked_shard_reads_as_a_crash_in_process():
         if os.getpid() != parent:
             raise ZeroDivisionError("planted")
 
-    def sharded(rng, shared):
+    def sharded(rng):
         run_in_two_shards(crash_in_the_child, rng)
 
     # the detail run_item gives a ZeroDivisionError raised in its own process
-    result = run_item(Item(key="96", slug="crash", budget=1.0, fn=sharded), seed=7, shared={})
+    result = run_item(Item(key="96", slug="crash", budget=1.0, fn=sharded), seed=7)
     assert (result.ok, result.detail) == (False, "crashed: ZeroDivisionError: planted")
     _assert_no_child_left()
 
@@ -274,7 +340,7 @@ def test_the_shards_run_in_process_while_another_thread_runs(monkeypatch):
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        result = run_item(find_item("9"), seed=DEFAULT_SEED, shared={})
+        result = run_item(find_item("9"), seed=DEFAULT_SEED)
     finally:
         stop.set()
         thread.join(timeout=10)
@@ -290,7 +356,7 @@ def test_a_forked_shard_flushes_no_inherited_buffer_and_runs_no_atexit_handler()
         "from sclkit.suite import find_item, run_item\n"
         "atexit.register(print, 'at exit')\n"
         "sys.stdout.write('before the item\\n')\n"
-        "print(run_item(find_item('9'), 7, {}).ok)\n"
+        "print(run_item(find_item('9'), 7).ok)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
