@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("scl-bounds", help="emit certified scl bounds for one element")
     add_common(p_bounds, target=True)
     p_bounds.add_argument("--radius", type=int, default=3, help="search radius for ball enumerations")
-    p_bounds.add_argument("--cap", type=int, default=6, help="largest number of commutator factors to try")
+    p_bounds.add_argument("--cap", type=int, default=3, help="largest number of commutator factors to try")
     p_bounds.add_argument("--n-max", type=int, default=32, dest="n_max", help="largest power in bound families")
     p_bounds.set_defaults(handler=cmd_scl_bounds)
 
@@ -175,10 +175,7 @@ def cmd_scl_bounds(args) -> int:
                 d = conjugate_flip_decomposition(pair, g, flipper, n)
                 certs.append(upper_from_decomposition(g, 2 * n, d, note=note))
         else:
-            found = mixed_cl_search(
-                pair, g, ambient_radius=args.radius, subgroup_radius=args.radius,
-                max_factors=args.cap,
-            )
+            found = mixed_cl_search(pair, g, radius=args.radius, max_factors=args.cap)
             if found.decomposition is not None:
                 certs.append(
                     upper_from_decomposition(g, 1, found.decomposition, note=found.verdict)

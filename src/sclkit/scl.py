@@ -192,15 +192,9 @@ class ClSearchResult(Frozen):
     commutators_used: int
 
 
-def mixed_cl_search(
-    pair: GroupPair,
-    target: Any,
-    ambient_radius: int,
-    subgroup_radius: int,
-    max_factors: int,
-) -> ClSearchResult:
+def mixed_cl_search(pair: GroupPair, target: Any, radius: int, max_factors: int) -> ClSearchResult:
     """Least number of commutators [ghat, g] multiplying to target, with
-    components drawn from the given balls.
+    both components drawn from balls of the given radius.
 
     The found count is exact for the enumerated generating data and a sound
     upper bound for the true mixed commutator length; a miss is reported as
@@ -209,8 +203,8 @@ def mixed_cl_search(
     """
     ctx = pair.ambient
     commutators: dict[Any, tuple[Any, tuple[Any, Any]]] = {}
-    conjugators = [h for h in ctx.ball(ambient_radius) if pair.admits_conjugator(h)]
-    subgroup = pair.subgroup_ball(subgroup_radius)
+    conjugators = [h for h in ctx.ball(radius) if pair.admits_conjugator(h)]
+    subgroup = pair.subgroup_ball(radius)
     for ghat in conjugators:
         for g in subgroup:
             c = ctx.commutator(ghat, g)

@@ -10,9 +10,10 @@ and 4 re-verify the certificates they build from their document form; item
 
 Items 9 and 10, the two largest samples, each draw two shard seeds from
 their rng and run half the sample per shard: shard 0 in this process and
-shard 1 in a forked child, at the same time (``run_in_two_shards``).  Their
-details, steps and JSON do not depend on where the shards ran; which
-inputs a failure names depends on the seed alone.
+shard 1 in a forked child, at the same time (``run_in_two_shards``).  The
+child reports by exit status alone; when it fails, shard 1 runs again in
+this process, so its details, steps and JSON do not depend on where the
+shards ran, and which inputs a failure names depends on the seed alone.
 
 Code that only the items run lives here, next to the item that runs it, so
 the verifier kernel does not carry it: the swap product and
@@ -517,11 +518,13 @@ def run_in_two_shards(shard: Callable[[random.Random], None], rng: random.Random
     """Run ``shard`` on each of ``shard_rngs(rng)``: shard 0 here, shard 1 in a
     child forked for it, so that the two run at once.
 
-    A pipe carries the child's first ``StepFailure`` back as its step and
-    detail, and any other exception of the child as step ``crashed`` with
-    the detail ``run_item`` would give it.  Shard 0's failure wins when both
-    fail; it kills the child.  The child is reaped before this returns, and
-    it always leaves by ``os._exit``, so no ``atexit`` handler runs in it and
+    The child reports by its exit status alone.  If it fails, shard 1 runs
+    again here: a shard reads nothing but its rng, so the rerun raises the
+    child's ``StepFailure`` or crash in this process, as ``run_item`` reads
+    any other; a failure the rerun does not repeat raises ``RuntimeError``
+    naming the child's exit code.  Shard 0's failure wins when both fail;
+    it kills the child.  The child is reaped before this returns, and it
+    always leaves by ``os._exit``, so no ``atexit`` handler runs in it and
     no stdout buffer it inherited is flushed twice.  Without ``os.fork``, or
     while the process runs other threads, the shards run here in turn.
     """
@@ -530,45 +533,24 @@ def run_in_two_shards(shard: Callable[[random.Random], None], rng: random.Random
         shard(first)
         shard(second)
         return
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            os.close(read_fd)
-            report = b""
-            try:
-                shard(second)
-            except StepFailure as failure:
-                report = json.dumps([failure.step, failure.detail]).encode()
-            except Exception as exc:  # reported to the parent, as run_item would
-                report = json.dumps(["crashed", f"{type(exc).__name__}: {exc}"]).encode()
-            while report:
-                report = report[os.write(write_fd, report):]
+            shard(second)
             code = 0
         finally:
             os._exit(code)
-    os.close(write_fd)
-    chunks = []
     try:
-        try:
-            shard(first)
-        except BaseException:
-            os.kill(pid, _SIGKILL)
-            raise
-        while chunk := os.read(read_fd, 65536):
-            chunks.append(chunk)
+        shard(first)
+    except BaseException:
+        os.kill(pid, _SIGKILL)
+        raise
     finally:
-        os.close(read_fd)
         _, status = os.waitpid(pid, 0)
-    if chunks:
-        raise StepFailure(*json.loads(b"".join(chunks)))
     if status != 0:
+        # the child drew from its copy of second, so this one is still fresh
+        shard(second)
         raise RuntimeError(f"shard 1 ended with exit code {os.waitstatus_to_exitcode(status)}")
 
 
@@ -665,6 +647,16 @@ def standalone_certificates() -> list:
     return certs
 
 
+# (kind, field path, value, step): item 11 breaks the first certificate of
+# the kind at the path and expects verify to fail at the step
+CORRUPTIONS = (
+    ("scl-upper-decomposition", ("bound",), "1/1000", "bound arithmetic"),
+    ("scl-upper-decomposition", ("witness", "factors", 0, 1), "1", "membership of factor 0"),
+    ("scl-upper-decomposition", ("witness", "factors", 0, 0), "1,2", "product equality"),
+    ("scl-lower-bavard", ("witness", "value"), "2", "qm value"),
+)
+
+
 def _item_certificates(rng):
     from .cli import main as cli_main
 
@@ -688,10 +680,15 @@ def _item_certificates(rng):
         if code != 0:
             raise StepFailure("file verification", f"a fresh file exits {code} at {step!r}")
 
-        def corrupted(mutate, expected_step):
+        kinds = [it["kind"] for it in doc["items"]]
+        rows = [row for row in CORRUPTIONS if row[0] in kinds]
+        for kind, field, value, expected_step in rows:
             # a deep copy of plain JSON that keeps copy off every command's imports
             bad = json.loads(json.dumps(doc))
-            mutate(bad)
+            node = bad["items"][kinds.index(kind)]
+            for key in field[:-1]:
+                node = node[key]
+            node[field[-1]] = value
             badpath = os.path.join(tmp, "bad.json")
             certio.write_text_atomic(certio.dumps(bad), badpath)
             code, got = verify(badpath)
@@ -700,47 +697,13 @@ def _item_certificates(rng):
             if expected_step not in (got or ""):
                 raise StepFailure("corruption", f"expected {expected_step!r}, got {got!r}")
 
-        upper_idx = next(
-            i for i, it in enumerate(doc["items"]) if it["kind"] == "scl-upper-decomposition"
-        )
-        lower_idx = next(
-            (i for i, it in enumerate(doc["items"]) if it["kind"] == "scl-lower-bavard"),
-            None,
-        )
-
-        def bump_bound(d):
-            d["items"][upper_idx]["bound"] = "1/1000"
-
-        def break_member(d):
-            d["items"][upper_idx]["witness"]["factors"][0][1] = "1"
-
-        def break_product(d):
-            d["items"][upper_idx]["witness"]["factors"][0][0] = "1,2"
-
-        checks = [
-            (bump_bound, "bound arithmetic"),
-            (break_member, "membership of factor 0"),
-            (break_product, "product equality"),
-        ]
-        if lower_idx is not None:
-
-            def bump_value(d):
-                d["items"][lower_idx]["witness"]["value"] = "2"
-
-            checks.append((bump_value, "qm value"))
-        for mutate, step in checks:
-            corrupted(mutate, step)
-
         empty = os.path.join(tmp, "empty.json")
         open(empty, "w").close()
         code, step = verify(empty)
         if code == 0 or "schema" not in (step or ""):
             raise StepFailure("empty file", f"no schema error, got {step!r}")
 
-    return (
-        f"{len(certs)} certificates re-verified; "
-        f"{len(checks)} corruptions + empty file all caught"
-    )
+    return f"{len(certs)} certificates re-verified; {len(rows)} corruptions + empty file all caught"
 
 
 ITEMS: tuple[Item, ...] = (

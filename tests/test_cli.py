@@ -395,6 +395,16 @@ def test_searches_past_the_stored_layers_fit_in_256_mb():
     assert doc["notes"] == [
         "no upper bound: not found within 4 factors at these radii (ball-relative)"
     ]
+    # the defaults, radius 3 and cap 3: a miss among the 1489 moves stores
+    # layer 1 only
+    r = run_cli("scl-bounds", "--group", "free:2", "--word", "a", "--format", "json",
+                timeout=60, address_space=256 * 2**20)
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout)
+    assert doc["items"] == [] and doc["interval"] == ["0", None]
+    assert doc["notes"] == [
+        "no upper bound: not found within 3 factors at these radii (ball-relative)"
+    ]
 
 
 def test_subcommands_refuse_options_they_do_not_read(tmp_path):

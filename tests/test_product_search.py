@@ -66,8 +66,7 @@ def test_reach_matches_full_layers_on_free_group(checked_searches):
     rng = random.Random(5)
     for k in range(7):
         target = random_commutator_product(f2, rng, ball, k)
-        mixed_cl_search(ordinary_pair(f2), target, ambient_radius=2, subgroup_radius=2,
-                        max_factors=3)
+        mixed_cl_search(ordinary_pair(f2), target, radius=2, max_factors=3)
     depths = [None if p is None else len(p) for p in checked_searches]
     assert depths == [0, 1, 1, 2, 2, 3, None]
 
@@ -76,18 +75,18 @@ def test_reach_matches_full_layers_on_pure_braids_and_a_product(checked_searches
     pair = braid_pure_pair()
     ctx = pair.ambient
     alpha = alpha_braid()
-    for target, radii, cap in (
-        (alpha, (2, 1), 1),
-        (alpha, (1, 1), 1),
-        (ctx.power(alpha, 2), (2, 1), 2),
-        (braid("1,2,2,-1,-2,-2,1,2,2,-1,-2,-2", 3), (2, 2), 2),
-        (ctx.power(alpha, 3), (1, 1), 2),
+    for target, radius, cap in (
+        (alpha, 2, 1),
+        (alpha, 1, 1),
+        (ctx.power(alpha, 2), 2, 2),
+        (braid("1,2,2,-1,-2,-2,1,2,2,-1,-2,-2", 3), 2, 2),
+        (ctx.power(alpha, 3), 1, 2),
     ):
-        mixed_cl_search(pair, target, *radii, max_factors=cap)
+        mixed_cl_search(pair, target, radius, max_factors=cap)
     product = product_left_pair(FreeGroup(2))
     left = product.ambient.left
     target = (left.parse("abABabAB"), 0)
-    mixed_cl_search(product, target, ambient_radius=1, subgroup_radius=1, max_factors=2)
+    mixed_cl_search(product, target, radius=1, max_factors=2)
     depths = [None if p is None else len(p) for p in checked_searches]
     assert depths == [1, None, 2, 2, None, 2]
 

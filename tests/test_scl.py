@@ -138,9 +138,7 @@ def test_conjugate_flip_precondition():
 
 def test_mixed_cl_search_finds_alpha_as_one_commutator():
     pair = braid_pure_pair()
-    res = mixed_cl_search(
-        pair, alpha_braid(), ambient_radius=2, subgroup_radius=1, max_factors=1
-    )
+    res = mixed_cl_search(pair, alpha_braid(), radius=2, max_factors=1)
     assert res.count == 1
     assert res.verdict == "= 1"
     assert res.decomposition.factor_texts() == [["1,1", "2,2"]]
@@ -151,9 +149,7 @@ def test_mixed_cl_search_multi_factor():
     pair = braid_pure_pair()
     ctx = pair.ambient
     target = ctx.power(alpha_braid(), 2)
-    res = mixed_cl_search(
-        pair, target, ambient_radius=2, subgroup_radius=1, max_factors=2
-    )
+    res = mixed_cl_search(pair, target, radius=2, max_factors=2)
     assert res.count == 2
     assert len(res.decomposition.factors) == 2
     verify_decomposition(res.decomposition)
@@ -164,9 +160,7 @@ def test_mixed_cl_search_multi_factor():
         ("aabAAB", [["aa", "b"]]),
         ("abABabAB", [["a", "b"], ["a", "b"]]),
     ]:
-        res = mixed_cl_search(
-            ordinary_pair(f2), f2.parse(target), ambient_radius=2, subgroup_radius=2, max_factors=3
-        )
+        res = mixed_cl_search(ordinary_pair(f2), f2.parse(target), radius=2, max_factors=3)
         assert res.count == len(factors)
         assert res.decomposition.factor_texts() == factors
         assert res.commutators_used == 97
@@ -177,9 +171,7 @@ def test_mixed_cl_search_braid_witness_in_discovery_order():
     # sorting them by the repr of the equality key would pick ["1", "2,2,2,2"]
     # as the first factor
     target = braid("1,2,2,-1,-2,-2,1,2,2,-1,-2,-2", 3)
-    res = mixed_cl_search(
-        braid_pure_pair(), target, ambient_radius=2, subgroup_radius=2, max_factors=2
-    )
+    res = mixed_cl_search(braid_pure_pair(), target, radius=2, max_factors=2)
     assert res.count == 2
     assert res.decomposition.factor_texts() == [["1", "2,2"], ["1", "2,2"]]
     assert res.commutators_used == 121
@@ -187,9 +179,7 @@ def test_mixed_cl_search_braid_witness_in_discovery_order():
 
 def test_mixed_cl_search_miss_is_ball_relative():
     pair = braid_pure_pair()
-    res = mixed_cl_search(
-        pair, alpha_braid(), ambient_radius=1, subgroup_radius=1, max_factors=1
-    )
+    res = mixed_cl_search(pair, alpha_braid(), radius=1, max_factors=1)
     assert res.count is None
     assert res.decomposition is None
     assert "ball-relative" in res.verdict
@@ -197,9 +187,7 @@ def test_mixed_cl_search_miss_is_ball_relative():
 
 def test_mixed_cl_search_ordinary_mode_stays_inside_subgroup():
     pair = pure_ordinary_pair()
-    res = mixed_cl_search(
-        pair, alpha_braid(), ambient_radius=2, subgroup_radius=2, max_factors=1
-    )
+    res = mixed_cl_search(pair, alpha_braid(), radius=2, max_factors=1)
     assert res.count == 1
     for g, h in res.decomposition.factors:
         assert is_pure(g) and is_pure(h)

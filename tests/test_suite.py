@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -171,6 +172,24 @@ def test_item_11_fails_on_a_file_the_command_line_refuses(monkeypatch):
     assert result.detail == "file verification: a fresh file exits 1 at 'membership of factor 0'"
 
 
+@pytest.mark.parametrize(
+    "row, detail",
+    [
+        (("scl-upper-decomposition", ("bound",), "1/2", "bound arithmetic"),
+         "corruption: a certificate broken at bound arithmetic verifies"),
+        (("scl-upper-decomposition", ("bound",), "1/1000", "product equality"),
+         "corruption: expected 'product equality', got 'bound arithmetic'"),
+    ],
+    ids=["verifies", "another-step"],
+)
+def test_item_11_fails_on_a_corruption_that_is_not_caught_at_its_step(row, detail, monkeypatch):
+    # the first certificate is n = 1 of the flip family, of bound 1/2
+    assert standalone_certificates()[0].bound == Fraction(1, 2)
+    monkeypatch.setattr(sclkit.suite, "CORRUPTIONS", (row,))
+    result = run_item(find_item("11"), seed=DEFAULT_SEED)
+    assert (result.ok, result.detail) == (False, detail)
+
+
 def _choice_raw(rng, gens):
     # item 10's draw before its rejection loops were written out: the oracle
     return tuple(rng.choice(gens) for _ in range(rng.randrange(0, 9)))
@@ -276,35 +295,69 @@ def test_sharded_items_give_the_same_verdict_forked_and_in_process(key, planted,
     _assert_no_child_left()
 
 
+def _is_shard_1(rng, parent_rng):
+    """Whether ``rng`` is still in the state of shard 1 of ``parent_rng``."""
+    return rng.getstate() == shard_rngs(parent_rng)[1].getstate()
+
+
 def test_a_failure_in_the_forked_shard_surfaces_with_its_step_and_detail(monkeypatch):
-    parent, real = os.getpid(), sclkit.suite.invert_letters
-    monkeypatch.setattr(sclkit.suite, "invert_letters",
-                        lambda u: real(u) if os.getpid() == parent else u)
-    # the child's first triple whose first word is not the identity
+    # invert_letters is broken while shard 1 runs, in the child and in the rerun
+    in_shard_1, real = [False], sclkit.suite.invert_letters
+    monkeypatch.setattr(sclkit.suite, "invert_letters", lambda u: u if in_shard_1[0] else real(u))
+
+    def shard(rng):
+        in_shard_1[0] = _is_shard_1(rng, random.Random(5))
+        _word_algebra_shard(rng)
+
+    # shard 1's first triple whose first word is not the identity
     bits = shard_rngs(random.Random(5))[1].getrandbits
     while True:
         ra, _, _ = _random_raw(bits), _random_raw(bits), _random_raw(bits)
         if reduce_letters(ra):
             break
+    children, statuses = _record_forks(monkeypatch)
     with pytest.raises(StepFailure) as exc:
-        run_in_two_shards(_word_algebra_shard, random.Random(5))
+        run_in_two_shards(shard, random.Random(5))
     assert (exc.value.step, exc.value.detail) == ("inverse", f"fails at {ra}")
+    assert os.waitstatus_to_exitcode(statuses[children[0]]) == 1
     _assert_no_child_left()
 
 
-def test_a_crash_in_the_forked_shard_reads_as_a_crash_in_process():
-    parent = os.getpid()
-
-    def crash_in_the_child(rng):
-        if os.getpid() != parent:
+def test_a_crash_in_the_forked_shard_reads_as_a_crash_in_process(monkeypatch):
+    def crash_in_shard_1(rng):
+        # run_item's generator for item 96 at seed 7
+        if _is_shard_1(rng, random.Random(7 * 1009 + 96)):
             raise ZeroDivisionError("planted")
 
     def sharded(rng):
-        run_in_two_shards(crash_in_the_child, rng)
+        run_in_two_shards(crash_in_shard_1, rng)
 
+    children, statuses = _record_forks(monkeypatch)
     # the detail run_item gives a ZeroDivisionError raised in its own process
     result = run_item(Item(key="96", slug="crash", budget=1.0, fn=sharded), seed=7)
     assert (result.ok, result.detail) == (False, "crashed: ZeroDivisionError: planted")
+    assert os.waitstatus_to_exitcode(statuses[children[0]]) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("fault, code", [("raise", 1), ("kill", -signal.SIGKILL)])
+def test_a_failure_only_the_child_sees_names_its_exit_code(fault, code):
+    parent = os.getpid()
+
+    def fails_in_the_child(rng):
+        if os.getpid() == parent:
+            return
+        if fault == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise ZeroDivisionError("planted")
+
+    def sharded(rng):
+        run_in_two_shards(fails_in_the_child, rng)
+
+    result = run_item(Item(key="96", slug="child", budget=1.0, fn=sharded), seed=7)
+    assert (result.ok, result.detail) == (
+        False, f"crashed: RuntimeError: shard 1 ended with exit code {code}"
+    )
     _assert_no_child_left()
 
 
