@@ -1,11 +1,13 @@
 """Certificate files: deterministic JSON output and untrusting re-verification.
 
 A certificate file is an envelope ``{"format": ..., "items": [...]}`` whose
-items are the payloads produced by ``SclCertificate.as_payload``.  The
-verifier rebuilds every group, element and quasimorphism from their text
-forms and recomputes each claimed fact from scratch; the only thing taken
-from the file is the statement being checked.  Any failure names the step
-that broke.
+items are the payloads that ``scl.bavard_lower`` and
+``scl.upper_from_decomposition`` return.  The verifier rebuilds every
+group, element and quasimorphism from their text forms and recomputes each
+claimed fact from scratch; the only thing taken from the file is the
+statement being checked.  Any failure names the step that broke.
+``document`` runs the same check on every item before it builds an
+envelope, so each document sclkit writes holds only items that verify.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import specs
-from .scl import (
-    MixedCommutatorDecomposition,
-    SclCertificate,
-    invariance_refusal,
-    verify_decomposition,
-)
+from .scl import MixedCommutatorDecomposition, invariance_refusal, verify_decomposition
 from .words import Frozen, StepFailure
 
 FORMAT = "scl-certificates/1"
@@ -67,10 +64,6 @@ MAX_DOCUMENT_ITEMS = WITNESS_TEXT_BUDGET // 2
 MAX_DOCUMENT_BYTES = 16 * 2**20
 
 
-def document(certs: Sequence[SclCertificate]) -> dict:
-    return {"format": FORMAT, "items": [c.as_payload() for c in certs]}
-
-
 def dumps(doc: Any) -> str:
     """Canonical serialisation: sorted keys, two-space indent, newline end.
     Equal documents give byte-equal output."""
@@ -94,8 +87,9 @@ def write_text_atomic(text: str, path: str | Path) -> None:
         raise
 
 
-def write_certificates(certs: Sequence[SclCertificate], path: str | Path) -> dict:
-    doc = document(certs)
+def write_certificates(items: Sequence[dict], path: str | Path) -> dict:
+    """Write ``document(items)``; an item that fails writes nothing."""
+    doc = document(items)
     write_text_atomic(dumps(doc), path)
     return doc
 
@@ -362,6 +356,17 @@ def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
         ok, step, detail = verify_payload(item)
         checks.append(CheckResult(i, kind, ok, step, detail))
     return VerificationReport(source, tuple(checks), None)
+
+
+def document(items: Sequence[dict]) -> dict:
+    """The envelope around items, checked as ``verify`` checks a file; the
+    first item that fails raises StepFailure at "self-verification"."""
+    doc = {"format": FORMAT, "items": list(items)}
+    report = verify_document(doc)
+    if not report.ok:
+        failed = next(line for line in report.describe().splitlines() if line.startswith("FAIL"))
+        raise StepFailure("self-verification", failed)
+    return doc
 
 
 def verify_file(path: str | Path) -> VerificationReport:

@@ -4,7 +4,7 @@ Each item recomputes its claim from scratch with a per-item seeded rng and
 returns a one-line detail, or raises StepFailure at its first
 counterexample, naming the property that broke.  An item reads nothing but
 its rng, so its detail is the same run alone or in the full suite.  Items 3
-and 4 re-verify the certificates they build from their document form; item
+and 4 check the certificates they build through ``certio.document``; item
 11 writes its own small set to disk, verifies each file once through
 ``sclkit verify``, and confirms that corrupted copies fail at the named step.
 
@@ -185,18 +185,6 @@ def _item_flip(rng):
     return "normal form certifies delta alpha delta^-1 = alpha^-1"
 
 
-# --- items 3 and 4 re-verify what they build ------------------------------
-
-
-def reverify(certs: list) -> None:
-    """Re-verify certificates from their document form, the text that
-    ``sclkit verify`` reads from a file; raise at the first that fails."""
-    report = certio.verify_document(certio.document(certs))
-    if not report.ok:
-        failed = next(line for line in report.describe().splitlines() if line.startswith("FAIL"))
-        raise StepFailure("document verification", failed)
-
-
 # --- item 3: the family of mixed upper bounds ----------------------------
 
 
@@ -210,10 +198,10 @@ def _item_mixed_upper(rng):
         cert = upper_from_decomposition(
             alpha, 2 * n, d, note="flip decomposition: the half twist inverts alpha"
         )
-        if cert.bound != Fraction(1, 2 * n):
-            raise StepFailure("bound", f"n={n}: {cert.bound}, expected 1/{2*n}")
+        if Fraction(cert["bound"]) != Fraction(1, 2 * n):
+            raise StepFailure("bound", f"n={n}: {cert['bound']}, expected 1/{2*n}")
         certs.append(cert)
-    reverify(certs)
+    certio.document(certs)
     return "alpha^(2n) = [delta, alpha^-n] verified for n <= 32; best bound 1/64"
 
 
@@ -254,13 +242,14 @@ def _item_duality_lower(rng):
         pure_ordinary_pair(),
         note="ordinary bound inside the pure subgroup via the free-factor projection",
     )
-    if cert.bound != Fraction(1, 12) or cert.bound != 1 / (2 * defect) or cert.bound <= 0:
-        raise StepFailure("bound", f"{cert.bound}, expected 1/(2*{defect}) = 1/12")
+    bound = Fraction(cert["bound"])
+    if bound != Fraction(1, 12) or bound != 1 / (2 * defect) or bound <= 0:
+        raise StepFailure("bound", f"{bound}, expected 1/(2*{defect}) = 1/12")
     detail = (
         f"bound 1/12 = 1/(2*{defect}); searched defect {search.lower} <= {defect} "
         f"at radius 8 ({search.pairs_checked} pairs)"
     )
-    reverify([cert])
+    certio.document([cert])
     return detail
 
 

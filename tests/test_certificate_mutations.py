@@ -99,7 +99,7 @@ def _statement(payload):
 
 @pytest.fixture(scope="module")
 def payloads():
-    return [cert.as_payload() for cert in standalone_certificates()]
+    return standalone_certificates()
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

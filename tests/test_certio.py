@@ -92,6 +92,29 @@ def test_write_and_verify_file_round_trip(tmp_path, upper_cert, lower_cert):
     assert loaded == document([upper_cert, lower_cert])
 
 
+def test_document_names_the_first_certificate_that_fails(upper_cert, lower_cert):
+    document([upper_cert, lower_cert])
+    bumped = corrupted(lower_cert, lambda p: p["witness"].update(value="2"))
+    broken = corrupted(upper_cert, lambda p: p["witness"]["factors"][0].__setitem__(1, "1"))
+    with pytest.raises(StepFailure) as exc:
+        document([upper_cert, bumped, broken])
+    assert exc.value.step == "self-verification"
+    assert exc.value.detail.startswith("FAIL item 1 (scl-lower-bavard) at step qm value: ")
+
+
+def test_write_certificates_refuses_a_forged_bound_and_writes_nothing(tmp_path, upper_cert):
+    # a hand-built item claiming scl <= 1/1000 from one factor at power 4
+    forged = corrupted(upper_cert, lambda p: p.update(bound="1/1000"))
+    path = tmp_path / "forged.json"
+    with pytest.raises(StepFailure) as exc:
+        write_certificates([forged], path)
+    assert exc.value.step == "self-verification"
+    assert exc.value.detail.startswith(
+        "FAIL item 0 (scl-upper-decomposition) at step bound arithmetic: "
+    )
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_file_reports_schema_on_garbage(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("")
@@ -156,7 +179,7 @@ def test_verify_document_refuses_more_items_than_the_cap():
 
 
 def corrupted(cert, edit):
-    payload = copy.deepcopy(cert.as_payload())
+    payload = copy.deepcopy(cert)
     edit(payload)
     return payload
 
@@ -266,7 +289,7 @@ def test_boolean_power_is_refused_at_witness():
     d = MixedCommutatorDecomposition(
         pure_ordinary_pair(), alpha, ((braid("1,1", 3), braid("2,2", 3)),)
     )
-    payload = upper_from_decomposition(alpha, 1, d).as_payload()
+    payload = upper_from_decomposition(alpha, 1, d)
     assert verify_payload(payload)[0]
     payload["witness"]["power"] = True
     ok, step, detail = verify_payload(payload)
@@ -302,7 +325,7 @@ def test_rationals_are_read_only_as_fraction_writes_them(upper_cert, lower_cert)
 
 def test_unmodified_payloads_verify(upper_cert, lower_cert):
     for cert in (upper_cert, lower_cert):
-        ok, step, detail = verify_payload(cert.as_payload())
+        ok, step, detail = verify_payload(cert)
         assert ok, f"{step}: {detail}"
 
 
@@ -322,8 +345,9 @@ def test_user_config_defect_fails_at_defect(lower_cert):
 
 def test_parent_format_with_invariance_sample_still_verifies(upper_cert, lower_cert):
     # files written before the sample was dropped carry an evidence key
-    # that the verifier never reads
-    doc = document([upper_cert, lower_cert])
+    # that the verifier never reads; the document holds the fixtures' own
+    # dicts, so edit a copy
+    doc = copy.deepcopy(document([upper_cert, lower_cert]))
     doc["items"][0]["evidence"]["invariance_sample"] = None
     doc["items"][1]["evidence"]["invariance_sample"] = {"checked": 99, "violations": 0}
     assert verify_document(doc).ok

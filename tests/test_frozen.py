@@ -21,7 +21,7 @@ EXPECTED = {
     "CheckResult", "VerificationReport", "SectionData", "ExtensionResult",
     "DefectChainReport", "GroupHom", "FragmentationResult",
     "NormAxiomReport", "Quasimorphism", "DefectSearchResult", "GroupPair",
-    "MixedCommutatorDecomposition", "ClSearchResult", "SclCertificate",
+    "MixedCommutatorDecomposition", "ClSearchResult",
     "Item", "ItemResult", "SuiteReport", "Word", "BraidWord", "GarsideNormalForm",
     "P3Coordinates", "CertifiedValue",
 }

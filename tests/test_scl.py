@@ -7,6 +7,7 @@ import pytest
 
 from garside_helpers import braid_equal
 from sclkit.braids import BraidGroup, braid, half_twist, is_pure, pr1
+from sclkit.certio import document
 from sclkit.groups import CyclicZ, FreeGroup
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
@@ -131,9 +132,12 @@ def test_commutator_identity_xy_random_trials():
 
 
 def test_conjugate_flip_precondition():
+    # b does not flip a, so [b, a^-1] is not a^2
     pair = ordinary_pair(FreeGroup(2))
-    with pytest.raises(PreconditionError):
-        conjugate_flip_decomposition(pair, word("a"), word("b"), 1)
+    d = conjugate_flip_decomposition(pair, word("a"), word("b"), 1)
+    with pytest.raises(StepFailure) as failure:
+        verify_decomposition(d)
+    assert failure.value.step == "product equality"
 
 
 def test_mixed_cl_search_finds_alpha_as_one_commutator():
@@ -196,12 +200,12 @@ def test_mixed_cl_search_ordinary_mode_stays_inside_subgroup():
 def test_bavard_lower_matches_duality_arithmetic():
     qm = pullback(brooks_homogenized(word("xyXY")), pr1())
     cert = bavard_lower(alpha_braid(), qm, pure_ordinary_pair())
-    assert cert.as_payload()["verified"] is True
-    assert cert.direction == "lower"
-    assert cert.pair.mode == "ordinary"
-    assert cert.bound == Fraction(1, 12)
-    assert cert.witness["value"] == "1"
-    assert cert.witness["defect_upper"] == "6"
+    assert cert["verified"] is True
+    assert cert["direction"] == "lower"
+    assert cert["group_pair"] == "braid:3/pure-ordinary"
+    assert cert["bound"] == "1/12"
+    assert cert["witness"]["value"] == "1"
+    assert cert["witness"]["defect_upper"] == "6"
 
 
 def test_bavard_lower_requires_homogeneous():
@@ -213,8 +217,8 @@ def test_bavard_lower_zero_defect_gives_zero_bound():
     z = CyclicZ()
     qm = hom_qm(z, lambda k: k, "id")
     cert = bavard_lower(3, qm, ordinary_pair(z))
-    assert cert.bound == 0
-    assert "not in the commutator subgroup" in cert.note
+    assert cert["bound"] == "0"
+    assert "not in the commutator subgroup" in cert["note"]
 
 
 def test_upper_from_decomposition_bound_arithmetic():
@@ -223,20 +227,26 @@ def test_upper_from_decomposition_bound_arithmetic():
     for n in (1, 2, 8):
         d = conjugate_flip_decomposition(pair, alpha, half_twist(3), n)
         cert = upper_from_decomposition(alpha, 2 * n, d)
-        assert cert.as_payload()["verified"] is True
-        assert cert.bound == Fraction(1, 2 * n)
-        assert cert.direction == "upper"
+        assert cert["verified"] is True
+        assert Fraction(cert["bound"]) == Fraction(1, 2 * n)
+        assert cert["direction"] == "upper"
 
 
 def test_upper_from_decomposition_rejects_power_mismatch():
+    # d decomposes alpha^4, claimed as alpha^6; upper_from_decomposition
+    # checks nothing, and certio.document rejects the certificate
     pair = braid_pure_pair()
     alpha = alpha_braid()
     d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 2)
-    with pytest.raises(ValueError):
-        upper_from_decomposition(alpha, 6, d)
+    with pytest.raises(StepFailure) as failure:
+        document([upper_from_decomposition(alpha, 6, d)])
+    assert failure.value.step == "self-verification"
+    assert " at step product equality: " in failure.value.detail
 
 
 def test_upper_from_decomposition_raises_the_failed_step():
+    # raised by certio.document, which checks what upper_from_decomposition
+    # builds
     pair = braid_pure_pair()
     alpha = alpha_braid()
     ctx = pair.ambient
@@ -244,16 +254,18 @@ def test_upper_from_decomposition_raises_the_failed_step():
         pair, ctx.power(alpha, 2), ((half_twist(3), ctx.power(alpha, 1)),)
     )
     with pytest.raises(StepFailure) as failure:
-        upper_from_decomposition(alpha, 2, d)
-    assert failure.value.step == "product equality"
+        document([upper_from_decomposition(alpha, 2, d)])
+    assert failure.value.step == "self-verification"
+    assert failure.value.detail.startswith(
+        "FAIL item 0 (scl-upper-decomposition) at step product equality: "
+    )
 
 
 def test_certificate_payload_shape():
     pair = braid_pure_pair()
     alpha = alpha_braid()
     d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 1)
-    cert = upper_from_decomposition(alpha, 2, d)
-    payload = cert.as_payload()
+    payload = upper_from_decomposition(alpha, 2, d)
     assert payload["kind"] == "scl-upper-decomposition"
     assert payload["group_pair"] == pair.name
     assert payload["direction"] == "upper"

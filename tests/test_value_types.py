@@ -138,7 +138,7 @@ def test_deepcopy_of_a_flip_certificate_keeps_its_claim():
     alpha = scl.alpha_braid()
     d = scl.conjugate_flip_decomposition(pair, alpha, braids.half_twist(3), 2)
     cert = scl.upper_from_decomposition(alpha, 4, d, "")
-    clone = copy.deepcopy(cert)
-    assert clone.bound == cert.bound == Fraction(1, 4)
-    assert clone.target == cert.target and clone.target is not cert.target
-    assert clone.as_payload() == cert.as_payload()
+    clone = copy.deepcopy(d)
+    assert clone.target == d.target and clone.target is not d.target
+    assert scl.upper_from_decomposition(alpha, 4, clone, "") == cert
+    assert cert["bound"] == "1/4"
