@@ -199,8 +199,7 @@ def _check_upper(payload: dict, pair, target) -> None:
             f"claimed bound {bound} but {len(factors)} factors over power {power} "
             f"give {Fraction(len(factors), power)}",
         )
-    d = MixedCommutatorDecomposition(pair, ctx.power(target, power), tuple(factors))
-    verify_decomposition(d)
+    verify_decomposition(MixedCommutatorDecomposition(pair, target, power, tuple(factors)))
 
 
 def _check_lower(payload: dict, pair, target) -> None:

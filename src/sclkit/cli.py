@@ -152,8 +152,8 @@ def cmd_scl_bounds(args) -> int:
     notes: list[str] = []
 
     if ctx.is_identity(g):
-        empty = MixedCommutatorDecomposition(pair, g, ())
-        certs.append(upper_from_decomposition(g, 1, empty, note="the identity needs no factors"))
+        empty = MixedCommutatorDecomposition(pair, g, 1, ())
+        certs.append(upper_from_decomposition(empty, note="the identity needs no factors"))
     else:
         # no nontrivial element of a free group is conjugate to its inverse,
         # nor is a braid of nonzero index sum (conjugation keeps the index sum
@@ -172,13 +172,11 @@ def cmd_scl_bounds(args) -> int:
             note = f"flip decomposition: {ctx.text(flipper)} conjugates the target to its inverse"
             for n in range(1, args.n_max + 1):
                 d = conjugate_flip_decomposition(pair, g, flipper, n)
-                certs.append(upper_from_decomposition(g, 2 * n, d, note=note))
+                certs.append(upper_from_decomposition(d, note=note))
         else:
             found = mixed_cl_search(pair, g, radius=args.radius, max_factors=args.cap)
             if found.decomposition is not None:
-                certs.append(
-                    upper_from_decomposition(g, 1, found.decomposition, note=found.verdict)
-                )
+                certs.append(upper_from_decomposition(found.decomposition, note=found.verdict))
             else:
                 notes.append(f"no upper bound: {found.verdict}")
 

@@ -218,7 +218,6 @@ def restriction_check(result: ExtensionResult, elements: Iterable[Any]) -> int:
 class DefectChainReport(Frozen):
     phi_prime_searched: Fraction
     phi_hat_searched: Fraction
-    radius: int
     pairs_checked: int
 
 
@@ -263,4 +262,4 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
         raise StepFailure(
             "defect chain", f"phi_hat searched {phi_hat_searched} > 2 D(phi) = {2 * d}"
         )
-    return DefectChainReport(phi_prime_searched, phi_hat_searched, radius, pairs)
+    return DefectChainReport(phi_prime_searched, phi_hat_searched, pairs)

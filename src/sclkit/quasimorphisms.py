@@ -260,7 +260,6 @@ def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
 class DefectSearchResult(Frozen):
     lower: Fraction
     witness: tuple | None
-    radius: int
     pairs_checked: int
 
 
@@ -286,7 +285,7 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
             if gap > best:
                 best = gap
                 witness = (g, h)
-    return DefectSearchResult(Fraction(best, table.scale), witness, radius, pairs)
+    return DefectSearchResult(Fraction(best, table.scale), witness, pairs)
 
 
 def invariance_check(qm: Quasimorphism, conjugators: Iterable, targets: Iterable) -> int:

@@ -137,11 +137,13 @@ def product_left_pair(left: GroupContext | None = None) -> GroupPair:
 
 
 class MixedCommutatorDecomposition(Frozen):
-    """target as an ordered product of commutators [ghat_i, g_i] with every
-    g_i in the normal subgroup."""
+    """The claim target^power = prod [ghat_i, g_i], with every g_i in the
+    normal subgroup; as an upper bound it gives scl(target) <= m / power
+    for m factors."""
 
     pair: GroupPair
     target: Any
+    power: int
     factors: tuple[tuple[Any, Any], ...]
 
     def product(self) -> Any:
@@ -157,7 +159,8 @@ class MixedCommutatorDecomposition(Frozen):
 
 
 def verify_decomposition(d: MixedCommutatorDecomposition) -> None:
-    """Exact check: memberships first, then the product equality.  The
+    """Exact check: memberships first, then the product equality against
+    target^power, the one place a claim's target is raised.  The
     first failure raises StepFailure at "membership of factor i" or
     "product equality".
 
@@ -180,10 +183,11 @@ def verify_decomposition(d: MixedCommutatorDecomposition) -> None:
                 f"factor {i} component {ctx.text(g)} is not in the normal subgroup of {d.pair.name}",
             )
     prod = d.product()
-    if not ctx.eq(prod, d.target):
+    expected = ctx.power(d.target, d.power)
+    if not ctx.eq(prod, expected):
         raise StepFailure(
             "product equality",
-            f"product {ctx.text(prod)} differs from target {ctx.text(d.target)}",
+            f"product {ctx.text(prod)} differs from target {ctx.text(expected)}",
         )
 
 
@@ -222,7 +226,7 @@ def mixed_cl_search(pair: GroupPair, target: Any, radius: int, max_factors: int)
             f"not found within {max_factors} factors at these radii (ball-relative)",
             len(moves),
         )
-    decomposition = MixedCommutatorDecomposition(pair, target, tuple(moves[i][1] for i in path))
+    decomposition = MixedCommutatorDecomposition(pair, target, 1, tuple(moves[i][1] for i in path))
     count = len(path)
     return ClSearchResult(count, decomposition, f"= {count}", len(moves))
 
@@ -230,14 +234,12 @@ def mixed_cl_search(pair: GroupPair, target: Any, radius: int, max_factors: int)
 def conjugate_flip_decomposition(
     pair: GroupPair, base: Any, flipper: Any, n: int
 ) -> MixedCommutatorDecomposition:
-    """base^{2n} = [flipper, base^{-n}], given flipper * base * flipper^-1 =
-    base^-1; a flipper that does not flip base gives a decomposition that
-    fails at "product equality"."""
-    ctx = pair.ambient
-    target = ctx.power(base, 2 * n)
-    if n == 0:
-        return MixedCommutatorDecomposition(pair, target, ())
-    return MixedCommutatorDecomposition(pair, target, ((flipper, ctx.power(base, -n)),))
+    """base^{2n} = [flipper, base^{-n}] for n >= 1, given flipper * base *
+    flipper^-1 = base^-1; a flipper that does not flip base gives a
+    decomposition that fails at "product equality"."""
+    return MixedCommutatorDecomposition(
+        pair, base, 2 * n, ((flipper, pair.ambient.power(base, -n)),)
+    )
 
 
 def _payload(kind: str, pair: GroupPair, target: Any, bound: Fraction, witness: dict,
@@ -302,18 +304,12 @@ def bavard_lower(
     return _payload("scl-lower-bavard", pair, target, bound, witness, qm.defect_provenance, note)
 
 
-def upper_from_decomposition(
-    target: Any,
-    power: int,
-    d: MixedCommutatorDecomposition,
-    note: str = "",
-) -> dict:
-    """scl(target) <= m / power from a decomposition d of target^power into
-    m commutators.  Nothing is checked here: a d that is not such a
-    decomposition fails in ``certio.document``."""
-    witness = {"power": power, "factors": d.factor_texts()}
-    bound = Fraction(len(d.factors), power)
-    return _payload("scl-upper-decomposition", d.pair, target, bound, witness, None, note)
+def upper_from_decomposition(d: MixedCommutatorDecomposition, note: str = "") -> dict:
+    """scl(d.target) <= m / d.power from d's m commutators.  Nothing is
+    checked here: a d whose claim is false fails in ``certio.document``."""
+    witness = {"power": d.power, "factors": d.factor_texts()}
+    bound = Fraction(len(d.factors), d.power)
+    return _payload("scl-upper-decomposition", d.pair, d.target, bound, witness, None, note)
 
 
 def alpha_braid() -> BraidWord:

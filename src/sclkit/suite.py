@@ -195,9 +195,7 @@ def _item_mixed_upper(rng):
     certs = []
     for n in range(1, 33):
         d = conjugate_flip_decomposition(pair, alpha, delta, n)
-        cert = upper_from_decomposition(
-            alpha, 2 * n, d, note="flip decomposition: the half twist inverts alpha"
-        )
+        cert = upper_from_decomposition(d, note="flip decomposition: the half twist inverts alpha")
         if Fraction(cert["bound"]) != Fraction(1, 2 * n):
             raise StepFailure("bound", f"n={n}: {cert['bound']}, expected 1/{2*n}")
         certs.append(cert)
@@ -308,10 +306,10 @@ def power_commutator(ctx: GroupContext, f: Any, g: Any, n: int) -> MixedCommutat
             f"{ctx.text(f)} does not commute with {ctx.text(c)}"
         )
     pair = ordinary_pair(ctx)
-    target = ctx.power(ctx.commutator(f, g), n)
+    target = ctx.commutator(f, g)
     if n == 0:
-        return MixedCommutatorDecomposition(pair, target, ())
-    return MixedCommutatorDecomposition(pair, target, ((ctx.power(f, n), g),))
+        return MixedCommutatorDecomposition(pair, target, 0, ())
+    return MixedCommutatorDecomposition(pair, target, n, ((ctx.power(f, n), g),))
 
 
 def _item_power_commutator(rng):
@@ -378,7 +376,7 @@ def commutator_identity_xy(
         ctx.power(xy, 2 * n),
         ctx.mul(ctx.power(x, -2 * n), ctx.power(y, -2 * n)),
     )
-    return MixedCommutatorDecomposition(pair, target, tuple(factors))
+    return MixedCommutatorDecomposition(pair, target, 1, tuple(factors))
 
 
 def _item_packing(rng):
@@ -630,7 +628,7 @@ def standalone_certificates() -> list:
     certs = []
     for n in (1, 2, 4):
         d = conjugate_flip_decomposition(pair, alpha, delta, n)
-        certs.append(upper_from_decomposition(alpha, 2 * n, d))
+        certs.append(upper_from_decomposition(d))
     qm = pullback(brooks_homogenized(word("xyXY")), pr1())
     certs.append(bavard_lower(alpha, qm, pure_ordinary_pair()))
     return certs

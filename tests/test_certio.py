@@ -41,8 +41,7 @@ from sclkit.words import StepFailure, word
 def upper_cert():
     pair = braid_pure_pair()
     alpha = alpha_braid()
-    d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 2)
-    return upper_from_decomposition(alpha, 4, d)
+    return upper_from_decomposition(conjugate_flip_decomposition(pair, alpha, half_twist(3), 2))
 
 
 @pytest.fixture(scope="module")
@@ -287,9 +286,9 @@ def test_boolean_power_is_refused_at_witness():
     # [s1^2, s2^2] = alpha would give the claimed bound 1 exactly
     alpha = alpha_braid()
     d = MixedCommutatorDecomposition(
-        pure_ordinary_pair(), alpha, ((braid("1,1", 3), braid("2,2", 3)),)
+        pure_ordinary_pair(), alpha, 1, ((braid("1,1", 3), braid("2,2", 3)),)
     )
-    payload = upper_from_decomposition(alpha, 1, d)
+    payload = upper_from_decomposition(d)
     assert verify_payload(payload)[0]
     payload["witness"]["power"] = True
     ok, step, detail = verify_payload(payload)

@@ -3,9 +3,11 @@
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -912,6 +914,24 @@ def test_scl_bounds_on_three_strands_computes_no_normal_form(argv, monkeypatch, 
     assert cli.main(["scl-bounds", *argv, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["items"]
     assert computed == []
+
+
+# `tests/data/scl-bounds/COMMANDS`: one golden file name and the sclkit
+# arguments that write it, per line, as the CI suite-warnings job reads it
+GOLDENS = Path(__file__).with_name("data") / "scl-bounds"
+GOLDEN_COMMANDS = [
+    line.split(None, 1) for line in (GOLDENS / "COMMANDS").read_text().splitlines()
+]
+
+
+@pytest.mark.parametrize(
+    "name, command", GOLDEN_COMMANDS, ids=[name for name, _ in GOLDEN_COMMANDS]
+)
+def test_scl_bounds_output_matches_its_golden_file(name, command, capsys):
+    code = cli.main(shlex.split(command))
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert captured.out.encode() == (GOLDENS / name).read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,7 @@ def reference_defect_chain(result, radius):
             vh, vgh = memo(hat, result.value, h), memo(hat, result.value, gh)
             slack = (vg.radius or 0) + (vh.radius or 0) + (vgh.radius or 0)
             best_hat = max(best_hat, abs(vgh.value - vg.value - vh.value) - slack)
-    return DefectChainReport(best_prime, best_hat, radius, pairs)
+    return DefectChainReport(best_prime, best_hat, pairs)
 
 
 def test_defect_chain_matches_fraction_reference_on_the_suite_legs():

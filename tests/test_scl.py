@@ -57,9 +57,7 @@ def test_verify_decomposition_rejects_wrong_product():
     pair = braid_pure_pair()
     alpha = alpha_braid()
     ctx = pair.ambient
-    d = MixedCommutatorDecomposition(
-        pair, ctx.power(alpha, 3), ((half_twist(3), ctx.power(alpha, -1)),)
-    )
+    d = MixedCommutatorDecomposition(pair, alpha, 3, ((half_twist(3), ctx.power(alpha, -1)),))
     with pytest.raises(StepFailure) as failure:
         verify_decomposition(d)
     assert failure.value.step == "product equality"
@@ -70,7 +68,7 @@ def test_verify_decomposition_rejects_non_member_second_component():
     ctx = pair.ambient
     sigma = braid("1", 3)
     d = MixedCommutatorDecomposition(
-        pair, ctx.commutator(half_twist(3), sigma), ((half_twist(3), sigma),)
+        pair, ctx.commutator(half_twist(3), sigma), 1, ((half_twist(3), sigma),)
     )
     with pytest.raises(StepFailure) as failure:
         verify_decomposition(d)
@@ -85,10 +83,9 @@ def test_ordinary_mode_rejects_ambient_conjugator():
     alpha = alpha_braid()
     ctx = mixed.ambient
     factors = ((half_twist(3), ctx.power(alpha, -1)),)
-    target = ctx.power(alpha, 2)
-    verify_decomposition(MixedCommutatorDecomposition(mixed, target, factors))
+    verify_decomposition(MixedCommutatorDecomposition(mixed, alpha, 2, factors))
     with pytest.raises(StepFailure) as failure:
-        verify_decomposition(MixedCommutatorDecomposition(ordinary, target, factors))
+        verify_decomposition(MixedCommutatorDecomposition(ordinary, alpha, 2, factors))
     assert failure.value.step == "membership of factor 0"
     assert "ordinary mode" in failure.value.detail
 
@@ -101,7 +98,8 @@ def test_power_commutator_in_braid_group():
         d = power_commutator(ctx, alpha, delta, n)
         verify_decomposition(d)
         assert len(d.factors) == (0 if n == 0 else 1)
-        assert braid_equal(d.target, ctx.power(ctx.commutator(alpha, delta), n))
+        assert braid_equal(d.target, ctx.commutator(alpha, delta))
+        assert d.power == n
 
 
 def test_power_commutator_in_swap_product():
@@ -226,20 +224,21 @@ def test_upper_from_decomposition_bound_arithmetic():
     alpha = alpha_braid()
     for n in (1, 2, 8):
         d = conjugate_flip_decomposition(pair, alpha, half_twist(3), n)
-        cert = upper_from_decomposition(alpha, 2 * n, d)
+        cert = upper_from_decomposition(d)
         assert cert["verified"] is True
         assert Fraction(cert["bound"]) == Fraction(1, 2 * n)
         assert cert["direction"] == "upper"
 
 
 def test_upper_from_decomposition_rejects_power_mismatch():
-    # d decomposes alpha^4, claimed as alpha^6; upper_from_decomposition
+    # the factors of alpha^4, claimed as alpha^6; upper_from_decomposition
     # checks nothing, and certio.document rejects the certificate
     pair = braid_pure_pair()
     alpha = alpha_braid()
-    d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 2)
+    factors = conjugate_flip_decomposition(pair, alpha, half_twist(3), 2).factors
+    claim = MixedCommutatorDecomposition(pair, alpha, 6, factors)
     with pytest.raises(StepFailure) as failure:
-        document([upper_from_decomposition(alpha, 6, d)])
+        document([upper_from_decomposition(claim)])
     assert failure.value.step == "self-verification"
     assert " at step product equality: " in failure.value.detail
 
@@ -250,11 +249,9 @@ def test_upper_from_decomposition_raises_the_failed_step():
     pair = braid_pure_pair()
     alpha = alpha_braid()
     ctx = pair.ambient
-    d = MixedCommutatorDecomposition(
-        pair, ctx.power(alpha, 2), ((half_twist(3), ctx.power(alpha, 1)),)
-    )
+    d = MixedCommutatorDecomposition(pair, alpha, 2, ((half_twist(3), ctx.power(alpha, 1)),))
     with pytest.raises(StepFailure) as failure:
-        document([upper_from_decomposition(alpha, 2, d)])
+        document([upper_from_decomposition(d)])
     assert failure.value.step == "self-verification"
     assert failure.value.detail.startswith(
         "FAIL item 0 (scl-upper-decomposition) at step product equality: "
@@ -265,7 +262,7 @@ def test_certificate_payload_shape():
     pair = braid_pure_pair()
     alpha = alpha_braid()
     d = conjugate_flip_decomposition(pair, alpha, half_twist(3), 1)
-    payload = upper_from_decomposition(alpha, 2, d)
+    payload = upper_from_decomposition(d)
     assert payload["kind"] == "scl-upper-decomposition"
     assert payload["group_pair"] == pair.name
     assert payload["direction"] == "upper"

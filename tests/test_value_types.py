@@ -137,8 +137,8 @@ def test_deepcopy_of_a_flip_certificate_keeps_its_claim():
     pair = scl.braid_pure_pair()
     alpha = scl.alpha_braid()
     d = scl.conjugate_flip_decomposition(pair, alpha, braids.half_twist(3), 2)
-    cert = scl.upper_from_decomposition(alpha, 4, d, "")
+    cert = scl.upper_from_decomposition(d, "")
     clone = copy.deepcopy(d)
     assert clone.target == d.target and clone.target is not d.target
-    assert scl.upper_from_decomposition(alpha, 4, clone, "") == cert
+    assert scl.upper_from_decomposition(clone, "") == cert
     assert cert["bound"] == "1/4"
