@@ -4,6 +4,8 @@ Nothing here claims an exact scl value.  The module produces one-sided
 certificates: lower bounds from homogeneous quasimorphisms through the
 duality inequality scl(x) >= |phi(x)| / (2 D(phi)), and upper bounds from
 explicit decompositions of x^n into m commutators, giving scl(x) <= m/n.
+Each rule is stated once, in ``bavard_bound`` and ``decomposition_bound``,
+which the producers here and ``certio.verify_payload`` both read.
 Mixed mode replaces commutators [a, b] by pairs [ghat, g] whose second
 component passes the normal-subgroup membership test.
 
@@ -275,13 +277,23 @@ def invariance_refusal(qm: Quasimorphism, pair: GroupPair) -> str | None:
     return None
 
 
+def decomposition_bound(factors: int, power: int) -> Fraction:
+    """The upper bound that factors commutators multiplying to x^power give."""
+    return Fraction(factors, power)
+
+
+def bavard_bound(value: Fraction, defect: Fraction) -> Fraction:
+    """The duality lower bound |value| / (2 defect), and 0 at defect 0."""
+    return Fraction(0) if defect == 0 else abs(value) / (2 * defect)
+
+
 def bavard_lower(
     target: Any,
     qm: Quasimorphism,
     pair: GroupPair,
     note: str = "",
 ) -> dict:
-    """Lower bound |qm(target)| / (2 defect_upper).
+    """Lower bound ``bavard_bound(qm(target), qm.defect_upper)``.
 
     A defect bound of zero makes qm a homomorphism; a nonzero value then
     shows the target is outside the commutator subgroup entirely, reported
@@ -291,24 +303,21 @@ def bavard_lower(
         raise ValueError("duality lower bounds need a homogeneous quasimorphism")
     value = qm(target)
     defect = qm.defect_upper
-    if defect == 0:
-        bound = Fraction(0)
-        if value != 0:
-            note = (note + "; " if note else "") + (
-                "homomorphism value nonzero: target is not in the commutator "
-                "subgroup, scl undefined/infinite there"
-            )
-    else:
-        bound = abs(value) / (2 * defect)
+    if defect == 0 and value != 0:
+        note = (note + "; " if note else "") + (
+            "homomorphism value nonzero: target is not in the commutator "
+            "subgroup, scl undefined/infinite there"
+        )
+    bound = bavard_bound(value, defect)
     witness = {"qm": qm.name, "value": str(value), "defect_upper": str(defect)}
     return _payload("scl-lower-bavard", pair, target, bound, witness, qm.defect_provenance, note)
 
 
 def upper_from_decomposition(d: MixedCommutatorDecomposition, note: str = "") -> dict:
-    """scl(d.target) <= m / d.power from d's m commutators.  Nothing is
-    checked here: a d whose claim is false fails in ``certio.document``."""
+    """scl(d.target) <= ``decomposition_bound(m, d.power)`` for d's m factors.
+    Nothing is checked here: a d whose claim is false fails in ``certio.document``."""
     witness = {"power": d.power, "factors": d.factor_texts()}
-    bound = Fraction(len(d.factors), d.power)
+    bound = decomposition_bound(len(d.factors), d.power)
     return _payload("scl-upper-decomposition", d.pair, d.target, bound, witness, None, note)
 
 

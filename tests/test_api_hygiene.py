@@ -814,6 +814,22 @@ def test_certio_imports_only_the_verifier_kernel():
     assert _sclkit_modules_after("import sclkit.cli") == ["sclkit", *everything]
 
 
+def test_only_verify_payload_compares_a_claimed_bound():
+    # each kind's rule meets the claim in one place, at step "bound arithmetic"
+    places = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and any(
+                    isinstance(a, ast.Constant) and a.value == "bound arithmetic"
+                    for a in node.args
+                ):
+                    places.append(f"{path.stem}.{fn.name}")
+    assert sorted(set(places)) == ["certio.verify_payload"], places
+
+
 def test_the_verifier_kernel_is_no_longer_than_readme_states():
     # a change that grows or shrinks the kernel moves README's figure with it
     stated = re.search(r"verifier kernel[^.]*? (\d+) lines", README.read_text())

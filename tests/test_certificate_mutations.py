@@ -83,7 +83,7 @@ def _mutants(payload):
         if field == "kind":
             replacements += [(f"relabel {k}", False, k) for k in KINDS if k != value]
         if field == "direction":
-            directions = sorted({d for d, _ in KINDS.values()})
+            directions = sorted({row[0] for row in KINDS.values()})
             replacements += [(f"relabel {d}", False, d) for d in directions if d != value]
         if field == "power":
             replacements += [("oversized", False, WITNESS_TEXT_BUDGET + 1),

@@ -7,9 +7,11 @@ genuine certificate in exactly one place.
 import copy
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
+from sclkit import certio
 from sclkit.braids import braid, half_twist, pr1
 from sclkit.certio import (
     FORMAT,
@@ -33,6 +35,7 @@ from sclkit.scl import (
     conjugate_flip_decomposition,
     pure_ordinary_pair,
     upper_from_decomposition,
+    verify_decomposition,
 )
 from sclkit.words import StepFailure, word
 
@@ -236,6 +239,38 @@ def test_lower_fault_injection(lower_cert, step, edit):
     ok, failed_step, detail = verify_payload(corrupted(lower_cert, edit))
     assert not ok
     assert failed_step == step, detail
+
+
+def test_a_forged_bound_fails_before_any_multiplication(upper_cert, monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        verify_decomposition(d)
+
+    monkeypatch.setattr(certio, "verify_decomposition", counted)
+    ok, step, detail = verify_payload(corrupted(upper_cert, lambda p: p.update(bound="1/3")))
+    assert (ok, step, len(calls)) == (False, "bound arithmetic", 0), detail
+    assert detail == "claimed bound 1/3, the witness gives 1/4"
+    assert verify_payload(upper_cert) == (True, None, "recomputed and confirmed")
+    assert len(calls) == 1
+
+
+def test_a_kind_that_reuses_a_witness_checker_is_one_row(upper_cert, monkeypatch):
+    # one factor at power 4, read by a rule of half the upper bound
+    _, check_upper, _ = certio.KINDS["scl-upper-decomposition"]
+    row = ("upper", check_upper, lambda k, p: Fraction(k, 2 * p))
+    monkeypatch.setitem(certio.KINDS, "scl-upper-halved", row)
+    halved = corrupted(upper_cert, lambda p: p.update(kind="scl-upper-halved", bound="1/8"))
+    assert verify_payload(halved) == (True, None, "recomputed and confirmed")
+    assert verify_document({"format": FORMAT, "items": [halved, upper_cert]}).ok
+    for bound in ("1/4", "1/16"):
+        ok, step, detail = verify_payload(corrupted(halved, lambda p: p.update(bound=bound)))
+        assert (ok, step) == (False, "bound arithmetic"), detail
+        assert detail == f"claimed bound {bound}, the witness gives 1/8"
+    # the witness checker still runs its costly check after the bound
+    broken = corrupted(halved, lambda p: p["witness"]["factors"][0].__setitem__(0, "1,2"))
+    assert verify_payload(broken)[:2] == (False, "product equality")
 
 
 def test_exponent_syntax_is_refused_before_parsing(upper_cert, lower_cert):

@@ -13,10 +13,12 @@ from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
     alpha_braid,
+    bavard_bound,
     bavard_lower,
     braid_commutator_pair,
     braid_pure_pair,
     conjugate_flip_decomposition,
+    decomposition_bound,
     mixed_cl_search,
     ordinary_pair,
     product_left_pair,
@@ -217,6 +219,14 @@ def test_bavard_lower_zero_defect_gives_zero_bound():
     cert = bavard_lower(3, qm, ordinary_pair(z))
     assert cert["bound"] == "0"
     assert "not in the commutator subgroup" in cert["note"]
+
+
+def test_the_bound_rules():
+    # the one statement of each rule, read by the producers and by verify
+    assert decomposition_bound(1, 30) == Fraction(1, 30)
+    assert decomposition_bound(0, 1) == 0
+    assert bavard_bound(Fraction(-1), Fraction(6)) == Fraction(1, 12)
+    assert bavard_bound(Fraction(3), Fraction(0)) == 0
 
 
 def test_upper_from_decomposition_bound_arithmetic():
