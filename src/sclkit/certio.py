@@ -52,10 +52,10 @@ _PAYLOAD_FIELDS = {
 # Work budget of one item, checked before any parsing or multiplication.
 # Sizes are characters of text, and element text is its letters (no syntax
 # expands), so every group spends at least a character per letter.  The
-# budget holds a target, a quasimorphism, an upper item's power x target and
-# all of its factor text.  At --n-max 128, scl-bounds on alpha writes at most
-# 4864 for power x target and 2567 for all factor text; cmd_scl_bounds
-# refuses a target or an --n-max over budget.
+# budget holds a group pair, a target, a quasimorphism, an upper item's
+# power x target and all of its factor text.  At --n-max 128, scl-bounds on
+# alpha writes at most 4864 for power x target and 2567 for all factor text;
+# cmd_scl_bounds refuses a target or an --n-max over budget.
 WITNESS_TEXT_BUDGET = 20_000
 WITNESS_FACTOR_BUDGET = 256
 
@@ -260,6 +260,7 @@ def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
     """Re-check one certificate object: (ok, failed step, detail)."""
     try:
         check, rule = _checked_payload(payload)
+        _within_budget("group pair", "the group pair has", len(payload["group_pair"]))
         try:
             pair = specs.parse_group_pair(payload["group_pair"])
         except specs.SpecError as exc:

@@ -244,8 +244,8 @@ def conjugate_flip_decomposition(
     )
 
 
-def _payload(kind: str, pair: GroupPair, target: Any, bound: Fraction, witness: dict,
-             provenance: str | None, note: str) -> dict:
+def _payload(kind: str, direction: str, pair: GroupPair, target: Any, bound: Fraction,
+             witness: dict, provenance: str | None, note: str) -> dict:
     """One-sided certified bound on scl of target within a group pair, in
     the form ``certio`` writes and reads."""
     return {
@@ -253,7 +253,7 @@ def _payload(kind: str, pair: GroupPair, target: Any, bound: Fraction, witness: 
         "target": pair.ambient.text(target),
         "group_pair": pair.name,
         "bound": str(bound),
-        "direction": "lower" if kind == "scl-lower-bavard" else "upper",
+        "direction": direction,
         "witness": witness,
         "evidence": {"defect_provenance": provenance},
         # certio.document checks the claim before any document holds it
@@ -310,7 +310,9 @@ def bavard_lower(
         )
     bound = bavard_bound(value, defect)
     witness = {"qm": qm.name, "value": str(value), "defect_upper": str(defect)}
-    return _payload("scl-lower-bavard", pair, target, bound, witness, qm.defect_provenance, note)
+    return _payload(
+        "scl-lower-bavard", "lower", pair, target, bound, witness, qm.defect_provenance, note
+    )
 
 
 def upper_from_decomposition(d: MixedCommutatorDecomposition, note: str = "") -> dict:
@@ -318,7 +320,9 @@ def upper_from_decomposition(d: MixedCommutatorDecomposition, note: str = "") ->
     Nothing is checked here: a d whose claim is false fails in ``certio.document``."""
     witness = {"power": d.power, "factors": d.factor_texts()}
     bound = decomposition_bound(len(d.factors), d.power)
-    return _payload("scl-upper-decomposition", d.pair, d.target, bound, witness, None, note)
+    return _payload(
+        "scl-upper-decomposition", "upper", d.pair, d.target, bound, witness, None, note
+    )
 
 
 def alpha_braid() -> BraidWord:

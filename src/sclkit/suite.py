@@ -5,8 +5,9 @@ returns a one-line detail, or raises StepFailure at its first
 counterexample, naming the property that broke.  An item reads nothing but
 its rng, so its detail is the same run alone or in the full suite.  Items 3
 and 4 check the certificates they build through ``certio.document``; item
-11 writes its own small set to disk, verifies each file once through
-``sclkit verify``, and confirms that corrupted copies fail at the named step.
+11 writes its own small set to disk, verifies each file once with
+``certio.verify_file``, the check ``sclkit verify`` runs, and confirms that
+corrupted copies fail at the named step.
 
 Items 9 and 10, the two largest samples, each draw two shard seeds from
 their rng and run half the sample per shard: shard 0 in this process and
@@ -23,8 +24,6 @@ the verifier kernel does not carry it: the swap product and
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
 import random
@@ -645,27 +644,21 @@ CORRUPTIONS = (
 
 
 def _item_certificates(rng):
-    from .cli import main as cli_main
-
     def verify(path):
-        """``sclkit verify PATH --format json``: its exit code, 0 or 1, and
-        the step it names, the schema error or the first failed check's."""
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli_main(["verify", path, "--format", "json"])
-        if code not in (0, 1):
-            raise StepFailure("command line", f"verify {os.path.basename(path)} exited {code}")
-        report = json.loads(out.getvalue())
-        failed = (c["failed_step"] for c in report["items"] if not c["ok"])
-        return code, report["schema_error"] or next(failed, None)
+        """``certio.verify_file``, the check ``sclkit verify`` runs: whether
+        the file verifies, and the step it names, the schema error or the
+        first failed check's."""
+        report = certio.verify_file(path)
+        failed = (c.failed_step for c in report.checks if not c.ok)
+        return report.ok, report.schema_error or next(failed, None)
 
     certs = standalone_certificates()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "certificates.json")
         doc = certio.write_certificates(certs, path)
-        code, step = verify(path)
-        if code != 0:
-            raise StepFailure("file verification", f"a fresh file exits {code} at {step!r}")
+        ok, step = verify(path)
+        if not ok:
+            raise StepFailure("file verification", f"a fresh file fails at {step!r}")
 
         kinds = [it["kind"] for it in doc["items"]]
         rows = [row for row in CORRUPTIONS if row[0] in kinds]
@@ -678,16 +671,16 @@ def _item_certificates(rng):
             node[field[-1]] = value
             badpath = os.path.join(tmp, "bad.json")
             certio.write_text_atomic(certio.dumps(bad), badpath)
-            code, got = verify(badpath)
-            if code == 0:
+            ok, got = verify(badpath)
+            if ok:
                 raise StepFailure("corruption", f"a certificate broken at {expected_step} verifies")
             if expected_step not in (got or ""):
                 raise StepFailure("corruption", f"expected {expected_step!r}, got {got!r}")
 
         empty = os.path.join(tmp, "empty.json")
-        open(empty, "w").close()
-        code, step = verify(empty)
-        if code == 0 or "schema" not in (step or ""):
+        certio.write_text_atomic("", empty)
+        ok, step = verify(empty)
+        if ok or "schema" not in (step or ""):
             raise StepFailure("empty file", f"no schema error, got {step!r}")
 
     return f"{len(certs)} certificates re-verified; {len(rows)} corruptions + empty file all caught"

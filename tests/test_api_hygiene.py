@@ -93,14 +93,11 @@ def _function_imports(tree: ast.Module) -> list[tuple[str, str]]:
 
 
 def test_imports_sit_at_module_tops():
-    # so the module tops are the whole import graph that the kernel test
-    # reads; suite imports cli inside item 11 because cli imports suite
-    allowed = {("suite._item_certificates", ".cli")}
+    # so the module tops are the whole import graph that the kernel test reads
     found = [
         f"{path.name} {owner} imports {module}"
         for path in sorted(SRC.glob("*.py"))
         for owner, module in _function_imports(ast.parse(path.read_text()))
-        if (f"{path.stem}.{owner}", module) not in allowed
     ]
     assert not found, f"move these imports to the module top: {found}"
     source = """
@@ -711,8 +708,8 @@ def _file_reads(tree: ast.Module) -> list[tuple[str, int]]:
 def test_only_certificate_io_opens_files():
     # verify trusts nothing in a file but the statement it checks, so the
     # one file it reads is its certificate; item 11 of the suite writes and
-    # reads files of its own in a temporary directory
-    allowed = {"certio.load_document", "certio.write_text_atomic", "suite._item_certificates"}
+    # reads its files through these two
+    allowed = {"certio.load_document", "certio.write_text_atomic"}
     found = [
         f"{path.name}:{line} {owner}"
         for path in sorted(SRC.glob("*.py"))
@@ -790,6 +787,16 @@ def test_verify_runs_no_search_and_no_suite_code(tmp_path):
         or qualname.partition(".")[0] in searches
     )
     assert not found, f"verify ran: {found}"
+
+
+def test_suite_item_11_runs_no_command_line_code():
+    # item 11 checks its files with certio.verify_file, the check sclkit
+    # verify runs, so the suite is a client of the kernel, not of cli
+    result, ran = _profiled(suite.run_item, suite.find_item("11"), suite.DEFAULT_SEED)
+    assert result.ok, result.detail
+    assert ("certio", "verify_file") in ran
+    found = sorted(qualname for module, qualname in ran if module == "cli")
+    assert not found, f"item 11 ran: {found}"
 
 
 def _sclkit_modules_after(statement: str) -> list[str]:

@@ -886,6 +886,20 @@ def test_product_specs_nested_past_the_cap_are_refused_without_a_traceback(tmp_p
     assert "nest at most" in report["items"][0]["detail"]
 
 
+def test_a_group_pair_over_the_text_budget_is_refused_before_it_is_parsed(tmp_path):
+    # the product: depth loop slices the spec once per level, so parsing
+    # this 2.5 MB chain ran for more than 30 s before reaching the depth cap
+    chain = "product:" * 320_000 + "z,z"
+    cert = tmp_path / "long-pair.json"
+    cert.write_text(json.dumps({"format": "scl-certificates/1", "items": [_item_at_0(chain)]}))
+    r = run_cli("verify", str(cert), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    report = json.loads(r.stdout)
+    assert report["items"][0]["failed_step"] == "group pair"
+    assert "budget" in report["items"][0]["detail"]
+
+
 def test_projections_have_no_underscore_spelling(capsys):
     for name in ("proj_left", "proj_right"):
         code = cli.main(["eval", "--group", "product:free:2,z", "--qm",

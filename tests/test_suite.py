@@ -154,13 +154,13 @@ def test_item_11_fails_on_a_file_the_command_line_refuses(monkeypatch):
     broken = [_with_witness(real[0], _break_member)] + real[1:]
     monkeypatch.setattr(sclkit.suite, "standalone_certificates", lambda: broken)
     # certio.write_certificates would refuse the item itself; an unchecked
-    # envelope lets the file reach the command line
+    # envelope lets the file reach certio.verify_file
     monkeypatch.setattr(
         sclkit.certio, "document", lambda items: {"format": sclkit.certio.FORMAT, "items": items}
     )
     result = run_item(find_item("11"), seed=DEFAULT_SEED)
     assert not result.ok
-    assert result.detail == "file verification: a fresh file exits 1 at 'membership of factor 0'"
+    assert result.detail == "file verification: a fresh file fails at 'membership of factor 0'"
 
 
 @pytest.mark.parametrize(
