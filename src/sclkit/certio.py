@@ -105,9 +105,16 @@ def write_certificates(items: Sequence[dict], path: str | Path) -> dict:
 
 
 def load_document(path: str | Path) -> dict:
+    # read(n) allocates all n bytes before it reads, so the file is read in
+    # 64 KiB chunks, and at most one byte past the cap
+    data = bytearray()
     try:
         with open(path, "rb") as fh:
-            data = fh.read(MAX_DOCUMENT_BYTES + 1)
+            while len(data) <= MAX_DOCUMENT_BYTES:
+                chunk = fh.read(min(2**16, MAX_DOCUMENT_BYTES + 1 - len(data)))
+                if not chunk:
+                    break
+                data += chunk
     except OSError as exc:
         raise StepFailure("schema", f"cannot read certificate file: {exc}") from exc
     if len(data) > MAX_DOCUMENT_BYTES:

@@ -263,7 +263,3 @@ def main(argv: list[str] | None = None) -> int:
         # specs.SpecError and element parse errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -403,8 +403,10 @@ def _item_extension(rng):
     phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.pair.ambient))
     sec.check(rng)
     res = extend_via_section(phi, sec, n_max=64)
-    elements = [(left.sample(rng, rng.randrange(0, 11)), 0) for _ in range(1000)]
-    restriction_check(res, elements)
+    # samples are drawn as restriction_check consumes them, so neither leg
+    # holds its 1000; restriction_check, extend_via_section and
+    # defect_chain_check draw nothing from rng, so the draws keep their order
+    restriction_check(res, ((left.sample(rng, rng.randrange(0, 11)), 0) for _ in range(1000)))
     chain = defect_chain_check(res, 4)
 
     bsec = braid_abelianization_section(3)
@@ -412,11 +414,8 @@ def _item_extension(rng):
     bsec.check(rng)
     bres = extend_via_section(bphi, bsec, n_max=16)
     ctx = BraidGroup(3)
-    belements = []
-    for _ in range(1000):
-        b = ctx.sample(rng, rng.randrange(0, 9))
-        belements.append(ctx.mul(b, index_section(-index_sum(b), 3)))
-    restriction_check(bres, belements)
+    samples = (ctx.sample(rng, rng.randrange(0, 9)) for _ in range(1000))
+    restriction_check(bres, (ctx.mul(b, index_section(-index_sum(b), 3)) for b in samples))
     bchain = defect_chain_check(bres, 4)
     detail = (
         f"both legs: 1000 exact restrictions each; defect chains at radius 4 "

@@ -7,7 +7,9 @@ genuine certificate in exactly one place.
 import copy
 import json
 import os
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,33 @@ def test_load_document_refuses_bytes_that_are_not_utf8(tmp_path):
     with pytest.raises(StepFailure, match="^schema: not UTF-8"):
         load_document(path)
     assert verify_file(str(path)).schema_error.startswith("schema: not UTF-8")
+
+
+def test_load_document_reads_a_small_file_without_a_buffer_for_the_cap():
+    # read(n) allocates n bytes before it reads, so one read capped at
+    # MAX_DOCUMENT_BYTES + 1 would hold 16 MiB for every file
+    path = Path(__file__).with_name("certificates") / "flip-alpha-n4.json"
+    tracemalloc.start()
+    try:
+        doc = load_document(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc == json.loads(path.read_text())
+    assert peak < 0.25 * 2**20, f"loading {path.stat().st_size} bytes peaked at {peak} bytes"
+
+
+def test_load_document_reads_the_cap_across_chunks_and_refuses_one_byte_more(tmp_path, monkeypatch):
+    cap = 200_003  # several reads, the last one short
+    monkeypatch.setattr(certio, "MAX_DOCUMENT_BYTES", cap)
+    text = json.dumps({"pad": "x" * (cap - 11)})
+    assert len(text) == cap
+    path = tmp_path / "cap.json"
+    path.write_text(text)
+    assert load_document(path) == {"pad": "x" * (cap - 11)}
+    path.write_text(text + " ")
+    with pytest.raises(StepFailure, match=f"^schema: certificate file longer than {cap} bytes$"):
+        load_document(path)
 
 
 def test_load_document_refuses_nesting_past_the_recursion_limit(tmp_path):
