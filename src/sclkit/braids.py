@@ -305,13 +305,6 @@ class BraidGroup(GroupContext):
     def generators(self) -> list[BraidWord]:
         return [BraidWord(self.n, (i,)) for i in range(1, self.n)]
 
-    def sample(self, rng, size: int) -> BraidWord:
-        letters = []
-        for _ in range(size):
-            idx = rng.randint(1, self.n - 1)
-            letters.append(idx if rng.random() < 0.5 else -idx)
-        return BraidWord(self.n, tuple(letters))
-
 
 # --- the rank-3 matrix homomorphism and pure-braid coordinates ----------
 

@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
+import stat
 from fractions import Fraction
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import specs
@@ -80,15 +79,22 @@ def dumps(doc: Any) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def write_text_atomic(text: str, path: str | Path) -> None:
-    """Write via a sibling temp file and an atomic rename."""
-    target = Path(path)
-    directory = target.parent if str(target.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=target.name + ".", suffix=".tmp")
+def write_text_atomic(text: str, path: str | os.PathLike) -> None:
+    """Write via a sibling temp file and an atomic rename.  A new file gets
+    the mode open() would give it, 0666 less the umask; a file written over
+    keeps its mode."""
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f"{name}.{os.getpid()}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
-        os.replace(tmp, target)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
@@ -97,14 +103,14 @@ def write_text_atomic(text: str, path: str | Path) -> None:
         raise
 
 
-def write_certificates(items: Sequence[dict], path: str | Path) -> dict:
+def write_certificates(items: Sequence[dict], path: str | os.PathLike) -> dict:
     """Write ``document(items)``; an item that fails writes nothing."""
     doc = document(items)
     write_text_atomic(dumps(doc), path)
     return doc
 
 
-def load_document(path: str | Path) -> dict:
+def load_document(path: str | os.PathLike) -> dict:
     # read(n) allocates all n bytes before it reads, so the file is read in
     # 64 KiB chunks, and at most one byte past the cap
     data = bytearray()
@@ -382,7 +388,7 @@ def document(items: Sequence[dict]) -> dict:
     return doc
 
 
-def verify_file(path: str | Path) -> VerificationReport:
+def verify_file(path: str | os.PathLike) -> VerificationReport:
     try:
         doc = load_document(path)
     except StepFailure as failure:

@@ -13,9 +13,9 @@ The extension restricts to phi exactly: on subgroup elements the section
 contributes nothing and homogenisation fixes the already homogeneous phi.
 Off the subgroup, phi_hat is reported as a certified interval
 (truncated-limit value with radius D(phi')/n_max), never a bare number.
-That interval comes from ``homogenize`` and the braid leg's section from
-``index_section``; both live here, outside the verifier kernel, since only
-the extension and the suite use them.
+That interval comes from ``homogenize``, the braid leg's section from
+``index_section`` and seeded elements from ``sample``: all live here,
+outside the verifier kernel, since only the extension and the suite use them.
 """
 
 from __future__ import annotations
@@ -23,17 +23,55 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Any, Callable, Iterable
 
-from .braids import BraidWord, index_sum
-from .groups import BallValues, GroupContext
+from .braids import BraidGroup, BraidWord, index_sum
+from .groups import BallValues, CyclicZ, DirectProduct, FreeGroup, GroupContext
 from .quasimorphisms import Quasimorphism
 from .scl import GroupPair, braid_commutator_pair, product_left_pair
-from .words import Frozen, PreconditionError, StepFailure
+from .words import Frozen, PreconditionError, StepFailure, _word
 
 
 # SectionData.check tests the section on the quotient ball of this radius and
 # each multiplicativity law on this many sampled pairs
 SECTION_CHECK_RADIUS = 8
 SECTION_CHECK_SAMPLES = 200
+
+
+def random_reduced(rng, gen_indices: Iterable[int], length: int) -> tuple[int, ...]:
+    """Uniform random reduced letter tuple of the given length over the given
+    generators."""
+    alphabet = [i for g in gen_indices for i in (g, -g)]
+    if not alphabet or length == 0:
+        return ()
+    # the letters that may follow each letter, in alphabet order: rng.choice
+    # sees the lists a per-letter filter of the alphabet would build
+    after = {l: [m for m in alphabet if m != -l] for l in alphabet}
+    choice = rng.choice
+    letter = choice(alphabet)
+    out = [letter]
+    for _ in range(length - 1):
+        letter = choice(after[letter])
+        out.append(letter)
+    return tuple(out)
+
+
+def sample(ctx: GroupContext, rng, size: int):
+    """Random element of ctx of word-length about ``size``, deterministic for
+    a seeded rng, on the free, integer, braid and product contexts; a direct
+    product splits ``size`` at a random point between its factors."""
+    if isinstance(ctx, FreeGroup):
+        return _word(random_reduced(rng, ctx.gen_indices, size))
+    if isinstance(ctx, CyclicZ):
+        return rng.randint(-size, size)
+    if isinstance(ctx, DirectProduct):
+        i = rng.randint(0, size)
+        return (sample(ctx.left, rng, i), sample(ctx.right, rng, size - i))
+    if isinstance(ctx, BraidGroup):
+        letters = []
+        for _ in range(size):
+            idx = rng.randint(1, ctx.n - 1)
+            letters.append(idx if rng.random() < 0.5 else -idx)
+        return BraidWord(ctx.n, tuple(letters))
+    raise TypeError(f"no seeded sampling on {ctx.name}")
 
 
 class SectionData(Frozen):
@@ -63,17 +101,17 @@ class SectionData(Frozen):
             if not ctx.eq(self.section(a + b), ctx.mul(self.section(a), self.section(b))):
                 raise StepFailure("section", f"s({a}+{b}) != s({a})s({b})")
         for _ in range(SECTION_CHECK_SAMPLES):
-            g = ctx.sample(rng, rng.randrange(0, 6))
-            h = ctx.sample(rng, rng.randrange(0, 6))
+            g = sample(ctx, rng, rng.randrange(0, 6))
+            h = sample(ctx, rng, rng.randrange(0, 6))
             if self.project(ctx.mul(g, h)) != self.project(g) + self.project(h):
                 raise StepFailure(
                     "section", f"pi not additive at ({ctx.text(g)}, {ctx.text(h)})"
                 )
 
 
-def central_z_section(inner: GroupContext | None = None) -> SectionData:
-    """Section k -> (1, k) of the projection (w, k) -> k on G x Z."""
-    pair = product_left_pair(inner)
+def central_z_section() -> SectionData:
+    """Section k -> (1, k) of the projection (w, k) -> k on F2 x Z."""
+    pair = product_left_pair(FreeGroup(2))
     ctx = pair.ambient
     return SectionData(
         pair=pair,
@@ -83,19 +121,19 @@ def central_z_section(inner: GroupContext | None = None) -> SectionData:
     )
 
 
-def index_section(k: int, n: int = 3) -> BraidWord:
-    """The section of index_sum powered by the first generator: k -> s1^k."""
-    return BraidWord(n, (1,) * k if k >= 0 else (-1,) * (-k))
+def index_section(k: int) -> BraidWord:
+    """The section of index_sum on B3 powered by s1: k -> s1^k."""
+    return BraidWord(3, (1,) * k if k >= 0 else (-1,) * (-k))
 
 
-def braid_abelianization_section(n: int = 3) -> SectionData:
-    """Section k -> s1^k of the index-sum projection on the braid group;
-    the kernel is the commutator subgroup."""
+def braid_abelianization_section() -> SectionData:
+    """Section k -> s1^k of the index-sum projection on B3; the kernel is
+    the commutator subgroup."""
     return SectionData(
-        pair=braid_commutator_pair(n),
+        pair=braid_commutator_pair(3),
         project=index_sum,
-        section=lambda k: index_section(k, n),
-        name=f"section(quotient=Z, map=s1^k) on braid:{n}",
+        section=index_section,
+        name="section(quotient=Z, map=s1^k) on braid:3",
     )
 
 

@@ -3,8 +3,8 @@ groups the library computes in.
 
 A context bundles multiplication, inversion, identity and exact equality via
 canonical forms.  Every context also enumerates its balls
-deterministically, and the free, braid, integer and product contexts, which
-the acceptance suite samples, draw seeded samples.  Elements themselves
+deterministically; the seeded elements the acceptance suite draws come
+from ``extension.sample``, outside the verifier kernel.  Elements themselves
 stay plain immutable values (words, ints, tuples, permutations), so
 everything here is safe to evaluate concurrently and to use as dict keys via
 ``canonical``.
@@ -33,7 +33,6 @@ from .words import (
     format_letters,
     multiply_letters,
     parse_ints,
-    random_reduced,
     word,
     words_of_length,
 )
@@ -306,11 +305,6 @@ class GroupContext:
             cache.append(search.frontier)
         return cache
 
-    def sample(self, rng, size: int):
-        """Random element of word-length about ``size``; deterministic for a
-        seeded rng."""
-        raise NotImplementedError
-
 
 class FreeGroup(GroupContext):
     """Free group on a chosen set of named generators; elements are Word
@@ -385,9 +379,6 @@ class FreeGroup(GroupContext):
         """
         return (_word(ls) for ls in words_of_length(self.gen_indices, k))
 
-    def sample(self, rng, size: int) -> Word:
-        return _word(random_reduced(rng, self.gen_indices, size))
-
 
 class CyclicZ(GroupContext):
     """The integers under addition; elements are plain ints."""
@@ -418,9 +409,6 @@ class CyclicZ(GroupContext):
 
     def generators(self) -> list[int]:
         return [1]
-
-    def sample(self, rng, size: int) -> int:
-        return rng.randint(-size, size)
 
 
 def _split_product(s: str) -> list[str]:
@@ -485,10 +473,6 @@ class DirectProduct(GroupContext):
         gl = [(g, self.right.identity) for g in self.left.generators()]
         gr = [(self.left.identity, g) for g in self.right.generators()]
         return gl + gr
-
-    def sample(self, rng, size: int):
-        i = rng.randint(0, size)
-        return (self.left.sample(rng, i), self.right.sample(rng, size - i))
 
 
 def perm_identity(n: int) -> tuple[int, ...]:

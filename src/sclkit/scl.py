@@ -47,8 +47,11 @@ from .words import Frozen, StepFailure
 class GroupPair(Frozen):
     """An ambient group with a distinguished normal subgroup.
 
-    is_member must be an exact test.  subgroup_ball enumerates the normal
-    subgroup by word length in its own generators, deterministically.
+    is_member must be an exact test.  subgroup_ball(r) lists subgroup
+    elements deterministically: the ambient ball for the ordinary pair, the
+    ball of P3 = F2 x Z in x, y and the full twist for the pure pairs, the
+    members of the ambient ball for braid:n/comm, and the ball of G at z = 0
+    for product:G,z/left, all of radius r.
     """
 
     name: str
@@ -125,9 +128,8 @@ def braid_commutator_pair(n: int = 3) -> GroupPair:
     )
 
 
-def product_left_pair(left: GroupContext | None = None) -> GroupPair:
+def product_left_pair(inner: GroupContext) -> GroupPair:
     """(G x Z, G x {0}) with the left factor as the normal subgroup."""
-    inner = left if left is not None else FreeGroup(2)
     ctx = DirectProduct(inner, CyclicZ())
     return GroupPair(
         name=f"product:{inner.name},z/left",

@@ -34,7 +34,7 @@ from .scl import (
     product_left_pair,
     pure_ordinary_pair,
 )
-from .words import ALPHABET_SIZE, word
+from .words import word
 
 
 class SpecError(ValueError):
@@ -47,9 +47,6 @@ class SpecError(ValueError):
 # the verify witness budget takes about 7 s on braid:4, 14 s on braid:8,
 # 26 s on braid:10 and 96 s on braid:16.
 MAX_BRAID_STRANDS = 8
-
-# Word text names at most ALPHABET_SIZE generators, a..z.
-MAX_FREE_RANK = ALPHABET_SIZE
 
 # Largest degree a permutation group spec may name.  Its generators are
 # n - 1 permutations of n points, so the smallest search holds about n^2
@@ -91,17 +88,13 @@ def parse_group(text: str) -> GroupContext:
         raise SpecError(f"unknown group spec {text!r}")
     count = _count(rest)
     if head == "free":
-        if count is not None:
-            if count > MAX_FREE_RANK:
-                raise SpecError(
-                    f"free group spec needs a rank of at most {MAX_FREE_RANK}: {text!r}"
-                )
-            return FreeGroup(count)
-        if rest.isascii() and rest.isalpha() and rest.islower():
-            try:
+        try:
+            if count is not None:
+                return FreeGroup(count)
+            if rest.isascii() and rest.isalpha() and rest.islower():
                 return FreeGroup.on(rest)
-            except ValueError as exc:
-                raise SpecError(str(exc)) from exc
+        except ValueError as exc:
+            raise SpecError(f"{exc}: {text!r}") from exc
         raise SpecError(
             f"free group spec needs a rank or lowercase generator letters: {text!r}"
         )

@@ -52,6 +52,7 @@ from .extension import (
     homogenize,
     index_section,
     restriction_check,
+    sample,
 )
 from .groups import (
     DirectProduct,
@@ -222,8 +223,8 @@ def _item_duality_lower(rng):
         raise StepFailure("defect search", f"{search.lower} exceeds the certified bound {defect}")
 
     for _ in range(50):
-        b1 = p3_assemble(f2.sample(rng, rng.randrange(0, 7)), rng.randint(-2, 2))
-        b2 = p3_assemble(f2.sample(rng, rng.randrange(0, 7)), rng.randint(-2, 2))
+        b1 = p3_assemble(sample(f2, rng, rng.randrange(0, 7)), rng.randint(-2, 2))
+        b2 = p3_assemble(sample(f2, rng, rng.randrange(0, 7)), rng.randint(-2, 2))
         gap_braid = abs(qm(BraidGroup(3).mul(b1, b2)) - qm(b1) - qm(b2))
         w1, w2 = p3_coordinates(b1).f2_part, p3_coordinates(b2).f2_part
         gap_free = abs(qm_free(w1 * w2) - qm_free(w1) - qm_free(w2))
@@ -382,8 +383,8 @@ def _item_packing(rng):
     ctx = FreeGroup(2)
     trials = [(ctx.parse("a"), ctx.parse("b"))]
     while len(trials) < 20:
-        x = ctx.sample(rng, rng.randrange(0, 5))
-        y = ctx.sample(rng, rng.randrange(0, 5))
+        x = sample(ctx, rng, rng.randrange(0, 5))
+        y = sample(ctx, rng, rng.randrange(0, 5))
         trials.append((x, y))
     for x, y in trials:
         for n in range(0, 9):
@@ -398,24 +399,24 @@ def _item_packing(rng):
 
 
 def _item_extension(rng):
-    left = FreeGroup(2)
-    sec = central_z_section(left)
+    sec = central_z_section()
+    left = sec.pair.ambient.left
     phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.pair.ambient))
     sec.check(rng)
     res = extend_via_section(phi, sec, n_max=64)
     # samples are drawn as restriction_check consumes them, so neither leg
     # holds its 1000; restriction_check, extend_via_section and
     # defect_chain_check draw nothing from rng, so the draws keep their order
-    restriction_check(res, ((left.sample(rng, rng.randrange(0, 11)), 0) for _ in range(1000)))
+    restriction_check(res, ((sample(left, rng, rng.randrange(0, 11)), 0) for _ in range(1000)))
     chain = defect_chain_check(res, 4)
 
-    bsec = braid_abelianization_section(3)
+    bsec = braid_abelianization_section()
     bphi = zero_qm(BraidGroup(3))
     bsec.check(rng)
     bres = extend_via_section(bphi, bsec, n_max=16)
     ctx = BraidGroup(3)
-    samples = (ctx.sample(rng, rng.randrange(0, 9)) for _ in range(1000))
-    restriction_check(bres, (ctx.mul(b, index_section(-index_sum(b), 3)) for b in samples))
+    samples = (sample(ctx, rng, rng.randrange(0, 9)) for _ in range(1000))
+    restriction_check(bres, (ctx.mul(b, index_section(-index_sum(b))) for b in samples))
     bchain = defect_chain_check(bres, 4)
     detail = (
         f"both legs: 1000 exact restrictions each; defect chains at radius 4 "
@@ -546,15 +547,15 @@ def _splitting_shard(rng):
     ctx = BraidGroup(3)
     xy = FreeGroup.on("xy")
     for _ in range(1000 // SHARDS):
-        w = xy.sample(rng, rng.randrange(0, 41))
+        w = sample(xy, rng, rng.randrange(0, 41))
         k = rng.randint(-5, 5)
         co = p3_coordinates(p3_assemble(w, k))
         if co.f2_part != w or co.center_exponent != k:
             raise StepFailure("round trip", f"fails at ({w}, {k})")
     hom = pr1()
     for _ in range(1000 // SHARDS):
-        b1 = p3_assemble(xy.sample(rng, rng.randrange(0, 13)), rng.randint(-3, 3))
-        b2 = p3_assemble(xy.sample(rng, rng.randrange(0, 13)), rng.randint(-3, 3))
+        b1 = p3_assemble(sample(xy, rng, rng.randrange(0, 13)), rng.randint(-3, 3))
+        b2 = p3_assemble(sample(xy, rng, rng.randrange(0, 13)), rng.randint(-3, 3))
         if hom(ctx.mul(b1, b2)) != hom(b1) * hom(b2):
             raise StepFailure("multiplicativity", "the projection is not multiplicative")
 

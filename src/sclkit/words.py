@@ -337,21 +337,3 @@ def words_of_length(gen_indices: Iterable[int], length: int) -> Iterator[tuple[i
     for _ in range(length):
         level = (w + (l,) for w in level for l in alphabet if not w or w[-1] != -l)
     return level
-
-
-def random_reduced(rng, gen_indices: Iterable[int], length: int) -> tuple[int, ...]:
-    """Uniform random reduced letter tuple of the given length over the given
-    generators."""
-    alphabet = [i for g in gen_indices for i in (g, -g)]
-    if not alphabet or length == 0:
-        return ()
-    # the letters that may follow each letter, in alphabet order: rng.choice
-    # sees the lists a per-letter filter of the alphabet would build
-    after = {l: [m for m in alphabet if m != -l] for l in alphabet}
-    choice = rng.choice
-    letter = choice(alphabet)
-    out = [letter]
-    for _ in range(length - 1):
-        letter = choice(after[letter])
-        out.append(letter)
-    return tuple(out)

@@ -355,7 +355,6 @@ def test_every_function_runs_under_some_command(tmp_path):
     # stays in the kernel
     tracer = "a target of the benchmark tracer, which resolves it in this module"
     searches = "the defect searches run it, next to defect_search"
-    sampling = "part of the GroupContext sampling interface"
     readme = "README's library example imports it from this module"
     suite_only = {
         "quasimorphisms.defect_search": tracer,
@@ -365,11 +364,6 @@ def test_every_function_runs_under_some_command(tmp_path):
         "groups.BallValues.pairs.sphere": searches,
         "groups.GroupContext.product_key": searches,
         "groups.FreeGroup.product_key": searches,
-        "groups.FreeGroup.sample": sampling,
-        "groups.CyclicZ.sample": sampling,
-        "groups.DirectProduct.sample": sampling,
-        "braids.BraidGroup.sample": sampling,
-        "words.random_reduced": "FreeGroup.sample draws through it",
         "groups.SymmetricGroup.elements": "norms enumerates the group through it",
         "scl.alpha_braid": readme,
         "certio.write_certificates": "the library's way to write a checked file, which README names",

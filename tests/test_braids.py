@@ -34,9 +34,9 @@ from sclkit.braids import (
     pr1,
     sl2_image,
 )
-from sclkit.extension import index_section
+from sclkit.extension import index_section, random_reduced, sample
 from sclkit.groups import perm_compose, perm_identity
-from sclkit.words import StepFailure, Word, random_reduced
+from sclkit.words import StepFailure, Word
 
 
 def random_braid(rng, n, length):
@@ -403,7 +403,7 @@ def test_braid_group_context_round_trip():
     ctx = BraidGroup(3)
     rng = random.Random(305)
     for _ in range(60):
-        g = ctx.sample(rng, rng.randrange(0, 8))
+        g = sample(ctx, rng, rng.randrange(0, 8))
         assert braid_equal(ctx.parse(ctx.text(g)), g)
     assert ctx.is_identity(ctx.mul(braid("1", 3), braid("-1", 3)))
     assert len(ctx.ball(0)) == 1

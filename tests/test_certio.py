@@ -86,6 +86,22 @@ def test_write_text_atomic(tmp_path):
     assert leftovers == []
 
 
+def test_write_text_atomic_gives_a_new_file_the_umask_mode_and_keeps_an_old_ones(
+    tmp_path, upper_cert
+):
+    old_umask = os.umask(0o022)
+    try:
+        path = tmp_path / "certs.json"
+        write_text_atomic("hello\n", path)
+        assert path.stat().st_mode & 0o777 == 0o644
+        os.chmod(path, 0o640)
+        write_certificates([upper_cert], path)
+        assert path.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(old_umask)
+    assert os.listdir(tmp_path) == ["certs.json"]
+
+
 def test_write_and_verify_file_round_trip(tmp_path, upper_cert, lower_cert):
     path = str(tmp_path / "certs.json")
     write_certificates([upper_cert, lower_cert], path)

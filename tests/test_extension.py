@@ -19,6 +19,7 @@ from sclkit.extension import (
     extend_via_section,
     index_section,
     restriction_check,
+    sample,
 )
 from sclkit.groups import FreeGroup, proj_left
 from sclkit.quasimorphisms import brooks, brooks_homogenized, pullback, zero_qm
@@ -27,7 +28,7 @@ from value_helpers import contains
 
 
 def make_product_extension(n_max=32):
-    sec = central_z_section(FreeGroup(2))
+    sec = central_z_section()
     phi = pullback(
         brooks_homogenized(word("abAB")), proj_left(sec.pair.ambient)
     )
@@ -35,14 +36,14 @@ def make_product_extension(n_max=32):
 
 
 def test_central_section_checks_out():
-    sec = central_z_section(FreeGroup(2))
+    sec = central_z_section()
     assert sec.check(random.Random(700)) is None
     assert sec.pair.is_member((FreeGroup(2).parse("ab"), 0))
     assert not sec.pair.is_member((FreeGroup(2).parse("ab"), 2))
 
 
 def test_braid_abelianization_section_checks_out():
-    sec = braid_abelianization_section(3)
+    sec = braid_abelianization_section()
     assert sec.check(random.Random(701)) is None
     assert sec.pair.is_member(BraidGroup(3).commutator(braid("1", 3), braid("2", 3)))
     assert not sec.pair.is_member(braid("1", 3))
@@ -52,7 +53,7 @@ def test_extension_restricts_to_the_original():
     sec, phi, result = make_product_extension()
     rng = random.Random(702)
     f2 = FreeGroup(2)
-    samples = [(f2.sample(rng, rng.randrange(0, 8)), 0) for _ in range(200)]
+    samples = [(sample(f2, rng, rng.randrange(0, 8)), 0) for _ in range(200)]
     assert restriction_check(result, samples) == 200
     g = (f2.parse("abAB"), 0)
     assert result.phi_prime(g) == phi(g) == 1
@@ -81,8 +82,8 @@ def test_a_restriction_mismatch_fails_at_the_restriction_step():
 
 
 def test_a_broken_section_fails_at_the_section_step():
-    good = braid_abelianization_section(3)
-    broken = SectionData(good.pair, good.project, lambda k: index_section(k + 1, 3), "shifted")
+    good = braid_abelianization_section()
+    broken = SectionData(good.pair, good.project, lambda k: index_section(k + 1), "shifted")
     with pytest.raises(StepFailure) as failure:
         broken.check(random.Random(704))
     assert (failure.value.step, failure.value.detail) == ("section", "s(0) is not the identity")
@@ -107,13 +108,13 @@ def test_defect_chain_within_doubled_bound():
 
 
 def test_braid_leg_extension_with_zero_qm():
-    sec = braid_abelianization_section(3)
+    sec = braid_abelianization_section()
     phi = zero_qm(sec.pair.ambient)
     result = extend_via_section(phi, sec, n_max=16)
     rng = random.Random(703)
     ctx = sec.pair.ambient
     for _ in range(50):
-        b = ctx.sample(rng, rng.randrange(0, 6))
+        b = sample(ctx, rng, rng.randrange(0, 6))
         shaved = ctx.mul(b, ctx.power(braid("1", 3), -index_sum(b)))
         assert sec.pair.is_member(shaved)
         assert result.phi_prime(b) == 0
@@ -125,7 +126,7 @@ def test_extension_refuses_a_quasimorphism_not_invariant_by_construction():
     # the pr1 pullback is homogeneous, but the half twist flips its sign
     qm = pullback(brooks_homogenized(word("xyXY")), pr1())
     with pytest.raises(ValueError, match="invariant"):
-        extend_via_section(qm, braid_abelianization_section(3), n_max=16)
+        extend_via_section(qm, braid_abelianization_section(), n_max=16)
 
 
 def reference_defect_chain(result, radius):
@@ -156,11 +157,11 @@ def reference_defect_chain(result, radius):
 
 def test_defect_chain_matches_fraction_reference_on_the_suite_legs():
     # the two legs of the section-extension suite item, at its radius
-    left = FreeGroup(2)
-    sec = central_z_section(left)
+    sec = central_z_section()
+    left = sec.pair.ambient.left
     phi = pullback(brooks_homogenized(left.parse("abAB"), context=left), proj_left(sec.pair.ambient))
     product_leg = extend_via_section(phi, sec, n_max=64)
-    braid_leg = extend_via_section(zero_qm(BraidGroup(3)), braid_abelianization_section(3), n_max=16)
+    braid_leg = extend_via_section(zero_qm(BraidGroup(3)), braid_abelianization_section(), n_max=16)
     for result in (product_leg, braid_leg):
         for radius in (0, 2, 4):
             assert defect_chain_check(result, radius) == reference_defect_chain(result, radius)

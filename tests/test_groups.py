@@ -8,6 +8,7 @@ import pytest
 
 from ball_reference import scaled_ball_values, sphere_pairs
 from sclkit.braids import BraidGroup
+from sclkit.extension import sample
 from sclkit.groups import (
     BallValues,
     CyclicZ,
@@ -28,16 +29,15 @@ from sclkit.words import word
 from value_helpers import sample_element
 
 
-def check_axioms(ctx, rng, samples=200, size=6, sample=None):
+def check_axioms(ctx, rng, samples=200, size=6):
     """The group axioms and the text round trip on elements drawn by
-    ``sample(rng, size)``, by default ``ctx.sample``.  The swap product has
-    no parser, so it skips the round trip."""
-    draw = sample or ctx.sample
+    ``sample_element``.  The swap product has no parser, so it skips the
+    round trip."""
     e = ctx.identity
     for _ in range(samples):
-        a = draw(rng, rng.randrange(0, size))
-        b = draw(rng, rng.randrange(0, size))
-        c = draw(rng, rng.randrange(0, size))
+        a = sample_element(ctx, rng, rng.randrange(0, size))
+        b = sample_element(ctx, rng, rng.randrange(0, size))
+        c = sample_element(ctx, rng, rng.randrange(0, size))
         assert ctx.eq(ctx.mul(ctx.mul(a, b), c), ctx.mul(a, ctx.mul(b, c)))
         assert ctx.product_key(a, b) == ctx.canonical(ctx.mul(a, b))
         assert ctx.eq(ctx.mul(a, ctx.inv(a)), e)
@@ -96,8 +96,7 @@ def test_direct_product_axioms_and_nested_parse():
 def test_swap_product_realizes_commuting_supports():
     f2 = FreeGroup(2)
     sp = SwapProduct(f2)
-    check_axioms(sp, random.Random(205), samples=150, size=4,
-                 sample=lambda rng, size: sample_element(sp, rng, size))
+    check_axioms(sp, random.Random(205), samples=150, size=4)
     a = f2.parse("a")
     f = ((a, f2.identity), 0)
     g = ((f2.identity, f2.identity), 1)
@@ -130,7 +129,9 @@ def test_permutation_primitives():
 
 def test_symmetric_group():
     s4 = SymmetricGroup(4)
-    check_axioms(s4, random.Random(206), sample=lambda rng, size: sample_element(s4, rng, size))
+    check_axioms(s4, random.Random(206))
+    with pytest.raises(TypeError, match="perm:4"):
+        sample(s4, random.Random(206), 3)
     assert len(list(s4.elements())) == 24
     assert len(s4.ball(6)) == 24
     assert s4.parse("2,1,3,4") == (1, 0, 2, 3)
@@ -147,8 +148,8 @@ def multiplicative_on_samples(hom, rng, count=200, size=8):
     """h(ab) = h(a) h(b) on sampled pairs of the domain."""
     dom, cod = hom.domain, hom.codomain
     for _ in range(count):
-        a = dom.sample(rng, rng.randint(0, size))
-        b = dom.sample(rng, rng.randint(0, size))
+        a = sample(dom, rng, rng.randint(0, size))
+        b = sample(dom, rng, rng.randint(0, size))
         if not cod.eq(hom(dom.mul(a, b)), cod.mul(hom(a), hom(b))):
             return False
     return True

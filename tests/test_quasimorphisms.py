@@ -9,7 +9,7 @@ import pytest
 from ball_reference import scaled_ball_values, sphere_pairs
 from sclkit.braids import BraidGroup, b3_key, half_twist
 from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, proj_left
-from sclkit.extension import CertifiedValue, homogenize
+from sclkit.extension import CertifiedValue, homogenize, random_reduced
 from sclkit.quasimorphisms import (
     _cyclic_rate,
     Quasimorphism,
@@ -26,7 +26,7 @@ from sclkit.quasimorphisms import (
 )
 from sclkit.scl import alpha_braid
 from sclkit.specs import parse_group, parse_qm
-from sclkit.words import StepFailure, Word, random_reduced, word
+from sclkit.words import StepFailure, Word, word
 from value_helpers import contains, cyclic_reduce
 
 

@@ -8,6 +8,7 @@ import pytest
 from garside_helpers import braid_equal
 from sclkit.braids import BraidGroup, braid, half_twist, is_pure, pr1
 from sclkit.certio import document
+from sclkit.extension import random_reduced
 from sclkit.groups import CyclicZ, FreeGroup
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
@@ -27,7 +28,7 @@ from sclkit.scl import (
     verify_decomposition,
 )
 from sclkit.suite import SwapProduct, commutator_identity_xy, power_commutator
-from sclkit.words import PreconditionError, StepFailure, Word, random_reduced, word
+from sclkit.words import PreconditionError, StepFailure, Word, word
 
 
 def test_group_pair_modes_and_membership():

@@ -11,7 +11,6 @@ from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, SymmetricGroup, pro
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback, zero_qm
 from sclkit.specs import (
     MAX_BRAID_STRANDS,
-    MAX_FREE_RANK,
     MAX_PERM_DEGREE,
     MAX_PRODUCT_DEPTH,
     SpecError,
@@ -19,7 +18,7 @@ from sclkit.specs import (
     parse_group_pair,
     parse_qm,
 )
-from sclkit.words import word
+from sclkit.words import ALPHABET_SIZE, word
 from value_helpers import sample_element
 
 
@@ -77,9 +76,9 @@ def test_braid_strand_count_is_capped():
 
 def test_free_rank_and_permutation_degree_are_capped():
     # a huge rank or degree must fail before anything of that size is built
-    assert len(parse_group(f"free:{MAX_FREE_RANK}").gen_indices) == MAX_FREE_RANK == 26
+    assert len(parse_group(f"free:{ALPHABET_SIZE}").gen_indices) == ALPHABET_SIZE == 26
     assert parse_group(f"perm:{MAX_PERM_DEGREE}").n == MAX_PERM_DEGREE
-    for bad in (f"free:{MAX_FREE_RANK + 1}", "free:100000000"):
+    for bad in (f"free:{ALPHABET_SIZE + 1}", "free:100000000"):
         with pytest.raises(SpecError, match="rank"):
             parse_group(bad)
     for bad in (f"perm:{MAX_PERM_DEGREE + 1}", "perm:100000000"):

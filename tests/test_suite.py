@@ -44,7 +44,6 @@ from sclkit.words import (
     Word,
     invert_letters,
     multiply_letters,
-    random_reduced,
     reduce_letters,
 )
 
@@ -230,8 +229,8 @@ def test_suite_samples_draw_what_the_validated_words_drew():
     for ctx, gen_indices in ((FreeGroup.on("xy"), (X, Y)), (FreeGroup(2), (1, 2))):
         old, new = random.Random(17), random.Random(17)
         for _ in range(300):
-            expected = Word(random_reduced(old, gen_indices, old.randrange(0, 41)))
-            assert ctx.sample(new, new.randrange(0, 41)) == expected
+            expected = Word(sclkit.extension.random_reduced(old, gen_indices, old.randrange(0, 41)))
+            assert sclkit.extension.sample(ctx, new, new.randrange(0, 41)) == expected
         assert new.getstate() == old.getstate()
 
 

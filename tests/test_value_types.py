@@ -71,7 +71,7 @@ def seeded_values(seed):
     out = []
     for _ in range(40):
         gens = tuple(range(1, rng.randint(1, 3) + 1))
-        out.append(words.Word(words.random_reduced(rng, gens, rng.randint(0, 3))))
+        out.append(words.Word(extension.random_reduced(rng, gens, rng.randint(0, 3))))
     for _ in range(40):
         n = rng.randint(2, 4)
         letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
@@ -80,7 +80,7 @@ def seeded_values(seed):
         out.append(braids.normal_form(b))
     xy = words.Word(())
     for _ in range(30):
-        letters = words.random_reduced(rng, (braids.X, braids.Y), rng.randint(0, 3))
+        letters = extension.random_reduced(rng, (braids.X, braids.Y), rng.randint(0, 3))
         k = rng.randint(-1, 1)
         out.append(braids.p3_coordinates(braids.p3_assemble(words.Word(letters), k)))
         out.append(braids.P3Coordinates(xy, k))

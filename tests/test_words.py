@@ -8,6 +8,7 @@ import pytest
 
 import ball_reference
 from sclkit.braids import braid, normal_form
+from sclkit.extension import random_reduced, sample
 from sclkit.groups import FreeGroup
 from sclkit.words import (
     Word,
@@ -18,7 +19,6 @@ from sclkit.words import (
     multiply_letters,
     parse_ints,
     parse_letters,
-    random_reduced,
     reduce_letters,
     word,
     words_of_length,
@@ -240,7 +240,7 @@ def test_internal_words_match_validated_construction():
             assert _validated(u).letters == naive_reduce(raw)
             top = rng.randint(1, rank)
             v = Word.from_raw([l for l in raw[::-1] if abs(l) <= top])
-            _validated(ctx.sample(rng, rng.randrange(0, 10)))
+            _validated(sample(ctx, rng, rng.randrange(0, 10)))
             assert _validated(u * v).letters == naive_reduce(u.letters + v.letters)
             assert _validated(v * u).letters == naive_reduce(v.letters + u.letters)
             assert _validated(~u).letters == naive_reduce(invert_letters(raw))

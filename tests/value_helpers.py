@@ -3,12 +3,13 @@
 ``cyclic_reduce`` splits a Word as conjugator * core * conjugator^-1 with a
 cyclically reduced core; ``contains`` asks whether a CertifiedValue's
 interval holds an exact value; ``sample_element`` draws seeded elements of
-the contexts that no command samples.
+every context, the permutation and swap-product ones too, which
+``extension.sample`` refuses.
 """
 
 from fractions import Fraction
 
-from sclkit.extension import CertifiedValue
+from sclkit.extension import CertifiedValue, sample
 from sclkit.groups import DirectProduct, SymmetricGroup
 from sclkit.suite import SwapProduct
 from sclkit.words import Word, cyclic_reduce_letters
@@ -26,11 +27,11 @@ def contains(cv: CertifiedValue, exact: Fraction) -> bool:
 
 
 def sample_element(ctx, rng, size: int):
-    """A seeded element of ctx of word-length about size: ``ctx.sample``
-    where sclkit defines it, a shuffle of the points of a permutation group,
-    both coordinates and the flag of a swap product, and each factor of a
-    direct product by this function, with size split as
-    ``DirectProduct.sample`` splits it."""
+    """A seeded element of ctx of word-length about size: a shuffle of the
+    points of a permutation group, both coordinates and the flag of a swap
+    product, each factor of a direct product by this function, with size
+    split as ``extension.sample`` splits it, and ``extension.sample`` on
+    every other context."""
     if isinstance(ctx, SymmetricGroup):
         images = list(range(ctx.n))
         rng.shuffle(images)
@@ -41,4 +42,4 @@ def sample_element(ctx, rng, size: int):
     if isinstance(ctx, DirectProduct):
         i = rng.randint(0, size)
         return (sample_element(ctx.left, rng, i), sample_element(ctx.right, rng, size - i))
-    return ctx.sample(rng, size)
+    return sample(ctx, rng, size)
