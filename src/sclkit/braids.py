@@ -39,8 +39,8 @@ keys of their operands with 2x2 integer products (powers by repeated
 squaring), and only a word built from letters, such as one parsed from
 text, has its letters walked once, on first use.  Reduced mod 2 the matrix
 is the permutation of the braid (SL(2,Z/2) is the symmetric group on three
-letters), so the key also decides ``is_pure``, and it drives the pure-braid
-coordinate splitting ``p3_coordinates``
+letters), so the key also decides ``is_pure``, and it checks the output of
+the pure-braid coordinate splitting ``p3_coordinates``
 (Kassel and Turaev, *Braid Groups*, GTM 247, 2008).
 """
 
@@ -431,81 +431,48 @@ def p3_assemble(w: Word, k: int) -> BraidWord:
     return _braid_word(3, p3_embed_letters(w) + twist * abs(k))
 
 
-def _round_nearest(p: int, q: int) -> int:
-    """Nearest integer to p/q; callers guarantee ties cannot occur."""
-    if q < 0:
-        p, q = -p, -q
-    quotient, r = divmod(p, q)
-    return quotient + (1 if 2 * r > q else 0)
+# Reidemeister-Schreier rewriting over the six cosets of P3 in B3, whose
+# representatives T_0..T_5 are (), s1, s2, s1 s2, s2 s1 and s1 s2 s1
+# (Lyndon and Schupp, *Combinatorial Group Theory*, ch. II.4).  Row i maps
+# each letter l to (j, free part, z exponent): T_i * l lies in coset j, and
+# the pure braid T_i * l * T_j^-1 is embed(free part) * z^(z exponent).
+_COSET_STEPS = (
+    {1: (1, (), 0), -1: (1, (-X,), 0), 2: (2, (), 0), -2: (2, (-Y,), 0)},
+    {1: (0, (X,), 0), -1: (0, (), 0), 2: (3, (), 0), -2: (3, (X, Y), -1)},
+    {1: (4, (), 0), -1: (4, (Y, X), -1), 2: (0, (Y,), 0), -2: (0, (), 0)},
+    {1: (5, (), 0), -1: (5, (-Y,), 0), 2: (1, (-Y, -X), 1), -2: (1, (), 0)},
+    {1: (2, (-X, -Y), 1), -1: (2, (), 0), 2: (5, (), 0), -2: (5, (-X,), 0)},
+    {1: (3, (Y,), 0), -1: (3, (), 0), 2: (4, (X,), 0), -2: (4, (), 0)},
+)
 
-
-def _peel_sanov(m: Matrix, guard: int) -> tuple[int, list[tuple[int, int]]]:
-    """Write an SL(2,Z) matrix as +-X^a1 Y^b1 ... with X = [[1,2],[0,1]]
-    and Y = [[1,0],[-2,1]].
-
-    Works on matrices congruent to the identity mod 2; each step strictly
-    shrinks the first column, and parity rules out boundary ties.  Returns
-    (sign, syllables); a stall or an exhausted guard raises StepFailure at
-    "p3 coordinates".
-    """
-    (p, q), (r, s) = m
-    syllables: list[tuple[int, int]] = []
-    steps = 0
-    while r != 0:
-        steps += 1
-        if steps > guard:
-            raise StepFailure("p3 coordinates", "syllable extraction exceeded its iteration guard")
-        if abs(p) > abs(r):
-            a = _round_nearest(p, 2 * r)
-            if a == 0:
-                raise StepFailure("p3 coordinates", "column reduction stalled")
-            syllables.append((1, a))
-            p, q = p - 2 * a * r, q - 2 * a * s
-        else:
-            b = _round_nearest(r, 2 * p)
-            if b == 0:
-                raise StepFailure("p3 coordinates", "column reduction stalled")
-            syllables.append((2, -b))
-            r, s = r - 2 * b * p, s - 2 * b * q
-    if abs(p) != 1 or p * s != 1:
-        raise StepFailure("p3 coordinates", "peeled matrix is not a signed triangular unit")
-    tail = p * q
-    if tail % 2 != 0:
-        raise StepFailure("p3 coordinates", "triangular remainder has odd off-diagonal entry")
-    if tail != 0:
-        syllables.append((1, tail // 2))
-    return p, syllables
+# the walk reads the table flat: coset i, letter l at 5 * i + 2 + l; j as 5 * j + 2
+_P3_WALK = [
+    (5 * step[0] + 2,) + step[1:] if step else None
+    for row in _COSET_STEPS
+    for step in map(row.get, range(-2, 3))
+]
 
 
 def p3_coordinates(b: BraidWord) -> P3Coordinates:
-    """Coordinates (f2_part, center_exponent) of a pure 3-strand braid.
-
-    The output is re-verified by reassembling embed(w) * z^k and comparing
-    its ``b3_key`` with the input's, so the extraction certifies itself: a
-    failure raises StepFailure at "p3 coordinates", which ``verify`` and the
-    acceptance suite report like any other failed check.
+    """Coordinates (f2_part, center_exponent) of a pure 3-strand braid, in
+    one walk through the coset table; the braid is pure iff the walk ends in
+    coset 0.  Reassembling embed(w) * z^k must reproduce the input's
+    ``b3_key``, so the extraction certifies itself: a failure raises
+    StepFailure at "p3 coordinates", which ``verify`` reports like any other
+    failed check.
     """
     if b.n != 3:
         raise ValueError("coordinates are defined for 3-strand braids")
-    if not is_pure(b):
+    walk = _P3_WALK
+    at, raw, k = 2, [], 0
+    for l in b.letters:
+        at, free, z = walk[at + l]
+        raw += free
+        k += z
+    if at != 2:
         raise ValueError("coordinates are defined for pure braids only")
-    guard = 4 * len(b.letters) + 16
-    key = b3_key(b)
-    sign, syllables = _peel_sanov((key[1:3], key[3:]), guard)
-    raw: list[int] = []
-    for gen, exp in syllables:
-        letter = (X, Y)[gen - 1]
-        if exp < 0:
-            letter = -letter
-        raw.extend([letter] * abs(exp))
-    w = Word(tuple(raw))
-    total = key[0] - 2 * w.exponent_sum()
-    k, rem = divmod(total, 6)
-    if rem != 0:
-        raise StepFailure("p3 coordinates", "index sum is inconsistent with the free part")
-    if sign != (1 if k % 2 == 0 else -1):
-        raise StepFailure("p3 coordinates", "matrix sign is inconsistent with the centre exponent")
-    if b3_key(p3_assemble(w, k)) != key:
+    w = Word.from_raw(raw)
+    if b3_key(p3_assemble(w, k)) != b3_key(b):
         raise StepFailure("p3 coordinates", "reassembled coordinates do not reproduce the input")
     return P3Coordinates(w, k)
 

@@ -111,16 +111,23 @@ def write_certificates(items: Sequence[dict], path: str | os.PathLike) -> dict:
 
 
 def load_document(path: str | os.PathLike) -> dict:
-    # read(n) allocates all n bytes before it reads, so the file is read in
-    # 64 KiB chunks, and at most one byte past the cap
+    # a FIFO blocks open() until it has a writer and a device may never end,
+    # so only a regular file is read; read(n) allocates all n bytes before it
+    # reads, so the file is read in 64 KiB chunks, at most one byte past the cap
     data = bytearray()
     try:
-        with open(path, "rb") as fh:
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0))
+        try:
+            if not stat.S_ISREG(os.fstat(fd).st_mode):
+                detail = f"cannot read certificate file: {str(path)!r} is not a regular file"
+                raise StepFailure("schema", detail)
             while len(data) <= MAX_DOCUMENT_BYTES:
-                chunk = fh.read(min(2**16, MAX_DOCUMENT_BYTES + 1 - len(data)))
+                chunk = os.read(fd, min(2**16, MAX_DOCUMENT_BYTES + 1 - len(data)))
                 if not chunk:
                     break
                 data += chunk
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise StepFailure("schema", f"cannot read certificate file: {exc}") from exc
     if len(data) > MAX_DOCUMENT_BYTES:

@@ -186,7 +186,7 @@ class ExtensionResult(Frozen):
         return homogenize(self.phi_prime, ghat, self.n_max)
 
 
-def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int = 64) -> ExtensionResult:
+def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int) -> ExtensionResult:
     """Transport qm along the section and homogenise.
 
     qm must be homogeneous and invariant under ambient conjugation by

@@ -112,7 +112,7 @@ def pure_ordinary_pair() -> GroupPair:
     )
 
 
-def braid_commutator_pair(n: int = 3) -> GroupPair:
+def braid_commutator_pair(n: int) -> GroupPair:
     """(Bn, [Bn, Bn]): membership is vanishing index sum."""
     ctx = BraidGroup(n)
 

@@ -40,17 +40,8 @@ def reduce_letters(raw: Iterable[int]) -> tuple[int, ...]:
         elif letter and -top <= letter <= top:
             stack.append(letter)
         else:
-            raise ValueError(_bad_letter(letter))
+            raise ValueError(f"letter {letter} is not a generator index in +-1..{ALPHABET_SIZE}")
     return tuple(stack)
-
-
-def _bad_letter(letter: int) -> str:
-    return f"letter {letter} is not a generator index in +-1..{ALPHABET_SIZE}"
-
-
-def is_reduced(letters: Iterable[int]) -> bool:
-    seq = tuple(letters)
-    return all(seq[i] != -seq[i + 1] for i in range(len(seq) - 1))
 
 
 def invert_letters(letters: Iterable[int]) -> tuple[int, ...]:
@@ -255,10 +246,8 @@ class Word(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        for l in self.letters:
-            if l == 0 or abs(l) > ALPHABET_SIZE:
-                raise ValueError(_bad_letter(l))
-        if not is_reduced(self.letters):
+        # reduce_letters refuses the first letter out of range
+        if reduce_letters(self.letters) != self.letters:
             raise ValueError("Word requires freely reduced letters; use word() or from_raw()")
 
     @staticmethod
@@ -293,10 +282,6 @@ class Word(Frozen):
 
     def __str__(self) -> str:
         return format_letters(self.letters)
-
-    def exponent_sum(self) -> int:
-        """Signed letter count over all generators."""
-        return sum(1 if l > 0 else -1 for l in self.letters)
 
 
 # the slot descriptors set the fields of a frozen instance directly

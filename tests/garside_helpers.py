@@ -1,24 +1,32 @@
-"""Garside normal-form helpers that only the tests call.
+"""Braid helpers that only the tests call.
 
 ``braid_equal`` decides the word problem through normal forms on any strand
 count, the independent oracle for ``b3_key`` on three strands;
 ``nf_to_letters`` writes a normal form back as an Artin word, for round
 trips; ``is_left_weighted`` checks the shape ``normal_form`` promises.
 ``underlying_permutation`` walks a word's letters to the permutation it
-induces, the independent oracle for ``is_pure``.
-``plant_extra_syllable`` breaks the P3 coordinate extraction, whose
-self-check must then fail.
+induces, the independent oracle for ``is_pure`` and for the cosets of the
+walk in ``p3_coordinates``.  ``sanov_coordinates`` peels a pure braid's
+SL(2,Z) image into powers of [[1,2],[0,1]] and [[1,0],[-2,1]], the images of
+x and y, the independent oracle for ``p3_coordinates`` and so for ``pr1``.
+``plant_extra_syllable`` breaks the coset walk, whose self-check must then
+fail.
 """
 
 from sclkit import braids
 from sclkit.braids import (
+    X,
+    Y,
     BraidWord,
     GarsideNormalForm,
+    P3Coordinates,
     _descents,
     _tables,
+    b3_key,
     cached_normal_form,
 )
 from sclkit.groups import perm_compose, perm_inverse
+from sclkit.words import Word
 
 
 def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
@@ -72,12 +80,46 @@ def is_left_weighted(nf: GarsideNormalForm) -> bool:
     return True
 
 
+def _round_nearest(p: int, q: int) -> int:
+    """Nearest integer to p/q; callers guarantee ties cannot occur."""
+    if q < 0:
+        p, q = -p, -q
+    quotient, r = divmod(p, q)
+    return quotient + (1 if 2 * r > q else 0)
+
+
+def sanov_coordinates(b: BraidWord) -> P3Coordinates:
+    """Coordinates of a pure 3-strand braid read off its ``b3_key``.
+
+    The matrix, congruent to the identity mod 2, is peeled as
+    +-X^a1 Y^b1 ... with X = [[1,2],[0,1]] and Y = [[1,0],[-2,1]]: each step
+    strictly shrinks the first column, and parity rules out boundary ties.
+    The sign and the index sum then give the centre exponent, since z maps
+    to -I and has index sum 6 while x and y have index sum 2.
+    """
+    s, p, q, r, t = b3_key(b)
+    letters: list[int] = []
+    while r != 0:
+        if abs(p) > abs(r):
+            a = _round_nearest(p, 2 * r)
+            assert a != 0, "column reduction stalled"
+            letters += [X if a > 0 else -X] * abs(a)
+            p, q = p - 2 * a * r, q - 2 * a * t
+        else:
+            c = _round_nearest(r, 2 * p)
+            assert c != 0, "column reduction stalled"
+            letters += [-Y if c > 0 else Y] * abs(c)
+            r, t = r - 2 * c * p, t - 2 * c * q
+    assert abs(p) == 1 and p * t == 1 and (p * q) % 2 == 0
+    letters += [X if p * q > 0 else -X] * abs(p * q // 2)
+    w = Word(tuple(letters))
+    k, rem = divmod(s - 2 * sum(1 if l > 0 else -1 for l in letters), 6)
+    assert rem == 0 and p == (-1) ** (k % 2)
+    return P3Coordinates(w, k)
+
+
 def plant_extra_syllable(monkeypatch) -> None:
-    """Make every SL(2,Z) peel return one syllable X too many."""
-    real = braids._peel_sanov
-
-    def one_syllable_too_many(m, guard):
-        sign, syllables = real(m, guard)
-        return sign, syllables + [(1, 1)]
-
-    monkeypatch.setattr(braids, "_peel_sanov", one_syllable_too_many)
+    """Make every step of the coset walk in ``p3_coordinates`` emit one
+    letter x too many."""
+    walk = [step and (step[0], step[1] + (X,), step[2]) for step in braids._P3_WALK]
+    monkeypatch.setattr(braids, "_P3_WALK", walk)

@@ -349,7 +349,6 @@ def test_every_function_runs_under_some_command(tmp_path):
         "suite._random_raw": "suite item 10, left out for time; test_acceptance runs it",
         "suite._item_word_algebra": "suite item 10, left out for time; test_acceptance runs it",
         "suite._word_algebra_shard": "suite item 10, left out for time; test_acceptance runs it",
-        "words._bad_letter": "refuses letters that only library callers can pass",
     }
     # kernel defs that only verify-paper runs, or nothing, each with why it
     # stays in the kernel
@@ -367,7 +366,6 @@ def test_every_function_runs_under_some_command(tmp_path):
         "groups.SymmetricGroup.elements": "norms enumerates the group through it",
         "scl.alpha_braid": readme,
         "certio.write_certificates": "the library's way to write a checked file, which README names",
-        "words._bad_letter": "refuses letters that only library callers can pass",
     }
     r = subprocess.run(
         [sys.executable, "-c", _CORPUS, str(SRC), str(tmp_path)],

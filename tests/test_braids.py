@@ -14,6 +14,7 @@ from garside_helpers import (
     is_left_weighted,
     nf_to_letters,
     plant_extra_syllable,
+    sanov_coordinates,
     underlying_permutation,
 )
 from sclkit import braids
@@ -446,7 +447,42 @@ def test_a_peel_that_does_not_reassemble_fails_at_the_p3_coordinates_step(monkey
     with pytest.raises(StepFailure) as failure:
         p3_coordinates(p3_assemble(Word((24, 25)), 1))
     assert failure.value.step == "p3 coordinates"
-    assert failure.value.detail == "index sum is inconsistent with the free part"
+    assert failure.value.detail == "reassembled coordinates do not reproduce the input"
+
+
+# the coset representatives of the walk in p3_coordinates, in table order
+COSET_REPRESENTATIVES = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
+
+
+def test_every_coset_table_entry_is_the_pure_braid_it_names():
+    cosets = {
+        underlying_permutation(BraidWord(3, rep)): i for i, rep in enumerate(COSET_REPRESENTATIVES)
+    }
+    assert len(cosets) == 6
+    checked = 0
+    for i, row in enumerate(braids._COSET_STEPS):
+        for l, (j, free, z) in row.items():
+            step = COSET_REPRESENTATIVES[i] + (l,)
+            assert j == cosets[underlying_permutation(BraidWord(3, step))]
+            pure = BraidWord(3, step + tuple(-m for m in reversed(COSET_REPRESENTATIVES[j])))
+            assert b3_key(pure) == b3_key(p3_assemble(Word(free), z))
+            checked += 1
+    assert checked == 24
+
+
+def test_the_coset_walk_agrees_with_the_sanov_peel():
+    # random words closed into P3 by the inverse of their coset's
+    # representative, chosen through the permutation alone; unlike
+    # p3_assemble outputs they need not be reduced or built from x, y, z
+    closing = {
+        underlying_permutation(BraidWord(3, rep)): tuple(-m for m in reversed(rep))
+        for rep in COSET_REPRESENTATIVES
+    }
+    rng = random.Random(309)
+    for _ in range(10_000):
+        letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 118)))
+        b = BraidWord(3, letters + closing[underlying_permutation(BraidWord(3, letters))])
+        assert p3_coordinates(b) == sanov_coordinates(b)
 
 
 def test_p3_splitting_is_multiplicative_in_center():

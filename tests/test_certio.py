@@ -441,7 +441,7 @@ def test_report_as_dict_has_no_wall_times(tmp_path, upper_cert):
 
 
 def test_load_document_missing_file_raises(tmp_path):
-    # a missing file and a directory: open() fails before any byte is read
+    # a missing file and a directory: each is refused before any byte is read
     for path in ("/nonexistent/certs.json", tmp_path):
         with pytest.raises(StepFailure, match="^schema: cannot read certificate file: ") as exc:
             load_document(path)

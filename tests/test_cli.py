@@ -655,6 +655,19 @@ def test_verify_fails_unreadable_files_at_schema(tmp_path):
     assert json.loads(r.stdout)["schema_error"].startswith("schema: cannot read certificate file:")
 
 
+def test_verify_refuses_a_fifo_without_waiting_for_a_writer(tmp_path):
+    # opening a FIFO for reading blocks until some process opens it for
+    # writing; none does here
+    fifo = tmp_path / "fifo.json"
+    os.mkfifo(fifo)
+    r = run_cli("verify", str(fifo), "--format", "json", timeout=30)
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert json.loads(r.stdout)["schema_error"] == (
+        f"schema: cannot read certificate file: {str(fifo)!r} is not a regular file"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, err",
     [

@@ -41,7 +41,7 @@ def test_group_pair_modes_and_membership():
     assert not pure_ordinary_pair().admits_conjugator(braid("1", 3))
     assert pure_ordinary_pair().admits_conjugator(alpha_braid())
     assert ordinary_pair(FreeGroup(2)).is_member(word("ab"))
-    comm = braid_commutator_pair()
+    comm = braid_commutator_pair(3)
     assert comm.is_member(alpha_braid())
     assert not comm.is_member(braid("1,1", 3))
     left = product_left_pair(FreeGroup(2))
