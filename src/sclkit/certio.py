@@ -103,13 +103,6 @@ def write_text_atomic(text: str, path: str | os.PathLike) -> None:
         raise
 
 
-def write_certificates(items: Sequence[dict], path: str | os.PathLike) -> dict:
-    """Write ``document(items)``; an item that fails writes nothing."""
-    doc = document(items)
-    write_text_atomic(dumps(doc), path)
-    return doc
-
-
 def load_document(path: str | os.PathLike) -> dict:
     # a FIFO blocks open() until it has a writer and a device may never end,
     # so only a regular file is read; read(n) allocates all n bytes before it
@@ -378,7 +371,9 @@ def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
         return VerificationReport(source, (), str(failure))
     checks = []
     for i, item in enumerate(items):
-        kind = item.get("kind", "?") if isinstance(item, dict) else "?"
+        kind = item.get("kind") if isinstance(item, dict) else None
+        # a KINDS row, or "?": the step detail names any other kind by repr
+        kind = kind if isinstance(kind, str) and kind in KINDS else "?"
         ok, step, detail = verify_payload(item)
         checks.append(CheckResult(i, kind, ok, step, detail))
     return VerificationReport(source, tuple(checks), None)

@@ -21,7 +21,6 @@ out the layers of their cached breadth-first search.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -530,9 +529,6 @@ class SymmetricGroup(GroupContext):
             images[i], images[i + 1] = images[i + 1], images[i]
             gens.append(tuple(images))
         return gens
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return sorted(itertools.permutations(range(self.n)))
 
 
 class GroupHom(Frozen):

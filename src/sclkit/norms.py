@@ -8,10 +8,10 @@ The fragmentation norm nu_H counts the least number of conjugates of
 H-elements whose product is f.  As Burago, Ivanov and Polterovich define it
 ("Conjugation-invariant norms on groups of geometric origin", Adv. Stud.
 Pure Math. 52, 2008), it is taken for a subgroup H whose conjugates generate
-the whole group, so every value is finite.  It is computed on finite groups
-only, where the breadth-first search is exhaustive: layer k of the search is
-exactly the set of elements of norm k, and every value comes with a witness
-decomposition that multiplies back to f.
+the whole group, so every value is finite.  It is computed on symmetric
+groups only, where the breadth-first search is exhaustive: layer k of the
+search is exactly the set of elements of norm k, and every value comes with
+a witness decomposition that multiplies back to f.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .groups import GroupContext, ProductSearch
+from .groups import GroupContext, ProductSearch, SymmetricGroup
 from .words import Frozen, PreconditionError, StepFailure
 
 
@@ -36,57 +36,42 @@ class FragmentationResult(Frozen):
 
 
 class FragmentationNorm:
-    """Fragmentation norm nu_H on a finite group, by breadth-first search.
+    """Fragmentation norm nu_H on a symmetric group, by breadth-first search.
 
-    The context must list its elements.  The search over conjugates of
-    H-elements runs to exhaustion up front; if it misses an element, the
-    conjugates of H generate a proper normal subgroup and the norm is
-    refused with PreconditionError.  Every value is re-checked by
-    multiplying its witness back together; a witness that does not
-    reassemble raises StepFailure at "fragmentation witness".
+    The search over conjugates of H-elements runs to exhaustion up front;
+    if it misses an element, the conjugates of H generate a proper normal
+    subgroup and the norm is refused with PreconditionError.  Every value is
+    re-checked by multiplying its witness back together; a witness that does
+    not reassemble raises StepFailure at "fragmentation witness".
     """
 
     def __init__(self, context: GroupContext, subgroup_gens: Sequence[Any]):
-        if not hasattr(context, "elements"):
-            raise ValueError("the fragmentation norm needs a finite group that lists its elements")
-        self.context = context
-        self.subgroup_gens = list(subgroup_gens)
-        self._subgroup = self._close_subgroup()
-        self._conjugates = self._conjugate_closure()
-        self._search = ProductSearch(context, [c for c, _, _ in self._conjugates])
+        if not isinstance(context, SymmetricGroup):
+            raise ValueError("the fragmentation norm needs a finite group, a SymmetricGroup")
+        ctx = self.context = context
+        self.elements = sorted(itertools.permutations(range(ctx.n)))
+        gens = list(subgroup_gens)
+        closure = ProductSearch(ctx, gens + [ctx.inv(s) for s in gens])
+        closure.grow()
+        # a permutation is its own canonical key, so the keys of the closure
+        # are the subgroup's elements, the identity first; each conjugate
+        # keeps the first (g, h) that gives it
+        conjugates: dict[Any, tuple[Any, Any]] = {}
+        for h in list(closure.info)[1:]:
+            for g in self.elements:
+                conjugates.setdefault(ctx.conjugate(g, h), (g, h))
+        self._witness = list(conjugates.values())
+        self._search = ProductSearch(ctx, list(conjugates))
         self._search.grow()
-        if len(self._search.info) != len(context.elements()):
+        if len(self._search.info) != len(self.elements):
             raise PreconditionError(
                 "the conjugates of the subgroup generate a proper normal subgroup, "
                 "so the fragmentation norm is not defined on the whole group"
             )
 
-    def _close_subgroup(self) -> list:
-        ctx = self.context
-        search = ProductSearch(ctx, self.subgroup_gens + [ctx.inv(s) for s in self.subgroup_gens])
-        elements = [ctx.identity]
-        while search.frontier:
-            search.grow(max_depth=search.depth + 1)
-            elements += search.frontier
-        return elements
-
-    def _conjugate_closure(self) -> list[tuple[Any, Any, Any]]:
-        ctx = self.context
-        conjugators = list(ctx.elements())
-        out: dict[Any, tuple[Any, Any, Any]] = {}
-        for h in self._subgroup:
-            if ctx.is_identity(h):
-                continue
-            for g in conjugators:
-                c = ctx.conjugate(g, h)
-                key = ctx.canonical(c)
-                if key not in out:
-                    out[key] = (c, g, h)
-        return list(out.values())
-
     def value_with_witness(self, f) -> FragmentationResult:
         ctx = self.context
-        witness = tuple(self._conjugates[idx][1:] for idx in self._search.path(ctx.canonical(f)))
+        witness = tuple(self._witness[idx] for idx in self._search.path(ctx.canonical(f)))
         check = ctx.identity
         for g, h in witness:
             check = ctx.mul(check, ctx.conjugate(g, h))
@@ -110,7 +95,7 @@ def norm_axiom_report(norm) -> NormAxiomReport:
     group, and the pairwise ones on every ordered pair.  The first failure
     raises StepFailure at "norm axioms"."""
     ctx = norm.context
-    elements = list(ctx.elements())
+    elements = norm.elements
 
     values = {ctx.canonical(a): norm(a) for a in elements}
 

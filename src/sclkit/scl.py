@@ -34,7 +34,6 @@ from typing import Any, Callable
 from .braids import (
     BraidGroup,
     BraidWord,
-    braid,
     index_sum,
     is_pure,
     p3_assemble,
@@ -325,9 +324,3 @@ def upper_from_decomposition(d: MixedCommutatorDecomposition, note: str = "") ->
     return _payload(
         "scl-upper-decomposition", "upper", d.pair, d.target, bound, witness, None, note
     )
-
-
-def alpha_braid() -> BraidWord:
-    """The commutator [s1^2, s2^2] in the 3-strand braid group."""
-    ctx = BraidGroup(3)
-    return ctx.commutator(braid("1,1", 3), braid("2,2", 3))

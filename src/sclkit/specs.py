@@ -63,9 +63,10 @@ MAX_PRODUCT_DEPTH = 16
 
 
 def _count(rest: str) -> int | None:
-    """The number a spec writes in ASCII digits, or None.  Nine digits are
-    more than any group here can use; int() refuses past 4300."""
-    if rest.isascii() and rest.isdigit() and len(rest) <= 9:
+    """The number a spec writes in ASCII digits as ``str`` prints it, or
+    None.  Nine digits are more than any group here can use; int() refuses
+    past 4300."""
+    if rest.isascii() and rest.isdigit() and len(rest) <= 9 and (rest == "0" or rest[0] != "0"):
         return int(rest)
     return None
 
@@ -143,11 +144,11 @@ def parse_group_pair(text: str) -> GroupPair:
         raise SpecError(
             f"unknown pair suffix {suffix!r} in {text!r}; expected one of {', '.join(_PAIR_SUFFIXES)}"
         )
+    ctx = parse_group(base)
     if suffix in ("pure", "pure-ordinary"):
-        if base != "braid:3":
+        if ctx.name != "braid:3":
             raise SpecError("the pure-braid pair is only built on 3 strands")
         return braid_pure_pair() if suffix == "pure" else pure_ordinary_pair()
-    ctx = parse_group(base)
     if suffix == "comm":
         if not isinstance(ctx, BraidGroup):
             raise SpecError("the commutator-subgroup pair is only built on braid groups")

@@ -17,9 +17,9 @@ this process, so its details, steps and JSON do not depend on where the
 shards ran, and which inputs a failure names depends on the seed alone.
 
 Code that only the items run lives here, next to the item that runs it, so
-the verifier kernel does not carry it: the swap product and
-``power_commutator`` (item 5), ``commutator_identity_xy`` (item 6) and
-``cycle_count`` (item 8).
+the verifier kernel does not carry it: ``alpha_braid`` (items 2-5 and 11),
+the swap product and ``power_commutator`` (item 5),
+``commutator_identity_xy`` (item 6) and ``cycle_count`` (item 8).
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from typing import Any, Callable, Hashable
 from . import certio
 from .braids import (
     BraidGroup,
+    BraidWord,
+    braid,
     half_twist,
     index_sum,
     normal_form,
@@ -75,7 +77,6 @@ from .quasimorphisms import (
 )
 from .scl import (
     MixedCommutatorDecomposition,
-    alpha_braid,
     bavard_lower,
     conjugate_flip_decomposition,
     ordinary_pair,
@@ -170,6 +171,12 @@ def _item_counting(rng):
 
 
 # --- item 2: the half twist conjugates alpha to its inverse -------------
+
+
+def alpha_braid() -> BraidWord:
+    """The commutator [s1^2, s2^2] in the 3-strand braid group."""
+    ctx = BraidGroup(3)
+    return ctx.commutator(braid("1,1", 3), braid("2,2", 3))
 
 
 def _item_flip(rng):
@@ -465,7 +472,7 @@ def _item_fragmentation(rng):
                 oracle[h] = oracle[g] + 1
                 queue.append(h)
 
-    for g in s5.elements():
+    for g in norm5.elements:
         res = norm5.value_with_witness(g)
         expected = 5 - cycle_count(g)
         if res.value != expected or oracle[g] != expected:
@@ -655,7 +662,8 @@ def _item_certificates(rng):
     certs = standalone_certificates()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "certificates.json")
-        doc = certio.write_certificates(certs, path)
+        doc = certio.document(certs)
+        certio.write_text_atomic(certio.dumps(doc), path)
         ok, step = verify(path)
         if not ok:
             raise StepFailure("file verification", f"a fresh file fails at {step!r}")

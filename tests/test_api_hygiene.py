@@ -354,7 +354,6 @@ def test_every_function_runs_under_some_command(tmp_path):
     # stays in the kernel
     tracer = "a target of the benchmark tracer, which resolves it in this module"
     searches = "the defect searches run it, next to defect_search"
-    readme = "README's library example imports it from this module"
     suite_only = {
         "quasimorphisms.defect_search": tracer,
         "quasimorphisms.invariance_check": tracer,
@@ -363,9 +362,6 @@ def test_every_function_runs_under_some_command(tmp_path):
         "groups.BallValues.pairs.sphere": searches,
         "groups.GroupContext.product_key": searches,
         "groups.FreeGroup.product_key": searches,
-        "groups.SymmetricGroup.elements": "norms enumerates the group through it",
-        "scl.alpha_braid": readme,
-        "certio.write_certificates": "the library's way to write a checked file, which README names",
     }
     r = subprocess.run(
         [sys.executable, "-c", _CORPUS, str(SRC), str(tmp_path)],

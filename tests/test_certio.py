@@ -25,13 +25,11 @@ from sclkit.certio import (
     verify_document,
     verify_file,
     verify_payload,
-    write_certificates,
     write_text_atomic,
 )
 from sclkit.quasimorphisms import brooks_homogenized, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
-    alpha_braid,
     bavard_lower,
     braid_pure_pair,
     conjugate_flip_decomposition,
@@ -39,6 +37,7 @@ from sclkit.scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
+from sclkit.suite import alpha_braid
 from sclkit.words import StepFailure, word
 
 
@@ -95,7 +94,7 @@ def test_write_text_atomic_gives_a_new_file_the_umask_mode_and_keeps_an_old_ones
         write_text_atomic("hello\n", path)
         assert path.stat().st_mode & 0o777 == 0o644
         os.chmod(path, 0o640)
-        write_certificates([upper_cert], path)
+        write_text_atomic(dumps(document([upper_cert])), path)
         assert path.stat().st_mode & 0o777 == 0o640
     finally:
         os.umask(old_umask)
@@ -104,7 +103,7 @@ def test_write_text_atomic_gives_a_new_file_the_umask_mode_and_keeps_an_old_ones
 
 def test_write_and_verify_file_round_trip(tmp_path, upper_cert, lower_cert):
     path = str(tmp_path / "certs.json")
-    write_certificates([upper_cert, lower_cert], path)
+    write_text_atomic(dumps(document([upper_cert, lower_cert])), path)
     report = verify_file(path)
     assert report.ok
     assert report.source == path
@@ -122,12 +121,12 @@ def test_document_names_the_first_certificate_that_fails(upper_cert, lower_cert)
     assert exc.value.detail.startswith("FAIL item 1 (scl-lower-bavard) at step qm value: ")
 
 
-def test_write_certificates_refuses_a_forged_bound_and_writes_nothing(tmp_path, upper_cert):
+def test_document_refuses_a_forged_bound_before_anything_is_written(tmp_path, upper_cert):
     # a hand-built item claiming scl <= 1/1000 from one factor at power 4
     forged = corrupted(upper_cert, lambda p: p.update(bound="1/1000"))
     path = tmp_path / "forged.json"
     with pytest.raises(StepFailure) as exc:
-        write_certificates([forged], path)
+        write_text_atomic(dumps(document([forged])), path)
     assert exc.value.step == "self-verification"
     assert exc.value.detail.startswith(
         "FAIL item 0 (scl-upper-decomposition) at step bound arithmetic: "
@@ -434,7 +433,7 @@ def test_parent_format_with_invariance_sample_still_verifies(upper_cert, lower_c
 
 def test_report_as_dict_has_no_wall_times(tmp_path, upper_cert):
     path = str(tmp_path / "c.json")
-    write_certificates([upper_cert], path)
+    write_text_atomic(dumps(document([upper_cert])), path)
     d = verify_file(path).as_dict()
     flat = json.dumps(d)
     assert "seconds" not in flat and "time" not in flat

@@ -655,6 +655,30 @@ def test_verify_fails_unreadable_files_at_schema(tmp_path):
     assert json.loads(r.stdout)["schema_error"].startswith("schema: cannot read certificate file:")
 
 
+def test_verify_reports_a_kind_it_does_not_know_as_a_question_mark(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8 and a list is no kind: the
+    # report shows neither, and the step detail names an unknown kind by repr
+    env = {"PYTHONIOENCODING": "utf-8"}
+    path, out = tmp_path / "kind.json", tmp_path / "report.json"
+    for kind in ("\udc80x", ["a"], "bogus"):
+        path.write_text(json.dumps({"format": certio.FORMAT, "items": [{"kind": kind}]}))
+        r = run_cli("verify", str(path), env=env)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout.startswith("FAIL item 0 (?) at step schema: ")
+        r = run_cli("verify", str(path), "--format", "json", "--out", str(out), env=env)
+        assert (r.returncode, r.stderr) == (1, "")
+        item = json.loads(out.read_text())["items"][0]
+        assert (item["kind"], item["failed_step"]) == ("?", "schema")
+    doc = json.loads((Path(__file__).with_name("certificates") / "flip-alpha-n4.json").read_text())
+    doc["items"][0]["kind"] = "\udc80x"
+    path.write_text(json.dumps(doc))
+    r = run_cli("verify", str(path), env=env)
+    assert r.returncode == 1, r.stderr
+    assert r.stdout.startswith(
+        "FAIL item 0 (?) at step schema: unknown certificate kind '\\udc80x'\n"
+    )
+
+
 def test_verify_refuses_a_fifo_without_waiting_for_a_writer(tmp_path):
     # opening a FIFO for reading blocks until some process opens it for
     # writing; none does here

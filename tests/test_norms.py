@@ -1,10 +1,13 @@
 """Conjugation-invariant norms: fragmentation values, axioms, refusals."""
 
+from itertools import permutations
+
 import pytest
 
 from sclkit.braids import BraidGroup
 from sclkit.groups import SymmetricGroup
 from sclkit.norms import FragmentationNorm, norm_axiom_report
+from sclkit.specs import parse_group
 from sclkit.suite import cycle_count
 from sclkit.words import PreconditionError, StepFailure
 
@@ -18,7 +21,7 @@ def transposition(n, i, j):
 def test_fragmentation_matches_cycle_formula_on_s4():
     s4 = SymmetricGroup(4)
     nu = FragmentationNorm(s4, [transposition(4, 0, 1)])
-    for g in s4.elements():
+    for g in nu.elements:
         assert nu(g) == 4 - cycle_count(g)
 
 
@@ -35,10 +38,14 @@ def test_fragmentation_witness_multiplies_back():
 
 
 def test_fragmentation_norm_refuses_an_infinite_group():
-    # B3 lists no elements; a search there could not be exhaustive
+    # a search in B3 could not be exhaustive; a finite product is refused
+    # too, since the norm lists the elements of a symmetric group only
     b3 = BraidGroup(3)
     with pytest.raises(ValueError, match="finite group"):
         FragmentationNorm(b3, [b3.parse("1")])
+    product = parse_group("product:perm:2,perm:2")
+    with pytest.raises(ValueError, match="finite group"):
+        FragmentationNorm(product, product.generators()[:1])
 
 
 def test_fragmentation_norm_refuses_a_proper_normal_closure():
@@ -61,6 +68,7 @@ def test_norm_axiom_report_catches_a_broken_norm():
 
     class Fake:
         context = s4
+        elements = sorted(permutations(range(4)))
 
         def __call__(self, g):
             return 1  # nonzero at the identity

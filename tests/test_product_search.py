@@ -9,13 +9,13 @@ from sclkit import scl
 from sclkit.braids import BraidGroup, braid
 from sclkit.groups import FreeGroup, ProductSearch
 from sclkit.scl import (
-    alpha_braid,
     braid_pure_pair,
     mixed_cl_search,
     ordinary_pair,
     product_left_pair,
 )
 from sclkit.specs import parse_group_pair
+from sclkit.suite import alpha_braid
 
 
 def full_layer_path(search, target, max_depth):

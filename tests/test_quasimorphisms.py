@@ -24,8 +24,8 @@ from sclkit.quasimorphisms import (
     pullback,
     zero_qm,
 )
-from sclkit.scl import alpha_braid
 from sclkit.specs import parse_group, parse_qm
+from sclkit.suite import alpha_braid
 from sclkit.words import StepFailure, Word, word
 from value_helpers import contains, cyclic_reduce
 

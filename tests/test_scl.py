@@ -13,7 +13,6 @@ from sclkit.groups import CyclicZ, FreeGroup
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
-    alpha_braid,
     bavard_bound,
     bavard_lower,
     braid_commutator_pair,
@@ -27,7 +26,7 @@ from sclkit.scl import (
     upper_from_decomposition,
     verify_decomposition,
 )
-from sclkit.suite import SwapProduct, commutator_identity_xy, power_commutator
+from sclkit.suite import SwapProduct, alpha_braid, commutator_identity_xy, power_commutator
 from sclkit.words import PreconditionError, StepFailure, Word, word
 
 

@@ -123,6 +123,18 @@ def test_parse_group_pair_name_round_trip():
         assert parse_group_pair(pair.name).name == pair.name
 
 
+def test_counts_are_read_only_in_printed_form():
+    # no group prints a leading zero, so no spec names one; braid:03/pure is
+    # refused for its strand count, not as a group other than braid:3
+    for bad, reason in (("free:02", "rank"), ("braid:03", "strand count"),
+                        ("perm:003", "degree"), ("braid:03/pure", "strand count"),
+                        ("braid:03/comm", "strand count")):
+        with pytest.raises(SpecError, match=reason):
+            parse_group_pair(bad)
+    assert parse_group("free:0").name == "free:0"
+    assert parse_group_pair("braid:3/pure").name == "braid:3/pure"
+
+
 @pytest.mark.parametrize(
     "bad",
     ["braid:4/pure", "free:2/pure", "free:2/comm", "z/left", "braid:3/unknown"],
@@ -157,7 +169,7 @@ def test_parse_qm_pullback():
     assert qm.homogeneous
     assert qm.defect_upper == 6
     assert "pulled back along pr1" in qm.defect_provenance
-    from sclkit.scl import alpha_braid
+    from sclkit.suite import alpha_braid
 
     assert qm(alpha_braid()) == 1
 

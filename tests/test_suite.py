@@ -152,7 +152,7 @@ def test_item_11_fails_on_a_file_the_command_line_refuses(monkeypatch):
     real = standalone_certificates()
     broken = [_with_witness(real[0], _break_member)] + real[1:]
     monkeypatch.setattr(sclkit.suite, "standalone_certificates", lambda: broken)
-    # certio.write_certificates would refuse the item itself; an unchecked
+    # certio.document would refuse the item itself; an unchecked
     # envelope lets the file reach certio.verify_file
     monkeypatch.setattr(
         sclkit.certio, "document", lambda items: {"format": sclkit.certio.FORMAT, "items": items}

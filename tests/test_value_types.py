@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sclkit import braids, extension, scl, words
+from sclkit import braids, extension, scl, suite, words
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,7 @@ def test_copies_are_rebuilt_through_the_validating_init():
 
 def test_deepcopy_of_a_flip_certificate_keeps_its_claim():
     pair = scl.braid_pure_pair()
-    alpha = scl.alpha_braid()
+    alpha = suite.alpha_braid()
     d = scl.conjugate_flip_decomposition(pair, alpha, braids.half_twist(3), 2)
     cert = scl.upper_from_decomposition(d, "")
     clone = copy.deepcopy(d)
