@@ -11,12 +11,11 @@ in a longer-lived process are unaffected.
 
 import os
 import sys
-from typing import NoReturn
 
 from .cli import main
 
 
-def run() -> NoReturn:
+def run():
     code = main()
     sys.stdout.flush()
     sys.stderr.flush()

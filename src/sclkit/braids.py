@@ -47,7 +47,7 @@ the pure-braid coordinate splitting ``p3_coordinates``
 from __future__ import annotations
 
 import functools
-from typing import Hashable
+from collections.abc import Hashable
 
 from .groups import FreeGroup, GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
 from .words import Frozen, StepFailure, Word, invert_letters, multiply_letters, parse_ints

@@ -20,8 +20,8 @@ import json
 import os
 import re
 import stat
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Any, Callable, Sequence
 
 from . import specs
 from .scl import (
@@ -73,7 +73,7 @@ MAX_DOCUMENT_ITEMS = WITNESS_TEXT_BUDGET // 2
 MAX_DOCUMENT_BYTES = 16 * 2**20
 
 
-def dumps(doc: Any) -> str:
+def dumps(doc: object) -> str:
     """Canonical serialisation: sorted keys, two-space indent, newline end.
     Equal documents give byte-equal output."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -164,7 +164,7 @@ def _fraction(text: str, step: str, label: str) -> Fraction:
     raise StepFailure(step, f"{label} {text!r} is not a rational number")
 
 
-def _checked_payload(payload: Any) -> tuple[Callable, Callable]:
+def _checked_payload(payload: object) -> tuple[Callable, Callable]:
     """Check the envelope fields of one item; return its checker and rule."""
     if not isinstance(payload, dict):
         raise StepFailure("schema", "certificate item is not an object")
@@ -269,7 +269,7 @@ KINDS: dict[str, tuple[str, Callable, Callable]] = {
 }
 
 
-def verify_payload(payload: Any) -> tuple[bool, str | None, str]:
+def verify_payload(payload: object) -> tuple[bool, str | None, str]:
     """Re-check one certificate object: (ok, failed step, detail)."""
     try:
         check, rule = _checked_payload(payload)
@@ -350,7 +350,7 @@ class VerificationReport(Frozen):
         }
 
 
-def _checked_items(doc: Any) -> list:
+def _checked_items(doc: object) -> list:
     """Check the document envelope; return its items."""
     if not isinstance(doc, dict):
         raise StepFailure("schema", "document is not an object")
@@ -364,7 +364,7 @@ def _checked_items(doc: Any) -> list:
     return items
 
 
-def verify_document(doc: Any, source: str = "<document>") -> VerificationReport:
+def verify_document(doc: object, source: str = "<document>") -> VerificationReport:
     try:
         items = _checked_items(doc)
     except StepFailure as failure:
@@ -391,8 +391,9 @@ def document(items: Sequence[dict]) -> dict:
 
 
 def verify_file(path: str | os.PathLike) -> VerificationReport:
+    source = os.fsencode(path).decode("utf-8", "backslashreplace")  # a byte not UTF-8 reads \xff
     try:
         doc = load_document(path)
     except StepFailure as failure:
-        return VerificationReport(str(path), (), str(failure))
-    return verify_document(doc, source=str(path))
+        return VerificationReport(source, (), str(failure))
+    return verify_document(doc, source=source)

@@ -20,8 +20,8 @@ outside the verifier kernel, since only the extension and the suite use them.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Any, Callable, Iterable
 
 from .braids import BraidGroup, BraidWord, index_sum
 from .groups import BallValues, CyclicZ, DirectProduct, FreeGroup, GroupContext
@@ -79,8 +79,8 @@ class SectionData(Frozen):
     onto the integer quotient by its normal subgroup."""
 
     pair: GroupPair
-    project: Callable[[Any], int]
-    section: Callable[[int], Any]
+    project: Callable[[object], int]
+    section: Callable[[int], object]
     name: str
 
     def check(self, rng) -> None:
@@ -225,7 +225,7 @@ def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int) -> E
     return ExtensionResult(base=qm, section=section, phi_prime=phi_prime, n_max=n_max)
 
 
-def restriction_check(result: ExtensionResult, elements: Iterable[Any]) -> int:
+def restriction_check(result: ExtensionResult, elements: Iterable[object]) -> int:
     """phi_hat = phi on subgroup samples, as exact rationals; return the
     number of samples checked.
 
@@ -267,30 +267,23 @@ def defect_chain_check(result: ExtensionResult, radius: int) -> DefectChainRepor
     subtracts all three radii, and must stay within 2 D(phi).  A searched
     value past its bound raises StepFailure at "defect chain", naming it.
     """
-    ctx = result.section.pair.ambient
 
     def row(g):
         hat = result.value(g)
         return result.phi_prime(g), hat.value, hat.radius
 
-    table = BallValues(ctx, radius, row)
-    value, zero = table.values.get, table.zero
-    canonical, product_key = ctx.canonical, ctx.product_key
+    table = BallValues(result.section.pair.ambient, radius, row)
     best_prime = 0
     best_hat = 0
     pairs = 0
-    for g, sphere in table.pairs():
-        pg, vg, rg = value(canonical(g), zero)
-        for h in sphere:
-            pairs += 1
-            pgh, vgh, rgh = value(product_key(g, h), zero)
-            ph, vh, rh = value(canonical(h), zero)
-            gap_p = abs(pgh - pg - ph)
-            if gap_p > best_prime:
-                best_prime = gap_p
-            gap_h = abs(vgh - vg - vh) - (rg + rh + rgh)
-            if gap_h > best_hat:
-                best_hat = gap_h
+    for _, _, (pg, vg, rg), (ph, vh, rh), (pgh, vgh, rgh) in table.pairs():
+        pairs += 1
+        gap_p = abs(pgh - pg - ph)
+        if gap_p > best_prime:
+            best_prime = gap_p
+        gap_h = abs(vgh - vg - vh) - (rg + rh + rgh)
+        if gap_h > best_hat:
+            best_hat = gap_h
     d = result.base.defect_upper
     phi_prime_searched = Fraction(best_prime, table.scale)
     phi_hat_searched = Fraction(best_hat, table.scale)

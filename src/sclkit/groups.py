@@ -13,16 +13,16 @@ Every Cayley-graph walk in the library goes through two helpers here:
 ``ProductSearch``, the shortest product of a fixed list of moves, and
 ``BallValues``, which enumerates a ball once, keeps a function's nonzero
 values on it as exact integers over a common denominator, and yields the
-pairs of ball elements ordered by total length that the defect searches
-compare.  ``sphere`` is the one enumeration primitive: the free group
-generates its spheres on demand, one pass each, and the other contexts hand
-out the layers of their cached breadth-first search.
+pairs (g, h) by total length with the rows of g, h and gh that the defect
+searches compare.  ``sphere`` is the one enumeration primitive: the free
+group generates its spheres on demand, one pass each, and the other
+contexts hand out the layers of their cached breadth-first search.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .words import (
     ALPHABET_SIZE,
@@ -49,7 +49,7 @@ class ProductSearch:
     layers it needs up instead of storing them.
     """
 
-    def __init__(self, ctx: "GroupContext", moves: Sequence[Any]):
+    def __init__(self, ctx: "GroupContext", moves: Sequence[object]):
         self.ctx = ctx
         self.moves = list(moves)
         self.info: dict[Hashable, tuple[int, Hashable, int]] = {
@@ -78,7 +78,7 @@ class ProductSearch:
                         nxt.append(b)
             self.frontier = nxt
 
-    def reach(self, target: Any, max_depth: int) -> list[int] | None:
+    def reach(self, target: object, max_depth: int) -> list[int] | None:
         """Move indices of the shortest product equal to ``target`` with at
         most ``max_depth`` moves, or None.
 
@@ -169,9 +169,9 @@ class BallValues:
     ({1: 1, 2: 2}, 2)
     """
 
-    def __init__(self, ctx: "GroupContext", radius: int, fn: Callable[[Any], Any]):
+    def __init__(self, ctx: "GroupContext", radius: int, fn: Callable[[object], object]):
         canonical = ctx.canonical
-        values: dict[Hashable, Any] = {}
+        values: dict[Hashable, object] = {}
         zero = None
         for k in range(radius + 1):
             for g in ctx.sphere(k):
@@ -198,17 +198,18 @@ class BallValues:
         self.zero = zero
         self.scale = scale
 
-    def pairs(self) -> Iterator[tuple[Any, Iterable]]:
-        """Every pair (g, h) with |g| + |h| <= radius, as (g, sphere of h).
+    def pairs(self) -> Iterator[tuple]:
+        """Every pair (g, h) with |g| + |h| <= radius, with the scaled rows
+        of g, h and gh: (g, h, row_g, row_h, row_gh).
 
-        Pairs come by total length, then by |g|, then in sphere order; the
-        caller loops over h in the sphere once, so per-g work runs once per
-        g.  Only the spheres up to radius // 2 are held, as lists: in every
-        block one of |g| and |h| is at most that, and a longer sphere is
-        taken afresh from ``ctx.sphere``, once per block on the g side and
-        once per g on the h side.
+        Pairs come by total length, then by |g|, then in sphere order; gh's
+        row is looked up by ``ctx.product_key``.  Only the spheres up to
+        radius // 2 are held, as lists: in every block one of |g| and |h| is
+        at most that, and a longer sphere is taken afresh, once per block on
+        the g side and once per g on the h side.
         """
-        ctx, radius = self.ctx, self.radius
+        ctx, radius, value, zero = self.ctx, self.radius, self.values.get, self.zero
+        canonical, product_key = ctx.canonical, ctx.product_key
         half = radius // 2
         short = [list(ctx.sphere(k)) for k in range(half + 1)]
 
@@ -218,7 +219,9 @@ class BallValues:
         for total in range(radius + 1):
             for i in range(total + 1):
                 for g in sphere(i):
-                    yield g, sphere(total - i)
+                    row_g = value(canonical(g), zero)
+                    for h in sphere(total - i):
+                        yield g, h, row_g, value(canonical(h), zero), value(product_key(g, h), zero)
 
 
 class GroupContext:
@@ -540,7 +543,7 @@ class GroupHom(Frozen):
 
     domain: GroupContext
     codomain: GroupContext
-    fn: Callable[[Any], Any]
+    fn: Callable[[object], object]
     name: str
     total: bool
 

@@ -17,8 +17,8 @@ a witness decomposition that multiplies back to f.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Any, Sequence
 
 from .groups import GroupContext, ProductSearch, SymmetricGroup
 from .words import Frozen, PreconditionError, StepFailure
@@ -32,7 +32,7 @@ class FragmentationResult(Frozen):
     """
 
     value: int
-    witness: tuple[tuple[Any, Any], ...]
+    witness: tuple[tuple[object, object], ...]
 
 
 class FragmentationNorm:
@@ -45,7 +45,7 @@ class FragmentationNorm:
     not reassemble raises StepFailure at "fragmentation witness".
     """
 
-    def __init__(self, context: GroupContext, subgroup_gens: Sequence[Any]):
+    def __init__(self, context: GroupContext, subgroup_gens: Sequence[object]):
         if not isinstance(context, SymmetricGroup):
             raise ValueError("the fragmentation norm needs a finite group, a SymmetricGroup")
         ctx = self.context = context
@@ -56,7 +56,7 @@ class FragmentationNorm:
         # a permutation is its own canonical key, so the keys of the closure
         # are the subgroup's elements, the identity first; each conjugate
         # keeps the first (g, h) that gives it
-        conjugates: dict[Any, tuple[Any, Any]] = {}
+        conjugates: dict[object, tuple[object, object]] = {}
         for h in list(closure.info)[1:]:
             for g in self.elements:
                 conjugates.setdefault(ctx.conjugate(g, h), (g, h))

@@ -33,8 +33,8 @@ defect bound, which is how ``brooks_homogenized`` certifies its constant.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from typing import Any, Callable, Iterable, Sequence
 
 from .groups import BallValues, FreeGroup, GroupContext, GroupHom
 from .words import Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
@@ -164,7 +164,7 @@ class Quasimorphism(Frozen):
 
     name: str
     context: GroupContext
-    eval_fn: Callable[[Any], Fraction]
+    eval_fn: Callable[[object], Fraction]
     homogeneous: bool
     defect_upper: Fraction
     defect_provenance: str
@@ -226,7 +226,7 @@ def zero_qm(context: GroupContext) -> Quasimorphism:
     )
 
 
-def hom_qm(context: GroupContext, fn: Callable[[Any], int], name: str) -> Quasimorphism:
+def hom_qm(context: GroupContext, fn: Callable[[object], int], name: str) -> Quasimorphism:
     """A homomorphism viewed as a quasimorphism with defect zero."""
     return Quasimorphism(
         name=f"hom({name})",
@@ -270,21 +270,16 @@ def defect_search(qm: Quasimorphism, radius: int) -> DefectSearchResult:
     of qm's context and maximises |qm(gh) - qm(g) - qm(h)|.  Monotone in
     the radius.
     """
-    ctx = qm.context
-    table = BallValues(ctx, radius, qm)
-    value = table.values.get
-    canonical, product_key = ctx.canonical, ctx.product_key
+    table = BallValues(qm.context, radius, qm)
     best = 0
     witness: tuple | None = None
     pairs = 0
-    for g, sphere in table.pairs():
-        vg = value(canonical(g), 0)
-        for h in sphere:
-            pairs += 1
-            gap = abs(value(product_key(g, h), 0) - vg - value(canonical(h), 0))
-            if gap > best:
-                best = gap
-                witness = (g, h)
+    for g, h, vg, vh, vgh in table.pairs():
+        pairs += 1
+        gap = abs(vgh - vg - vh)
+        if gap > best:
+            best = gap
+            witness = (g, h)
     return DefectSearchResult(Fraction(best, table.scale), witness, pairs)
 
 

@@ -28,8 +28,8 @@ smaller than the ordinary one.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Any, Callable
 
 from .braids import (
     BraidGroup,
@@ -55,11 +55,11 @@ class GroupPair(Frozen):
 
     name: str
     ambient: GroupContext
-    is_member: Callable[[Any], bool]
+    is_member: Callable[[object], bool]
     subgroup_ball: Callable[[int], list]
     mode: str
 
-    def admits_conjugator(self, h: Any) -> bool:
+    def admits_conjugator(self, h: object) -> bool:
         """Whether h may be the first entry of a commutator: any ambient
         element in mixed mode, a subgroup element in ordinary mode."""
         return self.mode == "mixed" or self.is_member(h)
@@ -145,11 +145,11 @@ class MixedCommutatorDecomposition(Frozen):
     for m factors."""
 
     pair: GroupPair
-    target: Any
+    target: object
     power: int
-    factors: tuple[tuple[Any, Any], ...]
+    factors: tuple[tuple[object, object], ...]
 
-    def product(self) -> Any:
+    def product(self) -> object:
         ctx = self.pair.ambient
         acc = ctx.identity
         for ghat, g in self.factors:
@@ -201,7 +201,7 @@ class ClSearchResult(Frozen):
     commutators_used: int
 
 
-def mixed_cl_search(pair: GroupPair, target: Any, radius: int, max_factors: int) -> ClSearchResult:
+def mixed_cl_search(pair: GroupPair, target: object, radius: int, max_factors: int) -> ClSearchResult:
     """Least number of commutators [ghat, g] multiplying to target, with
     both components drawn from balls of the given radius.
 
@@ -211,7 +211,7 @@ def mixed_cl_search(pair: GroupPair, target: Any, radius: int, max_factors: int)
     with the moves in the order the balls first give each commutator.
     """
     ctx = pair.ambient
-    commutators: dict[Any, tuple[Any, tuple[Any, Any]]] = {}
+    commutators: dict[object, tuple[object, tuple[object, object]]] = {}
     conjugators = [h for h in ctx.ball(radius) if pair.admits_conjugator(h)]
     subgroup = pair.subgroup_ball(radius)
     for ghat in conjugators:
@@ -235,7 +235,7 @@ def mixed_cl_search(pair: GroupPair, target: Any, radius: int, max_factors: int)
 
 
 def conjugate_flip_decomposition(
-    pair: GroupPair, base: Any, flipper: Any, n: int
+    pair: GroupPair, base: object, flipper: object, n: int
 ) -> MixedCommutatorDecomposition:
     """base^{2n} = [flipper, base^{-n}] for n >= 1, given flipper * base *
     flipper^-1 = base^-1; a flipper that does not flip base gives a
@@ -245,7 +245,7 @@ def conjugate_flip_decomposition(
     )
 
 
-def _payload(kind: str, direction: str, pair: GroupPair, target: Any, bound: Fraction,
+def _payload(kind: str, direction: str, pair: GroupPair, target: object, bound: Fraction,
              witness: dict, provenance: str | None, note: str) -> dict:
     """One-sided certified bound on scl of target within a group pair, in
     the form ``certio`` writes and reads."""
@@ -289,7 +289,7 @@ def bavard_bound(value: Fraction, defect: Fraction) -> Fraction:
 
 
 def bavard_lower(
-    target: Any,
+    target: object,
     qm: Quasimorphism,
     pair: GroupPair,
     note: str = "",

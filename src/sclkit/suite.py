@@ -31,8 +31,8 @@ import tempfile
 import threading
 import time
 from collections import deque
+from collections.abc import Callable, Hashable
 from fractions import Fraction
-from typing import Any, Callable, Hashable
 
 from . import certio
 from .braids import (
@@ -302,7 +302,7 @@ class SwapProduct(GroupContext):
         return f"({self.inner.text(a0)};{self.inner.text(a1)};{s})"
 
 
-def power_commutator(ctx: GroupContext, f: Any, g: Any, n: int) -> MixedCommutatorDecomposition:
+def power_commutator(ctx: GroupContext, f: object, g: object, n: int) -> MixedCommutatorDecomposition:
     """[f, g]^n as the single commutator [f^n, g], requiring f to commute
     with g f^-1 g^-1 (checked exactly; violation raises PreconditionError)."""
     if n < 0:
@@ -357,7 +357,7 @@ def _item_power_commutator(rng):
 
 
 def commutator_identity_xy(
-    ctx: GroupContext, x: Any, y: Any, n: int
+    ctx: GroupContext, x: object, y: object, n: int
 ) -> MixedCommutatorDecomposition:
     """Explicit n-commutator decomposition of (xy)^{2n} x^{-2n} y^{-2n}.
 
@@ -370,7 +370,7 @@ def commutator_identity_xy(
     if n < 0:
         raise ValueError("n must be nonnegative")
     pair = ordinary_pair(ctx)
-    factors: list[tuple[Any, Any]] = []
+    factors: list[tuple[object, object]] = []
     shift = ctx.power(ctx.mul(x, y), 2)
     for m in range(1, n + 1):
         # factor closing the m-th peel: [x y x, y^{2m-1} x^-1]

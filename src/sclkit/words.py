@@ -16,7 +16,7 @@ and ``parse -> format -> parse`` is the identity.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 # Generators are named by the letters a..z, so a letter is a nonzero integer
 # in -ALPHABET_SIZE..ALPHABET_SIZE.

@@ -841,8 +841,13 @@ def test_the_readme_library_example_runs():
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     # every command is a fresh process; dataclasses (which brings inspect,
-    # ast, dis and tokenize) cost each of them about 30 ms at import
-    code = "import sys, sclkit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    # ast, dis and tokenize) cost each of them about 30 ms at import, and
+    # typing a few ms more.  -S keeps site's .pth files, which may load
+    # typing themselves, out of the process; a whole verify request runs
+    corpus = Path(__file__).with_name("certificates") / "flip-alpha-n4.json"
+    code = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import sclkit.cli as cli; "
+            f"code = cli.main(['verify', {str(corpus)!r}]); "
+            "print(code, sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    r = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == "[]"
+    assert r.stdout.splitlines()[-1] == "0 []"

@@ -679,6 +679,36 @@ def test_verify_reports_a_kind_it_does_not_know_as_a_question_mark(tmp_path):
     )
 
 
+def test_verify_names_a_file_whose_name_is_not_utf8_by_escapes(tmp_path):
+    # the byte 0xff is no UTF-8; the path carries it as the surrogate
+    # '\udcff', which a strict UTF-8 stdout cannot print
+    env = {"PYTHONIOENCODING": "utf-8"}
+    corpus = Path(__file__).with_name("certificates") / "flip-alpha-n4.json"
+    path, empty, out = tmp_path / "\udcff.json", tmp_path / "\udcfe.json", tmp_path / "report"
+    try:
+        path.write_bytes(corpus.read_bytes())
+        empty.write_bytes(b"")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a name that is not UTF-8")
+    named, named_empty = str(tmp_path / "\\xff.json"), str(tmp_path / "\\xfe.json")
+    r = run_cli("verify", str(path), env=env)
+    assert (r.returncode, r.stderr) == (0, ""), r.stderr
+    assert r.stdout.endswith(f"\n{named}: 4 item(s), all claims verified\n")
+    r = run_cli("verify", str(path), "--format", "json", env=env)
+    assert (r.returncode, r.stderr) == (0, ""), r.stderr
+    assert json.loads(r.stdout)["source"] == named
+    r = run_cli("verify", str(path), "--out", str(out), env=env)
+    assert (r.returncode, r.stderr) == (0, ""), r.stderr
+    assert out.read_text().endswith(f"\n{named}: 4 item(s), all claims verified\n")
+    r = run_cli("verify", str(empty), "--format", "json", env=env)
+    assert (r.returncode, r.stderr) == (1, ""), r.stderr
+    report = json.loads(r.stdout)
+    assert (report["source"], report["schema_error"]) == (named_empty, "schema: empty certificate file")
+    r = run_cli("verify", str(empty), env=env)
+    assert (r.returncode, r.stderr) == (1, ""), r.stderr
+    assert r.stdout == f"FAIL {named_empty}: schema: empty certificate file\n"
+
+
 def test_verify_refuses_a_fifo_without_waiting_for_a_writer(tmp_path):
     # opening a FIFO for reading blocks until some process opens it for
     # writing; none does here

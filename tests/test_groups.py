@@ -260,16 +260,17 @@ def test_ball_values_match_the_dense_reference(spec, radius):
         assert zero not in table.values.values()
         assert set(table.values) < set(dense) and table.values
         assert {key: table.values.get(key, zero) for key in dense} == dense
-        # the same pairs in the same order
+        # the same pairs in the same order, each with the rows of g, h and gh
         canonical = ctx.canonical
-        assert [(canonical(g), list(map(canonical, s))) for g, s in table.pairs()] == [
-            (canonical(g), list(map(canonical, s))) for g, s in sphere_pairs(ctx, radius)
+        assert [(canonical(g), canonical(h), *rows) for g, h, *rows in table.pairs()] == [
+            (canonical(g), canonical(h), dense[canonical(g)], dense[canonical(h)],
+             dense[canonical(ctx.mul(g, h))])
+            for g, sphere in sphere_pairs(ctx, radius) for h in sphere
         ]
     # a missing key reads as zero, so a product outside the ball would read
     # zero silently: the product of every pair is a ball key
-    for g, sphere in table.pairs():
-        for h in sphere:
-            assert canonical(ctx.mul(g, h)) in dense
+    for g, h, *_ in table.pairs():
+        assert canonical(ctx.mul(g, h)) in dense
 
 
 # letters, digits, the element grammars' punctuation, the old power and

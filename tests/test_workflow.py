@@ -43,3 +43,11 @@ def test_the_warnings_job_compares_every_byte_golden():
     assert "done < tests/data/scl-bounds/COMMANDS" in job
     assert 'python -W error -m sclkit "${args[@]}" > "$RUNNER_TEMP/golden.out" || exit 1' in job
     assert 'cmp "$RUNNER_TEMP/golden.out" "tests/data/scl-bounds/$name" || exit 1' in job
+
+
+def test_the_warnings_job_runs_verify_without_typing():
+    # -S, so that no .pth file of site loads typing before sclkit does
+    step = ("PYTHONPATH=src python -S -W error -c \"import sys, sclkit.cli as cli; "
+            "code = cli.main(['verify', 'tests/certificates/flip-alpha-n4.json']); "
+            "sys.exit(code or 'typing' in sys.modules)\"")
+    assert step in _jobs()["suite-warnings"]
