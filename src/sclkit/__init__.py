@@ -11,6 +11,6 @@ defines it, as in ``from sclkit.scl import bavard_lower``.  The verifier
 kernel is the seven modules that ``import sclkit.certio`` loads, where
 every check ``sclkit verify`` runs lives: ``words``, ``groups``,
 ``braids``, ``quasimorphisms``, ``scl``, ``specs`` and ``certio``.
-``norms`` and ``extension``, which only the acceptance suite runs,
-``suite`` and the command line ``cli`` sit outside it.
+``norms`` and ``extension``, which only the acceptance suite runs, the
+producer ``search``, ``suite`` and the command line ``cli`` sit outside it.
 """

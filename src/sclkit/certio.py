@@ -54,7 +54,7 @@ _PAYLOAD_FIELDS = {
 # budget holds a group pair, a target, a quasimorphism, an upper item's
 # power x target and all of its factor text.  At --n-max 128, scl-bounds on
 # alpha writes at most 4864 for power x target and 2567 for all factor text;
-# cmd_scl_bounds refuses a target or an --n-max over budget.
+# cmd_scl_bounds refuses a target, and search.bounds an --n-max, over budget.
 WITNESS_TEXT_BUDGET = 20_000
 WITNESS_FACTOR_BUDGET = 256
 

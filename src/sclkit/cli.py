@@ -17,17 +17,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import certio, specs, suite
-from .braids import BraidGroup, index_sum
-from .groups import FreeGroup
-from .scl import (
-    MixedCommutatorDecomposition,
-    bavard_lower,
-    conjugate_flip_decomposition,
-    invariance_refusal,
-    mixed_cl_search,
-    upper_from_decomposition,
-)
+from . import certio, search, specs, suite
+from .braids import BraidGroup
 from .words import StepFailure
 
 EXIT_PASS = 0
@@ -120,15 +111,6 @@ def cmd_eval(args) -> int:
     return EXIT_PASS
 
 
-def _flip_search(pair, g, radius: int):
-    ctx = pair.ambient
-    g_inv = ctx.inv(g)
-    for h in ctx.ball(radius):
-        if pair.admits_conjugator(h) and ctx.eq(ctx.conjugate(h, g), g_inv):
-            return h
-    return None
-
-
 def cmd_scl_bounds(args) -> int:
     if not args.group:
         raise ValueError("scl-bounds needs --group with a group or pair spec")
@@ -148,45 +130,8 @@ def cmd_scl_bounds(args) -> int:
     g = ctx.parse(text)
     if not pair.is_member(g):
         raise ValueError(f"target {ctx.text(g)} is outside the subgroup of {pair.name}")
-    certs: list[dict] = []
-    notes: list[str] = []
-
-    if ctx.is_identity(g):
-        empty = MixedCommutatorDecomposition(pair, g, 1, ())
-        certs.append(upper_from_decomposition(empty, note="the identity needs no factors"))
-    else:
-        # no nontrivial element of a free group is conjugate to its inverse,
-        # nor is a braid of nonzero index sum (conjugation keeps the index sum
-        # and inversion negates it), so such a target has no flip family and
-        # goes straight to the search
-        flipper = None
-        if not (isinstance(ctx, FreeGroup) or (isinstance(ctx, BraidGroup) and index_sum(g) != 0)):
-            # checked before the flip search, which may walk a large ball
-            if 2 * args.n_max * len(ctx.text(g)) > certio.WITNESS_TEXT_BUDGET:
-                raise ValueError(
-                    f"--n-max {args.n_max} is too large for this target: verify refuses "
-                    f"power x target length over {certio.WITNESS_TEXT_BUDGET}"
-                )
-            flipper = _flip_search(pair, g, args.radius)
-        if flipper is not None:
-            note = f"flip decomposition: {ctx.text(flipper)} conjugates the target to its inverse"
-            for n in range(1, args.n_max + 1):
-                d = conjugate_flip_decomposition(pair, g, flipper, n)
-                certs.append(upper_from_decomposition(d, note=note))
-        else:
-            found = mixed_cl_search(pair, g, radius=args.radius, max_factors=args.cap)
-            if found.decomposition is not None:
-                certs.append(upper_from_decomposition(found.decomposition, note=found.verdict))
-            else:
-                notes.append(f"no upper bound: {found.verdict}")
-
-    if args.qm:
-        qm = specs.parse_qm(args.qm, group=ctx)
-        refusal = invariance_refusal(qm, pair)
-        if refusal is not None:
-            notes.append(f"lower bound refused: {refusal}")
-        else:
-            certs.append(bavard_lower(g, qm, pair))
+    qm = specs.parse_qm(args.qm, group=ctx) if args.qm else None
+    certs, notes = search.bounds(pair, g, args.radius, args.cap, args.n_max, qm)
 
     doc = certio.document(certs)
     lowers = [c for c in certs if c["direction"] == "lower"]

@@ -749,7 +749,8 @@ def _profiled(fn, *args):
 
 def test_verify_runs_no_search_and_no_suite_code(tmp_path):
     # verify recomputes each claim from the certificate alone: on the
-    # paper's certificates it runs no search, no suite item and no command
+    # paper's certificates it runs no search, no producer, no suite item and
+    # no command
     docs = [certio.document(suite.standalone_certificates())]
     alpha, x = "1,1,2,2,-1,-1,-2,-2", "1,2,-1,-1,2,1,-2,-2"
     for args in (
@@ -771,7 +772,7 @@ def test_verify_runs_no_search_and_no_suite_code(tmp_path):
     found = sorted(
         f"{module}.{qualname}"
         for module, qualname in ran
-        if module in ("suite", "extension", "norms", "cli")
+        if module in ("suite", "extension", "norms", "search", "cli")
         or qualname.partition(".")[0] in searches
     )
     assert not found, f"verify ran: {found}"
@@ -799,11 +800,12 @@ def _sclkit_modules_after(statement: str) -> list[str]:
 
 def test_certio_imports_only_the_verifier_kernel():
     # what verify can reach is what a reader must audit; norms, extension,
-    # suite and cli stay outside it, and the command line loads them all
+    # search, suite and cli stay outside it, and the command line loads them
+    # all; search loads the kernel alone, so the suite may call it
+    kernel = ["sclkit", *(f"sclkit.{m}" for m in KERNEL)]
     assert _sclkit_modules_after("import sclkit") == ["sclkit"]
-    assert _sclkit_modules_after("import sclkit.certio") == sorted(
-        ["sclkit", *(f"sclkit.{m}" for m in KERNEL)]
-    )
+    assert _sclkit_modules_after("import sclkit.certio") == sorted(kernel)
+    assert _sclkit_modules_after("import sclkit.search") == sorted([*kernel, "sclkit.search"])
     everything = sorted(f"sclkit.{p.stem}" for p in SRC.glob("*.py")
                         if p.stem not in ("__init__", "__main__"))
     assert _sclkit_modules_after("import sclkit.cli") == ["sclkit", *everything]

@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from garside_helpers import plant_extra_syllable
-from sclkit import braids, certio, cli, suite
+from sclkit import braids, certio, cli, search, suite
+from sclkit.scl import braid_pure_pair
 from sclkit.words import StepFailure
 
 ALPHA = "1,1,2,2,-1,-1,-2,-2"
@@ -223,7 +224,7 @@ def test_scl_bounds_checks_the_n_max_budget_before_the_flip_search(monkeypatch, 
     def flip_search(*args):
         raise AssertionError("the flip search ran before the --n-max check")
 
-    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    monkeypatch.setattr(search, "_flip_search", flip_search)
     # 1,-2 has 4 characters: 2 x 3334 x 4 is over the budget of 20000; its
     # index sum is 0, so it may be conjugate to its inverse
     code = cli.main(["scl-bounds", "--group", "braid:3", "--braid", "1,-2", "--n-max", "3334"])
@@ -237,7 +238,7 @@ def test_scl_bounds_skips_the_flip_search_and_its_budget_on_free_groups(monkeypa
     def flip_search(*args):
         raise AssertionError("the flip search ran on a free group")
 
-    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    monkeypatch.setattr(search, "_flip_search", flip_search)
     target = "abAB" * 80
     code = cli.main(["scl-bounds", "--group", "free:2", "--word", target,
                      "--radius", "1", "--cap", "1"])
@@ -255,7 +256,7 @@ def test_scl_bounds_skips_the_flip_search_and_its_budget_on_nonzero_index_sums(
     def flip_search(*args):
         raise AssertionError("the flip search ran on a braid of nonzero index sum")
 
-    monkeypatch.setattr(cli, "_flip_search", flip_search)
+    monkeypatch.setattr(search, "_flip_search", flip_search)
     target = ",".join(["1"] * 160)
     code = cli.main(["scl-bounds", "--group", "braid:3", f"--braid={target}",
                      "--radius", "1", "--cap", "1"])
@@ -279,14 +280,14 @@ def test_skipping_the_flip_search_leaves_short_targets_byte_identical(args, monk
     assert cli.main(argv) == 0
     skipped = capsys.readouterr().out
     searched = []
-    real_flip_search = cli._flip_search
+    real_flip_search = search._flip_search
 
     def flip_search(*flip_args):
         searched.append(real_flip_search(*flip_args))
         return searched[-1]
 
-    monkeypatch.setattr(cli, "_flip_search", flip_search)
-    monkeypatch.setattr(cli, "index_sum", lambda b: 0)
+    monkeypatch.setattr(search, "_flip_search", flip_search)
+    monkeypatch.setattr(search, "index_sum", lambda b: 0)
     assert cli.main(argv) == 0
     assert searched == [None]
     assert capsys.readouterr().out == skipped
@@ -298,7 +299,7 @@ def test_a_failed_check_inside_a_command_exits_1_at_its_step(monkeypatch, capsys
     def upper_from_decomposition(*args, **kwargs):
         raise StepFailure("product equality", "planted")
 
-    monkeypatch.setattr(cli, "upper_from_decomposition", upper_from_decomposition)
+    monkeypatch.setattr(search, "upper_from_decomposition", upper_from_decomposition)
     code = cli.main(["scl-bounds", "--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "2"])
     assert code == 1
     captured = capsys.readouterr()
@@ -334,8 +335,8 @@ def _with_bound(cert, bound):
 def test_scl_bounds_fails_its_own_checks_at_a_step_and_writes_nothing(
     patched, bound, argv, accept_all, err, monkeypatch, tmp_path, capsys
 ):
-    real = getattr(cli, patched)
-    monkeypatch.setattr(cli, patched, lambda *a, **kw: _with_bound(real(*a, **kw), bound))
+    real = getattr(search, patched)
+    monkeypatch.setattr(search, patched, lambda *a, **kw: _with_bound(real(*a, **kw), bound))
     if accept_all:
         monkeypatch.setattr(certio, "verify_payload", lambda payload: (True, None, "planted"))
     out = tmp_path / "bounds.json"
@@ -1013,6 +1014,13 @@ def test_scl_bounds_output_matches_its_golden_file(name, command, capsys):
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
     assert captured.out.encode() == (GOLDENS / name).read_bytes()
+
+
+def test_bounds_returns_the_items_scl_bounds_writes():
+    # the call a suite item makes, with no command line in between
+    certs, notes = search.bounds(braid_pure_pair(), suite.alpha_braid(), 3, 3, 4, None)
+    golden = json.loads((GOLDENS / "flip-alpha-n4.json").read_text())
+    assert (certs, notes) == (golden["items"], golden["notes"])
 
 
 @pytest.mark.parametrize(

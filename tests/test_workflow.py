@@ -1,5 +1,6 @@
-"""The CI workflow, read as text: which interpreters run which job, and that
-the warnings job compares every byte golden the tier-1 tests compare.
+"""The CI workflow, read as text: which interpreters run which job, that the
+tier-1 tests run under ``-X dev`` and that the warnings job compares every
+byte golden the tier-1 tests compare.
 
 A change to `.github/workflows/tier1.yml` that drops an interpreter or a
 golden from CI fails here, where it shows before a push.
@@ -31,6 +32,15 @@ def test_the_jobs_run_on_the_pinned_interpreters():
     assert sorted(jobs) == ["suite-warnings", "tier1"]
     assert _matrix(jobs["tier1"]) == ["3.10", "3.11"]
     assert _matrix(jobs["suite-warnings"]) == ["3.10", "3.11", "3.12", "3.13"]
+
+
+def test_the_tier1_job_runs_the_tests_under_dev_mode():
+    # -X dev warns on files never closed; the smoke run measures, so it
+    # runs without it
+    job = _jobs()["tier1"]
+    assert ("run: PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -X dev -m pytest -q "
+            "--continue-on-collection-errors") in job
+    assert "python perfbench/run.py --workload all --seed 1 --seconds 2" in job
 
 
 def test_the_warnings_job_compares_every_byte_golden():
