@@ -484,5 +484,5 @@ def pr1() -> GroupHom:
         FreeGroup.on("xy"),
         lambda b: p3_coordinates(b).f2_part,
         "pr1",
-        total=False,
+        is_pure,
     )

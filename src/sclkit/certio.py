@@ -9,9 +9,10 @@ statement being checked.  Any failure names the step that broke.  A kind
 is one ``KINDS`` row: its direction, a witness checker and a bound rule
 from ``scl``.  The checker returns the facts the rule reads and the costly
 checks still to run; ``verify_payload`` compares every claimed bound with
-its rule in one place, before those checks.  ``document`` runs the same
-check on every item before it builds an envelope, so each document sclkit
-writes holds only items that verify.
+its rule in one place, before those checks.  A lower item's quasimorphism
+must first pass ``scl.lower_refusal``, whose (step, reason) is the failure.
+``document`` runs the same check on every item before it builds an
+envelope, so each document sclkit writes holds only items that verify.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .scl import (
     MixedCommutatorDecomposition,
     bavard_bound,
     decomposition_bound,
-    invariance_refusal,
+    lower_refusal,
     verify_decomposition,
 )
 from .words import Frozen, StepFailure
@@ -149,16 +150,18 @@ def _within_budget(step: str, label: str, size: int) -> None:
         )
 
 
-# Everything str(Fraction) writes.  Fraction itself also takes exponents,
-# which it expands exactly ("1e99999999" runs for minutes), decimals,
-# underscores, padding and non-ASCII digits.
+# The characters str(Fraction) writes, checked first: Fraction also takes
+# exponents, which it expands exactly ("1e99999999" runs for minutes),
+# decimals, underscores, padding and non-ASCII digits.  The round trip then
+# keeps only its form: lowest terms, no leading zero, no "/1", no "-0".
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def _fraction(text: str, step: str, label: str) -> Fraction:
     if _RATIONAL.fullmatch(text):
         try:
-            return Fraction(text)
+            if str(q := Fraction(text)) == text:
+                return q
         except (ValueError, ZeroDivisionError):
             pass  # past the interpreter's limit on digits, or a zero denominator
     raise StepFailure(step, f"{label} {text!r} is not a rational number")
@@ -229,19 +232,16 @@ def _check_lower(payload: dict, pair, target) -> tuple[tuple, list[Callable]]:
         qm = specs.parse_qm(witness["qm"], group=pair.ambient)
     except specs.SpecError as exc:
         raise StepFailure("quasimorphism", str(exc)) from exc
-    if not qm.homogeneous:
-        raise StepFailure("quasimorphism", f"{qm.name} is not homogeneous")
-    refusal = invariance_refusal(qm, pair)
+    refusal = lower_refusal(qm, pair)
     if refusal is not None:
-        raise StepFailure("invariance", refusal)
+        raise StepFailure(*refusal)
     claimed_value = _fraction(witness["value"], "witness", "value")
     try:
         value = qm(target)
     except ValueError as exc:
-        # e.g. a pullback along pr1 at a braid outside P3
-        raise StepFailure(
-            "qm value", f"{qm.name} is undefined at {payload['target']}: {exc}"
-        ) from exc
+        # lower_refusal admitted qm here, so it failed inside its own domain
+        raise StepFailure("qm value",
+                          f"{qm.name} is undefined at {payload['target']}: {exc}") from exc
     if value != claimed_value:
         raise StepFailure(
             "qm value",

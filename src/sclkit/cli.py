@@ -123,14 +123,15 @@ def cmd_scl_bounds(args) -> int:
     ctx = pair.ambient
     text = _target_text(args)
     if len(text) > certio.WITNESS_TEXT_BUDGET:
-        raise ValueError(
-            f"the target has {len(text)} characters: verify refuses targets over "
-            f"{certio.WITNESS_TEXT_BUDGET}"
-        )
+        raise ValueError(f"the target has {len(text)} characters: verify refuses targets "
+                         f"over {certio.WITNESS_TEXT_BUDGET}")
     g = ctx.parse(text)
     if not pair.is_member(g):
         raise ValueError(f"target {ctx.text(g)} is outside the subgroup of {pair.name}")
     qm = specs.parse_qm(args.qm, group=ctx) if args.qm else None
+    if qm is not None and len(qm.name) > certio.WITNESS_TEXT_BUDGET:
+        raise ValueError(f"--qm names a quasimorphism of {len(qm.name)} characters: verify "
+                         f"refuses quasimorphisms over {certio.WITNESS_TEXT_BUDGET}")
     certs, notes = search.bounds(pair, g, args.radius, args.cap, args.n_max, qm)
 
     doc = certio.document(certs)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from .braids import BraidGroup, BraidWord, index_sum
 from .groups import BallValues, CyclicZ, DirectProduct, FreeGroup, GroupContext
 from .quasimorphisms import Quasimorphism
-from .scl import GroupPair, braid_commutator_pair, product_left_pair
+from .scl import GroupPair, braid_commutator_pair, lower_refusal, product_left_pair
 from .words import Frozen, PreconditionError, StepFailure, _word
 
 
@@ -189,16 +189,15 @@ class ExtensionResult(Frozen):
 def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int) -> ExtensionResult:
     """Transport qm along the section and homogenise.
 
-    qm must be homogeneous and invariant under ambient conjugation by
-    construction; its eval must accept subgroup elements in their ambient
-    representation.  Every phi_prime evaluation first checks that the
-    subgroup part really passes the membership test, so an inconsistent
-    section fails loudly.
+    qm must pass ``scl.lower_refusal`` in the section's mixed pair, which
+    makes it invariant under ambient conjugation; its eval must accept
+    subgroup elements in their ambient representation.  Every phi_prime
+    evaluation first checks that the subgroup part really passes the
+    membership test, so an inconsistent section fails loudly.
     """
-    if not qm.homogeneous:
-        raise ValueError("extension needs a homogeneous quasimorphism")
-    if not qm.invariant:
-        raise ValueError("extension needs a quasimorphism invariant under ambient conjugation")
+    refusal = lower_refusal(qm, section.pair)
+    if refusal is not None:
+        raise ValueError(refusal[1])
     ctx = section.pair.ambient
 
     def phi_prime_eval(ghat) -> Fraction:
@@ -220,7 +219,7 @@ def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int) -> E
             f"{qm.defect_provenance}; transported along {section.name}, "
             "defect preserved by ambient invariance"
         ),
-        invariant=False,
+        defined_on=None,
     )
     return ExtensionResult(base=qm, section=section, phi_prime=phi_prime, n_max=n_max)
 

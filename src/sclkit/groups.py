@@ -537,23 +537,23 @@ class SymmetricGroup(GroupContext):
 class GroupHom(Frozen):
     """A homomorphism between contexts, carried as an explicit function.
 
-    ``total`` is False for a map defined only on a subgroup of its domain
-    context (pr1 on the pure braids inside braid:3).
+    ``defined_on`` tests membership of the subgroup of the domain where the
+    map is defined (pr1: the pure braids of braid:3), None for all of it.
     """
 
     domain: GroupContext
     codomain: GroupContext
     fn: Callable[[object], object]
     name: str
-    total: bool
+    defined_on: Callable[[object], bool] | None
 
     def __call__(self, a):
         return self.fn(a)
 
 
 def proj_left(product: DirectProduct) -> GroupHom:
-    return GroupHom(product, product.left, lambda a: a[0], "proj-left", total=True)
+    return GroupHom(product, product.left, lambda a: a[0], "proj-left", None)
 
 
 def proj_right(product: DirectProduct) -> GroupHom:
-    return GroupHom(product, product.right, lambda a: a[1], "proj-right", total=True)
+    return GroupHom(product, product.right, lambda a: a[1], "proj-right", None)

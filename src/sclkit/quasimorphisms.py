@@ -156,10 +156,9 @@ class Quasimorphism(Frozen):
     """A rational-valued function on a group context with defect records.
 
     ``defect_upper`` is a certified bound (with its provenance).
-    ``invariant`` says the function is invariant under conjugation by its
-    whole context, by construction: a homogeneous quasimorphism defined on
-    the whole context is, and a pullback along a homomorphism defined on
-    the whole domain keeps it.
+    ``defined_on`` tests membership of the subgroup of the context where the
+    function is defined, None for all of it.  Which pairs it may bound
+    follows from this and ``homogeneous``, as ``scl.lower_refusal`` states.
     """
 
     name: str
@@ -168,7 +167,7 @@ class Quasimorphism(Frozen):
     homogeneous: bool
     defect_upper: Fraction
     defect_provenance: str
-    invariant: bool
+    defined_on: Callable[[object], bool] | None
 
     def __call__(self, g) -> Fraction:
         value = self.eval_fn(g)
@@ -195,7 +194,7 @@ def brooks(w: Word, context: GroupContext | None = None) -> Quasimorphism:
         homogeneous=False,
         defect_upper=bound,
         defect_provenance="junction-argument",
-        invariant=False,
+        defined_on=None,
     )
 
 
@@ -210,7 +209,7 @@ def brooks_homogenized(w: Word, context: GroupContext | None = None) -> Quasimor
         homogeneous=True,
         defect_upper=2 * defect_bound_counting(w),
         defect_provenance="junction-argument doubled by homogenisation",
-        invariant=True,
+        defined_on=None,
     )
 
 
@@ -222,7 +221,7 @@ def zero_qm(context: GroupContext) -> Quasimorphism:
         homogeneous=True,
         defect_upper=Fraction(0),
         defect_provenance="identically zero",
-        invariant=True,
+        defined_on=None,
     )
 
 
@@ -235,17 +234,18 @@ def hom_qm(context: GroupContext, fn: Callable[[object], int], name: str) -> Qua
         homogeneous=True,
         defect_upper=Fraction(0),
         defect_provenance="homomorphism",
-        invariant=True,
+        defined_on=None,
     )
 
 
 def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
     """Pull a quasimorphism back along a homomorphism.
 
-    Pairs map to pairs, so the defect bound carries over unchanged.
-    Conjugation invariance carries over only when the map is defined on its
-    whole domain: then qm(h(c x c^-1)) = qm(h(c) h(x) h(c)^-1) = qm(h(x)).
+    Pairs map to pairs, so the defect bound carries over unchanged.  The
+    pullback is defined where the map is and lands where qm is defined, so
+    it is partial when the map or qm is.
     """
+    outer, inner = hom.defined_on, qm.defined_on
     return Quasimorphism(
         name=f"pullback({qm.name}, {hom.name})",
         context=hom.domain,
@@ -253,7 +253,8 @@ def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
         homogeneous=qm.homogeneous,
         defect_upper=qm.defect_upper,
         defect_provenance=f"{qm.defect_provenance}; pulled back along {hom.name}",
-        invariant=qm.invariant and hom.total,
+        defined_on=outer if inner is None else (
+            lambda g: (outer is None or outer(g)) and inner(hom(g))),
     )
 
 

@@ -14,9 +14,8 @@ with enough data to be rechecked from scratch: factor lists,
 quasimorphism names, and certified defect bounds with provenance.  The
 producers here do not check what they build; ``certio.document`` checks
 every certificate, by exact multiplication in its group context, before a
-document holds it.  A mixed-mode lower bound needs a quasimorphism that is
-invariant under ambient conjugation by construction; no sample stands in
-for that.
+document holds it.  Which quasimorphisms give lower bounds in which mode
+is stated once, in ``lower_refusal``.
 
 The paper's separation for the 3-strand braid group and its pure
 subgroup is checked by suite items 3 and 4 (``sclkit.suite``): the family
@@ -263,18 +262,24 @@ def _payload(kind: str, direction: str, pair: GroupPair, target: object, bound: 
     }
 
 
-def invariance_refusal(qm: Quasimorphism, pair: GroupPair) -> str | None:
-    """Why qm gives no lower bound in this pair, or None when it may.
+def lower_refusal(qm: Quasimorphism, pair: GroupPair) -> tuple[str, str] | None:
+    """Why qm gives no duality lower bound in this pair, as (step, reason),
+    or None when it may.
 
-    A mixed commutator [ghat, g] has an ambient first entry, so the duality
-    bound needs qm invariant under conjugation by the whole ambient group.
-    The answer comes from how qm was built (``Quasimorphism.invariant``).
+    Duality needs qm homogeneous.  A mixed commutator [ghat, g] has an
+    ambient first entry, so mixed mode needs qm invariant under ambient
+    conjugation, as a homogeneous qm defined on all of the ambient group is;
+    ordinary mode needs qm defined on the subgroup.  The answer comes from
+    how qm was built, never from a sample.
     """
-    if pair.mode == "mixed" and not qm.invariant:
-        return (
-            f"{qm.name} is not invariant under conjugation by "
-            f"{pair.ambient.name} by construction"
-        )
+    if not qm.homogeneous:
+        return "quasimorphism", f"{qm.name} is not homogeneous"
+    if pair.mode == "mixed" and qm.defined_on is not None:
+        return "invariance", (f"{qm.name} is not invariant under conjugation by "
+                              f"{pair.ambient.name} by construction")
+    if pair.mode == "ordinary" and qm.defined_on not in (None, pair.is_member):
+        return "quasimorphism", (f"{qm.name} is not defined on the whole subgroup of "
+                                 f"{pair.name} by construction")
     return None
 
 
@@ -288,20 +293,16 @@ def bavard_bound(value: Fraction, defect: Fraction) -> Fraction:
     return Fraction(0) if defect == 0 else abs(value) / (2 * defect)
 
 
-def bavard_lower(
-    target: object,
-    qm: Quasimorphism,
-    pair: GroupPair,
-    note: str = "",
-) -> dict:
+def bavard_lower(target: object, qm: Quasimorphism, pair: GroupPair, note: str = "") -> dict:
     """Lower bound ``bavard_bound(qm(target), qm.defect_upper)``.
 
     A defect bound of zero makes qm a homomorphism; a nonzero value then
     shows the target is outside the commutator subgroup entirely, reported
     in the note rather than as a numeric bound.
     """
-    if not qm.homogeneous:
-        raise ValueError("duality lower bounds need a homogeneous quasimorphism")
+    refusal = lower_refusal(qm, pair)
+    if refusal is not None:
+        raise ValueError(refusal[1])
     value = qm(target)
     defect = qm.defect_upper
     if defect == 0 and value != 0:
@@ -311,9 +312,8 @@ def bavard_lower(
         )
     bound = bavard_bound(value, defect)
     witness = {"qm": qm.name, "value": str(value), "defect_upper": str(defect)}
-    return _payload(
-        "scl-lower-bavard", "lower", pair, target, bound, witness, qm.defect_provenance, note
-    )
+    return _payload("scl-lower-bavard", "lower", pair, target, bound, witness,
+                    qm.defect_provenance, note)
 
 
 def upper_from_decomposition(d: MixedCommutatorDecomposition, note: str = "") -> dict:

@@ -20,7 +20,7 @@ from .scl import (
     MixedCommutatorDecomposition,
     bavard_lower,
     conjugate_flip_decomposition,
-    invariance_refusal,
+    lower_refusal,
     mixed_cl_search,
     upper_from_decomposition,
 )
@@ -35,9 +35,8 @@ def _flip_search(pair, g, radius: int):
     return None
 
 
-def bounds(
-    pair: GroupPair, target: object, radius: int, cap: int, n_max: int, qm: Quasimorphism | None
-) -> tuple[list[dict], list[str]]:
+def bounds(pair: GroupPair, target: object, radius: int, cap: int, n_max: int,
+           qm: Quasimorphism | None) -> tuple[list[dict], list[str]]:
     """The certificate payloads for target, a member of pair's subgroup, in
     the order ``scl-bounds`` writes them, and the notes on a bound not found
     or refused.
@@ -83,9 +82,9 @@ def bounds(
                 notes.append(f"no upper bound: {found.verdict}")
 
     if qm is not None:
-        refusal = invariance_refusal(qm, pair)
+        refusal = lower_refusal(qm, pair)
         if refusal is not None:
-            notes.append(f"lower bound refused: {refusal}")
+            notes.append(f"lower bound refused: {refusal[1]}")
         else:
             certs.append(bavard_lower(target, qm, pair))
     return certs, notes

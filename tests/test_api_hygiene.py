@@ -2,8 +2,9 @@
 functions only the tests call, functions no command runs, stored attributes
 nobody reads, records written by hand, the exception classes, raised
 AssertionErrors, ``ok`` verdicts outside the output records, the places
-that open files, the functions ``verify`` runs, the modules a command loads
-and the size of the verifier kernel.
+that open files or read the lower-bound rule's records, the functions
+``verify`` runs, the modules a command loads and the size of the verifier
+kernel.
 
 Most checks parse the source with ``ast``, so they see what is written.
 The ``verify`` check profiles the calls it makes, the reachability check
@@ -444,13 +445,19 @@ def _stored_on_self(tree: ast.AST) -> dict[str, int]:
     return stored
 
 
-def _read_attributes(tree: ast.AST) -> set[str]:
-    """Every attribute name loaded, plus each constant name passed to
-    ``getattr``."""
-    read = set()
+def _attribute_reads(tree: ast.Module) -> list[tuple[str, str]]:
+    """(enclosing function, name) of every attribute loaded and of each
+    constant name passed to ``getattr``.  A nested function counts as the
+    module function or method it sits in, and a read outside any function
+    as ``<module>``."""
+    owner = {}
+    for qualname, node in _functions(tree):
+        for sub in ast.walk(node):
+            owner[sub] = qualname
+    reads = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            reads.append((owner.get(node, "<module>"), node.attr))
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -458,8 +465,14 @@ def _read_attributes(tree: ast.AST) -> set[str]:
             and len(node.args) > 1
             and isinstance(node.args[1], ast.Constant)
         ):
-            read.add(node.args[1].value)
-    return read
+            reads.append((owner.get(node, "<module>"), node.args[1].value))
+    return reads
+
+
+def _read_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute name loaded, plus each constant name passed to
+    ``getattr``."""
+    return {name for _, name in _attribute_reads(tree)}
 
 
 def test_every_stored_attribute_is_read_somewhere():
@@ -825,6 +838,43 @@ def test_only_verify_payload_compares_a_claimed_bound():
                 ):
                     places.append(f"{path.stem}.{fn.name}")
     assert sorted(set(places)) == ["certio.verify_payload"], places
+
+
+# the readers of the quasimorphism records that decide a lower bound:
+# scl.lower_refusal states the homogeneity, invariance and domain rule once,
+# and extension.homogenize reads homogeneous to evaluate, not to refuse
+RULE_READERS = {
+    "defined_on": {"scl.lower_refusal"},
+    "homogeneous": {"scl.lower_refusal", "extension.homogenize"},
+}
+
+
+def test_only_lower_refusal_states_the_lower_bound_rule():
+    # quasimorphisms builds the records, so it may read them to build more
+    found: dict[str, set[str]] = {name: set() for name in RULE_READERS}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "quasimorphisms":
+            for fn, name in _attribute_reads(ast.parse(path.read_text())):
+                if name in RULE_READERS:
+                    found[name].add(f"{path.stem}.{fn}")
+    assert found == RULE_READERS
+
+
+def test_the_rule_read_check_notices_a_planted_read():
+    source = """
+def bavard_lower(qm):
+    if not qm.homogeneous:
+        raise ValueError
+
+class Extension:
+    def check(self, qm):
+        return (lambda: getattr(qm, "defined_on"))()
+
+qm.defined_on = None
+qm.invariant
+"""
+    reads = [read for read in _attribute_reads(ast.parse(source)) if read[1] in RULE_READERS]
+    assert sorted(reads) == [("Extension.check", "defined_on"), ("bavard_lower", "homogeneous")]
 
 
 def test_the_verifier_kernel_is_no_longer_than_readme_states():

@@ -21,15 +21,18 @@ from sclkit.suite import standalone_certificates
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-PAIRS = ("braid:3/pure", "braid:3/pure-ordinary", "braid:3/comm")
+PAIRS = ("braid:3/pure", "braid:3/pure-ordinary", "braid:3/comm", "braid:3")
 
 # one value of each JSON type; True stands in for an int as well
 TYPE_SWAPS = (None, True, 1, 1.5, "1", [], {})
 
 # A relabel that verifies states a claim about another pair, so it must be
 # a true one.  The flip factors [delta, alpha^-n] have alpha^-n of index sum
-# 0, which makes each one a mixed commutator of (B3, [B3, B3]) as well.
-TRUE_RELABELS = {("scl-upper-decomposition", "braid:3/comm")}
+# 0, which makes each one a mixed commutator of (B3, [B3, B3]) as well, and
+# each is a commutator of B3.  The pr1 lower bound is no claim about B3:
+# pr1 does not extend to B3, and the flip family gives scl_B3(alpha) <= 1/64.
+TRUE_RELABELS = {("scl-upper-decomposition", "braid:3/comm"),
+                 ("scl-upper-decomposition", "braid:3")}
 
 
 def _named_steps() -> set[str]:

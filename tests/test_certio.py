@@ -376,13 +376,17 @@ def test_boolean_power_is_refused_at_witness():
 
 
 # Spellings Fraction accepts but no writer emits (str(Fraction) writes
-# -?n or -?n/d in ASCII digits), each of a value the verifier recomputes:
-# the upper bound 1/4, the lower bound 1/12, the value 1 and the defect 6.
+# -?n or -?n/d in ASCII digits, in lowest terms, with no leading zero, no
+# "/1" and no "-0"), listed under a value the verifier recomputes: the
+# upper bound 1/4, the lower bound 1/12, the value 1 and the defect 6.
+# Most spell that value; "2/4" and "-0" spell another, and are refused for
+# their form all the same.
 NON_CANONICAL = {
-    "1/4": ["0.25", "2.5e-1", " 1/4", "1/4\n", "+1/4", "1_0/40", "\u0661/4"],
-    "1/12": ["1/12 ", "\u06601/12", "1_0/120", "+1/12"],
-    "1": ["1.0", "1e0", "1E0", " 1", "\u0661"],
-    "6": ["6.0", "6e0", "6_0/10", "\t6"],
+    "1/4": ["0.25", "2.5e-1", " 1/4", "1/4\n", "+1/4", "1_0/40", "\u0661/4", "2/8", "2/4",
+            "-0"],
+    "1/12": ["1/12 ", "\u06601/12", "1_0/120", "+1/12", "01/12", "2/24", "1/012"],
+    "1": ["1.0", "1e0", "1E0", " 1", "\u0661", "2/2", "1/1", "01"],
+    "6": ["6.0", "6e0", "6_0/10", "\t6", "06", "12/2", "6/1"],
 }
 
 

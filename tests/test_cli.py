@@ -606,18 +606,74 @@ def test_verify_refuses_both_forged_lower_bounds(tmp_path):
 
 def test_verify_fails_a_quasimorphism_undefined_at_the_target(tmp_path):
     # pr1 is defined on P3 only; moved to B3 and a non-pure target, the
-    # rebuilt quasimorphism raises, and verify must still name a step
+    # quasimorphism is refused for its domain before it is evaluated
     text, lower = _pure_ordinary_lower(tmp_path)
     doc = json.loads(text)
     doc["items"][lower]["group_pair"] = "braid:3"
     doc["items"][lower]["target"] = "1,2,-1,-2"
     forged = tmp_path / "undefined.json"
     forged.write_text(json.dumps(doc))
-    assert _failed_steps(forged) == (1, ["qm value"])
+    assert _failed_steps(forged) == (1, ["quasimorphism"])
     r = run_cli("verify", str(forged))
     assert r.returncode == 1
-    assert "pure braids only" in r.stdout
+    assert "is not defined on the whole subgroup of braid:3" in r.stdout
     assert r.stderr == ""
+
+
+CORPUS = Path(__file__).with_name("certificates")
+
+
+def test_verify_fails_a_pr1_lower_bound_relabelled_to_b3(tmp_path):
+    # scl_B3(alpha) <= 1/64 by the flip family, so the 1/12 that the pr1
+    # pullback gives inside P3 is false in B3: pr1 does not extend to B3
+    doc = json.loads((CORPUS / "pure-ordinary-lower.json").read_text())
+    lower = next(i for i, it in enumerate(doc["items"]) if it["direction"] == "lower")
+    doc["items"][lower]["group_pair"] = "braid:3"
+    forged = tmp_path / "relabelled.json"
+    forged.write_text(json.dumps(doc))
+    assert _failed_steps(forged) == (1, ["quasimorphism"])
+
+
+def test_verify_names_qm_value_when_an_admitted_quasimorphism_raises(monkeypatch, capsys):
+    # lower_refusal admits pr1 pullbacks only where pr1 is defined; should
+    # the evaluation raise there all the same, verify still names a step
+    def p3_coordinates(b):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(braids, "p3_coordinates", p3_coordinates)
+    assert cli.main(["verify", str(CORPUS / "pure-ordinary-lower.json"), "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    failed = [it for it in json.loads(captured.out)["items"] if not it["ok"]]
+    assert [(it["kind"], it["failed_step"]) for it in failed] == [("scl-lower-bavard", "qm value")]
+    assert failed[0]["detail"].endswith("is undefined at 1,1,2,2,-1,-1,-2,-2: planted")
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("radius", ["0", "3"])
+def test_scl_bounds_refuses_an_ordinary_pr1_lower_bound_outside_p3(radius, capsys):
+    # the pr1 pullback would give scl_B3 >= 1/12 at a pure braid whose B3
+    # flip family gives 1/64; it is refused, not written
+    qm = "pullback(homog(brooks(w=xyXY)), pr1)"
+    argv = ["scl-bounds", "--group", "braid:3", "--braid=1,-2,1,-2,1,-2", "--radius", radius,
+            "--cap", radius, "--qm", qm, "--format", "json"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert not any(item["direction"] == "lower" for item in doc["items"])
+    assert doc["interval"] == ["0", None if radius == "0" else "1/64"]
+    assert doc["notes"][-1] == (f"lower bound refused: {qm} is not defined on the whole "
+                                "subgroup of braid:3 by construction")
+
+
+def test_scl_bounds_refuses_a_quasimorphism_over_the_text_budget_before_searching(
+    monkeypatch, capsys
+):
+    monkeypatch.setattr(search, "bounds", lambda *a: pytest.fail("searched"))
+    qm = f"homog(brooks(w={'ab' * (certio.WITNESS_TEXT_BUDGET // 2)}))"
+    assert cli.main(["scl-bounds", "--group", "free:2", "--word", "abAB", "--qm", qm]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: --qm names a quasimorphism of {len(qm)} characters: verify "
+                            f"refuses quasimorphisms over {certio.WITNESS_TEXT_BUDGET}\n")
 
 
 def test_mixed_lower_bound_on_a_central_extension_certifies(tmp_path):

@@ -129,6 +129,20 @@ def test_extension_refuses_a_quasimorphism_not_invariant_by_construction():
         extend_via_section(qm, braid_abelianization_section(), n_max=16)
 
 
+def test_extension_refuses_what_the_lower_bound_rule_refuses():
+    # the refusal is scl.lower_refusal's reason, word for word
+    sec = central_z_section()
+    qm = pullback(brooks(word("abAB")), proj_left(sec.pair.ambient))
+    with pytest.raises(ValueError) as refused:
+        extend_via_section(qm, sec, n_max=16)
+    assert str(refused.value) == "pullback(brooks(w=abAB), proj-left) is not homogeneous"
+    qm = pullback(brooks_homogenized(word("xyXY")), pr1())
+    with pytest.raises(ValueError) as refused:
+        extend_via_section(qm, braid_abelianization_section(), n_max=16)
+    assert str(refused.value) == ("pullback(homog(brooks(w=xyXY)), pr1) is not invariant under "
+                                  "conjugation by braid:3 by construction")
+
+
 def reference_defect_chain(result, radius):
     """The Fraction loop the integer chain check replaced, kept as its oracle."""
     ctx = result.section.pair.ambient

@@ -161,7 +161,7 @@ def test_group_hom_projections():
     right = proj_right(prod)
     assert multiplicative_on_samples(left, rng)
     assert multiplicative_on_samples(right, rng)
-    assert left.total and right.total
+    assert left.defined_on is None and right.defined_on is None
     g = (FreeGroup(2).parse("ab"), 5)
     assert str(left(g)) == "ab"
     assert right(g) == 5
@@ -170,7 +170,7 @@ def test_group_hom_projections():
 def test_group_hom_detects_non_homomorphism():
     # the sampled check above is only evidence if it can fail
     z = CyclicZ()
-    bad = GroupHom(z, z, lambda k: k * k, name="square", total=True)
+    bad = GroupHom(z, z, lambda k: k * k, name="square", defined_on=None)
     assert not multiplicative_on_samples(bad, random.Random(209))
 
 

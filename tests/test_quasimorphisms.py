@@ -24,6 +24,7 @@ from sclkit.quasimorphisms import (
     pullback,
     zero_qm,
 )
+from sclkit.scl import GroupPair, braid_pure_pair, lower_refusal
 from sclkit.specs import parse_group, parse_qm
 from sclkit.suite import alpha_braid
 from sclkit.words import StepFailure, Word, word
@@ -165,10 +166,11 @@ def test_pullback_carries_values_defect_and_provenance():
     g = (FreeGroup(2).parse("abAB"), 7)
     assert phi(g) == base(FreeGroup(2).parse("abAB")) == 1
     assert phi.homogeneous
-    assert phi.invariant
+    assert phi.defined_on is None
 
 
-# (group, quasimorphism spec, invariant under conjugation by the group)
+# (group, quasimorphism spec, invariant under conjugation by the group):
+# the mixed-mode half of scl.lower_refusal
 INVARIANCE_TABLE = [
     ("free:2", "zero", True),
     ("braid:3", "hom(indexsum)", True),
@@ -182,10 +184,15 @@ INVARIANCE_TABLE = [
 ]
 
 
+def _mixed(ctx):
+    """ctx as both the ambient group and the subgroup, in mixed mode."""
+    return GroupPair(ctx.name, ctx, lambda g: True, ctx.ball, "mixed")
+
+
 @pytest.mark.parametrize("group,spec,invariant", INVARIANCE_TABLE)
 def test_invariance_rule_truth_table(group, spec, invariant):
     qm = parse_qm(spec, group=parse_group(group))
-    assert qm.invariant is invariant
+    assert (lower_refusal(qm, _mixed(qm.context)) is None) is invariant
 
 
 def test_invariance_rule_agrees_with_sampled_conjugation():
@@ -200,10 +207,10 @@ def test_invariance_rule_agrees_with_sampled_conjugation():
     for group, spec, targets in cases:
         qm = parse_qm(spec, group=parse_group(group))
         gctx = qm.context
-        assert qm.invariant
+        assert lower_refusal(qm, _mixed(gctx)) is None
         assert invariance_check(qm, gctx.ball(2), [gctx.parse(t) for t in targets]) > 0
     qm = parse_qm("pullback(homog(brooks(w=xyXY)), pr1)", group=ctx)
-    assert not qm.invariant
+    assert lower_refusal(qm, braid_pure_pair())[0] == "invariance"
     with pytest.raises(StepFailure) as flipped:
         invariance_check(qm, [half_twist(3)], [alpha])
     assert flipped.value.step == "invariance sample"

@@ -9,7 +9,7 @@ from garside_helpers import braid_equal
 from sclkit.braids import BraidGroup, braid, half_twist, is_pure, pr1
 from sclkit.certio import document
 from sclkit.extension import random_reduced
-from sclkit.groups import CyclicZ, FreeGroup
+from sclkit.groups import CyclicZ, DirectProduct, FreeGroup, proj_left
 from sclkit.quasimorphisms import brooks, brooks_homogenized, hom_qm, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
@@ -19,6 +19,7 @@ from sclkit.scl import (
     braid_pure_pair,
     conjugate_flip_decomposition,
     decomposition_bound,
+    lower_refusal,
     mixed_cl_search,
     ordinary_pair,
     product_left_pair,
@@ -211,6 +212,31 @@ def test_bavard_lower_matches_duality_arithmetic():
 def test_bavard_lower_requires_homogeneous():
     with pytest.raises(ValueError):
         bavard_lower(word("abAB"), brooks(word("abAB")), ordinary_pair(FreeGroup(2)))
+
+
+def test_lower_refusal_checks_homogeneity_then_the_mode_s_domain():
+    pr1_qm = pullback(brooks_homogenized(word("xyXY")), pr1())
+    # defined on P3: a bound inside P3, nothing in B3 or under B3 conjugation
+    assert lower_refusal(pr1_qm, pure_ordinary_pair()) is None
+    assert lower_refusal(pr1_qm, braid_pure_pair()) == (
+        "invariance",
+        f"{pr1_qm.name} is not invariant under conjugation by braid:3 by construction")
+    assert lower_refusal(pr1_qm, ordinary_pair(BraidGroup(3))) == (
+        "quasimorphism",
+        f"{pr1_qm.name} is not defined on the whole subgroup of braid:3 by construction")
+    # homogeneity comes first, in either mode
+    flat = pullback(brooks(word("xyXY")), pr1())
+    for pair in (pure_ordinary_pair(), braid_pure_pair()):
+        assert lower_refusal(flat, pair) == ("quasimorphism", f"{flat.name} is not homogeneous")
+    # a pullback of a partial quasimorphism is partial, whatever its map
+    nested = pullback(pr1_qm, proj_left(DirectProduct(BraidGroup(3), CyclicZ())))
+    assert nested.defined_on((alpha_braid(), 5)) and not nested.defined_on((braid("1", 3), 0))
+    assert lower_refusal(nested, ordinary_pair(nested.context))[0] == "quasimorphism"
+    assert lower_refusal(nested, product_left_pair(BraidGroup(3)))[0] == "invariance"
+    free = pullback(brooks_homogenized(word("abAB")),
+                    proj_left(DirectProduct(FreeGroup(2), CyclicZ())))
+    assert lower_refusal(free, ordinary_pair(free.context)) is None
+    assert lower_refusal(free, product_left_pair(FreeGroup(2))) is None
 
 
 def test_bavard_lower_zero_defect_gives_zero_bound():

@@ -415,7 +415,7 @@ def _outcome(parse, spec, group):
     except SpecError:
         return "refused"
     return (qm.name, qm.context.name, qm.defect_upper, qm.defect_provenance,
-            qm.homogeneous, qm.invariant)
+            qm.homogeneous, qm.defined_on is None)
 
 
 _SPECS = (

@@ -1,13 +1,17 @@
 """The CI workflow, read as text: which interpreters run which job, that the
-tier-1 tests run under ``-X dev`` and that the warnings job compares every
-byte golden the tier-1 tests compare.
+tier-1 tests run under ``-X dev``, that the warnings job compares every
+byte golden the tier-1 tests compare, and that its verify step without
+``typing`` passes on the corpus when run here.
 
 A change to `.github/workflows/tier1.yml` that drops an interpreter or a
 golden from CI fails here, where it shows before a push.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,8 +60,21 @@ def test_the_warnings_job_compares_every_byte_golden():
 
 
 def test_the_warnings_job_runs_verify_without_typing():
-    # -S, so that no .pth file of site loads typing before sclkit does
-    step = ("PYTHONPATH=src python -S -W error -c \"import sys, sclkit.cli as cli; "
-            "code = cli.main(['verify', 'tests/certificates/flip-alpha-n4.json']); "
-            "sys.exit(code or 'typing' in sys.modules)\"")
+    # -S, so that no .pth file of site loads typing before sclkit does; every
+    # corpus file, each exit 0, in one interpreter
+    step = ("PYTHONPATH=src python -S -W error -c \"import glob, sys, sclkit.cli as cli; "
+            "codes = [cli.main(['verify', f]) for f in sorted(glob.glob('tests/certificates/*.json'))]; "
+            "sys.exit(any(codes) or 'typing' in sys.modules)\"")
     assert step in _jobs()["suite-warnings"]
+
+
+def test_the_step_without_typing_passes_on_the_corpus():
+    # the step's command, run here as CI runs it from the repository root
+    job = _jobs()["suite-warnings"]
+    command = re.search(r'PYTHONPATH=src python -S -W error -c "(import glob[^"]*)"', job)[1]
+    r = subprocess.run([sys.executable, "-S", "-W", "error", "-c", command], cwd=ROOT,
+                       env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stdout + r.stderr
+    corpus = list((ROOT / "tests" / "certificates").glob("*.json"))
+    assert r.stdout.count("all claims verified\n") == len(corpus) > 0
