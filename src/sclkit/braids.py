@@ -2,32 +2,19 @@
 
 Elements are Artin words (signed generator indices, ``+i`` for the i-th
 elementary crossing), written as text in comma form, ``1,2,-1``: each letter
-costs at least one character, and no syntax expands.  On four or more
-strands equality is decided through the left-greedy normal form
-``D^k p_1 ... p_l``: a power of the half twist followed by a left-weighted
-sequence of permutation braids, each recorded as the permutation it induces
-on strand positions.  On three strands it is decided by the integer key
-``b3_key`` (below), and the normal form is the independent oracle for the
-key.
-
-Conventions.  Permutations are 0-indexed image tuples acting on positions;
-composition ``compose(p, q)`` applies p first.  A braid word maps to the
-composition of its letters' transpositions, so the half twist corresponds to
-the order-reversing permutation.  For a permutation braid P with permutation
-``pi``:
-
-* ``sigma_{i+1}`` is a prefix of P   iff  pi has a descent at i,
-* ``sigma_{i+1}`` is a suffix of P   iff  pi^-1 has a descent at i,
-* appending ``sigma_{i+1}`` keeps P a permutation braid iff pi^-1 has no
-  descent at i (the strands ending at positions i, i+1 have not crossed yet).
-
-A pair (A, B) of permutation braids is left-weighted when every prefix
-generator of B is a suffix generator of A; the local repair move slides one
-crossing from the front of B to the back of A and strictly shrinks B, so it
-terminates.  Normalisation is one left-to-right pass: each factor is
-appended and adjacent pairs are repaired leftwards until one is already
-left-weighted (Epstein et al., *Word Processing in Groups*, ch. 9).  The
-pair repair is memoised, which makes long words on few strands cheap.
+costs at least one character, and no syntax expands.  On three strands
+equality is decided by the integer key ``b3_key`` (below), and on any other
+strand count by Dynnikov coordinates: B_n acts faithfully on Z^2n through
+the piecewise-linear action on the coordinates (x_1, ..., x_n; y_1, ..., y_n)
+of integral laminations (Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering
+Braids*, 2008, ch. XII).  ``normal_form`` walks a word's letters once from
+the lamination E = (0, ..., 0; 1, ..., 1), each letter changing four
+coordinates, so equal tuples mean equal braids.  The action is faithful on
+B_n itself, not only modulo the centre (the full twist moves E), so no index
+sum is needed.  A coordinate's bit length grows at most linearly with the
+word, so the walk is linear in the letters up to big-integer arithmetic.
+The Garside normal form in ``tests/garside_helpers.py`` is the independent
+oracle for both keys.
 
 The rank-3 group also carries the exact integer-matrix homomorphism onto
 SL(2,Z) sending the two generators to [[1,1],[0,1]] and [[1,0],[-1,1]].  Its
@@ -49,84 +36,8 @@ from __future__ import annotations
 import functools
 from collections.abc import Hashable
 
-from .groups import FreeGroup, GroupContext, GroupHom, perm_compose, perm_identity, perm_inverse
+from .groups import FreeGroup, GroupContext, GroupHom
 from .words import Frozen, StepFailure, Word, invert_letters, multiply_letters, parse_ints
-
-@functools.cache
-def _tables(n: int):
-    """Per-strand-count permutations (identity, half twist, transpositions)."""
-    taus = []
-    for i in range(n - 1):
-        images = list(range(n))
-        images[i], images[i + 1] = images[i + 1], images[i]
-        taus.append(tuple(images))
-    return perm_identity(n), tuple(range(n - 1, -1, -1)), tuple(taus)
-
-
-def _descents(p: tuple[int, ...]) -> list[int]:
-    return [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
-
-
-@functools.cache
-def _flip(n: int, p: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugation of a permutation braid by the half twist."""
-    _, delta, _ = _tables(n)
-    return perm_compose(perm_compose(delta, p), delta)
-
-
-@functools.cache
-def _lw_pair(n: int, a: tuple[int, ...], b: tuple[int, ...]):
-    """Left-weight an adjacent factor pair, preserving the product a*b."""
-    _, _, taus = _tables(n)
-    while True:
-        ainv = perm_inverse(a)
-        move = next((i for i in _descents(b) if ainv[i] < ainv[i + 1]), None)
-        if move is None:
-            return a, b
-        a = perm_compose(a, taus[move])
-        b = perm_compose(taus[move], b)
-
-
-def _normalize_factors(n: int, k: int, factors: list[tuple[int, ...]]):
-    """Left-weight a positive factor list, extracting half-twist powers.
-
-    Each factor is appended to a left-weighted list and repaired leftwards
-    until a pair is already left-weighted; the list stays left-weighted, so
-    half twists can only sit at its front and trivial factors at its back.
-    """
-    ident, delta, _ = _tables(n)
-    fs: list[tuple[int, ...]] = []
-    for f in factors:
-        fs.append(f)
-        i = len(fs) - 1
-        while i > 0:
-            a, b = _lw_pair(n, fs[i - 1], fs[i])
-            if a == fs[i - 1]:
-                break
-            fs[i - 1], fs[i] = a, b
-            i -= 1
-        while fs and fs[-1] == ident:
-            fs.pop()
-    lead = 0
-    while lead < len(fs) and fs[lead] == delta:
-        lead += 1
-    return k + lead, tuple(fs[lead:])
-
-
-class GarsideNormalForm(Frozen):
-    """Normal form D^k p_1 ... p_l; no factor is trivial or the half twist."""
-
-    __slots__ = ("n", "delta_power", "factors")
-    n: int
-    delta_power: int
-    factors: tuple[tuple[int, ...], ...]
-
-    def __str__(self) -> str:
-        parts = " ".join(",".join(str(v + 1) for v in f) for f in self.factors)
-        return f"D^{self.delta_power} | {parts}" if parts else f"D^{self.delta_power} |"
-
-    def key(self) -> Hashable:
-        return (self.n, self.delta_power, self.factors)
 
 
 class BraidWord(Frozen):
@@ -209,31 +120,45 @@ def format_braid(b: BraidWord) -> str:
     return ",".join(map(str, b.letters))
 
 
-def normal_form(b: BraidWord) -> GarsideNormalForm:
-    """Left-greedy normal form of an Artin word."""
-    _, delta, taus = _tables(b.n)
-    exps = []
-    factors = []
+def normal_form(b: BraidWord) -> tuple[int, ...]:
+    """Dynnikov coordinates (x_1, ..., x_n, y_1, ..., y_n) of the image of
+    the lamination E = (0, ..., 0; 1, ..., 1) under b, in one walk over its
+    letters: equal exactly for equal braids.  With a+ = max(a, 0) and
+    a- = min(a, 0), sigma_i (i 1-based) changes only x_i, y_i, x_{i+1} and
+    y_{i+1}:
+
+        z = x_i - y_i- - x_{i+1} + y_{i+1}+
+        x_i' = x_i + y_i+ + (y_{i+1}+ - z)+        y_i' = y_{i+1} - z+
+        x_{i+1}' = x_{i+1} + y_{i+1}- + (y_i- + z)-  y_{i+1}' = y_i + z+
+
+    and sigma_i^-1 likewise:
+
+        z = x_i + y_i- - x_{i+1} - y_{i+1}+
+        x_i' = x_i - y_i+ - (y_{i+1}+ + z)+        y_i' = y_{i+1} + z-
+        x_{i+1}' = x_{i+1} - y_{i+1}- - (y_i- - z)-  y_{i+1}' = y_i - z-
+    """
+    x, y = [0] * b.n, [1] * b.n
     for l in b.letters:
+        i = abs(l) - 1
+        xi, yi, xj, yj = x[i], y[i], x[i + 1], y[i + 1]
+        yi_minus, yj_plus = min(yi, 0), max(yj, 0)
         if l > 0:
-            exps.append(0)
-            factors.append(taus[l - 1])
+            z = xi - yi_minus - xj + yj_plus
+            x[i] = xi + max(yi, 0) + max(yj_plus - z, 0)
+            x[i + 1] = xj + min(yj, 0) + min(yi_minus + z, 0)
+            z = max(z, 0)
+            y[i], y[i + 1] = yj - z, yi + z
         else:
-            exps.append(-1)
-            factors.append(perm_compose(delta, taus[-l - 1]))
-    # every half twist moves to the front, flipping the factors it crosses
-    flipped = []
-    suffix = 0
-    for e, f in zip(reversed(exps), reversed(factors)):
-        flipped.append(_flip(b.n, f) if suffix % 2 else f)
-        suffix += e
-    flipped.reverse()
-    k, fs = _normalize_factors(b.n, sum(exps), flipped)
-    return GarsideNormalForm(b.n, k, fs)
+            z = xi + yi_minus - xj - yj_plus
+            x[i] = xi - max(yi, 0) - max(yj_plus + z, 0)
+            x[i + 1] = xj - min(yj, 0) - min(yi_minus - z, 0)
+            z = min(z, 0)
+            y[i], y[i + 1] = yj + z, yi - z
+    return (*x, *y)
 
 
 @functools.lru_cache(maxsize=200_000)
-def cached_normal_form(b: BraidWord) -> GarsideNormalForm:
+def cached_normal_form(b: BraidWord) -> tuple[int, ...]:
     """``normal_form`` behind an LRU cache; ``cache_info()`` gives its hits,
     misses and size."""
     return normal_form(b)
@@ -269,9 +194,9 @@ def full_twist(n: int) -> BraidWord:
 class BraidGroup(GroupContext):
     """Braid group context.
 
-    Canonical keys are ``b3_key`` for 3-strand words and the Garside normal
-    form otherwise.  Balls come in breadth-first discovery order, so on 3
-    strands no normal form is computed.
+    Canonical keys are ``b3_key`` for 3-strand words and the Dynnikov
+    coordinates otherwise.  Balls come in breadth-first discovery order, so
+    on 3 strands ``normal_form`` never runs.
     """
 
     def __init__(self, n: int):
@@ -294,7 +219,7 @@ class BraidGroup(GroupContext):
     def canonical(self, a: BraidWord) -> Hashable:
         if a.n == 3:
             return b3_key(a)
-        return cached_normal_form(a).key()
+        return cached_normal_form(a)
 
     def text(self, a: BraidWord) -> str:
         return format_braid(a)

@@ -184,9 +184,9 @@ def _item_flip(rng):
     alpha = alpha_braid()
     delta = half_twist(3)
     prod = ctx.mul(ctx.mul(ctx.mul(delta, alpha), ctx.inv(delta)), alpha)
-    nf = normal_form(prod)
-    if nf.delta_power != 0 or nf.factors != ():
-        raise StepFailure("normal form", f"delta alpha delta^-1 alpha is {nf}, not the identity")
+    nf, identity = normal_form(prod), normal_form(ctx.identity)
+    if nf != identity:
+        raise StepFailure("normal form", f"delta alpha delta^-1 alpha has coordinates {nf}, not {identity}")
     if not ctx.eq(ctx.conjugate(delta, alpha), ctx.inv(alpha)):
         raise StepFailure("conjugation", "the half twist does not invert alpha")
     return "normal form certifies delta alpha delta^-1 = alpha^-1"

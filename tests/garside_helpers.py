@@ -1,32 +1,150 @@
-"""Braid helpers that only the tests call.
+"""Braid helpers that only the tests call, and the Garside normal form,
+the oracle for both equality keys of ``sclkit.braids``.
 
-``braid_equal`` decides the word problem through normal forms on any strand
-count, the independent oracle for ``b3_key`` on three strands;
+``garside_normal_form`` is the left-greedy normal form ``D^k p_1 ... p_l``:
+a power of the half twist followed by a left-weighted sequence of
+permutation braids, each recorded as the permutation it induces on strand
+positions.  ``braid_equal`` decides the word problem through it on any
+strand count, the independent oracle for ``b3_key`` on three strands and for
+the Dynnikov coordinates of ``braids.normal_form`` on the others.
+
+Conventions.  Permutations are 0-indexed image tuples acting on positions;
+composition ``compose(p, q)`` applies p first.  A braid word maps to the
+composition of its letters' transpositions, so the half twist corresponds to
+the order-reversing permutation.  For a permutation braid P with permutation
+``pi``:
+
+* ``sigma_{i+1}`` is a prefix of P   iff  pi has a descent at i,
+* ``sigma_{i+1}`` is a suffix of P   iff  pi^-1 has a descent at i,
+* appending ``sigma_{i+1}`` keeps P a permutation braid iff pi^-1 has no
+  descent at i (the strands ending at positions i, i+1 have not crossed yet).
+
+A pair (A, B) of permutation braids is left-weighted when every prefix
+generator of B is a suffix generator of A; the local repair move slides one
+crossing from the front of B to the back of A and strictly shrinks B, so it
+terminates.  Normalisation is one left-to-right pass: each factor is
+appended and adjacent pairs are repaired leftwards until one is already
+left-weighted (Epstein et al., *Word Processing in Groups*, ch. 9).  The
+pair repair is memoised, which makes long words on few strands cheap.
+
 ``nf_to_letters`` writes a normal form back as an Artin word, for round
-trips; ``is_left_weighted`` checks the shape ``normal_form`` promises.
-``underlying_permutation`` walks a word's letters to the permutation it
-induces, the independent oracle for ``is_pure`` and for the cosets of the
-walk in ``p3_coordinates``.  ``sanov_coordinates`` peels a pure braid's
-SL(2,Z) image into powers of [[1,2],[0,1]] and [[1,0],[-2,1]], the images of
-x and y, the independent oracle for ``p3_coordinates`` and so for ``pr1``.
-``plant_extra_syllable`` breaks the coset walk, whose self-check must then
-fail.
+trips; ``is_left_weighted`` checks the shape ``garside_normal_form``
+promises.  ``underlying_permutation`` walks a word's letters to the
+permutation it induces, the independent oracle for ``is_pure`` and for the
+cosets of the walk in ``p3_coordinates``.  ``sanov_coordinates`` peels a
+pure braid's SL(2,Z) image into powers of [[1,2],[0,1]] and [[1,0],[-2,1]],
+the images of x and y, the independent oracle for ``p3_coordinates`` and so
+for ``pr1``.  ``plant_extra_syllable`` breaks the coset walk, whose
+self-check must then fail.
 """
 
+import functools
+from collections.abc import Hashable
+
 from sclkit import braids
-from sclkit.braids import (
-    X,
-    Y,
-    BraidWord,
-    GarsideNormalForm,
-    P3Coordinates,
-    _descents,
-    _tables,
-    b3_key,
-    cached_normal_form,
-)
-from sclkit.groups import perm_compose, perm_inverse
-from sclkit.words import Word
+from sclkit.braids import X, Y, BraidWord, P3Coordinates, b3_key
+from sclkit.groups import perm_compose, perm_identity, perm_inverse
+from sclkit.words import Frozen, Word
+
+
+@functools.cache
+def _tables(n: int):
+    """Per-strand-count permutations (identity, half twist, transpositions)."""
+    taus = []
+    for i in range(n - 1):
+        images = list(range(n))
+        images[i], images[i + 1] = images[i + 1], images[i]
+        taus.append(tuple(images))
+    return perm_identity(n), tuple(range(n - 1, -1, -1)), tuple(taus)
+
+
+def _descents(p: tuple[int, ...]) -> list[int]:
+    return [i for i in range(len(p) - 1) if p[i] > p[i + 1]]
+
+
+@functools.cache
+def _flip(n: int, p: tuple[int, ...]) -> tuple[int, ...]:
+    """Conjugation of a permutation braid by the half twist."""
+    _, delta, _ = _tables(n)
+    return perm_compose(perm_compose(delta, p), delta)
+
+
+@functools.cache
+def _lw_pair(n: int, a: tuple[int, ...], b: tuple[int, ...]):
+    """Left-weight an adjacent factor pair, preserving the product a*b."""
+    _, _, taus = _tables(n)
+    while True:
+        ainv = perm_inverse(a)
+        move = next((i for i in _descents(b) if ainv[i] < ainv[i + 1]), None)
+        if move is None:
+            return a, b
+        a = perm_compose(a, taus[move])
+        b = perm_compose(taus[move], b)
+
+
+def _normalize_factors(n: int, k: int, factors: list[tuple[int, ...]]):
+    """Left-weight a positive factor list, extracting half-twist powers.
+
+    Each factor is appended to a left-weighted list and repaired leftwards
+    until a pair is already left-weighted; the list stays left-weighted, so
+    half twists can only sit at its front and trivial factors at its back.
+    """
+    ident, delta, _ = _tables(n)
+    fs: list[tuple[int, ...]] = []
+    for f in factors:
+        fs.append(f)
+        i = len(fs) - 1
+        while i > 0:
+            a, b = _lw_pair(n, fs[i - 1], fs[i])
+            if a == fs[i - 1]:
+                break
+            fs[i - 1], fs[i] = a, b
+            i -= 1
+        while fs and fs[-1] == ident:
+            fs.pop()
+    lead = 0
+    while lead < len(fs) and fs[lead] == delta:
+        lead += 1
+    return k + lead, tuple(fs[lead:])
+
+
+class GarsideNormalForm(Frozen):
+    """Normal form D^k p_1 ... p_l; no factor is trivial or the half twist."""
+
+    __slots__ = ("n", "delta_power", "factors")
+    n: int
+    delta_power: int
+    factors: tuple[tuple[int, ...], ...]
+
+    def __str__(self) -> str:
+        parts = " ".join(",".join(str(v + 1) for v in f) for f in self.factors)
+        return f"D^{self.delta_power} | {parts}" if parts else f"D^{self.delta_power} |"
+
+    def key(self) -> Hashable:
+        return (self.n, self.delta_power, self.factors)
+
+
+def garside_normal_form(b: BraidWord) -> GarsideNormalForm:
+    """Left-greedy normal form of an Artin word."""
+    _, delta, taus = _tables(b.n)
+    exps = []
+    factors = []
+    for l in b.letters:
+        if l > 0:
+            exps.append(0)
+            factors.append(taus[l - 1])
+        else:
+            exps.append(-1)
+            factors.append(perm_compose(delta, taus[-l - 1]))
+    # every half twist moves to the front, flipping the factors it crosses
+    flipped = []
+    suffix = 0
+    for e, f in zip(reversed(exps), reversed(factors)):
+        flipped.append(_flip(b.n, f) if suffix % 2 else f)
+        suffix += e
+    flipped.reverse()
+    k, fs = _normalize_factors(b.n, sum(exps), flipped)
+    return GarsideNormalForm(b.n, k, fs)
 
 
 def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
@@ -40,10 +158,10 @@ def underlying_permutation(b: BraidWord) -> tuple[int, ...]:
 
 
 def braid_equal(a: BraidWord, b: BraidWord) -> bool:
-    """Exact word-problem solution via normal forms."""
+    """Exact word-problem solution via Garside normal forms."""
     if a.n != b.n:
         raise ValueError(f"strand count mismatch: {a.n} vs {b.n}")
-    return cached_normal_form(a).key() == cached_normal_form(b).key()
+    return garside_normal_form(a).key() == garside_normal_form(b).key()
 
 
 def nf_to_letters(nf: GarsideNormalForm) -> tuple[int, ...]:

@@ -1,16 +1,21 @@
-"""Braid normal forms and the pure-braid coordinate splitting.
+"""Braid equality keys, their Garside oracle, and the pure-braid coordinate
+splitting.
 
-The core oracle: Garside normal forms must be invariant under random
+The core oracle: the Dynnikov coordinates of ``normal_form`` and the
+Garside normal forms of ``garside_helpers`` must be invariant under random
 applications of the defining relations (far commutation, the braid relation,
-free insertion/cancellation), since those generate all equalities.
+free insertion/cancellation), since those generate all equalities, and the
+two must agree on which words are equal.
 """
 
 import random
 
 import pytest
 
+import garside_helpers
 from garside_helpers import (
     braid_equal,
+    garside_normal_form,
     is_left_weighted,
     nf_to_letters,
     plant_extra_syllable,
@@ -51,21 +56,21 @@ def random_braid(rng, n, length):
 def fixpoint_normalize_factors(n, k, factors):
     """Reference left-weighting: move every half twist to the front and
     sweep all adjacent pairs until a sweep changes nothing."""
-    ident, delta, _ = braids._tables(n)
+    ident, delta, _ = garside_helpers._tables(n)
     fs = [f for f in factors if f != ident]
     while True:
         out = []
         for f in fs:
             if f == delta:
                 k += 1
-                out = [braids._flip(n, g) for g in out]
+                out = [garside_helpers._flip(n, g) for g in out]
             elif f != ident:
                 out.append(f)
         fs = out
         changed = False
         for i in range(len(fs) - 1):
             a, b = fs[i], fs[i + 1]
-            a2, b2 = braids._lw_pair(n, a, b)
+            a2, b2 = garside_helpers._lw_pair(n, a, b)
             if a2 != a:
                 fs[i], fs[i + 1] = a2, b2
                 changed = True
@@ -138,7 +143,7 @@ def test_normal_forms_are_left_weighted(n):
     rng = random.Random(310 + n)
     for _ in range(300):
         b = random_braid(rng, n, rng.randrange(0, 121))
-        assert is_left_weighted(normal_form(b))
+        assert is_left_weighted(garside_normal_form(b))
 
 
 def test_one_pass_normal_form_matches_fixpoint(monkeypatch):
@@ -146,10 +151,10 @@ def test_one_pass_normal_form_matches_fixpoint(monkeypatch):
     words = [random_braid(rng, n, rng.randrange(0, 61)) for n in range(2, 7) for _ in range(40)]
     alpha = BraidGroup(3).commutator(braid("1,1", 3), braid("2,2", 3))
     words += [alpha**m for m in range(1, 65)]
-    fast = [normal_form(b) for b in words]
-    monkeypatch.setattr(braids, "_normalize_factors", fixpoint_normalize_factors)
+    fast = [garside_normal_form(b) for b in words]
+    monkeypatch.setattr(garside_helpers, "_normalize_factors", fixpoint_normalize_factors)
     for b, nf in zip(words, fast):
-        ref = normal_form(b)
+        ref = garside_normal_form(b)
         assert (nf.delta_power, nf.factors) == (ref.delta_power, ref.factors), format_braid(b)
 
 
@@ -157,8 +162,83 @@ def test_normal_form_round_trip():
     rng = random.Random(301)
     for _ in range(100):
         b = random_braid(rng, 3, rng.randrange(0, 12))
-        back = braid(",".join(str(l) for l in nf_to_letters(normal_form(b))), 3)
+        back = braid(",".join(str(l) for l in nf_to_letters(garside_normal_form(b))), 3)
         assert braid_equal(b, back)
+
+
+def _agreement_pairs(rng, n):
+    """Pairs of words on n strands, equal and unequal: seeded words against
+    short ones, relation-rewritten copies (also one letter off), long
+    syllables on either side, and the centre's Delta^2 and Delta^4 as
+    prefixes (equal to the same suffixes, unequal to the bare word)."""
+    a = random_braid(rng, n, rng.randrange(0, 31))
+    letters = list(a.letters)
+    for _ in range(rng.randrange(1, 10)):
+        letters = rewrite_once(rng, letters, n)
+    copy = BraidWord(n, tuple(letters))
+    i = rng.randrange(1, n)
+    s = BraidWord(n, (rng.choice((-i, i)),) * rng.randint(5, 40))
+    twist = full_twist(n) ** rng.choice((1, 2))
+    return [
+        (a, random_braid(rng, n, rng.randrange(0, 5))),
+        (a, copy),
+        (a, copy * BraidWord(n, (rng.choice((-i, i)),))),
+        (s * a, s * copy),
+        (s * a, a * s),
+        (twist * a, copy * twist),
+        (twist * a, copy),
+    ]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_dynnikov_coordinates_agree_with_garside(n):
+    # Garside is the oracle: equal coordinates exactly for equal braids
+    rng = random.Random(5500 + n)
+    outcomes = {True: 0, False: 0}
+    for _ in range(450):
+        for a, b in _agreement_pairs(rng, n):
+            same = braid_equal(a, b)
+            assert (normal_form(a) == normal_form(b)) == same, (format_braid(a), format_braid(b))
+            outcomes[same] += 1
+    # 3150 pairs on each strand count, 22,050 over n = 2..8, both outcomes common
+    assert sum(outcomes.values()) == 3150
+    assert min(outcomes.values()) > 900
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_every_braid_relation_gives_the_identity_coordinates(n):
+    identity = normal_form(BraidWord(n, ()))
+    assert identity == (0,) * n + (1,) * n
+    relators = []
+    for i in range(1, n):
+        relators += [(i, -i), (-i, i)]
+        for j in range(1, n):
+            if abs(i - j) >= 2:
+                relators.append((i, j, -i, -j))
+            elif abs(i - j) == 1:
+                relators.append((i, j, i, -j, -i, -j))
+    # inside a longer word a relator changes nothing either
+    prefix, suffix = (1, -(n - 1), 1), (n - 1,) * 3
+    around = normal_form(BraidWord(n, prefix + suffix))
+    for r in relators:
+        word = BraidWord(n, r)
+        assert normal_form(word) == identity, r
+        assert normal_form(~word) == identity, r
+        assert normal_form(BraidWord(n, prefix + r + suffix)) == around, r
+    assert len(relators) == 2 * (n - 1) + (n - 2) * (n - 3) + 2 * (n - 2)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_powers_of_the_full_twist_are_not_the_identity(n):
+    # the action is faithful on B_n itself: the centre moves the lamination
+    ctx = BraidGroup(n)
+    keys = {normal_form(full_twist(n) ** k) for k in range(-3, 4)}
+    assert len(keys) == 7
+    for k in range(1, 4):
+        assert normal_form(full_twist(n) ** k) != normal_form(ctx.identity)
+        assert not ctx.is_identity(ctx.power(full_twist(n), k))
+    for g in ctx.generators():
+        assert normal_form(full_twist(n) * g) == normal_form(g * full_twist(n))
 
 
 def test_braid_parse_and_format():
@@ -228,7 +308,7 @@ def test_b3_key_matches_normal_form_round_trip():
     alpha = ctx.commutator(braid("1,1", 3), braid("2,2", 3))
     for m in range(1, 65):
         word_m = alpha**m
-        back = BraidWord(3, nf_to_letters(normal_form(word_m)))
+        back = BraidWord(3, nf_to_letters(garside_normal_form(word_m)))
         assert b3_key(back) == b3_key(word_m)
 
 
@@ -337,7 +417,7 @@ def test_braid_product_is_the_free_reduction_of_the_concatenation(n):
 def test_underlying_permutation_matches_composition():
     rng = random.Random(312)
     for n in range(2, 7):
-        taus = braids._tables(n)[2]
+        taus = garside_helpers._tables(n)[2]
         for _ in range(60):
             b = random_braid(rng, n, rng.randrange(0, 30))
             p = perm_identity(n)

@@ -1,8 +1,8 @@
 """The value types against frozen-dataclass twins, and their copies.
 
-Word, BraidWord, GarsideNormalForm, P3Coordinates and CertifiedValue are
-slotted ``words.Frozen`` subclasses: equality, hash, repr, copying and
-pickling come from their annotated fields.  Each twin below is the frozen
+Word, BraidWord, P3Coordinates and CertifiedValue are slotted
+``words.Frozen`` subclasses: equality, hash, repr, copying and pickling
+come from their annotated fields.  Each twin below is the frozen
 dataclass the type used to be, with the same name, so its generated
 ``==``, ``hash`` and ``repr`` are the reference; the Word twin keeps
 Word's hash of the bare letter tuple.  Copies, deep copies and pickle
@@ -34,13 +34,6 @@ class BraidWord:
 
 
 @dataclass(frozen=True)
-class GarsideNormalForm:
-    n: int
-    delta_power: int
-    factors: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class P3Coordinates:
     f2_part: words.Word
     center_exponent: int
@@ -57,8 +50,6 @@ def twin(value):
         return Word(value.letters)
     if isinstance(value, braids.BraidWord):
         return BraidWord(value.n, value.letters)
-    if isinstance(value, braids.GarsideNormalForm):
-        return GarsideNormalForm(value.n, value.delta_power, value.factors)
     if isinstance(value, braids.P3Coordinates):
         # the free part stays the sclkit Word, which the Word twin covers
         return P3Coordinates(value.f2_part, value.center_exponent)
@@ -75,9 +66,7 @@ def seeded_values(seed):
     for _ in range(40):
         n = rng.randint(2, 4)
         letters = tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
-        b = braids.BraidWord(n, letters)
-        out.append(b)
-        out.append(braids.normal_form(b))
+        out.append(braids.BraidWord(n, letters))
     xy = words.Word(())
     for _ in range(30):
         letters = extension.random_reduced(rng, (braids.X, braids.Y), rng.randint(0, 3))
