@@ -14,7 +14,9 @@ B_n itself, not only modulo the centre (the full twist moves E), so no index
 sum is needed.  A coordinate's bit length grows at most linearly with the
 word, so the walk is linear in the letters up to big-integer arithmetic.
 The Garside normal form in ``tests/garside_helpers.py`` is the independent
-oracle for both keys.
+oracle for both keys.  Either key is cached in the word's ``_key`` slot,
+and off three strands a keyed u times v walks only v's letters on from u's
+coordinates, which is the walk of u * v whatever cancels where they meet.
 
 The rank-3 group also carries the exact integer-matrix homomorphism onto
 SL(2,Z) sending the two generators to [[1,1],[0,1]] and [[1,0],[-1,1]].  Its
@@ -33,7 +35,6 @@ the pure-braid coordinate splitting ``p3_coordinates``
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Hashable
 
 from .groups import FreeGroup, GroupContext, GroupHom
@@ -43,9 +44,9 @@ from .words import Frozen, StepFailure, Word, invert_letters, multiply_letters, 
 class BraidWord(Frozen):
     """An Artin word in the braid group on n strands.
 
-    On 3 strands ``_key`` caches the word's ``b3_key`` (None until it is
-    known); it is a cache, not a field, so equality, hash, repr and copies
-    ignore it.
+    ``_key`` caches the word's key (None until it is known): ``b3_key`` on 3
+    strands, else its Dynnikov coordinates.  It is a cache, not a field, so
+    equality, hash, repr and copies ignore it.
     """
 
     __slots__ = ("n", "letters", "_key")
@@ -69,7 +70,12 @@ class BraidWord(Frozen):
         n = self.n
         if n != other.n:
             raise ValueError(f"strand count mismatch: {n} vs {other.n}")
-        key = _key_mul(b3_key(self), b3_key(other)) if n == 3 else None
+        if n == 3:
+            key = _key_mul(b3_key(self), b3_key(other))
+        else:
+            key = self._key
+            if key is not None:
+                key = _dynnikov_walk(list(key[:n]), list(key[n:]), other.letters)
         return _braid_word(n, multiply_letters(self.letters, other.letters), key)
 
     def __invert__(self) -> "BraidWord":
@@ -95,10 +101,9 @@ _set_letters = BraidWord.letters.__set__
 _set_key = BraidWord._key.__set__
 
 
-def _braid_word(n: int, letters: tuple[int, ...], key: Key | None = None) -> BraidWord:
+def _braid_word(n: int, letters: tuple[int, ...], key: tuple[int, ...] | None = None) -> BraidWord:
     """A BraidWord from letters already known to be valid for n strands,
-    with its ``b3_key`` when known; skips the range check of
-    ``__post_init__``."""
+    with its key when known; skips the range check of ``__post_init__``."""
     b = _new(BraidWord)
     _set_n(b, n)
     _set_letters(b, letters)
@@ -131,37 +136,34 @@ def normal_form(b: BraidWord) -> tuple[int, ...]:
         x_i' = x_i + y_i+ + (y_{i+1}+ - z)+        y_i' = y_{i+1} - z+
         x_{i+1}' = x_{i+1} + y_{i+1}- + (y_i- + z)-  y_{i+1}' = y_i + z+
 
-    and sigma_i^-1 likewise:
-
-        z = x_i + y_i- - x_{i+1} - y_{i+1}+
-        x_i' = x_i - y_i+ - (y_{i+1}+ + z)+        y_i' = y_{i+1} + z-
-        x_{i+1}' = x_{i+1} - y_{i+1}- - (y_i- - z)-  y_{i+1}' = y_i - z-
+    and sigma_i^-1 is sigma_i conjugated by the sign change of every x_j.
     """
-    x, y = [0] * b.n, [1] * b.n
-    for l in b.letters:
-        i = abs(l) - 1
-        xi, yi, xj, yj = x[i], y[i], x[i + 1], y[i + 1]
-        yi_minus, yj_plus = min(yi, 0), max(yj, 0)
-        if l > 0:
-            z = xi - yi_minus - xj + yj_plus
-            x[i] = xi + max(yi, 0) + max(yj_plus - z, 0)
-            x[i + 1] = xj + min(yj, 0) + min(yi_minus + z, 0)
-            z = max(z, 0)
-            y[i], y[i + 1] = yj - z, yi + z
-        else:
-            z = xi + yi_minus - xj - yj_plus
-            x[i] = xi - max(yi, 0) - max(yj_plus + z, 0)
-            x[i + 1] = xj - min(yj, 0) - min(yi_minus - z, 0)
-            z = min(z, 0)
-            y[i], y[i + 1] = yj + z, yi - z
+    return _dynnikov_walk([0] * b.n, [1] * b.n, b.letters)
+
+
+def _dynnikov_walk(x: list[int], y: list[int], letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The coordinates (x; y) moved in place by the letters, one at a time.
+    A letter's sign s multiplies the x it reads and writes, and a+ and a-
+    are comparisons, since calls to max and min took most of a step's time."""
+    for l in letters:
+        i, s = abs(l) - 1, (1 if l > 0 else -1)
+        xi, yi, xj, yj = s * x[i], y[i], s * x[i + 1], y[i + 1]
+        yi_minus, yj_plus = (yi if yi < 0 else 0), (yj if yj > 0 else 0)
+        z = xi - yi_minus - xj + yj_plus
+        t, u = yj_plus - z, yi_minus + z
+        x[i] = s * (xi + yi - yi_minus + (t if t > 0 else 0))
+        x[i + 1] = s * (xj + yj - yj_plus + (u if u < 0 else 0))
+        z = z if z > 0 else 0
+        y[i], y[i + 1] = yj - z, yi + z
     return (*x, *y)
 
 
-@functools.lru_cache(maxsize=200_000)
 def cached_normal_form(b: BraidWord) -> tuple[int, ...]:
-    """``normal_form`` behind an LRU cache; ``cache_info()`` gives its hits,
-    misses and size."""
-    return normal_form(b)
+    """``normal_form`` of a word off 3 strands, kept in its ``_key`` slot; the
+    name stays while the benchmark tracer wraps it (ROADMAP item 29)."""
+    if b._key is None:
+        _set_key(b, normal_form(b))
+    return b._key
 
 
 def is_pure(b: BraidWord) -> bool:
@@ -194,9 +196,9 @@ def full_twist(n: int) -> BraidWord:
 class BraidGroup(GroupContext):
     """Braid group context.
 
-    Canonical keys are ``b3_key`` for 3-strand words and the Dynnikov
-    coordinates otherwise.  Balls come in breadth-first discovery order, so
-    on 3 strands ``normal_form`` never runs.
+    Canonical keys, cached in each word, are ``b3_key`` on 3 strands and the
+    Dynnikov coordinates otherwise.  Balls come in breadth-first discovery
+    order, so on 3 strands ``normal_form`` never runs.
     """
 
     def __init__(self, n: int):
@@ -240,8 +242,8 @@ Key = tuple[int, int, int, int, int]
 def b3_key(w: BraidWord) -> Key:
     """Exact equality key of a 3-strand braid: (index sum, a, b, c, d), where
     [[a, b], [c, d]] is its SL(2,Z) image.  A word carries its key; only a
-    word without one has its letters walked, once, and only a 3-strand word
-    may be walked: a word that carries a key is a 3-strand word already.
+    word without one has its letters walked, once.  Other strand counts are
+    refused before the slot is read, since there it holds Dynnikov coordinates.
 
     The matrix map kills exactly the powers of D^4 (the full twist D^2 maps
     to -I), and the index sum is 12 on D^4, so together they are injective.
@@ -250,10 +252,10 @@ def b3_key(w: BraidWord) -> Key:
     >>> b3_key(full_twist(3) ** 2), b3_key(BraidWord(3, ()))
     ((12, 1, 0, 0, 1), (0, 1, 0, 0, 1))
     """
+    if w.n != 3:
+        raise ValueError("the matrix homomorphism is defined on 3 strands")
     key = w._key
     if key is None:
-        if w.n != 3:
-            raise ValueError("the matrix homomorphism is defined on 3 strands")
         key = _walk_key(w.letters)
         _set_key(w, key)
     return key

@@ -87,6 +87,8 @@ def parse_group(text: str) -> GroupContext:
     spec = text.strip()
     if spec == "z":
         return CyclicZ()
+    if "/" in spec:
+        raise SpecError(f"a group spec holds no '/', and {text!r} names a pair")
     head, sep, rest = spec.partition(":")
     if not sep or not rest:
         raise SpecError(f"unknown group spec {text!r}")

@@ -738,6 +738,43 @@ HEADER = open("header").read()
     ]
 
 
+def _memo_caches(tree: ast.Module) -> list[int]:
+    """Lines that name ``functools.lru_cache`` or ``functools.cache``,
+    through the module or imported from it."""
+    names = {"lru_cache", "cache"}
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names
+            and isinstance(node.value, ast.Name) and node.value.id == "functools")
+        or (isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in names for alias in node.names))
+    )
+
+
+def test_src_keeps_no_process_wide_memo_cache():
+    # the suite and the tests run many commands in one process, and a
+    # result must not depend on the calls made before it
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _memo_caches(ast.parse(path.read_text()))
+    ]
+    assert not found, f"functools memo caches in src: {found}"
+    source = """
+import functools
+from functools import cache, reduce
+
+@functools.lru_cache(maxsize=10)
+def f(x):
+    return x
+
+g = functools.cache(f)
+h = functools.partial(f, 1)
+"""
+    assert _memo_caches(ast.parse(source)) == [3, 5, 9]
+
+
 def _profiled(fn, *args):
     """fn(*args), and the (module, qualified name) of every sclkit function
     called while it runs."""

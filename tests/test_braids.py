@@ -301,6 +301,12 @@ def test_b3_key_refuses_other_strand_counts():
             with pytest.raises(ValueError, match="defined on 3 strands"):
                 key_of(b)
         assert b._key is None
+    # a keyed 4-strand word holds its Dynnikov coordinates, not a b3_key
+    keyed = braid("3,-1", 4)
+    BraidGroup(4).canonical(keyed)
+    with pytest.raises(ValueError, match="defined on 3 strands"):
+        b3_key(keyed)
+    assert keyed._key == normal_form(keyed)
 
 
 def test_b3_key_matches_normal_form_round_trip():
@@ -339,8 +345,48 @@ def test_carried_keys_equal_the_keys_of_the_letters():
     parsed = braid("1,2,-1", 3)
     assert parsed._key is None
     assert b3_key(parsed) == parsed._key == (1, 0, 1, -1, 2)
-    # other strand counts carry no key
+    # off 3 strands a product is keyed only when its left factor is
     assert (braid("1,3", 4) * braid("2", 4))._key is None
+    left = braid("1,3", 4)
+    BraidGroup(4).canonical(left)
+    assert (left * braid("2", 4))._key == normal_form(braid("1,3,2", 4))
+
+
+def _walked_coordinates(b):
+    """The oracle off 3 strands: ``normal_form`` of the same letters in a
+    fresh word."""
+    fresh = BraidWord(b.n, b.letters)
+    assert fresh._key is None
+    return normal_form(fresh)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 6, 7, 8])
+def test_carried_coordinates_equal_the_walk_of_the_letters(n):
+    # a keyed left factor extends its coordinates by the right factor's
+    # letters, whatever cancels at the junction; inverses, powers and parsed
+    # words start unkeyed and are walked on first use
+    rng = random.Random(330 + n)
+    ctx = BraidGroup(n)
+    products = 0
+    for i in range(400):
+        if i % 20 == 0:
+            acc = ctx.identity
+            ctx.canonical(acc)
+        a = random_braid(rng, n, rng.randrange(0, 12))
+        b = random_braid(rng, n, rng.randrange(0, 12))
+        assert a._key is None
+        assert ctx.canonical(a) == a._key == _walked_coordinates(a)
+        m = rng.choice((-5, -1, 0, 2, 7))
+        assert (~a)._key is None and (a**m)._key is None
+        acc = acc * (a if rng.random() < 0.5 else ~b)
+        built = [acc, a * b, a * ~a, ctx.conjugate(a, b), ctx.commutator(a, b),
+                 ctx.conjugate(acc, a) * b]
+        for c in built:
+            assert c._key is not None
+            assert c._key == _walked_coordinates(c), format_braid(c)
+        assert (a * ~a)._key == _walked_coordinates(ctx.identity)
+        products += len(built)
+    assert products >= 2000
 
 
 def test_mod_2_purity_equals_the_permutation():

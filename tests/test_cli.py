@@ -1035,6 +1035,23 @@ def test_projections_have_no_underscore_spelling(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "--group", "braid:3/pure", "--qm", "zero", "--braid", "1"],
+        ["eval", "--group", "free:2/comm", "--qm", "zero", "--word", "a"],
+        ["eval", "--group", "product:free:2,z/left", "--qm", "zero", "--word", "(a;0)"],
+        ["scl-bounds", "--group", "braid:3/pure/pure", "--braid", "1"],
+    ],
+    ids=["eval-pure", "eval-comm", "eval-left", "scl-bounds-two-suffixes"],
+)
+def test_a_pair_where_a_group_is_read_is_named_as_one(argv, capsys):
+    # these read as a bad strand count, a bad rank or an unknown spec 'z/left'
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "holds no '/'" in err and "names a pair" in err, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["--group", "braid:3/pure", "--braid", ALPHA, "--n-max", "4"],
         ["--group", "braid:3/pure-ordinary", "--qm", "pullback(homog(brooks(w=xyXY)), pr1)",
          "--braid", ALPHA, "--radius", "2", "--cap", "1"],
@@ -1043,12 +1060,10 @@ def test_projections_have_no_underscore_spelling(capsys):
     ids=["pure", "pure-ordinary", "comm"],
 )
 def test_scl_bounds_on_three_strands_computes_no_normal_form(argv, monkeypatch, capsys):
-    # equality on 3 strands is b3_key and balls come in discovery order; the
-    # cache is cleared so that every normal form asked for is computed
+    # equality on 3 strands is b3_key and balls come in discovery order
     computed = []
     normal_form = braids.normal_form
     monkeypatch.setattr(braids, "normal_form", lambda b: computed.append(b) or normal_form(b))
-    braids.cached_normal_form.cache_clear()
     assert cli.main(["scl-bounds", *argv, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["items"]
     assert computed == []
