@@ -204,6 +204,7 @@ class BraidGroup(GroupContext):
     def __init__(self, n: int):
         self.n = n
         self.name = f"braid:{n}"
+        self.rests_on = ("b3-key",) if n == 3 else ("dynnikov",)
 
     def mul(self, a: BraidWord, b: BraidWord) -> BraidWord:
         return a * b
@@ -412,4 +413,5 @@ def pr1() -> GroupHom:
         lambda b: p3_coordinates(b).f2_part,
         "pr1",
         is_pure,
+        "pr1",
     )

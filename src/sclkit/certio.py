@@ -6,10 +6,13 @@ items are the payloads that ``scl.bavard_lower`` and
 group, element and quasimorphism from their text forms and recomputes each
 claimed fact from scratch; the only thing taken from the file is the
 statement being checked.  Any failure names the step that broke.  A kind
-is one ``KINDS`` row: its direction, a witness checker and a bound rule
-from ``scl``.  The checker returns the facts the rule reads and the costly
-checks still to run; ``verify_payload`` compares every claimed bound with
-its rule in one place, before those checks.  A lower item's quasimorphism
+is one ``KINDS`` row: its direction, a witness checker, a bound rule from
+``scl`` and the ``words.TRUSTED`` keys the rule rests on in each pair
+mode.  The checker returns the facts the rule reads, the costly checks
+still to run and the keys of what it rebuilt; ``verify_payload`` compares
+every claimed bound with its rule in one place, before those checks, and
+names the keys a verified item rests on: its rule's, its pair's and its
+witness's, never the file's.  A lower item's quasimorphism
 must first pass ``scl.lower_refusal``, whose (step, reason) is the failure.
 ``document`` runs the same check on every item before it builds an
 envelope, so each document sclkit writes holds only items that verify.
@@ -167,8 +170,9 @@ def _fraction(text: str, step: str, label: str) -> Fraction:
     raise StepFailure(step, f"{label} {text!r} is not a rational number")
 
 
-def _checked_payload(payload: object) -> tuple[Callable, Callable]:
-    """Check the envelope fields of one item; return its checker and rule."""
+def _checked_payload(payload: object) -> tuple[Callable, Callable, dict]:
+    """Check the envelope fields of one item; return its checker, rule and
+    the keys of the rule by pair mode."""
     if not isinstance(payload, dict):
         raise StepFailure("schema", "certificate item is not an object")
     for key, typ in _PAYLOAD_FIELDS.items():
@@ -178,15 +182,15 @@ def _checked_payload(payload: object) -> tuple[Callable, Callable]:
             raise StepFailure("schema", f"field {key!r} must be {typ.__name__}")
     if payload["kind"] not in KINDS:
         raise StepFailure("schema", f"unknown certificate kind {payload['kind']!r}")
-    direction, check, rule = KINDS[payload["kind"]]
+    direction, check, rule, rule_keys = KINDS[payload["kind"]]
     if payload["direction"] != direction:
         raise StepFailure("schema", f"kind {payload['kind']} must have direction {direction}")
     if payload["verified"] is not True:
         raise StepFailure("schema", "certificate is not marked as verified")
-    return check, rule
+    return check, rule, rule_keys
 
 
-def _check_upper(payload: dict, pair, target) -> tuple[tuple, list[Callable]]:
+def _check_upper(payload: dict, pair, target) -> tuple[tuple, list[Callable], tuple]:
     witness = payload["witness"]
     power = witness.get("power")
     # bool is a subclass of int, and true would verify as power 1
@@ -219,10 +223,10 @@ def _check_upper(payload: dict, pair, target) -> tuple[tuple, list[Callable]]:
         except ValueError as exc:
             raise StepFailure("witness", f"factor {i} does not parse: {exc}") from exc
     d = MixedCommutatorDecomposition(pair, target, power, tuple(factors))
-    return (len(factors), power), [lambda: verify_decomposition(d)]
+    return (len(factors), power), [lambda: verify_decomposition(d)], ()
 
 
-def _check_lower(payload: dict, pair, target) -> tuple[tuple, list[Callable]]:
+def _check_lower(payload: dict, pair, target) -> tuple[tuple, list[Callable], tuple]:
     witness = payload["witness"]
     for key in ("qm", "value", "defect_upper"):
         if not isinstance(witness.get(key), str):
@@ -253,26 +257,31 @@ def _check_lower(payload: dict, pair, target) -> tuple[tuple, list[Callable]]:
             "defect",
             f"reconstructed defect bound {qm.defect_upper} differs from claimed {claimed_defect}",
         )
+    # null or absent, as upper items write it, or the reconstruction's text
     provenance = payload["evidence"].get("defect_provenance")
-    if isinstance(provenance, str) and provenance != qm.defect_provenance:
+    if provenance is not None and provenance != qm.defect_provenance:
         raise StepFailure(
             "defect provenance",
             f"provenance {provenance!r} does not match reconstruction {qm.defect_provenance!r}",
         )
-    return (value, claimed_defect), []
+    return (value, claimed_defect), [], qm.rests_on
 
 
-# kind -> (direction, witness checker, bound rule)
-KINDS: dict[str, tuple[str, Callable, Callable]] = {
-    "scl-upper-decomposition": ("upper", _check_upper, decomposition_bound),
-    "scl-lower-bavard": ("lower", _check_lower, bavard_bound),
+# kind -> (direction, witness checker, bound rule, pair mode -> the rule's
+# keys); the upper bound m/n is the definition of scl and rests on none
+KINDS: dict[str, tuple[str, Callable, Callable, dict[str, tuple[str, ...]]]] = {
+    "scl-upper-decomposition": ("upper", _check_upper, decomposition_bound,
+                                {"ordinary": (), "mixed": ()}),
+    "scl-lower-bavard": ("lower", _check_lower, bavard_bound,
+                         {"ordinary": ("duality",), "mixed": ("mixed-duality",)}),
 }
 
 
-def verify_payload(payload: object) -> tuple[bool, str | None, str]:
-    """Re-check one certificate object: (ok, failed step, detail)."""
+def verify_payload(payload: object) -> tuple[bool, str | None, str, tuple[str, ...]]:
+    """Re-check one certificate object: (ok, failed step, detail, the
+    sorted ``words.TRUSTED`` keys a verified item rests on, () on failure)."""
     try:
-        check, rule = _checked_payload(payload)
+        check, rule, rule_keys = _checked_payload(payload)
         _within_budget("group pair", "the group pair has", len(payload["group_pair"]))
         try:
             pair = specs.parse_group_pair(payload["group_pair"])
@@ -288,7 +297,7 @@ def verify_payload(payload: object) -> tuple[bool, str | None, str]:
                 "target membership",
                 f"target {payload['target']} is outside the subgroup of {pair.name}",
             )
-        facts, costly = check(payload, pair, target)
+        facts, costly, witness_keys = check(payload, pair, target)
         bound = _fraction(payload["bound"], "bound arithmetic", "bound")
         implied = rule(*facts)
         if bound != implied:
@@ -298,8 +307,9 @@ def verify_payload(payload: object) -> tuple[bool, str | None, str]:
         for run in costly:
             run()
     except StepFailure as failure:
-        return False, failure.step, failure.detail
-    return True, None, "recomputed and confirmed"
+        return False, failure.step, failure.detail, ()
+    keys = tuple(sorted({*rule_keys[pair.mode], *pair.rests_on, *witness_keys}))
+    return True, None, "recomputed and confirmed", keys
 
 
 class CheckResult(Frozen):
@@ -308,6 +318,7 @@ class CheckResult(Frozen):
     ok: bool
     failed_step: str | None
     detail: str
+    rests_on: tuple[str, ...]
 
 
 class VerificationReport(Frozen):
@@ -344,6 +355,7 @@ class VerificationReport(Frozen):
                     "ok": c.ok,
                     "failed_step": c.failed_step,
                     "detail": c.detail,
+                    "rests_on": list(c.rests_on),
                 }
                 for c in self.checks
             ],
@@ -374,8 +386,7 @@ def verify_document(doc: object, source: str = "<document>") -> VerificationRepo
         kind = item.get("kind") if isinstance(item, dict) else None
         # a KINDS row, or "?": the step detail names any other kind by repr
         kind = kind if isinstance(kind, str) and kind in KINDS else "?"
-        ok, step, detail = verify_payload(item)
-        checks.append(CheckResult(i, kind, ok, step, detail))
+        checks.append(CheckResult(i, kind, *verify_payload(item)))
     return VerificationReport(source, tuple(checks), None)
 
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .braids import BraidGroup, BraidWord, index_sum
 from .groups import BallValues, CyclicZ, DirectProduct, FreeGroup, GroupContext
-from .quasimorphisms import Quasimorphism
+from .quasimorphisms import Quasimorphism, provenance
 from .scl import GroupPair, braid_commutator_pair, lower_refusal, product_left_pair
 from .words import Frozen, PreconditionError, StepFailure, _word
 
@@ -215,10 +215,8 @@ def extend_via_section(qm: Quasimorphism, section: SectionData, n_max: int) -> E
         eval_fn=phi_prime_eval,
         homogeneous=False,
         defect_upper=qm.defect_upper,
-        defect_provenance=(
-            f"{qm.defect_provenance}; transported along {section.name}, "
-            "defect preserved by ambient invariance"
-        ),
+        defect_provenance=provenance("transport", qm.defect_provenance, section.name),
+        rests_on=qm.rests_on + ("transport",),
         defined_on=None,
     )
     return ExtensionResult(base=qm, section=section, phi_prime=phi_prime, n_max=n_max)

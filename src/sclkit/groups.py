@@ -225,9 +225,11 @@ class BallValues:
 
 
 class GroupContext:
-    """Shared interface; subclasses fill in the primitive operations."""
+    """Shared interface; subclasses fill in the primitive operations.
+    ``rests_on`` holds the ``words.TRUSTED`` keys of the equality test."""
 
     name: str = "group"
+    rests_on: tuple[str, ...] = ()
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -447,6 +449,7 @@ class DirectProduct(GroupContext):
         self.left = left
         self.right = right
         self.name = f"product:{left.name},{right.name}"
+        self.rests_on = left.rests_on + right.rests_on
 
     def mul(self, a, b):
         return (self.left.mul(a[0], b[0]), self.right.mul(a[1], b[1]))
@@ -539,6 +542,7 @@ class GroupHom(Frozen):
 
     ``defined_on`` tests membership of the subgroup of the domain where the
     map is defined (pr1: the pure braids of braid:3), None for all of it.
+    ``derivation`` is the ``words.TRUSTED`` key of a pullback along it.
     """
 
     domain: GroupContext
@@ -546,14 +550,15 @@ class GroupHom(Frozen):
     fn: Callable[[object], object]
     name: str
     defined_on: Callable[[object], bool] | None
+    derivation: str
 
     def __call__(self, a):
         return self.fn(a)
 
 
 def proj_left(product: DirectProduct) -> GroupHom:
-    return GroupHom(product, product.left, lambda a: a[0], "proj-left", None)
+    return GroupHom(product, product.left, lambda a: a[0], "proj-left", None, "projection")
 
 
 def proj_right(product: DirectProduct) -> GroupHom:
-    return GroupHom(product, product.right, lambda a: a[1], "proj-right", None)
+    return GroupHom(product, product.right, lambda a: a[1], "proj-right", None, "projection")

@@ -37,7 +37,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 
 from .groups import BallValues, FreeGroup, GroupContext, GroupHom
-from .words import Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
+from .words import TRUSTED, Frozen, StepFailure, Word, cyclic_reduce_letters, invert_letters
 
 
 def _match_starts(pattern: tuple[int, ...], text: Sequence[int]) -> list[int]:
@@ -155,9 +155,10 @@ def defect_bound_counting(w: Word) -> Fraction:
 class Quasimorphism(Frozen):
     """A rational-valued function on a group context with defect records.
 
-    ``defect_upper`` is a certified bound (with its provenance).
-    ``defined_on`` tests membership of the subgroup of the context where the
-    function is defined, None for all of it.  Which pairs it may bound
+    ``defect_upper`` is a certified bound, with its provenance and the
+    ``words.TRUSTED`` keys of the derivations it rests on.  ``defined_on``
+    tests membership of the subgroup of the context where the function is
+    defined, None for all of it.  Which pairs it may bound
     follows from this and ``homogeneous``, as ``scl.lower_refusal`` states.
     """
 
@@ -167,11 +168,18 @@ class Quasimorphism(Frozen):
     homogeneous: bool
     defect_upper: Fraction
     defect_provenance: str
+    rests_on: tuple[str, ...]
     defined_on: Callable[[object], bool] | None
 
     def __call__(self, g) -> Fraction:
-        value = self.eval_fn(g)
-        return value if isinstance(value, Fraction) else Fraction(value)
+        return self.eval_fn(g)
+
+
+def provenance(key: str, *parts: str) -> str:
+    """The defect provenance that derivation ``key`` of ``words.TRUSTED``
+    writes, given the provenance it starts from and the map or section it
+    runs along."""
+    return TRUSTED[key][1].format(*parts)
 
 
 def _default_free_context(w: Word) -> GroupContext:
@@ -193,7 +201,8 @@ def brooks(w: Word, context: GroupContext | None = None) -> Quasimorphism:
         eval_fn=lambda g: Fraction(count_copies(w, g) - count_copies(w_inv, g)),
         homogeneous=False,
         defect_upper=bound,
-        defect_provenance="junction-argument",
+        defect_provenance=provenance("junction"),
+        rests_on=("junction",),
         defined_on=None,
     )
 
@@ -208,7 +217,8 @@ def brooks_homogenized(w: Word, context: GroupContext | None = None) -> Quasimor
         eval_fn=lambda g: homogenize_counting_exact(w, g),
         homogeneous=True,
         defect_upper=2 * defect_bound_counting(w),
-        defect_provenance="junction-argument doubled by homogenisation",
+        defect_provenance=provenance("homogenisation", provenance("junction")),
+        rests_on=("junction", "homogenisation"),
         defined_on=None,
     )
 
@@ -220,7 +230,8 @@ def zero_qm(context: GroupContext) -> Quasimorphism:
         eval_fn=lambda g: Fraction(0),
         homogeneous=True,
         defect_upper=Fraction(0),
-        defect_provenance="identically zero",
+        defect_provenance=provenance("zero"),
+        rests_on=("zero",),
         defined_on=None,
     )
 
@@ -233,7 +244,8 @@ def hom_qm(context: GroupContext, fn: Callable[[object], int], name: str) -> Qua
         eval_fn=lambda g: Fraction(fn(g)),
         homogeneous=True,
         defect_upper=Fraction(0),
-        defect_provenance="homomorphism",
+        defect_provenance=provenance("homomorphism"),
+        rests_on=("homomorphism",),
         defined_on=None,
     )
 
@@ -252,7 +264,8 @@ def pullback(qm: Quasimorphism, hom: GroupHom) -> Quasimorphism:
         eval_fn=lambda g: qm(hom(g)),
         homogeneous=qm.homogeneous,
         defect_upper=qm.defect_upper,
-        defect_provenance=f"{qm.defect_provenance}; pulled back along {hom.name}",
+        defect_provenance=provenance(hom.derivation, qm.defect_provenance, hom.name),
+        rests_on=qm.rests_on + (hom.derivation,),
         defined_on=outer if inner is None else (
             lambda g: (outer is None or outer(g)) and inner(hom(g))),
     )

@@ -49,7 +49,8 @@ class GroupPair(Frozen):
     elements deterministically: the ambient ball for the ordinary pair, the
     ball of P3 = F2 x Z in x, y and the full twist for the pure pairs, the
     members of the ambient ball for braid:n/comm, and the ball of G at z = 0
-    for product:G,z/left, all of radius r.
+    for product:G,z/left, all of radius r.  ``rests_on`` holds the
+    ``words.TRUSTED`` keys of the ambient equality and membership tests.
     """
 
     name: str
@@ -57,6 +58,7 @@ class GroupPair(Frozen):
     is_member: Callable[[object], bool]
     subgroup_ball: Callable[[int], list]
     mode: str
+    rests_on: tuple[str, ...]
 
     def admits_conjugator(self, h: object) -> bool:
         """Whether h may be the first entry of a commutator: any ambient
@@ -72,6 +74,7 @@ def ordinary_pair(ctx: GroupContext) -> GroupPair:
         is_member=lambda g: True,
         subgroup_ball=ctx.ball,
         mode="ordinary",
+        rests_on=ctx.rests_on,
     )
 
 
@@ -84,12 +87,14 @@ def _p3_ball(radius: int) -> list[BraidWord]:
 
 def braid_pure_pair() -> GroupPair:
     """(B3, P3): ambient 3-strand braids, pure braids as the normal subgroup."""
+    ctx = BraidGroup(3)
     return GroupPair(
         name="braid:3/pure",
-        ambient=BraidGroup(3),
+        ambient=ctx,
         is_member=is_pure,
         subgroup_ball=_p3_ball,
         mode="mixed",
+        rests_on=ctx.rests_on + ("b3-purity",),
     )
 
 
@@ -107,6 +112,7 @@ def pure_ordinary_pair() -> GroupPair:
         is_member=pure.is_member,
         subgroup_ball=pure.subgroup_ball,
         mode="ordinary",
+        rests_on=pure.rests_on,
     )
 
 
@@ -123,6 +129,7 @@ def braid_commutator_pair(n: int) -> GroupPair:
         is_member=is_member,
         subgroup_ball=lambda r: [b for b in ctx.ball(r) if is_member(b)],
         mode="mixed",
+        rests_on=ctx.rests_on,
     )
 
 
@@ -135,6 +142,7 @@ def product_left_pair(inner: GroupContext) -> GroupPair:
         is_member=lambda p: p[1] == 0,
         subgroup_ball=lambda r: [(w, 0) for w in inner.ball(r)],
         mode="mixed",
+        rests_on=ctx.rests_on,
     )
 
 

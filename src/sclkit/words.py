@@ -11,6 +11,10 @@ Text syntax: lowercase ``a``..``z`` name generators 1..26, uppercase letters
 their inverses, and whitespace is ignored.  Text is its letters: no syntax
 expands, so a word has at most as many letters as its text has characters,
 and ``parse -> format -> parse`` is the identity.
+
+Every other kernel module imports this one, so it also holds what they
+share: the record base ``Frozen``, the failure ``StepFailure`` and the
+trust table ``TRUSTED``.
 """
 
 from __future__ import annotations
@@ -209,6 +213,50 @@ class StepFailure(Exception):
 
 class PreconditionError(ValueError):
     """A stated hypothesis failed; the check refuses to run rather than skip."""
+
+
+# What ``verify`` takes on trust: key -> (citation, provenance).  Each key
+# names one result a verdict uses without rechecking it: a bound rule,
+# named by ``certio.KINDS``; a defect derivation, named by a quasimorphism,
+# whose provenance is the text it writes into ``defect_provenance`` from
+# the provenance it starts from and the map or section it runs along; or
+# an equality or membership test, named by a group and a group pair.
+# README's trust table is this table.
+TRUSTED: dict[str, tuple[str, str | None]] = {
+    "duality": ("scl(x) >= abs(phi(x)) / (2 D(phi)) for a homogeneous quasimorphism phi "
+                "(Bavard 1991; Calegari, scl, 2009, ch. 2)", None),
+    "mixed-duality": ("the same bound for the mixed scl_{G,N} when phi is homogeneous on N "
+                      "and invariant under conjugation by G, as the restriction of a "
+                      "homogeneous quasimorphism on G is (arXiv:1911.10855)", None),
+    "junction": ("a counting quasimorphism h_w has defect at most 3, and 0 for one letter: "
+                 "at most one copy of w straddles each junction of a reduced product "
+                 "(Brooks 1981; sclkit.quasimorphisms)", "junction-argument"),
+    "homogenisation": ("homogenising at most doubles a defect bound (Calegari, scl, 2009, "
+                       "ch. 2), and homogenised h_w is the packing rate of w minus that of "
+                       "w^-1 on the cyclic core (sclkit.quasimorphisms)",
+                       "{} doubled by homogenisation"),
+    "homomorphism": ("a homomorphism to Z is a homogeneous quasimorphism of defect 0",
+                     "homomorphism"),
+    "zero": ("the zero function is a homogeneous quasimorphism of defect 0",
+             "identically zero"),
+    "pr1": ("pr1 is a homomorphism from P3 = F2 x Z onto its free factor, by "
+            "Reidemeister-Schreier rewriting over the cosets of P3 in B3 (Kassel and "
+            "Turaev, Braid Groups, 2008), and a pullback keeps homogeneity and the defect bound",
+            "{}; pulled back along {}"),
+    "projection": ("a projection of a direct product is a homomorphism, and a pullback "
+                   "keeps homogeneity and the defect bound", "{}; pulled back along {}"),
+    "transport": ("ghat -> phi(s(p(ghat))^-1 ghat), for a section s of an integer quotient "
+                  "p, keeps the defect bound of a phi invariant under ambient conjugation "
+                  "(arXiv:1911.10855)",
+                  "{}; transported along {}, defect preserved by ambient invariance"),
+    "b3-key": ("B3 -> SL(2,Z) has kernel generated by the fourth power of the half twist, "
+               "on which the index sum is injective (Kassel and Turaev, Braid Groups, 2008)",
+               None),
+    "b3-purity": ("the SL(2,Z) image of a 3-strand braid mod 2 is its permutation, as "
+                  "SL(2,Z/2) is the symmetric group on three letters", None),
+    "dynnikov": ("B_n acts faithfully on Z^2n through Dynnikov coordinates (Dehornoy, "
+                 "Dynnikov, Rolfsen and Wiest, Ordering Braids, 2008, ch. XII)", None),
+}
 
 
 def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:

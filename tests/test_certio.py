@@ -7,6 +7,7 @@ genuine certificate in exactly one place.
 import copy
 import json
 import os
+import re
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +18,7 @@ from sclkit import certio
 from sclkit.braids import braid, half_twist, pr1
 from sclkit.certio import (
     FORMAT,
+    KINDS,
     MAX_DOCUMENT_ITEMS,
     WITNESS_TEXT_BUDGET,
     document,
@@ -27,18 +29,21 @@ from sclkit.certio import (
     verify_payload,
     write_text_atomic,
 )
+from sclkit.extension import braid_abelianization_section, extend_via_section
 from sclkit.quasimorphisms import brooks_homogenized, pullback
 from sclkit.scl import (
     MixedCommutatorDecomposition,
     bavard_lower,
+    braid_commutator_pair,
     braid_pure_pair,
     conjugate_flip_decomposition,
     pure_ordinary_pair,
     upper_from_decomposition,
     verify_decomposition,
 )
+from sclkit.specs import parse_group_pair, parse_qm
 from sclkit.suite import alpha_braid
-from sclkit.words import StepFailure, word
+from sclkit.words import TRUSTED, StepFailure, word
 
 
 @pytest.fixture(scope="module")
@@ -273,14 +278,14 @@ LOWER_FAULTS = [
 
 @pytest.mark.parametrize("step,edit", UPPER_FAULTS, ids=[s for s, _ in UPPER_FAULTS])
 def test_upper_fault_injection(upper_cert, step, edit):
-    ok, failed_step, detail = verify_payload(corrupted(upper_cert, edit))
+    ok, failed_step, detail, _ = verify_payload(corrupted(upper_cert, edit))
     assert not ok
     assert failed_step == step, detail
 
 
 @pytest.mark.parametrize("step,edit", LOWER_FAULTS, ids=[s for s, _ in LOWER_FAULTS])
 def test_lower_fault_injection(lower_cert, step, edit):
-    ok, failed_step, detail = verify_payload(corrupted(lower_cert, edit))
+    ok, failed_step, detail, _ = verify_payload(corrupted(lower_cert, edit))
     assert not ok
     assert failed_step == step, detail
 
@@ -293,23 +298,25 @@ def test_a_forged_bound_fails_before_any_multiplication(upper_cert, monkeypatch)
         verify_decomposition(d)
 
     monkeypatch.setattr(certio, "verify_decomposition", counted)
-    ok, step, detail = verify_payload(corrupted(upper_cert, lambda p: p.update(bound="1/3")))
+    ok, step, detail, _ = verify_payload(corrupted(upper_cert, lambda p: p.update(bound="1/3")))
     assert (ok, step, len(calls)) == (False, "bound arithmetic", 0), detail
     assert detail == "claimed bound 1/3, the witness gives 1/4"
-    assert verify_payload(upper_cert) == (True, None, "recomputed and confirmed")
+    assert verify_payload(upper_cert) == (
+        True, None, "recomputed and confirmed", ("b3-key", "b3-purity"))
     assert len(calls) == 1
 
 
 def test_a_kind_that_reuses_a_witness_checker_is_one_row(upper_cert, monkeypatch):
     # one factor at power 4, read by a rule of half the upper bound
-    _, check_upper, _ = certio.KINDS["scl-upper-decomposition"]
-    row = ("upper", check_upper, lambda k, p: Fraction(k, 2 * p))
+    _, check_upper, _, rule_keys = certio.KINDS["scl-upper-decomposition"]
+    row = ("upper", check_upper, lambda k, p: Fraction(k, 2 * p), rule_keys)
     monkeypatch.setitem(certio.KINDS, "scl-upper-halved", row)
     halved = corrupted(upper_cert, lambda p: p.update(kind="scl-upper-halved", bound="1/8"))
-    assert verify_payload(halved) == (True, None, "recomputed and confirmed")
+    assert verify_payload(halved) == (
+        True, None, "recomputed and confirmed", ("b3-key", "b3-purity"))
     assert verify_document({"format": FORMAT, "items": [halved, upper_cert]}).ok
     for bound in ("1/4", "1/16"):
-        ok, step, detail = verify_payload(corrupted(halved, lambda p: p.update(bound=bound)))
+        ok, step, detail, _ = verify_payload(corrupted(halved, lambda p: p.update(bound=bound)))
         assert (ok, step) == (False, "bound arithmetic"), detail
         assert detail == f"claimed bound {bound}, the witness gives 1/8"
     # the witness checker still runs its costly check after the bound
@@ -330,7 +337,7 @@ def test_exponent_syntax_is_refused_before_parsing(upper_cert, lower_cert):
         ),
     ]
     for cert, step, edit in cases:
-        ok, failed_step, detail = verify_payload(corrupted(cert, edit))
+        ok, failed_step, detail, _ = verify_payload(corrupted(cert, edit))
         assert not ok
         assert failed_step == step, detail
 
@@ -347,14 +354,14 @@ def test_text_over_the_budget_is_refused_before_parsing(upper_cert, lower_cert):
         (lower_cert, "quasimorphism", lambda p: p["witness"].update(qm=long_qm)),
     ]
     for cert, step, edit in cases:
-        ok, failed_step, detail = verify_payload(corrupted(cert, edit))
+        ok, failed_step, detail, _ = verify_payload(corrupted(cert, edit))
         assert not ok
         assert failed_step == step, detail
         assert f"over the budget of {WITNESS_TEXT_BUDGET}" in detail
     # at the budget the target is read: s1^10000 is pure, and its value differs
     at_budget = " " + "1," * (WITNESS_TEXT_BUDGET // 2 - 1) + "1"
     assert len(at_budget) == WITNESS_TEXT_BUDGET
-    ok, failed_step, detail = verify_payload(
+    ok, failed_step, detail, _ = verify_payload(
         corrupted(lower_cert, lambda p: p.update(target=at_budget))
     )
     assert failed_step == "qm value", detail
@@ -370,7 +377,7 @@ def test_boolean_power_is_refused_at_witness():
     payload = upper_from_decomposition(d)
     assert verify_payload(payload)[0]
     payload["witness"]["power"] = True
-    ok, step, detail = verify_payload(payload)
+    ok, step, detail, _ = verify_payload(payload)
     assert not ok
     assert step == "witness", detail
 
@@ -400,14 +407,14 @@ def test_rationals_are_read_only_as_fraction_writes_them(upper_cert, lower_cert)
     for cert, step, canonical, edit in fields:
         assert verify_payload(corrupted(cert, lambda p: edit(p, canonical)))[0]
         for text in NON_CANONICAL[canonical] + ["1e99999999", "1/0", "9" * 5000, "", "-"]:
-            ok, failed_step, detail = verify_payload(corrupted(cert, lambda p: edit(p, text)))
+            ok, failed_step, detail, _ = verify_payload(corrupted(cert, lambda p: edit(p, text)))
             assert (ok, failed_step) == (False, step), (text, detail)
             assert "is not a rational number" in detail
 
 
 def test_unmodified_payloads_verify(upper_cert, lower_cert):
     for cert in (upper_cert, lower_cert):
-        ok, step, detail = verify_payload(cert)
+        ok, step, detail, _ = verify_payload(cert)
         assert ok, f"{step}: {detail}"
 
 
@@ -419,7 +426,7 @@ def test_user_config_defect_fails_at_defect(lower_cert):
         p["witness"]["defect_upper"] = "1/1000"
         p["bound"] = "500"
 
-    ok, step, detail = verify_payload(corrupted(lower_cert, forge))
+    ok, step, detail, _ = verify_payload(corrupted(lower_cert, forge))
     assert not ok
     assert step == "defect", detail
     assert "6" in detail
@@ -450,3 +457,92 @@ def test_load_document_missing_file_raises(tmp_path):
             load_document(path)
         assert exc.value.step == "schema"
         assert verify_file(path).schema_error == str(exc.value)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+CORPUS = Path(__file__).resolve().parent / "certificates"
+
+
+def test_readme_trust_table_is_the_registry():
+    text = README.read_text()
+    start = text.index("| key | the result `verify` takes on trust |")
+    rows = text[start:text.index("\n\n", start)].splitlines()[2:]
+    table = {}
+    for row in rows:
+        key, citation = re.fullmatch(r"\| `([^`]+)` \| (.+) \|", row).groups()
+        table[key] = citation
+    assert table == {key: citation for key, (citation, _) in TRUSTED.items()}
+
+
+def test_every_key_a_rebuilt_object_names_is_in_the_trust_table():
+    named = set()
+    for _, _, _, rule_keys in KINDS.values():
+        for keys in rule_keys.values():
+            named |= set(keys)
+    for spec in ("free:2", "z", "perm:3", "braid:2", "braid:3", "braid:4", "braid:3/pure",
+                 "braid:3/pure-ordinary", "braid:3/comm", "braid:5/comm",
+                 "product:braid:3,z/left", "product:braid:4,braid:3"):
+        named |= set(parse_group_pair(spec).rests_on)
+    qms = [parse_qm(spec, group=parse_group_pair(group).ambient) for group, spec in (
+        ("free:2", "zero"), ("braid:3", "hom(indexsum)"), ("free:2", "brooks(w=ab)"),
+        ("free:2", "homog(brooks(w=abAB))"), ("braid:3", "pullback(homog(brooks(w=xyXY)), pr1)"),
+        ("product:z,free:2", "pullback(homog(brooks(w=ab)), proj-right)"),
+    )]
+    qms.append(extend_via_section(qms[1], braid_abelianization_section(), 4).phi_prime)
+    for qm in qms:
+        named |= set(qm.rests_on)
+    assert named == set(TRUSTED)
+    # a derivation writes provenance; a rule or an equality test does not
+    derivations = {key for qm in qms for key in qm.rests_on}
+    assert {key for key, (_, provenance) in TRUSTED.items() if provenance} == derivations
+
+
+def test_the_transport_provenance_is_built_from_the_trust_table():
+    # no certificate holds it, so no golden pins its text
+    section = braid_abelianization_section()
+    phi = extend_via_section(parse_qm("hom(indexsum)"), section, 4).phi_prime
+    assert phi.rests_on == ("homomorphism", "transport")
+    assert phi.defect_provenance == (f"homomorphism; transported along {section.name}, "
+                                     "defect preserved by ambient invariance")
+
+
+def test_rests_on_names_the_rule_the_pair_and_the_quasimorphism(upper_cert, lower_cert):
+    assert verify_payload(lower_cert)[3] == (
+        "b3-key", "b3-purity", "duality", "homogenisation", "junction", "pr1")
+    assert verify_payload(upper_cert)[3] == ("b3-key", "b3-purity")
+    f2 = parse_group_pair("free:2")
+    free_upper = upper_from_decomposition(MixedCommutatorDecomposition(
+        f2, word("abAB"), 1, ((word("a"), word("b")),)))
+    assert verify_payload(free_upper) == (True, None, "recomputed and confirmed", ())
+    # mixed mode: the paper's inequality for invariant quasimorphisms
+    comm = braid_commutator_pair(4)
+    mixed_lower = bavard_lower(braid("1,-2", 4), parse_qm("hom(indexsum)", group=comm.ambient), comm)
+    assert verify_payload(mixed_lower)[3] == ("dynnikov", "homomorphism", "mixed-duality")
+    # a failed item rests on nothing
+    assert verify_payload(corrupted(lower_cert, lambda p: p.update(bound="1")))[3] == ()
+
+
+def test_an_edit_to_note_or_evidence_keeps_rests_on_or_fails_the_item():
+    # the keys are read off what verify rebuilt, so no text outside the
+    # statement moves them
+    item = json.loads((CORPUS / "pure-ordinary-lower.json").read_text())["items"][1]
+    ok, _, _, keys = verify_payload(item)
+    assert ok and "pr1" in keys
+    edits = [
+        lambda p: p.update(note="rests on nothing"),
+        lambda p: p.update(note=""),
+        lambda p: p["evidence"].update(rests_on=["duality"]),
+        lambda p: p["evidence"].update(defect_provenance=None),
+        lambda p: p["evidence"].pop("defect_provenance"),
+        lambda p: p.update(evidence={}),
+        lambda p: p["evidence"].update(defect_provenance="junction-argument"),
+        lambda p: p["evidence"].update(
+            defect_provenance="junction-argument doubled by homogenisation"),
+        lambda p: p["evidence"].update(defect_provenance=["junction"]),
+    ]
+    outcomes = []
+    for edit in edits:
+        ok, step, _, got = verify_payload(corrupted(item, edit))
+        assert got == (keys if ok else ()), step
+        outcomes.append(ok)
+    assert outcomes == [True] * 6 + [False] * 3

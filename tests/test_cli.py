@@ -338,7 +338,7 @@ def test_scl_bounds_fails_its_own_checks_at_a_step_and_writes_nothing(
     real = getattr(search, patched)
     monkeypatch.setattr(search, patched, lambda *a, **kw: _with_bound(real(*a, **kw), bound))
     if accept_all:
-        monkeypatch.setattr(certio, "verify_payload", lambda payload: (True, None, "planted"))
+        monkeypatch.setattr(certio, "verify_payload", lambda payload: (True, None, "planted", ()))
     out = tmp_path / "bounds.json"
     code = cli.main(["scl-bounds", "--group", "free:2", *argv, "--radius", "1", "--cap", "1",
                      "--out", str(out)])
@@ -363,7 +363,7 @@ def test_a_failed_p3_self_certification_in_verify_exits_1_at_its_step(
     assert cli.main(["verify", str(path), "--format", "json"]) == 1
     captured = capsys.readouterr()
     (item,) = json.loads(captured.out)["items"]
-    assert (item["ok"], item["failed_step"]) == (False, "p3 coordinates")
+    assert (item["ok"], item["failed_step"], item["rests_on"]) == (False, "p3 coordinates", [])
     assert captured.err == ""
 
 
@@ -834,6 +834,19 @@ def test_verify_exit_codes(tmp_path):
     assert "schema" in (r.stdout + r.stderr).lower()
 
     assert run_cli("verify", str(tmp_path / "missing.json")).returncode == 2
+
+
+def test_verify_json_names_the_keys_each_item_rests_on(capsys):
+    # one field per item in the JSON report; the human report is unchanged
+    path = Path(__file__).parent / "certificates" / "pure-ordinary-lower.json"
+    assert cli.main(["verify", str(path), "--format", "json"]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert [item["rests_on"] for item in items] == [
+        ["b3-key", "b3-purity"],
+        ["b3-key", "b3-purity", "duality", "homogenisation", "junction", "pr1"],
+    ]
+    assert cli.main(["verify", str(path)]) == 0
+    assert "rests_on" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

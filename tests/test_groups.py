@@ -168,9 +168,11 @@ def test_group_hom_projections():
 
 
 def test_group_hom_detects_non_homomorphism():
-    # the sampled check above is only evidence if it can fail
+    # the sampled check above is only evidence if it can fail: here on a
+    # square map that poses as a projection
     z = CyclicZ()
-    bad = GroupHom(z, z, lambda k: k * k, name="square", defined_on=None)
+    bad = GroupHom(z, z, lambda k: k * k, name="square", defined_on=None,
+                   derivation="projection")
     assert not multiplicative_on_samples(bad, random.Random(209))
 
 
@@ -233,7 +235,8 @@ def _thirds_and_quarters(ctx):
         # so 3/3 + 3/4
         Fraction(7, 4),
         "junction-argument",
-        False,
+        ("junction",),
+        None,
     )
 
 

@@ -186,7 +186,7 @@ INVARIANCE_TABLE = [
 
 def _mixed(ctx):
     """ctx as both the ambient group and the subgroup, in mixed mode."""
-    return GroupPair(ctx.name, ctx, lambda g: True, ctx.ball, "mixed")
+    return GroupPair(ctx.name, ctx, lambda g: True, ctx.ball, "mixed", ctx.rests_on)
 
 
 @pytest.mark.parametrize("group,spec,invariant", INVARIANCE_TABLE)
@@ -282,7 +282,8 @@ def test_defect_search_matches_reference_with_a_nontrivial_scale():
         # so 3/3 + 3/4
         Fraction(7, 4),
         "junction-argument",
-        False,
+        ("junction",),
+        None,
     )
     assert scaled_ball_values(f2, 5, qm)[1] == 12
     res = _same_as_reference(qm, 5)
@@ -319,10 +320,12 @@ def test_defect_search_matches_reference_off_free_groups():
         b3,
         lambda b: Fraction(max(-2, min(2, b3_key(b)[1])), 3),
         False,
-        # every value lies in [-2/3, 2/3], so the defect is at most 3 * 2/3
+        # every value lies in [-2/3, 2/3], so the defect is at most 3 * 2/3,
+        # which rests on no result of the trust table
         Fraction(2),
         "bounded",
-        False,
+        (),
+        None,
     )
     assert _same_as_reference(clamped, 4).lower > 0
 

@@ -53,6 +53,7 @@ def test_the_warnings_job_compares_every_byte_golden():
     assert 'cmp "$RUNNER_TEMP/seed7.json" tests/data/verify-paper-seed7.json' in job
     assert "for f in tests/certificates/*.json; do" in job
     assert 'python -W error -m sclkit verify "$f" || exit 1' in job
+    assert 'python -W error -m sclkit verify "$f" --format json > /dev/null || exit 1' in job
     # every line of COMMANDS: a golden file name, then the sclkit arguments
     assert "done < tests/data/scl-bounds/COMMANDS" in job
     assert 'python -W error -m sclkit "${args[@]}" > "$RUNNER_TEMP/golden.out" || exit 1' in job
